@@ -36,8 +36,6 @@ from .dynamics import (
     solve_semi_infinite,
 )
 from .spectral import (
-    PolynomialEvaluator,
-    PolynomialKind,
     eval_chebyshev,
     eval_p,
     eval_q,
@@ -53,6 +51,7 @@ from .moments import (
     HankelPositivityReport,
     build_hankel,
     chebyshev_transform,
+    hankel_min_eigs,
     hankel_positivity,
     moments_to_response,
     response_to_moments,
@@ -77,7 +76,6 @@ from .determinacy import (
     connecting_max_eig_sequence,
     connecting_min_eig_sequence,
     deficiency_partial_sums,
-    hankel_min_eig_sequence,
 )
 from .debranges import (
     HermiteBiehlerFunction,

@@ -1,22 +1,40 @@
-"""Multiprecision backends for the ill-conditioned linear algebra.
+"""The precision backend: the only module that knows what each mode means.
 
+DOUBLE keeps float64/complex128 ndarrays on LAPACK.  EXTENDED lifts values
+to object arrays of mpmath mpf at EXTENDED_DPS digits, and RATIONAL to
+object arrays of Fraction, exact wherever no root or eigenvalue is needed.
 Hankel and connecting matrices of rapidly growing coefficient families
 span hundreds of orders of magnitude, putting their smallest eigenvalues
-far below the float64 noise floor (~eps * ||matrix||).  EXTENDED mode
-routes the eigenvalue and Cholesky work through mpmath at a fixed
-working precision instead.
+far below the float64 noise floor (~eps * ||matrix||); the object modes
+exist for them.
+
+The pipeline modules write each step once, independent of dtype, on top
+of what this module provides: ``lift``, the per-mode noise and pivot
+floors, ``sym_eigenvalues`` with its nested-block pass, one
+positive-definite factorization (``pd_factor``) and one solve on it
+(``mp_pd_solve``).  The factorization is the one place with two paths:
+float arrays go to LAPACK, object arrays to an LDL^T in their own
+arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 from mpmath import mp, mpf, workdps
 
-from .core import PrecisionMode
+from .core import ConditioningError, PrecisionMode, _to_fraction
 
 EXTENDED_DPS = 50
+
+# Double-precision eigenvalues below this multiple of eps * ||block|| are noise.
+NOISE_FLOOR_FACTOR = 1e3
+
+_RESIDUAL_TOL = 1e-10
+_REFINE_STEPS = 5
 
 
 def mp_context():
@@ -40,14 +58,50 @@ def as_mpf(x):
     return mpf(float(x))
 
 
-def to_mp_matrix(matrix) -> "mp.matrix":
-    arr = np.asarray(matrix)
-    n, m = arr.shape
-    out = mp.matrix(n, m)
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = as_mpf(arr[i, j])
+def lift(values, precision: PrecisionMode) -> np.ndarray:
+    """``values`` as an array of the number type of ``precision``.
+
+    DOUBLE gives float64 (complex128 for complex input).  EXTENDED gives
+    an object array of mpf, converted at EXTENDED_DPS digits; RATIONAL an
+    object array of Fraction, where floats convert exactly and inexact
+    types such as mpf are refused with TypeError.
+    """
+    arr = np.asarray(values)
+    if precision is PrecisionMode.DOUBLE:
+        return arr.astype(complex if np.iscomplexobj(arr) else float)
+    convert = _to_fraction if precision is PrecisionMode.RATIONAL else as_mpf
+    out = np.empty(arr.shape, dtype=object)
+    with mp_context():
+        # tolist() turns numpy scalars into the Python numbers both
+        # converters accept
+        out.flat = [convert(v) for v in arr.ravel().tolist()]
     return out
+
+
+def noise_floor(norm, precision: PrecisionMode):
+    """Eigenvalues of a block with spectral norm ``norm`` (scalar or
+    array) that lie below this are rounding noise of the mode's
+    eigensolver."""
+    unit = (NOISE_FLOOR_FACTOR * np.finfo(float).eps
+            if precision is PrecisionMode.DOUBLE else 10.0 ** (5 - EXTENDED_DPS))
+    return unit * np.maximum(norm, 1.0)
+
+
+def above_noise(mins, maxs, precision: PrecisionMode) -> np.ndarray:
+    """Mask of the blocks whose smallest eigenvalue clears the noise floor
+    of the block norm max(|min|, |max|)."""
+    mins, maxs = np.abs(mins), np.abs(maxs)
+    return mins >= noise_floor(np.maximum(mins, maxs), precision)
+
+
+def pivot_floor(precision: PrecisionMode) -> float:
+    """Smallest Cholesky pivot ratio (of the factor's diagonal, i.e. the
+    square root of the LDL^T pivot ratio) a coefficient recovery accepts.
+
+    Below 1e-10 float64 data no longer determine the coefficients; the
+    object modes carry their own digits and are not guarded.
+    """
+    return 1e-10 if precision is PrecisionMode.DOUBLE else 0.0
 
 
 def sym_eigenvalues(matrix, precision: PrecisionMode) -> np.ndarray:
@@ -58,57 +112,99 @@ def sym_eigenvalues(matrix, precision: PrecisionMode) -> np.ndarray:
     that tiny eigenvalues of huge matrices keep their leading digits.
     """
     if precision is PrecisionMode.DOUBLE:
-        return np.linalg.eigvalsh(np.asarray(matrix, dtype=float))
-    with workdps(EXTENDED_DPS):
-        ev = mp.eigsy(to_mp_matrix(matrix), eigvals_only=True)
-        vals = sorted(float(v) for v in ev)
-    return np.array(vals)
+        return np.linalg.eigvalsh(lift(matrix, precision))
+    with mp_context():
+        lifted = mp.matrix(lift(matrix, PrecisionMode.EXTENDED).tolist())
+        ev = mp.eigsy(lifted, eigvals_only=True)
+        return np.array(sorted(float(v) for v in ev))
 
 
-def mp_cholesky_lower(matrix) -> np.ndarray:
-    """Lower-triangular L with matrix = L L^T, entries mpf.
+def leading_eig_extremes(matrix, precision: PrecisionMode):
+    """(smallest, largest) eigenvalue of every leading block
+    matrix[:n, :n], n = 1..size, from one eigen-solve per block."""
+    size = np.asarray(matrix).shape[0]
+    ends = np.array([sym_eigenvalues(matrix[:n, :n], precision)[[0, -1]]
+                     for n in range(1, size + 1)])
+    return ends[:, 0], ends[:, 1]
 
-    Raises ValueError when the matrix is not positive definite (mpmath
-    signals this during the factorization).
+
+def pd_factor(matrix):
+    """Unit lower-triangular L and pivots d with matrix = L diag(d) L^T.
+
+    Float arrays are factored by LAPACK Cholesky C (L = C diag(C)^-1,
+    d = diag(C)^2).  Object arrays of mpf or Fraction are factored in
+    their own arithmetic, with no square root, so Fraction input stays
+    exact.  Raises np.linalg.LinAlgError when the matrix is not positive
+    definite.
     """
-    with workdps(EXTENDED_DPS):
-        lower = mp.cholesky(to_mp_matrix(matrix))
-        n = lower.rows
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = lower[i, j]
-    return out
+    arr = np.asarray(matrix)
+    if arr.dtype != object:
+        chol = scipy.linalg.cholesky(arr, lower=True)
+        diag = np.diagonal(chol)
+        return chol / diag, diag * diag
+    n = arr.shape[0]
+    low = np.zeros((n, n), dtype=object)
+    piv = np.empty(n, dtype=object)
+    with mp_context():
+        for j in range(n):
+            scaled = low[j, :j] * piv[:j]     # L[j, k] d_k, once per column
+            piv[j] = arr[j, j] - low[j, :j] @ scaled
+            if not piv[j] > 0:
+                raise np.linalg.LinAlgError(f"pivot {j} is not positive")
+            low[j, j] = 1
+            low[j + 1:, j] = (arr[j + 1:, j] - low[j + 1:, :j] @ scaled) / piv[j]
+    return low, piv
 
 
-def mp_pd_solve(matrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+def _pd_substitute(low, piv, rhs):
+    """x with L diag(d) L^T x = rhs, by the two triangular sweeps."""
+    if low.dtype != object:
+        y = scipy.linalg.solve_triangular(low, rhs, lower=True,
+                                          unit_diagonal=True)
+        return scipy.linalg.solve_triangular(low, y / piv, lower=True,
+                                             trans="T", unit_diagonal=True)
+    x = rhs.copy()
+    for i in range(x.size):
+        x[i] = x[i] - low[i, :i] @ x[:i]
+    x = x / piv
+    for i in reversed(range(x.size)):
+        x[i] = x[i] - low[i + 1:, i] @ x[i + 1:]
+    return x
+
+
+def _norm(vec) -> float:
+    return math.sqrt(float(np.sum(np.abs(vec) ** 2)))
+
+
+def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     """Solve a real positive-definite system with a complex right side.
 
-    Real and imaginary parts are solved separately through the mpmath
-    Cholesky path at EXTENDED_DPS digits; returns (x as an object array
-    of mpc values, relative residual).  The multiprecision entries are
-    kept because downstream identities (reproducing property, special
-    states) cancel catastrophically when the solution is rounded to
-    float64.  Raises ValueError when not positive definite.
+    Returns (x, relative residual).  Float arrays are solved in
+    complex128 on LAPACK.  Object arrays are solved in mpc at
+    EXTENDED_DPS digits (Fraction entries are rounded there, since the
+    right side is inexact anyway), and x keeps its mpc entries because
+    downstream identities (reproducing property, special states) cancel
+    catastrophically when the solution is rounded to float64.  The
+    solution is refined until the residual is below 1e-10, and
+    ConditioningError is raised when that stalls.  Raises
+    np.linalg.LinAlgError when the matrix is not positive definite.
     """
-    rhs = np.asarray(rhs, dtype=complex)
-    n = rhs.size
-    with workdps(EXTENDED_DPS):
-        A = to_mp_matrix(matrix)
-        parts = []
-        for component in (rhs.real, rhs.imag):
-            b = mp.matrix([as_mpf(v) for v in component])
-            parts.append(mp.cholesky_solve(A, b))
-        x_re, x_im = parts
-        resid = mpf(0)
-        scale = mpf(0)
-        for i in range(n):
-            row_re = sum(A[i, j] * x_re[j] for j in range(n))
-            row_im = sum(A[i, j] * x_im[j] for j in range(n))
-            resid += (row_re - as_mpf(rhs.real[i])) ** 2 \
-                + (row_im - as_mpf(rhs.imag[i])) ** 2
-            scale += as_mpf(rhs.real[i]) ** 2 + as_mpf(rhs.imag[i]) ** 2
-        residual = float(mp.sqrt(resid) / max(mp.sqrt(scale), mpf("1e-300")))
-        x = np.array([mp.mpc(x_re[i], x_im[i]) for i in range(n)],
-                     dtype=object)
+    mat = np.asarray(matrix)
+    with mp_context():
+        if mat.dtype == object:
+            mat = lift(mat, PrecisionMode.EXTENDED)
+        low, piv = pd_factor(mat)
+        b = np.asarray(rhs, dtype=complex).astype(np.result_type(mat, complex))
+        x = _pd_substitute(low, piv, b)
+        scale = max(_norm(b), 1e-300)
+        residual = _norm(mat @ x - b) / scale
+        for _ in range(_REFINE_STEPS):
+            if residual <= _RESIDUAL_TOL:
+                break
+            x = x + _pd_substitute(low, piv, b - mat @ x)
+            residual = _norm(mat @ x - b) / scale
+    if residual > _RESIDUAL_TOL:
+        raise ConditioningError(
+            f"linear solve stalled at relative residual {residual:.3e}; "
+            f"the matrix is too ill-conditioned for its precision")
     return x, residual

@@ -24,6 +24,8 @@ from .core import (
     JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
+    validate_coefficients,
+    _is_real,
 )
 from . import connecting as connecting_mod
 from . import debranges
@@ -53,7 +55,6 @@ class RunConfig:
     n_max: int | None
     precision: PrecisionMode
     fmt: str
-    threads: int
 
 
 def _fmt_float(x: float) -> str:
@@ -63,28 +64,40 @@ def _fmt_float(x: float) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read input file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliInputError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CliInputError(f"{path}: expected a JSON object")
+    return obj
 
 
 def _coefficients(obj: dict, path: str) -> JacobiCoefficients:
-    if not isinstance(obj, dict) or ("a" not in obj and not obj.get("generator")):
-        raise CliInputError(
-            f"{path}: expected a coefficient file with keys a/b/generator")
+    if not obj.get("generator"):
+        if "a" not in obj:
+            raise CliInputError(
+                f"{path}: expected a coefficient file with keys a/b/generator")
+        _number_list(obj, "a", path)
+        _number_list(obj, "b", path)
     try:
-        return JacobiCoefficients.from_json_dict(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+        coeffs = JacobiCoefficients.from_json_dict(obj)
+        report = validate_coefficients(coeffs)
+    except (ValueError, KeyError, TypeError, AttributeError,
+            ArithmeticError) as exc:
         raise CliInputError(f"{path}: {exc}") from exc
+    if not report.valid:
+        raise CliInputError(f"{path}: invalid coefficients: "
+                            + "; ".join(report.issues))
+    return coeffs
 
 
 def _number_list(obj, key: str, path: str) -> list:
     vals = obj.get(key)
-    if not isinstance(vals, list) or not vals or \
-            not all(isinstance(v, (int, float)) for v in vals):
-        raise CliInputError(f"{path}: {key!r} must be a non-empty number list")
+    if not isinstance(vals, list) or not vals or not all(map(_is_real, vals)):
+        raise CliInputError(
+            f"{path}: {key!r} must be a non-empty list of finite numbers")
     return vals
 
 
@@ -100,21 +113,41 @@ def _primary_input(config: RunConfig) -> dict:
     return _load_json(config.inputs[0])
 
 
+def _primary_coefficients(config: RunConfig) -> JacobiCoefficients:
+    return _coefficients(_primary_input(config), config.inputs[0])
+
+
+def _sequence_input(obj: dict, path: str):
+    """(key, values) of a 'response' or 'moments' file, else (None, None)."""
+    for key in ("response", "moments"):
+        if key in obj:
+            return key, _number_list(obj, key, path)
+    return None, None
+
+
 def _complex_from(pair, path: str) -> complex:
-    if isinstance(pair, (int, float)):
+    if _is_real(pair):
         return complex(pair)
-    if isinstance(pair, list) and len(pair) == 2 and \
-            all(isinstance(v, (int, float)) for v in pair):
+    if isinstance(pair, list) and len(pair) == 2 and all(map(_is_real, pair)):
         return complex(pair[0], pair[1])
-    raise CliInputError(f"{path}: points must be numbers or [re, im] pairs")
+    raise CliInputError(f"{path}: points must be finite numbers or [re, im] pairs")
+
+
+def _points(config: RunConfig, keys: tuple) -> list:
+    """Evaluation points of the second input file, one tuple per point."""
+    path = config.inputs[1]
+    raw = _load_json(path).get("points")
+    if not isinstance(raw, list) or not raw or \
+            not all(isinstance(p, dict) for p in raw):
+        raise CliInputError(f"{path}: expected a 'points' list of objects")
+    return [tuple(_complex_from(p.get(k), path) for k in keys) for p in raw]
 
 
 # -- command handlers ----------------------------------------------------
 
 
 def _cmd_simulate(config: RunConfig):
-    obj = _primary_input(config)
-    coeffs = _coefficients(obj, config.inputs[0])
+    coeffs = _primary_coefficients(config)
     horizon = _require_horizon(config)
     if len(config.inputs) > 1:
         ctrl_obj = _load_json(config.inputs[1])
@@ -134,8 +167,7 @@ def _cmd_simulate(config: RunConfig):
 
 
 def _cmd_response(config: RunConfig):
-    obj = _primary_input(config)
-    coeffs = _coefficients(obj, config.inputs[0])
+    coeffs = _primary_coefficients(config)
     horizon = _require_horizon(config)
     r = dynamics.response_vector(coeffs, horizon, config.precision)
     values = [float(v) for v in r]
@@ -147,14 +179,12 @@ def _cmd_response(config: RunConfig):
 def _connect_from_input(config: RunConfig):
     obj = _primary_input(config)
     path = config.inputs[0]
-    if "response" in obj:
-        r = _number_list(obj, "response", path)
-        size = config.horizon or (len(r) + 1) // 2
-        return connecting_mod.connecting_from_response(r, size)
-    if "moments" in obj:
-        s = _number_list(obj, "moments", path)
-        size = config.horizon or (len(s) + 1) // 2
-        hank = moments_mod.build_hankel(s, size)
+    key, values = _sequence_input(obj, path)
+    if key is not None:
+        size = config.horizon or (len(values) + 1) // 2
+        if key == "response":
+            return connecting_mod.connecting_from_response(values, size)
+        hank = moments_mod.build_hankel(values, size)
         return connecting_mod.connecting_from_hankel(hank, size)
     coeffs = _coefficients(obj, path)
     size = _require_horizon(config)
@@ -174,16 +204,13 @@ def _cmd_connect(config: RunConfig):
 def _cmd_recover(config: RunConfig):
     obj = _primary_input(config)
     path = config.inputs[0]
-    if "response" in obj:
-        r = _number_list(obj, "response", path)
-        horizon = config.horizon or (len(r) + 1) // 2
-        result = inverse.recover_from_response(r, horizon, config.precision)
-    elif "moments" in obj:
-        s = _number_list(obj, "moments", path)
-        horizon = config.horizon or (len(s) + 1) // 2
-        result = inverse.recover_from_moments(s, horizon, config.precision)
-    else:
+    key, values = _sequence_input(obj, path)
+    if key is None:
         raise CliInputError(f"{path}: expected a 'response' or 'moments' key")
+    horizon = config.horizon or (len(values) + 1) // 2
+    recover = (inverse.recover_from_response if key == "response"
+               else inverse.recover_from_moments)
+    result = recover(values, horizon, config.precision)
     payload = {
         "a": [float(v) for v in result.a],
         "b": [float(v) for v in result.b],
@@ -192,14 +219,13 @@ def _cmd_recover(config: RunConfig):
         "precision": result.precision.value,
     }
     rows = [["k", "a_k", "b_k"]]
-    for i in range(len(result.b)):
-        rows.append([str(i + 1), _fmt_float(result.a[i]), _fmt_float(result.b[i])])
+    rows += [[str(k), _fmt_float(a), _fmt_float(b)]
+             for k, (a, b) in enumerate(zip(payload["a"], payload["b"]), 1)]
     return payload, _csv_text(rows)
 
 
 def _cmd_diagnose(config: RunConfig):
-    obj = _primary_input(config)
-    coeffs = _coefficients(obj, config.inputs[0])
+    coeffs = _primary_coefficients(config)
     if config.n_max is None:
         raise CliInputError("command 'diagnose' requires --N-max")
     report = determinacy.classify(coeffs, config.n_max, config.precision)
@@ -213,17 +239,10 @@ def _default_kernel_points():
 
 
 def _cmd_kernel(config: RunConfig):
-    obj = _primary_input(config)
-    coeffs = _coefficients(obj, config.inputs[0])
+    coeffs = _primary_coefficients(config)
     horizon = _require_horizon(config)
     if len(config.inputs) > 1:
-        pts_obj = _load_json(config.inputs[1])
-        raw = pts_obj.get("points")
-        if not isinstance(raw, list) or not raw:
-            raise CliInputError(f"{config.inputs[1]}: expected a 'points' list")
-        points = [(_complex_from(p.get("z"), config.inputs[1]),
-                   _complex_from(p.get("lambda"), config.inputs[1]))
-                  for p in raw]
+        points = _points(config, ("z", "lambda"))
     else:
         points = _default_kernel_points()
     entries = []
@@ -233,25 +252,14 @@ def _cmd_kernel(config: RunConfig):
                         "re_lambda": lam.real, "im_lambda": lam.imag,
                         "re_value": complex(val).real,
                         "im_value": complex(val).imag})
-    payload = {"horizon": horizon, "values": entries}
-    rows = [["re_z", "im_z", "re_lambda", "im_lambda", "re_value", "im_value"]]
-    rows += [[_fmt_float(e["re_z"]), _fmt_float(e["im_z"]),
-              _fmt_float(e["re_lambda"]), _fmt_float(e["im_lambda"]),
-              _fmt_float(e["re_value"]), _fmt_float(e["im_value"])]
-             for e in entries]
-    return payload, _csv_text(rows)
+    return _grid_output(horizon, entries)
 
 
 def _cmd_hb(config: RunConfig):
-    obj = _primary_input(config)
-    coeffs = _coefficients(obj, config.inputs[0])
+    coeffs = _primary_coefficients(config)
     horizon = _require_horizon(config)
     if len(config.inputs) > 1:
-        pts_obj = _load_json(config.inputs[1])
-        raw = pts_obj.get("points")
-        if not isinstance(raw, list) or not raw:
-            raise CliInputError(f"{config.inputs[1]}: expected a 'points' list")
-        points = [_complex_from(p.get("z"), config.inputs[1]) for p in raw]
+        points = [z for (z,) in _points(config, ("z",))]
     else:
         points = [complex(re, im) for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
                   for im in (0.25, 0.5, 1.0, 2.0, 4.0)]
@@ -261,31 +269,28 @@ def _cmd_hb(config: RunConfig):
         val = complex(evaluator(z))
         entries.append({"re_z": z.real, "im_z": z.imag,
                         "re_value": val.real, "im_value": val.imag})
-    payload = {"horizon": horizon, "values": entries}
-    rows = [["re_z", "im_z", "re_value", "im_value"]]
-    rows += [[_fmt_float(e["re_z"]), _fmt_float(e["im_z"]),
-              _fmt_float(e["re_value"]), _fmt_float(e["im_value"])]
-             for e in entries]
-    return payload, _csv_text(rows)
+    return _grid_output(horizon, entries)
+
+
+def _grid_output(horizon: int, entries: list):
+    """Payload and CSV of evaluation entries; the CSV columns are the keys."""
+    rows = [list(entries[0])]
+    rows += [[_fmt_float(v) for v in e.values()] for e in entries]
+    return {"horizon": horizon, "values": entries}, _csv_text(rows)
 
 
 def _cmd_moments(config: RunConfig):
     obj = _primary_input(config)
     path = config.inputs[0]
-    if "response" in obj:
-        r = _number_list(obj, "response", path)
-        s = moments_mod.response_to_moments(r, config.precision)
-        values = [float(v) for v in s]
-        payload = {"direction": "response-to-moments", "moments": values}
-        label = "s_k"
-    elif "moments" in obj:
-        s = _number_list(obj, "moments", path)
-        r = moments_mod.moments_to_response(s, config.precision)
-        values = [float(v) for v in r]
-        payload = {"direction": "moments-to-response", "response": values}
-        label = "r_k"
+    key, values = _sequence_input(obj, path)
+    if key == "response":
+        out_key, label, convert = "moments", "s_k", moments_mod.response_to_moments
+    elif key == "moments":
+        out_key, label, convert = "response", "r_k", moments_mod.moments_to_response
     else:
         raise CliInputError(f"{path}: expected a 'response' or 'moments' key")
+    values = [float(v) for v in convert(values, config.precision)]
+    payload = {"direction": f"{key}-to-{out_key}", out_key: values}
     rows = [["k", label]] + [[str(i), _fmt_float(v)] for i, v in enumerate(values)]
     return payload, _csv_text(rows)
 
@@ -304,9 +309,7 @@ _HANDLERS = {
 
 def _csv_text(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf).writerows(rows)
     return buf.getvalue()
 
 
@@ -385,19 +388,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "JACOBI_BC_PRECISION)")
         p.add_argument("--format", dest="fmt", default="json",
                        choices=["json", "csv"], help="output format")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; outputs are independent of it")
     return parser
 
 
 def config_from_args(args) -> RunConfig:
     precision = args.precision or os.environ.get("JACOBI_BC_PRECISION", "double")
-    if args.threads < 1:
-        raise CliInputError("--threads must be >= 1")
+    for flag, value in (("--T", args.horizon), ("--N-max", args.n_max)):
+        if value is not None and value < 1:
+            raise CliInputError(f"{flag} must be >= 1")
     return RunConfig(command=args.command, inputs=tuple(args.input),
                      output=args.output, horizon=args.horizon,
                      n_max=args.n_max, precision=_parse_precision(precision),
-                     fmt=args.fmt, threads=args.threads)
+                     fmt=args.fmt)
 
 
 def main(argv=None) -> int:

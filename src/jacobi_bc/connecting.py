@@ -54,13 +54,8 @@ class Orientation(Enum):
 
 
 def _mirror_lower(mat: np.ndarray) -> np.ndarray:
-    """Bitwise-symmetric copy built from the lower triangle."""
-    out = np.array(mat, copy=True)
-    n = out.shape[0]
-    for i in range(n):
-        for j in range(i):
-            out[j, i] = out[i, j]
-    return out
+    """Bitwise-symmetric copy built from the lower triangle, any dtype."""
+    return np.where(np.tri(mat.shape[0], dtype=bool), mat, mat.T)
 
 
 @dataclass(frozen=True)
@@ -125,15 +120,15 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
     if len(rv) < 2 * size - 1:
         raise InsufficientDataError(
             f"insufficient response data: need {2 * size - 1}, got {len(rv)}")
-    dtype = object if rv.dtype == object else float
-    mat = np.zeros((size, size), dtype=dtype)
+    mat = np.zeros((size, size), dtype=np.result_type(rv, float))
+    rows = np.arange(size)
     with mp_context():
         for d in range(size):
-            # anti-symmetric offset d = j - i; cumulative sums along r_{d::2}
-            strided = np.cumsum(rv[d::2])
-            for i in range(1, size - d + 1):   # 1-based row, column j = i + d
-                mat[i - 1, i - 1 + d] = strided[size - i - d]
-                mat[i - 1 + d, i - 1] = mat[i - 1, i - 1 + d]
+            # diagonal offset d: row i (1-based) sums r_d, r_{d+2}, ...
+            # up to r_{d+2(T-i-d)}, the reversed cumulative sums of r_{d::2}
+            diag = np.cumsum(rv[d:2 * size - d:2])[::-1]
+            mat[rows[:size - d], rows[d:]] = diag
+            mat[rows[d:], rows[:size - d]] = diag
     return ConnectingMatrix(mat, Orientation.CORNER_BOTTOM)
 
 
@@ -159,12 +154,7 @@ def gram_from_control(coeffs: JacobiCoefficients, size: int,
                       precision: PrecisionMode = PrecisionMode.DOUBLE) -> ConnectingMatrix:
     """C_T = W_T^* W_T with W_T simulated from the coefficients (CORNER_TOP)."""
     w = control_operator(coeffs, size, precision).matrix
-    if w.dtype == object:
-        with mp_context():
-            gram = np.array([[sum(w[k, i] * w[k, j] for k in range(size))
-                              for j in range(size)] for i in range(size)],
-                            dtype=object)
-    else:
+    with mp_context():
         gram = _mirror_lower(w.T @ w)
     return ConnectingMatrix(gram, Orientation.CORNER_TOP)
 
@@ -177,21 +167,11 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
         size = smat.shape[0]
     if smat.shape[0] < size:
         raise ValueError("Hankel block smaller than the requested size")
-    smat = smat[:size, :size]
-    lam = chebyshev_transform(size).matrix
-    if smat.dtype == object:
-        with mp_context():
-            ls = np.empty((size, size), dtype=object)
-            for i in range(size):
-                for j in range(size):
-                    ls[i, j] = sum(lam[i, k] * smat[k, j] for k in range(i + 1))
-            out = np.empty((size, size), dtype=object)
-            for i in range(size):
-                for j in range(size):
-                    out[i, j] = sum(ls[i, k] * lam[j, k] for k in range(j + 1))
-        return ConnectingMatrix(out, Orientation.CORNER_TOP)
-    lam_f = lam.astype(float)
-    mat = _mirror_lower(lam_f @ smat.astype(float) @ lam_f.T)
+    dtype = np.result_type(smat, float)
+    smat = smat[:size, :size].astype(dtype)
+    lam = chebyshev_transform(size).matrix.astype(dtype)
+    with mp_context():
+        mat = _mirror_lower(lam @ smat @ lam.T)
     return ConnectingMatrix(mat, Orientation.CORNER_TOP)
 
 
@@ -207,15 +187,10 @@ def validate_response(r, size: int,
                       precision: PrecisionMode = PrecisionMode.DOUBLE) -> ResponseValidation:
     """Whether r_0..r_{2N-2} is the response of some genuine system.
 
-    True exactly when the connecting matrix C^N is positive definite;
-    Cholesky is the canonical test and the smallest eigenvalue is
-    returned as the certificate.
+    True exactly when the connecting matrix C^N is positive definite; the
+    verdict and its certificate come from the same eigen-solve: the
+    smallest eigenvalue must be positive.
     """
-    conn = connecting_from_response(r, size)
-    if precision is PrecisionMode.DOUBLE:
-        accepted = conn.is_positive_definite()
-        certificate = conn.min_eigenvalue(precision)
-    else:
-        certificate = conn.min_eigenvalue(precision)
-        accepted = certificate > 0
-    return ResponseValidation(accepted=accepted, min_eigenvalue=certificate)
+    certificate = connecting_from_response(r, size).min_eigenvalue(precision)
+    return ResponseValidation(accepted=certificate > 0,
+                              min_eigenvalue=certificate)

@@ -106,6 +106,13 @@ def sequence_values(seq) -> np.ndarray:
     return np.asarray(getattr(seq, "values", seq))
 
 
+def _is_real(x) -> bool:
+    """A finite int or float; bools are refused although Python counts
+    them as ints."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -252,6 +259,9 @@ class JacobiCoefficients:
                 return cls.free()
             if kind == "geometric":
                 ratio = params.get("ratio", 2)
+                if not _is_real(ratio):
+                    raise ValueError(
+                        f"geometric ratio must be a real number, got {ratio!r}")
                 if isinstance(ratio, float) and ratio.is_integer():
                     ratio = int(ratio)
                 return cls.geometric(ratio)
@@ -391,24 +401,15 @@ def materialize_matrix(coeffs: JacobiCoefficients, size: int,
     The diagonal is (b_1, ..., b_N) and the off-diagonal (a_1, ..., a_{N-1});
     each off-diagonal value is written to both triangles from the same
     source entry, so the result is exactly symmetric in every mode.
-    RATIONAL mode returns an object array preserving exact entries.
+    Entries are lifted to the number type of ``precision``: RATIONAL
+    returns an object array of exact Fractions, EXTENDED one of mpf.
     """
+    from ._multiprec import lift
     if size < 1:
         raise ValueError("size must be >= 1")
-    diag = coeffs.b_head(size)
-    off = coeffs.a_head(size)[1:]
-    if precision is PrecisionMode.RATIONAL:
-        mat = np.zeros((size, size), dtype=object)
-    else:
-        mat = np.zeros((size, size))
-        diag = [float(x) for x in diag]
-        off = [float(x) for x in off]
-    for i in range(size):
-        mat[i, i] = diag[i]
-    for i in range(size - 1):
-        mat[i, i + 1] = off[i]
-        mat[i + 1, i] = off[i]
-    return mat
+    diag = lift(coeffs.b_head(size), precision)
+    off = lift(coeffs.a_head(size)[1:], precision)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def validate_coefficients(coeffs: JacobiCoefficients,

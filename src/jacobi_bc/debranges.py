@@ -26,10 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
-    ConditioningError,
     JacobiCoefficients,
     NotAMomentSequenceError,
     NotAResponseVectorError,
@@ -39,6 +37,7 @@ from .core import (
 from .connecting import ConnectingMatrix, Orientation, gram_from_control
 from .moments import HankelMatrix
 from .spectral import chebyshev_all, eval_p_all
+from ._multiprec import lift, mp_context, mp_pd_solve
 
 __all__ = [
     "KreinSolution",
@@ -53,10 +52,6 @@ __all__ = [
     "kernel_from_E",
     "kernel_backend_ratio",
 ]
-
-_RESIDUAL_TOL = 1e-10
-_REFINE_STEPS = 5
-
 
 @dataclass(frozen=True)
 class KreinSolution:
@@ -75,7 +70,7 @@ class KreinSolution:
 
     def __post_init__(self):
         raw = np.asarray(self.values)
-        arr = raw.copy() if raw.dtype == object else raw.astype(complex)
+        arr = raw.astype(np.result_type(raw, complex))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -84,17 +79,8 @@ class KreinSolution:
         if isinstance(lam, np.ndarray):
             return np.array([self.kernel_value(v) for v in lam])
         cheb = chebyshev_all(self.horizon, complex(lam))
-        if self.values.dtype == object:
-            from ._multiprec import mp_context
-            with mp_context():
-                total = 0
-                for k in range(self.horizon):
-                    total = total + self.values[k] * cheb[k]
-                return complex(total)
-        total = 0
-        for k in range(self.horizon):
-            total = total + cheb[k] * self.values[k]
-        return total
+        with mp_context():
+            return complex(sum(v * c for v, c in zip(self.values, cheb)))
 
 
 def _corner_top_matrix(connecting) -> np.ndarray:
@@ -103,56 +89,25 @@ def _corner_top_matrix(connecting) -> np.ndarray:
     return np.asarray(connecting)
 
 
-def _refined_pd_solve(mat: np.ndarray, rhs: np.ndarray, failure: Exception):
-    """Cholesky solve with iterative refinement down to _RESIDUAL_TOL."""
-    try:
-        factor = scipy.linalg.cho_factor(mat, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise failure from exc
-    x = scipy.linalg.cho_solve(factor, rhs)
-    norm_rhs = float(np.linalg.norm(rhs))
-    scale = max(norm_rhs, 1e-300)
-    residual = float(np.linalg.norm(mat @ x - rhs)) / scale
-    for _ in range(_REFINE_STEPS):
-        if residual <= _RESIDUAL_TOL:
-            break
-        x = x + scipy.linalg.cho_solve(factor, rhs - mat @ x)
-        residual = float(np.linalg.norm(mat @ x - rhs)) / scale
-    if residual > _RESIDUAL_TOL:
-        raise ConditioningError(
-            f"linear solve stalled at relative residual {residual:.3e}; "
-            f"the matrix is too ill-conditioned for double precision")
-    return x, residual
-
-
-def _pd_solve(mat_raw: np.ndarray, rhs: np.ndarray,
-              precision: PrecisionMode, failure: Exception):
-    if precision is PrecisionMode.DOUBLE:
-        return _refined_pd_solve(mat_raw.astype(float), rhs, failure)
-    from ._multiprec import mp_pd_solve
-    try:
-        return mp_pd_solve(mat_raw, rhs)
-    except ValueError as exc:
-        raise failure from exc
-
-
 def krein_solve(connecting, z: complex,
                 precision: PrecisionMode = PrecisionMode.DOUBLE) -> KreinSolution:
     """Solve C_T j = conj(T_1(z), ..., T_T(z)) for a corner-top block.
 
     Positive definiteness of the block is exactly the characterization of
     genuine response data, so a factorization failure raises
-    NotAResponseVectorError.  The double path refines the solution until
-    the relative residual is below 1e-10; badly conditioned blocks can go
-    through extended precision instead.
+    NotAResponseVectorError.  The solution is refined until the relative
+    residual is below 1e-10 (ConditioningError when that stalls); badly
+    conditioned blocks can go through extended precision instead.
     """
     mat = _corner_top_matrix(connecting)
     horizon = mat.shape[0]
     rhs = np.conj(np.asarray(chebyshev_all(horizon, complex(z)), dtype=complex))
-    failure = NotAResponseVectorError(
-        "connecting matrix is not positive definite, so the data does not "
-        "come from a genuine response vector")
-    x, residual = _pd_solve(mat, rhs, precision, failure)
+    try:
+        x, residual = mp_pd_solve(lift(mat, precision), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NotAResponseVectorError(
+            "connecting matrix is not positive definite, so the data does "
+            "not come from a genuine response vector") from exc
     return KreinSolution(values=x, z=complex(z), horizon=horizon,
                          residual=residual)
 
@@ -168,11 +123,12 @@ def krein_solve_hankel(hankel, z: complex,
     smat = hankel.matrix if isinstance(hankel, HankelMatrix) else np.asarray(hankel)
     horizon = smat.shape[0]
     rhs = np.conj(np.asarray(complex(z) ** np.arange(horizon), dtype=complex))
-    failure = NotAMomentSequenceError(
-        "Hankel matrix is not positive definite, so the data are not the "
-        "moments of a positive measure")
-    x, _ = _pd_solve(smat, rhs, precision, failure)
-    return x
+    try:
+        return mp_pd_solve(lift(smat, precision), rhs)[0]
+    except np.linalg.LinAlgError as exc:
+        raise NotAMomentSequenceError(
+            "Hankel matrix is not positive definite, so the data are not "
+            "the moments of a positive measure") from exc
 
 
 def kernel_finite(source, z: complex, lam, horizon: int | None = None,
@@ -258,22 +214,12 @@ def scalar_product(f, g, connecting) -> complex:
     mat = _corner_top_matrix(connecting)
     fv = np.asarray(f)
     gv = np.asarray(g)
-    if fv.dtype != object:
-        fv = fv.astype(complex)
-    if gv.dtype != object:
-        gv = gv.astype(complex)
+    fv = fv.astype(np.result_type(fv, complex))
+    gv = gv.astype(np.result_type(gv, complex))
     if fv.shape != gv.shape or fv.ndim != 1 or fv.size != mat.shape[0]:
         raise ValueError("coefficient vectors must match the block size")
-    if object in (mat.dtype, fv.dtype, gv.dtype):
-        from ._multiprec import mp_context
-        n = fv.size
-        with mp_context():
-            total = 0
-            for i in range(n):
-                row = sum(mat[i, k] * fv[k] for k in range(n))
-                total = total + row.conjugate() * gv[i]
-            return complex(total)
-    return complex(np.vdot(mat @ fv, gv))
+    with mp_context():
+        return complex(np.vdot(mat @ fv, gv))
 
 
 @dataclass(frozen=True)

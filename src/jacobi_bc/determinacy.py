@@ -36,24 +36,21 @@ import numpy as np
 
 from .core import (
     ConditioningWarning,
-    InsufficientDataError,
     JacobiBCError,
     JacobiCoefficients,
     NotLimitCircleError,
     PrecisionMode,
-    sequence_values,
 )
 from .connecting import Orientation, connecting_from_response
 from .dynamics import response_vector
-from .moments import NOISE_FLOOR_FACTOR, build_hankel, response_to_moments
+from .moments import build_hankel, response_to_moments
 from .spectral import eval_p_all, eval_q_all
-from ._multiprec import EXTENDED_DPS, sym_eigenvalues
+from ._multiprec import above_noise, leading_eig_extremes, noise_floor
 
 __all__ = [
     "Verdict",
     "DeterminacyReport",
     "CircleBoundEstimate",
-    "hankel_min_eig_sequence",
     "connecting_min_eig_sequence",
     "connecting_max_eig_sequence",
     "deficiency_partial_sums",
@@ -74,63 +71,38 @@ class Verdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def _eig_noise_floor(norm: float, precision: PrecisionMode) -> float:
-    if precision is PrecisionMode.DOUBLE:
-        return NOISE_FLOOR_FACTOR * np.finfo(float).eps * max(norm, 1.0)
-    return 10.0 ** (5 - EXTENDED_DPS) * max(norm, 1.0)
-
-
-def hankel_min_eig_sequence(s, n_max: int,
-                            precision: PrecisionMode = PrecisionMode.DOUBLE) -> np.ndarray:
-    """lambda_N = min eig(S_N) for N = 1..n_max.
-
-    Double precision by default, with conditioning warnings once the
-    values sink to the noise floor (see moments.hankel_min_eigs).
-    """
-    from .moments import hankel_min_eigs
-    return hankel_min_eigs(s, n_max, precision)
-
-
-def _connecting_blocks(r, t_max: int) -> np.ndarray:
-    rv = sequence_values(r)
-    if len(rv) < 2 * t_max - 1:
-        raise InsufficientDataError(
-            f"insufficient response data: need {2 * t_max - 1}, got {len(rv)}")
+def _beta_gamma(r, t_max, precision):
+    """(beta_T, gamma_T) for T = 1..t_max from one eigen-solve per nested
+    block; asserts beta non-increasing and gamma non-decreasing (the
+    corner-top blocks are nested, so eigenvalues interlace) up to the
+    eigensolver noise floor."""
     # corner-top blocks are nested, so one build serves every horizon
-    return connecting_from_response(rv, t_max).aligned(Orientation.CORNER_TOP).matrix
-
-
-def _eig_sequence(r, t_max, precision, which: str,
-                  check_monotone: bool = True) -> np.ndarray:
-    top = _connecting_blocks(r, t_max)
-    out = np.empty(t_max)
-    norms = np.empty(t_max)
-    for t in range(1, t_max + 1):
-        eigs = sym_eigenvalues(top[:t, :t], precision)
-        out[t - 1] = eigs[0] if which == "min" else eigs[-1]
-        norms[t - 1] = max(abs(eigs[0]), abs(eigs[-1]))
-    for t in range(1, t_max):
-        slack = _MONOTONE_SLACK + _eig_noise_floor(norms[t], precision)
-        drift = out[t] - out[t - 1] if which == "min" else out[t - 1] - out[t]
-        if check_monotone and drift > slack:
+    top = connecting_from_response(r, t_max).aligned(Orientation.CORNER_TOP)
+    beta, gamma = leading_eig_extremes(top.matrix, precision)
+    norms = np.maximum(np.abs(beta), np.abs(gamma))
+    slack = _MONOTONE_SLACK + noise_floor(norms[1:], precision)
+    for name, drift in (("beta", np.diff(beta)), ("gamma", -np.diff(gamma))):
+        bad = np.flatnonzero(drift > slack)
+        if bad.size:
+            t = bad[0]
             raise JacobiBCError(
-                f"{'beta' if which == 'min' else 'gamma'} sequence violates "
-                f"monotonicity at T={t + 1} by {drift:.3e} (slack {slack:.3e})")
-    return out
+                f"{name} sequence violates monotonicity at T={t + 2} by "
+                f"{drift[t]:.3e} (slack {slack[t]:.3e})")
+    return beta, gamma
 
 
 def connecting_min_eig_sequence(r, t_max: int,
                                 precision: PrecisionMode = PrecisionMode.DOUBLE) -> np.ndarray:
     """beta_T = min eig(C_T) for T = 1..t_max; asserts the sequence is
     non-increasing up to the eigensolver noise floor."""
-    return _eig_sequence(r, t_max, precision, "min")
+    return _beta_gamma(r, t_max, precision)[0]
 
 
 def connecting_max_eig_sequence(r, t_max: int,
                                 precision: PrecisionMode = PrecisionMode.DOUBLE) -> np.ndarray:
     """gamma_T = max eig(C_T) for T = 1..t_max; asserts non-decrease
     (the corner-top blocks are nested, so eigenvalues interlace)."""
-    return _eig_sequence(r, t_max, precision, "max")
+    return _beta_gamma(r, t_max, precision)[1]
 
 
 def deficiency_partial_sums(coeffs: JacobiCoefficients, depth: int,
@@ -287,14 +259,9 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     r = response_vector(coeffs, length, precision)
     s = response_to_moments(r, precision)
 
-    hank = build_hankel(s.as_array(), n_max)
-    lambda_seq = np.empty(n_max)
-    lambda_trusted = np.zeros(n_max, dtype=bool)
-    for n in range(1, n_max + 1):
-        eigs = sym_eigenvalues(hank.leading_block(n), precision)
-        lambda_seq[n - 1] = eigs[0]
-        floor = _eig_noise_floor(max(abs(eigs[0]), abs(eigs[-1])), precision)
-        lambda_trusted[n - 1] = abs(eigs[0]) >= floor
+    lambda_seq, lambda_max = leading_eig_extremes(
+        build_hankel(s.as_array(), n_max).matrix, precision)
+    lambda_trusted = above_noise(lambda_seq, lambda_max, precision)
     if not lambda_trusted.all():
         first_bad = int(np.flatnonzero(~lambda_trusted)[0]) + 1
         notes.append(
@@ -304,8 +271,7 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        beta_seq = connecting_min_eig_sequence(r, n_max, precision)
-        gamma_seq = connecting_max_eig_sequence(r, n_max, precision)
+        beta_seq, gamma_seq = _beta_gamma(r, n_max, precision)
 
     deficiency_p, deficiency_q = deficiency_partial_sums(coeffs, deficiency_depth)
     deficiency_converged = (_tail_converged(deficiency_p, tail_tol)

@@ -31,8 +31,8 @@ from .core import (
     PrecisionMode,
     ResponseVector,
     sequence_values,
-    _to_fraction,
 )
+from ._multiprec import lift, mp_context
 
 __all__ = [
     "WaveField",
@@ -141,12 +141,7 @@ def _control_array(control, horizon: int, precision: PrecisionMode):
         if len(vals) > horizon:
             raise ValueError("control longer than the horizon")
         vals = vals + [0] * (horizon - len(vals))
-    if precision is PrecisionMode.RATIONAL:
-        return [_to_fraction(v) for v in vals]
-    if precision is PrecisionMode.EXTENDED:
-        from ._multiprec import as_mpf
-        return [as_mpf(v) for v in vals]
-    return vals
+    return lift(vals, precision)
 
 
 def _simulate(coeffs: JacobiCoefficients, control, horizon: int, n_space: int,
@@ -164,24 +159,10 @@ def _simulate(coeffs: JacobiCoefficients, control, horizon: int, n_space: int,
         raise ValueError("n_space must be >= 1")
     ctrl = _control_array(control, horizon, precision)
 
-    a_vals = coeffs.a_head(n_space) + [0]
-    b_vals = [0] + coeffs.b_head(n_space)
-    if precision is PrecisionMode.RATIONAL:
-        a = np.array([_to_fraction(x) for x in a_vals[:-1]] + [0], dtype=object)
-        b = np.array([0] + [_to_fraction(x) for x in b_vals[1:]], dtype=object)
-        u = np.zeros((n_space + 2, horizon + 2), dtype=object)
-    elif precision is PrecisionMode.EXTENDED:
-        from ._multiprec import as_mpf
-        a = np.array([as_mpf(x) for x in a_vals], dtype=object)
-        b = np.array([as_mpf(x) for x in b_vals], dtype=object)
-        u = np.zeros((n_space + 2, horizon + 2), dtype=object)
-    else:
-        a = np.array([float(x) for x in a_vals])
-        b = np.array([float(x) for x in b_vals])
-        dtype = complex if any(isinstance(v, complex) for v in ctrl) else float
-        u = np.zeros((n_space + 2, horizon + 2), dtype=dtype)
+    a = lift(coeffs.a_head(n_space) + [0], precision)
+    b = lift([0] + coeffs.b_head(n_space), precision)
+    u = np.zeros((n_space + 2, horizon + 2), dtype=np.result_type(a, ctrl))
 
-    from ._multiprec import mp_context
     # Far-field overflow (rapidly growing coefficient families) cannot
     # reach the rows a caller can observe within this horizon: any
     # contamination travels at most one site per step.

@@ -18,32 +18,25 @@ operator entry by entry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ConditioningError,
-    InsufficientDataError,
     JacobiBCError,
     JacobiCoefficients,
     NotAMomentSequenceError,
     NotAResponseVectorError,
     PrecisionMode,
     sequence_values,
-    _to_fraction,
 )
 from .dynamics import response_vector
 from .moments import build_hankel, moments_to_response
 from .connecting import Orientation, connecting_from_response
-from ._multiprec import mp_cholesky_lower
+from ._multiprec import lift, mp_context, pd_factor, pivot_floor
 
 __all__ = ["RecoveryResult", "recover_from_response", "recover_from_moments"]
-
-PIVOT_RATIO_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,86 +67,49 @@ class RecoveryResult:
                         dtype=float)
 
 
-def _guard_pivots(diag, precision: PrecisionMode):
-    dv = [float(x) for x in diag]
-    top = max(dv)
-    if precision is PrecisionMode.DOUBLE and top > 0:
-        worst = min(range(len(dv)), key=lambda k: dv[k])
-        if dv[worst] / top < PIVOT_RATIO_FLOOR:
-            raise ConditioningError(
-                f"Cholesky pivot ratio {dv[worst] / top:.3e} at index {worst} "
-                f"is below {PIVOT_RATIO_FLOOR:g}; use extended precision")
+def _factor_and_extract(matrix, precision: PrecisionMode,
+                        failure: type[JacobiBCError], label: str):
+    """a_1..a_{T-1} and b_1..b_{T-1} off matrix = L diag(d) L^T, unit L,
+    factored in the arithmetic of ``precision``.
 
-
-def _extract_from_upper(upper) -> tuple[list, list]:
-    """a_k and b_k from an upper Cholesky factor with positive diagonal.
-
-    a_k is the diagonal ratio; the superdiagonal-over-diagonal ratios are
-    the partial sums b_1 + ... + b_k, so b comes from their differences.
+    a_k = sqrt(d_k / d_{k-1}) is the ratio of consecutive Cholesky
+    diagonal entries; the subdiagonal of L holds the partial sums
+    b_1 + ... + b_k, so b comes from their differences, which stay exact
+    for an exact factor.  Only the a square roots leave the factor's
+    arithmetic.  A factorization failure means the data fail their
+    positivity characterization; a pivot ratio below the mode's floor
+    means float64 data no longer determine the coefficients.
     """
-    from ._multiprec import mp_context
-    n = upper.shape[0]
-    a_rec, b_rec, prev_sum = [], [], 0.0
+    try:
+        low, piv = pd_factor(lift(matrix, precision))
+    except np.linalg.LinAlgError as exc:
+        raise failure(
+            f"{label}: the matrix is not positive definite at "
+            f"{precision.value} precision ({exc}); genuine but "
+            f"ill-conditioned data may need more digits") from exc
     with mp_context():
-        for k in range(1, n):
-            a_rec.append(float(upper[k, k] / upper[k - 1, k - 1]))
-            cur = float(upper[k - 1, k] / upper[k - 1, k - 1])
-            b_rec.append(cur - prev_sum)
-            prev_sum = cur
-    return a_rec, b_rec
-
-
-def _ldl_exact(mat, failure: type[JacobiBCError], label: str):
-    """Unit lower L and positive pivots d with mat = L diag(d) L^T, exact."""
-    n = mat.shape[0]
-    c = [[_to_fraction(mat[i, j]) for j in range(n)] for i in range(n)]
-    low = [[Fraction(0)] * n for _ in range(n)]
-    piv: list[Fraction] = []
-    for j in range(n):
-        d_j = c[j][j] - sum(low[j][k] * low[j][k] * piv[k] for k in range(j))
-        if d_j <= 0:
-            raise failure(f"{label}: pivot {j} is not positive")
-        piv.append(d_j)
-        low[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            acc = c[i][j] - sum(low[i][k] * low[j][k] * piv[k] for k in range(j))
-            low[i][j] = acc / d_j
-    return low, piv
-
-
-def _extract_from_ldl(low, piv) -> tuple[list, list]:
-    """Same extraction as _extract_from_upper, but from the exact LDL^T.
-
-    The subdiagonal of the unit factor equals the superdiagonal ratios of
-    the implicit upper factor, so the b differences stay exact; only the
-    a square roots leave rational arithmetic.
-    """
-    n = len(piv)
-    a_rec, b_rec, prev_sum = [], [], Fraction(0)
-    for k in range(1, n):
-        a_rec.append(math.sqrt(float(piv[k] / piv[k - 1])))
-        cur = low[k][k - 1]
-        b_rec.append(float(cur - prev_sum))
-        prev_sum = cur
-    return a_rec, b_rec
-
-
-def _round_trip_residual(a_rec, b_rec, reference, horizon: int) -> float:
-    """Max response deviation over the window 0..2(T-1)-1 where the
-    recovered size-(T-1) system must match the input."""
-    if horizon == 1:
-        return 0.0
-    rec = JacobiCoefficients.from_arrays([1.0] + list(a_rec), list(b_rec))
-    window = 2 * horizon - 2
-    simulated = response_vector(rec, window).as_array()
-    ref = np.asarray([float(x) for x in reference[:window]])
-    return float(np.max(np.abs(simulated - ref)))
+        pivot_ratios = np.sqrt((piv / np.max(piv)).astype(float))
+        ratios = piv[1:] / piv[:-1]
+        b_rec = np.diff(np.diagonal(low, -1), prepend=0)
+    worst = int(np.argmin(pivot_ratios))
+    if pivot_ratios[worst] < pivot_floor(precision):
+        raise ConditioningError(
+            f"Cholesky pivot ratio {pivot_ratios[worst]:.3e} at index {worst} "
+            f"is below {pivot_floor(precision):g}; use extended precision")
+    return np.sqrt(ratios.astype(float)).tolist(), b_rec.astype(float).tolist()
 
 
 def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult:
-    coeffs = JacobiCoefficients.from_arrays([1.0] + [float(x) for x in a_rec],
-                                            [float(x) for x in b_rec])
-    residual = _round_trip_residual(a_rec, b_rec, reference, horizon)
+    """The result with its round-trip residual: the max response deviation
+    over the window 0..2(T-1)-1 where the recovered size-(T-1) system must
+    match the input."""
+    coeffs = JacobiCoefficients.from_arrays([1.0] + a_rec, b_rec)
+    window = 2 * horizon - 2
+    residual = 0.0
+    if window:
+        simulated = response_vector(coeffs, window).as_array()
+        reference = np.asarray(reference[:window], dtype=float)
+        residual = float(np.max(np.abs(simulated - reference)))
     return RecoveryResult(coefficients=coeffs, residual=residual,
                           path=path, precision=precision)
 
@@ -169,32 +125,10 @@ def recover_from_response(r, horizon: int,
     rv = sequence_values(r)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if len(rv) < 2 * horizon - 1:
-        raise InsufficientDataError(
-            f"insufficient response data: need {2 * horizon - 1}, got {len(rv)}")
     conn = connecting_from_response(rv, horizon).aligned(Orientation.CORNER_TOP)
-
-    if precision is PrecisionMode.RATIONAL:
-        low, piv = _ldl_exact(conn.matrix, NotAResponseVectorError,
-                              "not a response vector")
-        a_rec, b_rec = _extract_from_ldl(low, piv)
-    elif precision is PrecisionMode.EXTENDED:
-        try:
-            upper = mp_cholesky_lower(conn.matrix).T
-        except ValueError as exc:
-            raise NotAResponseVectorError(
-                f"not a response vector: {exc}") from exc
-        a_rec, b_rec = _extract_from_upper(upper)
-    else:
-        try:
-            upper = scipy.linalg.cholesky(conn.as_float(), lower=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotAResponseVectorError(
-                "not a response vector: the connecting matrix is not "
-                "positive definite at double precision (genuine but "
-                "ill-conditioned data needs extended precision)") from exc
-        _guard_pivots(np.diagonal(upper), precision)
-        a_rec, b_rec = _extract_from_upper(upper)
+    a_rec, b_rec = _factor_and_extract(conn.matrix, precision,
+                                       NotAResponseVectorError,
+                                       "not a response vector")
     return _result(a_rec, b_rec, rv, horizon, "BoundaryControl", precision)
 
 
@@ -210,45 +144,19 @@ def recover_from_moments(s, horizon: int,
     sv = sequence_values(s)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if len(sv) < 2 * horizon - 1:
-        raise InsufficientDataError(
-            f"insufficient moments: need {2 * horizon - 1}, got {len(sv)}")
     hank = build_hankel(sv, horizon)
-
-    if precision is PrecisionMode.RATIONAL:
-        low, piv = _ldl_exact(hank.matrix, NotAMomentSequenceError,
-                              "not a moment sequence of a positive measure")
-        a_rec, b_rec = _extract_from_ldl(low, piv)
-    elif precision is PrecisionMode.EXTENDED:
-        try:
-            upper = mp_cholesky_lower(hank.matrix).T
-        except ValueError as exc:
-            raise NotAMomentSequenceError(
-                f"not a moment sequence of a positive measure: {exc}") from exc
-        a_rec, b_rec = _extract_from_upper(upper)
-    else:
-        try:
-            lower = scipy.linalg.cholesky(hank.matrix.astype(float), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotAMomentSequenceError(
-                "not a moment sequence of a positive measure: the Hankel "
-                "matrix is not positive definite") from exc
-        _guard_pivots(np.diagonal(lower), precision)
-        a_rec, b_rec = _extract_from_upper(lower.T)
+    a_rec, b_rec = _factor_and_extract(
+        hank.matrix, precision, NotAMomentSequenceError,
+        "not a moment sequence of a positive measure")
 
     converted = moments_to_response(sv[:2 * horizon - 1], precision)
     cross = recover_from_response(converted, horizon, precision)
-    gap = max(
-        float(np.max(np.abs(np.asarray(a_rec, dtype=float) - cross.a)))
-        if a_rec else 0.0,
-        float(np.max(np.abs(np.asarray(b_rec, dtype=float) - cross.b)))
-        if b_rec else 0.0,
-    )
+    gap = np.max(np.abs(np.array(a_rec + b_rec)
+                        - np.concatenate([cross.a, cross.b])), initial=0.0)
     if gap > 1e-8:
         raise JacobiBCError(
             f"Hankel and boundary-control recovery paths disagree by {gap:.3e}; "
             f"the data is too ill-conditioned for {precision.value} precision")
 
-    result = _result(a_rec, b_rec, converted.as_array(), horizon,
-                     "Hankel", precision)
-    return result
+    return _result(a_rec, b_rec, converted.as_array(), horizon,
+                   "Hankel", precision)

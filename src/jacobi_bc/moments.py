@@ -24,9 +24,8 @@ from .core import (
     PrecisionMode,
     ResponseVector,
     sequence_values,
-    _to_fraction,
 )
-from ._multiprec import sym_eigenvalues
+from ._multiprec import above_noise, leading_eig_extremes, lift, mp_context
 
 __all__ = [
     "HankelMatrix",
@@ -39,9 +38,6 @@ __all__ = [
     "hankel_positivity",
     "hankel_min_eigs",
 ]
-
-# Double-precision eigenvalues below this multiple of eps * ||S|| are noise.
-NOISE_FLOOR_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -60,9 +56,6 @@ class HankelMatrix:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def leading_block(self, size: int) -> np.ndarray:
-        return self.matrix[:size, :size]
 
     def to_csv(self) -> str:
         lines = [",".join(f"{float(v):.17g}" for v in row)
@@ -112,12 +105,9 @@ def build_hankel(s, size: int) -> HankelMatrix:
     if len(sv) < 2 * size - 1:
         raise InsufficientDataError(
             f"insufficient moments: need {2 * size - 1}, got {len(sv)}")
-    dtype = object if sv.dtype == object else None
-    mat = np.empty((size, size), dtype=dtype)
-    for i in range(size):
-        for j in range(size):
-            mat[i, j] = sv[i + j]
-    return HankelMatrix(mat)
+    idx = np.arange(size)
+    mat = sv[idx[:, None] + idx[None, :]]
+    return HankelMatrix(mat.astype(np.result_type(mat, float)))
 
 
 def chebyshev_transform(size: int) -> ChebyshevTransform:
@@ -139,27 +129,13 @@ def chebyshev_transform(size: int) -> ChebyshevTransform:
     return ChebyshevTransform(mat)
 
 
-def _lift(values, precision: PrecisionMode):
-    if precision is PrecisionMode.RATIONAL:
-        return [_to_fraction(v) for v in values]
-    from ._multiprec import as_mpf
-    return [as_mpf(v) for v in values]
-
-
 def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> ResponseVector:
     """r = transform @ s; exact in rational mode."""
-    sv = sequence_values(s)
-    size = len(sv)
-    lam = chebyshev_transform(size).matrix
-    if precision is not PrecisionMode.DOUBLE:
-        from ._multiprec import mp_context
-        with mp_context():
-            sx = _lift(sv, precision)
-            r = [sum(lam[i, j] * sx[j] for j in range(i + 1))
-                 for i in range(size)]
-        return ResponseVector(np.array(r, dtype=object))
-    r = lam.astype(float) @ sv.astype(float)
-    return ResponseVector(r)
+    sx = lift(sequence_values(s), precision)
+    # the integer transform keeps its exact entries against object values
+    lam = chebyshev_transform(sx.size).matrix.astype(sx.dtype)
+    with mp_context():
+        return ResponseVector(lam @ sx)
 
 
 def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> MomentSequence:
@@ -167,55 +143,32 @@ def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> M
 
     Round-trips with moments_to_response exactly in rational mode.
     """
-    rv = sequence_values(r)
-    size = len(rv)
-    lam = chebyshev_transform(size).matrix
-    if precision is not PrecisionMode.DOUBLE:
-        from ._multiprec import mp_context
-        with mp_context():
-            rx = _lift(rv, precision)
-            s: list = []
-            for i in range(size):
-                s.append(rx[i] - sum(lam[i, j] * s[j] for j in range(i)))
-        return MomentSequence(np.array(s, dtype=object))
-    lam_f = lam.astype(float)
-    rf = rv.astype(float)
-    s_f = np.empty(size)
-    for i in range(size):
-        s_f[i] = rf[i] - lam_f[i, :i] @ s_f[:i]
-    return MomentSequence(s_f)
+    s = lift(sequence_values(r), precision)
+    lam = chebyshev_transform(s.size).matrix.astype(s.dtype)
+    with mp_context():
+        for i in range(s.size):
+            s[i] = s[i] - lam[i, :i] @ s[:i]
+    return MomentSequence(s)
 
 
 def hankel_min_eigs(s, n_max: int,
                     precision: PrecisionMode = PrecisionMode.DOUBLE) -> np.ndarray:
     """Smallest eigenvalue of S_N for N = 1..n_max.
 
-    In double precision a ConditioningWarning is emitted once the value
-    drops below NOISE_FLOOR_FACTOR * eps * ||S_N||; extended precision is
-    recommended past that point (Hankel blocks of genuine moment
-    sequences are exponentially ill-conditioned).
+    A ConditioningWarning is emitted once the value drops below the
+    eigensolver noise floor of the mode (for double precision
+    1e3 * eps * ||S_N||); extended precision is recommended past that
+    point (Hankel blocks of genuine moment sequences are exponentially
+    ill-conditioned).
     """
-    sv = sequence_values(s)
-    if len(sv) < 2 * n_max - 1:
-        raise InsufficientDataError(
-            f"insufficient moments: need {2 * n_max - 1}, got {len(sv)}")
-    hank = build_hankel(sv, n_max)
-    out = np.empty(n_max)
-    warned = False
-    eps = np.finfo(float).eps
-    for n in range(1, n_max + 1):
-        block = hank.leading_block(n)
-        eigs = sym_eigenvalues(block, precision)
-        out[n - 1] = eigs[0]
-        if precision is PrecisionMode.DOUBLE and not warned:
-            scale = abs(eigs[-1]) if n > 1 else abs(float(block[0, 0]))
-            if abs(eigs[0]) < NOISE_FLOOR_FACTOR * eps * max(scale, 1.0):
-                warnings.warn(
-                    f"smallest Hankel eigenvalue at N={n} is below the "
-                    f"double-precision noise floor; use extended precision",
-                    ConditioningWarning, stacklevel=2)
-                warned = True
-    return out
+    mins, maxs = leading_eig_extremes(build_hankel(s, n_max).matrix, precision)
+    noisy = np.flatnonzero(~above_noise(mins, maxs, precision))
+    if noisy.size:
+        warnings.warn(
+            f"smallest Hankel eigenvalue at N={noisy[0] + 1} is below the "
+            f"{precision.value}-precision noise floor; raise the precision",
+            ConditioningWarning, stacklevel=2)
+    return mins
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ of p_n and q_n are ill-conditioned and never formed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
@@ -31,8 +30,6 @@ from .core import (
 from .dynamics import WaveField
 
 __all__ = [
-    "PolynomialKind",
-    "PolynomialEvaluator",
     "eval_p",
     "eval_q",
     "eval_chebyshev",
@@ -127,29 +124,6 @@ def chebyshev_all(t_max: int, z):
         prev, out_last = out[-1], z * out[-1] - prev
         out.append(out_last)
     return np.asarray(out) if isinstance(z, np.ndarray) else out
-
-
-class PolynomialKind(Enum):
-    P = "p"
-    Q = "q"
-    CHEBYSHEV = "chebyshev"
-
-
-@dataclass(frozen=True)
-class PolynomialEvaluator:
-    """Recurrence-backed evaluator for one polynomial family."""
-
-    kind: PolynomialKind
-    coeffs: JacobiCoefficients | None = None
-
-    def __call__(self, n: int, z):
-        if self.kind is PolynomialKind.CHEBYSHEV:
-            return eval_chebyshev(n, z)
-        if self.coeffs is None:
-            raise ValueError("p/q evaluation needs coefficients")
-        if self.kind is PolynomialKind.P:
-            return eval_p(self.coeffs, n, z)
-        return eval_q(self.coeffs, n, z)
 
 
 def spectral_data(coeffs: JacobiCoefficients, size: int) -> SpectralData:

@@ -32,7 +32,7 @@ from jacobi_bc import (
     deficiency_partial_sums,
     eval_chebyshev,
     gram_from_control,
-    hankel_min_eig_sequence,
+    hankel_min_eigs,
     hermite_biehler,
     kernel_finite,
     krein_solve,
@@ -217,7 +217,7 @@ def test_criterion_6_chebyshev_transform_exactness():
 
 def test_criterion_7_determinacy_sequences():
     start = time.monotonic()
-    lam = hankel_min_eig_sequence(semicircle_moments(23), 12)
+    lam = hankel_min_eigs(semicircle_moments(23), 12)
     assert all(lam[i + 1] < lam[i] for i in range(1, 11))
 
     rng = np.random.default_rng(3)

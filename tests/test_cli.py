@@ -1,7 +1,10 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacobi_bc import JacobiCoefficients, response_vector
 from jacobi_bc.cli import main
@@ -92,6 +95,75 @@ class TestValidationFailures:
         assert main(["recover", "--input", path]) == 2
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("command, payload", [
+        ("recover", {"response": [1, float("nan"), 1, 0, 2]}),
+        ("recover", {"response": [True, False, True]}),
+        ("recover", {"response": [1, float("inf"), 1]}),
+        ("moments", {"moments": [1, float("nan"), 1]}),
+        ("connect", {"moments": [1, 0, "1"]}),
+        ("response", {"a": [], "b": [], "generator": {
+            "kind": "geometric", "params": {"ratio": "x"}}}),
+        ("response", {"a": [], "b": [], "generator": {
+            "kind": "geometric", "params": {"ratio": True}}}),
+        ("response", {"a": [1, -1, 1], "b": [0, 0, 0]}),
+        ("response", {"a": [2, 1], "b": [0, 0]}),
+        ("response", {"a": [1, 1], "b": []}),
+        ("response", [1, 2, 3]),
+    ])
+    def test_exits_2(self, tmp_path, capsys, command, payload):
+        path = write_json(tmp_path / "in.json", payload)
+        assert main([command, "--input", path, "--T", "2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "validation"
+
+    def test_bad_points(self, tmp_path, free_file):
+        pts = write_json(tmp_path / "p.json", {"points": [1.0]})
+        assert main(["hb", "--input", free_file, "--input", pts,
+                     "--T", "2"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--T", "--N-max"])
+    def test_non_positive_size(self, free_file, flag):
+        assert main(["diagnose", "--input", free_file, "--N-max", "3",
+                     flag, "0"]) == 2
+
+
+_JUNK = st.one_of(st.booleans(), st.none(), st.text(max_size=2),
+                  st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+_NUMBER = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0))
+_ENTRY = st.one_of(_NUMBER, _NUMBER, _JUNK)
+_LIST = st.one_of(st.lists(_NUMBER, max_size=9), st.lists(_ENTRY, max_size=9))
+_VALUE = st.one_of(_LIST, _ENTRY)
+_PAYLOAD = st.one_of(
+    st.fixed_dictionaries({"response": _VALUE}),
+    st.fixed_dictionaries({"moments": _VALUE}),
+    st.fixed_dictionaries({"a": _VALUE, "b": _VALUE}),
+    st.fixed_dictionaries({"a": st.just([]), "b": st.just([]),
+                           "generator": st.fixed_dictionaries({
+                               "kind": st.sampled_from(["free", "geometric", "x"]),
+                               "params": st.fixed_dictionaries({"ratio": _ENTRY})})}),
+    _VALUE,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payload=_PAYLOAD,
+       command=st.sampled_from(["simulate", "response", "connect", "recover",
+                                "diagnose", "kernel", "hb", "moments"]),
+       size=st.integers(1, 4),
+       precision=st.sampled_from(["double", "extended", "rational"]))
+def test_payload_exit_code_is_0_or_2(payload, command, size, precision):
+    # malformed input is a validation failure (2), never internal (1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        argv = [command, "--input", path, "--T", str(size), "--N-max",
+                str(size), "--precision", precision,
+                "--output", os.path.join(tmp, "out")]
+        assert main(argv) in (0, 2)
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, geo_file):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -176,7 +248,3 @@ class TestPrecisionSelection:
         assert main(["recover", "--input", path, "--precision", "double",
                      "--output", str(out)]) == 0
         assert json.loads(out.read_text())["precision"] == "double"
-
-    def test_bad_threads(self, free_file):
-        assert main(["response", "--input", free_file, "--T", "2",
-                     "--threads", "0"]) == 2

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mpf
 
 from jacobi_bc import (
     ConnectingMatrix,
     InsufficientDataError,
     JacobiCoefficients,
     Orientation,
+    PrecisionMode,
     build_hankel,
     connecting_from_hankel,
     connecting_from_response,
@@ -18,6 +20,8 @@ from jacobi_bc import (
     spectral_data,
     validate_response,
 )
+
+from jacobi_bc._multiprec import mp_context
 
 from conftest import random_coefficients
 
@@ -37,6 +41,21 @@ class TestFromResponse:
 
     def test_trivial(self):
         assert np.array_equal(connecting_from_response([0.25], 1).matrix, [[0.25]])
+
+    @pytest.mark.parametrize("kind", ["float", "fraction", "mpf"])
+    def test_matches_defining_sum(self, rng, kind):
+        size = 12
+        raw = rng.uniform(-2.0, 2.0, 2 * size - 1)
+        r = {"float": raw,
+             "fraction": np.array([Fraction(v) for v in raw], dtype=object),
+             "mpf": np.array([mpf(v) for v in raw], dtype=object)}[kind]
+        mat = connecting_from_response(r, size).matrix
+        with mp_context():
+            for i in range(1, size + 1):
+                for j in range(1, size + 1):
+                    terms = range(size - max(i, j) + 1)
+                    expected = sum(r[abs(i - j) + 2 * k] for k in terms)
+                    assert mat[i - 1, j - 1] == expected
 
     def test_insufficient(self):
         with pytest.raises(InsufficientDataError):
@@ -156,3 +175,12 @@ class TestValidateResponse:
     def test_trivial(self):
         verdict = validate_response([1.0], 1)
         assert verdict.accepted and verdict.min_eigenvalue == 1.0
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    def test_verdict_is_the_certificate_sign(self, rng, precision):
+        genuine = response_vector(random_coefficients(rng, 5), 9).as_array()
+        # [1, 1, 0] gives the singular block [[1, 1], [1, 1]]
+        for r, size in ((genuine, 5), ([1, 2, 0], 2), ([1, 1, 0], 2),
+                        ([1.0], 1)):
+            verdict = validate_response(r, size, precision)
+            assert verdict.accepted == (verdict.min_eigenvalue > 0)

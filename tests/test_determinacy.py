@@ -18,10 +18,12 @@ from jacobi_bc import (
     connecting_max_eig_sequence,
     connecting_min_eig_sequence,
     deficiency_partial_sums,
-    hankel_min_eig_sequence,
+    hankel_min_eigs,
     response_to_moments,
     response_vector,
 )
+
+from jacobi_bc import _multiprec
 
 from conftest import random_coefficients, semicircle_moments
 
@@ -35,17 +37,17 @@ def geometric_exact_response(t_max):
 
 class TestHankelSequence:
     def test_semicircle_decreases(self):
-        lam = hankel_min_eig_sequence(semicircle_moments(23), 12)
+        lam = hankel_min_eigs(semicircle_moments(23), 12)
         assert lam[11] < lam[3]
         assert all(lam[i + 1] < lam[i] for i in range(1, 11))
 
     def test_trivial(self):
-        assert hankel_min_eig_sequence([1.0], 1)[0] == 1.0
+        assert hankel_min_eigs([1.0], 1)[0] == 1.0
 
     def test_geometric_bounded_below(self):
         s = response_to_moments(geometric_exact_response(10),
                                 PrecisionMode.RATIONAL).as_array()
-        lam = hankel_min_eig_sequence(s, 10, PrecisionMode.EXTENDED)
+        lam = hankel_min_eigs(s, 10, PrecisionMode.EXTENDED)
         assert np.all(lam > 0.5)
         assert abs(lam[9] - lam[7]) < 1e-2  # stabilizing
 
@@ -117,7 +119,7 @@ class TestCircleBounds:
     def test_geometric_bounds_hold(self):
         s = response_to_moments(geometric_exact_response(16),
                                 PrecisionMode.RATIONAL).as_array()
-        lam = hankel_min_eig_sequence(s, 16, PrecisionMode.EXTENDED)
+        lam = hankel_min_eigs(s, 16, PrecisionMode.EXTENDED)
         bound = circle_bound_hankel(GEO, 60)
         assert bound.tail_estimate < 1e-10
         assert lam[-1] >= float(bound) - 1e-6
@@ -150,6 +152,21 @@ class TestClassify:
         assert report.verdict is Verdict.LIKELY_INDETERMINATE
         assert report.connecting_bound is not None
         assert report.beta_seq[-1] >= report.connecting_bound - 1e-6
+
+    @pytest.mark.parametrize("precision", [PrecisionMode.DOUBLE,
+                                           PrecisionMode.EXTENDED])
+    def test_one_eigen_solve_per_block(self, monkeypatch, precision):
+        # the lambda pass and one joint beta/gamma pass: 2 n_max solves
+        calls = []
+        original = _multiprec.sym_eigenvalues
+
+        def counting(matrix, mode):
+            calls.append(np.asarray(matrix).shape[0])
+            return original(matrix, mode)
+
+        monkeypatch.setattr(_multiprec, "sym_eigenvalues", counting)
+        classify(GEO, 6, precision)
+        assert sorted(calls) == sorted(list(range(1, 7)) * 2)
 
     def test_insufficient_horizon(self):
         report = classify(FREE, 1)

@@ -19,6 +19,8 @@ from jacobi_bc import (
     response_vector,
 )
 
+from jacobi_bc._multiprec import lift, pd_factor
+
 from conftest import random_coefficients
 
 FREE = JacobiCoefficients.free()
@@ -125,3 +127,21 @@ class TestRecoverFromMoments:
         assert np.array_equal(rec.a, [0.5, 2.0])
         assert abs(rec.b[0] - 1.0) < 1e-15
         assert abs(rec.b[1] - 1 / 3) < 1e-15
+
+
+class TestFactorization:
+    def test_exact_ldl_agrees_with_lapack(self, rng):
+        co = random_coefficients(rng, 8)
+        conn = connecting_from_response(response_vector(co, 15), 8).aligned(
+            Orientation.CORNER_TOP).matrix
+        exact = lift(conn, PrecisionMode.RATIONAL)
+        low, piv = pd_factor(exact)
+        assert ((low * piv) @ low.T == exact).all()   # no rounding at all
+        low_f, piv_f = pd_factor(conn)
+        assert np.allclose(low.astype(float), low_f, rtol=1e-10, atol=1e-12)
+        assert np.allclose(piv.astype(float), piv_f, rtol=1e-10)
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    def test_indefinite_raises(self, precision):
+        with pytest.raises(np.linalg.LinAlgError):
+            pd_factor(lift([[1.0, 2.0], [2.0, 1.0]], precision))

@@ -1,11 +1,8 @@
 import numpy as np
-import pytest
 
 from jacobi_bc import (
     BoundaryControl,
     JacobiCoefficients,
-    PolynomialEvaluator,
-    PolynomialKind,
     eval_chebyshev,
     eval_p,
     eval_q,
@@ -43,6 +40,7 @@ class TestPolynomials:
             assert abs(eval_chebyshev(3, z) - (z ** 2 - 1)) < 1e-12
             assert abs(eval_chebyshev(4, z) - (z ** 3 - 2 * z)) < 1e-12
             assert abs(eval_chebyshev(5, z) - (z ** 4 - 3 * z ** 2 + 1)) < 1e-11
+        assert eval_chebyshev(4, 2.0) == 4.0
 
     def test_chebyshev_at_zero_parity_exact(self):
         # integer arithmetic: even-index values vanish, odd alternate
@@ -56,13 +54,6 @@ class TestPolynomials:
             lhs = eval_chebyshev(t + 1, lam) + eval_chebyshev(t - 1, lam)
             rhs = lam * eval_chebyshev(t, lam)
             assert np.max(np.abs(lhs - rhs)) < 1e-6 * max(1.0, np.max(np.abs(rhs)))
-
-    def test_evaluator_wrapper(self):
-        assert PolynomialEvaluator(PolynomialKind.CHEBYSHEV)(4, 2.0) == 4.0
-        assert PolynomialEvaluator(PolynomialKind.P, FREE)(2, 0.5) == 0.5
-        assert PolynomialEvaluator(PolynomialKind.Q, FREE)(2, 0.5) == 1.0
-        with pytest.raises(ValueError):
-            PolynomialEvaluator(PolynomialKind.P)(2, 0.5)
 
     def test_vectorized_matches_scalar(self, rng):
         co = random_coefficients(rng, 6)
