@@ -73,8 +73,7 @@ from .determinacy import (
     circle_bound_connecting,
     circle_bound_hankel,
     classify,
-    connecting_max_eig_sequence,
-    connecting_min_eig_sequence,
+    connecting_eig_sequences,
     deficiency_partial_sums,
 )
 from .debranges import (

@@ -1,12 +1,19 @@
 """The precision backend: the only module that knows what each mode means.
 
 DOUBLE keeps float64/complex128 ndarrays on LAPACK.  EXTENDED lifts values
-to object arrays of mpmath mpf at EXTENDED_DPS digits, and RATIONAL to
-object arrays of Fraction, exact wherever no root or eigenvalue is needed.
-Hankel and connecting matrices of rapidly growing coefficient families
-span hundreds of orders of magnitude, putting their smallest eigenvalues
-far below the float64 noise floor (~eps * ||matrix||); the object modes
-exist for them.
+to object arrays of mpf from a private mpmath context fixed at
+EXTENDED_DPS digits, and RATIONAL to object arrays of Fraction, exact
+wherever no root or eigenvalue is needed.  Hankel and connecting matrices
+of rapidly growing coefficient families span hundreds of orders of
+magnitude, putting their smallest eigenvalues far below the float64 noise
+floor (~eps * ||matrix||); the object modes exist for them.
+
+An mpf computes in the context it belongs to, so EXTENDED values carry
+their 50 digits into every module with no precision switch at the call
+site, and the package never reads or changes ``mpmath.mp``.  A caller's
+mpf passed through ``lift`` is re-homed into the private context with its
+mantissa kept; one passed to a dtype-keeping function such as
+``connecting_from_response`` computes in the caller's own context.
 
 The pipeline modules write each step once, independent of dtype, on top
 of what this module provides: ``lift``, the per-mode noise and pivot
@@ -24,11 +31,13 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
-from mpmath import mp, mpf, workdps
+from mpmath import MPContext
 
 from .core import ConditioningError, PrecisionMode, _to_fraction
 
 EXTENDED_DPS = 50
+_EXTENDED = MPContext()
+_EXTENDED.dps = EXTENDED_DPS
 
 # Double-precision eigenvalues below this multiple of eps * ||block|| are noise.
 NOISE_FLOOR_FACTOR = 1e3
@@ -37,44 +46,34 @@ _RESIDUAL_TOL = 1e-10
 _REFINE_STEPS = 5
 
 
-def mp_context():
-    """Working-precision context for object-dtype mpf arithmetic.
-
-    mpf values carry their creation precision, but arithmetic runs at the
-    ambient precision, so every site that combines mpf values must wrap
-    itself in this context (harmless around exact Fraction work).
-    """
-    return workdps(EXTENDED_DPS)
-
-
 def as_mpf(x):
-    """Exact conversion of int/float/Fraction to an mpf."""
+    """x as an mpf of the EXTENDED context: floats convert exactly, ints
+    and Fractions round to EXTENDED_DPS digits, and an mpf of any context
+    keeps its mantissa."""
+    if hasattr(x, "_mpf_"):
+        return _EXTENDED.make_mpf(x._mpf_)
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    if isinstance(x, (int, float)):
-        return mpf(x)
-    if isinstance(x, mpf):
-        return x
-    return mpf(float(x))
+        return _EXTENDED.mpf(x.numerator) / _EXTENDED.mpf(x.denominator)
+    return _EXTENDED.mpf(x if isinstance(x, (int, float)) else float(x))
 
 
 def lift(values, precision: PrecisionMode) -> np.ndarray:
     """``values`` as an array of the number type of ``precision``.
 
     DOUBLE gives float64 (complex128 for complex input).  EXTENDED gives
-    an object array of mpf, converted at EXTENDED_DPS digits; RATIONAL an
-    object array of Fraction, where floats convert exactly and inexact
-    types such as mpf are refused with TypeError.
+    an object array of mpf of the private EXTENDED_DPS-digit context (see
+    ``as_mpf``); RATIONAL an object array of Fraction, where floats
+    convert exactly and inexact types such as mpf are refused with
+    TypeError.
     """
     arr = np.asarray(values)
     if precision is PrecisionMode.DOUBLE:
         return arr.astype(complex if np.iscomplexobj(arr) else float)
     convert = _to_fraction if precision is PrecisionMode.RATIONAL else as_mpf
     out = np.empty(arr.shape, dtype=object)
-    with mp_context():
-        # tolist() turns numpy scalars into the Python numbers both
-        # converters accept
-        out.flat = [convert(v) for v in arr.ravel().tolist()]
+    # tolist() turns numpy scalars into the Python numbers both converters
+    # accept
+    out.flat = [convert(v) for v in arr.ravel().tolist()]
     return out
 
 
@@ -113,10 +112,9 @@ def sym_eigenvalues(matrix, precision: PrecisionMode) -> np.ndarray:
     """
     if precision is PrecisionMode.DOUBLE:
         return np.linalg.eigvalsh(lift(matrix, precision))
-    with mp_context():
-        lifted = mp.matrix(lift(matrix, PrecisionMode.EXTENDED).tolist())
-        ev = mp.eigsy(lifted, eigvals_only=True)
-        return np.array(sorted(float(v) for v in ev))
+    lifted = _EXTENDED.matrix(lift(matrix, PrecisionMode.EXTENDED).tolist())
+    ev = _EXTENDED.eigsy(lifted, eigvals_only=True)
+    return np.array(sorted(float(v) for v in ev))
 
 
 def leading_eig_extremes(matrix, precision: PrecisionMode):
@@ -145,14 +143,13 @@ def pd_factor(matrix):
     n = arr.shape[0]
     low = np.zeros((n, n), dtype=object)
     piv = np.empty(n, dtype=object)
-    with mp_context():
-        for j in range(n):
-            scaled = low[j, :j] * piv[:j]     # L[j, k] d_k, once per column
-            piv[j] = arr[j, j] - low[j, :j] @ scaled
-            if not piv[j] > 0:
-                raise np.linalg.LinAlgError(f"pivot {j} is not positive")
-            low[j, j] = 1
-            low[j + 1:, j] = (arr[j + 1:, j] - low[j + 1:, :j] @ scaled) / piv[j]
+    for j in range(n):
+        scaled = low[j, :j] * piv[:j]     # L[j, k] d_k, once per column
+        piv[j] = arr[j, j] - low[j, :j] @ scaled
+        if not piv[j] > 0:
+            raise np.linalg.LinAlgError(f"pivot {j} is not positive")
+        low[j, j] = 1
+        low[j + 1:, j] = (arr[j + 1:, j] - low[j + 1:, :j] @ scaled) / piv[j]
     return low, piv
 
 
@@ -190,19 +187,18 @@ def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     np.linalg.LinAlgError when the matrix is not positive definite.
     """
     mat = np.asarray(matrix)
-    with mp_context():
-        if mat.dtype == object:
-            mat = lift(mat, PrecisionMode.EXTENDED)
-        low, piv = pd_factor(mat)
-        b = np.asarray(rhs, dtype=complex).astype(np.result_type(mat, complex))
-        x = _pd_substitute(low, piv, b)
-        scale = max(_norm(b), 1e-300)
+    if mat.dtype == object:
+        mat = lift(mat, PrecisionMode.EXTENDED)
+    low, piv = pd_factor(mat)
+    b = np.asarray(rhs, dtype=complex).astype(np.result_type(mat, complex))
+    x = _pd_substitute(low, piv, b)
+    scale = max(_norm(b), 1e-300)
+    residual = _norm(mat @ x - b) / scale
+    for _ in range(_REFINE_STEPS):
+        if residual <= _RESIDUAL_TOL:
+            break
+        x = x + _pd_substitute(low, piv, b - mat @ x)
         residual = _norm(mat @ x - b) / scale
-        for _ in range(_REFINE_STEPS):
-            if residual <= _RESIDUAL_TOL:
-                break
-            x = x + _pd_substitute(low, piv, b - mat @ x)
-            residual = _norm(mat @ x - b) / scale
     if residual > _RESIDUAL_TOL:
         raise ConditioningError(
             f"linear solve stalled at relative residual {residual:.3e}; "

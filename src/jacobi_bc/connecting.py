@@ -29,12 +29,13 @@ from .core import (
     JacobiCoefficients,
     PrecisionMode,
     SpectralData,
+    _freeze_array,
     sequence_values,
 )
 from .dynamics import control_operator
 from .moments import HankelMatrix, chebyshev_transform
 from .spectral import chebyshev_all
-from ._multiprec import mp_context, sym_eigenvalues
+from ._multiprec import sym_eigenvalues
 
 __all__ = [
     "Orientation",
@@ -66,11 +67,9 @@ class ConnectingMatrix:
     orientation: Orientation
 
     def __post_init__(self):
-        arr = np.array(self.matrix, copy=True)
+        arr = _freeze_array(self, "matrix", self.matrix)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("connecting matrix must be square")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
 
     @property
     def size(self) -> int:
@@ -122,13 +121,12 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
             f"insufficient response data: need {2 * size - 1}, got {len(rv)}")
     mat = np.zeros((size, size), dtype=np.result_type(rv, float))
     rows = np.arange(size)
-    with mp_context():
-        for d in range(size):
-            # diagonal offset d: row i (1-based) sums r_d, r_{d+2}, ...
-            # up to r_{d+2(T-i-d)}, the reversed cumulative sums of r_{d::2}
-            diag = np.cumsum(rv[d:2 * size - d:2])[::-1]
-            mat[rows[:size - d], rows[d:]] = diag
-            mat[rows[d:], rows[:size - d]] = diag
+    for d in range(size):
+        # diagonal offset d: row i (1-based) sums r_d, r_{d+2}, ...
+        # up to r_{d+2(T-i-d)}, the reversed cumulative sums of r_{d::2}
+        diag = np.cumsum(rv[d:2 * size - d:2])[::-1]
+        mat[rows[:size - d], rows[d:]] = diag
+        mat[rows[d:], rows[:size - d]] = diag
     return ConnectingMatrix(mat, Orientation.CORNER_BOTTOM)
 
 
@@ -154,8 +152,7 @@ def gram_from_control(coeffs: JacobiCoefficients, size: int,
                       precision: PrecisionMode = PrecisionMode.DOUBLE) -> ConnectingMatrix:
     """C_T = W_T^* W_T with W_T simulated from the coefficients (CORNER_TOP)."""
     w = control_operator(coeffs, size, precision).matrix
-    with mp_context():
-        gram = _mirror_lower(w.T @ w)
+    gram = _mirror_lower(w.T @ w)
     return ConnectingMatrix(gram, Orientation.CORNER_TOP)
 
 
@@ -170,8 +167,7 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
     dtype = np.result_type(smat, float)
     smat = smat[:size, :size].astype(dtype)
     lam = chebyshev_transform(size).matrix.astype(dtype)
-    with mp_context():
-        mat = _mirror_lower(lam @ smat @ lam.T)
+    mat = _mirror_lower(lam @ smat @ lam.T)
     return ConnectingMatrix(mat, Orientation.CORNER_TOP)
 
 

@@ -302,7 +302,20 @@ class BoundaryControl:
         return list(self.values) + [0] * (horizon - len(self.values))
 
 
+def _freeze_array(obj, name: str, raw, dtype=None) -> np.ndarray:
+    """Store a read-only copy of ``raw`` (cast to ``dtype`` when given) as
+    field ``name`` of the frozen dataclass ``obj``; returns it."""
+    arr = np.array(raw, dtype=dtype, copy=True)
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
 class _SequenceMixin:
+    def __post_init__(self):
+        if _freeze_array(self, "values", self.values).ndim != 1:
+            raise ValueError("expected a 1-D sequence")
+
     def __len__(self):
         return len(self.values)
 
@@ -316,22 +329,11 @@ class _SequenceMixin:
         return self.values
 
 
-def _freeze_array(obj, raw):
-    arr = np.array(raw, copy=True)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D sequence")
-    arr.setflags(write=False)
-    object.__setattr__(obj, "values", arr)
-
-
 @dataclass(frozen=True)
 class ResponseVector(_SequenceMixin):
     """Convolution kernel (r_0, r_1, ...) of the boundary response map."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        _freeze_array(self, self.values)
 
 
 @dataclass(frozen=True)
@@ -339,9 +341,6 @@ class MomentSequence(_SequenceMixin):
     """Power moments (s_0, s_1, ...) of a measure on the real line."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        _freeze_array(self, self.values)
 
 
 @dataclass(frozen=True)
@@ -358,15 +357,12 @@ class SpectralData:
         if lam.shape != w.shape or lam.ndim != 1:
             raise ValueError("eigenvalues and weights must be matching 1-D arrays")
         order = np.argsort(lam)
-        lam, w = lam[order].copy(), w[order].copy()
+        lam = _freeze_array(self, "lambdas", lam[order])
+        w = _freeze_array(self, "weights", w[order])
         if lam.size > 1 and np.min(np.diff(lam)) <= 0:
             raise ValueError("eigenvalues must be pairwise distinct")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
-        lam.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:

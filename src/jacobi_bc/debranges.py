@@ -33,11 +33,12 @@ from .core import (
     NotAResponseVectorError,
     NotLimitCircleError,
     PrecisionMode,
+    _freeze_array,
 )
 from .connecting import ConnectingMatrix, Orientation, gram_from_control
 from .moments import HankelMatrix
-from .spectral import chebyshev_all, eval_p_all
-from ._multiprec import lift, mp_context, mp_pd_solve
+from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
+from ._multiprec import lift, mp_pd_solve
 
 __all__ = [
     "KreinSolution",
@@ -69,18 +70,15 @@ class KreinSolution:
     residual: float
 
     def __post_init__(self):
-        raw = np.asarray(self.values)
-        arr = raw.astype(np.result_type(raw, complex))
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _freeze_array(self, "values", self.values,
+                      np.result_type(np.asarray(self.values), complex))
 
     def kernel_value(self, lam) -> complex:
         """Reproducing kernel J_z(lam) = sum_k T_k(lam) j_k."""
         if isinstance(lam, np.ndarray):
             return np.array([self.kernel_value(v) for v in lam])
         cheb = chebyshev_all(self.horizon, complex(lam))
-        with mp_context():
-            return complex(sum(v * c for v, c in zip(self.values, cheb)))
+        return complex(sum(v * c for v, c in zip(self.values, cheb)))
 
 
 def _corner_top_matrix(connecting) -> np.ndarray:
@@ -169,38 +167,27 @@ class InfiniteKernelValue:
 
 def kernel_infinite(coeffs: JacobiCoefficients, z: complex, lam: complex,
                     tol: float = 1e-12, n_cap: int = 10000) -> InfiniteKernelValue:
-    """Partial sums of the infinite kernel until the relative tail over a
-    5-term window drops below ``tol``.
+    """Partial sums of the infinite kernel until their tail, by
+    ``spectral.relative_tail`` on the term magnitudes against |sum|,
+    drops below ``tol``.
 
     The series converges locally uniformly exactly in the limit-circle
     regime; hitting the cap raises NotLimitCircleError.
     """
-    window = 5
-    z = complex(z)
-    lam = complex(lam)
-    pz_prev, pl_prev = 0.0, 0.0
-    pz, pl = 1.0 + 0j, 1.0 + 0j
-    total = np.conj(pz) * pl
-    recent = [abs(np.conj(pz) * pl)]
-    n = 1
-    while True:
-        tail = sum(recent) / max(abs(total), 1e-300)
+    total, sizes = 0j, []
+    terms = zip(_recurrence(coeffs, complex(z), "p"),
+                _recurrence(coeffs, complex(lam), "p"))
+    for n, (pz, pl) in enumerate(terms, 1):
+        term = np.conj(pz) * pl
+        total += term
+        sizes.append(abs(term) + (sizes[-1] if sizes else 0.0))
+        tail = relative_tail(sizes, total)
         if tail <= tol:
             return InfiniteKernelValue(value=complex(total), order=n,
                                        tail=float(tail))
         if n >= n_cap:
             raise NotLimitCircleError(
                 f"series not converging after {n_cap} terms: likely limit point")
-        a_n, b_n = coeffs.a(n), coeffs.b(n)
-        a_prev = coeffs.a(n - 1)
-        pz_prev, pz = pz, ((z - b_n) * pz - a_prev * pz_prev) / a_n
-        pl_prev, pl = pl, ((lam - b_n) * pl - a_prev * pl_prev) / a_n
-        n += 1
-        term = np.conj(pz) * pl
-        total += term
-        recent.append(abs(term))
-        if len(recent) > window:
-            recent.pop(0)
 
 
 def scalar_product(f, g, connecting) -> complex:
@@ -208,8 +195,8 @@ def scalar_product(f, g, connecting) -> complex:
 
     Conjugate-linear in f, linear in g; equals the integral of conj(F) G
     against the spectral measure of the size-T block.  Object-dtype
-    blocks (extended/rational constructions) are combined at working
-    precision.
+    blocks (extended/rational constructions) are combined in their own
+    arithmetic.
     """
     mat = _corner_top_matrix(connecting)
     fv = np.asarray(f)
@@ -218,8 +205,7 @@ def scalar_product(f, g, connecting) -> complex:
     gv = gv.astype(np.result_type(gv, complex))
     if fv.shape != gv.shape or fv.ndim != 1 or fv.size != mat.shape[0]:
         raise ValueError("coefficient vectors must match the block size")
-    with mp_context():
-        return complex(np.vdot(mat @ fv, gv))
+    return complex(np.vdot(mat @ fv, gv))
 
 
 @dataclass(frozen=True)
@@ -238,9 +224,7 @@ class HermiteBiehlerFunction:
     norm_sq: float
 
     def __post_init__(self):
-        arr = np.array(self.kernel_coeffs, dtype=complex, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "kernel_coeffs", arr)
+        _freeze_array(self, "kernel_coeffs", self.kernel_coeffs, complex)
 
     def kernel_at_i(self, z):
         """J_i(z) = sum_n conj(p_n(i)) p_n(z); z scalar or ndarray."""

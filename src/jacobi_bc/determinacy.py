@@ -44,22 +44,20 @@ from .core import (
 from .connecting import Orientation, connecting_from_response
 from .dynamics import response_vector
 from .moments import build_hankel, response_to_moments
-from .spectral import eval_p_all, eval_q_all
+from .spectral import TAIL_WINDOW, eval_p_all, eval_q_all, relative_tail
 from ._multiprec import above_noise, leading_eig_extremes, noise_floor
 
 __all__ = [
     "Verdict",
     "DeterminacyReport",
     "CircleBoundEstimate",
-    "connecting_min_eig_sequence",
-    "connecting_max_eig_sequence",
+    "connecting_eig_sequences",
     "deficiency_partial_sums",
     "circle_bound_hankel",
     "circle_bound_connecting",
     "classify",
 ]
 
-_TAIL_WINDOW = 5
 # Eigenvalue-sequence monotonicity is asserted up to this absolute slack
 # plus the eigensolver noise floor of the active precision.
 _MONOTONE_SLACK = 1e-12
@@ -71,11 +69,14 @@ class Verdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def _beta_gamma(r, t_max, precision):
-    """(beta_T, gamma_T) for T = 1..t_max from one eigen-solve per nested
-    block; asserts beta non-increasing and gamma non-decreasing (the
-    corner-top blocks are nested, so eigenvalues interlace) up to the
-    eigensolver noise floor."""
+def connecting_eig_sequences(r, t_max: int,
+                             precision: PrecisionMode = PrecisionMode.DOUBLE):
+    """(beta_T, gamma_T) = (min eig(C_T), max eig(C_T)) for T = 1..t_max.
+
+    One eigen-solve per nested block gives both; asserts beta
+    non-increasing and gamma non-decreasing (the corner-top blocks are
+    nested, so eigenvalues interlace) up to the eigensolver noise floor.
+    """
     # corner-top blocks are nested, so one build serves every horizon
     top = connecting_from_response(r, t_max).aligned(Orientation.CORNER_TOP)
     beta, gamma = leading_eig_extremes(top.matrix, precision)
@@ -91,20 +92,6 @@ def _beta_gamma(r, t_max, precision):
     return beta, gamma
 
 
-def connecting_min_eig_sequence(r, t_max: int,
-                                precision: PrecisionMode = PrecisionMode.DOUBLE) -> np.ndarray:
-    """beta_T = min eig(C_T) for T = 1..t_max; asserts the sequence is
-    non-increasing up to the eigensolver noise floor."""
-    return _beta_gamma(r, t_max, precision)[0]
-
-
-def connecting_max_eig_sequence(r, t_max: int,
-                                precision: PrecisionMode = PrecisionMode.DOUBLE) -> np.ndarray:
-    """gamma_T = max eig(C_T) for T = 1..t_max; asserts non-decrease
-    (the corner-top blocks are nested, so eigenvalues interlace)."""
-    return _beta_gamma(r, t_max, precision)[1]
-
-
 def deficiency_partial_sums(coeffs: JacobiCoefficients, depth: int,
                             z: complex = 1j):
     """Partial sums of |p_n(z)|^2 and |q_n(z)|^2 up to ``depth``.
@@ -117,14 +104,6 @@ def deficiency_partial_sums(coeffs: JacobiCoefficients, depth: int,
     p_sums = np.cumsum([abs(v) ** 2 for v in p])
     q_sums = np.cumsum([abs(v) ** 2 for v in q])
     return p_sums, q_sums
-
-
-def _tail_converged(partial_sums: np.ndarray, tol: float) -> bool:
-    if partial_sums.size <= _TAIL_WINDOW:
-        return False
-    total = partial_sums[-1]
-    tail = total - partial_sums[-1 - _TAIL_WINDOW]
-    return bool(total > 0 and tail <= tol * total)
 
 
 @dataclass(frozen=True)
@@ -147,12 +126,11 @@ def _partial_square_sums(coeffs, truncation, nodes):
     pv = eval_p_all(coeffs, truncation, np.asarray(nodes))
     sq = np.abs(pv) ** 2
     sums = np.cumsum(sq, axis=0)
-    if truncation <= 2 * _TAIL_WINDOW:
+    if truncation <= 2 * TAIL_WINDOW:
         return sums[-1], float("nan")
-    last = sums[-1] - sums[-1 - _TAIL_WINDOW]
-    prev = sums[-1 - _TAIL_WINDOW] - sums[-1 - 2 * _TAIL_WINDOW]
-    rel = last / sums[-1]
-    growing = (last >= prev) & (rel > 1e-12)
+    rel = relative_tail(sums)
+    prev = relative_tail(sums[:-TAIL_WINDOW], sums[-1])
+    growing = (rel >= prev) & (rel > 1e-12)
     if np.any(growing):
         raise NotLimitCircleError(
             "not limit circle: sum_n |p_n(z)|^2 has a non-decreasing "
@@ -241,9 +219,9 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
 
     Policy (artifact thresholds, tunable):
 
-    * LikelyIndeterminate when both deficiency sums converge (relative
-      tail below ``tail_tol`` over a 5-term window) and the trusted part
-      of the lambda sequence stays above ``eps_det``;
+    * LikelyIndeterminate when both deficiency sums converge (their
+      ``spectral.relative_tail`` is at most ``tail_tol``) and the trusted
+      part of the lambda sequence stays above ``eps_det``;
     * LikelyDeterminate when some trusted lambda_N falls below
       ``eps_det``, or gamma_T stabilizes to a bounded value;
     * Inconclusive otherwise, and always for n_max < 4.
@@ -252,7 +230,9 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     floor of their block norm; a note recommends extended precision when
     that truncates the sequence.  beta_T never decides a verdict by
     itself: its lower bound holds in the limit-circle case but the
-    converse fails (free coefficients keep beta_T = 1).
+    converse fails (free coefficients keep beta_T = 1).  The deficiency
+    sums and circle bounds run to ``deficiency_depth``, or to the size of
+    a finite family when that is smaller.
     """
     notes = []
     length = 2 * n_max - 1
@@ -271,16 +251,18 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        beta_seq, gamma_seq = _beta_gamma(r, n_max, precision)
+        beta_seq, gamma_seq = connecting_eig_sequences(r, n_max, precision)
 
-    deficiency_p, deficiency_q = deficiency_partial_sums(coeffs, deficiency_depth)
-    deficiency_converged = (_tail_converged(deficiency_p, tail_tol)
-                            and _tail_converged(deficiency_q, tail_tol))
+    # a finite family holds p_n and q_n for n <= its size only
+    depth = min(deficiency_depth, coeffs.size or deficiency_depth)
+    deficiency_p, deficiency_q = deficiency_partial_sums(coeffs, depth)
+    deficiency_converged = (relative_tail(deficiency_p) <= tail_tol
+                            and relative_tail(deficiency_q) <= tail_tol)
 
     hankel_bound = connecting_bound = None
     try:
-        hankel_bound = float(circle_bound_hankel(coeffs, deficiency_depth))
-        connecting_bound = float(circle_bound_connecting(coeffs, deficiency_depth))
+        hankel_bound = float(circle_bound_hankel(coeffs, depth))
+        connecting_bound = float(circle_bound_connecting(coeffs, depth))
     except NotLimitCircleError as exc:
         notes.append(f"limit-circle bounds unavailable: {exc}")
 

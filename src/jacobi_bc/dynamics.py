@@ -30,9 +30,10 @@ from .core import (
     JacobiCoefficients,
     PrecisionMode,
     ResponseVector,
+    _freeze_array,
     sequence_values,
 )
-from ._multiprec import lift, mp_context
+from ._multiprec import lift
 
 __all__ = [
     "WaveField",
@@ -58,9 +59,7 @@ class WaveField:
     horizon: int
 
     def __post_init__(self):
-        arr = np.array(self.values, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _freeze_array(self, "values", self.values)
 
     def value(self, n: int, t: int):
         """u_{n,t} with the natural indices (t may be -1)."""
@@ -113,9 +112,7 @@ class ControlOperatorMatrix:
     horizon: int
 
     def __post_init__(self):
-        arr = np.array(self.matrix, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        _freeze_array(self, "matrix", self.matrix)
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -166,7 +163,7 @@ def _simulate(coeffs: JacobiCoefficients, control, horizon: int, n_space: int,
     # Far-field overflow (rapidly growing coefficient families) cannot
     # reach the rows a caller can observe within this horizon: any
     # contamination travels at most one site per step.
-    with mp_context(), np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
             u[0, t + 1] = ctrl[t]
             cur = u[:, t + 1]

@@ -34,7 +34,7 @@ from .core import (
 from .dynamics import response_vector
 from .moments import build_hankel, moments_to_response
 from .connecting import Orientation, connecting_from_response
-from ._multiprec import lift, mp_context, pd_factor, pivot_floor
+from ._multiprec import lift, pd_factor, pivot_floor
 
 __all__ = ["RecoveryResult", "recover_from_response", "recover_from_moments"]
 
@@ -87,10 +87,9 @@ def _factor_and_extract(matrix, precision: PrecisionMode,
             f"{label}: the matrix is not positive definite at "
             f"{precision.value} precision ({exc}); genuine but "
             f"ill-conditioned data may need more digits") from exc
-    with mp_context():
-        pivot_ratios = np.sqrt((piv / np.max(piv)).astype(float))
-        ratios = piv[1:] / piv[:-1]
-        b_rec = np.diff(np.diagonal(low, -1), prepend=0)
+    pivot_ratios = np.sqrt((piv / np.max(piv)).astype(float))
+    ratios = piv[1:] / piv[:-1]
+    b_rec = np.diff(np.diagonal(low, -1), prepend=0)
     worst = int(np.argmin(pivot_ratios))
     if pivot_ratios[worst] < pivot_floor(precision):
         raise ConditioningError(

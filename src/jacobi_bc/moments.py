@@ -23,9 +23,10 @@ from .core import (
     MomentSequence,
     PrecisionMode,
     ResponseVector,
+    _freeze_array,
     sequence_values,
 )
-from ._multiprec import above_noise, leading_eig_extremes, lift, mp_context
+from ._multiprec import above_noise, leading_eig_extremes, lift
 
 __all__ = [
     "HankelMatrix",
@@ -47,11 +48,9 @@ class HankelMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, copy=True)
+        arr = _freeze_array(self, "matrix", self.matrix)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("Hankel matrix must be square")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
 
     @property
     def size(self) -> int:
@@ -76,9 +75,7 @@ class ChebyshevTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        _freeze_array(self, "matrix", self.matrix)
 
     @property
     def size(self) -> int:
@@ -134,8 +131,7 @@ def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> R
     sx = lift(sequence_values(s), precision)
     # the integer transform keeps its exact entries against object values
     lam = chebyshev_transform(sx.size).matrix.astype(sx.dtype)
-    with mp_context():
-        return ResponseVector(lam @ sx)
+    return ResponseVector(lam @ sx)
 
 
 def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> MomentSequence:
@@ -145,9 +141,8 @@ def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> M
     """
     s = lift(sequence_values(r), precision)
     lam = chebyshev_transform(s.size).matrix.astype(s.dtype)
-    with mp_context():
-        for i in range(s.size):
-            s[i] = s[i] - lam[i, :i] @ s[:i]
+    for i in range(s.size):
+        s[i] = s[i] - lam[i, :i] @ s[:i]
     return MomentSequence(s)
 
 
@@ -180,9 +175,7 @@ class HankelPositivityReport:
     first_failure: int | None
 
     def __post_init__(self):
-        arr = np.array(self.min_eigenvalues, dtype=float, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "min_eigenvalues", arr)
+        _freeze_array(self, "min_eigenvalues", self.min_eigenvalues, float)
 
 
 def hankel_positivity(s, n_max: int,

@@ -10,13 +10,16 @@ propagation polynomials T_t obey T_{t+1} = z T_t - T_{t-1} with T_0 = 0,
 T_1 = 1; they are the second-kind Chebyshev polynomials rescaled to the
 interval (-2, 2), i.e. T_t(z) = U_{t-1}(z/2).
 
-Evaluation is always by forward recurrence; monomial coefficient lists
-of p_n and q_n are ill-conditioned and never formed here.
+Evaluation is always by forward recurrence, in one lazy generator for p
+and q and in ``chebyshev_all`` for T_t; monomial coefficient lists of p_n
+and q_n are ill-conditioned and never formed here.  ``relative_tail`` is
+the one truncation rule of every series the package sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 import scipy.linalg
@@ -42,7 +45,11 @@ __all__ = [
     "fourier_image",
     "extension_parameter",
     "ExtensionParameterEstimate",
+    "relative_tail",
 ]
+
+# Terms in the trailing window of the truncation rule.
+TAIL_WINDOW = 5
 
 
 def _one_like(z):
@@ -53,49 +60,47 @@ def _zero_like(z):
     return np.zeros_like(z) if isinstance(z, np.ndarray) else 0 * z
 
 
-def _poly_all(coeffs, n_max, z, kind):
-    """Values (phi_1(z), ..., phi_{n_max}(z)); z scalar or ndarray."""
+def _recurrence(coeffs, z, kind):
+    """phi_1(z), phi_2(z), ... of the first (kind "p") or second (kind
+    "q") family, lazily: phi_{n+1} reads a_n and b_n only when requested,
+    so a size-N finite family yields phi_1..phi_N.
+
+    Both start from phi_0: p_0 = 0 and, under a_0 = 1, q_0 = -1, which
+    gives q_2 = 1/a_1 from the same update.  z is a scalar or an ndarray.
+    """
+    zero, one = _zero_like(z), _one_like(z)
+    prev, cur = (zero, one) if kind == "p" else (-one, zero)
+    for n in count(1):
+        yield cur
+        a_n, a_prev, b_n = coeffs.a(n), coeffs.a(n - 1), coeffs.b(n)
+        prev, cur = cur, ((z - b_n) * cur - a_prev * prev) / a_n
+
+
+def _first_values(coeffs, n_max, z, kind):
     if n_max < 1:
         raise ValueError("the polynomial index starts at 1")
-    if kind == "p":
-        first = _one_like(z)
-    else:
-        first = _zero_like(z)
-    out = [first]
-    if n_max == 1:
-        return out
-    a1 = coeffs.a(1)
-    if kind == "p":
-        second = (z - coeffs.b(1)) / a1
-    else:
-        second = _one_like(z) / a1
-    out.append(second)
-    for n in range(2, n_max):
-        a_n, a_prev, b_n = coeffs.a(n), coeffs.a(n - 1), coeffs.b(n)
-        out.append(((z - b_n) * out[-1] - a_prev * out[-2]) / a_n)
-    return out
+    vals = list(islice(_recurrence(coeffs, z, kind), n_max))
+    return np.asarray(vals) if isinstance(z, np.ndarray) else vals
 
 
 def eval_p_all(coeffs: JacobiCoefficients, n_max: int, z):
     """[p_1(z), ..., p_{n_max}(z)] by forward recurrence."""
-    vals = _poly_all(coeffs, n_max, z, "p")
-    return np.asarray(vals) if isinstance(z, np.ndarray) else vals
+    return _first_values(coeffs, n_max, z, "p")
 
 
 def eval_q_all(coeffs: JacobiCoefficients, n_max: int, z):
     """[q_1(z), ..., q_{n_max}(z)] by forward recurrence."""
-    vals = _poly_all(coeffs, n_max, z, "q")
-    return np.asarray(vals) if isinstance(z, np.ndarray) else vals
+    return _first_values(coeffs, n_max, z, "q")
 
 
 def eval_p(coeffs: JacobiCoefficients, n: int, z):
     """p_n(z); first-kind polynomial of degree n - 1 (n is 1-based)."""
-    return _poly_all(coeffs, n, z, "p")[-1]
+    return _first_values(coeffs, n, z, "p")[-1]
 
 
 def eval_q(coeffs: JacobiCoefficients, n: int, z):
     """q_n(z); second-kind polynomial of degree n - 2 (n is 1-based)."""
-    return _poly_all(coeffs, n, z, "q")[-1]
+    return _first_values(coeffs, n, z, "q")[-1]
 
 
 def eval_chebyshev(t: int, z):
@@ -105,13 +110,7 @@ def eval_chebyshev(t: int, z):
     """
     if t < 0:
         raise ValueError("the index must be >= 0")
-    prev = _zero_like(z)
-    if t == 0:
-        return prev
-    cur = _one_like(z)
-    for _ in range(t - 1):
-        prev, cur = cur, z * cur - prev
-    return cur
+    return chebyshev_all(t, z)[-1] if t else _zero_like(z)
 
 
 def chebyshev_all(t_max: int, z):
@@ -124,6 +123,21 @@ def chebyshev_all(t_max: int, z):
         prev, out_last = out[-1], z * out[-1] - prev
         out.append(out_last)
     return np.asarray(out) if isinstance(z, np.ndarray) else out
+
+
+def relative_tail(partial_sums, total=None):
+    """The truncation rule of every series the package sums.
+
+    From the partial sums S of a series of magnitudes: its last
+    TAIL_WINDOW terms, S_n - S_{n-TAIL_WINDOW} (all of S_n while there
+    are no more terms than that), over |total|, which defaults to S_n.
+    The series has converged once this is at most its tolerance.  An
+    array of partial sums holds one series per column.
+    """
+    last = partial_sums[-1]
+    window = (last - partial_sums[-1 - TAIL_WINDOW]
+              if len(partial_sums) > TAIL_WINDOW else last)
+    return window / np.maximum(np.abs(last if total is None else total), 1e-300)
 
 
 def spectral_data(coeffs: JacobiCoefficients, size: int) -> SpectralData:
@@ -243,15 +257,8 @@ def extension_parameter(coeffs: JacobiCoefficients, n_max: int,
             continue
         ratios.append((n, -q[n - 1] / pn))
 
-    window = 5
-    p_sq = np.cumsum(np.square(p))
-    q_sq = np.cumsum(np.square(q))
-    total = p_sq[-1] + q_sq[-1]
-    if len(p) > window and total > 0:
-        tail = (p_sq[-1] - p_sq[-1 - window]) + (q_sq[-1] - q_sq[-1 - window])
-        summable = tail <= tail_tol * total
-    else:
-        summable = False
+    summable = bool(relative_tail(np.cumsum(np.square(p) + np.square(q)))
+                    <= tail_tol)
 
     if not ratios:
         return ExtensionParameterEstimate(

@@ -76,6 +76,17 @@ class TestDiagnose:
         assert len(lines) == 6
 
 
+    def test_finite_family_shorter_than_depth(self, tmp_path):
+        coeffs = write_json(tmp_path / "c.json",
+                            {"a": [1, 1, 1, 1, 1], "b": [0, 0, 0, 0, 0],
+                             "generator": None})
+        out = tmp_path / "d.json"
+        code = main(["diagnose", "--input", coeffs, "--N-max", "3",
+                     "--output", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["verdict"] == "Inconclusive"
+
+
 class TestValidationFailures:
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "x.json"

@@ -21,8 +21,6 @@ from jacobi_bc import (
     validate_response,
 )
 
-from jacobi_bc._multiprec import mp_context
-
 from conftest import random_coefficients
 
 FREE = JacobiCoefficients.free()
@@ -50,12 +48,12 @@ class TestFromResponse:
              "fraction": np.array([Fraction(v) for v in raw], dtype=object),
              "mpf": np.array([mpf(v) for v in raw], dtype=object)}[kind]
         mat = connecting_from_response(r, size).matrix
-        with mp_context():
-            for i in range(1, size + 1):
-                for j in range(1, size + 1):
-                    terms = range(size - max(i, j) + 1)
-                    expected = sum(r[abs(i - j) + 2 * k] for k in terms)
-                    assert mat[i - 1, j - 1] == expected
+        # a caller's mpf computes in the caller's own context, as here
+        for i in range(1, size + 1):
+            for j in range(1, size + 1):
+                terms = range(size - max(i, j) + 1)
+                expected = sum(r[abs(i - j) + 2 * k] for k in terms)
+                assert mat[i - 1, j - 1] == expected
 
     def test_insufficient(self):
         with pytest.raises(InsufficientDataError):

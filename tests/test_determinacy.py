@@ -15,8 +15,7 @@ from jacobi_bc import (
     circle_bound_hankel,
     classify,
     connecting_from_hankel,
-    connecting_max_eig_sequence,
-    connecting_min_eig_sequence,
+    connecting_eig_sequences,
     deficiency_partial_sums,
     hankel_min_eigs,
     response_to_moments,
@@ -55,39 +54,36 @@ class TestHankelSequence:
 class TestConnectingSequences:
     def test_free_is_one(self):
         r = response_vector(FREE, 127)
-        beta = connecting_min_eig_sequence(r, 64)
-        gamma = connecting_max_eig_sequence(r, 64)
+        beta, gamma = connecting_eig_sequences(r, 64)
         assert np.array_equal(beta, np.ones(64))
         assert np.array_equal(gamma, np.ones(64))
 
     def test_trivial(self):
-        assert connecting_min_eig_sequence([1.0], 1)[0] == 1.0
+        assert connecting_eig_sequences([1.0], 1)[0][0] == 1.0
 
     def test_geometric_stabilizes_above_bound(self):
         r = geometric_exact_response(16)
-        beta = connecting_min_eig_sequence(r, 16, PrecisionMode.EXTENDED)
+        beta = connecting_eig_sequences(r, 16, PrecisionMode.EXTENDED)[0]
         bound = float(circle_bound_connecting(GEO, 60))
         assert abs(beta[15] - beta[10]) < 1e-3
         assert beta[15] >= bound - 1e-6
 
     def test_gamma_dominates_beta(self, rng):
         r = response_vector(random_coefficients(rng, 8), 15)
-        beta = connecting_min_eig_sequence(r, 8)
-        gamma = connecting_max_eig_sequence(r, 8)
+        beta, gamma = connecting_eig_sequences(r, 8)
         assert np.all(gamma >= beta)
 
     def test_b1_gamma(self):
         co = JacobiCoefficients.from_rules(lambda n: 1,
                                            lambda n: 1 if n == 1 else 0)
-        gamma = connecting_max_eig_sequence(response_vector(co, 3), 2)
+        gamma = connecting_eig_sequences(response_vector(co, 3), 2)[1]
         assert abs(gamma[1] - (3 + np.sqrt(5)) / 2) < 1e-12
 
     def test_monotonicity(self, rng):
         for _ in range(5):
             size = int(rng.integers(2, 11))
             r = response_vector(random_coefficients(rng, size), 2 * size - 1)
-            beta = connecting_min_eig_sequence(r, size, PrecisionMode.EXTENDED)
-            gamma = connecting_max_eig_sequence(r, size, PrecisionMode.EXTENDED)
+            beta, gamma = connecting_eig_sequences(r, size, PrecisionMode.EXTENDED)
             assert np.all(np.diff(beta) <= 1e-12)
             assert np.all(np.diff(gamma) >= -1e-12)
 
@@ -97,7 +93,7 @@ class TestConnectingSequences:
         size = 7
         co = random_coefficients(rng, size)
         r = response_vector(co, 2 * size - 1)
-        beta = connecting_min_eig_sequence(r, size)[-1]
+        beta = connecting_eig_sequences(r, size)[0][-1]
         hank = build_hankel(response_to_moments(r).as_array(), size)
         other = connecting_from_hankel(hank).min_eigenvalue()
         assert abs(beta - other) < 1e-9 * max(1.0, abs(beta))
@@ -167,6 +163,21 @@ class TestClassify:
         monkeypatch.setattr(_multiprec, "sym_eigenvalues", counting)
         classify(GEO, 6, precision)
         assert sorted(calls) == sorted(list(range(1, 7)) * 2)
+
+    @pytest.mark.parametrize("precision", [PrecisionMode.DOUBLE,
+                                           PrecisionMode.EXTENDED])
+    @pytest.mark.parametrize("size", [5, 12, 40])
+    def test_finite_family_reads_only_its_entries(self, rng, size, precision):
+        # the deficiency sums stop at the family's size instead of reading
+        # a_n past its end; a finite matrix is never called indeterminate
+        families = [random_coefficients(rng, size),
+                    JacobiCoefficients.from_arrays([1] * size, [0] * size)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            for co in families:
+                report = classify(co, 8, precision)
+                assert report.verdict is not Verdict.LIKELY_INDETERMINATE
+                assert len(report.deficiency_p) == size
 
     def test_insufficient_horizon(self):
         report = classify(FREE, 1)
