@@ -17,10 +17,12 @@ mantissa kept; one passed to a dtype-keeping function such as
 
 The pipeline modules write each step once, independent of dtype, on top
 of what this module provides: ``lift``, the per-mode noise and pivot
-floors, ``sym_eigenvalues`` with its nested-block pass, one
-positive-definite factorization (``pd_factor``) and one solve on it
-(``mp_pd_solve``).  The factorization is the one place with two paths:
-float arrays go to LAPACK, object arrays to an LDL^T in their own
+floors, one positive-definite factorization (``pd_factor``), one solve on
+it (``mp_pd_solve``), the eigenvalue extremes of every nested leading
+block read off that factorization (``leading_eig_extremes``), and
+``sym_eigenvalues`` for single matrices and for nested blocks that are
+not positive definite.  The factorization is the one place with two
+paths: float arrays go to LAPACK, object arrays to an LDL^T in their own
 arithmetic.
 """
 
@@ -47,14 +49,20 @@ _REFINE_STEPS = 5
 
 
 def as_mpf(x):
-    """x as an mpf of the EXTENDED context: floats convert exactly, ints
-    and Fractions round to EXTENDED_DPS digits, and an mpf of any context
-    keeps its mantissa."""
-    if hasattr(x, "_mpf_"):
-        return _EXTENDED.make_mpf(x._mpf_)
+    """x as an mpf (mpc when complex) of the EXTENDED context: floats and
+    complex convert exactly, ints and Fractions round to EXTENDED_DPS
+    digits, and an mpf or mpc of any context keeps its mantissa."""
+    if isinstance(x, (int, float)):
+        return _EXTENDED.mpf(x)
     if isinstance(x, Fraction):
         return _EXTENDED.mpf(x.numerator) / _EXTENDED.mpf(x.denominator)
-    return _EXTENDED.mpf(x if isinstance(x, (int, float)) else float(x))
+    if isinstance(x, complex):
+        return _EXTENDED.mpc(x)
+    if hasattr(x, "_mpf_"):
+        return _EXTENDED.make_mpf(x._mpf_)
+    if hasattr(x, "_mpc_"):
+        return _EXTENDED.make_mpc(x._mpc_)
+    return _EXTENDED.mpf(float(x))
 
 
 def lift(values, precision: PrecisionMode) -> np.ndarray:
@@ -119,11 +127,65 @@ def sym_eigenvalues(matrix, precision: PrecisionMode) -> np.ndarray:
 
 def leading_eig_extremes(matrix, precision: PrecisionMode):
     """(smallest, largest) eigenvalue of every leading block
-    matrix[:n, :n], n = 1..size, from one eigen-solve per block."""
-    size = np.asarray(matrix).shape[0]
-    ends = np.array([sym_eigenvalues(matrix[:n, :n], precision)[[0, -1]]
-                     for n in range(1, size + 1)])
-    return ends[:, 0], ends[:, 1]
+    matrix[:n, :n], n = 1..size, as float64, from one factorization.
+
+    The matrix is lifted as for ``sym_eigenvalues`` (float64, or mpf at
+    EXTENDED_DPS digits) and factored once, A = L diag(d) L^T.  With
+    P = diag(d)^-1/2 L^-1, the leading block of P belongs to the leading
+    block of A (L is triangular) and A_n^-1 = P_n^T P_n, so
+    lambda_min(A_n) = 1 / ||P_n||^2 = 1 / lambda_max(P_n P_n^T) and
+    lambda_max(A_n) = ||A_n||: two well-conditioned largest eigenvalues
+    per block.  The factorization keeps the relative accuracy of the tiny
+    eigenvalues of graded matrices, which a QR-type eigensolver loses.
+    A matrix that is not positive definite falls back to one eigen-solve
+    per block, so its negative eigenvalues are reported.
+    """
+    work = lift(matrix, precision if precision is PrecisionMode.DOUBLE
+                else PrecisionMode.EXTENDED)
+    try:
+        low, piv = pd_factor(work)
+    except np.linalg.LinAlgError:
+        ends = np.array([sym_eigenvalues(matrix[:n, :n], precision)[[0, -1]]
+                         for n in range(1, work.shape[0] + 1)])
+        return ends[:, 0], ends[:, 1]
+    inv = np.eye(work.shape[0], dtype=work.dtype)    # L^-1, row by row
+    for i in range(1, work.shape[0]):
+        inv[i, :i] = -(low[i, :i] @ inv[:i, :i])
+    p_top, p_exp = _leading_top_eigs(inv * (piv ** -0.5)[:, None], gram=True)
+    a_top, a_exp = _leading_top_eigs(work)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(1 / p_top, -p_exp), np.ldexp(a_top, a_exp)
+
+
+# frexp exponent given to zero entries: below every real entry's exponent
+_ZERO_EXP = -(1 << 40)
+
+
+def _leading_top_eigs(arr, gram=False):
+    """Largest eigenvalue of B_n = arr[:n, :n] (of B_n B_n^T when
+    ``gram``) for n = 1..size, as (values, exponents) with
+    lambda = ldexp(value, exponent).
+
+    Each block is scaled by a power of two that brings its largest entry
+    into [0.5, 1) before it is rounded to float64 for LAPACK, so mpf
+    entries beyond the float range neither overflow nor underflow.
+    """
+    if arr.dtype == object:
+        mant, exps = np.frompyfunc(_EXTENDED.frexp, 1, 2)(arr)
+    else:
+        mant, exps = np.frexp(arr)
+    mant = mant.astype(float)
+    exps = np.where(mant == 0, _ZERO_EXP, exps).astype(np.int64)
+    # top[n-1]: largest exponent in the block arr[:n, :n]
+    top = np.maximum.accumulate(np.maximum.accumulate(exps, 0), 1).diagonal()
+    values = []
+    for n in range(1, arr.shape[0] + 1):
+        block = np.ldexp(mant[:n, :n], exps[:n, :n] - top[n - 1])
+        if gram:
+            block = block @ block.T
+        values.append(scipy.linalg.eigvalsh(block, subset_by_index=[n - 1, n - 1],
+                                            check_finite=False)[0])
+    return np.array(values), top * (2 if gram else 1)
 
 
 def pd_factor(matrix):

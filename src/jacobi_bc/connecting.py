@@ -35,7 +35,7 @@ from .core import (
 from .dynamics import control_operator
 from .moments import HankelMatrix, chebyshev_transform
 from .spectral import chebyshev_all
-from ._multiprec import sym_eigenvalues
+from ._multiprec import pd_factor, sym_eigenvalues
 
 __all__ = [
     "Orientation",
@@ -93,12 +93,11 @@ class ConnectingMatrix:
                 f"{self.orientation.value}; align explicitly with .flipped()")
         return self.matrix
 
-    def as_float(self) -> np.ndarray:
-        return self.matrix.astype(float)
-
     def is_positive_definite(self) -> bool:
+        """Whether L diag(d) L^T factors the matrix in its own arithmetic
+        (exactly for Fraction entries, whatever their size)."""
         try:
-            np.linalg.cholesky(self.as_float())
+            pd_factor(self.matrix)
             return True
         except np.linalg.LinAlgError:
             return False

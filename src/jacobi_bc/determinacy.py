@@ -73,9 +73,9 @@ def connecting_eig_sequences(r, t_max: int,
                              precision: PrecisionMode = PrecisionMode.DOUBLE):
     """(beta_T, gamma_T) = (min eig(C_T), max eig(C_T)) for T = 1..t_max.
 
-    One eigen-solve per nested block gives both; asserts beta
-    non-increasing and gamma non-decreasing (the corner-top blocks are
-    nested, so eigenvalues interlace) up to the eigensolver noise floor.
+    One factorization of C_{t_max} gives both for every nested block;
+    asserts beta non-increasing and gamma non-decreasing (the corner-top
+    blocks are nested, so eigenvalues interlace) up to the noise floor.
     """
     # corner-top blocks are nested, so one build serves every horizon
     top = connecting_from_response(r, t_max).aligned(Orientation.CORNER_TOP)

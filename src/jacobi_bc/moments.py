@@ -150,11 +150,13 @@ def hankel_min_eigs(s, n_max: int,
                     precision: PrecisionMode = PrecisionMode.DOUBLE) -> np.ndarray:
     """Smallest eigenvalue of S_N for N = 1..n_max.
 
-    A ConditioningWarning is emitted once the value drops below the
-    eigensolver noise floor of the mode (for double precision
-    1e3 * eps * ||S_N||); extended precision is recommended past that
-    point (Hankel blocks of genuine moment sequences are exponentially
-    ill-conditioned).
+    All of them are read off one factorization of S_{n_max} (see
+    ``leading_eig_extremes``); a block that is not positive definite
+    reports its negative eigenvalue.  A ConditioningWarning is emitted
+    once the value drops below the noise floor of the mode (for double
+    precision 1e3 * eps * ||S_N||); extended precision is recommended
+    past that point (Hankel blocks of genuine moment sequences are
+    exponentially ill-conditioned).
     """
     mins, maxs = leading_eig_extremes(build_hankel(s, n_max).matrix, precision)
     noisy = np.flatnonzero(~above_noise(mins, maxs, precision))

@@ -157,6 +157,16 @@ class TestFourWay:
         conn = connecting_from_response(response_vector(co, 19), 10)
         assert conn.is_positive_definite()
 
+    def test_positive_definite_beyond_the_float_range(self):
+        # exact C_40 of geometric(3): entries of up to 745 digits
+        r = response_vector(JacobiCoefficients.geometric(3), 79,
+                            PrecisionMode.RATIONAL)
+        conn = connecting_from_response(r, 40)
+        assert max(conn.matrix.ravel()) > 10 ** 744
+        assert conn.is_positive_definite()
+        assert not ConnectingMatrix(-conn.matrix,
+                                    conn.orientation).is_positive_definite()
+
 
 class TestValidateResponse:
     def test_accepts_genuine(self, rng):

@@ -151,18 +151,24 @@ class TestClassify:
 
     @pytest.mark.parametrize("precision", [PrecisionMode.DOUBLE,
                                            PrecisionMode.EXTENDED])
-    def test_one_eigen_solve_per_block(self, monkeypatch, precision):
-        # the lambda pass and one joint beta/gamma pass: 2 n_max solves
-        calls = []
-        original = _multiprec.sym_eigenvalues
+    def test_one_factorization_per_matrix(self, monkeypatch, precision):
+        # S_N and C_T are each factored once; no block is eigen-solved
+        factored, solved = [], []
+        factor, solve = _multiprec.pd_factor, _multiprec.sym_eigenvalues
 
-        def counting(matrix, mode):
-            calls.append(np.asarray(matrix).shape[0])
-            return original(matrix, mode)
+        def counting_factor(matrix):
+            factored.append(np.asarray(matrix).shape[0])
+            return factor(matrix)
 
-        monkeypatch.setattr(_multiprec, "sym_eigenvalues", counting)
+        def counting_solve(matrix, mode):
+            solved.append(np.asarray(matrix).shape[0])
+            return solve(matrix, mode)
+
+        monkeypatch.setattr(_multiprec, "pd_factor", counting_factor)
+        monkeypatch.setattr(_multiprec, "sym_eigenvalues", counting_solve)
         classify(GEO, 6, precision)
-        assert sorted(calls) == sorted(list(range(1, 7)) * 2)
+        assert factored == [6, 6]
+        assert solved == []
 
     @pytest.mark.parametrize("precision", [PrecisionMode.DOUBLE,
                                            PrecisionMode.EXTENDED])

@@ -1,19 +1,29 @@
-"""EXTENDED values carry their own 50 digits, whatever mpmath.mp says.
+"""The precision backend.
 
-Integer data below 10^50 make 50-digit arithmetic exact, so a result
+EXTENDED values carry their own 50 digits, whatever mpmath.mp says:
+integer data below 10^50 make 50-digit arithmetic exact, so a result
 computed at 50 digits equals the exact integer reference, while one
-computed at mpmath's default 15 digits does not.
+computed at mpmath's default 15 digits does not.  The eigenvalue
+extremes of nested blocks, read off one factorization, are checked
+against per-block eigen-solves and a high-precision eigensolver.
 """
+
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from jacobi_bc import (
+    ConditioningWarning,
     JacobiCoefficients,
+    Orientation,
     PrecisionMode,
     apply_response,
+    build_hankel,
+    circle_bound_connecting,
     classify,
+    connecting_from_response,
     control_operator,
     gram_from_control,
     hankel_min_eigs,
@@ -22,12 +32,19 @@ from jacobi_bc import (
     recover_from_response,
     response_to_moments,
     response_vector,
+    solve_finite,
+)
+from jacobi_bc._multiprec import (
+    EXTENDED_DPS,
+    leading_eig_extremes,
+    sym_eigenvalues,
 )
 
 from conftest import random_coefficients
 
 EXTENDED = PrecisionMode.EXTENDED
 RATIONAL = PrecisionMode.RATIONAL
+MODES = list(PrecisionMode)
 GEO3 = JacobiCoefficients.geometric(3)
 
 
@@ -86,3 +103,70 @@ def test_extended_calls_leave_mp_unchanged(dps):
         for call in calls:
             call()
             assert (mpmath.mp.dps, mpmath.mp.prec) == (dps, prec)
+
+
+def _per_block_extremes(matrix, precision):
+    ends = [sym_eigenvalues(matrix[:n, :n], precision)[[0, -1]]
+            for n in range(1, matrix.shape[0] + 1)]
+    return np.array(ends).T
+
+
+@pytest.mark.parametrize("precision", MODES)
+def test_extremes_match_per_block_eigen_solves(rng, precision):
+    root = rng.standard_normal((8, 8))
+    matrix = root @ root.T + 0.1 * np.eye(8)
+    got = leading_eig_extremes(matrix, precision)
+    want = _per_block_extremes(matrix, precision)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("precision", MODES)
+def test_indefinite_matrix_gets_the_per_block_extremes(precision):
+    # leading blocks 1 and 2 are positive definite, block 3 is not
+    matrix = np.array([[2, 1, 0], [1, 2, 3], [0, 3, 1]])
+    mins, maxs = leading_eig_extremes(matrix, precision)
+    want_mins, want_maxs = _per_block_extremes(matrix, precision)
+    assert list(mins) == list(want_mins) and list(maxs) == list(want_maxs)
+    assert mins[1] > 0 > mins[2]
+
+
+def test_hankel_min_eigs_match_a_high_precision_oracle():
+    # S_24 of geometric(3) has norm ~1e263 and lambda_min ~0.89: past the
+    # EXTENDED noise floor, and beyond what a 50-digit eigensolver resolves
+    size = 24
+    moments = response_to_moments(
+        response_vector(GEO3, 2 * size - 1, RATIONAL), RATIONAL).as_array()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        lam = hankel_min_eigs(moments, size, EXTENDED)
+    oracle = mpmath.MPContext()
+    oracle.dps = 8 * EXTENDED_DPS
+    hankel = build_hankel(moments, size).matrix
+    want = [float(min(oracle.eigsy(oracle.matrix(
+                [[oracle.mpf(v.numerator) / v.denominator for v in row]
+                 for row in hankel[:n, :n].tolist()]), eigvals_only=True)))
+            for n in range(1, size + 1)]
+    assert np.allclose(lam, want, rtol=1e-12, atol=0)
+
+
+def test_extremes_of_blocks_beyond_the_float_range():
+    r = response_vector(GEO3, 79, RATIONAL)
+    top = connecting_from_response(r, 40).aligned(Orientation.CORNER_TOP)
+    assert max(top.matrix.ravel()) > 10 ** 308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta, _ = leading_eig_extremes(top.matrix, EXTENDED)
+    assert np.all(np.isfinite(beta)) and np.all(beta > 0)
+    # geometric(3) is limit-circle: beta_T stays above the circle bound
+    assert beta[-1] >= float(circle_bound_connecting(GEO3, 60)) - 1e-6
+    assert np.all(np.diff(beta) <= 1e-12)
+
+
+def test_extended_lifts_complex_controls():
+    co = JacobiCoefficients.geometric(2)
+    control = [1 + 1j, 0]
+    want = solve_finite(co, 3, control, 3).values
+    got = solve_finite(co, 3, control, 3, EXTENDED).values
+    assert np.max(np.abs(got.astype(complex) - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(TypeError, match="cannot use complex value"):
+        solve_finite(co, 3, control, 3, RATIONAL)
