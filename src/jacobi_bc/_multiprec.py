@@ -68,7 +68,8 @@ def as_mpf(x):
 def lift(values, precision: PrecisionMode) -> np.ndarray:
     """``values`` as an array of the number type of ``precision``.
 
-    DOUBLE gives float64 (complex128 for complex input).  EXTENDED gives
+    DOUBLE gives float64 (complex128 for complex input) and raises
+    ConditioningError for a value beyond its range.  EXTENDED gives
     an object array of mpf of the private EXTENDED_DPS-digit context (see
     ``as_mpf``); RATIONAL an object array of Fraction, where floats
     convert exactly and inexact types such as mpf are refused with
@@ -76,13 +77,30 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
     """
     arr = np.asarray(values)
     if precision is PrecisionMode.DOUBLE:
-        return arr.astype(complex if np.iscomplexobj(arr) else float)
+        try:
+            return arr.astype(complex if np.iscomplexobj(arr) else float)
+        except OverflowError as exc:
+            raise ConditioningError(
+                "a value exceeds double precision (about 1.8e308); use "
+                "PrecisionMode.EXTENDED (--precision extended)") from exc
     convert = _to_fraction if precision is PrecisionMode.RATIONAL else as_mpf
     out = np.empty(arr.shape, dtype=object)
     # tolist() turns numpy scalars into the Python numbers both converters
     # accept
     out.flat = [convert(v) for v in arr.ravel().tolist()]
     return out
+
+
+def cell_bytes(precision: PrecisionMode) -> int:
+    """Estimated bytes of one array cell of the mode's number type.
+
+    DOUBLE counts one float64 (a complex array takes twice that).  An
+    object cell counts its 8-byte pointer plus 48 bytes for the number,
+    the size of a Fraction; an mpf with its mantissa takes more.
+    """
+    if precision is PrecisionMode.DOUBLE:
+        return np.dtype(float).itemsize
+    return 8 + 48
 
 
 def noise_floor(norm, precision: PrecisionMode):

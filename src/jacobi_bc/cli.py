@@ -5,7 +5,8 @@ JSON/CSV I/O; no numerical logic lives here.  Outputs are deterministic:
 identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 2 validation failure (malformed input, data that
-fails a positivity characterization), 1 internal error.  Failures write
+fails a positivity characterization, values or fields the precision mode
+or the memory cannot hold), 1 internal error.  Failures write
 a machine-readable JSON object to stderr.
 """
 
@@ -153,7 +154,7 @@ def _cmd_simulate(config: RunConfig):
         ctrl_obj = _load_json(config.inputs[1])
         control = _number_list(ctrl_obj, "control", config.inputs[1])
     else:
-        control = [1] + [0] * (horizon - 1)
+        control = [1]  # the solvers zero-extend it to the horizon
     if coeffs.is_finite:
         field = dynamics.solve_finite(coeffs, coeffs.size, control, horizon,
                                       config.precision)

@@ -10,6 +10,17 @@ site per time step, so u_{n,t} = 0 whenever n > t (finite propagation
 speed); the semi-infinite solver therefore only materializes the cone
 n <= horizon.  The finite variant adds the Dirichlet wall u_{N+1,t} = 0.
 
+Every solver runs one rolling sweep (``_sweep``) over two time slices.
+A step updates only the sites inside the reachable cone: those the wave
+has reached, and from which a value can still travel back to the sites
+the caller reads before the horizon.  ``response_vector`` reads site 1
+alone, so it keeps O(T) memory and updates about a quarter of the
+cells of the full field.  ``solve_semi_infinite``, ``solve_finite`` and
+``control_operator`` return the whole field, which is O(N T) memory;
+they refuse a field whose size estimate exceeds physical memory before
+allocating it.  Each computed cell gets the same operands in the same
+order in every solver, so all of them agree to the last bit.
+
 Because the coefficients do not depend on t, shifting a control in time
 shifts the solution: the impulse response determines the response to any
 control by convolution, and a single impulse run yields the whole
@@ -20,20 +31,21 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     BoundaryControl,
-    CoefficientUnderrunError,
+    JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
     ResponseVector,
     _freeze_array,
     sequence_values,
 )
-from ._multiprec import lift
+from ._multiprec import cell_bytes, lift
 
 __all__ = [
     "WaveField",
@@ -141,39 +153,85 @@ def _control_array(control, horizon: int, precision: PrecisionMode):
     return lift(vals, precision)
 
 
-def _simulate(coeffs: JacobiCoefficients, control, horizon: int, n_space: int,
-              precision: PrecisionMode) -> np.ndarray:
-    """Shared update loop; returns rows n = 0..n_space, columns t = -1..horizon.
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
-    Row n_space + 1 is a ghost row that is identically zero: the
-    causality cone for the semi-infinite system, the Dirichlet wall for
-    the finite one.  The update may reference a_{n_space} and the ghost
-    row, but only ever multiplied by zero, so a zero pad is exact.
-    """
+
+def _check_sizes(horizon: int, n_space: int) -> None:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if n_space < 1:
         raise ValueError("n_space must be >= 1")
-    ctrl = _control_array(control, horizon, precision)
 
+
+def _lift_system(coeffs: JacobiCoefficients, control, horizon: int,
+                 n_space: int, precision: PrecisionMode):
+    """The control, (a_0, ..., a_{n_space-1}, 0) and (0, b_1, ..., b_n_space)
+    lifted to the number type of ``precision``.
+
+    The zero ending ``a`` multiplies the ghost site n_space + 1, which is
+    identically zero: the causality cone for the semi-infinite system, the
+    Dirichlet wall for the finite one.
+    """
+    ctrl = _control_array(control, horizon, precision)
     a = lift(coeffs.a_head(n_space) + [0], precision)
     b = lift([0] + coeffs.b_head(n_space), precision)
-    u = np.zeros((n_space + 2, horizon + 2), dtype=np.result_type(a, ctrl))
+    return ctrl, a, b
 
-    # Far-field overflow (rapidly growing coefficient families) cannot
-    # reach the rows a caller can observe within this horizon: any
-    # contamination travels at most one site per step.
+
+def _sweep(ctrl, a, b, out: np.ndarray) -> None:
+    """Run the recurrence for t = 0..horizon-1 and write u_{n,t+1} into
+    out[n-1, t] for the watched sites n = 1..len(out).
+
+    Two rolling slices hold the sites 0..n_space+1 at times t-1 and t.
+    Step t updates only the sites 1..k, k = min(t+1, n_space,
+    watched + horizon - t - 1): the wave has reached them, and a value
+    there can still travel back to a watched site by the horizon.  Every
+    other site keeps the lifted zero ``a[-1]`` it starts with or a value
+    no watched site can see, so each computed cell has the bits of the
+    full-field update.
+    """
+    n_space, horizon, watched = len(b) - 1, len(ctrl), len(out)
+    prev = np.full(n_space + 2, a[-1], dtype=out.dtype)
+    cur = prev.copy()
+    # Rapidly growing coefficient families overflow float64 inside the
+    # cone; those cells hold inf or nan and are returned as they are.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
-            u[0, t + 1] = ctrl[t]
-            cur = u[:, t + 1]
-            u[1:n_space + 1, t + 2] = (
-                a[1:] * cur[2:n_space + 2]
-                + a[:-1] * cur[0:n_space]
-                + b[1:] * cur[1:n_space + 1]
-                - u[1:n_space + 1, t]
+            cur[0] = ctrl[t]
+            k = min(t + 1, n_space, watched + horizon - t - 1)
+            prev[1:k + 1] = (
+                a[1:k + 1] * cur[2:k + 2]
+                + a[:k] * cur[:k]
+                + b[1:k + 1] * cur[1:k + 1]
+                - prev[1:k + 1]
             )
-    return u[:n_space + 1]
+            prev, cur = cur, prev
+            out[:, t] = cur[1:watched + 1]
+
+
+def _full_field(coeffs: JacobiCoefficients, control, horizon: int,
+                n_space: int, precision: PrecisionMode) -> np.ndarray:
+    """Rows n = 0..n_space and columns t = -1..horizon, C-contiguous.
+
+    Row 0 carries the control, zero at t = -1 and t = horizon; the
+    interior is zero at t = -1 and t = 0.  A field whose size estimate
+    exceeds physical memory is refused before anything is allocated.
+    """
+    _check_sizes(horizon, n_space)
+    need = (n_space + 1) * (horizon + 2) * cell_bytes(precision)
+    have = _physical_memory()
+    if need > have:
+        raise JacobiBCError(
+            f"a {n_space + 1} x {horizon + 2} wave field needs about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+            "of physical memory; use a shorter horizon (response vectors "
+            "need only O(T) memory)")
+    ctrl, a, b = _lift_system(coeffs, control, horizon, n_space, precision)
+    field = np.zeros((n_space + 1, horizon + 2), dtype=np.result_type(a, ctrl))
+    field[0, 1:horizon + 1] = ctrl
+    _sweep(ctrl, a, b, field[1:, 2:])
+    return field
 
 
 def solve_semi_infinite(coeffs: JacobiCoefficients, control,
@@ -183,10 +241,12 @@ def solve_semi_infinite(coeffs: JacobiCoefficients, control,
 
     Materializes the causality cone n <= horizon, which contains every
     nonzero value.  Controls shorter than the horizon are zero-extended.
+    Raises JacobiBCError, before allocating, when the field cannot fit in
+    physical memory.
     """
     if horizon is None:
         horizon = control.horizon if hasattr(control, "horizon") else len(control)
-    values = _simulate(coeffs, control, horizon, horizon, precision)
+    values = _full_field(coeffs, control, horizon, horizon, precision)
     return WaveField(values=values, n_space=horizon, horizon=horizon)
 
 
@@ -196,11 +256,12 @@ def solve_finite(coeffs: JacobiCoefficients, size: int, control,
     """Field of the size-N system with the Dirichlet wall at n = N + 1.
 
     Coincides with the semi-infinite field wherever n <= t <= N; beyond
-    that the wall reflects the wave.
+    that the wall reflects the wave.  Oversized fields are refused as in
+    ``solve_semi_infinite``.
     """
     if horizon is None:
         horizon = control.horizon if hasattr(control, "horizon") else len(control)
-    values = _simulate(coeffs, control, horizon, size, precision)
+    values = _full_field(coeffs, control, horizon, size, precision)
     return WaveField(values=values, n_space=size, horizon=horizon)
 
 
@@ -211,15 +272,16 @@ def response_vector(coeffs: JacobiCoefficients, length: int,
     Finite coefficient sets are simulated with their own Dirichlet wall,
     which reproduces the semi-infinite response for t <= 2N - 1; deeper
     entries reflect the wall, as they do for the size-N system itself.
+    Only site 1 is kept, so memory is O(length).
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    control = BoundaryControl.impulse(length)
-    if coeffs.is_finite:
-        field = solve_finite(coeffs, coeffs.size, control, length, precision)
-    else:
-        field = solve_semi_infinite(coeffs, control, length, precision)
-    row = field.values[1, 2:length + 2]
+    n_space = coeffs.size if coeffs.is_finite else length
+    _check_sizes(length, n_space)
+    ctrl, a, b = _lift_system(coeffs, [1], length, n_space, precision)
+    out = np.empty((1, length), dtype=np.result_type(a, ctrl))
+    _sweep(ctrl, a, b, out)
+    row = out[0]
     if np.iscomplexobj(row):
         row = row.real
     return ResponseVector(row)
@@ -232,13 +294,11 @@ def control_operator(coeffs: JacobiCoefficients, horizon: int,
     Time invariance turns every canonical basis control into a shifted
     impulse, so column k of W_T is the impulse snapshot at time k + 1;
     the matrix is upper triangular with diagonal a_0 a_1 ... a_k by the
-    finite propagation speed.
+    finite propagation speed.  Oversized fields are refused as in
+    ``solve_semi_infinite``.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    field = _simulate(coeffs, BoundaryControl.impulse(horizon),
-                      horizon, horizon, precision)
-    w = field[1:horizon + 1, 2:horizon + 2]
+    field = _full_field(coeffs, [1], horizon, horizon, precision)
+    w = field[1:, 2:]
     if np.iscomplexobj(w):
         w = w.real
     return ControlOperatorMatrix(matrix=w, horizon=horizon)

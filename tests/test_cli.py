@@ -1,6 +1,8 @@
 import json
 import os
 import tempfile
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +175,34 @@ def test_payload_exit_code_is_0_or_2(payload, command, size, precision):
                 str(size), "--precision", precision,
                 "--output", os.path.join(tmp, "out")]
         assert main(argv) in (0, 2)
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("command, size", [("response", 1030),
+                                               ("simulate", 1100)])
+    def test_double_overflow_exits_2(self, geo_file, capsys, command, size):
+        # a_1024 = 2**1024 is beyond float64
+        code = main([command, "--input", geo_file, "--T", str(size)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation"
+        assert err["type"] == "ConditioningError"
+        assert "--precision extended" in err["message"]
+
+    def test_oversized_field_exits_2_before_allocating(self, free_file, capsys):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["simulate", "--input", free_file, "--T", "10000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 10_000_000
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation"
+        assert "physical memory" in err["message"]
 
 
 class TestDeterminism:

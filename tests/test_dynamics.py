@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,14 +8,21 @@ from hypothesis import given, settings, strategies as st
 from jacobi_bc import (
     BoundaryControl,
     CoefficientUnderrunError,
+    ConditioningError,
+    ControlOperatorMatrix,
+    JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
+    ResponseVector,
+    WaveField,
     apply_response,
     control_operator,
     response_vector,
     solve_finite,
     solve_semi_infinite,
 )
+from jacobi_bc import dynamics
+from jacobi_bc._multiprec import lift
 
 from conftest import random_coefficients
 
@@ -184,3 +194,165 @@ class TestExports:
         assert text.splitlines()[0].startswith("n\\t,-1,0,1,2")
         doc = field.to_json_dict()
         assert doc["horizon"] == 2 and len(doc["rows"]) == 3
+
+
+def _reference_control(control, horizon: int, precision: PrecisionMode):
+    if isinstance(control, BoundaryControl):
+        vals = control.padded(horizon)
+    else:
+        vals = list(control)
+        if len(vals) > horizon:
+            raise ValueError("control longer than the horizon")
+        vals = vals + [0] * (horizon - len(vals))
+    return lift(vals, precision)
+
+
+def _reference_field(coeffs, control, horizon, n_space, precision):
+    """The full-field slab loop the rolling sweep replaced, kept verbatim
+    as the oracle: every cell of the (n_space + 2) x (horizon + 2) field,
+    one strided column per step."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if n_space < 1:
+        raise ValueError("n_space must be >= 1")
+    ctrl = _reference_control(control, horizon, precision)
+
+    a = lift(coeffs.a_head(n_space) + [0], precision)
+    b = lift([0] + coeffs.b_head(n_space), precision)
+    u = np.zeros((n_space + 2, horizon + 2), dtype=np.result_type(a, ctrl))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            u[0, t + 1] = ctrl[t]
+            cur = u[:, t + 1]
+            u[1:n_space + 1, t + 2] = (
+                a[1:] * cur[2:n_space + 2]
+                + a[:-1] * cur[0:n_space]
+                + b[1:] * cur[1:n_space + 1]
+                - u[1:n_space + 1, t]
+            )
+    return u[:n_space + 1]
+
+
+def _reference_response(coeffs, length, precision):
+    n_space = coeffs.size if coeffs.is_finite else length
+    u = _reference_field(coeffs, BoundaryControl.impulse(length), length,
+                         n_space, precision)
+    row = u[1, 2:length + 2]
+    return ResponseVector(row.real if np.iscomplexobj(row) else row).values
+
+
+def _reference_operator(coeffs, horizon, precision):
+    u = _reference_field(coeffs, BoundaryControl.impulse(horizon), horizon,
+                         horizon, precision)
+    w = u[1:horizon + 1, 2:horizon + 2]
+    return ControlOperatorMatrix(matrix=w.real if np.iscomplexobj(w) else w,
+                                 horizon=horizon).matrix
+
+
+def _outcome(fn):
+    """repr, type, dtype, shape and layout of every cell, or the exception."""
+    try:
+        arr = fn()
+    except Exception as exc:  # both sides must fail alike
+        return type(exc), str(exc)
+    return (arr.shape, arr.dtype, arr.flags.c_contiguous,
+            [(type(v), repr(v)) for v in arr.ravel().tolist()])
+
+
+IDENTITY_FAMILIES = {
+    "free": FREE,
+    "geometric2": JacobiCoefficients.geometric(2),
+    "geometric3": JacobiCoefficients.geometric(3),  # overflows DOUBLE
+    "geometric1.7": JacobiCoefficients.geometric(1.7),
+    "random30": random_coefficients(np.random.default_rng(5), 30),
+    "random3": random_coefficients(np.random.default_rng(6), 3),  # wall echoes
+}
+
+
+class TestSweepMatchesFullField:
+    """The cone sweep reproduces every bit of the full-field loop."""
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    @pytest.mark.parametrize("name", IDENTITY_FAMILIES)
+    def test_identical_outputs(self, name, precision):
+        co = IDENTITY_FAMILIES[name]
+        rng = np.random.default_rng(11)
+        size = co.size if co.is_finite else 7  # a finite section of a rule
+        for horizon in (1, 2, 5, 17, 40):
+            assert _outcome(lambda: response_vector(co, horizon, precision).values) \
+                == _outcome(lambda: _reference_response(co, horizon, precision))
+            assert _outcome(lambda: control_operator(co, horizon, precision).matrix) \
+                == _outcome(lambda: _reference_operator(co, horizon, precision))
+            real = list(rng.uniform(-1, 1, horizon))
+            cplx = list(rng.uniform(-1, 1, horizon) + 1j * rng.uniform(-1, 1, horizon))
+            for ctrl in (BoundaryControl.impulse(horizon), real, cplx):
+                assert _outcome(lambda: solve_semi_infinite(
+                    co, ctrl, horizon, precision).values) == _outcome(
+                    lambda: WaveField(_reference_field(
+                        co, ctrl, horizon, horizon, precision),
+                        horizon, horizon).values)
+                assert _outcome(lambda: solve_finite(
+                    co, size, ctrl, horizon, precision).values) == _outcome(
+                    lambda: WaveField(_reference_field(
+                        co, ctrl, horizon, size, precision),
+                        size, horizon).values)
+
+    def test_long_response_identical(self):
+        rng = np.random.default_rng(12)
+        co = random_coefficients(rng, 300, a_range=(0.9, 1.1))
+        for length in (299, 600, 601):
+            assert _outcome(lambda: response_vector(co, length).values) \
+                == _outcome(lambda: _reference_response(co, length, PrecisionMode.DOUBLE))
+
+
+def test_response_memory_is_linear_in_length():
+    rng = np.random.default_rng(13)
+    co = random_coefficients(rng, 2048, a_range=(0.9, 1.1))
+    response_vector(co, 8)
+    tracemalloc.start()
+    try:
+        r = response_vector(co, 2047)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(r) == 2047
+    assert peak < 1_000_000  # the full field took 67 MB
+
+
+class TestFieldMemoryGuard:
+    @pytest.mark.parametrize("solve", [
+        lambda h: solve_semi_infinite(FREE, [1], h),
+        lambda h: solve_finite(FREE, h, [1], h),
+        lambda h: control_operator(FREE, h),
+        lambda h: control_operator(FREE, h, PrecisionMode.EXTENDED),
+    ])
+    def test_refused_before_allocating(self, solve):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(JacobiBCError, match="physical memory"):
+                solve(10_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 10_000_000
+
+    @pytest.mark.parametrize("precision, cell", [
+        (PrecisionMode.DOUBLE, 8), (PrecisionMode.RATIONAL, 56)])
+    def test_limit_is_the_size_estimate(self, monkeypatch, precision, cell):
+        need = (4 + 1) * (6 + 2) * cell
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: need)
+        assert solve_finite(B1, 4, [1], 6, precision).values.shape == (5, 8)
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: need - 1)
+        with pytest.raises(JacobiBCError, match="physical memory"):
+            solve_finite(B1, 4, [1], 6, precision)
+
+
+def test_double_overflow_is_a_conditioning_error():
+    geo2 = JacobiCoefficients.geometric(2)  # a_1024 = 2**1024 > float max
+    with pytest.raises(ConditioningError, match="--precision extended"):
+        response_vector(geo2, 1030)
+    with pytest.raises(ConditioningError, match="exceeds double precision"):
+        solve_semi_infinite(geo2, [1], 1100)
