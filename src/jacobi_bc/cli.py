@@ -1,24 +1,27 @@
 """Command-line interface for scripted experiments.
 
-Every command is a thin composition of library calls with file-based
-JSON/CSV I/O; no numerical logic lives here.  Outputs are deterministic:
-identical configurations produce byte-identical files.
+One table, ``_COMMANDS``, gives each command its handler and help text.
+A handler composes library calls on the parsed arguments and returns the
+JSON payload with a CSV producer; the writer encodes only the requested
+format.  Outputs are deterministic: identical invocations produce
+byte-identical files.  A result number float64 cannot hold is null in
+JSON and inf, -inf or nan in CSV, and the command still exits 0.
 
 Exit codes: 0 success, 2 validation failure (malformed input, data that
-fails a positivity characterization, values or fields the precision mode
-or the memory cannot hold), 1 internal error.  Failures write
-a machine-readable JSON object to stderr.
+fails a positivity characterization, values the precision mode cannot
+hold, a ``simulate`` field and payload larger than physical memory,
+refused before solving), 1 internal error.  Failures write a
+machine-readable JSON object to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .core import (
     SCHEMA_TAG,
@@ -26,7 +29,9 @@ from .core import (
     JacobiCoefficients,
     PrecisionMode,
     validate_coefficients,
+    _csv_number,
     _is_real,
+    _json_number,
 )
 from . import connecting as connecting_mod
 from . import debranges
@@ -35,31 +40,16 @@ from . import dynamics
 from . import inverse
 from . import moments as moments_mod
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
-COMMANDS = ("simulate", "response", "connect", "recover", "diagnose",
-            "kernel", "hb", "moments")
+# `simulate` holds its JSON payload beside the field: WaveField.to_json_dict
+# turns each cell into a float (24 bytes) in a list slot (8 bytes), plus
+# the lists' over-allocation, under 40 bytes a cell.
+_PAYLOAD_CELL_BYTES = 40
 
 
 class CliInputError(Exception):
     """Malformed or inconsistent command input (exit code 2)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: exactly one command plus its I/O settings."""
-
-    command: str
-    inputs: tuple
-    output: str | None
-    horizon: int | None
-    n_max: int | None
-    precision: PrecisionMode
-    fmt: str
-
-
-def _fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _load_json(path: str) -> dict:
@@ -102,20 +92,20 @@ def _number_list(obj, key: str, path: str) -> list:
     return vals
 
 
-def _require_horizon(config: RunConfig) -> int:
-    if config.horizon is None:
-        raise CliInputError(f"command {config.command!r} requires --T")
-    return config.horizon
+def _require_horizon(args) -> int:
+    if args.horizon is None:
+        raise CliInputError(f"command {args.command!r} requires --T")
+    return args.horizon
 
 
-def _primary_input(config: RunConfig) -> dict:
-    if not config.inputs:
-        raise CliInputError(f"command {config.command!r} requires --input")
-    return _load_json(config.inputs[0])
+def _primary_input(args) -> dict:
+    if not args.input:
+        raise CliInputError(f"command {args.command!r} requires --input")
+    return _load_json(args.input[0])
 
 
-def _primary_coefficients(config: RunConfig) -> JacobiCoefficients:
-    return _coefficients(_primary_input(config), config.inputs[0])
+def _primary_coefficients(args) -> JacobiCoefficients:
+    return _coefficients(_primary_input(args), args.input[0])
 
 
 def _sequence_input(obj: dict, path: str):
@@ -134,9 +124,9 @@ def _complex_from(pair, path: str) -> complex:
     raise CliInputError(f"{path}: points must be finite numbers or [re, im] pairs")
 
 
-def _points(config: RunConfig, keys: tuple) -> list:
+def _points(args, keys: tuple) -> list:
     """Evaluation points of the second input file, one tuple per point."""
-    path = config.inputs[1]
+    path = args.input[1]
     raw = _load_json(path).get("points")
     if not isinstance(raw, list) or not raw or \
             not all(isinstance(p, dict) for p in raw):
@@ -144,123 +134,128 @@ def _points(config: RunConfig, keys: tuple) -> list:
     return [tuple(_complex_from(p.get(k), path) for k in keys) for p in raw]
 
 
+def _json_numbers(values) -> list:
+    return [_json_number(v) for v in values]
+
+
+def _series_rows(index: str, label: str, values):
+    """CSV producer of a numbered series: a header, then (i, value) rows."""
+    return lambda: [[index, label]] + [[str(i), _csv_number(v)]
+                                       for i, v in enumerate(values)]
+
+
 # -- command handlers ----------------------------------------------------
+# Each returns the JSON payload and a CSV producer, which the writer calls
+# only when CSV is requested.
 
 
-def _cmd_simulate(config: RunConfig):
-    coeffs = _primary_coefficients(config)
-    horizon = _require_horizon(config)
-    if len(config.inputs) > 1:
-        ctrl_obj = _load_json(config.inputs[1])
-        control = _number_list(ctrl_obj, "control", config.inputs[1])
+def _cmd_simulate(args):
+    coeffs = _primary_coefficients(args)
+    horizon = _require_horizon(args)
+    if len(args.input) > 1:
+        control = _number_list(_load_json(args.input[1]), "control",
+                               args.input[1])
     else:
         control = [1]  # the solvers zero-extend it to the horizon
+    n_space = coeffs.size if coeffs.is_finite else horizon
+    dynamics._check_field_memory(n_space, horizon, args.precision,
+                                 _PAYLOAD_CELL_BYTES)
     if coeffs.is_finite:
-        field = dynamics.solve_finite(coeffs, coeffs.size, control, horizon,
-                                      config.precision)
+        field = dynamics.solve_finite(coeffs, n_space, control, horizon,
+                                      args.precision)
         system = "finite"
     else:
         field = dynamics.solve_semi_infinite(coeffs, control, horizon,
-                                             config.precision)
+                                             args.precision)
         system = "semi-infinite"
-    payload = {"system": system, **field.to_json_dict()}
-    return payload, field.to_csv()
+    return {"system": system, **field.to_json_dict()}, field.csv_rows
 
 
-def _cmd_response(config: RunConfig):
-    coeffs = _primary_coefficients(config)
-    horizon = _require_horizon(config)
-    r = dynamics.response_vector(coeffs, horizon, config.precision)
-    values = [float(v) for v in r]
-    payload = {"length": horizon, "response": values}
-    rows = [["t", "r_t"]] + [[str(i), _fmt_float(v)] for i, v in enumerate(values)]
-    return payload, _csv_text(rows)
+def _cmd_response(args):
+    coeffs = _primary_coefficients(args)
+    horizon = _require_horizon(args)
+    r = dynamics.response_vector(coeffs, horizon, args.precision)
+    return ({"length": horizon, "response": _json_numbers(r)},
+            _series_rows("t", "r_t", r))
 
 
-def _connect_from_input(config: RunConfig):
-    obj = _primary_input(config)
-    path = config.inputs[0]
+def _connect_from_input(args):
+    obj = _primary_input(args)
+    path = args.input[0]
     key, values = _sequence_input(obj, path)
     if key is not None:
-        size = config.horizon or (len(values) + 1) // 2
+        size = args.horizon or (len(values) + 1) // 2
         if key == "response":
             return connecting_mod.connecting_from_response(values, size)
         hank = moments_mod.build_hankel(values, size)
         return connecting_mod.connecting_from_hankel(hank, size)
     coeffs = _coefficients(obj, path)
-    size = _require_horizon(config)
-    return connecting_mod.gram_from_control(coeffs, size, config.precision)
+    size = _require_horizon(args)
+    return connecting_mod.gram_from_control(coeffs, size, args.precision)
 
 
-def _cmd_connect(config: RunConfig):
-    conn = _connect_from_input(config)
-    mat = [[float(v) for v in row] for row in conn.matrix]
-    payload = {"size": conn.size, "orientation": conn.orientation.value,
-               "matrix": mat}
-    rows = [["orientation", conn.orientation.value]]
-    rows += [[_fmt_float(v) for v in row] for row in mat]
-    return payload, _csv_text(rows)
+def _cmd_connect(args):
+    conn = _connect_from_input(args)
+    orientation = conn.orientation.value
+    payload = {"size": conn.size, "orientation": orientation,
+               "matrix": [_json_numbers(row) for row in conn.matrix]}
+    return payload, lambda: [["orientation", orientation]] + [
+        [_csv_number(v) for v in row] for row in conn.matrix]
 
 
-def _cmd_recover(config: RunConfig):
-    obj = _primary_input(config)
-    path = config.inputs[0]
+def _cmd_recover(args):
+    obj = _primary_input(args)
+    path = args.input[0]
     key, values = _sequence_input(obj, path)
     if key is None:
         raise CliInputError(f"{path}: expected a 'response' or 'moments' key")
-    horizon = config.horizon or (len(values) + 1) // 2
+    horizon = args.horizon or (len(values) + 1) // 2
     recover = (inverse.recover_from_response if key == "response"
                else inverse.recover_from_moments)
-    result = recover(values, horizon, config.precision)
+    result = recover(values, horizon, args.precision)
+    a, b = result.a, result.b
     payload = {
-        "a": [float(v) for v in result.a],
-        "b": [float(v) for v in result.b],
-        "residual": result.residual,
+        "a": _json_numbers(a),
+        "b": _json_numbers(b),
+        "residual": _json_number(result.residual),
         "path": result.path,
         "precision": result.precision.value,
     }
-    rows = [["k", "a_k", "b_k"]]
-    rows += [[str(k), _fmt_float(a), _fmt_float(b)]
-             for k, (a, b) in enumerate(zip(payload["a"], payload["b"]), 1)]
-    return payload, _csv_text(rows)
+    return payload, lambda: [["k", "a_k", "b_k"]] + [
+        [str(k), _csv_number(x), _csv_number(y)]
+        for k, (x, y) in enumerate(zip(a, b), 1)]
 
 
-def _cmd_diagnose(config: RunConfig):
-    coeffs = _primary_coefficients(config)
-    if config.n_max is None:
+def _cmd_diagnose(args):
+    coeffs = _primary_coefficients(args)
+    if args.n_max is None:
         raise CliInputError("command 'diagnose' requires --N-max")
-    report = determinacy.classify(coeffs, config.n_max, config.precision)
-    return report.to_json_dict(), _csv_text(list(report.csv_rows()))
+    report = determinacy.classify(coeffs, args.n_max, args.precision)
+    return report.to_json_dict(), report.csv_rows
 
 
-def _default_kernel_points():
-    zs = [complex(re, im) for re in (-2.0, 0.0, 2.0) for im in (0.5, 1.5)]
-    lams = [-2.0, -1.0, 0.0, 1.0, 2.0]
-    return [(z, complex(lam)) for z in zs for lam in lams]
-
-
-def _cmd_kernel(config: RunConfig):
-    coeffs = _primary_coefficients(config)
-    horizon = _require_horizon(config)
-    if len(config.inputs) > 1:
-        points = _points(config, ("z", "lambda"))
+def _cmd_kernel(args):
+    coeffs = _primary_coefficients(args)
+    horizon = _require_horizon(args)
+    if len(args.input) > 1:
+        points = _points(args, ("z", "lambda"))
     else:
-        points = _default_kernel_points()
+        points = [(complex(re, im), complex(lam)) for re in (-2.0, 0.0, 2.0)
+                  for im in (0.5, 1.5) for lam in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     entries = []
     for z, lam in points:
-        val = debranges.kernel_finite(coeffs, z, lam, horizon)
+        val = complex(debranges.kernel_finite(coeffs, z, lam, horizon))
         entries.append({"re_z": z.real, "im_z": z.imag,
                         "re_lambda": lam.real, "im_lambda": lam.imag,
-                        "re_value": complex(val).real,
-                        "im_value": complex(val).imag})
+                        "re_value": val.real, "im_value": val.imag})
     return _grid_output(horizon, entries)
 
 
-def _cmd_hb(config: RunConfig):
-    coeffs = _primary_coefficients(config)
-    horizon = _require_horizon(config)
-    if len(config.inputs) > 1:
-        points = [z for (z,) in _points(config, ("z",))]
+def _cmd_hb(args):
+    coeffs = _primary_coefficients(args)
+    horizon = _require_horizon(args)
+    if len(args.input) > 1:
+        points = [z for (z,) in _points(args, ("z",))]
     else:
         points = [complex(re, im) for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
                   for im in (0.25, 0.5, 1.0, 2.0, 4.0)]
@@ -274,15 +269,16 @@ def _cmd_hb(config: RunConfig):
 
 
 def _grid_output(horizon: int, entries: list):
-    """Payload and CSV of evaluation entries; the CSV columns are the keys."""
-    rows = [list(entries[0])]
-    rows += [[_fmt_float(v) for v in e.values()] for e in entries]
-    return {"horizon": horizon, "values": entries}, _csv_text(rows)
+    """Payload and CSV producer of evaluation entries; the CSV columns are
+    the keys."""
+    values = [{k: _json_number(v) for k, v in e.items()} for e in entries]
+    return {"horizon": horizon, "values": values}, lambda: [list(entries[0])] + [
+        [_csv_number(v) for v in e.values()] for e in entries]
 
 
-def _cmd_moments(config: RunConfig):
-    obj = _primary_input(config)
-    path = config.inputs[0]
+def _cmd_moments(args):
+    obj = _primary_input(args)
+    path = args.input[0]
     key, values = _sequence_input(obj, path)
     if key == "response":
         out_key, label, convert = "moments", "s_k", moments_mod.response_to_moments
@@ -290,57 +286,36 @@ def _cmd_moments(config: RunConfig):
         out_key, label, convert = "response", "r_k", moments_mod.moments_to_response
     else:
         raise CliInputError(f"{path}: expected a 'response' or 'moments' key")
-    values = [float(v) for v in convert(values, config.precision)]
-    payload = {"direction": f"{key}-to-{out_key}", out_key: values}
-    rows = [["k", label]] + [[str(i), _fmt_float(v)] for i, v in enumerate(values)]
-    return payload, _csv_text(rows)
+    out = convert(values, args.precision)
+    return ({"direction": f"{key}-to-{out_key}", out_key: _json_numbers(out)},
+            _series_rows("k", label, out))
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "response": _cmd_response,
-    "connect": _cmd_connect,
-    "recover": _cmd_recover,
-    "diagnose": _cmd_diagnose,
-    "kernel": _cmd_kernel,
-    "hb": _cmd_hb,
-    "moments": _cmd_moments,
+# name -> (handler, help); drives both the subparsers and the dispatch
+_COMMANDS = {
+    "simulate": (_cmd_simulate,
+                 "run the forward solver (impulse control by default)"),
+    "response": (_cmd_response, "extract the response vector"),
+    "connect": (_cmd_connect, "build a connecting matrix"),
+    "recover": (_cmd_recover, "recover coefficients from a response or moments"),
+    "diagnose": (_cmd_diagnose, "determinacy report"),
+    "kernel": (_cmd_kernel, "evaluate the reproducing kernel on a grid"),
+    "hb": (_cmd_hb, "evaluate the Hermite-Biehler function on a grid"),
+    "moments": (_cmd_moments, "convert between responses and moments"),
 }
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
-def _write_output(config: RunConfig, payload: dict, csv_text: str) -> None:
-    if config.fmt == "json":
-        body = json.dumps({"schema": SCHEMA_TAG, "command": config.command,
-                           **payload}, indent=2)
-        text = body + "\n"
-    else:
-        text = csv_text
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configuration; returns the process exit code."""
-    try:
-        handler = _HANDLERS[config.command]
-        payload, csv_text = handler(config)
-        _write_output(config, payload, csv_text)
-        return 0
-    except (CliInputError, JacobiBCError) as exc:
-        _emit_error(exc, validation=True)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        _emit_error(exc, validation=False)
-        return 1
+def _write_output(args, payload: dict, csv_rows) -> None:
+    """Encode the requested format only: JSON streamed by the encoder of
+    ``json.dumps(..., indent=2)``, or the CSV producer's rows."""
+    with (open(args.output, "w", encoding="utf-8", newline="") if args.output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.fmt == "json":
+            json.dump({"schema": SCHEMA_TAG, "command": args.command,
+                       **payload}, fh, indent=2)
+            fh.write("\n")
+        else:
+            csv.writer(fh).writerows(csv_rows())
 
 
 def _emit_error(exc: Exception, validation: bool) -> None:
@@ -365,16 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jacobi-bc",
         description="Boundary-control toolkit for Jacobi matrices")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("simulate", "run the forward solver (impulse control by default)"),
-        ("response", "extract the response vector"),
-        ("connect", "build a connecting matrix"),
-        ("recover", "recover coefficients from a response or moments"),
-        ("diagnose", "determinacy report"),
-        ("kernel", "evaluate the reproducing kernel on a grid"),
-        ("hb", "evaluate the Hermite-Biehler function on a grid"),
-        ("moments", "convert between responses and moments"),
-    ]:
+    for name, (_handler, doc) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--input", action="append", default=[],
                        help="input JSON file (repeatable where documented)")
@@ -392,26 +358,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    precision = args.precision or os.environ.get("JACOBI_BC_PRECISION", "double")
-    for flag, value in (("--T", args.horizon), ("--N-max", args.n_max)):
-        if value is not None and value < 1:
-            raise CliInputError(f"{flag} must be >= 1")
-    return RunConfig(command=args.command, inputs=tuple(args.input),
-                     output=args.output, horizon=args.horizon,
-                     n_max=args.n_max, precision=_parse_precision(precision),
-                     fmt=args.fmt)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns the process exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except CliInputError as exc:
+        for flag, value in (("--T", args.horizon), ("--N-max", args.n_max)):
+            if value is not None and value < 1:
+                raise CliInputError(f"{flag} must be >= 1")
+        args.precision = _parse_precision(
+            args.precision or os.environ.get("JACOBI_BC_PRECISION", "double"))
+        payload, csv_rows = _COMMANDS[args.command][0](args)
+        _write_output(args, payload, csv_rows)
+        return 0
+    except (CliInputError, JacobiBCError) as exc:
         _emit_error(exc, validation=True)
         return 2
-    return run(config)
+    except Exception as exc:  # pragma: no cover - defensive
+        _emit_error(exc, validation=False)
+        return 1
 
 
 if __name__ == "__main__":

@@ -121,6 +121,32 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"cannot use {type(x).__name__} value in rational mode")
 
 
+# Result numbers leave the package through these two conversions only: a
+# value beyond float64 (an overflowed float, or an mpf, Fraction or int too
+# large for it) is null in JSON, which has no infinities or NaN, and inf,
+# -inf or nan in CSV.
+
+
+def _as_float(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:   # an exact int or Fraction beyond float64
+        return math.inf if x > 0 else -math.inf
+
+
+def _json_number(x) -> float | None:
+    """x as a float, or None (JSON null) where float64 cannot hold it."""
+    if x is None:
+        return None
+    v = _as_float(x)
+    return v if math.isfinite(v) else None
+
+
+def _csv_number(x, spec: str = ".17g") -> str:
+    """x formatted as a float with ``spec`` (inf, -inf or nan beyond float64)."""
+    return format(_as_float(x), spec)
+
+
 class JacobiCoefficients:
     """The sequences a_n (n >= 0, with a_0 = 1) and b_n (n >= 1).
 
@@ -304,9 +330,19 @@ class BoundaryControl:
 
 def _freeze_array(obj, name: str, raw, dtype=None) -> np.ndarray:
     """Store a read-only copy of ``raw`` (cast to ``dtype`` when given) as
-    field ``name`` of the frozen dataclass ``obj``; returns it."""
-    arr = np.array(raw, dtype=dtype, copy=True)
-    arr.setflags(write=False)
+    field ``name`` of the frozen dataclass ``obj``; returns it.
+
+    An ndarray that is already read-only and owns its memory is stored
+    as it is: no other name can write to it, and a copy would double the
+    peak memory of the solvers that hand over their fields this way.
+    """
+    if (type(raw) is np.ndarray and raw.base is None
+            and not raw.flags.writeable
+            and (dtype is None or raw.dtype == dtype)):
+        arr = raw
+    else:
+        arr = np.array(raw, dtype=dtype, copy=True)
+        arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
 

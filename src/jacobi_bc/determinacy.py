@@ -40,6 +40,8 @@ from .core import (
     JacobiCoefficients,
     NotLimitCircleError,
     PrecisionMode,
+    _csv_number,
+    _json_number,
 )
 from .connecting import Orientation, connecting_from_response
 from .dynamics import response_vector
@@ -82,13 +84,16 @@ def connecting_eig_sequences(r, t_max: int,
     beta, gamma = leading_eig_extremes(top.matrix, precision)
     norms = np.maximum(np.abs(beta), np.abs(gamma))
     slack = _MONOTONE_SLACK + noise_floor(norms[1:], precision)
-    for name, drift in (("beta", np.diff(beta)), ("gamma", -np.diff(gamma))):
-        bad = np.flatnonzero(drift > slack)
+    # compared without subtracting, so an overflowed gamma passes after
+    # an overflowed one and fails after a finite one
+    for name, hi, lo in (("beta", beta[1:], beta[:-1]),
+                         ("gamma", gamma[:-1], gamma[1:])):
+        bad = np.flatnonzero(hi > lo + slack)
         if bad.size:
             t = bad[0]
             raise JacobiBCError(
                 f"{name} sequence violates monotonicity at T={t + 2} by "
-                f"{drift[t]:.3e} (slack {slack[t]:.3e})")
+                f"{hi[t] - lo[t]:.3e} (slack {slack[t]:.3e})")
     return beta, gamma
 
 
@@ -192,20 +197,20 @@ class DeterminacyReport:
     def csv_rows(self):
         yield ["N", "lambda_N", "beta_N", "gamma_N"]
         for i in range(len(self.lambda_seq)):
-            yield [str(i + 1), f"{self.lambda_seq[i]:.17g}",
-                   f"{self.beta_seq[i]:.17g}", f"{self.gamma_seq[i]:.17g}"]
+            yield [str(i + 1), _csv_number(self.lambda_seq[i]),
+                   _csv_number(self.beta_seq[i]), _csv_number(self.gamma_seq[i])]
 
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict.value,
             "precision": self.precision.value,
-            "lambda_seq": [float(v) for v in self.lambda_seq],
-            "beta_seq": [float(v) for v in self.beta_seq],
-            "gamma_seq": [float(v) for v in self.gamma_seq],
-            "hankel_bound": self.hankel_bound,
-            "connecting_bound": self.connecting_bound,
-            "deficiency_p_sums": [float(v) for v in self.deficiency_p],
-            "deficiency_q_sums": [float(v) for v in self.deficiency_q],
+            "lambda_seq": [_json_number(v) for v in self.lambda_seq],
+            "beta_seq": [_json_number(v) for v in self.beta_seq],
+            "gamma_seq": [_json_number(v) for v in self.gamma_seq],
+            "hankel_bound": _json_number(self.hankel_bound),
+            "connecting_bound": _json_number(self.connecting_bound),
+            "deficiency_p_sums": [_json_number(v) for v in self.deficiency_p],
+            "deficiency_q_sums": [_json_number(v) for v in self.deficiency_q],
             "notes": list(self.notes),
         }
 
@@ -270,7 +275,10 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     lambda_decays = bool(trusted_vals.size and np.min(trusted_vals) < eps_det)
     if gamma_seq.size >= 4:
         g_last, g_prev = gamma_seq[-1], gamma_seq[-4]
-        gamma_bounded = bool(abs(g_last - g_prev) <= 1e-6 * max(1.0, abs(g_last)))
+        # a gamma beyond float64 is not bounded; a finite last one has
+        # finite predecessors, since the sequence is non-decreasing
+        gamma_bounded = bool(np.isfinite(g_last) and abs(g_last - g_prev)
+                             <= 1e-6 * max(1.0, abs(g_last)))
     else:
         gamma_bounded = False
     lambda_stays_up = bool(trusted_vals.size and trusted_vals[-1] > eps_det)

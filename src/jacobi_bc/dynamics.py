@@ -42,7 +42,9 @@ from .core import (
     JacobiCoefficients,
     PrecisionMode,
     ResponseVector,
+    _csv_number,
     _freeze_array,
+    _json_number,
     sequence_values,
 )
 from ._multiprec import cell_bytes, lift
@@ -88,25 +90,27 @@ class WaveField:
     def to_json_dict(self) -> dict:
         vals = self.values
         if np.iscomplexobj(vals):
-            rows = [[[float(v.real), float(v.imag)] for v in row] for row in vals]
+            rows = [[[_json_number(v.real), _json_number(v.imag)] for v in row]
+                    for row in vals]
         else:
-            rows = [[float(v) for v in row] for row in vals]
+            rows = [[_json_number(v) for v in row] for row in vals]
         return {"n_space": self.n_space, "horizon": self.horizon,
                 "time_start": -1, "rows": rows}
 
-    def to_csv(self) -> str:
+    def csv_rows(self):
         """Rows = space index, columns = time from -1 to horizon."""
+        yield ["n\\t"] + [str(t) for t in range(-1, self.horizon + 1)]
+        for n, row in enumerate(self.values):
+            if np.iscomplexobj(self.values):
+                cells = [f"{_csv_number(c.real)}{_csv_number(c.imag, '+.17g')}j"
+                         for c in map(complex, row)]
+            else:
+                cells = [_csv_number(v) for v in row]
+            yield [str(n)] + cells
+
+    def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n\\t"] + [str(t) for t in range(-1, self.horizon + 1)])
-        for n in range(self.n_space + 1):
-            row = [str(n)]
-            for v in self.values[n]:
-                if np.iscomplexobj(self.values):
-                    row.append(f"{complex(v).real:.17g}{complex(v).imag:+.17g}j")
-                else:
-                    row.append(f"{float(v):.17g}")
-            writer.writerow(row)
+        csv.writer(buf).writerows(self.csv_rows())
         return buf.getvalue()
 
 
@@ -210,16 +214,16 @@ def _sweep(ctrl, a, b, out: np.ndarray) -> None:
             out[:, t] = cur[1:watched + 1]
 
 
-def _full_field(coeffs: JacobiCoefficients, control, horizon: int,
-                n_space: int, precision: PrecisionMode) -> np.ndarray:
-    """Rows n = 0..n_space and columns t = -1..horizon, C-contiguous.
+def _check_field_memory(n_space: int, horizon: int, precision: PrecisionMode,
+                        per_cell: int = 0) -> None:
+    """Refuse, before anything is allocated, a field of (n_space+1) x
+    (horizon+2) cells whose estimate exceeds physical memory.
 
-    Row 0 carries the control, zero at t = -1 and t = horizon; the
-    interior is zero at t = -1 and t = 0.  A field whose size estimate
-    exceeds physical memory is refused before anything is allocated.
+    The estimate counts ``cell_bytes`` per cell for the field, of which
+    the solvers keep one copy, plus the ``per_cell`` bytes a caller holds
+    beside it; the sweep's O(n + T) working set is not counted.
     """
-    _check_sizes(horizon, n_space)
-    need = (n_space + 1) * (horizon + 2) * cell_bytes(precision)
+    need = (n_space + 1) * (horizon + 2) * (cell_bytes(precision) + per_cell)
     have = _physical_memory()
     if need > have:
         raise JacobiBCError(
@@ -227,10 +231,35 @@ def _full_field(coeffs: JacobiCoefficients, control, horizon: int,
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
             "of physical memory; use a shorter horizon (response vectors "
             "need only O(T) memory)")
+
+
+def _watched_sites(coeffs: JacobiCoefficients, control, horizon: int,
+                   n_space: int, watched: int, precision: PrecisionMode):
+    """u_{n,t+1} for the sites n = 1..watched and t = 0..horizon-1, as a
+    read-only C-contiguous (watched, horizon) array."""
+    ctrl, a, b = _lift_system(coeffs, control, horizon, n_space, precision)
+    out = np.empty((watched, horizon), dtype=np.result_type(a, ctrl))
+    _sweep(ctrl, a, b, out)
+    out.setflags(write=False)
+    return out
+
+
+def _full_field(coeffs: JacobiCoefficients, control, horizon: int,
+                n_space: int, precision: PrecisionMode) -> np.ndarray:
+    """Rows n = 0..n_space and columns t = -1..horizon, C-contiguous and
+    read-only, so WaveField keeps it without a copy.
+
+    Row 0 carries the control, zero at t = -1 and t = horizon; the
+    interior is zero at t = -1 and t = 0.  A field whose size estimate
+    exceeds physical memory is refused before anything is allocated.
+    """
+    _check_sizes(horizon, n_space)
+    _check_field_memory(n_space, horizon, precision)
     ctrl, a, b = _lift_system(coeffs, control, horizon, n_space, precision)
     field = np.zeros((n_space + 1, horizon + 2), dtype=np.result_type(a, ctrl))
     field[0, 1:horizon + 1] = ctrl
     _sweep(ctrl, a, b, field[1:, 2:])
+    field.setflags(write=False)
     return field
 
 
@@ -278,10 +307,7 @@ def response_vector(coeffs: JacobiCoefficients, length: int,
         raise ValueError("length must be >= 1")
     n_space = coeffs.size if coeffs.is_finite else length
     _check_sizes(length, n_space)
-    ctrl, a, b = _lift_system(coeffs, [1], length, n_space, precision)
-    out = np.empty((1, length), dtype=np.result_type(a, ctrl))
-    _sweep(ctrl, a, b, out)
-    row = out[0]
+    row = _watched_sites(coeffs, [1], length, n_space, 1, precision)[0]
     if np.iscomplexobj(row):
         row = row.real
     return ResponseVector(row)
@@ -297,8 +323,9 @@ def control_operator(coeffs: JacobiCoefficients, horizon: int,
     finite propagation speed.  Oversized fields are refused as in
     ``solve_semi_infinite``.
     """
-    field = _full_field(coeffs, [1], horizon, horizon, precision)
-    w = field[1:, 2:]
+    _check_sizes(horizon, horizon)
+    _check_field_memory(horizon, horizon, precision)
+    w = _watched_sites(coeffs, [1], horizon, horizon, horizon, precision)
     if np.iscomplexobj(w):
         w = w.real
     return ControlOperatorMatrix(matrix=w, horizon=horizon)

@@ -124,11 +124,15 @@ def recover_from_response(r, horizon: int,
     rv = sequence_values(r)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    conn = connecting_from_response(rv, horizon).aligned(Orientation.CORNER_TOP)
-    a_rec, b_rec = _factor_and_extract(conn.matrix, precision,
-                                       NotAResponseVectorError,
-                                       "not a response vector")
+    a_rec, b_rec = _extract_from_response(rv, horizon, precision)
     return _result(a_rec, b_rec, rv, horizon, "BoundaryControl", precision)
+
+
+def _extract_from_response(rv, horizon: int, precision: PrecisionMode):
+    """a_1..a_{T-1} and b_1..b_{T-1} off the corner-top connecting matrix."""
+    conn = connecting_from_response(rv, horizon).aligned(Orientation.CORNER_TOP)
+    return _factor_and_extract(conn.matrix, precision, NotAResponseVectorError,
+                               "not a response vector")
 
 
 def recover_from_moments(s, horizon: int,
@@ -149,9 +153,10 @@ def recover_from_moments(s, horizon: int,
         "not a moment sequence of a positive measure")
 
     converted = moments_to_response(sv[:2 * horizon - 1], precision)
-    cross = recover_from_response(converted, horizon, precision)
-    gap = np.max(np.abs(np.array(a_rec + b_rec)
-                        - np.concatenate([cross.a, cross.b])), initial=0.0)
+    a_cross, b_cross = _extract_from_response(converted.as_array(), horizon,
+                                              precision)
+    gap = np.max(np.abs(np.array(a_rec + b_rec) - np.array(a_cross + b_cross)),
+                 initial=0.0)
     if gap > 1e-8:
         raise JacobiBCError(
             f"Hankel and boundary-control recovery paths disagree by {gap:.3e}; "

@@ -289,3 +289,91 @@ class TestPrecisionSelection:
         assert main(["recover", "--input", path, "--precision", "double",
                      "--output", str(out)]) == 0
         assert json.loads(out.read_text())["precision"] == "double"
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestValuesBeyondFloat64:
+    @pytest.mark.parametrize("precision", ["double", "extended", "rational"])
+    def test_response_writes_null(self, tmp_path, geo_file, precision):
+        # geometric(2) responses pass 1.8e308 before T = 70 in every mode
+        out = tmp_path / "r.json"
+        assert main(["response", "--input", geo_file, "--T", "70",
+                     "--precision", precision, "--output", str(out)]) == 0
+        values = _strict_json(out.read_text())["response"]
+        assert len(values) == 70 and None in values
+        assert all(v is None or np.isfinite(v) for v in values)
+
+    def test_csv_keeps_non_finite_tokens(self, tmp_path, geo_file):
+        out = tmp_path / "r.csv"
+        assert main(["response", "--input", geo_file, "--T", "70",
+                     "--precision", "rational", "--format", "csv",
+                     "--output", str(out)]) == 0
+        cells = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
+        assert cells & {"inf", "-inf"}
+
+    def test_diagnose_keeps_its_verdict(self, tmp_path):
+        geo3 = write_json(tmp_path / "g3.json", {
+            "a": [], "b": [], "generator": {"kind": "geometric",
+                                            "params": {"ratio": 3}}})
+        out = tmp_path / "d.json"
+        assert main(["diagnose", "--input", geo3, "--N-max", "30",
+                     "--precision", "extended", "--output", str(out)]) == 0
+        doc = _strict_json(out.read_text())
+        assert doc["verdict"] == "LikelyIndeterminate"
+        gamma = doc["gamma_seq"]
+        # gamma_26..gamma_30 exceed the float64 range
+        assert gamma[25:] == [None] * 5
+        assert all(np.isfinite(g) for g in gamma[:25])
+
+    def test_finite_output_is_the_indented_dump(self, tmp_path, free_file):
+        out = tmp_path / "r.json"
+        assert main(["response", "--input", free_file, "--T", "9",
+                     "--output", str(out)]) == 0
+        values = [float(v) for v in response_vector(JacobiCoefficients.free(), 9)]
+        doc = {"schema": "jacobi-bc/1", "command": "response", "length": 9,
+               "response": values}
+        assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+# the simulate estimate in bytes per cell: a float64 field cell plus the
+# JSON payload's share
+_SIMULATE_CELL_BYTES = 8 + 40
+
+
+class TestSimulateMemory:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_within_estimate(self, tmp_path, free_file, fmt):
+        horizon = 1000
+        estimate = (horizon + 1) * (horizon + 2) * _SIMULATE_CELL_BYTES
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--input", free_file, "--T", str(horizon),
+                         "--format", fmt, "--output", str(tmp_path / "s")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < estimate
+
+    def test_refused_before_solving(self, monkeypatch, free_file, capsys):
+        from jacobi_bc import dynamics
+        horizon = 20
+        estimate = (horizon + 1) * (horizon + 2) * _SIMULATE_CELL_BYTES
+        sweeps = []
+        real_sweep = dynamics._sweep
+        monkeypatch.setattr(dynamics, "_sweep",
+                            lambda *a: sweeps.append(1) or real_sweep(*a))
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: estimate - 1)
+        argv = ["simulate", "--input", free_file, "--T", str(horizon)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation" and "physical memory" in err["message"]
+        assert sweeps == []
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: estimate)
+        assert main(argv) == 0
+        assert sweeps == [1]

@@ -5,6 +5,7 @@ import pytest
 
 from jacobi_bc import (
     ConditioningWarning,
+    JacobiBCError,
     JacobiCoefficients,
     NotLimitCircleError,
     Orientation,
@@ -196,3 +197,41 @@ class TestClassify:
         rows = list(report.csv_rows())
         assert rows[0] == ["N", "lambda_N", "beta_N", "gamma_N"]
         assert len(rows) == 7
+
+
+class TestOverflowedGamma:
+    GEO3 = JacobiCoefficients.geometric(3)
+
+    def test_no_inf_minus_inf(self):
+        # gamma_26..gamma_30 of geometric(3) exceed the float64 range
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = classify(self.GEO3, 30, PrecisionMode.EXTENDED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = classify(self.GEO3, 30, PrecisionMode.EXTENDED)
+        assert np.isinf(strict.gamma_seq[25:]).all()
+        assert np.isfinite(strict.gamma_seq[:25]).all()
+        assert strict.verdict is quiet.verdict is Verdict.LIKELY_INDETERMINATE
+        assert strict.to_json_dict() == quiet.to_json_dict()
+
+    @pytest.mark.parametrize("n_max", [26, 27, 28])
+    def test_overflow_is_not_a_bounded_gamma(self, n_max):
+        # gamma overflows inside the last four blocks: not a stable value
+        report = classify(self.GEO3, n_max, PrecisionMode.EXTENDED)
+        assert np.isinf(report.gamma_seq[-1])
+        assert report.verdict is Verdict.LIKELY_INDETERMINATE
+
+    @pytest.mark.parametrize("gamma, fails", [
+        ([1.0, np.inf, np.inf], False), ([1.0, np.inf, 5.0], True)])
+    def test_monotonicity_across_inf(self, monkeypatch, gamma, fails):
+        from jacobi_bc import determinacy
+        monkeypatch.setattr(determinacy, "leading_eig_extremes",
+                            lambda *a: (np.ones(3), np.array(gamma)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if fails:
+                with pytest.raises(JacobiBCError, match="gamma .* at T=3"):
+                    connecting_eig_sequences(response_vector(FREE, 5), 3)
+            else:
+                connecting_eig_sequences(response_vector(FREE, 5), 3)

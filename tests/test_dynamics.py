@@ -356,3 +356,29 @@ def test_double_overflow_is_a_conditioning_error():
         response_vector(geo2, 1030)
     with pytest.raises(ConditioningError, match="exceeds double precision"):
         solve_semi_infinite(geo2, [1], 1100)
+
+
+class TestFieldPeakMemory:
+    # The guard's estimate is the field, (n+1)(T+2) cells; besides it a
+    # solve holds an O(n + T) working set (two slices, the lifted
+    # coefficients, the coefficient memo), under 128 bytes per site.
+    @pytest.mark.parametrize("solve", [
+        lambda h: solve_semi_infinite(JacobiCoefficients.free(), [1], h),
+        lambda h: control_operator(JacobiCoefficients.free(), h),
+    ])
+    def test_peak_is_the_field(self, solve):
+        horizon = 1000
+        field = (horizon + 1) * (horizon + 2) * 8
+        tracemalloc.start()
+        try:
+            solve(horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field + 128 * 2 * horizon  # a second copy would not fit
+
+    def test_wave_field_keeps_the_solver_array(self):
+        field = solve_semi_infinite(FREE, [1], 5)
+        assert field.values.base is None and not field.values.flags.writeable
+        caller = np.zeros((6, 7))
+        assert WaveField(caller, 5, 5).values is not caller
