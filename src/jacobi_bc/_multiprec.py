@@ -91,6 +91,17 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
     return out
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, refused with ConditioningError when it is a float array
+    holding inf or NaN: the values that overflowed float64 on the way to
+    it, which LAPACK cannot factor."""
+    if arr.dtype != object and not np.isfinite(arr).all():
+        raise ConditioningError(
+            "a matrix entry is beyond double precision (inf or NaN); use "
+            "PrecisionMode.EXTENDED (--precision extended)")
+    return arr
+
+
 def cell_bytes(precision: PrecisionMode) -> int:
     """Estimated bytes of one array cell of the mode's number type.
 
@@ -132,12 +143,14 @@ def pivot_floor(precision: PrecisionMode) -> float:
 def sym_eigenvalues(matrix, precision: PrecisionMode) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, ascending, as float64.
 
-    DOUBLE uses LAPACK; EXTENDED (and RATIONAL, whose eigenvalue work
-    falls back to floating point) uses mpmath at EXTENDED_DPS digits so
-    that tiny eigenvalues of huge matrices keep their leading digits.
+    DOUBLE uses LAPACK and refuses inf or NaN entries with
+    ConditioningError, as ``pd_factor`` does; EXTENDED (and RATIONAL,
+    whose eigenvalue work falls back to floating point) uses mpmath at
+    EXTENDED_DPS digits so that tiny eigenvalues of huge matrices keep
+    their leading digits.
     """
     if precision is PrecisionMode.DOUBLE:
-        return np.linalg.eigvalsh(lift(matrix, precision))
+        return np.linalg.eigvalsh(_finite(lift(matrix, precision)))
     lifted = _EXTENDED.matrix(lift(matrix, PrecisionMode.EXTENDED).tolist())
     ev = _EXTENDED.eigsy(lifted, eigvals_only=True)
     return np.array(sorted(float(v) for v in ev))
@@ -213,11 +226,12 @@ def pd_factor(matrix):
     d = diag(C)^2).  Object arrays of mpf or Fraction are factored in
     their own arithmetic, with no square root, so Fraction input stays
     exact.  Raises np.linalg.LinAlgError when the matrix is not positive
-    definite.
+    definite, and ConditioningError when a float array holds inf or NaN.
     """
     arr = np.asarray(matrix)
     if arr.dtype != object:
-        chol = scipy.linalg.cholesky(arr, lower=True)
+        chol = scipy.linalg.cholesky(_finite(arr), lower=True,
+                                     check_finite=False)
         diag = np.diagonal(chol)
         return chol / diag, diag * diag
     n = arr.shape[0]

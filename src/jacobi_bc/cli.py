@@ -1,17 +1,21 @@
 """Command-line interface for scripted experiments.
 
-One table, ``_COMMANDS``, gives each command its handler and help text.
-A handler composes library calls on the parsed arguments and returns the
-JSON payload with a CSV producer; the writer encodes only the requested
-format.  Outputs are deterministic: identical invocations produce
+This module owns every file format of the package: it decodes the JSON
+input files and encodes results as JSON or CSV, and the library returns
+plain arrays and result objects.  One table, ``_COMMANDS``, gives each
+command its handler and help text.  A handler composes library calls on
+the parsed arguments and returns two producers, one of the JSON payload
+and one of the CSV rows; the writer calls only the one of the requested
+format, so ``simulate --format csv`` streams its rows beside the one
+field.  Outputs are deterministic: identical invocations produce
 byte-identical files.  A result number float64 cannot hold is null in
 JSON and inf, -inf or nan in CSV, and the command still exits 0.
 
 Exit codes: 0 success, 2 validation failure (malformed input, data that
 fails a positivity characterization, values the precision mode cannot
-hold, a ``simulate`` field and payload larger than physical memory,
-refused before solving), 1 internal error.  Failures write a
-machine-readable JSON object to stderr.
+hold, a ``simulate`` request larger than physical memory, refused before
+solving), 1 internal error.  Failures write a machine-readable JSON
+object to stderr.
 """
 
 from __future__ import annotations
@@ -20,18 +24,15 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 
 from .core import (
-    SCHEMA_TAG,
     JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
     validate_coefficients,
-    _csv_number,
-    _is_real,
-    _json_number,
 )
 from . import connecting as connecting_mod
 from . import debranges
@@ -42,14 +43,54 @@ from . import moments as moments_mod
 
 __all__ = ["main"]
 
-# `simulate` holds its JSON payload beside the field: WaveField.to_json_dict
-# turns each cell into a float (24 bytes) in a list slot (8 bytes), plus
-# the lists' over-allocation, under 40 bytes a cell.
+SCHEMA_TAG = "jacobi-bc/1"
+
+# `simulate --format json` holds its payload beside the field: each cell
+# becomes a float (24 bytes) in a list slot (8 bytes), plus the lists'
+# over-allocation, under 40 bytes a cell.  CSV streams one row at a time.
 _PAYLOAD_CELL_BYTES = 40
 
 
 class CliInputError(Exception):
     """Malformed or inconsistent command input (exit code 2)."""
+
+
+def _is_real(x) -> bool:
+    """A finite int or float; bools are refused although Python counts
+    them as ints."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+# Result numbers leave the package through these two conversions only: a
+# value beyond float64 (an overflowed float, or an mpf, Fraction or int too
+# large for it) is null in JSON, which has no infinities or NaN, and inf,
+# -inf or nan in CSV.
+
+
+def _as_float(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:   # an exact int or Fraction beyond float64
+        return math.inf if x > 0 else -math.inf
+
+
+def _json_number(x) -> float | None:
+    """x as a float, or None (JSON null) where float64 cannot hold it."""
+    if x is None:
+        return None
+    v = _as_float(x)
+    return v if math.isfinite(v) else None
+
+
+def _json_numbers(values) -> list:
+    return [_json_number(v) for v in values]
+
+
+def _csv_number(x) -> str:
+    """x formatted as a float with 17 significant digits (inf, -inf or
+    nan beyond float64)."""
+    return format(_as_float(x), ".17g")
 
 
 def _load_json(path: str) -> dict:
@@ -66,14 +107,15 @@ def _load_json(path: str) -> dict:
 
 
 def _coefficients(obj: dict, path: str) -> JacobiCoefficients:
-    if not obj.get("generator"):
+    gen = obj.get("generator")
+    if not gen:
         if "a" not in obj:
             raise CliInputError(
                 f"{path}: expected a coefficient file with keys a/b/generator")
-        _number_list(obj, "a", path)
-        _number_list(obj, "b", path)
+        a, b = _number_list(obj, "a", path), _number_list(obj, "b", path)
     try:
-        coeffs = JacobiCoefficients.from_json_dict(obj)
+        coeffs = (_generator(gen) if gen
+                  else JacobiCoefficients.from_arrays(a, b))
         report = validate_coefficients(coeffs)
     except (ValueError, KeyError, TypeError, AttributeError,
             ArithmeticError) as exc:
@@ -82,6 +124,23 @@ def _coefficients(obj: dict, path: str) -> JacobiCoefficients:
         raise CliInputError(f"{path}: invalid coefficients: "
                             + "; ".join(report.issues))
     return coeffs
+
+
+def _generator(gen) -> JacobiCoefficients:
+    """The family of a ``{"kind": ..., "params": {...}}`` generator entry."""
+    kind = gen.get("kind")
+    params = gen.get("params") or {}
+    if kind == "free":
+        return JacobiCoefficients.free()
+    if kind == "geometric":
+        ratio = params.get("ratio", 2)
+        if not _is_real(ratio):
+            raise ValueError(
+                f"geometric ratio must be a real number, got {ratio!r}")
+        if isinstance(ratio, float) and ratio.is_integer():
+            ratio = int(ratio)
+        return JacobiCoefficients.geometric(ratio)
+    raise ValueError(f"unknown coefficient generator kind: {kind!r}")
 
 
 def _number_list(obj, key: str, path: str) -> list:
@@ -134,10 +193,6 @@ def _points(args, keys: tuple) -> list:
     return [tuple(_complex_from(p.get(k), path) for k in keys) for p in raw]
 
 
-def _json_numbers(values) -> list:
-    return [_json_number(v) for v in values]
-
-
 def _series_rows(index: str, label: str, values):
     """CSV producer of a numbered series: a header, then (i, value) rows."""
     return lambda: [[index, label]] + [[str(i), _csv_number(v)]
@@ -145,21 +200,25 @@ def _series_rows(index: str, label: str, values):
 
 
 # -- command handlers ----------------------------------------------------
-# Each returns the JSON payload and a CSV producer, which the writer calls
-# only when CSV is requested.
+# Each returns two producers, of the JSON payload and of the CSV rows; the
+# writer calls only the one of the requested format.
 
 
 def _cmd_simulate(args):
     coeffs = _primary_coefficients(args)
     horizon = _require_horizon(args)
     if len(args.input) > 1:
-        control = _number_list(_load_json(args.input[1]), "control",
-                               args.input[1])
+        path = args.input[1]
+        control = _number_list(_load_json(path), "control", path)
+        if len(control) > horizon:
+            raise CliInputError(f"{path}: 'control' has {len(control)} "
+                                f"entries, more than --T {horizon}")
     else:
         control = [1]  # the solvers zero-extend it to the horizon
     n_space = coeffs.size if coeffs.is_finite else horizon
-    dynamics._check_field_memory(n_space, horizon, args.precision,
-                                 _PAYLOAD_CELL_BYTES)
+    dynamics._check_field_memory(
+        n_space, horizon, args.precision,
+        _PAYLOAD_CELL_BYTES if args.fmt == "json" else 0)
     if coeffs.is_finite:
         field = dynamics.solve_finite(coeffs, n_space, control, horizon,
                                       args.precision)
@@ -168,14 +227,27 @@ def _cmd_simulate(args):
         field = dynamics.solve_semi_infinite(coeffs, control, horizon,
                                              args.precision)
         system = "semi-infinite"
-    return {"system": system, **field.to_json_dict()}, field.csv_rows
+
+    def payload():
+        return {"system": system, "n_space": field.n_space,
+                "horizon": horizon, "time_start": -1,
+                "rows": [_json_numbers(row) for row in field.values]}
+
+    def rows():
+        """Rows = space index, columns = time from -1 to horizon, one
+        row at a time."""
+        yield ["n\\t"] + [str(t) for t in range(-1, horizon + 1)]
+        for n, row in enumerate(field.values):
+            yield [str(n)] + [_csv_number(v) for v in row]
+
+    return payload, rows
 
 
 def _cmd_response(args):
     coeffs = _primary_coefficients(args)
     horizon = _require_horizon(args)
     r = dynamics.response_vector(coeffs, horizon, args.precision)
-    return ({"length": horizon, "response": _json_numbers(r)},
+    return (lambda: {"length": horizon, "response": _json_numbers(r)},
             _series_rows("t", "r_t", r))
 
 
@@ -197,10 +269,10 @@ def _connect_from_input(args):
 def _cmd_connect(args):
     conn = _connect_from_input(args)
     orientation = conn.orientation.value
-    payload = {"size": conn.size, "orientation": orientation,
-               "matrix": [_json_numbers(row) for row in conn.matrix]}
-    return payload, lambda: [["orientation", orientation]] + [
-        [_csv_number(v) for v in row] for row in conn.matrix]
+    return (lambda: {"size": conn.size, "orientation": orientation,
+                     "matrix": [_json_numbers(row) for row in conn.matrix]},
+            lambda: [["orientation", orientation]] + [
+                [_csv_number(v) for v in row] for row in conn.matrix])
 
 
 def _cmd_recover(args):
@@ -214,16 +286,13 @@ def _cmd_recover(args):
                else inverse.recover_from_moments)
     result = recover(values, horizon, args.precision)
     a, b = result.a, result.b
-    payload = {
-        "a": _json_numbers(a),
-        "b": _json_numbers(b),
-        "residual": _json_number(result.residual),
-        "path": result.path,
-        "precision": result.precision.value,
-    }
-    return payload, lambda: [["k", "a_k", "b_k"]] + [
-        [str(k), _csv_number(x), _csv_number(y)]
-        for k, (x, y) in enumerate(zip(a, b), 1)]
+    return (lambda: {"a": _json_numbers(a), "b": _json_numbers(b),
+                     "residual": _json_number(result.residual),
+                     "path": result.path,
+                     "precision": result.precision.value},
+            lambda: [["k", "a_k", "b_k"]] + [
+                [str(k), _csv_number(x), _csv_number(y)]
+                for k, (x, y) in enumerate(zip(a, b), 1)])
 
 
 def _cmd_diagnose(args):
@@ -231,7 +300,21 @@ def _cmd_diagnose(args):
     if args.n_max is None:
         raise CliInputError("command 'diagnose' requires --N-max")
     report = determinacy.classify(coeffs, args.n_max, args.precision)
-    return report.to_json_dict(), report.csv_rows
+    return (lambda: {
+        "verdict": report.verdict.value,
+        "precision": report.precision.value,
+        "lambda_seq": _json_numbers(report.lambda_seq),
+        "beta_seq": _json_numbers(report.beta_seq),
+        "gamma_seq": _json_numbers(report.gamma_seq),
+        "hankel_bound": _json_number(report.hankel_bound),
+        "connecting_bound": _json_number(report.connecting_bound),
+        "deficiency_p_sums": _json_numbers(report.deficiency_p),
+        "deficiency_q_sums": _json_numbers(report.deficiency_q),
+        "notes": list(report.notes),
+    }, lambda: [["N", "lambda_N", "beta_N", "gamma_N"]] + [
+        [str(n), _csv_number(lam), _csv_number(beta), _csv_number(gamma)]
+        for n, (lam, beta, gamma) in enumerate(
+            zip(report.lambda_seq, report.beta_seq, report.gamma_seq), 1)])
 
 
 def _cmd_kernel(args):
@@ -271,9 +354,10 @@ def _cmd_hb(args):
 def _grid_output(horizon: int, entries: list):
     """Payload and CSV producer of evaluation entries; the CSV columns are
     the keys."""
-    values = [{k: _json_number(v) for k, v in e.items()} for e in entries]
-    return {"horizon": horizon, "values": values}, lambda: [list(entries[0])] + [
-        [_csv_number(v) for v in e.values()] for e in entries]
+    return (lambda: {"horizon": horizon, "values": [
+                {k: _json_number(v) for k, v in e.items()} for e in entries]},
+            lambda: [list(entries[0])] + [
+                [_csv_number(v) for v in e.values()] for e in entries])
 
 
 def _cmd_moments(args):
@@ -287,7 +371,8 @@ def _cmd_moments(args):
     else:
         raise CliInputError(f"{path}: expected a 'response' or 'moments' key")
     out = convert(values, args.precision)
-    return ({"direction": f"{key}-to-{out_key}", out_key: _json_numbers(out)},
+    return (lambda: {"direction": f"{key}-to-{out_key}",
+                     out_key: _json_numbers(out)},
             _series_rows("k", label, out))
 
 
@@ -305,17 +390,17 @@ _COMMANDS = {
 }
 
 
-def _write_output(args, payload: dict, csv_rows) -> None:
-    """Encode the requested format only: JSON streamed by the encoder of
-    ``json.dumps(..., indent=2)``, or the CSV producer's rows."""
+def _write_output(args, payload, rows) -> None:
+    """Encode the requested format only: the ``payload()`` dict streamed by
+    the encoder of ``json.dumps(..., indent=2)``, or the ``rows()``."""
     with (open(args.output, "w", encoding="utf-8", newline="") if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.fmt == "json":
             json.dump({"schema": SCHEMA_TAG, "command": args.command,
-                       **payload}, fh, indent=2)
+                       **payload()}, fh, indent=2)
             fh.write("\n")
         else:
-            csv.writer(fh).writerows(csv_rows())
+            csv.writer(fh).writerows(rows())
 
 
 def _emit_error(exc: Exception, validation: bool) -> None:
@@ -367,8 +452,7 @@ def main(argv=None) -> int:
                 raise CliInputError(f"{flag} must be >= 1")
         args.precision = _parse_precision(
             args.precision or os.environ.get("JACOBI_BC_PRECISION", "double"))
-        payload, csv_rows = _COMMANDS[args.command][0](args)
-        _write_output(args, payload, csv_rows)
+        _write_output(args, *_COMMANDS[args.command][0](args))
         return 0
     except (CliInputError, JacobiBCError) as exc:
         _emit_error(exc, validation=True)

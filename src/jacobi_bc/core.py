@@ -45,9 +45,6 @@ __all__ = [
     "sequence_values",
 ]
 
-SCHEMA_TAG = "jacobi-bc/1"
-
-
 class JacobiBCError(Exception):
     """Base class for all toolkit errors."""
 
@@ -106,45 +103,12 @@ def sequence_values(seq) -> np.ndarray:
     return np.asarray(getattr(seq, "values", seq))
 
 
-def _is_real(x) -> bool:
-    """A finite int or float; bools are refused although Python counts
-    them as ints."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, float)):
         return Fraction(x)
     raise TypeError(f"cannot use {type(x).__name__} value in rational mode")
-
-
-# Result numbers leave the package through these two conversions only: a
-# value beyond float64 (an overflowed float, or an mpf, Fraction or int too
-# large for it) is null in JSON, which has no infinities or NaN, and inf,
-# -inf or nan in CSV.
-
-
-def _as_float(x) -> float:
-    try:
-        return float(x)
-    except OverflowError:   # an exact int or Fraction beyond float64
-        return math.inf if x > 0 else -math.inf
-
-
-def _json_number(x) -> float | None:
-    """x as a float, or None (JSON null) where float64 cannot hold it."""
-    if x is None:
-        return None
-    v = _as_float(x)
-    return v if math.isfinite(v) else None
-
-
-def _csv_number(x, spec: str = ".17g") -> str:
-    """x formatted as a float with ``spec`` (inf, -inf or nan beyond float64)."""
-    return format(_as_float(x), spec)
 
 
 class JacobiCoefficients:
@@ -158,7 +122,7 @@ class JacobiCoefficients:
     """
 
     def __init__(self, a=None, b=None, *, a_rule=None, b_rule=None,
-                 generator_spec=None):
+                 generator=None):
         if (a is None) != (b is None):
             raise ValueError("supply both coefficient arrays or neither")
         if a is not None and a_rule is not None:
@@ -179,7 +143,7 @@ class JacobiCoefficients:
             self._b_rule = b_rule
         self._a_memo: dict[int, object] = {}
         self._b_memo: dict[int, object] = {}
-        self._generator_spec = generator_spec
+        self._generator = generator
 
     # -- construction -------------------------------------------------
 
@@ -198,8 +162,7 @@ class JacobiCoefficients:
     @classmethod
     def free(cls) -> "JacobiCoefficients":
         """a_n = 1, b_n = 0 (free Jacobi matrix)."""
-        return cls(a_rule=lambda n: 1, b_rule=lambda n: 0,
-                   generator_spec={"kind": "free", "params": {}})
+        return cls(a_rule=lambda n: 1, b_rule=lambda n: 0, generator="free")
 
     @classmethod
     def geometric(cls, ratio=2) -> "JacobiCoefficients":
@@ -209,8 +172,7 @@ class JacobiCoefficients:
         example; an integer ratio keeps the entries exact.
         """
         return cls(a_rule=lambda n: ratio ** n, b_rule=lambda n: 0,
-                   generator_spec={"kind": "geometric",
-                                   "params": {"ratio": ratio}})
+                   generator="geometric")
 
     # -- access -------------------------------------------------------
 
@@ -259,46 +221,10 @@ class JacobiCoefficients:
         """[b_1, ..., b_count]."""
         return [self.b(n) for n in range(1, count + 1)]
 
-    # -- serialization ------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Dict matching the coefficient file schema.
-
-        Exact entries are emitted as floats; use the generator form to
-        round-trip exact families.
-        """
-        if self.is_finite:
-            return {"a": [float(x) for x in self._a],
-                    "b": [float(x) for x in self._b],
-                    "generator": None}
-        if self._generator_spec is None:
-            raise ValueError("custom rule-backed coefficients are not serializable")
-        return {"a": [], "b": [], "generator": dict(self._generator_spec)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "JacobiCoefficients":
-        gen = obj.get("generator")
-        if gen:
-            kind = gen.get("kind")
-            params = gen.get("params") or {}
-            if kind == "free":
-                return cls.free()
-            if kind == "geometric":
-                ratio = params.get("ratio", 2)
-                if not _is_real(ratio):
-                    raise ValueError(
-                        f"geometric ratio must be a real number, got {ratio!r}")
-                if isinstance(ratio, float) and ratio.is_integer():
-                    ratio = int(ratio)
-                return cls.geometric(ratio)
-            raise ValueError(f"unknown coefficient generator kind: {kind!r}")
-        return cls.from_arrays(obj["a"], obj["b"])
-
     def __repr__(self):
         if self.is_finite:
             return f"JacobiCoefficients(size={self.size})"
-        spec = self._generator_spec or {"kind": "custom"}
-        return f"JacobiCoefficients(generator={spec['kind']!r})"
+        return f"JacobiCoefficients(generator={self._generator or 'custom'!r})"
 
 
 @dataclass(frozen=True)
@@ -407,14 +333,6 @@ class SpectralData:
     @property
     def pairs(self) -> list:
         return list(zip(self.lambdas.tolist(), self.weights.tolist()))
-
-    def to_json_list(self) -> list:
-        return [{"lambda": lam, "weight": w} for lam, w in self.pairs]
-
-    @classmethod
-    def from_json_list(cls, items) -> "SpectralData":
-        return cls(np.array([it["lambda"] for it in items]),
-                   np.array([it["weight"] for it in items]))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ here rather than silently reconciled.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -40,8 +41,6 @@ from .core import (
     JacobiCoefficients,
     NotLimitCircleError,
     PrecisionMode,
-    _csv_number,
-    _json_number,
 )
 from .connecting import Orientation, connecting_from_response
 from .dynamics import response_vector
@@ -102,13 +101,24 @@ def deficiency_partial_sums(coeffs: JacobiCoefficients, depth: int,
     """Partial sums of |p_n(z)|^2 and |q_n(z)|^2 up to ``depth``.
 
     Square-summability at one non-real point decides the deficiency
-    dichotomy; z = i is the canonical choice.
+    dichotomy; z = i is the canonical choice.  A term beyond float64
+    counts as inf, so a sum that overflows is inf from there on: the
+    series diverges as far as float64 can tell.
     """
     p = eval_p_all(coeffs, depth, complex(z))
     q = eval_q_all(coeffs, depth, complex(z))
-    p_sums = np.cumsum([abs(v) ** 2 for v in p])
-    q_sums = np.cumsum([abs(v) ** 2 for v in q])
-    return p_sums, q_sums
+    return (np.cumsum([_squared_modulus(v) for v in p]),
+            np.cumsum([_squared_modulus(v) for v in q]))
+
+
+def _squared_modulus(v) -> float:
+    """|v|^2, or inf where it is beyond float64; an overflowed recurrence
+    leaves inf or nan in v, an overflowed square raises."""
+    try:
+        square = abs(v) ** 2
+    except OverflowError:
+        return math.inf
+    return square if math.isfinite(square) else math.inf
 
 
 @dataclass(frozen=True)
@@ -125,12 +135,17 @@ class CircleBoundEstimate:
 
 def _partial_square_sums(coeffs, truncation, nodes):
     """Final sums over n <= truncation of |p_n(z)|^2 on the given nodes,
-    plus the worst relative last-window contribution; raises when the
-    tail is not decreasing (the series only converges everywhere in the
-    limit-circle regime)."""
-    pv = eval_p_all(coeffs, truncation, np.asarray(nodes))
-    sq = np.abs(pv) ** 2
-    sums = np.cumsum(sq, axis=0)
+    plus the worst relative last-window contribution; raises when a sum
+    overflows float64 or the tail is not decreasing (the series only
+    converges everywhere in the limit-circle regime)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pv = eval_p_all(coeffs, truncation, np.asarray(nodes))
+        sums = np.cumsum(np.abs(pv) ** 2, axis=0)
+    overflowed = np.count_nonzero(~np.isfinite(sums[-1]))
+    if overflowed:
+        raise NotLimitCircleError(
+            "not limit circle: sum_n |p_n(z)|^2 overflows float64 at "
+            f"{overflowed} of {len(nodes)} quadrature nodes")
     if truncation <= 2 * TAIL_WINDOW:
         return sums[-1], float("nan")
     rel = relative_tail(sums)
@@ -194,26 +209,6 @@ class DeterminacyReport:
     precision: PrecisionMode
     notes: tuple
 
-    def csv_rows(self):
-        yield ["N", "lambda_N", "beta_N", "gamma_N"]
-        for i in range(len(self.lambda_seq)):
-            yield [str(i + 1), _csv_number(self.lambda_seq[i]),
-                   _csv_number(self.beta_seq[i]), _csv_number(self.gamma_seq[i])]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "precision": self.precision.value,
-            "lambda_seq": [_json_number(v) for v in self.lambda_seq],
-            "beta_seq": [_json_number(v) for v in self.beta_seq],
-            "gamma_seq": [_json_number(v) for v in self.gamma_seq],
-            "hankel_bound": _json_number(self.hankel_bound),
-            "connecting_bound": _json_number(self.connecting_bound),
-            "deficiency_p_sums": [_json_number(v) for v in self.deficiency_p],
-            "deficiency_q_sums": [_json_number(v) for v in self.deficiency_q],
-            "notes": list(self.notes),
-        }
-
 
 def classify(coeffs: JacobiCoefficients, n_max: int,
              precision: PrecisionMode = PrecisionMode.DOUBLE,
@@ -261,7 +256,10 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     # a finite family holds p_n and q_n for n <= its size only
     depth = min(deficiency_depth, coeffs.size or deficiency_depth)
     deficiency_p, deficiency_q = deficiency_partial_sums(coeffs, depth)
-    deficiency_converged = (relative_tail(deficiency_p) <= tail_tol
+    # an overflowed sum (inf) diverges
+    deficiency_converged = (math.isfinite(deficiency_p[-1])
+                            and math.isfinite(deficiency_q[-1])
+                            and relative_tail(deficiency_p) <= tail_tol
                             and relative_tail(deficiency_q) <= tail_tol)
 
     hankel_bound = connecting_bound = None

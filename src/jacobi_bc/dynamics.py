@@ -19,7 +19,9 @@ cells of the full field.  ``solve_semi_infinite``, ``solve_finite`` and
 ``control_operator`` return the whole field, which is O(N T) memory;
 they refuse a field whose size estimate exceeds physical memory before
 allocating it.  Each computed cell gets the same operands in the same
-order in every solver, so all of them agree to the last bit.
+order in every solver, so all of them agree to the last bit.  The fields
+are plain arrays: writing them to files is the CLI's job, which streams
+CSV rows straight from the one field.
 
 Because the coefficients do not depend on t, shifting a control in time
 shifts the solution: the impulse response determines the response to any
@@ -29,8 +31,6 @@ control operator.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
 
@@ -42,9 +42,7 @@ from .core import (
     JacobiCoefficients,
     PrecisionMode,
     ResponseVector,
-    _csv_number,
     _freeze_array,
-    _json_number,
     sequence_values,
 )
 from ._multiprec import cell_bytes, lift
@@ -86,32 +84,6 @@ class WaveField:
     def state(self, t: int) -> np.ndarray:
         """Interior snapshot (u_{1,t}, ..., u_{n_space,t})."""
         return self.values[1:, t + 1]
-
-    def to_json_dict(self) -> dict:
-        vals = self.values
-        if np.iscomplexobj(vals):
-            rows = [[[_json_number(v.real), _json_number(v.imag)] for v in row]
-                    for row in vals]
-        else:
-            rows = [[_json_number(v) for v in row] for row in vals]
-        return {"n_space": self.n_space, "horizon": self.horizon,
-                "time_start": -1, "rows": rows}
-
-    def csv_rows(self):
-        """Rows = space index, columns = time from -1 to horizon."""
-        yield ["n\\t"] + [str(t) for t in range(-1, self.horizon + 1)]
-        for n, row in enumerate(self.values):
-            if np.iscomplexobj(self.values):
-                cells = [f"{_csv_number(c.real)}{_csv_number(c.imag, '+.17g')}j"
-                         for c in map(complex, row)]
-            else:
-                cells = [_csv_number(v) for v in row]
-            yield [str(n)] + cells
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(self.csv_rows())
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)

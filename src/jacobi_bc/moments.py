@@ -56,11 +56,6 @@ class HankelMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def to_csv(self) -> str:
-        lines = [",".join(f"{float(v):.17g}" for v in row)
-                 for row in self.matrix]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class ChebyshevTransform:

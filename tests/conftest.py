@@ -35,6 +35,13 @@ def matrix_moment(coeffs, m: int) -> float:
     return float(vec[0])
 
 
+def report_fields(report) -> tuple:
+    """Every field of a DeterminacyReport, arrays as lists, so that two
+    reports compare exactly."""
+    return tuple(v.tolist() if isinstance(v, np.ndarray) else v
+                 for v in vars(report).values())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -3,6 +3,8 @@ import os
 import tempfile
 import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,7 @@ class TestMalformedInput:
         ("response", {"a": [2, 1], "b": [0, 0]}),
         ("response", {"a": [1, 1], "b": []}),
         ("response", [1, 2, 3]),
+        ("response", {"generator": {"kind": "mystery", "params": {}}}),
     ])
     def test_exits_2(self, tmp_path, capsys, command, payload):
         path = write_json(tmp_path / "in.json", payload)
@@ -139,6 +142,16 @@ class TestMalformedInput:
     def test_non_positive_size(self, free_file, flag):
         assert main(["diagnose", "--input", free_file, "--N-max", "3",
                      flag, "0"]) == 2
+
+    def test_control_longer_than_the_horizon(self, tmp_path, free_file,
+                                             capsys):
+        ctrl = write_json(tmp_path / "c.json", {"control": [1, 2, 3, 4, 5]})
+        argv = ["simulate", "--input", free_file, "--input", ctrl]
+        assert main(argv + ["--T", "2"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "CliInputError" and err["kind"] == "validation"
+        assert "more than --T 2" in err["message"]
+        assert main(argv + ["--T", "5", "--output", str(tmp_path / "s")]) == 0
 
 
 _JUNK = st.one_of(st.booleans(), st.none(), st.text(max_size=2),
@@ -186,6 +199,25 @@ class TestSizeLimits:
         assert code == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "validation"
+        assert err["type"] == "ConditioningError"
+        assert "--precision extended" in err["message"]
+
+    @pytest.mark.parametrize("command, payload, size", [
+        # the connecting matrix sums past 1.8e308
+        ("recover", {"response": [1e308, 0, 1e308, 0, 1e308]}, 3),
+        # the moments of geometric(2) overflow before N = 40
+        ("diagnose", {"generator": {"kind": "geometric",
+                                    "params": {"ratio": 2}}}, 40),
+    ])
+    def test_non_finite_double_matrix_exits_2(self, tmp_path, capsys,
+                                              command, payload, size):
+        path = write_json(tmp_path / "in.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([command, "--input", path, "--T", str(size),
+                         "--N-max", str(size)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConditioningError"
         assert "--precision extended" in err["message"]
 
@@ -330,6 +362,23 @@ class TestValuesBeyondFloat64:
         assert gamma[25:] == [None] * 5
         assert all(np.isfinite(g) for g in gamma[:25])
 
+    @pytest.mark.parametrize("payload, n_max", [
+        # |p_n(i)|^2 passes 1.8e308 before n = 60, and at n = 2
+        ({"generator": {"kind": "geometric", "params": {"ratio": 0.5}}}, 40),
+        ({"a": [1, 1e-200, 1], "b": [0, 0, 0]}, 3),
+    ])
+    def test_overflowed_deficiency_sums_diverge(self, tmp_path, payload,
+                                                n_max):
+        path = write_json(tmp_path / "c.json", payload)
+        out = tmp_path / "d.json"
+        assert main(["diagnose", "--input", path, "--N-max", str(n_max),
+                     "--output", str(out)]) == 0
+        doc = _strict_json(out.read_text())
+        assert doc["verdict"] != "LikelyIndeterminate"
+        assert doc["hankel_bound"] is doc["connecting_bound"] is None
+        assert doc["deficiency_p_sums"][-1] is None
+        assert any("bounds unavailable" in note for note in doc["notes"])
+
     def test_finite_output_is_the_indented_dump(self, tmp_path, free_file):
         out = tmp_path / "r.json"
         assert main(["response", "--input", free_file, "--T", "9",
@@ -343,13 +392,16 @@ class TestValuesBeyondFloat64:
 # the simulate estimate in bytes per cell: a float64 field cell plus the
 # JSON payload's share
 _SIMULATE_CELL_BYTES = 8 + 40
+# traced peak allowed per field cell: JSON holds the payload beside the
+# field, CSV streams its rows from the field alone
+_PEAK_CELL_BYTES = {"json": _SIMULATE_CELL_BYTES, "csv": 1.5 * 8}
 
 
 class TestSimulateMemory:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_peak_within_estimate(self, tmp_path, free_file, fmt):
         horizon = 1000
-        estimate = (horizon + 1) * (horizon + 2) * _SIMULATE_CELL_BYTES
+        estimate = (horizon + 1) * (horizon + 2) * _PEAK_CELL_BYTES[fmt]
         tracemalloc.start()
         try:
             code = main(["simulate", "--input", free_file, "--T", str(horizon),
@@ -377,3 +429,47 @@ class TestSimulateMemory:
         monkeypatch.setattr(dynamics, "_physical_memory", lambda: estimate)
         assert main(argv) == 0
         assert sweeps == [1]
+
+    def test_csv_refused_only_beyond_the_field(self, monkeypatch, tmp_path,
+                                               free_file, capsys):
+        from jacobi_bc import dynamics
+        horizon = 20
+        field = (horizon + 1) * (horizon + 2) * 8
+        argv = ["simulate", "--input", free_file, "--T", str(horizon),
+                "--format", "csv", "--output", str(tmp_path / "s.csv")]
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: field - 1)
+        assert main(argv) == 2
+        assert "physical memory" in json.loads(
+            capsys.readouterr().err)["error"]["message"]
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: field)
+        assert main(argv) == 0
+
+
+PINNED = Path(__file__).resolve().parent / "pinned"
+
+
+class TestPinnedBytes:
+    """The exact bytes of four outputs: a finite family under a control
+    file, and geometric(3) in EXTENDED, whose gamma_26..gamma_30 are null
+    in JSON and inf in CSV (CSV rows end in CRLF, as csv.writer writes)."""
+
+    @pytest.mark.parametrize("name", ["simulate.json", "simulate.csv",
+                                      "diagnose.json", "diagnose.csv"])
+    def test_output_bytes(self, tmp_path, name):
+        command, fmt = name.split(".")
+        if command == "simulate":
+            coeffs = write_json(tmp_path / "c.json", {
+                "a": [1, 0.5, 0.75], "b": [0.25, -0.75, 0.1],
+                "generator": None})
+            ctrl = write_json(tmp_path / "u.json", {"control": [0.5, -1.0, 0.25]})
+            argv = ["simulate", "--input", coeffs, "--input", ctrl, "--T", "4"]
+        else:
+            coeffs = write_json(tmp_path / "c.json", {
+                "generator": {"kind": "geometric", "params": {"ratio": 3}}})
+            argv = ["diagnose", "--input", coeffs, "--N-max", "30",
+                    "--precision", "extended"]
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
+        assert out.read_bytes() == (PINNED / name).read_bytes()

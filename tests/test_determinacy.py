@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -24,8 +25,9 @@ from jacobi_bc import (
 )
 
 from jacobi_bc import _multiprec
+from jacobi_bc.cli import main
 
-from conftest import random_coefficients, semicircle_moments
+from conftest import random_coefficients, report_fields, semicircle_moments
 
 FREE = JacobiCoefficients.free()
 GEO = JacobiCoefficients.geometric(2)
@@ -190,12 +192,18 @@ class TestClassify:
         report = classify(FREE, 1)
         assert report.verdict is Verdict.INCONCLUSIVE
 
-    def test_report_serializes(self):
-        report = classify(FREE, 6)
-        doc = report.to_json_dict()
+    def test_report_serializes(self, tmp_path):
+        # the CLI writes the report; the package itself knows no file format
+        coeffs = tmp_path / "free.json"
+        coeffs.write_text('{"generator": {"kind": "free"}}')
+        argv = ["diagnose", "--input", str(coeffs), "--N-max", "6", "--output"]
+        assert main(argv + [str(tmp_path / "d.json")]) == 0
+        doc = json.loads((tmp_path / "d.json").read_text())
         assert doc["verdict"] == "LikelyDeterminate"
-        rows = list(report.csv_rows())
-        assert rows[0] == ["N", "lambda_N", "beta_N", "gamma_N"]
+        assert doc["lambda_seq"] == classify(FREE, 6).lambda_seq.tolist()
+        assert main(argv + [str(tmp_path / "d.csv"), "--format", "csv"]) == 0
+        rows = (tmp_path / "d.csv").read_text().splitlines()
+        assert rows[0] == "N,lambda_N,beta_N,gamma_N"
         assert len(rows) == 7
 
 
@@ -213,7 +221,7 @@ class TestOverflowedGamma:
         assert np.isinf(strict.gamma_seq[25:]).all()
         assert np.isfinite(strict.gamma_seq[:25]).all()
         assert strict.verdict is quiet.verdict is Verdict.LIKELY_INDETERMINATE
-        assert strict.to_json_dict() == quiet.to_json_dict()
+        assert report_fields(strict) == report_fields(quiet)
 
     @pytest.mark.parametrize("n_max", [26, 27, 28])
     def test_overflow_is_not_a_bounded_gamma(self, n_max):
@@ -235,3 +243,27 @@ class TestOverflowedGamma:
                     connecting_eig_sequences(response_vector(FREE, 5), 3)
             else:
                 connecting_eig_sequences(response_vector(FREE, 5), 3)
+
+
+class TestOverflowedDeficiencySums:
+    # |p_n(i)|^2 passes 1.8e308 before n = 60 for geometric(0.5), and at
+    # n = 2 for a_1 = 1e-200
+    GEO_HALF = JacobiCoefficients.geometric(0.5)
+    TINY = JacobiCoefficients.from_arrays([1, 1e-200, 1], [0, 0, 0])
+
+    @pytest.mark.parametrize("coeffs, depth", [(GEO_HALF, 60), (TINY, 3)],
+                             ids=["geometric0.5", "a1=1e-200"])
+    def test_sums_turn_inf(self, coeffs, depth):
+        p_sums, q_sums = deficiency_partial_sums(coeffs, depth)
+        assert np.isposinf(p_sums[-1]) and np.isposinf(q_sums[-1])
+        assert p_sums[0] == 1.0
+
+    @pytest.mark.parametrize("bound", [circle_bound_hankel,
+                                       circle_bound_connecting])
+    @pytest.mark.parametrize("coeffs, depth", [(GEO_HALF, 60), (TINY, 3)],
+                             ids=["geometric0.5", "a1=1e-200"])
+    def test_circle_bounds_are_unavailable(self, bound, coeffs, depth):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotLimitCircleError, match="overflows float64"):
+                bound(coeffs, depth)

@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 
@@ -23,6 +24,7 @@ from jacobi_bc import (
 )
 from jacobi_bc import dynamics
 from jacobi_bc._multiprec import lift
+from jacobi_bc.cli import main
 
 from conftest import random_coefficients
 
@@ -188,12 +190,19 @@ class TestControlOperator:
 
 
 class TestExports:
-    def test_csv_and_json(self):
+    def test_csv_and_json(self, tmp_path):
+        # the CLI writes the field; the package itself knows no file format
         field = solve_semi_infinite(FREE, BoundaryControl.impulse(2))
-        text = field.to_csv()
+        coeffs = tmp_path / "free.json"
+        coeffs.write_text('{"generator": {"kind": "free"}}')
+        argv = ["simulate", "--input", str(coeffs), "--T", "2", "--output"]
+        assert main(argv + [str(tmp_path / "s.csv"), "--format", "csv"]) == 0
+        text = (tmp_path / "s.csv").read_text()
         assert text.splitlines()[0].startswith("n\\t,-1,0,1,2")
-        doc = field.to_json_dict()
+        assert main(argv + [str(tmp_path / "s.json")]) == 0
+        doc = json.loads((tmp_path / "s.json").read_text())
         assert doc["horizon"] == 2 and len(doc["rows"]) == 3
+        assert doc["rows"] == field.values.tolist()
 
 
 def _reference_control(control, horizon: int, precision: PrecisionMode):

@@ -1,8 +1,11 @@
-"""The meaning of each precision mode lives in ``_multiprec.py`` alone.
+"""Each cross-cutting decision lives in one module.
 
-Every other module writes each pipeline step once, independent of dtype;
-these tests keep branches on a precision mode or on object dtype, and
+The meaning of each precision mode lives in ``_multiprec.py`` alone:
+every other module writes each pipeline step once, independent of dtype,
+and these tests keep branches on a precision mode or on object dtype, and
 any use of mpmath or of its global precision, from growing back there.
+Every file format lives in ``cli.py`` alone: the library returns arrays
+and result objects, and no other module reads or writes JSON or CSV.
 """
 
 import re
@@ -12,13 +15,17 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jacobi_bc"
 PRECISION_BRANCH = re.compile(
     r"(if|elif|and|or) .*(PrecisionMode\.|dtype *[!=]= *object|object in \()")
 MPMATH_USE = re.compile(r"\bmpmath\b|mp_context|workdps|\bmp\.dps\b")
+FILE_FORMAT = re.compile(
+    r"^\s*(import\s+([\w.]+\s*,\s*)*|from\s+)(json|csv|io)\b"
+    r"|\bdef\s+(to_json_dict|from_json_dict|to_json_list|from_json_list"
+    r"|csv_rows|to_csv)\b")
 
 
-def _hits(pattern):
+def _hits(pattern, home="_multiprec.py"):
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     return [f"{path.name}:{number}: {line.strip()}"
-            for path in modules if path.name != "_multiprec.py"
+            for path in modules if path.name != home
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
 
@@ -45,4 +52,23 @@ def test_pattern_catches_mpmath_use():
 
 def test_no_mpmath_outside_the_backend():
     hits = _hits(MPMATH_USE)
+    assert not hits, "\n".join(hits)
+
+
+def test_pattern_catches_a_file_format():
+    for line in ("import json", "import csv", "import io", "import os, json",
+                 "from io import StringIO", "from csv import writer",
+                 "    def to_json_dict(self) -> dict:",
+                 "    def from_json_dict(cls, obj):",
+                 "    def to_json_list(self):", "def from_json_list(items):",
+                 "    def csv_rows(self):", "    def to_csv(self) -> str:"):
+        assert FILE_FORMAT.search(line), line
+    for line in ("import os", "import ioctl", "from .core import JacobiBCError",
+                 "from . import inverse", "    payload = to_json(x)",
+                 "    rows = field.csv_rows"):
+        assert not FILE_FORMAT.search(line), line
+
+
+def test_no_file_format_outside_the_cli():
+    hits = _hits(FILE_FORMAT, home="cli.py")
     assert not hits, "\n".join(hits)

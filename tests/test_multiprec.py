@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from jacobi_bc import (
+    ConditioningError,
     ConditioningWarning,
     JacobiCoefficients,
     Orientation,
@@ -37,10 +38,11 @@ from jacobi_bc import (
 from jacobi_bc._multiprec import (
     EXTENDED_DPS,
     leading_eig_extremes,
+    pd_factor,
     sym_eigenvalues,
 )
 
-from conftest import random_coefficients
+from conftest import random_coefficients, report_fields
 
 EXTENDED = PrecisionMode.EXTENDED
 RATIONAL = PrecisionMode.RATIONAL
@@ -73,7 +75,7 @@ def _extended_outputs(rng_seed):
     moments = response_to_moments(response_vector(co, 15)).as_array()
     report = classify(JacobiCoefficients.geometric(2), 8, EXTENDED)
     rec = recover_from_moments(moments, 8, EXTENDED)
-    return report.to_json_dict(), rec.a.tolist(), rec.b.tolist(), rec.residual
+    return report_fields(report), rec.a.tolist(), rec.b.tolist(), rec.residual
 
 
 def test_results_ignore_the_callers_precision():
@@ -170,3 +172,26 @@ def test_extended_lifts_complex_controls():
     assert np.max(np.abs(got.astype(complex) - want)) <= 1e-14 * np.max(np.abs(want))
     with pytest.raises(TypeError, match="cannot use complex value"):
         solve_finite(co, 3, control, 3, RATIONAL)
+
+
+def _overflowed_connecting_block():
+    # the sums of a response of 1e308 entries pass the float64 range
+    with np.errstate(over="ignore"):
+        conn = connecting_from_response([1e308, 0, 1e308, 0, 1e308], 3)
+    return conn.aligned(Orientation.CORNER_TOP).matrix
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: pd_factor(m),
+    lambda m: sym_eigenvalues(m, PrecisionMode.DOUBLE),
+    lambda m: leading_eig_extremes(m, PrecisionMode.DOUBLE),
+    lambda m: krein_solve(m, 1j),
+], ids=["pd_factor", "sym_eigenvalues", "leading_eig_extremes", "krein_solve"])
+@pytest.mark.parametrize("matrix", [np.array([[2.0, 1.0], [1.0, np.inf]]),
+                                    np.array([[2.0, 1.0], [1.0, np.nan]]),
+                                    _overflowed_connecting_block()],
+                         ids=["inf", "nan", "overflowed_block"])
+def test_double_refuses_non_finite_matrices(call, matrix):
+    assert not np.isfinite(matrix).all()
+    with pytest.raises(ConditioningError, match="--precision extended"):
+        call(matrix)
