@@ -131,8 +131,8 @@ def above_noise(mins, maxs, precision: PrecisionMode) -> np.ndarray:
 
 
 def pivot_floor(precision: PrecisionMode) -> float:
-    """Smallest Cholesky pivot ratio (of the factor's diagonal, i.e. the
-    square root of the LDL^T pivot ratio) a coefficient recovery accepts.
+    """Smallest ratio sqrt(sigma_kk / max sigma) of the recovery pivots
+    sigma_kk = int p_k^2 dmu (the LDL^T pivots of C_T or S_T) accepted.
 
     Below 1e-10 float64 data no longer determine the coefficients; the
     object modes carry their own digits and are not guarded.

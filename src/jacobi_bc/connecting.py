@@ -120,12 +120,13 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
             f"insufficient response data: need {2 * size - 1}, got {len(rv)}")
     mat = np.zeros((size, size), dtype=np.result_type(rv, float))
     rows = np.arange(size)
-    for d in range(size):
-        # diagonal offset d: row i (1-based) sums r_d, r_{d+2}, ...
-        # up to r_{d+2(T-i-d)}, the reversed cumulative sums of r_{d::2}
-        diag = np.cumsum(rv[d:2 * size - d:2])[::-1]
-        mat[rows[:size - d], rows[d:]] = diag
-        mat[rows[d:], rows[:size - d]] = diag
+    with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
+        for d in range(size):
+            # diagonal offset d: row i (1-based) sums r_d, r_{d+2}, ...
+            # up to r_{d+2(T-i-d)}, the reversed cumulative sums of r_{d::2}
+            diag = np.cumsum(rv[d:2 * size - d:2])[::-1]
+            mat[rows[:size - d], rows[d:]] = diag
+            mat[rows[d:], rows[:size - d]] = diag
     return ConnectingMatrix(mat, Orientation.CORNER_BOTTOM)
 
 

@@ -86,7 +86,7 @@ class PrecisionMode(Enum):
     """Arithmetic used by precision-sensitive operations.
 
     DOUBLE is float64 throughout.  EXTENDED switches the ill-conditioned
-    steps (simulation feeding Hankel/connecting eigenvalue work, Cholesky
+    steps (simulation feeding Hankel/connecting eigenvalue work, recovery
     pivots) to multiprecision floats.  RATIONAL keeps exact
     integer/rational arithmetic wherever no root or eigenvalue is
     required; it is intended for rational inputs, and eigenvalue routines
@@ -362,20 +362,22 @@ def materialize_matrix(coeffs: JacobiCoefficients, size: int,
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def validate_coefficients(coeffs: JacobiCoefficients,
-                          probe_depth: int = 64) -> CoefficientValidation:
+PROBE_DEPTH = 64   # of generator-backed families in validate_coefficients
+
+
+def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
     """Inspect a_0 = 1, positivity of a_n, and finiteness of the entries.
 
     Report-style: never raises on bad values.  Finite instances are
-    checked in full; generator-backed ones up to ``probe_depth``.
+    checked in full; generator-backed ones up to PROBE_DEPTH.
     """
     issues = []
     if coeffs.is_finite:
         a_depth = len(coeffs._a)
         b_depth = coeffs.size
     else:
-        a_depth = probe_depth + 1
-        b_depth = probe_depth
+        a_depth = PROBE_DEPTH + 1
+        b_depth = PROBE_DEPTH
 
     def finite(x):
         if isinstance(x, (int, Fraction)):

@@ -54,6 +54,9 @@ __all__ = [
     "kernel_backend_ratio",
 ]
 
+SINGULAR_TOL, DIFFERENCE_STEP = 1e-8, 1e-5    # of kernel_from_E
+
+
 @dataclass(frozen=True)
 class KreinSolution:
     """Coefficients j with C_T j = conj(T_1(z), ..., T_T(z)).
@@ -251,8 +254,7 @@ def hermite_biehler(coeffs: JacobiCoefficients, horizon: int) -> HermiteBiehlerF
                                   kernel_coeffs=kernel_coeffs, norm_sq=norm_sq)
 
 
-def kernel_from_E(E, z: complex, xi: complex, *, step: float = 1e-5,
-                  singular_tol: float = 1e-8) -> complex:
+def kernel_from_E(E, z: complex, xi: complex) -> complex:
     """Kernel from the Hermite-Biehler function,
 
         (conj(E(z)) E(xi) - E(conj z) conj(E(conj xi))) / (2i (conj z - xi)).
@@ -270,7 +272,8 @@ def kernel_from_E(E, z: complex, xi: complex, *, step: float = 1e-5,
                 - E(np.conj(z)) * np.conj(E(np.conj(x))))
 
     denom = np.conj(z) - xi
-    if abs(denom) < singular_tol:
+    if abs(denom) < SINGULAR_TOL:
+        step = DIFFERENCE_STEP
         deriv = (numerator(xi + step) - numerator(xi - step)) / (2 * step)
         return complex(0.5j * deriv)
     return complex(numerator(xi) / (2j * denom))

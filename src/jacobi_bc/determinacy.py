@@ -63,6 +63,9 @@ __all__ = [
 # plus the eigensolver noise floor of the active precision.
 _MONOTONE_SLACK = 1e-12
 
+DEFICIENCY_DEPTH, TAIL_TOL, EPS_DET = 60, 1e-10, 1e-8     # classify's policy
+CIRCLE_NODES, GAUSS_CHEBYSHEV_NODES = 2048, 256     # of the circle bounds
+
 
 class Verdict(Enum):
     LIKELY_DETERMINATE = "LikelyDeterminate"
@@ -159,8 +162,8 @@ def _partial_square_sums(coeffs, truncation, nodes):
     return sums[-1], float(np.max(rel))
 
 
-def circle_bound_hankel(coeffs: JacobiCoefficients, truncation: int,
-                        theta_nodes: int = 2048) -> CircleBoundEstimate:
+def circle_bound_hankel(coeffs: JacobiCoefficients,
+                        truncation: int) -> CircleBoundEstimate:
     """Limit-circle lower bound for lim lambda_N.
 
     Averages sum_{n<=K} |p_n(e^{i theta})|^2 over the unit circle with
@@ -171,15 +174,15 @@ def circle_bound_hankel(coeffs: JacobiCoefficients, truncation: int,
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    thetas = 2 * np.pi * np.arange(theta_nodes) / theta_nodes
+    thetas = 2 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
     nodes = np.exp(1j * thetas)
     sums, tail = _partial_square_sums(coeffs, truncation, nodes)
     return CircleBoundEstimate(value=1.0 / float(np.mean(sums)),
                                tail_estimate=tail, truncation=truncation)
 
 
-def circle_bound_connecting(coeffs: JacobiCoefficients, truncation: int,
-                            nodes: int = 256) -> CircleBoundEstimate:
+def circle_bound_connecting(coeffs: JacobiCoefficients,
+                            truncation: int) -> CircleBoundEstimate:
     """Limit-circle lower bound for lim beta_T.
 
     Integrates sum_{n<=K} |p_n(x)|^2 against dx / sqrt(1 - x^2) over
@@ -187,6 +190,7 @@ def circle_bound_connecting(coeffs: JacobiCoefficients, truncation: int,
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
+    nodes = GAUSS_CHEBYSHEV_NODES
     x = np.cos((2 * np.arange(1, nodes + 1) - 1) * np.pi / (2 * nodes))
     sums, tail = _partial_square_sums(coeffs, truncation, x)
     integral = float(np.pi / nodes * np.sum(sums))
@@ -211,19 +215,16 @@ class DeterminacyReport:
 
 
 def classify(coeffs: JacobiCoefficients, n_max: int,
-             precision: PrecisionMode = PrecisionMode.DOUBLE,
-             deficiency_depth: int = 60,
-             eps_det: float = 1e-8,
-             tail_tol: float = 1e-10) -> DeterminacyReport:
+             precision: PrecisionMode = PrecisionMode.DOUBLE) -> DeterminacyReport:
     """Assemble all determinacy evidence and a heuristic verdict.
 
-    Policy (artifact thresholds, tunable):
+    Policy (artifact thresholds, the module constants):
 
     * LikelyIndeterminate when both deficiency sums converge (their
-      ``spectral.relative_tail`` is at most ``tail_tol``) and the trusted
-      part of the lambda sequence stays above ``eps_det``;
+      ``spectral.relative_tail`` is at most TAIL_TOL) and the trusted
+      part of the lambda sequence stays above EPS_DET;
     * LikelyDeterminate when some trusted lambda_N falls below
-      ``eps_det``, or gamma_T stabilizes to a bounded value;
+      EPS_DET, or gamma_T stabilizes to a bounded value;
     * Inconclusive otherwise, and always for n_max < 4.
 
     "Trusted" excludes double-precision eigenvalues below the noise
@@ -231,7 +232,7 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     that truncates the sequence.  beta_T never decides a verdict by
     itself: its lower bound holds in the limit-circle case but the
     converse fails (free coefficients keep beta_T = 1).  The deficiency
-    sums and circle bounds run to ``deficiency_depth``, or to the size of
+    sums and circle bounds run to DEFICIENCY_DEPTH, or to the size of
     a finite family when that is smaller.
     """
     notes = []
@@ -254,13 +255,13 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
         beta_seq, gamma_seq = connecting_eig_sequences(r, n_max, precision)
 
     # a finite family holds p_n and q_n for n <= its size only
-    depth = min(deficiency_depth, coeffs.size or deficiency_depth)
+    depth = min(DEFICIENCY_DEPTH, coeffs.size or DEFICIENCY_DEPTH)
     deficiency_p, deficiency_q = deficiency_partial_sums(coeffs, depth)
     # an overflowed sum (inf) diverges
     deficiency_converged = (math.isfinite(deficiency_p[-1])
                             and math.isfinite(deficiency_q[-1])
-                            and relative_tail(deficiency_p) <= tail_tol
-                            and relative_tail(deficiency_q) <= tail_tol)
+                            and relative_tail(deficiency_p) <= TAIL_TOL
+                            and relative_tail(deficiency_q) <= TAIL_TOL)
 
     hankel_bound = connecting_bound = None
     try:
@@ -270,7 +271,7 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
         notes.append(f"limit-circle bounds unavailable: {exc}")
 
     trusted_vals = lambda_seq[lambda_trusted]
-    lambda_decays = bool(trusted_vals.size and np.min(trusted_vals) < eps_det)
+    lambda_decays = bool(trusted_vals.size and np.min(trusted_vals) < EPS_DET)
     if gamma_seq.size >= 4:
         g_last, g_prev = gamma_seq[-1], gamma_seq[-4]
         # a gamma beyond float64 is not bounded; a finite last one has
@@ -279,7 +280,7 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
                              <= 1e-6 * max(1.0, abs(g_last)))
     else:
         gamma_bounded = False
-    lambda_stays_up = bool(trusted_vals.size and trusted_vals[-1] > eps_det)
+    lambda_stays_up = bool(trusted_vals.size and trusted_vals[-1] > EPS_DET)
 
     determinate = lambda_decays or gamma_bounded
     indeterminate = deficiency_converged and lambda_stays_up

@@ -1,19 +1,14 @@
 """Recovery of Jacobi coefficients from response vectors or moments.
 
-The corner-top connecting matrix factors as C_T = W_T^* W_T, and the
-Cholesky factor with positive diagonal is unique, so the factor IS the
-control operator: its diagonal ratios return the off-diagonal entries
-a_k and its first superdiagonal carries the partial sums b_1 + ... + b_k
-(scaled by the diagonal), whose differences return the diagonal entries.
-b_T itself never influences the states within the horizon and is not
-recoverable.  The same ratio extraction applied to the transposed lower
-Cholesky factor of the Hankel block S_T gives the classical
-orthogonal-polynomial route, kept as an independent path.
-
-The superdiagonal identity behind the b-extraction ships as a tested
-lemma (oracle: forward simulation), not an assumption; the test suite
-also checks that the Cholesky factor reproduces the simulated control
-operator entry by entry.
+Responses and moments are modified moments of one spectral measure,
+r_l = int U_l(x/2) dmu and s_l = int x^l dmu, so Wheeler's modified
+Chebyshev algorithm (Rocky Mountain J. Math. 4 (1974); Gautschi,
+Orthogonal Polynomials, OUP 2004, section 2.1.7) reads the recurrence of
+the monic orthogonal polynomials p_k off either in O(T^2) operations,
+with no matrix.  The squared norms int p_k^2 dmu are the LDL^T pivots of
+C_T (responses) or S_T (moments), so their positivity is the data's
+characterization; the tests keep those factorizations as the oracle.
+b_T never influences the states within the horizon and is not recoverable.
 """
 
 from __future__ import annotations
@@ -24,6 +19,7 @@ import numpy as np
 
 from .core import (
     ConditioningError,
+    InsufficientDataError,
     JacobiBCError,
     JacobiCoefficients,
     NotAMomentSequenceError,
@@ -32,9 +28,8 @@ from .core import (
     sequence_values,
 )
 from .dynamics import response_vector
-from .moments import build_hankel, moments_to_response
-from .connecting import Orientation, connecting_from_response
-from ._multiprec import lift, pd_factor, pivot_floor
+from .moments import moments_to_response
+from ._multiprec import _finite, lift, pivot_floor
 
 __all__ = ["RecoveryResult", "recover_from_response", "recover_from_moments"]
 
@@ -67,35 +62,49 @@ class RecoveryResult:
                         dtype=float)
 
 
-def _factor_and_extract(matrix, precision: PrecisionMode,
-                        failure: type[JacobiBCError], label: str):
-    """a_1..a_{T-1} and b_1..b_{T-1} off matrix = L diag(d) L^T, unit L,
-    factored in the arithmetic of ``precision``.
+def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
+                failure: type[JacobiBCError]):
+    """a_1..a_{T-1}, b_1..b_{T-1} (floats) and the pivots sigma_kk (in the
+    arithmetic of ``precision``) off the array nu_l = int pi_l dmu, with
+    pi_{l+1} = x pi_l - shift pi_{l-1}: U_l(x/2) for shift 1, x^l for 0.
 
-    a_k = sqrt(d_k / d_{k-1}) is the ratio of consecutive Cholesky
-    diagonal entries; the subdiagonal of L holds the partial sums
-    b_1 + ... + b_k, so b comes from their differences, which stay exact
-    for an exact factor.  Only the a square roots leave the factor's
-    arithmetic.  A factorization failure means the data fail their
-    positivity characterization; a pivot ratio below the mode's floor
-    means float64 data no longer determine the coefficients.
+    Row k holds sigma_{k,l} = int p_k pi_l dmu, l = k..2T-2-k, and
+    b_{k+1} = alpha_k, a_k = sqrt(sigma_kk / sigma_{k-1,k-1}).  Raises
+    ConditioningError on an overflowed row (before its pivot is tested)
+    or a pivot ratio below the mode's floor, ``failure`` on a pivot <= 0.
     """
-    try:
-        low, piv = pd_factor(lift(matrix, precision))
-    except np.linalg.LinAlgError as exc:
-        raise failure(
-            f"{label}: the matrix is not positive definite at "
-            f"{precision.value} precision ({exc}); genuine but "
-            f"ill-conditioned data may need more digits") from exc
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if len(nu) < 2 * horizon - 1:
+        raise InsufficientDataError(
+            f"insufficient data: need {2 * horizon - 1}, got {len(nu)}")
+    row = lift(nu[:2 * horizon - 1], precision)
+    below = np.zeros(row.size + 2, dtype=row.dtype)    # sigma_{-1,l} = 0
+    pivots, alpha, ratio, beta = [], [], 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
+        for k in range(horizon):
+            if k:
+                row, below = (row[2:] - alpha[-1] * row[1:-1]
+                              - beta * below[2:-2] + shift * row[:-2]), row
+                beta = row[0] / pivots[-1]
+            if not _finite(row)[0] > 0:
+                kind = "a response vector" if shift else "a moment sequence"
+                raise failure(f"not {kind}: pivot {k} is not positive at "
+                              f"{precision.value} precision; genuine but "
+                              f"ill-conditioned data may need more digits")
+            pivots.append(row[0])
+            if k < horizon - 1:
+                alpha.append(row[1] / row[0] - ratio)
+                ratio = row[1] / row[0]
+    piv = np.array(pivots)
     pivot_ratios = np.sqrt((piv / np.max(piv)).astype(float))
-    ratios = piv[1:] / piv[:-1]
-    b_rec = np.diff(np.diagonal(low, -1), prepend=0)
     worst = int(np.argmin(pivot_ratios))
     if pivot_ratios[worst] < pivot_floor(precision):
         raise ConditioningError(
-            f"Cholesky pivot ratio {pivot_ratios[worst]:.3e} at index {worst} "
-            f"is below {pivot_floor(precision):g}; use extended precision")
-    return np.sqrt(ratios.astype(float)).tolist(), b_rec.astype(float).tolist()
+            f"pivot ratio {pivot_ratios[worst]:.3e} at index {worst} is below "
+            f"{pivot_floor(precision):g}; use extended precision")
+    return (np.sqrt((piv[1:] / piv[:-1]).astype(float)).tolist(),
+            np.array(alpha).astype(float).tolist(), piv)
 
 
 def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult:
@@ -115,52 +124,33 @@ def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult
 
 def recover_from_response(r, horizon: int,
                           precision: PrecisionMode = PrecisionMode.DOUBLE) -> RecoveryResult:
-    """Coefficients from r_0..r_{2T-2} via the connecting-matrix factorization.
-
-    Builds the corner-top connecting matrix, Cholesky-factors it, and
-    reads the coefficients off the factor.  A factorization failure means
-    the data is not a response vector of any genuine system.
-    """
+    """Coefficients from r_0..r_{2T-2}, the modified moments of the
+    U_l(x/2) basis; a non-positive pivot, one of C_T, means r is the
+    response of no genuine system."""
     rv = sequence_values(r)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    a_rec, b_rec = _extract_from_response(rv, horizon, precision)
+    a_rec, b_rec, _ = _recurrence(rv, horizon, 1, precision,
+                                  NotAResponseVectorError)
     return _result(a_rec, b_rec, rv, horizon, "BoundaryControl", precision)
-
-
-def _extract_from_response(rv, horizon: int, precision: PrecisionMode):
-    """a_1..a_{T-1} and b_1..b_{T-1} off the corner-top connecting matrix."""
-    conn = connecting_from_response(rv, horizon).aligned(Orientation.CORNER_TOP)
-    return _factor_and_extract(conn.matrix, precision, NotAResponseVectorError,
-                               "not a response vector")
 
 
 def recover_from_moments(s, horizon: int,
                          precision: PrecisionMode = PrecisionMode.DOUBLE) -> RecoveryResult:
-    """Coefficients from s_0..s_{2T-2} via the Hankel factorization.
+    """Coefficients from s_0..s_{2T-2}, the power moments; a non-positive
+    pivot, one of S_T, means s are the moments of no positive measure.
 
-    Factors S_T = L L^T and reads the three-term recurrence off L (the
-    rows of L^{-1} are the orthonormal polynomial coefficients); the
-    independent route through the response conversion is computed as
-    well, and the two must agree within 1e-8.
+    The converted response entries, other data in another basis, give an
+    independent recovery, and the two must agree within 1e-8.
     """
     sv = sequence_values(s)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    hank = build_hankel(sv, horizon)
-    a_rec, b_rec = _factor_and_extract(
-        hank.matrix, precision, NotAMomentSequenceError,
-        "not a moment sequence of a positive measure")
-
-    converted = moments_to_response(sv[:2 * horizon - 1], precision)
-    a_cross, b_cross = _extract_from_response(converted.as_array(), horizon,
-                                              precision)
+    a_rec, b_rec, _ = _recurrence(sv, horizon, 0, precision,
+                                  NotAMomentSequenceError)
+    converted = moments_to_response(sv[:2 * horizon - 1], precision).as_array()
+    a_cross, b_cross, _ = _recurrence(converted, horizon, 1, precision,
+                                      NotAResponseVectorError)
     gap = np.max(np.abs(np.array(a_rec + b_rec) - np.array(a_cross + b_cross)),
                  initial=0.0)
     if gap > 1e-8:
         raise JacobiBCError(
-            f"Hankel and boundary-control recovery paths disagree by {gap:.3e}; "
+            f"moment and response recovery paths disagree by {gap:.3e}; "
             f"the data is too ill-conditioned for {precision.value} precision")
-
-    return _result(a_rec, b_rec, converted.as_array(), horizon,
-                   "Hankel", precision)
+    return _result(a_rec, b_rec, converted, horizon, "Hankel", precision)

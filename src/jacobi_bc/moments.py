@@ -126,7 +126,8 @@ def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> R
     sx = lift(sequence_values(s), precision)
     # the integer transform keeps its exact entries against object values
     lam = chebyshev_transform(sx.size).matrix.astype(sx.dtype)
-    return ResponseVector(lam @ sx)
+    with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
+        return ResponseVector(lam @ sx)
 
 
 def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> MomentSequence:
@@ -136,8 +137,9 @@ def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> M
     """
     s = lift(sequence_values(r), precision)
     lam = chebyshev_transform(s.size).matrix.astype(s.dtype)
-    for i in range(s.size):
-        s[i] = s[i] - lam[i, :i] @ s[:i]
+    with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
+        for i in range(s.size):
+            s[i] = s[i] - lam[i, :i] @ s[:i]
     return MomentSequence(s)
 
 

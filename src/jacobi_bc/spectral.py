@@ -51,6 +51,8 @@ __all__ = [
 # Terms in the trailing window of the truncation rule.
 TAIL_WINDOW = 5
 
+EXTENSION_RTOL = EXTENSION_TAIL_TOL = 1e-10     # of extension_parameter
+
 
 def _one_like(z):
     return np.ones_like(z) if isinstance(z, np.ndarray) else 0 * z + 1
@@ -233,9 +235,8 @@ class ExtensionParameterEstimate:
     message: str
 
 
-def extension_parameter(coeffs: JacobiCoefficients, n_max: int,
-                        rtol: float = 1e-10,
-                        tail_tol: float = 1e-10) -> ExtensionParameterEstimate:
+def extension_parameter(coeffs: JacobiCoefficients,
+                        n_max: int) -> ExtensionParameterEstimate:
     """Estimate h = -lim q_n(0)/p_n(0) along indices with p_n(0) != 0.
 
     Indices where p_n(0) vanishes are skipped and reported.  The limit
@@ -258,7 +259,7 @@ def extension_parameter(coeffs: JacobiCoefficients, n_max: int,
         ratios.append((n, -q[n - 1] / pn))
 
     summable = bool(relative_tail(np.cumsum(np.square(p) + np.square(q)))
-                    <= tail_tol)
+                    <= EXTENSION_TAIL_TOL)
 
     if not ratios:
         return ExtensionParameterEstimate(
@@ -269,7 +270,7 @@ def extension_parameter(coeffs: JacobiCoefficients, n_max: int,
     candidate = ratios[-1][1]
     if len(ratios) >= 2:
         last_delta = abs(ratios[-1][1] - ratios[-2][1])
-        converged = last_delta <= rtol * max(1.0, abs(candidate))
+        converged = last_delta <= EXTENSION_RTOL * max(1.0, abs(candidate))
     else:
         last_delta = float("inf")
         converged = False

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jacobi_bc
 from jacobi_bc import JacobiCoefficients, response_vector
 from jacobi_bc.cli import main
 
@@ -52,6 +55,13 @@ class TestRecover:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "NotAResponseVectorError"
         assert "not a response vector" in err["error"]["message"]
+
+    @pytest.mark.parametrize("key", ["response", "moments"])
+    def test_short_data_exits_2(self, tmp_path, capsys, key):
+        path = write_json(tmp_path / "short.json", {key: [1, 0, 1, 0]})
+        assert main(["recover", "--input", path, "--T", "3"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "InsufficientDataError"
 
     def test_moments_input(self, tmp_path):
         resp = write_json(tmp_path / "m.json", {"moments": [1, 1, 2]})
@@ -235,6 +245,39 @@ class TestSizeLimits:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "validation"
         assert "physical memory" in err["message"]
+
+
+def _fresh_cli(argv):
+    """The CLI in a new interpreter under Python's default warning filters,
+    so a numpy warning would reach its stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(jacobi_bc.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "jacobi_bc.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+class TestStderr:
+    """A failing command writes one JSON document to stderr and nothing
+    else: an overflow the library refuses raises no numpy warning first."""
+
+    OVERFLOWING = {"response": [1e308, 0, 1e308, 0, 1e308]}
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["recover", "--T", "3"], OVERFLOWING),
+        (["recover", "--T", "3"], {"moments": [1e308, 0, 1e308, 0, 1e308]}),
+        (["diagnose", "--N-max", "40"],
+         {"generator": {"kind": "geometric", "params": {"ratio": 2}}}),
+    ])
+    def test_one_json_document(self, tmp_path, argv, payload):
+        path = write_json(tmp_path / "in.json", payload)
+        proc = _fresh_cli(argv + ["--input", path])
+        assert proc.returncode == 2
+        assert set(json.loads(proc.stderr)) == {"schema", "error"}
+
+    def test_overflowed_connect_warns_nothing(self, tmp_path):
+        path = write_json(tmp_path / "in.json", self.OVERFLOWING)
+        proc = _fresh_cli(["connect", "--T", "3", "--input", path])
+        assert proc.returncode == 0 and proc.stderr == ""
 
 
 class TestDeterminism:

@@ -6,20 +6,24 @@ import scipy.linalg
 
 from jacobi_bc import (
     ConditioningError,
+    InsufficientDataError,
     JacobiCoefficients,
     NotAMomentSequenceError,
     NotAResponseVectorError,
     Orientation,
     PrecisionMode,
+    build_hankel,
     connecting_from_response,
     control_operator,
     recover_from_moments,
     recover_from_response,
     response_to_moments,
     response_vector,
+    validate_response,
 )
 
 from jacobi_bc._multiprec import lift, pd_factor
+from jacobi_bc.inverse import _recurrence
 
 from conftest import random_coefficients
 
@@ -156,4 +160,85 @@ def test_moment_recovery_simulates_once(monkeypatch):
     s = response_to_moments(response_vector(FREE, 11)).as_array()
     result = recover_from_moments(s, 6)
     assert np.allclose(result.a, 1.0) and np.allclose(result.b, 0.0, atol=1e-12)
-    assert calls == [1]  # the residual's; the cross-check reuses the factor
+    assert calls == [1]  # the residual's; the cross-check converts moments
+
+
+@pytest.mark.parametrize("recover, data", [
+    (recover_from_response, [1, 0, 0, 0]),   # free response, one short
+    (recover_from_moments, [1, 0, 1, 0]),    # semicircle moments, one short
+])
+def test_short_data_is_insufficient(recover, data):
+    with pytest.raises(InsufficientDataError):
+        recover(data, 3)
+
+
+def _factor_and_extract(matrix, precision):
+    """Reference recovery off matrix = L diag(d) L^T (C_T or S_T): a_k is
+    sqrt(d_k / d_{k-1}), and the subdiagonal of L holds the partial sums
+    b_1 + ... + b_k."""
+    low, piv = pd_factor(lift(matrix, precision))
+    a = np.sqrt((piv[1:] / piv[:-1]).astype(float))
+    b = np.diff(np.diagonal(low, -1), prepend=0).astype(float)
+    return a.tolist(), b.tolist()
+
+
+def _exact_data(size):
+    """Exact response and moments of a rational family, with C_T and S_T."""
+    rng = np.random.default_rng(size)
+    co = JacobiCoefficients.from_arrays(
+        [1] + [Fraction(int(k), 8) for k in rng.integers(4, 17, size - 1)],
+        [Fraction(int(k), 8) for k in rng.integers(-8, 9, size)])
+    r = response_vector(co, 2 * size - 1, PrecisionMode.RATIONAL).as_array()
+    s = response_to_moments(r, PrecisionMode.RATIONAL).as_array()
+    c_top = connecting_from_response(r, size).aligned(
+        Orientation.CORNER_TOP).matrix
+    return r, s, c_top, build_hankel(s, size).matrix
+
+
+class TestMatrixOracle:
+    """The pivots of the recurrence are the LDL^T pivots of C_T (shift 1)
+    and S_T (shift 0), and it recovers what factoring those blocks does."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 16])
+    def test_rational_pivots_are_ldl_pivots(self, size):
+        r, s, c_top, hankel = _exact_data(size)
+        for data, shift, matrix in ((r, 1, c_top), (s, 0, hankel)):
+            _, _, piv = _recurrence(data, size, shift, PrecisionMode.RATIONAL,
+                                    NotAResponseVectorError)
+            _, ldl = pd_factor(lift(matrix, PrecisionMode.RATIONAL))
+            assert all(type(x) is Fraction for x in piv)
+            assert list(piv) == list(ldl)
+
+    # both routes lose double digits fast on these families (the a_k reach
+    # 2), so the double comparison stays where they are accurate
+    @pytest.mark.parametrize("precision, size, tol", [
+        (PrecisionMode.DOUBLE, 8, 1e-10),
+        (PrecisionMode.EXTENDED, 16, 1e-12),
+        (PrecisionMode.RATIONAL, 16, 0.0),
+    ])
+    def test_agrees_with_factor_and_extract(self, precision, size, tol):
+        r, s, c_top, hankel = _exact_data(size)
+        for recover, data, matrix in ((recover_from_response, r, c_top),
+                                      (recover_from_moments, s, hankel)):
+            rec = recover(data, size, precision)
+            a_ref, b_ref = _factor_and_extract(matrix, precision)
+            assert np.max(np.abs(rec.a - a_ref)) <= tol   # 0: bit-identical
+            assert np.max(np.abs(rec.b - b_ref)) <= tol
+
+    def test_rejects_exactly_what_validation_rejects(self):
+        rng = np.random.default_rng(11)
+        rejected = 0
+        for _ in range(300):
+            size = int(rng.integers(2, 9))
+            r = response_vector(random_coefficients(rng, size),
+                                2 * size - 1).as_array()
+            r = r + (rng.normal(0, 10 ** rng.uniform(-3, 0), r.size)
+                     * np.max(np.abs(r)))
+            try:
+                recover_from_response(r, size)
+                raised = False
+            except NotAResponseVectorError:
+                raised = True
+            assert raised is not validate_response(r, size).accepted
+            rejected += raised
+        assert 50 < rejected < 250     # both verdicts are exercised

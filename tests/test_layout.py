@@ -6,8 +6,11 @@ and these tests keep branches on a precision mode or on object dtype, and
 any use of mpmath or of its global precision, from growing back there.
 Every file format lives in ``cli.py`` alone: the library returns arrays
 and result objects, and no other module reads or writes JSON or CSV.
+Coefficient recovery in ``inverse.py`` runs a recurrence on the data and
+builds or factors no matrix.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -72,3 +75,32 @@ def test_pattern_catches_a_file_format():
 def test_no_file_format_outside_the_cli():
     hits = _hits(FILE_FORMAT, home="cli.py")
     assert not hits, "\n".join(hits)
+
+
+MATRIX_ROUTE = {"connecting", "build_hankel", "pd_factor"}
+
+
+def _imports(source):
+    """Every module and name an import statement of ``source`` names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_imports_catch_the_matrix_route():
+    for source in ("from .connecting import Orientation",
+                   "from . import connecting",
+                   "from .moments import build_hankel, moments_to_response",
+                   "from ._multiprec import lift, pd_factor"):
+        assert _imports(source) & MATRIX_ROUTE, source
+    assert not (_imports("from .moments import moments_to_response")
+                & MATRIX_ROUTE)
+
+
+def test_recovery_builds_no_matrix():
+    hits = _imports((PACKAGE / "inverse.py").read_text()) & MATRIX_ROUTE
+    assert not hits, hits
