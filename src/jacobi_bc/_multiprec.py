@@ -23,7 +23,9 @@ block read off that factorization (``leading_eig_extremes``), and
 ``sym_eigenvalues`` for single matrices and for nested blocks that are
 not positive definite.  The factorization is the one place with two
 paths: float arrays go to LAPACK, object arrays to an LDL^T in their own
-arithmetic.
+arithmetic.  In products of an object array with an mpf scalar the array
+goes on the left: an mpf on the left makes mpmath format the whole array
+for an error message before numpy's reflected operator takes over.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
 def _finite(arr: np.ndarray) -> np.ndarray:
     """``arr``, refused with ConditioningError when it is a float array
     holding inf or NaN: the values that overflowed float64 on the way to
-    it, which LAPACK cannot factor."""
+    it, which neither LAPACK nor the recovery recurrence can use."""
     if arr.dtype != object and not np.isfinite(arr).all():
         raise ConditioningError(
-            "a matrix entry is beyond double precision (inf or NaN); use "
+            "a computed value is beyond double precision (inf or NaN); use "
             "PrecisionMode.EXTENDED (--precision extended)")
     return arr
 

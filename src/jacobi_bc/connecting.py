@@ -59,6 +59,27 @@ def _mirror_lower(mat: np.ndarray) -> np.ndarray:
     return np.where(np.tri(mat.shape[0], dtype=bool), mat, mat.T)
 
 
+# Column blocks of ``_lower_product``: 8 forms about 0.23 n^3 of the n^3
+# terms of the full product, and more blocks save little more.
+_PRODUCT_BLOCKS = 8
+
+
+def _lower_product(x: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Lower triangle of x @ low.T for a lower-triangular ``low``, any dtype.
+
+    Column block [j0, j1) is x[j0:, :j1] @ low[j0:j1, :j1].T: it sums only
+    k < j1, and every term it skips, low[j, k] with k >= j1 > j, is an exact
+    zero at the end of its sum, so object entries keep the bits of the full
+    product.  Entries above the diagonal are left for ``_mirror_lower``.
+    """
+    size = x.shape[0]
+    out = np.zeros((size, size), dtype=np.result_type(x, low))
+    edges = [size * b // _PRODUCT_BLOCKS for b in range(_PRODUCT_BLOCKS + 1)]
+    for j0, j1 in zip(edges, edges[1:]):
+        out[j0:, j0:j1] = x[j0:, :j1] @ low[j0:j1, :j1].T
+    return out
+
+
 @dataclass(frozen=True)
 class ConnectingMatrix:
     """Symmetric connecting-operator block with its filling orientation."""
@@ -150,15 +171,27 @@ def connecting_from_spectrum(data: SpectralData, size: int) -> ConnectingMatrix:
 
 def gram_from_control(coeffs: JacobiCoefficients, size: int,
                       precision: PrecisionMode = PrecisionMode.DOUBLE) -> ConnectingMatrix:
-    """C_T = W_T^* W_T with W_T simulated from the coefficients (CORNER_TOP)."""
+    """C_T = W_T^* W_T with W_T simulated from the coefficients (CORNER_TOP).
+
+    W_T is upper triangular, so entry (i, j), i >= j, sums
+    W[k, i] W[k, j] over k <= j only (up to the end of its column block);
+    the terms with k > j are exact zeros and are not formed.  In DOUBLE a
+    skipped term cannot put 0 * inf = NaN into an entry that is finite.
+    """
     w = control_operator(coeffs, size, precision).matrix
-    gram = _mirror_lower(w.T @ w)
+    with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
+        gram = _mirror_lower(_lower_product(w.T, w.T))
     return ConnectingMatrix(gram, Orientation.CORNER_TOP)
 
 
 def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
     """C_T by conjugating the Hankel block with the Chebyshev transform
-    (CORNER_TOP); exact when the Hankel entries are exact."""
+    (CORNER_TOP); exact when the Hankel entries are exact.
+
+    The transform Lambda is lower triangular, so entry (i, j), i >= j, of
+    (Lambda S) Lambda^T sums over k <= j only (up to the end of its column
+    block); the exact zeros Lambda[j, k], k > j, are not multiplied.
+    """
     smat = hankel.matrix if isinstance(hankel, HankelMatrix) else np.asarray(hankel)
     if size is None:
         size = smat.shape[0]
@@ -167,7 +200,8 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
     dtype = np.result_type(smat, float)
     smat = smat[:size, :size].astype(dtype)
     lam = chebyshev_transform(size).matrix.astype(dtype)
-    mat = _mirror_lower(lam @ smat @ lam.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
+        mat = _mirror_lower(_lower_product(lam @ smat, lam))
     return ConnectingMatrix(mat, Orientation.CORNER_TOP)
 
 

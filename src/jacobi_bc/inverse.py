@@ -84,8 +84,10 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
     with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
         for k in range(horizon):
             if k:
-                row, below = (row[2:] - alpha[-1] * row[1:-1]
-                              - beta * below[2:-2] + shift * row[:-2]), row
+                # the arrays go left of the scalars: an mpf on the left
+                # formats a whole object array before numpy takes over
+                row, below = (row[2:] - row[1:-1] * alpha[-1]
+                              - below[2:-2] * beta + shift * row[:-2]), row
                 beta = row[0] / pivots[-1]
             if not _finite(row)[0] > 0:
                 kind = "a response vector" if shift else "a moment sequence"

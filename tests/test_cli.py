@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jacobi_bc
-from jacobi_bc import JacobiCoefficients, response_vector
+from jacobi_bc import (
+    JacobiCoefficients,
+    Orientation,
+    connecting_from_response,
+    response_vector,
+)
 from jacobi_bc.cli import main
 
 
@@ -278,6 +283,22 @@ class TestStderr:
         path = write_json(tmp_path / "in.json", self.OVERFLOWING)
         proc = _fresh_cli(["connect", "--T", "3", "--input", path])
         assert proc.returncode == 0 and proc.stderr == ""
+
+    def test_overflowed_hankel_connect_warns_nothing(self, tmp_path):
+        path = write_json(tmp_path / "in.json",
+                          {"moments": [1e308, 0, 1e308, 0, 1e308, 0, 1e308]})
+        proc = _fresh_cli(["connect", "--input", path])
+        assert proc.returncode == 0 and proc.stderr == ""
+
+    def test_overflowed_gram_connect_warns_nothing(self, tmp_path, geo_file):
+        proc = _fresh_cli(["connect", "--T", "48", "--input", geo_file])
+        assert proc.returncode == 0 and proc.stderr == ""
+        matrix = json.loads(proc.stdout)["matrix"]
+        assert None in matrix[-1]
+        # a full W^T W product made this entry NaN through 0 * inf
+        r = response_vector(JacobiCoefficients.geometric(2), 95)
+        dynamic = connecting_from_response(r, 48).aligned(Orientation.CORNER_TOP)
+        assert matrix[0][46] == dynamic.matrix[0, 46] > 1e166
 
 
 class TestDeterminism:

@@ -11,15 +11,18 @@ from jacobi_bc import (
     Orientation,
     PrecisionMode,
     build_hankel,
+    chebyshev_transform,
     connecting_from_hankel,
     connecting_from_response,
     connecting_from_spectrum,
+    control_operator,
     gram_from_control,
     response_to_moments,
     response_vector,
     spectral_data,
     validate_response,
 )
+from jacobi_bc.connecting import _lower_product, _mirror_lower
 
 from conftest import random_coefficients
 
@@ -116,6 +119,105 @@ class TestFromHankel:
         s = [Fraction(v) for v in (1, 0, 1, 0, 2)]
         conn = connecting_from_hankel(build_hankel(np.array(s, dtype=object), 3))
         assert conn.matrix.tolist() == np.eye(3, dtype=int).tolist()
+
+
+def _eighths(rng, low, high, count):
+    """``count`` random multiples of 1/8 in [low, high]."""
+    numerators = rng.integers(round(8 * low), round(8 * high) + 1, count)
+    return [Fraction(int(k), 8) for k in numerators]
+
+
+def _product_families(size):
+    """Exact families for the triangular products: a random finite one
+    (its wall at size + 1 lies beyond the horizon), geometric(3), and a
+    finite one whose Dirichlet wall at depth + 1 reflects within it."""
+    rng = np.random.default_rng(size)
+    depth = max(1, size // 2)
+    return {
+        "random": JacobiCoefficients.from_arrays(
+            [1] + _eighths(rng, 0.5, 2, size - 1), _eighths(rng, -1, 1, size)),
+        "geometric3": JacobiCoefficients.geometric(3),
+        "wall": JacobiCoefficients.from_arrays(
+            [1] + _eighths(rng, 0.5, 2, depth - 1), _eighths(rng, -1, 1, depth)),
+    }
+
+
+def _assert_matches_full_product(got, x, low):
+    """``got`` against the full product _mirror_lower(x @ low.T): object
+    entries bit-identical (value and type); each DOUBLE entry that the
+    full product keeps finite within 1e-13 of the size of its terms,
+    (|x| |low|^T)_ij, the scale of the rounding of a dot product."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _mirror_lower(x @ low.T)
+    if ref.dtype == object:
+        assert [(type(v), v) for v in got.ravel()] == [
+            (type(v), v) for v in ref.ravel()]
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = _mirror_lower(np.abs(x) @ np.abs(low).T)
+    kept = np.isfinite(ref)
+    assert np.all(np.abs(got[kept] - ref[kept]) <= 1e-13 * scale[kept])
+
+
+class TestTriangularProducts:
+    """The blocked products against the full products they replace, at
+    sizes around the block edges."""
+
+    SIZES = [1, 2, 7, 8, 9, 16, 17, 40]
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    @pytest.mark.parametrize("size", SIZES)
+    def test_gram_matches_full_product(self, size, precision):
+        families = _product_families(size)
+        # control_operator simulates `size` sites: the wall family is short
+        for name in ("random", "geometric3"):
+            co = families[name]
+            w = control_operator(co, size, precision).matrix
+            _assert_matches_full_product(
+                gram_from_control(co, size, precision).matrix, w.T, w.T)
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    @pytest.mark.parametrize("size", SIZES)
+    def test_hankel_matches_full_product(self, size, precision):
+        for co in _product_families(size).values():
+            r = response_vector(co, 2 * size - 1, precision)
+            smat = build_hankel(response_to_moments(r, precision).as_array(),
+                                size).matrix
+            lam = chebyshev_transform(size).matrix.astype(
+                np.result_type(smat, float))
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = lam @ smat
+            _assert_matches_full_product(connecting_from_hankel(smat).matrix,
+                                         x, lam)
+
+    @pytest.mark.parametrize("size", [2, 9, 16, 40])
+    def test_at_most_half_the_multiplications(self, rng, size):
+        count = [0]
+
+        class Counted:
+            def __init__(self, value):
+                self.value = value
+
+            def __mul__(self, other):
+                count[0] += 1
+                return Counted(self.value * other.value)
+
+            def __add__(self, other):
+                return Counted(self.value + other.value)
+
+        def counted(mat):
+            out = np.empty(mat.shape, dtype=object)
+            out.flat = [Counted(v) for v in mat.ravel().tolist()]
+            return out
+
+        x = counted(rng.integers(-9, 10, (size, size)))
+        low = counted(np.tril(rng.integers(-9, 10, (size, size))))
+        full = x @ low.T
+        full_count, count[0] = count[0], 0
+        got = _lower_product(x, low)
+        assert full_count == size ** 3 and count[0] <= full_count // 2
+        below = np.tri(size, dtype=bool)
+        assert [v.value for v in got[below]] == [v.value for v in full[below]]
 
 
 class TestOrientation:

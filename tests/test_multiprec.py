@@ -13,6 +13,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from mpmath.ctx_mp_python import PythonMPContext
 
 from jacobi_bc import (
     ConditioningError,
@@ -195,3 +196,25 @@ def test_double_refuses_non_finite_matrices(call, matrix):
     assert not np.isfinite(matrix).all()
     with pytest.raises(ConditioningError, match="--precision extended"):
         call(matrix)
+
+
+def test_no_mpf_formats_an_array(monkeypatch):
+    """An mpf left of an object array makes mpmath try to convert the
+    array: ``npconvert`` raises TypeError with the repr of every entry
+    before numpy's reflected operator takes over.  The EXTENDED pipeline
+    keeps its arrays on the left, so no array ever reaches it."""
+    arrays = []
+    npconvert = PythonMPContext.npconvert
+
+    def counting(ctx, x):
+        if isinstance(x, np.ndarray):
+            arrays.append(x.shape)
+        return npconvert(ctx, x)
+
+    monkeypatch.setattr(PythonMPContext, "npconvert", counting)
+    co = random_coefficients(np.random.default_rng(16), 16)
+    r = response_vector(co, 31)
+    recover_from_response(r, 16, EXTENDED)
+    recover_from_moments(response_to_moments(r).as_array(), 16, EXTENDED)
+    krein_solve(gram_from_control(co, 16, EXTENDED), 0.5 + 1j, EXTENDED)
+    assert arrays == []
