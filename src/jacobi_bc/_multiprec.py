@@ -17,13 +17,18 @@ mantissa kept; one passed to a dtype-keeping function such as
 
 The pipeline modules write each step once, independent of dtype, on top
 of what this module provides: ``lift``, the per-mode noise and pivot
-floors, one positive-definite factorization (``pd_factor``), one solve on
-it (``mp_pd_solve``), the eigenvalue extremes of every nested leading
-block read off that factorization (``leading_eig_extremes``), and
-``sym_eigenvalues`` for single matrices and for nested blocks that are
-not positive definite.  The factorization is the one place with two
-paths: float arrays go to LAPACK, object arrays to an LDL^T in their own
-arithmetic.  In products of an object array with an mpf scalar the array
+floors, one positive-definite factorization (``pd_factor``), the eigenvalue
+extremes of every nested leading block read off that factorization
+(``leading_eig_extremes``), ``sym_eigenvalues`` for single matrices and
+for nested blocks that are not positive definite, and one
+substitute-and-refine loop for positive-definite solves.  The loop takes
+its factor from one of two places: ``mp_pd_solve`` forms it with
+``pd_factor`` from a matrix (data input: connecting and Hankel blocks),
+and ``gram_solve`` solves W^T W x = rhs on an upper-triangular W alone,
+whose transpose is the factor, so W^T W is never formed (the Krein
+kernel from coefficients).  The factorization and the sweeps are the
+places with two paths: float arrays go to LAPACK, object arrays to
+substitutions in their own arithmetic.  In products of an object array with an mpf scalar the array
 goes on the left: an mpf on the left makes mpmath format the whole array
 for an error message before numpy's reflected operator takes over.
 """
@@ -249,24 +254,55 @@ def pd_factor(matrix):
     return low, piv
 
 
-def _pd_substitute(low, piv, rhs):
-    """x with L diag(d) L^T x = rhs, by the two triangular sweeps."""
+def _sweeps(low, piv, rhs):
+    """x with L diag(d) L^T x = rhs for a lower-triangular L with a
+    nonzero diagonal (d = 1 when ``piv`` is None), by the two triangular
+    sweeps."""
     if low.dtype != object:
         y = scipy.linalg.solve_triangular(low, rhs, lower=True,
-                                          unit_diagonal=True)
-        return scipy.linalg.solve_triangular(low, y / piv, lower=True,
-                                             trans="T", unit_diagonal=True)
+                                          check_finite=False)
+        return scipy.linalg.solve_triangular(
+            low, y if piv is None else y / piv, lower=True, trans="T",
+            check_finite=False)
+    diag = low.diagonal()
     x = rhs.copy()
     for i in range(x.size):
-        x[i] = x[i] - low[i, :i] @ x[:i]
-    x = x / piv
+        x[i] = (x[i] - low[i, :i] @ x[:i]) / diag[i]
+    if piv is not None:
+        x = x / piv
     for i in reversed(range(x.size)):
-        x[i] = x[i] - low[i + 1:, i] @ x[i + 1:]
+        x[i] = (x[i] - low[i + 1:, i] @ x[i + 1:]) / diag[i]
     return x
 
 
 def _norm(vec) -> float:
     return math.sqrt(float(np.sum(np.abs(vec) ** 2)))
+
+
+def _to_extended(arr: np.ndarray) -> np.ndarray:
+    """Float arrays as they are, object arrays (mpf or Fraction) in mpf."""
+    return lift(arr, PrecisionMode.EXTENDED) if arr.dtype == object else arr
+
+
+def _refined_solve(low, piv, apply, rhs) -> tuple[np.ndarray, float]:
+    """Solve A x = rhs, A = L diag(d) L^T given by its factor (see
+    ``_sweeps``) and by ``apply(x) = A x``; refined until the relative
+    residual is below _RESIDUAL_TOL, or ConditioningError."""
+    b = np.asarray(rhs, dtype=complex).astype(np.result_type(low, complex))
+    scale = max(_norm(b), 1e-300)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = _sweeps(low, piv, b)
+        residual = _norm(apply(x) - b) / scale
+        for _ in range(_REFINE_STEPS):
+            if residual <= _RESIDUAL_TOL:
+                break
+            x = x + _sweeps(low, piv, b - apply(x))
+            residual = _norm(apply(x) - b) / scale
+    if not residual <= _RESIDUAL_TOL:    # NaN too
+        raise ConditioningError(
+            f"linear solve stalled at relative residual {residual:.3e}; "
+            f"the matrix is too ill-conditioned for its precision")
+    return x, residual
 
 
 def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
@@ -282,21 +318,28 @@ def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     ConditioningError is raised when that stalls.  Raises
     np.linalg.LinAlgError when the matrix is not positive definite.
     """
-    mat = np.asarray(matrix)
-    if mat.dtype == object:
-        mat = lift(mat, PrecisionMode.EXTENDED)
+    mat = _to_extended(np.asarray(matrix))
     low, piv = pd_factor(mat)
-    b = np.asarray(rhs, dtype=complex).astype(np.result_type(mat, complex))
-    x = _pd_substitute(low, piv, b)
-    scale = max(_norm(b), 1e-300)
-    residual = _norm(mat @ x - b) / scale
-    for _ in range(_REFINE_STEPS):
-        if residual <= _RESIDUAL_TOL:
-            break
-        x = x + _pd_substitute(low, piv, b - mat @ x)
-        residual = _norm(mat @ x - b) / scale
-    if residual > _RESIDUAL_TOL:
-        raise ConditioningError(
-            f"linear solve stalled at relative residual {residual:.3e}; "
-            f"the matrix is too ill-conditioned for its precision")
-    return x, residual
+    return _refined_solve(low, piv, mat.__matmul__, rhs)
+
+
+def gram_solve(upper, rhs) -> tuple[np.ndarray, float]:
+    """Solve W^T W x = rhs for an upper-triangular W with a positive
+    diagonal, without forming W^T W.
+
+    W^T is the Cholesky factor of W^T W, so the solve is the two
+    triangular sweeps on W, O(n^2), and the residual is W^T (W x) - rhs.
+    Number types, refinement and ConditioningError are as in
+    ``mp_pd_solve``; a float W holding inf or NaN is refused up front.
+    """
+    w = _finite(_to_extended(np.asarray(upper)))
+
+    def apply(x):    # W^T (W x), summing only the nonzero terms of W
+        wx, out = np.empty_like(x), np.empty_like(x)
+        for i in range(x.size):
+            wx[i] = w[i, i:] @ x[i:]
+        for i in range(x.size):
+            out[i] = w[:i + 1, i] @ wx[:i + 1]
+        return out
+
+    return _refined_solve(w.T, None, apply, rhs)

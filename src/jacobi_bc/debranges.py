@@ -10,9 +10,21 @@ produces the coefficient vector of the reproducing kernel at z: the
 kernel evaluates as sum_k T_k(lam) j_k, and independently as the
 polynomial sum over the first-kind family, sum_n conj(p_n(z)) p_n(lam).
 Both backends are implemented and their agreement is a test, not an
-assumption.  In the limit-circle regime the polynomial sum converges as
-T grows, giving the infinite kernel; the Hermite-Biehler function is
-assembled from the kernel at z = i.
+assumption.
+
+Two routes solve the Krein equation.  Data input (``krein_solve`` on a
+ConnectingMatrix, ``krein_solve_hankel``) has C_T or S_T as a matrix,
+factors it and refines; a block that is not positive definite is not
+genuine data.  Coefficient input (``kernel_finite(method="krein")``)
+never forms C_T = W_T^T W_T: it simulates W_T, upper triangular with the
+positive diagonal a_0 ... a_k, and runs the two O(T^2) triangular sweeps
+W_T^T y = rhs, W_T j = y, with the residual W_T^T (W_T j) - rhs.  This
+solves at cond(W_T) = sqrt(cond(C_T)) and runs only the forward solver,
+so the direct sum stays an independent oracle.
+
+In the limit-circle regime the polynomial sum converges as T grows,
+giving the infinite kernel; the Hermite-Biehler function is assembled
+from the kernel at z = i.
 
 The closed-form kernel built from E by the standard de Branges formula
 uses a 1/pi-weighted scalar product whose normalization differs from
@@ -35,10 +47,11 @@ from .core import (
     PrecisionMode,
     _freeze_array,
 )
-from .connecting import ConnectingMatrix, Orientation, gram_from_control
+from .connecting import ConnectingMatrix, Orientation
+from .dynamics import control_operator
 from .moments import HankelMatrix
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
-from ._multiprec import lift, mp_pd_solve
+from ._multiprec import gram_solve, lift, mp_pd_solve
 
 __all__ = [
     "KreinSolution",
@@ -90,6 +103,10 @@ def _corner_top_matrix(connecting) -> np.ndarray:
     return np.asarray(connecting)
 
 
+def _krein_rhs(horizon: int, z) -> np.ndarray:
+    return np.conj(np.asarray(chebyshev_all(horizon, complex(z)), dtype=complex))
+
+
 def krein_solve(connecting, z: complex,
                 precision: PrecisionMode = PrecisionMode.DOUBLE) -> KreinSolution:
     """Solve C_T j = conj(T_1(z), ..., T_T(z)) for a corner-top block.
@@ -102,9 +119,8 @@ def krein_solve(connecting, z: complex,
     """
     mat = _corner_top_matrix(connecting)
     horizon = mat.shape[0]
-    rhs = np.conj(np.asarray(chebyshev_all(horizon, complex(z)), dtype=complex))
     try:
-        x, residual = mp_pd_solve(lift(mat, precision), rhs)
+        x, residual = mp_pd_solve(lift(mat, precision), _krein_rhs(horizon, z))
     except np.linalg.LinAlgError as exc:
         raise NotAResponseVectorError(
             "connecting matrix is not positive definite, so the data does "
@@ -137,10 +153,15 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
                   precision: PrecisionMode = PrecisionMode.DOUBLE) -> complex:
     """Reproducing kernel J_z(lam) of the horizon-T polynomial space.
 
-    ``source`` is either coefficients (method "direct" sums
-    conj(p_n(z)) p_n(lam); method "krein" builds the Gram block and goes
-    through the Krein equation) or a corner-top ConnectingMatrix (always
-    the Krein route).  The two backends agree on genuine data.
+    ``source`` is either coefficients or a corner-top ConnectingMatrix
+    (always ``krein_solve``, which factors the block).  For coefficients,
+    method "direct" sums conj(p_n(z)) p_n(lam), and method "krein" solves
+    the Krein equation on the simulated W_T by two triangular sweeps
+    without forming C_T (``_multiprec.gram_solve``).  The two backends
+    agree on genuine data.  W_T's diagonal is positive by construction, so
+    the coefficient route never raises NotAResponseVectorError; a W_T too
+    ill-conditioned for the precision raises ConditioningError when the
+    refined residual stays above 1e-10.
     """
     if isinstance(source, ConnectingMatrix) or not isinstance(source, JacobiCoefficients):
         return krein_solve(source, z, precision).kernel_value(lam)
@@ -154,8 +175,10 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
             total = total + np.conj(p_z[n]) * p_l[n]
         return total
     if method == "krein":
-        conn = gram_from_control(source, horizon, precision)
-        return krein_solve(conn, z, precision).kernel_value(lam)
+        w = control_operator(source, horizon, precision).matrix
+        x, residual = gram_solve(w, _krein_rhs(horizon, z))
+        return KreinSolution(values=x, z=complex(z), horizon=horizon,
+                             residual=residual).kernel_value(lam)
     raise ValueError(f"unknown kernel backend {method!r}")
 
 

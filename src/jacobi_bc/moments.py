@@ -122,12 +122,20 @@ def chebyshev_transform(size: int) -> ChebyshevTransform:
 
 
 def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> ResponseVector:
-    """r = transform @ s; exact in rational mode."""
+    """r = transform @ s; exact in rational mode.
+
+    Row i of the transform is zero past the diagonal and at odd i + j, so
+    r_i sums s_j over j <= i with i + j even only: the terms skipped are
+    exact zeros, and no 0 * inf puts a NaN into a finite DOUBLE entry.
+    """
     sx = lift(sequence_values(s), precision)
     # the integer transform keeps its exact entries against object values
     lam = chebyshev_transform(sx.size).matrix.astype(sx.dtype)
+    r = np.empty_like(sx)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
-        return ResponseVector(lam @ sx)
+        for i in range(sx.size):
+            r[i] = lam[i, i % 2:i + 1:2] @ sx[i % 2:i + 1:2]
+    return ResponseVector(r)
 
 
 def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> MomentSequence:

@@ -160,8 +160,7 @@ def _assert_matches_full_product(got, x, low):
 
 
 class TestTriangularProducts:
-    """The blocked products against the full products they replace, at
-    sizes around the block edges."""
+    """The triangular products against the full products they replace."""
 
     SIZES = [1, 2, 7, 8, 9, 16, 17, 40]
 
@@ -189,6 +188,28 @@ class TestTriangularProducts:
                 x = lam @ smat
             _assert_matches_full_product(connecting_from_hankel(smat).matrix,
                                          x, lam)
+
+    def test_double_gram_has_no_nan_from_skipped_zeros(self):
+        # geometric(2) overflows W_T in DOUBLE; a term with an exact zero
+        # of W_T is skipped, so it cannot make 0 * inf = NaN.  Every entry
+        # whose own nonzero terms are finite matches EXTENDED.
+        co, size = JacobiCoefficients.geometric(2), 48
+        got = gram_from_control(co, size).matrix
+        ext = gram_from_control(co, size, PrecisionMode.EXTENDED).matrix
+        w = control_operator(co, size).matrix
+        checked = 0
+        for i in range(size):
+            for j in range(i + 1):
+                nonzero = w[:j + 1, j] != 0
+                want = float(ext[i, j])
+                if not (np.isfinite(w[:j + 1, i][nonzero]).all()
+                        and np.isfinite(w[:j + 1, j]).all()
+                        and np.isfinite(want)):
+                    continue
+                checked += 1
+                assert abs(got[i, j] - want) <= 1e-13 * abs(want), (i, j)
+        assert np.isfinite(got[24, 47]) and np.isfinite(got[47, 28])
+        assert checked > size * (size + 1) // 2 - 300
 
     @pytest.mark.parametrize("size", [2, 9, 16, 40])
     def test_at_most_half_the_multiplications(self, rng, size):

@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import jacobi_bc
 from jacobi_bc import (
+    ConditioningError,
     JacobiCoefficients,
     NotAResponseVectorError,
     NotLimitCircleError,
@@ -32,6 +34,7 @@ from jacobi_bc.spectral import chebyshev_all, eval_p_all
 from conftest import random_coefficients
 
 FREE = JacobiCoefficients.free()
+EXTENDED = PrecisionMode.EXTENDED
 B1 = JacobiCoefficients.from_rules(lambda n: 1, lambda n: 1 if n == 1 else 0)
 
 
@@ -112,6 +115,48 @@ class TestKernelFinite:
             direct = kernel_finite(co, z, lam, size)
             via_krein = kernel_finite(co, z, lam, size, method="krein")
             assert abs(direct - via_krein) < 1e-9 * max(1.0, abs(direct))
+
+    def test_krein_on_w_matches_the_gram_route(self, rng):
+        # the coefficient route solves on W_T; krein_solve on the Gram
+        # block C_T = W_T^T W_T, factored and refined, is its oracle
+        co = random_coefficients(rng, 40)
+        eps = np.finfo(float).eps
+        for size in range(2, 41):
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+            lam = rng.uniform(-2, 2)
+            got = kernel_finite(co, z, lam, size, method="krein",
+                                precision=EXTENDED)
+            want = krein_solve(gram_from_control(co, size, EXTENDED), z,
+                               EXTENDED).kernel_value(lam)
+            assert abs(got - want) <= eps * abs(want)
+
+    @pytest.mark.parametrize("size", [30, 40])
+    def test_double_krein_refuses_an_ill_conditioned_w(self, size):
+        # W_T has the diagonal 2^-k: DOUBLE refuses it, and EXTENDED
+        # answers as far as its 50 digits allow (9e-9 relative at T = 40)
+        co = JacobiCoefficients.from_arrays([1] + [0.5] * size, [0.0] * size)
+        with pytest.raises(ConditioningError, match="stalled"):
+            kernel_finite(co, 0.3 + 1j, 0.5, size, method="krein")
+        direct = kernel_finite(co, 0.3 + 1j, 0.5, size)
+        via_w = kernel_finite(co, 0.3 + 1j, 0.5, size, method="krein",
+                              precision=EXTENDED)
+        assert abs(via_w - direct) < 1e-6 * abs(direct)
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    def test_krein_never_forms_the_gram_block(self, rng, monkeypatch,
+                                              precision):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Gram block was formed or factored")
+
+        for module in (jacobi_bc, jacobi_bc.connecting, jacobi_bc.debranges,
+                       jacobi_bc._multiprec):
+            for name in ("gram_from_control", "pd_factor"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        co = random_coefficients(rng, 8)
+        got = kernel_finite(co, 0.4 + 0.9j, -0.3, 8, method="krein",
+                            precision=precision)
+        direct = kernel_finite(co, 0.4 + 0.9j, -0.3, 8)
+        assert abs(got - direct) < 1e-9 * max(1.0, abs(direct))
 
     def test_hermitian_symmetry(self, rng):
         co = random_coefficients(rng, 6)

@@ -105,6 +105,21 @@ class TestConversions:
         back = response_to_moments(r, PrecisionMode.RATIONAL)
         assert [Fraction(v) for v in back] == [Fraction(v) for v in s]
 
+    @pytest.mark.parametrize("precision", [PrecisionMode.RATIONAL,
+                                           PrecisionMode.EXTENDED])
+    def test_moments_to_response_matches_the_full_product(self, precision):
+        # only the nonzero terms of each transform row are summed; every
+        # skipped term is an exact zero, so the bits are those of lam @ s
+        size = 41
+        r = response_vector(random_coefficients(np.random.default_rng(3), size),
+                            size, PrecisionMode.RATIONAL)
+        s = response_to_moments(r, precision).as_array()
+        lam = chebyshev_transform(size).matrix.astype(object)
+        want = lam @ s
+        got = moments_to_response(s, precision).as_array()
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+        assert [str(v) for v in got] == [str(v) for v in want]
+
     def test_double_round_trip(self, rng):
         s = rng.standard_normal(10)
         back = response_to_moments(moments_to_response(s)).as_array()

@@ -29,6 +29,7 @@ from jacobi_bc import (
     control_operator,
     gram_from_control,
     hankel_min_eigs,
+    kernel_finite,
     krein_solve,
     recover_from_moments,
     recover_from_response,
@@ -96,6 +97,8 @@ def test_extended_calls_leave_mp_unchanged(dps):
         lambda: response_vector(co, 11, EXTENDED),
         lambda: control_operator(co, 6, EXTENDED),
         lambda: krein_solve(gram_from_control(co, 6, EXTENDED), 1j, EXTENDED),
+        lambda: kernel_finite(co, 1j, 0.5, 6, method="krein",
+                              precision=EXTENDED),
         lambda: recover_from_response(response_vector(co, 11), 6, EXTENDED),
         lambda: hankel_min_eigs(response_to_moments(
             response_vector(co, 11), EXTENDED), 6, EXTENDED),
@@ -217,4 +220,5 @@ def test_no_mpf_formats_an_array(monkeypatch):
     recover_from_response(r, 16, EXTENDED)
     recover_from_moments(response_to_moments(r).as_array(), 16, EXTENDED)
     krein_solve(gram_from_control(co, 16, EXTENDED), 0.5 + 1j, EXTENDED)
+    kernel_finite(co, 0.5 + 1j, -0.2, 16, method="krein", precision=EXTENDED)
     assert arrays == []
