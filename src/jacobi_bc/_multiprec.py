@@ -12,25 +12,35 @@ An mpf computes in the context it belongs to, so EXTENDED values carry
 their 50 digits into every module with no precision switch at the call
 site, and the package never reads or changes ``mpmath.mp``.  A caller's
 mpf passed through ``lift`` is re-homed into the private context with its
-mantissa kept; one passed to a dtype-keeping function such as
-``connecting_from_response`` computes in the caller's own context.
+mantissa kept, and an mpf of the private context is kept as it is; one
+passed to a dtype-keeping function such as ``connecting_from_response``
+computes in the caller's own context.
 
 The pipeline modules write each step once, independent of dtype, on top
-of what this module provides: ``lift``, the per-mode noise and pivot
-floors, one positive-definite factorization (``pd_factor``), the eigenvalue
-extremes of every nested leading block read off that factorization
-(``leading_eig_extremes``), ``sym_eigenvalues`` for single matrices and
-for nested blocks that are not positive definite, and one
-substitute-and-refine loop for positive-definite solves.  The loop takes
-its factor from one of two places: ``mp_pd_solve`` forms it with
-``pd_factor`` from a matrix (data input: connecting and Hankel blocks),
-and ``gram_solve`` solves W^T W x = rhs on an upper-triangular W alone,
-whose transpose is the factor, so W^T W is never formed (the Krein
+of what this module provides:
+
+* ``lift`` and the per-mode noise and pivot floors;
+* Wheeler's modified Chebyshev recurrence (``modified_chebyshev``) on
+  moments or a response.  Recovery reads the coefficients off it.
+  ``leading_eig_extremes`` builds from it Q = diag(d)^-1/2 L^-1 of the
+  Hankel or connecting matrix A = L diag(d) L^T, the coefficient table of
+  the orthonormal polynomials, in O(n^2) operations, and reads the
+  smallest eigenvalue of every nested leading block off Q;
+* ``sym_eigenvalues`` for single matrices and, block by block, for
+  matrices that are not positive definite;
+* one positive-definite factorization (``pd_factor``) and one
+  substitute-and-refine loop for positive-definite solves.
+
+The loop takes its factor from one of two places: ``mp_pd_solve`` forms
+it with ``pd_factor`` from a matrix (data input: connecting and Hankel
+blocks), and ``gram_solve`` solves W^T W x = rhs on an upper-triangular W
+alone, whose transpose is the factor, so W^T W is never formed (the Krein
 kernel from coefficients).  The factorization and the sweeps are the
 places with two paths: float arrays go to LAPACK, object arrays to
-substitutions in their own arithmetic.  In products of an object array with an mpf scalar the array
-goes on the left: an mpf on the left makes mpmath format the whole array
-for an error message before numpy's reflected operator takes over.
+substitutions in their own arithmetic.  In products of an object array
+with an mpf scalar the array goes on the left: an mpf on the left makes
+mpmath format the whole array for an error message before numpy's
+reflected operator takes over.
 """
 
 from __future__ import annotations
@@ -42,11 +52,13 @@ import numpy as np
 import scipy.linalg
 from mpmath import MPContext
 
-from .core import ConditioningError, PrecisionMode, _to_fraction
+from .core import (ConditioningError, InsufficientDataError, PrecisionMode,
+                   _to_fraction)
 
 EXTENDED_DPS = 50
 _EXTENDED = MPContext()
 _EXTENDED.dps = EXTENDED_DPS
+_OWN_TYPES = (_EXTENDED.mpf, _EXTENDED.mpc)
 
 # Double-precision eigenvalues below this multiple of eps * ||block|| are noise.
 NOISE_FLOOR_FACTOR = 1e3
@@ -90,11 +102,14 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
             raise ConditioningError(
                 "a value exceeds double precision (about 1.8e308); use "
                 "PrecisionMode.EXTENDED (--precision extended)") from exc
-    convert = _to_fraction if precision is PrecisionMode.RATIONAL else as_mpf
     out = np.empty(arr.shape, dtype=object)
     # tolist() turns numpy scalars into the Python numbers both converters
     # accept
-    out.flat = [convert(v) for v in arr.ravel().tolist()]
+    values = arr.ravel().tolist()
+    if precision is PrecisionMode.RATIONAL:
+        out.flat = [_to_fraction(v) for v in values]
+    else:    # numbers already of the private context are kept as they are
+        out.flat = [v if type(v) in _OWN_TYPES else as_mpf(v) for v in values]
     return out
 
 
@@ -163,36 +178,95 @@ def sym_eigenvalues(matrix, precision: PrecisionMode) -> np.ndarray:
     return np.array(sorted(float(v) for v in ev))
 
 
-def leading_eig_extremes(matrix, precision: PrecisionMode):
-    """(smallest, largest) eigenvalue of every leading block
-    matrix[:n, :n], n = 1..size, as float64, from one factorization.
+def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
+    """Wheeler's modified Chebyshev algorithm on nu_l = int pi_l dmu,
+    with pi_{l+1} = x pi_l - shift pi_{l-1}: U_l(x/2) for shift 1
+    (responses), x^l for shift 0 (moments).
 
-    The matrix is lifted as for ``sym_eigenvalues`` (float64, or mpf at
-    EXTENDED_DPS digits) and factored once, A = L diag(d) L^T.  With
-    P = diag(d)^-1/2 L^-1, the leading block of P belongs to the leading
-    block of A (L is triangular) and A_n^-1 = P_n^T P_n, so
-    lambda_min(A_n) = 1 / ||P_n||^2 = 1 / lambda_max(P_n P_n^T) and
-    lambda_max(A_n) = ||A_n||: two well-conditioned largest eigenvalues
-    per block.  The factorization keeps the relative accuracy of the tiny
-    eigenvalues of graded matrices, which a QR-type eigensolver loses.
-    A matrix that is not positive definite falls back to one eigen-solve
-    per block, so its negative eigenvalues are reported.
+    Returns, in the arithmetic of ``precision``, the pivots sigma_kk =
+    int p_k^2 dmu (k < size; the LDL^T pivots of C or S) and the
+    recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1} of the monic
+    orthogonal p_k: alpha_k (k < size - 1) and beta_k = sigma_kk /
+    sigma_{k-1,k-1} (k < size, beta_0 = 0).  Row k holds sigma_{k,l} =
+    int p_k pi_l dmu, l = k..2 size - 2 - k.  Raises ConditioningError
+    on an overflowed float row (before its pivot is tested) and
+    np.linalg.LinAlgError on a pivot that is not positive.
     """
-    work = lift(matrix, precision if precision is PrecisionMode.DOUBLE
-                else PrecisionMode.EXTENDED)
+    if size < 1:
+        raise ValueError("horizon must be >= 1")
+    if len(nu) < 2 * size - 1:
+        raise InsufficientDataError(
+            f"insufficient data: need {2 * size - 1}, got {len(nu)}")
+    row = lift(nu[:2 * size - 1], precision)
+    below = np.zeros(row.size + 2, dtype=row.dtype)    # sigma_{-1,l} = 0
+    pivots, alpha, beta, ratio = [], [], [0], 0
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
+        for k in range(size):
+            if k:
+                # the arrays go left of the scalars (see the module note)
+                row, below = (row[2:] - row[1:-1] * alpha[-1]
+                              - below[2:-2] * beta[-1]
+                              + shift * row[:-2]), row
+                beta.append(row[0] / pivots[-1])
+            if not _finite(row)[0] > 0:
+                raise np.linalg.LinAlgError(f"pivot {k} is not positive")
+            pivots.append(row[0])
+            if k < size - 1:
+                alpha.append(row[1] / row[0] - ratio)
+                ratio = row[1] / row[0]
+    return np.array(pivots), np.array(alpha), np.array(beta)
+
+
+def _orthonormal_rows(sigma, alpha, beta, shift) -> np.ndarray:
+    """Q = diag(sigma)^-1/2 L^-1: row k holds the coefficients of
+    p_k / sqrt(sigma_kk) in the basis pi_l, by the recurrence with
+    x pi_l = pi_{l+1} + shift pi_{l-1}, in O(size^2) operations."""
+    n = sigma.size
+    coef = np.zeros((n, n), dtype=sigma.dtype)
+    coef[0, 0] = 1
+    for k in range(n - 1):
+        nxt = coef[k + 1]
+        nxt[1:k + 2] = coef[k, :k + 1]
+        nxt[:k] += coef[k, 1:k + 1] * shift
+        nxt[:k + 1] -= coef[k, :k + 1] * alpha[k]
+        if k:
+            nxt[:k] -= coef[k - 1, :k] * beta[k]
+    return coef * (sigma ** -0.5)[:, None]
+
+
+def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
+    """(smallest, largest) eigenvalue of every leading block
+    matrix[:n, :n], n = 1..size, as float64, where ``matrix`` is the
+    Hankel matrix of the moments ``nu`` (shift 0) or the corner-top
+    connecting matrix of the response ``nu`` (shift 1).
+
+    Both are lifted as for ``sym_eigenvalues`` (float64, or mpf at
+    EXTENDED_DPS digits).  With A = matrix = L diag(d) L^T, Q =
+    diag(d)^-1/2 L^-1 comes from ``modified_chebyshev`` on ``nu``, with
+    no factorization.  The leading block of Q belongs to the leading
+    block of A (L is triangular) and A_n^-1 = Q_n^T Q_n, so
+    lambda_min(A_n) = 1 / lambda_max(Q_n Q_n^T) and lambda_max(A_n) =
+    ||A_n||: two well-conditioned largest eigenvalues per block, which
+    keep the relative accuracy of the tiny eigenvalues of graded
+    matrices where a QR-type eigensolver loses it.  A DOUBLE matrix
+    holding inf or NaN is refused with ConditioningError.  A pivot that
+    is not positive, or a float row that overflows, falls back to one
+    eigen-solve per block, so negative eigenvalues are reported.
+    """
+    mode = (precision if precision is PrecisionMode.DOUBLE
+            else PrecisionMode.EXTENDED)
+    work = _finite(lift(matrix, mode))
     try:
-        low, piv = pd_factor(work)
-    except np.linalg.LinAlgError:
+        recurrence = modified_chebyshev(nu, work.shape[0], shift, mode)
+    except (np.linalg.LinAlgError, ConditioningError):
         ends = np.array([sym_eigenvalues(matrix[:n, :n], precision)[[0, -1]]
                          for n in range(1, work.shape[0] + 1)])
         return ends[:, 0], ends[:, 1]
-    inv = np.eye(work.shape[0], dtype=work.dtype)    # L^-1, row by row
-    for i in range(1, work.shape[0]):
-        inv[i, :i] = -(low[i, :i] @ inv[:i, :i])
-    p_top, p_exp = _leading_top_eigs(inv * (piv ** -0.5)[:, None], gram=True)
+    q_top, q_exp = _leading_top_eigs(_orthonormal_rows(*recurrence, shift),
+                                     gram=True)
     a_top, a_exp = _leading_top_eigs(work)
     with np.errstate(over="ignore", under="ignore"):
-        return np.ldexp(1 / p_top, -p_exp), np.ldexp(a_top, a_exp)
+        return np.ldexp(1 / q_top, -q_exp), np.ldexp(a_top, a_exp)
 
 
 # frexp exponent given to zero entries: below every real entry's exponent

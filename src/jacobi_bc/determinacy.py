@@ -41,6 +41,7 @@ from .core import (
     JacobiCoefficients,
     NotLimitCircleError,
     PrecisionMode,
+    sequence_values,
 )
 from .connecting import Orientation, connecting_from_response
 from .dynamics import response_vector
@@ -77,13 +78,15 @@ def connecting_eig_sequences(r, t_max: int,
                              precision: PrecisionMode = PrecisionMode.DOUBLE):
     """(beta_T, gamma_T) = (min eig(C_T), max eig(C_T)) for T = 1..t_max.
 
-    One factorization of C_{t_max} gives both for every nested block;
-    asserts beta non-increasing and gamma non-decreasing (the corner-top
-    blocks are nested, so eigenvalues interlace) up to the noise floor.
+    One recurrence on r gives beta and one build of C_{t_max} gives
+    gamma for every nested block (see ``leading_eig_extremes``); asserts
+    beta non-increasing and gamma non-decreasing (the corner-top blocks
+    are nested, so eigenvalues interlace) up to the noise floor.
     """
     # corner-top blocks are nested, so one build serves every horizon
     top = connecting_from_response(r, t_max).aligned(Orientation.CORNER_TOP)
-    beta, gamma = leading_eig_extremes(top.matrix, precision)
+    beta, gamma = leading_eig_extremes(top.matrix, sequence_values(r), 1,
+                                       precision)
     norms = np.maximum(np.abs(beta), np.abs(gamma))
     slack = _MONOTONE_SLACK + noise_floor(norms[1:], precision)
     # compared without subtracting, so an overflowed gamma passes after
@@ -241,7 +244,7 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     s = response_to_moments(r, precision)
 
     lambda_seq, lambda_max = leading_eig_extremes(
-        build_hankel(s.as_array(), n_max).matrix, precision)
+        build_hankel(s, n_max).matrix, s.as_array(), 0, precision)
     lambda_trusted = above_noise(lambda_seq, lambda_max, precision)
     if not lambda_trusted.all():
         first_bad = int(np.flatnonzero(~lambda_trusted)[0]) + 1

@@ -5,9 +5,13 @@ r_l = int U_l(x/2) dmu and s_l = int x^l dmu, so Wheeler's modified
 Chebyshev algorithm (Rocky Mountain J. Math. 4 (1974); Gautschi,
 Orthogonal Polynomials, OUP 2004, section 2.1.7) reads the recurrence of
 the monic orthogonal polynomials p_k off either in O(T^2) operations,
-with no matrix.  The squared norms int p_k^2 dmu are the LDL^T pivots of
-C_T (responses) or S_T (moments), so their positivity is the data's
-characterization; the tests keep those factorizations as the oracle.
+with no matrix.  The recurrence itself lives in
+``_multiprec.modified_chebyshev``, which ``leading_eig_extremes`` shares
+for the eigenvalue sequences; this module converts its output to float
+coefficients, applies the pivot-ratio floor and names the failure.  The
+squared norms int p_k^2 dmu are the LDL^T pivots of C_T (responses) or
+S_T (moments), so their positivity is the data's characterization; the
+tests keep those factorizations as the oracle.
 b_T never influences the states within the horizon and is not recoverable.
 """
 
@@ -19,7 +23,6 @@ import numpy as np
 
 from .core import (
     ConditioningError,
-    InsufficientDataError,
     JacobiBCError,
     JacobiCoefficients,
     NotAMomentSequenceError,
@@ -29,7 +32,7 @@ from .core import (
 )
 from .dynamics import response_vector
 from .moments import moments_to_response
-from ._multiprec import _finite, lift, pivot_floor
+from ._multiprec import modified_chebyshev, pivot_floor
 
 __all__ = ["RecoveryResult", "recover_from_response", "recover_from_moments"]
 
@@ -65,40 +68,20 @@ class RecoveryResult:
 def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
                 failure: type[JacobiBCError]):
     """a_1..a_{T-1}, b_1..b_{T-1} (floats) and the pivots sigma_kk (in the
-    arithmetic of ``precision``) off the array nu_l = int pi_l dmu, with
-    pi_{l+1} = x pi_l - shift pi_{l-1}: U_l(x/2) for shift 1, x^l for 0.
+    arithmetic of ``precision``) off the array nu_l = int pi_l dmu, by
+    ``_multiprec.modified_chebyshev`` (shift 1: responses, 0: moments).
 
-    Row k holds sigma_{k,l} = int p_k pi_l dmu, l = k..2T-2-k, and
-    b_{k+1} = alpha_k, a_k = sqrt(sigma_kk / sigma_{k-1,k-1}).  Raises
+    b_{k+1} = alpha_k and a_k = sqrt(sigma_kk / sigma_{k-1,k-1}).  Raises
     ConditioningError on an overflowed row (before its pivot is tested)
     or a pivot ratio below the mode's floor, ``failure`` on a pivot <= 0.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if len(nu) < 2 * horizon - 1:
-        raise InsufficientDataError(
-            f"insufficient data: need {2 * horizon - 1}, got {len(nu)}")
-    row = lift(nu[:2 * horizon - 1], precision)
-    below = np.zeros(row.size + 2, dtype=row.dtype)    # sigma_{-1,l} = 0
-    pivots, alpha, ratio, beta = [], [], 0, 0
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
-        for k in range(horizon):
-            if k:
-                # the arrays go left of the scalars: an mpf on the left
-                # formats a whole object array before numpy takes over
-                row, below = (row[2:] - row[1:-1] * alpha[-1]
-                              - below[2:-2] * beta + shift * row[:-2]), row
-                beta = row[0] / pivots[-1]
-            if not _finite(row)[0] > 0:
-                kind = "a response vector" if shift else "a moment sequence"
-                raise failure(f"not {kind}: pivot {k} is not positive at "
-                              f"{precision.value} precision; genuine but "
-                              f"ill-conditioned data may need more digits")
-            pivots.append(row[0])
-            if k < horizon - 1:
-                alpha.append(row[1] / row[0] - ratio)
-                ratio = row[1] / row[0]
-    piv = np.array(pivots)
+    try:
+        piv, alpha, _ = modified_chebyshev(nu, horizon, shift, precision)
+    except np.linalg.LinAlgError as exc:
+        kind = "a response vector" if shift else "a moment sequence"
+        raise failure(f"not {kind}: {exc} at {precision.value} precision; "
+                      f"genuine but ill-conditioned data may need more "
+                      f"digits") from None
     pivot_ratios = np.sqrt((piv / np.max(piv)).astype(float))
     worst = int(np.argmin(pivot_ratios))
     if pivot_ratios[worst] < pivot_floor(precision):
@@ -106,7 +89,7 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
             f"pivot ratio {pivot_ratios[worst]:.3e} at index {worst} is below "
             f"{pivot_floor(precision):g}; use extended precision")
     return (np.sqrt((piv[1:] / piv[:-1]).astype(float)).tolist(),
-            np.array(alpha).astype(float).tolist(), piv)
+            alpha.astype(float).tolist(), piv)
 
 
 def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult:

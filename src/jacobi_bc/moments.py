@@ -141,13 +141,14 @@ def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> R
 def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> MomentSequence:
     """s = transform^{-1} r by back-substitution on the unit diagonal.
 
-    Round-trips with moments_to_response exactly in rational mode.
+    Round-trips with moments_to_response exactly in rational mode.  As
+    there, only the terms j < i with i + j even are summed.
     """
     s = lift(sequence_values(r), precision)
     lam = chebyshev_transform(s.size).matrix.astype(s.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         for i in range(s.size):
-            s[i] = s[i] - lam[i, :i] @ s[:i]
+            s[i] = s[i] - lam[i, i % 2:i:2] @ s[i % 2:i:2]
     return MomentSequence(s)
 
 
@@ -155,7 +156,7 @@ def hankel_min_eigs(s, n_max: int,
                     precision: PrecisionMode = PrecisionMode.DOUBLE) -> np.ndarray:
     """Smallest eigenvalue of S_N for N = 1..n_max.
 
-    All of them are read off one factorization of S_{n_max} (see
+    All of them are read off one recurrence on s (see
     ``leading_eig_extremes``); a block that is not positive definite
     reports its negative eigenvalue.  A ConditioningWarning is emitted
     once the value drops below the noise floor of the mode (for double
@@ -163,7 +164,9 @@ def hankel_min_eigs(s, n_max: int,
     past that point (Hankel blocks of genuine moment sequences are
     exponentially ill-conditioned).
     """
-    mins, maxs = leading_eig_extremes(build_hankel(s, n_max).matrix, precision)
+    sv = sequence_values(s)
+    mins, maxs = leading_eig_extremes(build_hankel(sv, n_max).matrix, sv, 0,
+                                      precision)
     noisy = np.flatnonzero(~above_noise(mins, maxs, precision))
     if noisy.size:
         warnings.warn(

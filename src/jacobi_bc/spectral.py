@@ -11,9 +11,14 @@ T_1 = 1; they are the second-kind Chebyshev polynomials rescaled to the
 interval (-2, 2), i.e. T_t(z) = U_{t-1}(z/2).
 
 Evaluation is always by forward recurrence, in one lazy generator for p
-and q and in ``chebyshev_all`` for T_t; monomial coefficient lists of p_n
-and q_n are ill-conditioned and never formed here.  ``relative_tail`` is
-the one truncation rule of every series the package sums.
+and q and in ``chebyshev_all`` for T_t.  Monomial coefficient lists of
+p_n and q_n are ill-conditioned, and no polynomial value is computed
+from them.  The one place that forms such lists is ``_multiprec``: the
+table of orthonormal p_n in the basis x^l (or U_l(x/2)) is the inverse
+factor of S_N (or C_T), and only its norms are read, as smallest
+eigenvalues.
+``relative_tail`` is the one truncation rule of every series the package
+sums.
 """
 
 from __future__ import annotations

@@ -155,7 +155,9 @@ class TestClassify:
     @pytest.mark.parametrize("precision", [PrecisionMode.DOUBLE,
                                            PrecisionMode.EXTENDED])
     def test_one_factorization_per_matrix(self, monkeypatch, precision):
-        # S_N and C_T are each factored once; no block is eigen-solved
+        # S_N and C_T are factored at most once each: lambda_N and beta_T
+        # come from the O(N^2) recurrence, so on positive-definite input
+        # neither an O(N^3) factorization nor a per-block eigen-solve runs
         factored, solved = [], []
         factor, solve = _multiprec.pd_factor, _multiprec.sym_eigenvalues
 
@@ -170,7 +172,8 @@ class TestClassify:
         monkeypatch.setattr(_multiprec, "pd_factor", counting_factor)
         monkeypatch.setattr(_multiprec, "sym_eigenvalues", counting_solve)
         classify(GEO, 6, precision)
-        assert factored == [6, 6]
+        hankel_min_eigs(semicircle_moments(11), 6, precision)
+        assert factored == []
         assert solved == []
 
     @pytest.mark.parametrize("precision", [PrecisionMode.DOUBLE,

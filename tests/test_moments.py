@@ -20,6 +20,8 @@ from jacobi_bc import (
     spectral_data,
 )
 
+from jacobi_bc._multiprec import lift
+
 from conftest import random_coefficients, semicircle_moments
 
 
@@ -117,6 +119,22 @@ class TestConversions:
         lam = chebyshev_transform(size).matrix.astype(object)
         want = lam @ s
         got = moments_to_response(s, precision).as_array()
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+        assert [str(v) for v in got] == [str(v) for v in want]
+
+    @pytest.mark.parametrize("precision", [PrecisionMode.RATIONAL,
+                                           PrecisionMode.EXTENDED])
+    def test_response_to_moments_matches_the_full_substitution(self, precision):
+        # the back-substitution sums only the same-parity terms; the ones
+        # skipped are exact zeros, so the bits are those of the full rows
+        size = 41
+        r = response_vector(random_coefficients(np.random.default_rng(3), size),
+                            size, PrecisionMode.RATIONAL)
+        lam = chebyshev_transform(size).matrix.astype(object)
+        want = lift(r.as_array(), precision)
+        for i in range(size):
+            want[i] = want[i] - lam[i, :i] @ want[:i]
+        got = response_to_moments(r, precision).as_array()
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
         assert [str(v) for v in got] == [str(v) for v in want]
 

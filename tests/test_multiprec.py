@@ -4,8 +4,9 @@ EXTENDED values carry their own 50 digits, whatever mpmath.mp says:
 integer data below 10^50 make 50-digit arithmetic exact, so a result
 computed at 50 digits equals the exact integer reference, while one
 computed at mpmath's default 15 digits does not.  The eigenvalue
-extremes of nested blocks, read off one factorization, are checked
-against per-block eigen-solves and a high-precision eigensolver.
+extremes of nested blocks, read off the modified-Chebyshev recurrence,
+are checked against per-block eigen-solves, a high-precision eigensolver
+and, bit for bit, against the factor-and-invert route they replace.
 """
 
 import warnings
@@ -25,6 +26,7 @@ from jacobi_bc import (
     build_hankel,
     circle_bound_connecting,
     classify,
+    connecting_eig_sequences,
     connecting_from_response,
     control_operator,
     gram_from_control,
@@ -39,12 +41,14 @@ from jacobi_bc import (
 )
 from jacobi_bc._multiprec import (
     EXTENDED_DPS,
+    _leading_top_eigs,
     leading_eig_extremes,
+    lift,
     pd_factor,
     sym_eigenvalues,
 )
 
-from conftest import random_coefficients, report_fields
+from conftest import random_coefficients, report_fields, semicircle_moments
 
 EXTENDED = PrecisionMode.EXTENDED
 RATIONAL = PrecisionMode.RATIONAL
@@ -117,23 +121,93 @@ def _per_block_extremes(matrix, precision):
     return np.array(ends).T
 
 
+def _gram_matrix(nu, size, shift):
+    """S_size of moments (shift 0), corner-top C_size of a response (1)."""
+    if shift:
+        return connecting_from_response(nu, size).aligned(
+            Orientation.CORNER_TOP).matrix
+    return build_hankel(nu, size).matrix
+
+
 @pytest.mark.parametrize("precision", MODES)
 def test_extremes_match_per_block_eigen_solves(rng, precision):
-    root = rng.standard_normal((8, 8))
-    matrix = root @ root.T + 0.1 * np.eye(8)
-    got = leading_eig_extremes(matrix, precision)
-    want = _per_block_extremes(matrix, precision)
-    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    # the response and the moments of one genuine family
+    size = 6
+    co = random_coefficients(rng, size, (0.8, 1.2), (-0.2, 0.2))
+    r = response_vector(co, 2 * size - 1).as_array()
+    for shift, nu in ((1, r), (0, response_to_moments(r).as_array())):
+        matrix = _gram_matrix(nu, size, shift)
+        got = leading_eig_extremes(matrix, nu, shift, precision)
+        want = _per_block_extremes(matrix, precision)
+        assert np.allclose(got, want, rtol=1e-12, atol=0), shift
 
 
 @pytest.mark.parametrize("precision", MODES)
 def test_indefinite_matrix_gets_the_per_block_extremes(precision):
-    # leading blocks 1 and 2 are positive definite, block 3 is not
-    matrix = np.array([[2, 1, 0], [1, 2, 3], [0, 3, 1]])
-    mins, maxs = leading_eig_extremes(matrix, precision)
-    want_mins, want_maxs = _per_block_extremes(matrix, precision)
-    assert list(mins) == list(want_mins) and list(maxs) == list(want_maxs)
-    assert mins[1] > 0 > mins[2]
+    # leading block 1 is positive definite, block 2 is not: no measure
+    # has these moments or this response
+    for shift, nu in ((0, [1, 0, -1, 0, 1]), (1, [1, 0, -2, 0, 1])):
+        matrix = _gram_matrix(nu, 3, shift)
+        mins, maxs = leading_eig_extremes(matrix, nu, shift, precision)
+        want_mins, want_maxs = _per_block_extremes(matrix, precision)
+        assert list(mins) == list(want_mins), shift
+        assert list(maxs) == list(want_maxs), shift
+        assert mins[0] > 0 > mins[1]
+
+
+def _factored_min_eigs(matrix):
+    """lambda_min of every leading block by factor and invert, in mpf:
+    A = L diag(d) L^T, P = diag(d)^-1/2 L^-1 by O(n^3) row-wise
+    triangular inversion, lambda_min(A_n) = 1 / ||P_n||^2."""
+    work = lift(matrix, EXTENDED)
+    low, piv = pd_factor(work)
+    inv = np.eye(work.shape[0], dtype=object)
+    for i in range(1, work.shape[0]):
+        inv[i, :i] = -(low[i, :i] @ inv[:i, :i])
+    top, exp = _leading_top_eigs(inv * (piv ** -0.5)[:, None], gram=True)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(1 / top, -exp)
+
+
+def _carleman(p):
+    return JacobiCoefficients.from_arrays([(n + 1) ** p for n in range(70)],
+                                          [0] * 70)
+
+
+@pytest.mark.parametrize("size", [24, 30])
+@pytest.mark.parametrize("coeffs", [
+    JacobiCoefficients.geometric(1.5), JacobiCoefficients.geometric(2), GEO3,
+    _carleman(0.5), _carleman(0.75), _carleman(1)],
+    ids=["geometric1.5", "geometric2", "geometric3",
+         "carleman0.5", "carleman0.75", "carleman1"])
+def test_recurrence_equals_the_factorization_bit_for_bit(coeffs, size):
+    r = response_vector(coeffs, 2 * size - 1, EXTENDED).as_array()
+    s = response_to_moments(r, EXTENDED).as_array()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        lam = hankel_min_eigs(s, size, EXTENDED)
+    beta, _ = connecting_eig_sequences(r, size, EXTENDED)
+    assert list(lam) == list(_factored_min_eigs(_gram_matrix(s, size, 0)))
+    assert list(beta) == list(_factored_min_eigs(_gram_matrix(r, size, 1)))
+
+
+def test_tiny_lambda_matches_a_high_precision_oracle():
+    # the accuracy limit of the monomial recurrence: the free family's
+    # S_33 is the first with lambda_N below 1e-12 (4.15e-13)
+    size = 33
+    moments = semicircle_moments(2 * size - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        lam = hankel_min_eigs(moments, size, EXTENDED)
+    assert lam[-1] < 1e-12 <= lam[-2]
+    oracle = mpmath.MPContext()
+    oracle.dps = 8 * EXTENDED_DPS
+    # from the integer moments: Catalan numbers past 2^53 lose digits
+    # in float64
+    want = min(oracle.eigsy(oracle.matrix(
+        [[moments[i + j] for j in range(size)] for i in range(size)]),
+        eigvals_only=True))
+    assert abs(lam[-1] / float(want) - 1) <= 1e-14
 
 
 def test_hankel_min_eigs_match_a_high_precision_oracle():
@@ -156,16 +230,36 @@ def test_hankel_min_eigs_match_a_high_precision_oracle():
 
 
 def test_extremes_of_blocks_beyond_the_float_range():
-    r = response_vector(GEO3, 79, RATIONAL)
+    r = response_vector(GEO3, 79, RATIONAL).as_array()
     top = connecting_from_response(r, 40).aligned(Orientation.CORNER_TOP)
     assert max(top.matrix.ravel()) > 10 ** 308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        beta, _ = leading_eig_extremes(top.matrix, EXTENDED)
+        beta, _ = leading_eig_extremes(top.matrix, r, 1, EXTENDED)
     assert np.all(np.isfinite(beta)) and np.all(beta > 0)
     # geometric(3) is limit-circle: beta_T stays above the circle bound
     assert beta[-1] >= float(circle_bound_connecting(GEO3, 60)) - 1e-6
     assert np.all(np.diff(beta) <= 1e-12)
+
+
+def test_lift_keeps_extended_values_bit_for_bit():
+    values = response_vector(GEO3, 15, EXTENDED).as_array()
+    before = [v._mpf_ for v in values]
+    lifted = lift(values, EXTENDED)
+    assert [v._mpf_ for v in lifted] == before
+    # a fresh array: writing into it leaves the caller's array alone
+    assert lifted is not values
+    lifted[:] = 0
+    assert [v._mpf_ for v in values] == before
+
+
+def test_lift_rehomes_a_caller_mpf_with_its_mantissa():
+    with mpmath.workdps(100):
+        third = mpmath.mpf(1) / 3
+    lifted = lift([third], EXTENDED)[0]
+    assert type(lifted) is not type(third)
+    assert type(lifted) is type(lift([1], EXTENDED)[0])
+    assert lifted._mpf_ == third._mpf_
 
 
 def test_extended_lifts_complex_controls():
@@ -188,7 +282,9 @@ def _overflowed_connecting_block():
 @pytest.mark.parametrize("call", [
     lambda m: pd_factor(m),
     lambda m: sym_eigenvalues(m, PrecisionMode.DOUBLE),
-    lambda m: leading_eig_extremes(m, PrecisionMode.DOUBLE),
+    # the sequence is finite: the matrix alone is refused, before any work
+    lambda m: leading_eig_extremes(m, np.ones(2 * len(m) - 1), 0,
+                                   PrecisionMode.DOUBLE),
     lambda m: krein_solve(m, 1j),
 ], ids=["pd_factor", "sym_eigenvalues", "leading_eig_extremes", "krein_solve"])
 @pytest.mark.parametrize("matrix", [np.array([[2.0, 1.0], [1.0, np.inf]]),
