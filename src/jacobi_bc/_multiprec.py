@@ -35,12 +35,15 @@ The loop takes its factor from one of two places: ``mp_pd_solve`` forms
 it with ``pd_factor`` from a matrix (data input: connecting and Hankel
 blocks), and ``gram_solve`` solves W^T W x = rhs on an upper-triangular W
 alone, whose transpose is the factor, so W^T W is never formed (the Krein
-kernel from coefficients).  The factorization and the sweeps are the
+kernel from coefficients).  The factorization and the sweeps are
 places with two paths: float arrays go to LAPACK, object arrays to
-substitutions in their own arithmetic.  In products of an object array
-with an mpf scalar the array goes on the left: an mpf on the left makes
-mpmath format the whole array for an error message before numpy's
-reflected operator takes over.
+substitutions in their own arithmetic.  The recurrence is the third:
+DOUBLE and EXTENDED run its rows as arrays, and RATIONAL as Python ints
+over one denominator per row, which skips the gcd that every Fraction
+operation pays and returns the same Fractions.  In products of an
+object array with an mpf scalar the array goes on the left: an mpf on
+the left makes mpmath format the whole array for an error message
+before numpy's reflected operator takes over.
 """
 
 from __future__ import annotations
@@ -188,9 +191,12 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
     recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1} of the monic
     orthogonal p_k: alpha_k (k < size - 1) and beta_k = sigma_kk /
     sigma_{k-1,k-1} (k < size, beta_0 = 0).  Row k holds sigma_{k,l} =
-    int p_k pi_l dmu, l = k..2 size - 2 - k.  Raises ConditioningError
-    on an overflowed float row (before its pivot is tested) and
-    np.linalg.LinAlgError on a pivot that is not positive.
+    int p_k pi_l dmu, l = k..2 size - 2 - k.  DOUBLE and EXTENDED run
+    the rows as arrays of their number type; RATIONAL runs them as
+    integer numerators over one denominator per row and returns the
+    same canonical Fractions.  Raises ConditioningError on an overflowed
+    float row (before its pivot is tested) and np.linalg.LinAlgError on
+    a pivot that is not positive.
     """
     if size < 1:
         raise ValueError("horizon must be >= 1")
@@ -198,6 +204,14 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
         raise InsufficientDataError(
             f"insufficient data: need {2 * size - 1}, got {len(nu)}")
     row = lift(nu[:2 * size - 1], precision)
+    if precision is PrecisionMode.RATIONAL:
+        return _integer_chebyshev(row.tolist(), size, shift)
+    return _array_chebyshev(row, size, shift)
+
+
+def _array_chebyshev(row: np.ndarray, size: int, shift: int):
+    """``modified_chebyshev`` on the lifted nu_0..nu_{2 size - 2}, with
+    every row an array of their number type."""
     below = np.zeros(row.size + 2, dtype=row.dtype)    # sigma_{-1,l} = 0
     pivots, alpha, beta, ratio = [], [], [0], 0
     with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
@@ -214,6 +228,45 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
             if k < size - 1:
                 alpha.append(row[1] / row[0] - ratio)
                 ratio = row[1] / row[0]
+    return np.array(pivots), np.array(alpha), np.array(beta)
+
+
+def _integer_chebyshev(fractions: list, size: int, shift: int):
+    """``modified_chebyshev`` on the Fractions nu_0..nu_{2 size - 2} in
+    the fraction-free manner of Bareiss (Math. Comp. 22 (1968)).
+
+    Row k is the int list num over the positive int den, sigma_{k,l} =
+    num[l - k] / den.  With alpha = p/q and beta = u/v the next row is
+    q v den_below (num[i+2] + shift num[i]) - v den_below p num[i+1] -
+    den q u num_below[i+2] over den q v den_below, and one gcd of the
+    row and its denominator keeps the ints as small as the canonical
+    Fractions.  Only the pivots, alpha and beta become Fractions.
+    """
+    den = math.lcm(*(f.denominator for f in fractions))
+    num = [f.numerator * (den // f.denominator) for f in fractions]
+    below, below_den = [0] * (len(num) + 2), 1    # sigma_{-1,l} = 0
+    pivots, alpha, beta, ratio = [], [], [0], 0
+    for k in range(size):
+        if k:
+            a, b = alpha[-1], beta[-1]
+            f1 = a.denominator * b.denominator * below_den
+            f2 = b.denominator * below_den * a.numerator
+            f3 = den * a.denominator * b.numerator
+            nxt = [f1 * (n2 + shift * n0) - f2 * n1 - f3 * m2
+                   for n0, n1, n2, m2 in zip(num, num[1:], num[2:],
+                                             below[2:])]
+            below, below_den = num, den
+            den *= f1
+            common = math.gcd(den, *nxt)
+            num = [x // common for x in nxt]
+            den //= common
+            beta.append(Fraction(num[0] * below_den, den * below[0]))
+        if not num[0] > 0:
+            raise np.linalg.LinAlgError(f"pivot {k} is not positive")
+        pivots.append(Fraction(num[0], den))
+        if k < size - 1:
+            alpha.append(Fraction(num[1], num[0]) - ratio)
+            ratio = Fraction(num[1], num[0])
     return np.array(pivots), np.array(alpha), np.array(beta)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -443,9 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing keeps no state in the parser, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     """Run one command; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for flag, value in (("--T", args.horizon), ("--N-max", args.n_max)):
             if value is not None and value < 1:

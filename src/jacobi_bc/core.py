@@ -214,11 +214,17 @@ class JacobiCoefficients:
         return self._b_memo[n]
 
     def a_head(self, count: int) -> list:
-        """[a_0, ..., a_{count-1}]."""
+        """[a_0, ..., a_{count-1}]; a finite family slices its stored
+        entries, and ``a`` names the first missing one."""
+        if self.is_finite and 0 <= count <= len(self._a):
+            return list(self._a[:count])
         return [self.a(n) for n in range(count)]
 
     def b_head(self, count: int) -> list:
-        """[b_1, ..., b_count]."""
+        """[b_1, ..., b_count]; a finite family slices its stored
+        entries, and ``b`` names the first missing one."""
+        if self.is_finite and 0 <= count <= len(self._b):
+            return list(self._b[:count])
         return [self.b(n) for n in range(1, count + 1)]
 
     def __repr__(self):
@@ -387,19 +393,17 @@ def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
         except (TypeError, OverflowError, ValueError):
             return False
 
-    a0 = coeffs.a(0)
+    a0, *a_rest = coeffs.a_head(a_depth)
     if not finite(a0):
         issues.append("a_0 is not finite")
     elif a0 != 1:
         issues.append(f"a_0 convention violated: expected a_0 = 1, got {a0}")
-    for n in range(1, a_depth):
-        an = coeffs.a(n)
+    for n, an in enumerate(a_rest, 1):
         if not finite(an):
             issues.append(f"a_{n} is not finite")
         elif not an > 0:
             issues.append(f"negative off-diagonal: a_{n} = {an}")
-    for n in range(1, b_depth + 1):
-        bn = coeffs.b(n)
+    for n, bn in enumerate(coeffs.b_head(b_depth), 1):
         if not finite(bn):
             issues.append(f"b_{n} is not finite")
     return CoefficientValidation(valid=not issues, issues=tuple(issues),

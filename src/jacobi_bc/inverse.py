@@ -7,11 +7,13 @@ Orthogonal Polynomials, OUP 2004, section 2.1.7) reads the recurrence of
 the monic orthogonal polynomials p_k off either in O(T^2) operations,
 with no matrix.  The recurrence itself lives in
 ``_multiprec.modified_chebyshev``, which ``leading_eig_extremes`` shares
-for the eigenvalue sequences; this module converts its output to float
-coefficients, applies the pivot-ratio floor and names the failure.  The
-squared norms int p_k^2 dmu are the LDL^T pivots of C_T (responses) or
-S_T (moments), so their positivity is the data's characterization; the
-tests keep those factorizations as the oracle.
+for the eigenvalue sequences and which runs RATIONAL data on integer
+numerators over one denominator per row, returning exact Fractions; this
+module converts its output to float coefficients, applies the
+pivot-ratio floor and names the failure.  The squared norms int p_k^2
+dmu are the LDL^T pivots of C_T (responses) or S_T (moments), so their
+positivity is the data's characterization; the tests keep those
+factorizations as the oracle.
 b_T never influences the states within the horizon and is not recoverable.
 """
 

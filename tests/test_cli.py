@@ -106,6 +106,23 @@ class TestDiagnose:
         assert json.loads(out.read_text())["verdict"] == "Inconclusive"
 
 
+class TestParser:
+    def test_successive_calls_keep_their_own_inputs(self, tmp_path, capsys,
+                                                    free_file, geo_file):
+        # main() reuses one parser: the --input append default must not
+        # collect the files of earlier calls
+        outs = []
+        for path in (free_file, geo_file, free_file):
+            out = tmp_path / f"r{len(outs)}.json"
+            assert main(["response", "--input", path, "--T", "3",
+                         "--output", str(out)]) == 0
+            outs.append(json.loads(out.read_text())["response"])
+        assert outs[0] == outs[2] != outs[1]
+        assert main(["response", "--T", "3"]) == 2
+        assert "requires --input" in json.loads(
+            capsys.readouterr().err)["error"]["message"]
+
+
 class TestValidationFailures:
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "x.json"
@@ -512,13 +529,26 @@ class TestSimulateMemory:
 PINNED = Path(__file__).resolve().parent / "pinned"
 
 
+# r_0..r_8 and s_0..s_8 of a = (1, 3/4, 5/4, 1/2, 7/8, 3/2), b = (1/4, -1/2,
+# 3/8, -1/8, 5/8, -3/4): dyadic, hence exact in JSON and in float64.
+EIGHTHS_RESPONSE = [1.0, 0.25, -0.375, -0.484375, 0.4296875, 0.48193359375,
+                    -0.53167724609375, -0.5329360961914062,
+                    -0.014582633972167969]
+EIGHTHS_MOMENTS = [1.0, 0.25, 0.625, 0.015625, 1.3046875, -0.20556640625,
+                   3.24176025390625, -0.9225845336914062, 8.357426643371582]
+
+
 class TestPinnedBytes:
-    """The exact bytes of four outputs: a finite family under a control
-    file, and geometric(3) in EXTENDED, whose gamma_26..gamma_30 are null
-    in JSON and inf in CSV (CSV rows end in CRLF, as csv.writer writes)."""
+    """The exact bytes of eight outputs: a finite family under a control
+    file; geometric(3) in EXTENDED, whose gamma_26..gamma_30 are null in
+    JSON and inf in CSV (CSV rows end in CRLF, as csv.writer writes); and
+    RATIONAL recovery of a 1/8-grid family from its response and from its
+    moments."""
 
     @pytest.mark.parametrize("name", ["simulate.json", "simulate.csv",
-                                      "diagnose.json", "diagnose.csv"])
+                                      "diagnose.json", "diagnose.csv",
+                                      "recover-response.json",
+                                      "recover-moments.json"])
     def test_output_bytes(self, tmp_path, name):
         command, fmt = name.split(".")
         if command == "simulate":
@@ -527,11 +557,16 @@ class TestPinnedBytes:
                 "generator": None})
             ctrl = write_json(tmp_path / "u.json", {"control": [0.5, -1.0, 0.25]})
             argv = ["simulate", "--input", coeffs, "--input", ctrl, "--T", "4"]
-        else:
+        elif command == "diagnose":
             coeffs = write_json(tmp_path / "c.json", {
                 "generator": {"kind": "geometric", "params": {"ratio": 3}}})
             argv = ["diagnose", "--input", coeffs, "--N-max", "30",
                     "--precision", "extended"]
+        else:
+            key = command.split("-")[1]
+            values = EIGHTHS_RESPONSE if key == "response" else EIGHTHS_MOMENTS
+            data = write_json(tmp_path / "d.json", {key: values})
+            argv = ["recover", "--input", data, "--precision", "rational"]
         out = tmp_path / name
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -121,6 +121,25 @@ class TestCoefficients:
         co = JacobiCoefficients.geometric(2)
         assert co.a(10) == 1024 and isinstance(co.a(10), int)
 
+    def test_heads_slice_the_stored_entries(self):
+        co = JacobiCoefficients.from_arrays([1, Fraction(1, 3), 2.5],
+                                            [Fraction(2, 7), -1, 0.5])
+        assert co.a_head(3) == [1, Fraction(1, 3), 2.5]
+        assert co.b_head(2) == [Fraction(2, 7), -1]
+        assert co.a_head(0) == co.b_head(0) == []
+
+    def test_heads_past_the_end_name_the_first_missing_entry(self):
+        # the message a per-entry loop over a() and b() gives
+        co = JacobiCoefficients.from_arrays([1.0, 0.5], [0.25, -0.75])
+        with pytest.raises(CoefficientUnderrunError) as exc:
+            co.a_head(5)
+        assert str(exc.value) == ("coefficient underrun: a_2 requested, "
+                                  "only a_0..a_1 available")
+        with pytest.raises(CoefficientUnderrunError) as exc:
+            co.b_head(5)
+        assert str(exc.value) == ("coefficient underrun: b_3 requested, "
+                                  "only b_1..b_2 available")
+
 
 class TestControlAndSequences:
     def test_impulse(self):

@@ -6,14 +6,18 @@ computed at 50 digits equals the exact integer reference, while one
 computed at mpmath's default 15 digits does not.  The eigenvalue
 extremes of nested blocks, read off the modified-Chebyshev recurrence,
 are checked against per-block eigen-solves, a high-precision eigensolver
-and, bit for bit, against the factor-and-invert route they replace.
+and, bit for bit, against the factor-and-invert route they replace.  The
+RATIONAL recurrence on integer numerators is checked, numerator and
+denominator, against the array recurrence run on the same Fractions.
 """
 
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp_python import PythonMPContext
 
 from jacobi_bc import (
@@ -41,9 +45,11 @@ from jacobi_bc import (
 )
 from jacobi_bc._multiprec import (
     EXTENDED_DPS,
+    _array_chebyshev,
     _leading_top_eigs,
     leading_eig_extremes,
     lift,
+    modified_chebyshev,
     pd_factor,
     sym_eigenvalues,
 )
@@ -318,3 +324,84 @@ def test_no_mpf_formats_an_array(monkeypatch):
     krein_solve(gram_from_control(co, 16, EXTENDED), 0.5 + 1j, EXTENDED)
     kernel_finite(co, 0.5 + 1j, -0.2, 16, method="krein", precision=EXTENDED)
     assert arrays == []
+
+
+# thirds and sevenths as well as eighths: denominators no power of two holds
+_DENOMINATORS = st.sampled_from([1, 3, 7, 8, 21, 24])
+_POSITIVE = st.builds(Fraction, st.integers(1, 24), _DENOMINATORS)
+_SIGNED = st.builds(Fraction, st.integers(-24, 24), _DENOMINATORS)
+
+
+@st.composite
+def _genuine_data(draw):
+    """(nu, size, shift): the exact response (shift 1) or moments (0) of
+    a rational family with a_n > 0 and b_n of either sign."""
+    size = draw(st.integers(1, 8))
+    co = JacobiCoefficients.from_arrays(
+        [1] + draw(st.lists(_POSITIVE, min_size=size, max_size=size)),
+        draw(st.lists(_SIGNED, min_size=size + 1, max_size=size + 1)))
+    r = response_vector(co, 2 * size - 1, RATIONAL).as_array()
+    if draw(st.booleans()):
+        return r, size, 1
+    return response_to_moments(r, RATIONAL).as_array(), size, 0
+
+
+@st.composite
+def _arbitrary_data(draw):
+    """(nu, size, shift) with nu_0 > 0 and the rest drawn freely: most of
+    these are no response and no moment sequence."""
+    size = draw(st.integers(1, 6))
+    rest = draw(st.lists(_SIGNED, min_size=2 * size - 2, max_size=2 * size - 2))
+    return [draw(_POSITIVE)] + rest, size, draw(st.sampled_from([0, 1]))
+
+
+def _chebyshev_outcome(run, nu, size, shift):
+    """Every field of the recurrence's output, each number as (type,
+    numerator, denominator), or the message of its LinAlgError."""
+    try:
+        out = run(nu, size, shift)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+    return [(arr.dtype, [(type(x), x.numerator, x.denominator) for x in arr])
+            for arr in out]
+
+
+def _integer_form(nu, size, shift):
+    return modified_chebyshev(nu, size, shift, RATIONAL)
+
+
+def _array_form(nu, size, shift):
+    return _array_chebyshev(lift(nu[:2 * size - 1], RATIONAL), size, shift)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.one_of(_genuine_data(), _arbitrary_data()))
+def test_integer_recurrence_equals_the_fraction_arrays(data):
+    want = _chebyshev_outcome(_array_form, *data)
+    assert _chebyshev_outcome(_integer_form, *data) == want
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_integer_recurrence_keeps_the_exact_fields(shift):
+    co = JacobiCoefficients.from_arrays(
+        [1, Fraction(2, 3), Fraction(9, 7), Fraction(1, 21)],
+        [Fraction(-1, 3), Fraction(5, 7), Fraction(-3, 8), 2])
+    nu = response_vector(co, 7, RATIONAL).as_array()
+    if not shift:
+        nu = response_to_moments(nu, RATIONAL).as_array()
+    piv, alpha, beta = _integer_form(nu, 4, shift)
+    # b_{k+1} = alpha_k and a_k^2 = beta_k
+    assert list(alpha) == [Fraction(-1, 3), Fraction(5, 7), Fraction(-3, 8)]
+    assert list(beta) == [0, Fraction(4, 9), Fraction(81, 49),
+                          Fraction(1, 441)]
+    assert type(beta[0]) is int
+    # sigma_kk = a_1^2 ... a_k^2
+    assert list(piv) == [1, Fraction(4, 9), Fraction(36, 49), Fraction(4, 2401)]
+
+
+def test_integer_recurrence_refuses_a_non_positive_pivot():
+    # s_2 - s_1^2 / s_0 = -1/3 - 1/49 < 0: pivot 1 of S_3
+    nu = [Fraction(1), Fraction(1, 7), Fraction(-1, 3), 0, 1]
+    for run in (_integer_form, _array_form):
+        with pytest.raises(np.linalg.LinAlgError, match="^pivot 1 is not positive$"):
+            run(nu, 3, 0)
