@@ -19,13 +19,17 @@ computes in the caller's own context.
 The pipeline modules write each step once, independent of dtype, on top
 of what this module provides:
 
-* ``lift`` and the per-mode noise and pivot floors;
+* ``lift``, the per-mode noise and pivot floors, and the width quantum
+  of the forward sweep (``width_quantum``);
 * Wheeler's modified Chebyshev recurrence (``modified_chebyshev``) on
   moments or a response.  Recovery reads the coefficients off it.
   ``leading_eig_extremes`` builds from it Q = diag(d)^-1/2 L^-1 of the
   Hankel or connecting matrix A = L diag(d) L^T, the coefficient table of
   the orthonormal polynomials, in O(n^2) operations, and reads the
-  smallest eigenvalue of every nested leading block off Q;
+  smallest eigenvalue of every nested leading block off Q.  Both add
+  the basis shift x pi_l = pi_{l+1} + shift pi_{l-1} without multiplying
+  by it: shift 1 adds the row itself, and shift 0 adds nothing to object
+  rows but keeps 0 * row on float rows, whose zeros' signs it decides;
 * ``sym_eigenvalues`` for single matrices and, block by block, for
   matrices that are not positive definite;
 * one positive-definite factorization (``pd_factor``) and one
@@ -68,6 +72,10 @@ NOISE_FLOOR_FACTOR = 1e3
 
 _RESIDUAL_TOL = 1e-10
 _REFINE_STEPS = 5
+
+# Float rows of a forward sweep round the updated width up to a multiple
+# of this many sites.
+_WIDTH_QUANTUM = 64
 
 
 def as_mpf(x):
@@ -139,6 +147,24 @@ def cell_bytes(precision: PrecisionMode) -> int:
     return 8 + 48
 
 
+def width_quantum(coef: np.ndarray) -> int:
+    """Sites a forward sweep rounds its updated width up to, for the
+    coefficient rows (a_{n-1}, b_n, a_n) ``coef``.
+
+    A cell past the wavefront sums a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n
+    - u_{n,t-1} over zeros, and stays +0.0 when every a_n (row 0) is
+    positive and every b_n finite, as validated coefficients are; such
+    float rows take _WIDTH_QUANTUM.  Object rows pay a real mpf or
+    Fraction operation per extra cell, and a coefficient that is not
+    positive or not finite could put -0.0 or NaN past the wavefront, so
+    both keep the exact width.
+    """
+    if (coef.dtype.kind == "f" and np.isfinite(coef).all()
+            and (coef[0] > 0).all()):
+        return _WIDTH_QUANTUM
+    return 1
+
+
 def noise_floor(norm, precision: PrecisionMode):
     """Eigenvalues of a block with spectral norm ``norm`` (scalar or
     array) that lie below this are rounding noise of the mode's
@@ -198,29 +224,60 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
     float row (before its pivot is tested) and np.linalg.LinAlgError on
     a pivot that is not positive.
     """
-    if size < 1:
-        raise ValueError("horizon must be >= 1")
-    if len(nu) < 2 * size - 1:
-        raise InsufficientDataError(
-            f"insufficient data: need {2 * size - 1}, got {len(nu)}")
-    row = lift(nu[:2 * size - 1], precision)
+    row = _lifted_nu(nu, size, precision)
     if precision is PrecisionMode.RATIONAL:
         return _integer_chebyshev(row.tolist(), size, shift)
     return _array_chebyshev(row, size, shift)
 
 
+def _lifted_nu(nu, size: int, precision: PrecisionMode) -> np.ndarray:
+    """nu_0..nu_{2 size - 2} lifted, or the error of a size below 1 or
+    too short a sequence."""
+    if size < 1:
+        raise ValueError("horizon must be >= 1")
+    if len(nu) < 2 * size - 1:
+        raise InsufficientDataError(
+            f"insufficient data: need {2 * size - 1}, got {len(nu)}")
+    return lift(nu[:2 * size - 1], precision)
+
+
 def _array_chebyshev(row: np.ndarray, size: int, shift: int):
     """``modified_chebyshev`` on the lifted nu_0..nu_{2 size - 2}, with
     every row an array of their number type."""
+    pivots, alpha, beta = [], [], [0]
+    _array_rows(row, size, shift, pivots, alpha, beta)
+    return np.array(pivots), np.array(alpha), np.array(beta)
+
+
+def _plus_basis_shift(acc: np.ndarray, row: np.ndarray, shift: int) -> None:
+    """acc += shift * row for the basis shift 0 or 1, with no product
+    where it changes no bit: 1 * row is row once rounded, and 0 * row
+    adds an exact zero to object rows.  Float rows keep 0 * row, since
+    x + (-0.0) and x + 0.0 differ when x is -0.0."""
+    if shift:
+        acc += row
+    elif acc.dtype != object:
+        acc += row * 0
+
+
+def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
+                alpha: list, beta: list) -> None:
+    """Wheeler's rows k = 0..size-1 on the lifted nu: appends sigma_kk,
+    alpha_k (k < size - 1) and beta_k (k >= 1) to the lists, which start
+    empty, empty and [0].  A bad row raises as ``modified_chebyshev``
+    describes, and the lists keep the rows before it."""
     below = np.zeros(row.size + 2, dtype=row.dtype)    # sigma_{-1,l} = 0
-    pivots, alpha, beta, ratio = [], [], [0], 0
+    ratio = 0
     with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
         for k in range(size):
             if k:
                 # the arrays go left of the scalars (see the module note)
-                row, below = (row[2:] - row[1:-1] * alpha[-1]
-                              - below[2:-2] * beta[-1]
-                              + shift * row[:-2]), row
+                nxt = row[2:] - row[1:-1] * alpha[-1] - below[2:-2] * beta[-1]
+                # * 1 rounds the first row once, as the product did: an
+                # mpf of another context keeps its mantissa until then
+                _plus_basis_shift(nxt, row[:-2] * 1 if k == 1 else row[:-2],
+                                  shift)
+                row, below = nxt, row
                 beta.append(row[0] / pivots[-1])
             if not _finite(row)[0] > 0:
                 raise np.linalg.LinAlgError(f"pivot {k} is not positive")
@@ -228,7 +285,6 @@ def _array_chebyshev(row: np.ndarray, size: int, shift: int):
             if k < size - 1:
                 alpha.append(row[1] / row[0] - ratio)
                 ratio = row[1] / row[0]
-    return np.array(pivots), np.array(alpha), np.array(beta)
 
 
 def _integer_chebyshev(fractions: list, size: int, shift: int):
@@ -280,7 +336,7 @@ def _orthonormal_rows(sigma, alpha, beta, shift) -> np.ndarray:
     for k in range(n - 1):
         nxt = coef[k + 1]
         nxt[1:k + 2] = coef[k, :k + 1]
-        nxt[:k] += coef[k, 1:k + 1] * shift
+        _plus_basis_shift(nxt[:k], coef[k, 1:k + 1], shift)
         nxt[:k + 1] -= coef[k, :k + 1] * alpha[k]
         if k:
             nxt[:k] -= coef[k - 1, :k] * beta[k]
@@ -303,23 +359,35 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     keep the relative accuracy of the tiny eigenvalues of graded
     matrices where a QR-type eigensolver loses it.  A DOUBLE matrix
     holding inf or NaN is refused with ConditioningError.  A pivot that
-    is not positive, or a float row that overflows, falls back to one
-    eigen-solve per block, so negative eigenvalues are reported.
+    is not positive, or a float row that overflows, ends the
+    recurrence: the blocks before it are still read off Q, and every
+    block from it on is eigen-solved by itself, so negative eigenvalues
+    are reported.
     """
     mode = (precision if precision is PrecisionMode.DOUBLE
             else PrecisionMode.EXTENDED)
     work = _finite(lift(matrix, mode))
+    size = work.shape[0]
+    pivots, alpha, beta = [], [], [0]
     try:
-        recurrence = modified_chebyshev(nu, work.shape[0], shift, mode)
+        _array_rows(_lifted_nu(nu, size, mode), size, shift, pivots, alpha,
+                    beta)
     except (np.linalg.LinAlgError, ConditioningError):
-        ends = np.array([sym_eigenvalues(matrix[:n, :n], precision)[[0, -1]]
-                         for n in range(1, work.shape[0] + 1)])
-        return ends[:, 0], ends[:, 1]
-    q_top, q_exp = _leading_top_eigs(_orthonormal_rows(*recurrence, shift),
-                                     gram=True)
-    a_top, a_exp = _leading_top_eigs(work)
-    with np.errstate(over="ignore", under="ignore"):
-        return np.ldexp(1 / q_top, -q_exp), np.ldexp(a_top, a_exp)
+        pass
+    good = len(pivots)
+    mins, maxs = np.empty(size), np.empty(size)
+    if good:
+        q = _orthonormal_rows(np.array(pivots), np.array(alpha[:good - 1]),
+                              np.array(beta[:good]), shift)
+        q_top, q_exp = _leading_top_eigs(q, gram=True)
+        a_top, a_exp = _leading_top_eigs(work[:good, :good])
+        with np.errstate(over="ignore", under="ignore"):
+            mins[:good] = np.ldexp(1 / q_top, -q_exp)
+            maxs[:good] = np.ldexp(a_top, a_exp)
+    for n in range(good + 1, size + 1):
+        mins[n - 1], maxs[n - 1] = sym_eigenvalues(matrix[:n, :n],
+                                                   precision)[[0, -1]]
+    return mins, maxs
 
 
 # frexp exponent given to zero entries: below every real entry's exponent

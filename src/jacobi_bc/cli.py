@@ -33,6 +33,7 @@ from .core import (
     JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
+    _finite_reals,
     validate_coefficients,
 )
 from . import connecting as connecting_mod
@@ -57,10 +58,8 @@ class CliInputError(Exception):
 
 
 def _is_real(x) -> bool:
-    """A finite int or float; bools are refused although Python counts
-    them as ints."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+    """A finite int or float, not a bool (see ``_finite_reals``)."""
+    return _finite_reals([x])
 
 
 # Result numbers leave the package through these two conversions only: a
@@ -146,7 +145,7 @@ def _generator(gen) -> JacobiCoefficients:
 
 def _number_list(obj, key: str, path: str) -> list:
     vals = obj.get(key)
-    if not isinstance(vals, list) or not vals or not all(map(_is_real, vals)):
+    if not isinstance(vals, list) or not vals or not _finite_reals(vals):
         raise CliInputError(
             f"{path}: {key!r} must be a non-empty list of finite numbers")
     return vals

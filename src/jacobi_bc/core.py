@@ -371,6 +371,14 @@ def materialize_matrix(coeffs: JacobiCoefficients, size: int,
 PROBE_DEPTH = 64   # of generator-backed families in validate_coefficients
 
 
+def _finite_reals(values: list) -> bool:
+    """Whether every entry is a finite int or float (bools are refused
+    although Python counts them as ints), in one pass of C builtins.  An
+    int beyond float64 raises OverflowError."""
+    return (set(map(type, values)) <= {int, float}
+            and all(map(math.isfinite, values)))
+
+
 def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
     """Inspect a_0 = 1, positivity of a_n, and finiteness of the entries.
 
@@ -393,7 +401,17 @@ def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
         except (TypeError, OverflowError, ValueError):
             return False
 
-    a0, *a_rest = coeffs.a_head(a_depth)
+    depth = max(a_depth - 1, b_depth)
+    a_head, b_head = coeffs.a_head(a_depth), coeffs.b_head(b_depth)
+    entries = a_head + b_head
+    try:
+        plain = _finite_reals(entries)
+    except OverflowError:   # a huge int, which the loop below accepts
+        plain = False
+    # plain ints and floats are checked in one pass; the loop words issues
+    if plain and a_head[0] == 1 and min(a_head[1:], default=1) > 0:
+        return CoefficientValidation(valid=True, issues=(), checked_depth=depth)
+    a0, *a_rest = a_head
     if not finite(a0):
         issues.append("a_0 is not finite")
     elif a0 != 1:
@@ -403,8 +421,8 @@ def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
             issues.append(f"a_{n} is not finite")
         elif not an > 0:
             issues.append(f"negative off-diagonal: a_{n} = {an}")
-    for n, bn in enumerate(coeffs.b_head(b_depth), 1):
+    for n, bn in enumerate(b_head, 1):
         if not finite(bn):
             issues.append(f"b_{n} is not finite")
     return CoefficientValidation(valid=not issues, issues=tuple(issues),
-                                 checked_depth=max(a_depth - 1, b_depth))
+                                 checked_depth=depth)

@@ -13,10 +13,15 @@ n <= horizon.  The finite variant adds the Dirichlet wall u_{N+1,t} = 0.
 Every solver runs one rolling sweep (``_sweep``) over two time slices.
 A step updates only the sites inside the reachable cone: those the wave
 has reached, and from which a value can still travel back to the sites
-the caller reads before the horizon.  ``response_vector`` reads site 1
-alone, so it keeps O(T) memory and updates about a quarter of the
-cells of the full field.  ``solve_semi_infinite``, ``solve_finite`` and
-``control_operator`` return the whole field, which is O(N T) memory;
+the caller reads before the horizon.  The cost of a step is numpy
+dispatch, not arithmetic, so a step is four ufunc calls into
+preallocated buffers, and float rows round the updated width up to a
+multiple of 64 sites so that the slices are re-cut only every 64 steps;
+the extra cells cannot change an output (see ``_sweep``).
+``response_vector`` reads site 1 alone, so it keeps O(T) memory and
+updates about a quarter of the cells of the full field.
+``solve_semi_infinite``, ``solve_finite`` and ``control_operator``
+return the whole field, which is O(N T) memory;
 they refuse a field whose size estimate exceeds physical memory before
 allocating it.  Each computed cell gets the same operands in the same
 order in every solver, so all of them agree to the last bit.  The fields
@@ -35,6 +40,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     BoundaryControl,
@@ -45,7 +51,7 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
-from ._multiprec import cell_bytes, lift
+from ._multiprec import cell_bytes, lift, width_quantum
 
 __all__ = [
     "WaveField",
@@ -142,48 +148,78 @@ def _check_sizes(horizon: int, n_space: int) -> None:
 
 def _lift_system(coeffs: JacobiCoefficients, control, horizon: int,
                  n_space: int, precision: PrecisionMode):
-    """The control, (a_0, ..., a_{n_space-1}, 0) and (0, b_1, ..., b_n_space)
-    lifted to the number type of ``precision``.
+    """The control and the (3, n_space) coefficient rows (a_{n-1}, b_n,
+    a_n) of the sites n = 1..n_space, lifted to the number type of
+    ``precision``, and the number type of the field.
 
-    The zero ending ``a`` multiplies the ghost site n_space + 1, which is
-    identically zero: the causality cone for the semi-infinite system, the
-    Dirichlet wall for the finite one.
+    The last a_n is a zero that multiplies the ghost site n_space + 1,
+    which is identically zero: the causality cone for the semi-infinite
+    system, the Dirichlet wall for the finite one.  The field takes the
+    type of a and the control: a complex b alone leaves it real, and the
+    sweep drops b's imaginary parts at each step.
     """
     ctrl = _control_array(control, horizon, precision)
-    a = lift(coeffs.a_head(n_space) + [0], precision)
-    b = lift([0] + coeffs.b_head(n_space), precision)
-    return ctrl, a, b
+    a = coeffs.a_head(n_space)
+    coef = lift([a, coeffs.b_head(n_space), a[1:] + [0]], precision)
+    real_a = np.iscomplexobj(coef) and not np.iscomplexobj(a)
+    return ctrl, coef, np.result_type(coef.real if real_a else coef, ctrl)
 
 
-def _sweep(ctrl, a, b, out: np.ndarray) -> None:
+def _sweep(ctrl, coef, out: np.ndarray) -> None:
     """Run the recurrence for t = 0..horizon-1 and write u_{n,t+1} into
     out[n-1, t] for the watched sites n = 1..len(out).
 
     Two rolling slices hold the sites 0..n_space+1 at times t-1 and t.
-    Step t updates only the sites 1..k, k = min(t+1, n_space,
+    Step t updates the sites 1..k of the cone, k = min(t+1, n_space,
     watched + horizon - t - 1): the wave has reached them, and a value
-    there can still travel back to a watched site by the horizon.  Every
-    other site keeps the lifted zero ``a[-1]`` it starts with or a value
-    no watched site can see, so each computed cell has the bits of the
-    full-field update.
+    there can still travel back to a watched site by the horizon.  The
+    coefficients are held once as rows (a_{n-1}, b_n, a_n), and each
+    slice has a strided view with rows (u_{n-1}, u_n, u_{n+1}), so a
+    step is four ufunc calls: one 3-row product P, P_2 + P_0, + P_1, and
+    - u_{n,t-1} into the older slice.  That is (a_n u_{n+1} + a_{n-1}
+    u_{n-1}) + b_n u_n - u_{n,t-1}, the operands and order of the
+    full-field update, so each cell an output reads has its bits.
+
+    The sum is formed in the type of the coefficients and the field;
+    a field that is real while b is complex takes its real part.
+
+    Float rows round k up to a multiple of ``width_quantum`` sites
+    (capped at n_space), and the views are re-cut only when that width
+    changes.  The cells it adds lie past the wavefront, where they stay
+    +0.0, or outside the watched sites' dependence cone, so no output
+    can see them.  Every other site keeps the lifted zero it starts with
+    or a value no watched site can see.
     """
-    n_space, horizon, watched = len(b) - 1, len(ctrl), len(out)
-    prev = np.full(n_space + 2, a[-1], dtype=out.dtype)
-    cur = prev.copy()
+    n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
+    quantum = width_quantum(coef)
+    slices = (np.full(n_space + 2, coef[2, -1], dtype=out.dtype),)
+    slices += (slices[0].copy(),)
+    sites = [as_strided(s, (3, n_space), s.strides * 2, writeable=False)
+             for s in slices]
+    prod = np.empty((3, n_space), dtype=np.result_type(coef, out))
+    # prod itself, or its real part where only b is complex
+    acc = prod if np.iscomplexobj(out) else prod.real
+    # per parity of t: the width its views were cut for, and the views
+    widths, views = [0, 0], [None, None]
     # Rapidly growing coefficient families overflow float64 inside the
     # cone; those cells hold inf or nan and are returned as they are.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon):
-            cur[0] = ctrl[t]
+        for t, f in enumerate(ctrl):
             k = min(t + 1, n_space, watched + horizon - t - 1)
-            prev[1:k + 1] = (
-                a[1:k + 1] * cur[2:k + 2]
-                + a[:k] * cur[:k]
-                + b[1:k + 1] * cur[1:k + 1]
-                - prev[1:k + 1]
-            )
-            prev, cur = cur, prev
-            out[:, t] = cur[1:watched + 1]
+            k = min(-(-k // quantum) * quantum, n_space)
+            i = t & 1
+            if k != widths[i]:
+                p, older = prod[:, :k], slices[1 - i]
+                widths[i] = k
+                views[i] = (slices[i], coef[:, :k], sites[i][:, :k], p, *p,
+                            acc[2, :k], older[1:k + 1], older[1:watched + 1])
+            cur, c, u, p, p0, p1, p2, total, prev, seen = views[i]
+            cur[0] = f
+            np.multiply(c, u, out=p)
+            np.add(p2, p0, out=p2)
+            np.add(p2, p1, out=p2)
+            np.subtract(total, prev, out=prev)
+            out[:, t] = seen
 
 
 def _check_field_memory(n_space: int, horizon: int, precision: PrecisionMode,
@@ -209,9 +245,10 @@ def _watched_sites(coeffs: JacobiCoefficients, control, horizon: int,
                    n_space: int, watched: int, precision: PrecisionMode):
     """u_{n,t+1} for the sites n = 1..watched and t = 0..horizon-1, as a
     read-only C-contiguous (watched, horizon) array."""
-    ctrl, a, b = _lift_system(coeffs, control, horizon, n_space, precision)
-    out = np.empty((watched, horizon), dtype=np.result_type(a, ctrl))
-    _sweep(ctrl, a, b, out)
+    ctrl, coef, dtype = _lift_system(coeffs, control, horizon, n_space,
+                                     precision)
+    out = np.empty((watched, horizon), dtype=dtype)
+    _sweep(ctrl, coef, out)
     out.setflags(write=False)
     return out
 
@@ -227,10 +264,11 @@ def _full_field(coeffs: JacobiCoefficients, control, horizon: int,
     """
     _check_sizes(horizon, n_space)
     _check_field_memory(n_space, horizon, precision)
-    ctrl, a, b = _lift_system(coeffs, control, horizon, n_space, precision)
-    field = np.zeros((n_space + 1, horizon + 2), dtype=np.result_type(a, ctrl))
+    ctrl, coef, dtype = _lift_system(coeffs, control, horizon, n_space,
+                                     precision)
+    field = np.zeros((n_space + 1, horizon + 2), dtype=dtype)
     field[0, 1:horizon + 1] = ctrl
-    _sweep(ctrl, a, b, field[1:, 2:])
+    _sweep(ctrl, coef, field[1:, 2:])
     field.setflags(write=False)
     return field
 

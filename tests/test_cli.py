@@ -165,6 +165,29 @@ class TestMalformedInput:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "validation"
 
+    # float entries but one: the one-pass check of an all-float list
+    # falls back to the per-entry loop, which words the message
+    @pytest.mark.parametrize("key, bad, message", [
+        ("a", True, "'a' must be a non-empty list of finite numbers"),
+        ("b", float("inf"), "'b' must be a non-empty list of finite numbers"),
+        ("a", float("nan"), "'a' must be a non-empty list of finite numbers"),
+        ("a0", 2.0, "invalid coefficients: a_0 convention violated: "
+                    "expected a_0 = 1, got 2.0"),
+        ("a", -0.5, "invalid coefficients: negative off-diagonal: a_2 = -0.5"),
+        ("a", 0.0, "invalid coefficients: negative off-diagonal: a_2 = 0.0"),
+    ])
+    def test_all_float_input_keeps_its_message(self, tmp_path, capsys, key,
+                                               bad, message):
+        payload = {"a": [1.0, 0.5, 0.75, 1.25], "b": [0.25, -0.5, 0.0, 1.5]}
+        if key == "a0":
+            payload["a"][0] = bad
+        else:
+            payload[key][2] = bad
+        path = write_json(tmp_path / "in.json", payload)
+        assert main(["response", "--input", path, "--T", "2"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"] \
+            == f"{path}: {message}"
+
     def test_bad_points(self, tmp_path, free_file):
         pts = write_json(tmp_path / "p.json", {"points": [1.0]})
         assert main(["hb", "--input", free_file, "--input", pts,
@@ -537,18 +560,27 @@ EIGHTHS_RESPONSE = [1.0, 0.25, -0.375, -0.484375, 0.4296875, 0.48193359375,
 EIGHTHS_MOMENTS = [1.0, 0.25, 0.625, 0.015625, 1.3046875, -0.20556640625,
                    3.24176025390625, -0.9225845336914062, 8.357426643371582]
 
+# A decaying perturbation of the free family with b != 0, size 32: a_n =
+# 1 - 1/(2 (n+1)^2), b_n = (-1)^n 3/(10 (n+1)^2).
+DECAYING = {"a": [1.0] + [1 - 0.5 / (n + 1) ** 2 for n in range(1, 32)],
+            "b": [(-1) ** n * 0.3 / (n + 1) ** 2 for n in range(1, 33)],
+            "generator": None}
+
 
 class TestPinnedBytes:
     """The exact bytes of eight outputs: a finite family under a control
     file; geometric(3) in EXTENDED, whose gamma_26..gamma_30 are null in
-    JSON and inf in CSV (CSV rows end in CRLF, as csv.writer writes); and
+    JSON and inf in CSV (CSV rows end in CRLF, as csv.writer writes);
     RATIONAL recovery of a 1/8-grid family from its response and from its
-    moments."""
+    moments; and the DOUBLE response r_0..r_62 of a decaying family and
+    its recovery."""
 
     @pytest.mark.parametrize("name", ["simulate.json", "simulate.csv",
                                       "diagnose.json", "diagnose.csv",
                                       "recover-response.json",
-                                      "recover-moments.json"])
+                                      "recover-moments.json",
+                                      "response.json",
+                                      "recover-double.json"])
     def test_output_bytes(self, tmp_path, name):
         command, fmt = name.split(".")
         if command == "simulate":
@@ -562,6 +594,13 @@ class TestPinnedBytes:
                 "generator": {"kind": "geometric", "params": {"ratio": 3}}})
             argv = ["diagnose", "--input", coeffs, "--N-max", "30",
                     "--precision", "extended"]
+        elif command in ("response", "recover-double"):
+            coeffs = write_json(tmp_path / "c.json", DECAYING)
+            argv = ["response", "--input", coeffs, "--T", "63"]
+            if command == "recover-double":
+                response = str(tmp_path / "r.json")
+                assert main(argv + ["--output", response]) == 0
+                argv = ["recover", "--input", response]
         else:
             key = command.split("-")[1]
             values = EIGHTHS_RESPONSE if key == "response" else EIGHTHS_MOMENTS

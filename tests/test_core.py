@@ -78,6 +78,33 @@ class TestValidate:
             JacobiCoefficients.from_arrays([1.0, float("inf")], [0.0, 0.0]))
         assert not report.valid
 
+    def test_all_float_issues_are_worded_per_entry(self):
+        nan, inf = float("nan"), float("inf")
+        report = validate_coefficients(JacobiCoefficients.from_arrays(
+            [2.0, -0.5, nan, 0.0, 1.5], [0.25, inf, -nan, 0.0, 0.5]))
+        assert report.issues == (
+            "a_0 convention violated: expected a_0 = 1, got 2.0",
+            "negative off-diagonal: a_1 = -0.5",
+            "a_2 is not finite",
+            "negative off-diagonal: a_3 = 0.0",
+            "b_2 is not finite",
+            "b_3 is not finite")
+        assert report.checked_depth == 5
+        valid = validate_coefficients(JacobiCoefficients.from_arrays(
+            [1.0, 0.5, 1.5], [0.0, -0.0, 0.25]))
+        assert valid.valid and valid.issues == () and valid.checked_depth == 3
+
+    def test_ints_pass_as_floats_do(self):
+        # an int beyond float64 cannot take the one-pass check, and the
+        # per-entry loop accepts it as a finite int
+        for a in ([1, 2, 3], [1, 2.5, 10 ** 400], [1.0, 0.5, 3]):
+            report = validate_coefficients(
+                JacobiCoefficients.from_arrays(a, [0, -1, 0.5]))
+            assert report.valid and report.checked_depth == 3
+        report = validate_coefficients(
+            JacobiCoefficients.from_arrays([1, 10 ** 400, -2], [0, 0, 0]))
+        assert report.issues == ("negative off-diagonal: a_2 = -2",)
+
 
 class TestCoefficients:
     def test_memoized_rules_are_deterministic(self):

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -391,3 +392,133 @@ class TestFieldPeakMemory:
         assert field.values.base is None and not field.values.flags.writeable
         caller = np.zeros((6, 7))
         assert WaveField(caller, 5, 5).values is not caller
+
+
+def _cone_sweep(ctrl, a, b, out):
+    """The cone sweep with the one-expression step the four-call kernel
+    replaced, kept verbatim as the oracle (a = (a_0, ..., a_{n-1}, 0),
+    b = (0, b_1, ..., b_n))."""
+    n_space, horizon, watched = len(b) - 1, len(ctrl), len(out)
+    prev = np.full(n_space + 2, a[-1], dtype=out.dtype)
+    cur = prev.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            cur[0] = ctrl[t]
+            k = min(t + 1, n_space, watched + horizon - t - 1)
+            prev[1:k + 1] = (
+                a[1:k + 1] * cur[2:k + 2]
+                + a[:k] * cur[:k]
+                + b[1:k + 1] * cur[1:k + 1]
+                - prev[1:k + 1]
+            )
+            prev, cur = cur, prev
+            out[:, t] = cur[1:watched + 1]
+
+
+def _cone_watched(coeffs, control, horizon, n_space, watched, precision):
+    """Sites 1..watched at t = 1..horizon by the oracle sweep, lifted as
+    the solvers lifted their coefficients before the kernel changed."""
+    ctrl = _reference_control(control, horizon, precision)
+    a = lift(coeffs.a_head(n_space) + [0], precision)
+    b = lift([0] + coeffs.b_head(n_space), precision)
+    out = np.empty((watched, horizon), dtype=np.result_type(a, ctrl))
+    _cone_sweep(ctrl, a, b, out)
+    return ctrl, out
+
+
+def _cone_outputs(coeffs, size, control, horizon, precision):
+    """response_vector, solve_finite and control_operator by the oracle."""
+    def real(arr):
+        return arr.real if np.iscomplexobj(arr) else arr
+
+    def field():
+        ctrl, interior = _cone_watched(coeffs, control, horizon, size, size,
+                                       precision)
+        out = np.zeros((size + 1, horizon + 2), dtype=interior.dtype)
+        out[0, 1:horizon + 1] = ctrl
+        out[1:, 2:] = interior
+        return out
+
+    n_space = coeffs.size if coeffs.is_finite else horizon
+    return [lambda: real(_cone_watched(coeffs, [1], horizon, n_space, 1,
+                                       precision)[1][0]),
+            field,
+            lambda: real(_cone_watched(coeffs, [1], horizon, horizon,
+                                       horizon, precision)[1])]
+
+
+def _solver_outputs(coeffs, size, control, horizon, precision):
+    return [lambda: response_vector(coeffs, horizon, precision).values,
+            lambda: solve_finite(coeffs, size, control, horizon,
+                                 precision).values,
+            lambda: control_operator(coeffs, horizon, precision).matrix]
+
+
+def _bits(fn):
+    """Shape, dtype and the exact bits of every cell (float bytes, mpf
+    ``_mpf_`` or mpc ``_mpc_``, Fraction numerator and denominator), or
+    the exception."""
+    try:
+        arr = np.asarray(fn())
+    except Exception as exc:  # both sides must fail alike
+        return type(exc), str(exc)
+    if arr.dtype != object:
+        return arr.shape, arr.dtype, arr.tobytes()
+    return arr.shape, [_cell_bits(v) for v in arr.ravel().tolist()]
+
+
+def _cell_bits(v):
+    for field in ("_mpf_", "_mpc_"):
+        if hasattr(v, field):
+            return type(v), getattr(v, field)
+    return type(v), v.numerator, v.denominator
+
+
+_ZEROS_AND_REALS = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """(coefficients, finite size, control, horizon, precision).  DOUBLE
+    horizons reach past three 64-site widths; the 2^n family overflows
+    to inf and then NaN; the unchecked family has negative or -0.0 a and
+    NaN b, which no validated input holds; the complex-b family has a
+    real a, so a real control leaves its field real."""
+    precision = draw(st.sampled_from(list(PrecisionMode)))
+    double = precision is PrecisionMode.DOUBLE
+    horizon = draw(st.integers(1, 200 if double else 10))
+    length = draw(st.sampled_from([horizon + 1, max(horizon // 2, 1)]))
+    kind = draw(st.sampled_from(
+        ["random", "geometric", "complex_b"] + ["unchecked"] * double))
+    if kind == "geometric":
+        coeffs = JacobiCoefficients.geometric(2)
+    else:
+        a = st.floats(0.5, 2.0)
+        b = _ZEROS_AND_REALS
+        if kind == "unchecked":
+            a = st.sampled_from([0.75, -0.0, -1.25]) | a
+            b = st.just(float("nan")) | b
+        if kind == "complex_b":
+            b = st.builds(complex, b, _ZEROS_AND_REALS)
+        coeffs = JacobiCoefficients.from_arrays(
+            [1.0] + draw(st.lists(a, min_size=length - 1, max_size=length - 1)),
+            draw(st.lists(b, min_size=length, max_size=length)))
+    size = draw(st.integers(1, horizon + 1))
+    if coeffs.is_finite:
+        size = min(size, coeffs.size)
+    control = draw(st.lists(_ZEROS_AND_REALS, min_size=1, max_size=horizon))
+    if draw(st.booleans()):
+        imag = draw(st.lists(_ZEROS_AND_REALS, min_size=len(control),
+                             max_size=len(control)))
+        control = [complex(x, y) for x, y in zip(control, imag)]
+    return coeffs, size, control, horizon, precision
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_sweep_cases())
+def test_sweep_kernel_equals_the_one_expression_step(case):
+    for got, want in zip(_solver_outputs(*case), _cone_outputs(*case)):
+        with warnings.catch_warnings():
+            # the oracle drops a complex b's imaginary parts by assignment
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            assert _bits(got) == _bits(want)

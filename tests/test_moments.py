@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -179,3 +180,16 @@ class TestPositivity:
         s = semicircle_moments(47)
         with pytest.warns(ConditioningWarning):
             hankel_positivity(s, 24)
+
+    def test_a_failed_pivot_keeps_the_blocks_before_it(self):
+        # Catalan numbers above 2^53 round in float64, and pivot 31 (N =
+        # 32) is the first of the recurrence to fail; the blocks before it
+        # stay on the recurrence instead of per-block eigen-solves
+        s = semicircle_moments(65)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            long, short = hankel_positivity(s, 33), hankel_positivity(s, 28)
+        assert short.solvable
+        assert long.min_eigenvalues[:28].tobytes() == \
+            short.min_eigenvalues.tobytes()
+        assert long.first_failure is not None and long.first_failure >= 32

@@ -46,6 +46,7 @@ from jacobi_bc import (
 from jacobi_bc._multiprec import (
     EXTENDED_DPS,
     _array_chebyshev,
+    _finite,
     _leading_top_eigs,
     leading_eig_extremes,
     lift,
@@ -405,3 +406,108 @@ def test_integer_recurrence_refuses_a_non_positive_pivot():
     for run in (_integer_form, _array_form):
         with pytest.raises(np.linalg.LinAlgError, match="^pivot 1 is not positive$"):
             run(nu, 3, 0)
+
+
+def _product_chebyshev(row, size, shift):
+    """The array recurrence as it was when it multiplied by the basis
+    shift, kept verbatim as the oracle."""
+    below = np.zeros(row.size + 2, dtype=row.dtype)    # sigma_{-1,l} = 0
+    pivots, alpha, beta, ratio = [], [], [0], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(size):
+            if k:
+                row, below = (row[2:] - row[1:-1] * alpha[-1]
+                              - below[2:-2] * beta[-1]
+                              + shift * row[:-2]), row
+                beta.append(row[0] / pivots[-1])
+            if not _finite(row)[0] > 0:
+                raise np.linalg.LinAlgError(f"pivot {k} is not positive")
+            pivots.append(row[0])
+            if k < size - 1:
+                alpha.append(row[1] / row[0] - ratio)
+                ratio = row[1] / row[0]
+    return np.array(pivots), np.array(alpha), np.array(beta)
+
+
+def _product_orthonormal_rows(sigma, alpha, beta, shift):
+    """Q = diag(sigma)^-1/2 L^-1 as it was built with the product, kept
+    verbatim as the oracle."""
+    n = sigma.size
+    coef = np.zeros((n, n), dtype=sigma.dtype)
+    coef[0, 0] = 1
+    for k in range(n - 1):
+        nxt = coef[k + 1]
+        nxt[1:k + 2] = coef[k, :k + 1]
+        nxt[:k] += coef[k, 1:k + 1] * shift
+        nxt[:k + 1] -= coef[k, :k + 1] * alpha[k]
+        if k:
+            nxt[:k] -= coef[k - 1, :k] * beta[k]
+    return coef * (sigma ** -0.5)[:, None]
+
+
+def _product_extremes(matrix, nu, shift, precision):
+    """leading_eig_extremes of a matrix whose pivots are all positive,
+    by the product forms."""
+    size = matrix.shape[0]
+    recurrence = _product_chebyshev(lift(nu[:2 * size - 1], precision),
+                                    size, shift)
+    q_top, q_exp = _leading_top_eigs(
+        _product_orthonormal_rows(*recurrence, shift), gram=True)
+    a_top, a_exp = _leading_top_eigs(lift(matrix, precision))
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(1 / q_top, -q_exp), np.ldexp(a_top, a_exp)
+
+
+def _exact_bits(run, *args):
+    """Every array the call returns, with the exact bits of each entry
+    (float bytes, mpf ``_mpf_``, the int beta_0), or its error."""
+    try:
+        out = run(*args)
+    except (np.linalg.LinAlgError, ConditioningError) as exc:
+        return type(exc), str(exc)
+    return [(arr.dtype, arr.tobytes() if arr.dtype != object
+             else [getattr(v, "_mpf_", v) for v in arr]) for arr in out]
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _double_data(draw):
+    """(nu, size, shift) in float64 from ``_genuine_data``, with every zero
+    of either sign: a family with b = 0 has a symmetric measure, so its
+    moments alternate with zeros and alpha_k = 0 takes its sign from
+    them."""
+    nu, size, shift = draw(_genuine_data())
+    if not shift and draw(st.booleans()):
+        nu = [v if k % 2 == 0 else 0 for k, v in enumerate(nu)]
+    return [draw(_SIGNED_ZERO) if v == 0 else float(v) for v in nu], size, shift
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=_double_data())
+def test_double_recurrence_equals_the_product_form(data):
+    nu, size, shift = data
+    want = _exact_bits(_product_chebyshev, lift(nu[:2 * size - 1],
+                                                 PrecisionMode.DOUBLE),
+                       size, shift)
+    assert _exact_bits(modified_chebyshev, nu, size, shift,
+                       PrecisionMode.DOUBLE) == want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=_genuine_data())
+def test_extended_recurrence_equals_the_product_form(data):
+    """On values of a 100-digit context, whose mantissas ``lift`` keeps:
+    the product rounded the first row once, and so must the sum."""
+    nu, size, shift = data
+    other = mpmath.MPContext()
+    other.dps = 100
+    nu = [other.mpf(v.numerator) / v.denominator for v in nu]
+    want = _exact_bits(_product_chebyshev, lift(nu[:2 * size - 1], EXTENDED),
+                       size, shift)
+    assert _exact_bits(modified_chebyshev, nu, size, shift, EXTENDED) == want
+    matrix = _gram_matrix(nu, size, shift)
+    want = _exact_bits(_product_extremes, matrix, nu, shift, EXTENDED)
+    assert _exact_bits(leading_eig_extremes, matrix, nu, shift,
+                       EXTENDED) == want
