@@ -1,12 +1,14 @@
 """The precision backend: the only module that knows what each mode means.
 
-DOUBLE keeps float64/complex128 ndarrays on LAPACK.  EXTENDED lifts values
-to object arrays of mpf from a private mpmath context fixed at
-EXTENDED_DPS digits, and RATIONAL to object arrays of Fraction, exact
-wherever no root or eigenvalue is needed.  Hankel and connecting matrices
-of rapidly growing coefficient families span hundreds of orders of
-magnitude, putting their smallest eigenvalues far below the float64 noise
-floor (~eps * ||matrix||); the object modes exist for them.
+DOUBLE keeps float64/complex128 ndarrays on LAPACK, which ``lapack``
+loads (scipy.linalg) by its first call, so a process that never reaches
+LAPACK never imports scipy.  EXTENDED lifts values to object arrays of
+mpf from a private mpmath context fixed at EXTENDED_DPS digits, and
+RATIONAL to object arrays of Fraction, exact wherever no root or
+eigenvalue is needed.  Hankel and connecting matrices of rapidly growing
+coefficient families span hundreds of orders of magnitude, putting their
+smallest eigenvalues far below the float64 noise floor (~eps *
+||matrix||); the object modes exist for them.
 
 An mpf computes in the context it belongs to, so EXTENDED values carry
 their 50 digits into every module with no precision switch at the call
@@ -52,11 +54,11 @@ before numpy's reflected operator takes over.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 from mpmath import MPContext
 
 from .core import (ConditioningError, InsufficientDataError, PrecisionMode,
@@ -98,21 +100,24 @@ def as_mpf(x):
 def lift(values, precision: PrecisionMode) -> np.ndarray:
     """``values`` as an array of the number type of ``precision``.
 
-    DOUBLE gives float64 (complex128 for complex input) and raises
+    Every mode returns a new array, never a view of ``values``.  DOUBLE
+    gives float64 (complex128 for complex input), copied once, and raises
     ConditioningError for a value beyond its range.  EXTENDED gives
     an object array of mpf of the private EXTENDED_DPS-digit context (see
     ``as_mpf``); RATIONAL an object array of Fraction, where floats
     convert exactly and inexact types such as mpf are refused with
     TypeError.
     """
-    arr = np.asarray(values)
     if precision is PrecisionMode.DOUBLE:
+        arr = np.array(values)
         try:
-            return arr.astype(complex if np.iscomplexobj(arr) else float)
+            return arr.astype(complex if np.iscomplexobj(arr) else float,
+                              copy=False)
         except OverflowError as exc:
             raise ConditioningError(
                 "a value exceeds double precision (about 1.8e308); use "
                 "PrecisionMode.EXTENDED (--precision extended)") from exc
+    arr = np.asarray(values)
     out = np.empty(arr.shape, dtype=object)
     # tolist() turns numpy scalars into the Python numbers both converters
     # accept
@@ -394,6 +399,59 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
 _ZERO_EXP = -(1 << 40)
 
 
+def lapack():
+    """scipy.linalg, imported by the first call.
+
+    LAPACK serves the eigenvalue extremes behind ``diagnose``, the DOUBLE
+    factorizations and triangular sweeps, and ``spectral_data``; of the
+    CLI commands only ``diagnose`` reaches it, and every other one skips
+    the import time and memory of scipy.
+    """
+    import scipy.linalg
+    return scipy.linalg
+
+
+@functools.cache
+def _syevr():
+    """LAPACK dsyevr and its workspace query, resolved once."""
+    return lapack().get_lapack_funcs(("syevr", "syevr_lwork"), dtype=float)
+
+
+@functools.cache
+def _syevr_workspace(n: int) -> dict:
+    """The dsyevr workspace of an n x n lower triangle, as the query that
+    scipy.linalg.eigh makes gives it."""
+    lwork, liwork, info = _syevr()[1](n, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr workspace query failed: {info}")
+    return {"lwork": int(lwork), "liwork": int(liwork)}
+
+
+def _top_eigenvalue(block: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric float64 ``block``: the LAPACK
+    call of scipy.linalg.eigvalsh(block, subset_by_index=[n - 1, n - 1]),
+    dsyevr on the lower triangle, with no wrapper in between."""
+    n = block.shape[0]
+    w, _, _, _, info = _syevr()[0](block, compute_v=0, range="I", lower=1,
+                                   il=n, iu=n, **_syevr_workspace(n))
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed: {info}")
+    return w[0]
+
+
+def _frexp_fields(sign: int, man: int, exp: int, bc: int):
+    """frexp of the mpf with fields (sign, man, exp, bc), the mantissa
+    rounded to float64 to nearest as float() rounds it: +-man 2^-bc and
+    exp + bc.  Zero gives (0.0, 0); inf and NaN, whose man is 0 with
+    other fields set, raise ValueError, as mpmath's frexp does."""
+    if not man:
+        if sign or exp or bc:
+            raise ValueError("frexp of an infinite or NaN mpf")
+        return 0.0, 0
+    mant = math.ldexp(man, -bc)
+    return -mant if sign else mant, exp + bc
+
+
 def _leading_top_eigs(arr, gram=False):
     """Largest eigenvalue of B_n = arr[:n, :n] (of B_n B_n^T when
     ``gram``) for n = 1..size, as (values, exponents) with
@@ -404,10 +462,11 @@ def _leading_top_eigs(arr, gram=False):
     entries beyond the float range neither overflow nor underflow.
     """
     if arr.dtype == object:
-        mant, exps = np.frompyfunc(_EXTENDED.frexp, 1, 2)(arr)
+        parts = np.array([_frexp_fields(*x._mpf_) for x in arr.flat])
+        mant = parts[:, 0].reshape(arr.shape)
+        exps = parts[:, 1].reshape(arr.shape)
     else:
         mant, exps = np.frexp(arr)
-    mant = mant.astype(float)
     exps = np.where(mant == 0, _ZERO_EXP, exps).astype(np.int64)
     # top[n-1]: largest exponent in the block arr[:n, :n]
     top = np.maximum.accumulate(np.maximum.accumulate(exps, 0), 1).diagonal()
@@ -416,8 +475,7 @@ def _leading_top_eigs(arr, gram=False):
         block = np.ldexp(mant[:n, :n], exps[:n, :n] - top[n - 1])
         if gram:
             block = block @ block.T
-        values.append(scipy.linalg.eigvalsh(block, subset_by_index=[n - 1, n - 1],
-                                            check_finite=False)[0])
+        values.append(_top_eigenvalue(block))
     return np.array(values), top * (2 if gram else 1)
 
 
@@ -432,8 +490,8 @@ def pd_factor(matrix):
     """
     arr = np.asarray(matrix)
     if arr.dtype != object:
-        chol = scipy.linalg.cholesky(_finite(arr), lower=True,
-                                     check_finite=False)
+        chol = lapack().cholesky(_finite(arr), lower=True,
+                                 check_finite=False)
         diag = np.diagonal(chol)
         return chol / diag, diag * diag
     n = arr.shape[0]
@@ -454,9 +512,9 @@ def _sweeps(low, piv, rhs):
     nonzero diagonal (d = 1 when ``piv`` is None), by the two triangular
     sweeps."""
     if low.dtype != object:
-        y = scipy.linalg.solve_triangular(low, rhs, lower=True,
-                                          check_finite=False)
-        return scipy.linalg.solve_triangular(
+        solve_triangular = lapack().solve_triangular
+        y = solve_triangular(low, rhs, lower=True, check_finite=False)
+        return solve_triangular(
             low, y if piv is None else y / piv, lower=True, trans="T",
             check_finite=False)
     diag = low.diagonal()

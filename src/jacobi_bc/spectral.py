@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 import numpy as np
-import scipy.linalg
 
+from ._multiprec import lapack
 from .core import (
     BoundaryControl,
     JacobiBCError,
@@ -161,8 +161,8 @@ def spectral_data(coeffs: JacobiCoefficients, size: int) -> SpectralData:
     if size == 1:
         return SpectralData(lambdas=diag, weights=np.array([1.0]))
     try:
-        lam, vec = scipy.linalg.eigh_tridiagonal(diag, off)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        lam, vec = lapack().eigh_tridiagonal(diag, off)
+    except np.linalg.LinAlgError as exc:
         raise JacobiBCError(f"tridiagonal eigensolver failed: {exc}") from exc
     return SpectralData(lambdas=lam, weights=vec[0, :] ** 2)
 

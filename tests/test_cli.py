@@ -158,6 +158,7 @@ class TestMalformedInput:
         ("response", {"a": [1, 1], "b": []}),
         ("response", [1, 2, 3]),
         ("response", {"generator": {"kind": "mystery", "params": {}}}),
+        ("recover", {"response": [1, 10 ** 400, 1]}),
     ])
     def test_exits_2(self, tmp_path, capsys, command, payload):
         path = write_json(tmp_path / "in.json", payload)
@@ -171,6 +172,10 @@ class TestMalformedInput:
         ("a", True, "'a' must be a non-empty list of finite numbers"),
         ("b", float("inf"), "'b' must be a non-empty list of finite numbers"),
         ("a", float("nan"), "'a' must be a non-empty list of finite numbers"),
+        # an int that JSON reads exactly but float64 cannot hold
+        pytest.param("a", 10 ** 400,
+                     "'a' must be a non-empty list of finite numbers",
+                     id="a-int-beyond-float64"),
         ("a0", 2.0, "invalid coefficients: a_0 convention violated: "
                     "expected a_0 = 1, got 2.0"),
         ("a", -0.5, "invalid coefficients: negative off-diagonal: a_2 = -0.5"),
@@ -192,6 +197,15 @@ class TestMalformedInput:
         pts = write_json(tmp_path / "p.json", {"points": [1.0]})
         assert main(["hb", "--input", free_file, "--input", pts,
                      "--T", "2"]) == 2
+
+    @pytest.mark.parametrize("z", [10 ** 400, [0, 10 ** 400]],
+                             ids=["real", "imaginary"])
+    def test_points_beyond_float64(self, tmp_path, capsys, free_file, z):
+        pts = write_json(tmp_path / "p.json", {"points": [{"z": z}]})
+        assert main(["hb", "--input", free_file, "--input", pts,
+                     "--T", "2"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] \
+            == "validation"
 
     @pytest.mark.parametrize("flag", ["--T", "--N-max"])
     def test_non_positive_size(self, free_file, flag):
@@ -292,13 +306,41 @@ class TestSizeLimits:
         assert "physical memory" in err["message"]
 
 
-def _fresh_cli(argv):
-    """The CLI in a new interpreter under Python's default warning filters,
-    so a numpy warning would reach its stderr."""
+def _fresh_python(args):
+    """A new interpreter on this package under Python's default warning
+    filters, so a numpy warning would reach its stderr."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(jacobi_bc.__file__).parents[1])
-    return subprocess.run([sys.executable, "-m", "jacobi_bc.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def _fresh_cli(argv):
+    """The CLI in a new interpreter (see ``_fresh_python``)."""
+    return _fresh_python(["-m", "jacobi_bc.cli", *argv])
+
+
+_LAPACK_PROBE = """
+import sys
+import jacobi_bc, jacobi_bc.cli
+coeffs, response, report = sys.argv[1:]
+def run(*argv):
+    assert jacobi_bc.cli.main(list(argv)) == 0, argv
+    print(argv[0], "scipy.linalg" in sys.modules)
+run("response", "--input", coeffs, "--T", "63", "--output", response)
+run("recover", "--input", response, "--T", "32", "--output", report)
+run("diagnose", "--input", coeffs, "--N-max", "6", "--output", report)
+"""
+
+
+def test_only_diagnose_loads_lapack(tmp_path, free_file):
+    """``response`` and ``recover`` never import scipy.linalg; the first
+    LAPACK call of ``diagnose`` does."""
+    proc = _fresh_python(["-c", _LAPACK_PROBE, free_file,
+                          str(tmp_path / "r.json"), str(tmp_path / "d.json")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["response", "False", "recover", "False",
+                                   "diagnose", "True"]
 
 
 class TestStderr:

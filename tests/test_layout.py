@@ -7,7 +7,9 @@ any use of mpmath or of its global precision, from growing back there.
 Every file format lives in ``cli.py`` alone: the library returns arrays
 and result objects, and no other module reads or writes JSON or CSV.
 Coefficient recovery in ``inverse.py`` runs a recurrence on the data and
-builds or factors no matrix.
+builds or factors no matrix.  No module imports scipy when it is loaded:
+LAPACK is imported by its first call, so commands that never reach it
+skip the import.
 """
 
 import ast
@@ -22,6 +24,7 @@ FILE_FORMAT = re.compile(
     r"^\s*(import\s+([\w.]+\s*,\s*)*|from\s+)(json|csv|io)\b"
     r"|\bdef\s+(to_json_dict|from_json_dict|to_json_list|from_json_list"
     r"|csv_rows|to_csv)\b")
+MODULE_LEVEL_SCIPY = re.compile(r"^(import\s+([\w.]+\s*,\s*)*|from\s+)scipy\b")
 
 
 def _hits(pattern, home="_multiprec.py"):
@@ -74,6 +77,20 @@ def test_pattern_catches_a_file_format():
 
 def test_no_file_format_outside_the_cli():
     hits = _hits(FILE_FORMAT, home="cli.py")
+    assert not hits, "\n".join(hits)
+
+
+def test_pattern_catches_a_module_level_scipy_import():
+    for line in ("import scipy", "import scipy.linalg", "import numpy, scipy",
+                 "from scipy import linalg", "from scipy.linalg import eigh"):
+        assert MODULE_LEVEL_SCIPY.search(line), line
+    for line in ("    import scipy.linalg", "import scipyx", "import numpy",
+                 "from .spectral import scipy_free", "# import scipy"):
+        assert not MODULE_LEVEL_SCIPY.search(line), line
+
+
+def test_no_module_level_scipy_import():
+    hits = _hits(MODULE_LEVEL_SCIPY, home=None)
     assert not hits, "\n".join(hits)
 
 

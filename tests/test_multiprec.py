@@ -9,8 +9,11 @@ are checked against per-block eigen-solves, a high-precision eigensolver
 and, bit for bit, against the factor-and-invert route they replace.  The
 RATIONAL recurrence on integer numerators is checked, numerator and
 denominator, against the array recurrence run on the same Fractions.
+The direct LAPACK call and the mantissas read off the mpf fields are
+checked, bit for bit, against the scipy wrapper and mpmath's frexp.
 """
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -44,10 +47,14 @@ from jacobi_bc import (
     solve_finite,
 )
 from jacobi_bc._multiprec import (
+    _EXTENDED,
+    _ZERO_EXP,
     EXTENDED_DPS,
     _array_chebyshev,
     _finite,
+    _frexp_fields,
     _leading_top_eigs,
+    _top_eigenvalue,
     leading_eig_extremes,
     lift,
     modified_chebyshev,
@@ -258,6 +265,22 @@ def test_lift_keeps_extended_values_bit_for_bit():
     assert lifted is not values
     lifted[:] = 0
     assert [v._mpf_ for v in values] == before
+
+
+def test_double_lift_copies_once_and_never_aliases():
+    values = [float(k) for k in range(2048)]
+    lift(values, PrecisionMode.DOUBLE)      # a first call may allocate more
+    tracemalloc.start()
+    try:
+        lift(values, PrecisionMode.DOUBLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2048 * 8
+    for arr in (np.array(values), np.array(values)[::2], np.arange(5)):
+        lifted = lift(arr, PrecisionMode.DOUBLE)
+        assert not np.shares_memory(lifted, arr)
+        assert lifted.dtype == float and list(lifted) == list(arr)
 
 
 def test_lift_rehomes_a_caller_mpf_with_its_mantissa():
@@ -511,3 +534,83 @@ def test_extended_recurrence_equals_the_product_form(data):
     want = _exact_bits(_product_extremes, matrix, nu, shift, EXTENDED)
     assert _exact_bits(leading_eig_extremes, matrix, nu, shift,
                        EXTENDED) == want
+
+
+def _wrapped_top_eigs(arr, gram=False):
+    """``_leading_top_eigs`` as the scipy wrapper and mpmath's frexp give
+    it: the oracle of the direct LAPACK call and the field reads."""
+    import scipy.linalg
+    if arr.dtype == object:
+        mant, exps = np.frompyfunc(_EXTENDED.frexp, 1, 2)(arr)
+    else:
+        mant, exps = np.frexp(arr)
+    mant = mant.astype(float)
+    exps = np.where(mant == 0, _ZERO_EXP, exps).astype(np.int64)
+    top = np.maximum.accumulate(np.maximum.accumulate(exps, 0), 1).diagonal()
+    values = []
+    for n in range(1, arr.shape[0] + 1):
+        block = np.ldexp(mant[:n, :n], exps[:n, :n] - top[n - 1])
+        if gram:
+            block = block @ block.T
+        values.append(scipy.linalg.eigvalsh(
+            block, subset_by_index=[n - 1, n - 1], check_finite=False)[0])
+    return np.array(values), top * (2 if gram else 1)
+
+
+def _random_block(rng, n, graded):
+    block = rng.standard_normal((n, n))
+    block = block + block.T
+    if graded:    # entries from 1 down to 1e-24, as in a Hankel block
+        scale = np.logspace(0, -12, n)
+        block *= scale[:, None] * scale[None, :]
+    return block
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["random", "graded"])
+def test_top_eigenvalue_equals_the_scipy_subset_call(rng, graded):
+    import scipy.linalg
+    for n in range(1, 41):
+        for _ in range(3):
+            block = _random_block(rng, n, graded)
+            want = scipy.linalg.eigvalsh(block, subset_by_index=[n - 1, n - 1],
+                                         check_finite=False)[0]
+            assert _top_eigenvalue(block).tobytes() == want.tobytes(), n
+
+
+def test_leading_top_eigs_equal_the_wrapped_route(rng):
+    r = response_vector(GEO3, 79, RATIONAL).as_array()
+    top = lift(connecting_from_response(r, 40).aligned(
+        Orientation.CORNER_TOP).matrix, EXTENDED)
+    blocks = [top, _random_block(rng, 30, True),
+              lift(_random_block(rng, 30, True), EXTENDED)]
+    for arr in blocks:
+        for gram in (False, True):
+            got = _leading_top_eigs(arr, gram)
+            want = _wrapped_top_eigs(arr, gram)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert list(got[1]) == list(want[1])
+
+
+@pytest.mark.parametrize("value", [
+    0, 1, -1, 0.75, -3.5, Fraction(1, 3), -Fraction(2, 7), 10 ** 400,
+    # 2^60 - 1 rounds up to a mantissa of 1.0: the 53-bit carry
+    -Fraction(1, 10 ** 400), 2 ** 60 - 1, -(2 ** 60 - 1), 2 ** 53 + 1,
+    (2 ** 54 - 1) * 2 ** -3000, 5e-324, 1.7976931348623157e308],
+    ids=lambda v: type(v).__name__)
+def test_frexp_fields_equal_mpmath_frexp(value):
+    x = lift([value], EXTENDED)[0]
+    mant, exp = _EXTENDED.frexp(x)
+    assert _frexp_fields(*x._mpf_) == (float(mant), exp)
+
+
+@pytest.mark.parametrize("name", ["inf", "-inf", "nan"])
+def test_infinite_or_nan_entries_are_refused(name):
+    bad = _EXTENDED.mpf(name)
+    with pytest.raises(ValueError):
+        _EXTENDED.frexp(bad)
+    with pytest.raises(ValueError):
+        _frexp_fields(*bad._mpf_)
+    block = lift([[1, 0], [0, 1]], EXTENDED)
+    block[1, 1] = bad
+    with pytest.raises(ValueError):
+        _leading_top_eigs(block)
