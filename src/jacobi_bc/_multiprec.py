@@ -21,17 +21,23 @@ computes in the caller's own context.
 The pipeline modules write each step once, independent of dtype, on top
 of what this module provides:
 
-* ``lift``, the per-mode noise and pivot floors, and the width quantum
-  of the forward sweep (``width_quantum``);
+* ``lift``, the per-mode noise floor of data input, the pivot floor,
+  and the width quantum of the forward sweep (``width_quantum``);
 * Wheeler's modified Chebyshev recurrence (``modified_chebyshev``) on
-  moments or a response.  Recovery reads the coefficients off it.
-  ``leading_eig_extremes`` builds from it Q = diag(d)^-1/2 L^-1 of the
+  moments or a response.  Recovery reads the coefficients off it;
+* one builder (``_orthonormal_rows``) of Q = diag(d)^-1/2 L^-1 of the
   Hankel or connecting matrix A = L diag(d) L^T, the coefficient table of
-  the orthonormal polynomials, in O(n^2) operations, and reads the
-  smallest eigenvalue of every nested leading block off Q.  Both add
-  the basis shift x pi_l = pi_{l+1} + shift pi_{l-1} without multiplying
-  by it: shift 1 adds the row itself, and shift 0 adds nothing to object
-  rows but keeps 0 * row on float rows, whose zeros' signs it decides;
+  the orthonormal polynomials, in O(n^2) operations by their three-term
+  recurrence in normalized form.  ``orthonormal_min_eigs`` feeds it
+  Jacobi coefficients (``classify``), and ``leading_eig_extremes`` the
+  recurrence coefficients Wheeler's algorithm reads off data; both read
+  the smallest eigenvalue of every nested leading block off Q.
+  ``gram_max_eigs`` reads the largest one of W^T W off an
+  upper-triangular W, such as the simulated control operator.  The
+  recurrence and the builder add the basis shift x pi_l = pi_{l+1} +
+  shift pi_{l-1} without multiplying by it: shift 1 adds the row
+  itself, and shift 0 adds nothing to object rows but keeps 0 * row on
+  float rows, whose zeros' signs it decides;
 * ``sym_eigenvalues`` for single matrices and, block by block, for
   matrices that are not positive definite;
 * one positive-definite factorization (``pd_factor``) and one
@@ -331,21 +337,41 @@ def _integer_chebyshev(fractions: list, size: int, shift: int):
     return np.array(pivots), np.array(alpha), np.array(beta)
 
 
-def _orthonormal_rows(sigma, alpha, beta, shift) -> np.ndarray:
-    """Q = diag(sigma)^-1/2 L^-1: row k holds the coefficients of
-    p_k / sqrt(sigma_kk) in the basis pi_l, by the recurrence with
-    x pi_l = pi_{l+1} + shift pi_{l-1}, in O(size^2) operations."""
-    n = sigma.size
-    coef = np.zeros((n, n), dtype=sigma.dtype)
-    coef[0, 0] = 1
-    for k in range(n - 1):
-        nxt = coef[k + 1]
-        nxt[1:k + 2] = coef[k, :k + 1]
-        _plus_basis_shift(nxt[:k], coef[k, 1:k + 1], shift)
-        nxt[:k + 1] -= coef[k, :k + 1] * alpha[k]
-        if k:
-            nxt[:k] -= coef[k - 1, :k] * beta[k]
-    return coef * (sigma ** -0.5)[:, None]
+def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:
+    """Q, whose row k holds the coefficients of the orthonormal p_k in the
+    basis pi_l, from the recurrence of the normalized form
+
+        sqrt(beta_{k+1}) p_{k+1} = (x - alpha_k) p_k - sqrt(beta_k) p_{k-1}
+
+    with x pi_l = pi_{l+1} + shift pi_{l-1} and p_0 = 1 / sqrt(beta_0),
+    in O(size^2) operations.  Jacobi coefficients give alpha_k = b_{k+1}
+    and sqrt(beta_k) = a_k (a_0 = 1); Wheeler's recurrence gives
+    sqrt(beta_k) = sqrt(sigma_kk / sigma_{k-1,k-1}) and sqrt(beta_0) =
+    sqrt(sigma_00).  Each new row is divided by sqrt(beta_{k+1}), so the
+    orthonormal coefficients stay in range where the monic ones would
+    overflow float64; a float row that overflows anyway holds inf or NaN.
+    """
+    n = root_beta.size
+    # zeros of the number type: the rows' upper triangle stays zero
+    coef = np.full((n, n), root_beta[0] * 0, dtype=root_beta.dtype)
+    coef[0, 0] = 1 / root_beta[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            nxt = coef[k + 1, :k + 2]
+            nxt[1:] = coef[k, :k + 1]
+            _plus_basis_shift(nxt[:k], coef[k, 1:k + 1], shift)
+            nxt[:k + 1] -= coef[k, :k + 1] * alpha[k]
+            if k:
+                nxt[:k] -= coef[k - 1, :k] * root_beta[k]
+            nxt /= root_beta[k + 1]
+    return coef
+
+
+def _eigen_mode(precision: PrecisionMode) -> PrecisionMode:
+    """The arithmetic of eigenvalue work: float64 in DOUBLE, 50-digit mpf
+    otherwise (RATIONAL has no exact eigenvalues)."""
+    return (precision if precision is PrecisionMode.DOUBLE
+            else PrecisionMode.EXTENDED)
 
 
 def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
@@ -357,20 +383,16 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     Both are lifted as for ``sym_eigenvalues`` (float64, or mpf at
     EXTENDED_DPS digits).  With A = matrix = L diag(d) L^T, Q =
     diag(d)^-1/2 L^-1 comes from ``modified_chebyshev`` on ``nu``, with
-    no factorization.  The leading block of Q belongs to the leading
-    block of A (L is triangular) and A_n^-1 = Q_n^T Q_n, so
-    lambda_min(A_n) = 1 / lambda_max(Q_n Q_n^T) and lambda_max(A_n) =
-    ||A_n||: two well-conditioned largest eigenvalues per block, which
-    keep the relative accuracy of the tiny eigenvalues of graded
-    matrices where a QR-type eigensolver loses it.  A DOUBLE matrix
-    holding inf or NaN is refused with ConditioningError.  A pivot that
-    is not positive, or a float row that overflows, ends the
+    no factorization: ``_orthonormal_rows`` of its alpha_k and
+    sqrt(beta_k).  The smallest eigenvalues are read off Q as in
+    ``orthonormal_min_eigs``, and lambda_max(A_n) = ||A_n||.  A DOUBLE
+    matrix holding inf or NaN is refused with ConditioningError.  A
+    pivot that is not positive, or a float row that overflows, ends the
     recurrence: the blocks before it are still read off Q, and every
     block from it on is eigen-solved by itself, so negative eigenvalues
     are reported.
     """
-    mode = (precision if precision is PrecisionMode.DOUBLE
-            else PrecisionMode.EXTENDED)
+    mode = _eigen_mode(precision)
     work = _finite(lift(matrix, mode))
     size = work.shape[0]
     pivots, alpha, beta = [], [], [0]
@@ -382,17 +404,59 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     good = len(pivots)
     mins, maxs = np.empty(size), np.empty(size)
     if good:
-        q = _orthonormal_rows(np.array(pivots), np.array(alpha[:good - 1]),
-                              np.array(beta[:good]), shift)
-        q_top, q_exp = _leading_top_eigs(q, gram=True)
+        root_beta = np.array(pivots[:1] + beta[1:good]) ** 0.5
+        mins[:good] = _min_eigs(_orthonormal_rows(np.array(alpha[:good - 1]),
+                                                  root_beta, shift))
         a_top, a_exp = _leading_top_eigs(work[:good, :good])
         with np.errstate(over="ignore", under="ignore"):
-            mins[:good] = np.ldexp(1 / q_top, -q_exp)
             maxs[:good] = np.ldexp(a_top, a_exp)
     for n in range(good + 1, size + 1):
         mins[n - 1], maxs[n - 1] = sym_eigenvalues(matrix[:n, :n],
                                                    precision)[[0, -1]]
     return mins, maxs
+
+
+def _min_eigs(q: np.ndarray) -> np.ndarray:
+    """lambda_min(A_n) = 1 / lambda_max(Q_n Q_n^T) for every leading
+    block, where A_n^-1 = Q_n^T Q_n: a well-conditioned largest
+    eigenvalue per block, which keeps the relative accuracy of the tiny
+    eigenvalues of graded matrices where a QR-type eigensolver loses it.
+    A float block holding inf or NaN gives 0.0: an entry past 1.8e308
+    puts lambda below 1 / 1.8e308^2."""
+    top, exp = _leading_top_eigs(q, gram=True)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(1 / top, -exp)
+
+
+def orthonormal_min_eigs(a, b, shift: int,
+                         precision: PrecisionMode) -> np.ndarray:
+    """Smallest eigenvalue of every leading block of the Gram matrix of
+    the spectral measure of a_0..a_{size-1} (a_0 = 1) and b_1..b_{size-1}
+    in the basis x^l (shift 0: S_N) or U_l(x/2) (shift 1: the corner-top
+    C_T), as float64: ``_min_eigs`` of the ``_orthonormal_rows`` of
+    alpha_k = b_{k+1} and sqrt(beta_k) = a_k, with no moment, response
+    or matrix formed.  The rows are float64 in DOUBLE and mpf at
+    EXTENDED_DPS digits otherwise.
+    """
+    mode = _eigen_mode(precision)
+    return _min_eigs(_orthonormal_rows(lift(b, mode), lift(a, mode), shift))
+
+
+def gram_max_eigs(upper, precision: PrecisionMode) -> np.ndarray:
+    """lambda_max(W_n^T W_n), W_n = upper[:, :n], for n = 1..columns, as
+    float64: the largest eigenvalue of every leading block of C = W^T W,
+    without forming C, for a W with W[i, j] = 0 for i > j, such as the
+    control operator W_T (with fewer rows than columns for a finite
+    family).  W_n^T W_n then shares its nonzero eigenvalues with
+    B_n B_n^T, B_n = upper[:n, :n].
+
+    The entries are lifted as for ``sym_eigenvalues``.  A float block
+    holding inf or NaN, and a value beyond float64, gives inf.
+    """
+    top, exp = _leading_top_eigs(lift(upper, _eigen_mode(precision)),
+                                 gram=True)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(top, exp)
 
 
 # frexp exponent given to zero entries: below every real entry's exponent
@@ -454,12 +518,15 @@ def _frexp_fields(sign: int, man: int, exp: int, bc: int):
 
 def _leading_top_eigs(arr, gram=False):
     """Largest eigenvalue of B_n = arr[:n, :n] (of B_n B_n^T when
-    ``gram``) for n = 1..size, as (values, exponents) with
-    lambda = ldexp(value, exponent).
+    ``gram``) for n = 1..columns, as (values, exponents) with lambda =
+    ldexp(value, exponent).  A ``gram`` array may have fewer rows than
+    columns; its B_n then keeps all of them.
 
     Each block is scaled by a power of two that brings its largest entry
     into [0.5, 1) before it is rounded to float64 for LAPACK, so mpf
-    entries beyond the float range neither overflow nor underflow.
+    entries beyond the float range neither overflow nor underflow.  A
+    float block holding inf or NaN, and every block after it, gets the
+    value inf and never reaches LAPACK.
     """
     if arr.dtype == object:
         parts = np.array([_frexp_fields(*x._mpf_) for x in arr.flat])
@@ -468,15 +535,22 @@ def _leading_top_eigs(arr, gram=False):
     else:
         mant, exps = np.frexp(arr)
     exps = np.where(mant == 0, _ZERO_EXP, exps).astype(np.int64)
-    # top[n-1]: largest exponent in the block arr[:n, :n]
-    top = np.maximum.accumulate(np.maximum.accumulate(exps, 0), 1).diagonal()
-    values = []
-    for n in range(1, arr.shape[0] + 1):
+    rows, cols = arr.shape
+    corner = (np.minimum(np.arange(cols), rows - 1), np.arange(cols))
+
+    def per_block(table, ufunc):
+        # entry n-1: ufunc over the whole block arr[:n, :n]
+        return ufunc.accumulate(ufunc.accumulate(table, 0), 1)[corner]
+
+    top = per_block(exps, np.maximum)
+    finite = np.count_nonzero(per_block(np.isfinite(mant), np.minimum))
+    values = np.full(cols, np.inf)
+    for n in range(1, finite + 1):
         block = np.ldexp(mant[:n, :n], exps[:n, :n] - top[n - 1])
         if gram:
             block = block @ block.T
-        values.append(_top_eigenvalue(block))
-    return np.array(values), top * (2 if gram else 1)
+        values[n - 1] = _top_eigenvalue(block)
+    return values, top * (2 if gram else 1)
 
 
 def pd_factor(matrix):

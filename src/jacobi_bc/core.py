@@ -111,6 +111,16 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"cannot use {type(x).__name__} value in rational mode")
 
 
+def _rule_entry(rule, name: str, n: int):
+    """rule(n), or ConditioningError naming the entry when the rule
+    overflows (a float rule such as ratio ** n past 1.8e308)."""
+    try:
+        return rule(n)
+    except OverflowError as exc:
+        raise ConditioningError(
+            f"the coefficient rule overflows at {name}_{n}: {exc}") from exc
+
+
 class JacobiCoefficients:
     """The sequences a_n (n >= 0, with a_0 = 1) and b_n (n >= 1).
 
@@ -196,7 +206,7 @@ class JacobiCoefficients:
                     f"only a_0..a_{len(self._a) - 1} available")
             return self._a[n]
         if n not in self._a_memo:
-            self._a_memo[n] = self._a_rule(n)
+            self._a_memo[n] = _rule_entry(self._a_rule, "a", n)
         return self._a_memo[n]
 
     def b(self, n: int):
@@ -210,7 +220,7 @@ class JacobiCoefficients:
                     f"only b_1..b_{len(self._b)} available")
             return self._b[n - 1]
         if n not in self._b_memo:
-            self._b_memo[n] = self._b_rule(n)
+            self._b_memo[n] = _rule_entry(self._b_rule, "b", n)
         return self._b_memo[n]
 
     def a_head(self, count: int) -> list:

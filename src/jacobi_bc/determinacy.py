@@ -11,6 +11,19 @@ Two sequences probe the limit point / limit circle dichotomy:
   case by the reciprocal of the Chebyshev-weighted integral of
   sum_k |p_k(x)|^2 over (-1, 1).
 
+``classify`` also reads gamma_T, the largest eigenvalue of C_T, which
+it takes as a sign of the limit-point case when it stabilizes.
+
+``classify`` takes coefficients and reads all three sequences off them:
+S_N and C_T are Gram matrices of the spectral measure in the bases x^l
+and U_l(x/2), whose orthonormal-polynomial tables follow from a_n and
+b_n by the three-term recurrence, and gamma_T = ||W_T||^2 for the
+simulated control operator, since C_T = W_T^T W_T.  No response, moment
+or Gram matrix is formed, so DOUBLE needs no noise floor and stays
+finite where the moments would overflow; it agrees with EXTENDED.  Data
+input (a response or moments) takes ``connecting_eig_sequences`` and
+``moments.hankel_min_eigs``.
+
 The beta criterion is one-directional only: the free coefficients are
 limit point yet keep beta_T = 1, so no verdict here ever rests on
 beta_T alone.  All finite-depth verdicts are heuristic; the thresholds
@@ -29,14 +42,12 @@ here rather than silently reconciled.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import (
-    ConditioningWarning,
     JacobiBCError,
     JacobiCoefficients,
     NotLimitCircleError,
@@ -44,10 +55,10 @@ from .core import (
     sequence_values,
 )
 from .connecting import Orientation, connecting_from_response
-from .dynamics import response_vector
-from .moments import build_hankel, response_to_moments
+from .dynamics import solve_finite
 from .spectral import TAIL_WINDOW, eval_p_all, eval_q_all, relative_tail
-from ._multiprec import above_noise, leading_eig_extremes, noise_floor
+from ._multiprec import (gram_max_eigs, leading_eig_extremes, noise_floor,
+                         orthonormal_min_eigs)
 
 __all__ = [
     "Verdict",
@@ -224,38 +235,35 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     Policy (artifact thresholds, the module constants):
 
     * LikelyIndeterminate when both deficiency sums converge (their
-      ``spectral.relative_tail`` is at most TAIL_TOL) and the trusted
-      part of the lambda sequence stays above EPS_DET;
-    * LikelyDeterminate when some trusted lambda_N falls below
-      EPS_DET, or gamma_T stabilizes to a bounded value;
+      ``spectral.relative_tail`` is at most TAIL_TOL) and lambda_{n_max}
+      stays above EPS_DET;
+    * LikelyDeterminate when some lambda_N falls below EPS_DET, or
+      gamma_T stabilizes to a bounded value;
     * Inconclusive otherwise, and always for n_max < 4.
 
-    "Trusted" excludes double-precision eigenvalues below the noise
-    floor of their block norm; a note recommends extended precision when
-    that truncates the sequence.  beta_T never decides a verdict by
-    itself: its lower bound holds in the limit-circle case but the
-    converse fails (free coefficients keep beta_T = 1).  The deficiency
-    sums and circle bounds run to DEFICIENCY_DEPTH, or to the size of
-    a finite family when that is smaller.
+    lambda_N and beta_T come from ``orthonormal_min_eigs`` on a_0..a_{N-1}
+    and b_1..b_{N-1}, gamma_T from ``gram_max_eigs`` on the impulse field
+    W_T; in DOUBLE a block past an overflowed entry gives lambda = beta
+    = 0.0 and gamma = inf.  A finite family of size n has an n-atom
+    measure, so lambda_N = beta_N = 0.0 for N > n, and its W_T has n
+    rows.  beta_T never decides a verdict by itself: its lower bound
+    holds in the limit-circle case but the converse fails (free
+    coefficients keep beta_T = 1).  The deficiency sums and circle
+    bounds run to DEFICIENCY_DEPTH, or to the size of a finite family
+    when that is smaller; they run in float64 in every mode, and a
+    coefficient beyond its range raises ConditioningError.
     """
     notes = []
-    length = 2 * n_max - 1
-    r = response_vector(coeffs, length, precision)
-    s = response_to_moments(r, precision)
-
-    lambda_seq, lambda_max = leading_eig_extremes(
-        build_hankel(s, n_max).matrix, s.as_array(), 0, precision)
-    lambda_trusted = above_noise(lambda_seq, lambda_max, precision)
-    if not lambda_trusted.all():
-        first_bad = int(np.flatnonzero(~lambda_trusted)[0]) + 1
-        notes.append(
-            f"lambda_N at or below the {precision.value} noise floor from "
-            f"N={first_bad}; values beyond are excluded from the verdict "
-            f"(re-run with extended precision)")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        beta_seq, gamma_seq = connecting_eig_sequences(r, n_max, precision)
+    # a finite family of size n holds a_0..a_{n-1} and b_1..b_n only
+    size = min(n_max, coeffs.size) if coeffs.is_finite else n_max
+    # C_T = W_T^T W_T for the control-to-state map W_T, the rows 1..size
+    # and times 1..n_max of the impulse field
+    field = solve_finite(coeffs, size, [1], n_max, precision)
+    gamma_seq = gram_max_eigs(field.values[1:, 2:], precision)
+    a, b = coeffs.a_head(size), coeffs.b_head(size - 1)
+    lambda_seq, beta_seq = np.zeros(n_max), np.zeros(n_max)
+    lambda_seq[:size] = orthonormal_min_eigs(a, b, 0, precision)
+    beta_seq[:size] = orthonormal_min_eigs(a, b, 1, precision)
 
     # a finite family holds p_n and q_n for n <= its size only
     depth = min(DEFICIENCY_DEPTH, coeffs.size or DEFICIENCY_DEPTH)
@@ -273,8 +281,7 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     except NotLimitCircleError as exc:
         notes.append(f"limit-circle bounds unavailable: {exc}")
 
-    trusted_vals = lambda_seq[lambda_trusted]
-    lambda_decays = bool(trusted_vals.size and np.min(trusted_vals) < EPS_DET)
+    lambda_decays = bool(np.min(lambda_seq) < EPS_DET)
     if gamma_seq.size >= 4:
         g_last, g_prev = gamma_seq[-1], gamma_seq[-4]
         # a gamma beyond float64 is not bounded; a finite last one has
@@ -283,7 +290,7 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
                              <= 1e-6 * max(1.0, abs(g_last)))
     else:
         gamma_bounded = False
-    lambda_stays_up = bool(trusted_vals.size and trusted_vals[-1] > EPS_DET)
+    lambda_stays_up = bool(lambda_seq[-1] > EPS_DET)
 
     determinate = lambda_decays or gamma_bounded
     indeterminate = deficiency_converged and lambda_stays_up

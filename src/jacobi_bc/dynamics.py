@@ -149,18 +149,21 @@ def _check_sizes(horizon: int, n_space: int) -> None:
 def _lift_system(coeffs: JacobiCoefficients, control, horizon: int,
                  n_space: int, precision: PrecisionMode):
     """The control and the (3, n_space) coefficient rows (a_{n-1}, b_n,
-    a_n) of the sites n = 1..n_space, lifted to the number type of
-    ``precision``, and the number type of the field.
+    a_n) of the sites n = 1..n_space, each row lifted on its own to the
+    number type of ``precision``, and the number type of the field.
 
     The last a_n is a zero that multiplies the ghost site n_space + 1,
     which is identically zero: the causality cone for the semi-infinite
-    system, the Dirichlet wall for the finite one.  The field takes the
-    type of a and the control: a complex b alone leaves it real, and the
-    sweep drops b's imaginary parts at each step.
+    system, the Dirichlet wall for the finite one; it is also the zero an
+    unreached site holds.  The field takes the type of a and the
+    control: a complex b alone leaves it real, and the sweep drops b's
+    imaginary parts at each step.  Object rows keep their own types, so
+    a complex b leaves a and that zero real there too.
     """
     ctrl = _control_array(control, horizon, precision)
     a = coeffs.a_head(n_space)
-    coef = lift([a, coeffs.b_head(n_space), a[1:] + [0]], precision)
+    coef = np.array([lift(row, precision) for row in
+                     (a, coeffs.b_head(n_space), a[1:] + [0])])
     real_a = np.iscomplexobj(coef) and not np.iscomplexobj(a)
     return ctrl, coef, np.result_type(coef.real if real_a else coef, ctrl)
 

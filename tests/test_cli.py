@@ -274,9 +274,6 @@ class TestSizeLimits:
     @pytest.mark.parametrize("command, payload, size", [
         # the connecting matrix sums past 1.8e308
         ("recover", {"response": [1e308, 0, 1e308, 0, 1e308]}, 3),
-        # the moments of geometric(2) overflow before N = 40
-        ("diagnose", {"generator": {"kind": "geometric",
-                                    "params": {"ratio": 2}}}, 40),
     ])
     def test_non_finite_double_matrix_exits_2(self, tmp_path, capsys,
                                               command, payload, size):
@@ -289,6 +286,39 @@ class TestSizeLimits:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConditioningError"
         assert "--precision extended" in err["message"]
+
+    @pytest.mark.parametrize("n_max", [36, 40, 48, 64])
+    def test_double_diagnose_keeps_the_extended_verdict(self, tmp_path,
+                                                        geo_file, n_max):
+        # the moments of geometric(2) overflow float64 from N = 36, but
+        # diagnose reads its sequences off the coefficients
+        verdicts = []
+        for precision in ("double", "extended"):
+            out = tmp_path / f"{precision}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["diagnose", "--input", geo_file, "--N-max",
+                             str(n_max), "--precision", precision,
+                             "--output", str(out)]) == 0
+            verdicts.append(json.loads(out.read_text())["verdict"])
+        assert verdicts == ["LikelyIndeterminate"] * 2
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("ratio", [2e5, 200000.5], ids=["int", "float"])
+    def test_coefficient_beyond_float_exits_2(self, tmp_path, capsys,
+                                              precision, ratio):
+        # the depth-60 deficiency sums read a_59 = ratio^59 > 1.8e308: an
+        # int rule gives it exactly, a float rule overflows computing it
+        path = write_json(tmp_path / "in.json", {
+            "generator": {"kind": "geometric", "params": {"ratio": ratio}}})
+        assert main(["diagnose", "--input", path, "--N-max", "4",
+                     "--precision", precision]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation"
+        assert err["type"] == "ConditioningError"
+        assert "a_59" in err["message"]
+        # no precision mode holds it for those sums
+        assert "extended" not in err["message"]
 
     def test_oversized_field_exits_2_before_allocating(self, free_file, capsys):
         tracemalloc.start()
@@ -352,8 +382,8 @@ class TestStderr:
     @pytest.mark.parametrize("argv, payload", [
         (["recover", "--T", "3"], OVERFLOWING),
         (["recover", "--T", "3"], {"moments": [1e308, 0, 1e308, 0, 1e308]}),
-        (["diagnose", "--N-max", "40"],
-         {"generator": {"kind": "geometric", "params": {"ratio": 2}}}),
+        (["diagnose", "--N-max", "4"],
+         {"generator": {"kind": "geometric", "params": {"ratio": 2e5}}}),
     ])
     def test_one_json_document(self, tmp_path, argv, payload):
         path = write_json(tmp_path / "in.json", payload)

@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from jacobi_bc import (
     circle_bound_hankel,
     classify,
     connecting_from_hankel,
+    connecting_from_response,
     connecting_eig_sequences,
     deficiency_partial_sums,
     hankel_min_eigs,
@@ -190,6 +192,14 @@ class TestClassify:
                 report = classify(co, 8, precision)
                 assert report.verdict is not Verdict.LIKELY_INDETERMINATE
                 assert len(report.deficiency_p) == size
+                # a size-n measure has n atoms: S_N and C_T are singular
+                # beyond n, and the data route's C_T is the oracle of gamma
+                past = slice(size, None)
+                assert list(report.lambda_seq[past]) == [0.0] * (8 - size)
+                assert list(report.beta_seq[past]) == [0.0] * (8 - size)
+                gamma = connecting_eig_sequences(
+                    response_vector(co, 15, precision), 8, precision)[1]
+                assert np.allclose(report.gamma_seq, gamma, rtol=1e-13, atol=0)
 
     def test_insufficient_horizon(self):
         report = classify(FREE, 1)
@@ -208,6 +218,117 @@ class TestClassify:
         rows = (tmp_path / "d.csv").read_text().splitlines()
         assert rows[0] == "N,lambda_N,beta_N,gamma_N"
         assert len(rows) == 7
+
+
+def _carleman(p):
+    """a_n = (n+1)^p, b_n = 0: determinate (Carleman) for p <= 1."""
+    return JacobiCoefficients.from_arrays([(n + 1) ** p for n in range(70)],
+                                          [0] * 70)
+
+
+ROUTE_FAMILIES = {"free": FREE, "geometric1.5": JacobiCoefficients.geometric(1.5),
+                  "geometric2": GEO, "geometric3": JacobiCoefficients.geometric(3),
+                  "carleman0.5": _carleman(0.5), "carleman0.7": _carleman(0.7),
+                  "carleman1": _carleman(1)}
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(np.asarray(got) / np.asarray(want) - 1))
+
+
+class TestCoefficientRoute:
+    """classify reads lambda_N, beta_T and gamma_T off the coefficients:
+    the orthonormal rows for lambda and beta, the simulated W_T for
+    gamma.  The data route (the simulated response, its moments, and
+    Wheeler's recurrence on them) is its EXTENDED oracle, and EXTENDED is
+    the oracle of DOUBLE."""
+
+    @pytest.mark.parametrize("n_max", [8, 24, 64])
+    @pytest.mark.parametrize("name", list(ROUTE_FAMILIES))
+    def test_double_agrees_with_extended(self, name, n_max):
+        co = ROUTE_FAMILIES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            double = classify(co, n_max)
+            extended = classify(co, n_max, PrecisionMode.EXTENDED)
+        assert double.verdict is extended.verdict
+        for seq in ("lambda_seq", "beta_seq"):
+            got, want = getattr(double, seq), getattr(extended, seq)
+            assert _relative_gap(got, want) <= 1e-13, seq
+        finite = np.isfinite(double.gamma_seq)
+        assert list(finite) == list(np.isfinite(extended.gamma_seq))
+        assert _relative_gap(double.gamma_seq[finite],
+                             extended.gamma_seq[finite]) <= 1e-13
+
+    @pytest.mark.parametrize("n_max", [8, 24, 64])
+    @pytest.mark.parametrize("name", list(ROUTE_FAMILIES))
+    def test_extended_agrees_with_the_data_route(self, name, n_max):
+        co = ROUTE_FAMILIES[name]
+        report = classify(co, n_max, PrecisionMode.EXTENDED)
+        r = response_vector(co, 2 * n_max - 1, PrecisionMode.EXTENDED)
+        s = response_to_moments(r, PrecisionMode.EXTENDED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            lam = hankel_min_eigs(s, n_max, PrecisionMode.EXTENDED)
+        beta, gamma = connecting_eig_sequences(r, n_max,
+                                               PrecisionMode.EXTENDED)
+        assert _relative_gap(report.lambda_seq, lam) <= 1e-14
+        assert _relative_gap(report.beta_seq, beta) <= 1e-14
+        finite = np.isfinite(gamma)
+        assert list(np.isfinite(report.gamma_seq)) == list(finite)
+        assert _relative_gap(report.gamma_seq[finite], gamma[finite]) <= 1e-14
+
+    @pytest.mark.parametrize("name, blocks", [
+        ("geometric3", (2, 10, 20, 25)), ("carleman0.7", (3, 12, 24)),
+        ("geometric1.5", (5, 17, 24))])
+    def test_gamma_matches_a_50_digit_eigensolver(self, name, blocks):
+        co = ROUTE_FAMILIES[name]
+        size = max(blocks)
+        gamma = classify(co, size, PrecisionMode.EXTENDED).gamma_seq
+        r = response_vector(co, 2 * size - 1, PrecisionMode.EXTENDED)
+        top = connecting_from_response(r, size).aligned(
+            Orientation.CORNER_TOP).matrix
+        oracle = mpmath.MPContext()
+        oracle.dps = 50
+        for t in blocks:
+            want = max(oracle.eigsy(oracle.matrix(top[:t, :t].tolist()),
+                                    eigvals_only=True))
+            assert abs(gamma[t - 1] / float(want) - 1) <= 2e-15, t
+
+    def test_overflowed_double_rows_give_zero(self, monkeypatch):
+        # p_2 = (1e200 x^2 - 1e-200) / 1e-200: its x^2 coefficient passes
+        # 1.8e308, so lambda_3 < 1 / (1.8e308)^2 rounds to 0.0; no block
+        # holding inf or NaN reaches LAPACK
+        co = JacobiCoefficients.from_arrays([1, 1e-200, 1e-200, 1, 1],
+                                            [0] * 5)
+        sizes = []
+        top = _multiprec._top_eigenvalue
+
+        def checked(block):
+            assert np.isfinite(block).all()
+            sizes.append(block.shape[0])
+            return top(block)
+
+        monkeypatch.setattr(_multiprec, "_top_eigenvalue", checked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            double = classify(co, 5)
+        extended = classify(co, 5, PrecisionMode.EXTENDED)
+        assert list(double.lambda_seq[2:]) == [0.0] * 3
+        assert list(double.lambda_seq) == list(extended.lambda_seq)
+        assert list(double.beta_seq) == list(extended.beta_seq)
+        assert sizes
+
+    def test_overflowed_double_field_gives_inf_gamma(self):
+        # W_T of geometric(2) holds inf and NaN in double from T = 46 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(GEO, 64)
+        overflowed = np.flatnonzero(~np.isfinite(report.gamma_seq))
+        assert overflowed.size and np.isposinf(report.gamma_seq[overflowed]).all()
+        assert list(overflowed) == list(range(overflowed[0], 64))
+        assert report.verdict is Verdict.LIKELY_INDETERMINATE
+        assert np.all(report.lambda_seq > 0.7) and np.all(report.beta_seq > 0.8)
 
 
 class TestOverflowedGamma:

@@ -522,3 +522,17 @@ def test_sweep_kernel_equals_the_one_expression_step(case):
             # the oracle drops a complex b's imaginary parts by assignment
             warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
             assert _bits(got) == _bits(want)
+
+
+def test_extended_complex_b_leaves_unreached_sites_real():
+    # each coefficient row is lifted on its own, so a complex b leaves a
+    # and the zero an unreached site holds real, as in the oracle sweep
+    co = JacobiCoefficients.from_arrays([1.0, 1.0, 0.75, 1.0],
+                                        [0j, -0.25 + 0j, 1 - 1j, -1 - 1j])
+    case = (co, 2, [0.0], 8, PrecisionMode.EXTENDED)
+    field = solve_finite(*case).values
+    assert type(field[2, 2]) is type(lift([0.0], PrecisionMode.EXTENDED)[0])
+    for got, want in zip(_solver_outputs(*case), _cone_outputs(*case)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            assert _bits(got) == _bits(want)

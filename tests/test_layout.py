@@ -7,9 +7,11 @@ any use of mpmath or of its global precision, from growing back there.
 Every file format lives in ``cli.py`` alone: the library returns arrays
 and result objects, and no other module reads or writes JSON or CSV.
 Coefficient recovery in ``inverse.py`` runs a recurrence on the data and
-builds or factors no matrix.  No module imports scipy when it is loaded:
-LAPACK is imported by its first call, so commands that never reach it
-skip the import.
+builds or factors no matrix, and ``classify`` in ``determinacy.py``
+reads its sequences off the coefficients: it forms no response vector,
+moments, Hankel or connecting matrix.  No module imports scipy when it
+is loaded: LAPACK is imported by its first call, so commands that never
+reach it skip the import.
 """
 
 import ast
@@ -120,4 +122,38 @@ def test_imports_catch_the_matrix_route():
 
 def test_recovery_builds_no_matrix():
     hits = _imports((PACKAGE / "inverse.py").read_text()) & MATRIX_ROUTE
+    assert not hits, hits
+
+
+DATA_ROUTE = {"response_vector", "response_to_moments", "build_hankel",
+              "connecting_from_response"}
+
+
+def _calls(source, function):
+    """The names ``function`` in ``source`` calls, as names or attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    target = call.func
+                    names.add(getattr(target, "id", None)
+                              or getattr(target, "attr", None))
+    return names
+
+
+def test_calls_catch_the_data_route():
+    source = """
+def classify(coeffs, n_max, precision):
+    r = response_vector(coeffs, 2 * n_max - 1, precision)
+    s = moments.response_to_moments(r)
+    return build_hankel(s, n_max), connecting_from_response(r, n_max)
+"""
+    assert _calls(source, "classify") == DATA_ROUTE
+    assert not _calls(source, "other") & DATA_ROUTE
+
+
+def test_classify_takes_no_data_route():
+    hits = _calls((PACKAGE / "determinacy.py").read_text(),
+                  "classify") & DATA_ROUTE
     assert not hits, hits

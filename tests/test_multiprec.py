@@ -614,3 +614,30 @@ def test_infinite_or_nan_entries_are_refused(name):
     block[1, 1] = bad
     with pytest.raises(ValueError):
         _leading_top_eigs(block)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_blocks_from_a_non_finite_entry_are_inf(monkeypatch, bad):
+    # the overflowed block and every later one get inf; LAPACK never
+    # sees them
+    from jacobi_bc import _multiprec
+    sizes = []
+    top = _multiprec._top_eigenvalue
+    monkeypatch.setattr(_multiprec, "_top_eigenvalue",
+                        lambda block: sizes.append(len(block)) or top(block))
+    arr = np.array([[2.0, 1.0, 0.0], [0.0, bad, 1.0], [0.0, 0.0, 3.0]])
+    for gram in (False, True):
+        values, exps = _leading_top_eigs(arr, gram)
+        assert np.ldexp(values[0], exps[0]) == (4.0 if gram else 2.0)
+        assert list(values[1:]) == [np.inf, np.inf]
+    assert sizes == [1, 1]
+
+
+def test_gram_blocks_of_a_wide_array(rng):
+    # W with fewer rows than columns and W[i, j] = 0 for i > j, as the
+    # control operator of a finite family: lambda_max(W[:, :n]^T W[:, :n])
+    wide = np.triu(rng.standard_normal((3, 7)))
+    values, exps = _leading_top_eigs(wide, gram=True)
+    want = [np.linalg.eigvalsh(wide[:, :n].T @ wide[:, :n])[-1]
+            for n in range(1, 8)]
+    assert np.allclose(np.ldexp(values, exps), want, rtol=1e-13, atol=0)
