@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import jacobi_bc
 from jacobi_bc import (
@@ -247,6 +247,24 @@ _PAYLOAD = st.one_of(
                                 "diagnose", "kernel", "hb", "moments"]),
        size=st.integers(1, 4),
        precision=st.sampled_from(["double", "extended", "rational"]))
+@example(payload={"a": [1, 0.5], "b": [0, 0, 0]}, command="simulate",
+         size=3, precision="double")
+@example(payload={"a": [], "b": [], "generator": {
+    "kind": "geometric", "params": {"ratio": 2}}}, command="response",
+         size=4, precision="extended")
+@example(payload={"response": [1, 0, 1, 0, 2]}, command="connect", size=3,
+         precision="rational")
+@example(payload={"moments": [1, 0, 1, 0, 2]}, command="recover", size=3,
+         precision="double")
+@example(payload={"response": [1, "x", None]}, command="diagnose", size=2,
+         precision="extended")
+@example(payload={"a": [1, 1], "b": [0, -1, 0.5]}, command="kernel", size=2,
+         precision="rational")
+@example(payload={"a": [], "b": [], "generator": {
+    "kind": "x", "params": {"ratio": None}}}, command="hb", size=1,
+         precision="double")
+@example(payload=[1, 2, float("inf")], command="moments", size=4,
+         precision="double")
 def test_payload_exit_code_is_0_or_2(payload, command, size, precision):
     # malformed input is a validation failure (2), never internal (1)
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacobi_bc import (
     BoundaryControl,
@@ -73,7 +73,7 @@ class TestSolvers:
         with pytest.raises(CoefficientUnderrunError):
             solve_semi_infinite(short, BoundaryControl.impulse(3))
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(coeff_lists)
     def test_remark_agreement_finite_vs_semi(self, data):
         a_tail, b = data
@@ -86,7 +86,7 @@ class TestSolvers:
             for t in range(n, size + 1):
                 assert semi.value(n, t) == fin.value(n, t)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(coeff_lists)
     def test_finite_speed(self, data):
         a_tail, b = data
@@ -514,8 +514,38 @@ def _sweep_cases(draw):
     return coeffs, size, control, horizon, precision
 
 
+def _sweep_example(kind, precision, horizon, length, size, complex_control):
+    """One fixed case of each branch of ``_sweep_cases``, so the drawn
+    examples may move without a branch going unchecked."""
+    if kind == "geometric":
+        coeffs = JacobiCoefficients.geometric(2)
+    else:
+        a = [1.0] + [0.5 + (k % 7) / 4 for k in range(length - 1)]
+        b = [(k % 5) / 4 - 0.5 if k % 3 else -0.0 for k in range(length)]
+        if kind == "unchecked":
+            a[1:4] = [0.75, -0.0, -1.25]
+            b[1] = float("nan")
+        if kind == "complex_b":
+            b = [complex(v, 0.25 - (k % 3) / 4) for k, v in enumerate(b)]
+        coeffs = JacobiCoefficients.from_arrays(a, b)
+    control = [1.0, -0.0, 0.5, 0.0, -0.75][:horizon]
+    if complex_control:
+        control = [complex(v, -0.5) for v in control]
+    return coeffs, size, control, horizon, precision
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=_sweep_cases())
+@example(case=_sweep_example("random", PrecisionMode.DOUBLE, 150, 75, 40, True))
+@example(case=_sweep_example("geometric", PrecisionMode.DOUBLE, 200, 0, 130, False))
+@example(case=_sweep_example("complex_b", PrecisionMode.DOUBLE, 70, 71, 71, False))
+@example(case=_sweep_example("unchecked", PrecisionMode.DOUBLE, 130, 131, 9, True))
+@example(case=_sweep_example("random", PrecisionMode.EXTENDED, 10, 11, 6, False))
+@example(case=_sweep_example("geometric", PrecisionMode.EXTENDED, 9, 0, 10, True))
+@example(case=_sweep_example("complex_b", PrecisionMode.EXTENDED, 8, 4, 4, True))
+@example(case=_sweep_example("random", PrecisionMode.RATIONAL, 10, 11, 5, False))
+@example(case=_sweep_example("geometric", PrecisionMode.RATIONAL, 10, 0, 7, False))
+@example(case=_sweep_example("complex_b", PrecisionMode.RATIONAL, 7, 8, 8, False))
 def test_sweep_kernel_equals_the_one_expression_step(case):
     for got, want in zip(_solver_outputs(*case), _cone_outputs(*case)):
         with warnings.catch_warnings():
