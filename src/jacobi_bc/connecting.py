@@ -1,26 +1,21 @@
 """Connecting operators by four independent constructions.
 
 The connecting operator is the Gram matrix of the control-to-state map:
-(C f, g) = (state of f, state of g) at the fixed horizon.  Two fillings
-of the same bilinear form circulate and silently confusing them is the
-classic implementation bug, so the orientation is an explicit tag:
-
-* CORNER_BOTTOM ("C^T"): entry (i, j), 1-based, is
-  sum_{k=0..T-max(i,j)} r_{|i-j|+2k}; the bottom-right entry is r_0.
-* CORNER_TOP ("C_T" = J C^T J): entry (i, j) is
-  sum_{k=0..min(i,j)-1} r_{|i-j|+2k}; the top-left entry is r_0, the
-  leading principal blocks are nested, and C_T = W_T^* W_T.
+(C f, g) = (state of f, state of g) at the fixed horizon.  Every
+construction returns the corner-top filling C_T: entry (i, j), 1-based,
+is sum_{k=0..min(i,j)-1} r_{|i-j|+2k}, the top-left entry is r_0, the
+leading principal blocks are nested, and C_T = W_T^* W_T.  The paper's
+C^T, filled from the lower right, is J C_T J for the order reversal J.
 
 Constructions: dynamic (from a response vector), spectral (quadrature of
-T_{T-l} T_{T-m}), Gram (W^*W from simulation), and Hankel (conjugation
-of S_T by the Chebyshev transform).  They agree on genuine data, and the
+T_l T_m), Gram (W^*W from simulation), and Hankel (conjugation of S_T by
+the Chebyshev transform).  They agree on genuine data, and the
 agreement is part of the test suite, not an assumption.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -38,7 +33,6 @@ from .spectral import chebyshev_all
 from ._multiprec import pd_factor, sym_eigenvalues
 
 __all__ = [
-    "Orientation",
     "ConnectingMatrix",
     "ResponseValidation",
     "connecting_from_response",
@@ -47,11 +41,6 @@ __all__ = [
     "connecting_from_hankel",
     "validate_response",
 ]
-
-
-class Orientation(Enum):
-    CORNER_TOP = "corner-top"        # C_T, filled from the upper left
-    CORNER_BOTTOM = "corner-bottom"  # C^T, filled from the lower right
 
 
 def _mirror_lower(mat: np.ndarray) -> np.ndarray:
@@ -81,10 +70,9 @@ def _lower_product(x: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConnectingMatrix:
-    """Symmetric connecting-operator block with its filling orientation."""
+    """Symmetric corner-top connecting-operator block C_T."""
 
     matrix: np.ndarray
-    orientation: Orientation
 
     def __post_init__(self):
         arr = _freeze_array(self, "matrix", self.matrix)
@@ -94,24 +82,6 @@ class ConnectingMatrix:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def flipped(self) -> "ConnectingMatrix":
-        """Conjugation by the order-reversal J: swaps the orientation."""
-        other = (Orientation.CORNER_TOP
-                 if self.orientation is Orientation.CORNER_BOTTOM
-                 else Orientation.CORNER_BOTTOM)
-        return ConnectingMatrix(self.matrix[::-1, ::-1], other)
-
-    def aligned(self, orientation: Orientation) -> "ConnectingMatrix":
-        return self if self.orientation is orientation else self.flipped()
-
-    def require(self, orientation: Orientation) -> np.ndarray:
-        """Matrix under the stated orientation; refuses to guess."""
-        if self.orientation is not orientation:
-            raise ValueError(
-                f"expected a {orientation.value} connecting matrix, got "
-                f"{self.orientation.value}; align explicitly with .flipped()")
-        return self.matrix
 
     def is_positive_definite(self) -> bool:
         """Whether L diag(d) L^T factors the matrix in its own arithmetic
@@ -127,10 +97,12 @@ class ConnectingMatrix:
 
 
 def connecting_from_response(r, size: int) -> ConnectingMatrix:
-    """C^T from the response formula (CORNER_BOTTOM).
+    """C_T from the response formula; needs r_0..r_{2T-2}.
 
-    Entry (i, j), 1-based, is sum_{k=0..T-max(i,j)} r_{|i-j|+2k}; needs
-    r_0..r_{2T-2}.  Exact input entries stay exact.
+    The paper's C^T has entry (i, j), 1-based,
+    sum_{k=0..T-max(i,j)} r_{|i-j|+2k}.  This returns C_T = J C^T J, with
+    entry sum_{k=0..min(i,j)-1} r_{|i-j|+2k}.  Exact input entries stay
+    exact.
     """
     rv = sequence_values(r)
     if size < 1:
@@ -143,15 +115,15 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         for d in range(size):
             # diagonal offset d: row i (1-based) sums r_d, r_{d+2}, ...
-            # up to r_{d+2(T-i-d)}, the reversed cumulative sums of r_{d::2}
-            diag = np.cumsum(rv[d:2 * size - d:2])[::-1]
+            # up to r_{d+2(i-1)}, the cumulative sums of r_{d::2}
+            diag = np.cumsum(rv[d:2 * size - d:2])
             mat[rows[:size - d], rows[d:]] = diag
             mat[rows[d:], rows[:size - d]] = diag
-    return ConnectingMatrix(mat, Orientation.CORNER_BOTTOM)
+    return ConnectingMatrix(mat)
 
 
 def connecting_from_spectrum(data: SpectralData, size: int) -> ConnectingMatrix:
-    """C^T by quadrature: entry (l+1, m+1) = int T_{T-l} T_{T-m} d(rho).
+    """C_T by quadrature: entry (l, m) = int T_l T_m d(rho), 1-based.
 
     Requires size <= number of nodes: within that horizon the finite
     system is indistinguishable from the semi-infinite one, so the
@@ -163,14 +135,13 @@ def connecting_from_spectrum(data: SpectralData, size: int) -> ConnectingMatrix:
         raise ValueError(
             f"spectral construction needs size <= {data.size} nodes, got {size}")
     cheb = chebyshev_all(size, data.lambdas)          # rows T_1..T_size
-    scaled = cheb[::-1] * np.sqrt(data.weights)[None, :]  # rows T_size..T_1
-    mat = _mirror_lower(scaled @ scaled.T)
-    return ConnectingMatrix(mat, Orientation.CORNER_BOTTOM)
+    scaled = cheb * np.sqrt(data.weights)[None, :]
+    return ConnectingMatrix(_mirror_lower(scaled @ scaled.T))
 
 
 def gram_from_control(coeffs: JacobiCoefficients, size: int,
                       precision: PrecisionMode = PrecisionMode.DOUBLE) -> ConnectingMatrix:
-    """C_T = W_T^* W_T with W_T simulated from the coefficients (CORNER_TOP).
+    """C_T = W_T^* W_T with W_T simulated from the coefficients.
 
     W_T is upper triangular, so entry (i, j), i >= j, sums
     W[k, i] W[k, j] over k <= j only; the terms with k > j are exact
@@ -180,12 +151,12 @@ def gram_from_control(coeffs: JacobiCoefficients, size: int,
     w = control_operator(coeffs, size, precision).matrix
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         gram = _mirror_lower(_lower_product(w.T, w.T))
-    return ConnectingMatrix(gram, Orientation.CORNER_TOP)
+    return ConnectingMatrix(gram)
 
 
 def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
-    """C_T by conjugating the Hankel block with the Chebyshev transform
-    (CORNER_TOP); exact when the Hankel entries are exact.
+    """C_T by conjugating the Hankel block with the Chebyshev transform;
+    exact when the Hankel entries are exact.
 
     The transform Lambda is lower triangular, so entry (i, j), i >= j, of
     (Lambda S) Lambda^T sums over k <= j only; the exact zeros
@@ -201,7 +172,7 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
     lam = chebyshev_transform(size).matrix.astype(dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         mat = _mirror_lower(_lower_product(lam @ smat, lam))
-    return ConnectingMatrix(mat, Orientation.CORNER_TOP)
+    return ConnectingMatrix(mat)
 
 
 @dataclass(frozen=True)
@@ -216,7 +187,7 @@ def validate_response(r, size: int,
                       precision: PrecisionMode = PrecisionMode.DOUBLE) -> ResponseValidation:
     """Whether r_0..r_{2N-2} is the response of some genuine system.
 
-    True exactly when the connecting matrix C^N is positive definite; the
+    True exactly when the connecting matrix C_N is positive definite; the
     verdict and its certificate come from the same eigen-solve: the
     smallest eigenvalue must be positive.
     """

@@ -13,11 +13,12 @@ Both backends are implemented and their agreement is a test, not an
 assumption.
 
 Two routes solve the Krein equation.  Data input (``krein_solve`` on a
-ConnectingMatrix, ``krein_solve_hankel``) has C_T or S_T as a matrix,
-factors it and refines; a block that is not positive definite is not
-genuine data.  Coefficient input (``kernel_finite(method="krein")``)
-never forms C_T = W_T^T W_T: it simulates W_T, upper triangular with the
-positive diagonal a_0 ... a_k, and runs the two O(T^2) triangular sweeps
+block from any ``connecting`` construction, all of which return C_T, or
+``krein_solve_hankel`` on S_T) has the matrix, factors it and refines; a
+block that is not positive definite is not genuine data.  Coefficient
+input (``kernel_finite(method="krein")``) never forms C_T = W_T^T W_T:
+it simulates W_T, upper triangular with the positive diagonal
+a_0 ... a_k, and runs the two O(T^2) triangular sweeps
 W_T^T y = rhs, W_T j = y, with the residual W_T^T (W_T j) - rhs.  This
 solves at cond(W_T) = sqrt(cond(C_T)) and runs only the forward solver,
 so the direct sum stays an independent oracle.
@@ -47,7 +48,6 @@ from .core import (
     PrecisionMode,
     _freeze_array,
 )
-from .connecting import ConnectingMatrix, Orientation
 from .dynamics import control_operator
 from .moments import HankelMatrix
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
@@ -97,19 +97,13 @@ class KreinSolution:
         return complex(sum(v * c for v, c in zip(self.values, cheb)))
 
 
-def _corner_top_matrix(connecting) -> np.ndarray:
-    if isinstance(connecting, ConnectingMatrix):
-        return connecting.require(Orientation.CORNER_TOP)
-    return np.asarray(connecting)
-
-
 def _krein_rhs(horizon: int, z) -> np.ndarray:
     return np.conj(np.asarray(chebyshev_all(horizon, complex(z)), dtype=complex))
 
 
 def krein_solve(connecting, z: complex,
                 precision: PrecisionMode = PrecisionMode.DOUBLE) -> KreinSolution:
-    """Solve C_T j = conj(T_1(z), ..., T_T(z)) for a corner-top block.
+    """Solve C_T j = conj(T_1(z), ..., T_T(z)) for a connecting block.
 
     Positive definiteness of the block is exactly the characterization of
     genuine response data, so a factorization failure raises
@@ -117,7 +111,7 @@ def krein_solve(connecting, z: complex,
     residual is below 1e-10 (ConditioningError when that stalls); badly
     conditioned blocks can go through extended precision instead.
     """
-    mat = _corner_top_matrix(connecting)
+    mat = np.asarray(getattr(connecting, "matrix", connecting))
     horizon = mat.shape[0]
     try:
         x, residual = mp_pd_solve(lift(mat, precision), _krein_rhs(horizon, z))
@@ -153,17 +147,18 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
                   precision: PrecisionMode = PrecisionMode.DOUBLE) -> complex:
     """Reproducing kernel J_z(lam) of the horizon-T polynomial space.
 
-    ``source`` is either coefficients or a corner-top ConnectingMatrix
-    (always ``krein_solve``, which factors the block).  For coefficients,
-    method "direct" sums conj(p_n(z)) p_n(lam), and method "krein" solves
-    the Krein equation on the simulated W_T by two triangular sweeps
-    without forming C_T (``_multiprec.gram_solve``).  The two backends
+    ``source`` is either coefficients or a connecting block C_T, as a
+    ConnectingMatrix or an array (always ``krein_solve``, which factors
+    the block).  For coefficients, method "direct" sums
+    conj(p_n(z)) p_n(lam), and method "krein" solves the Krein equation
+    on the simulated W_T by two triangular sweeps without forming C_T
+    (``_multiprec.gram_solve``).  The two backends
     agree on genuine data.  W_T's diagonal is positive by construction, so
     the coefficient route never raises NotAResponseVectorError; a W_T too
     ill-conditioned for the precision raises ConditioningError when the
     refined residual stays above 1e-10.
     """
-    if isinstance(source, ConnectingMatrix) or not isinstance(source, JacobiCoefficients):
+    if not isinstance(source, JacobiCoefficients):
         return krein_solve(source, z, precision).kernel_value(lam)
     if horizon is None:
         raise ValueError("horizon is required with coefficient input")
@@ -224,7 +219,7 @@ def scalar_product(f, g, connecting) -> complex:
     blocks (extended/rational constructions) are combined in their own
     arithmetic.
     """
-    mat = _corner_top_matrix(connecting)
+    mat = np.asarray(getattr(connecting, "matrix", connecting))
     fv = np.asarray(f)
     gv = np.asarray(g)
     fv = fv.astype(np.result_type(fv, complex))

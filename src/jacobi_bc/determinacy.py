@@ -54,7 +54,7 @@ from .core import (
     PrecisionMode,
     sequence_values,
 )
-from .connecting import Orientation, connecting_from_response
+from .connecting import connecting_from_response
 from .dynamics import solve_finite
 from .spectral import TAIL_WINDOW, eval_p_all, eval_q_all, relative_tail
 from ._multiprec import (gram_max_eigs, leading_eig_extremes, noise_floor,
@@ -95,9 +95,9 @@ def connecting_eig_sequences(r, t_max: int,
     are nested, so eigenvalues interlace) up to the noise floor.
     """
     # corner-top blocks are nested, so one build serves every horizon
-    top = connecting_from_response(r, t_max).aligned(Orientation.CORNER_TOP)
-    beta, gamma = leading_eig_extremes(top.matrix, sequence_values(r), 1,
-                                       precision)
+    beta, gamma = leading_eig_extremes(
+        connecting_from_response(r, t_max).matrix, sequence_values(r), 1,
+        precision)
     norms = np.maximum(np.abs(beta), np.abs(gamma))
     slack = _MONOTONE_SLACK + noise_floor(norms[1:], precision)
     # compared without subtracting, so an overflowed gamma passes after

@@ -39,8 +39,6 @@ from .core import (
 from .dynamics import WaveField
 
 __all__ = [
-    "eval_p",
-    "eval_q",
     "eval_chebyshev",
     "eval_p_all",
     "eval_q_all",
@@ -116,16 +114,6 @@ def eval_p_all(coeffs: JacobiCoefficients, n_max: int, z):
 def eval_q_all(coeffs: JacobiCoefficients, n_max: int, z):
     """[q_1(z), ..., q_{n_max}(z)] by forward recurrence."""
     return _first_values(coeffs, n_max, z, "q")
-
-
-def eval_p(coeffs: JacobiCoefficients, n: int, z):
-    """p_n(z); first-kind polynomial of degree n - 1 (n is 1-based)."""
-    return _first_values(coeffs, n, z, "p")[-1]
-
-
-def eval_q(coeffs: JacobiCoefficients, n: int, z):
-    """q_n(z); second-kind polynomial of degree n - 2 (n is 1-based)."""
-    return _first_values(coeffs, n, z, "q")[-1]
 
 
 def eval_chebyshev(t: int, z):

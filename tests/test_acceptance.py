@@ -18,7 +18,6 @@ import pytest
 
 from jacobi_bc import (
     JacobiCoefficients,
-    Orientation,
     PrecisionMode,
     build_hankel,
     chebyshev_transform,
@@ -86,10 +85,8 @@ def test_criterion_2_four_way_agreement():
         co = random_coefficients(rng, size)
         r = response_vector(co, 2 * size - 1)
         mats = [
-            connecting_from_response(r, size).aligned(
-                Orientation.CORNER_TOP).matrix,
-            connecting_from_spectrum(spectral_data(co, size), size).aligned(
-                Orientation.CORNER_TOP).matrix,
+            connecting_from_response(r, size).matrix,
+            connecting_from_spectrum(spectral_data(co, size), size).matrix,
             gram_from_control(co, size).matrix,
             connecting_from_hankel(
                 build_hankel(response_to_moments(r).as_array(), size)).matrix,

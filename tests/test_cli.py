@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 import jacobi_bc
 from jacobi_bc import (
     JacobiCoefficients,
-    Orientation,
     connecting_from_response,
+    response_to_moments,
     response_vector,
 )
 from jacobi_bc.cli import main
@@ -427,8 +427,8 @@ class TestStderr:
         assert None in matrix[-1]
         # a full W^T W product made this entry NaN through 0 * inf
         r = response_vector(JacobiCoefficients.geometric(2), 95)
-        dynamic = connecting_from_response(r, 48).aligned(Orientation.CORNER_TOP)
-        assert matrix[0][46] == dynamic.matrix[0, 46] > 1e166
+        dynamic = connecting_from_response(r, 48).matrix
+        assert matrix[0][46] == dynamic[0, 46] > 1e166
 
 
 class TestDeterminism:
@@ -475,6 +475,26 @@ class TestThinLayer:
         doc = json.loads(out.read_text())
         assert doc["orientation"] == "corner-top"
         assert doc["matrix"] == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_connect_prints_one_layout_for_every_route(self, tmp_path):
+        a, b = [1.0, 0.75, 1.5, 1.25], [0.5, -0.25, 0.0, 1.0]
+        r = response_vector(JacobiCoefficients.from_arrays(a, b), 7)
+        inputs = {"coefficients": {"a": a, "b": b},
+                  "response": {"response": [float(v) for v in r]},
+                  "moments": {"moments": [float(v) for v in
+                                          response_to_moments(r)]}}
+        docs = {}
+        for name, payload in inputs.items():
+            path = write_json(tmp_path / f"{name}.json", payload)
+            out = tmp_path / f"{name}.out.json"
+            assert main(["connect", "--input", path, "--T", "4",
+                         "--output", str(out)]) == 0
+            docs[name] = json.loads(out.read_text())
+        assert {doc["orientation"] for doc in docs.values()} == {"corner-top"}
+        want = np.array(docs["coefficients"]["matrix"])
+        for name in ("response", "moments"):
+            got = np.array(docs[name]["matrix"])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_moments_conversion_round_trip(self, tmp_path):
         path = write_json(tmp_path / "r.json", {"response": [1, 1, 1]})

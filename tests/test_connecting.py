@@ -8,7 +8,6 @@ from jacobi_bc import (
     ConnectingMatrix,
     InsufficientDataError,
     JacobiCoefficients,
-    Orientation,
     PrecisionMode,
     build_hankel,
     chebyshev_transform,
@@ -34,11 +33,10 @@ class TestFromResponse:
     def test_free_identity(self):
         conn = connecting_from_response([1, 0, 0], 2)
         assert np.array_equal(conn.matrix, np.eye(2))
-        assert conn.orientation is Orientation.CORNER_BOTTOM
 
     def test_ones_response(self):
         conn = connecting_from_response([1, 1, 1], 2)
-        assert np.array_equal(conn.matrix, [[2, 1], [1, 1]])
+        assert np.array_equal(conn.matrix, [[1, 1], [1, 2]])
 
     def test_trivial(self):
         assert np.array_equal(connecting_from_response([0.25], 1).matrix, [[0.25]])
@@ -54,7 +52,7 @@ class TestFromResponse:
         # a caller's mpf computes in the caller's own context, as here
         for i in range(1, size + 1):
             for j in range(1, size + 1):
-                terms = range(size - max(i, j) + 1)
+                terms = range(min(i, j))
                 expected = sum(r[abs(i - j) + 2 * k] for k in terms)
                 assert mat[i - 1, j - 1] == expected
 
@@ -64,11 +62,15 @@ class TestFromResponse:
 
     def test_corner_top_nesting(self, rng):
         # leading principal blocks of the corner-top filling are the
-        # smaller-horizon matrices; that is what makes C_T = W_T^* W_T
-        r = response_vector(random_coefficients(rng, 8), 15).as_array()
-        big = connecting_from_response(r, 8).aligned(Orientation.CORNER_TOP)
-        small = connecting_from_response(r, 5).aligned(Orientation.CORNER_TOP)
-        assert np.array_equal(big.matrix[:5, :5], small.matrix)
+        # smaller-horizon matrices, bit for bit in every arithmetic; that
+        # is what makes C_T = W_T^* W_T
+        raw = response_vector(random_coefficients(rng, 8), 15).as_array()
+        for r in (raw, np.array([Fraction(v) for v in raw], dtype=object),
+                  np.array([mpf(v) for v in raw], dtype=object)):
+            big = connecting_from_response(r, 8).matrix
+            small = connecting_from_response(r, 5).matrix
+            assert [(type(v), v) for v in big[:5, :5].ravel()] == [
+                (type(v), v) for v in small.ravel()]
 
 
 class TestFromSpectrum:
@@ -100,7 +102,6 @@ class TestGram:
     def test_b1(self):
         conn = gram_from_control(B1, 2)
         assert np.array_equal(conn.matrix, [[1, 1], [1, 2]])
-        assert conn.orientation is Orientation.CORNER_TOP
 
     def test_trivial(self):
         assert np.array_equal(gram_from_control(FREE, 1).matrix, [[1.0]])
@@ -241,20 +242,6 @@ class TestTriangularProducts:
         assert [v.value for v in got[below]] == [v.value for v in full[below]]
 
 
-class TestOrientation:
-    def test_flip_involution(self, rng):
-        r = response_vector(random_coefficients(rng, 5), 9)
-        conn = connecting_from_response(r, 5)
-        assert np.array_equal(conn.flipped().flipped().matrix, conn.matrix)
-        assert conn.flipped().orientation is Orientation.CORNER_TOP
-
-    def test_require_refuses_mismatch(self):
-        conn = connecting_from_response([1, 0, 0], 2)
-        with pytest.raises(ValueError):
-            conn.require(Orientation.CORNER_TOP)
-        assert conn.require(Orientation.CORNER_BOTTOM) is conn.matrix
-
-
 class TestFourWay:
     def test_agreement(self, rng):
         for _ in range(8):
@@ -262,10 +249,8 @@ class TestFourWay:
             co = random_coefficients(rng, size)
             r = response_vector(co, 2 * size - 1)
             mats = [
-                connecting_from_response(r, size).aligned(
-                    Orientation.CORNER_TOP).matrix,
-                connecting_from_spectrum(spectral_data(co, size), size).aligned(
-                    Orientation.CORNER_TOP).matrix,
+                connecting_from_response(r, size).matrix,
+                connecting_from_spectrum(spectral_data(co, size), size).matrix,
                 gram_from_control(co, size).matrix,
                 connecting_from_hankel(
                     build_hankel(response_to_moments(r).as_array(), size)).matrix,
@@ -287,8 +272,7 @@ class TestFourWay:
         conn = connecting_from_response(r, 40)
         assert max(conn.matrix.ravel()) > 10 ** 744
         assert conn.is_positive_definite()
-        assert not ConnectingMatrix(-conn.matrix,
-                                    conn.orientation).is_positive_definite()
+        assert not ConnectingMatrix(-conn.matrix).is_positive_definite()
 
 
 class TestValidateResponse:

@@ -66,14 +66,21 @@ class TestKreinSolve:
         assert np.max(np.abs(sol.values - [2.0, -1.0])) < 1e-13
 
     def test_rejects_indefinite(self):
-        conn = connecting_from_response([1, 2, 0], 2).flipped()
+        conn = connecting_from_response([1, 2, 0], 2)
         with pytest.raises(NotAResponseVectorError):
             krein_solve(conn, 1.0)
 
-    def test_requires_corner_top(self):
-        conn = connecting_from_response([1, 0, 0], 2)
-        with pytest.raises(ValueError):
-            krein_solve(conn, 1.0)
+    def test_requires_corner_top(self, rng):
+        # the Krein equation is posed on C_T; the response route returns
+        # it, so its block solves like the coefficient route on W_T
+        size = 8
+        co = random_coefficients(rng, size)
+        conn = connecting_from_response(response_vector(co, 2 * size - 1),
+                                        size)
+        z, lam = 0.4 + 0.9j, -0.3
+        got = krein_solve(conn, z).kernel_value(lam)
+        want = kernel_finite(co, z, lam, size, method="krein")
+        assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
 class TestKreinHankel:
@@ -89,7 +96,7 @@ class TestKreinHankel:
         z = 0.4 + 1.2j
         r = response_vector(co, 2 * size - 1)
         s_vals = response_to_moments(r).as_array()
-        j = krein_solve(connecting_from_response(r, size).flipped(), z).values
+        j = krein_solve(connecting_from_response(r, size), z).values
         f = krein_solve_hankel(build_hankel(s_vals, size), z)
         lam = chebyshev_transform(size).as_float()
         assert np.max(np.abs(f - lam.T @ j)) < 1e-9 * max(1.0, np.max(np.abs(f)))

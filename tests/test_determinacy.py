@@ -10,7 +10,6 @@ from jacobi_bc import (
     JacobiBCError,
     JacobiCoefficients,
     NotLimitCircleError,
-    Orientation,
     PrecisionMode,
     Verdict,
     build_hankel,
@@ -286,8 +285,7 @@ class TestCoefficientRoute:
         size = max(blocks)
         gamma = classify(co, size, PrecisionMode.EXTENDED).gamma_seq
         r = response_vector(co, 2 * size - 1, PrecisionMode.EXTENDED)
-        top = connecting_from_response(r, size).aligned(
-            Orientation.CORNER_TOP).matrix
+        top = connecting_from_response(r, size).matrix
         oracle = mpmath.MPContext()
         oracle.dps = 50
         for t in blocks:

@@ -10,7 +10,6 @@ from jacobi_bc import (
     JacobiCoefficients,
     NotAMomentSequenceError,
     NotAResponseVectorError,
-    Orientation,
     PrecisionMode,
     build_hankel,
     connecting_from_response,
@@ -86,8 +85,8 @@ class TestRecoverFromResponse:
         size = 10
         co = random_coefficients(rng, size)
         r = response_vector(co, 2 * size - 1)
-        top = connecting_from_response(r, size).aligned(Orientation.CORNER_TOP)
-        upper = scipy.linalg.cholesky(top.matrix, lower=False)
+        top = connecting_from_response(r, size).matrix
+        upper = scipy.linalg.cholesky(top, lower=False)
         w = control_operator(co, size).matrix
         assert np.max(np.abs(upper - w)) < 1e-8 * max(1.0, np.max(np.abs(w)))
 
@@ -136,8 +135,7 @@ class TestRecoverFromMoments:
 class TestFactorization:
     def test_exact_ldl_agrees_with_lapack(self, rng):
         co = random_coefficients(rng, 8)
-        conn = connecting_from_response(response_vector(co, 15), 8).aligned(
-            Orientation.CORNER_TOP).matrix
+        conn = connecting_from_response(response_vector(co, 15), 8).matrix
         exact = lift(conn, PrecisionMode.RATIONAL)
         low, piv = pd_factor(exact)
         assert ((low * piv) @ low.T == exact).all()   # no rounding at all
@@ -190,8 +188,7 @@ def _exact_data(size):
         [Fraction(int(k), 8) for k in rng.integers(-8, 9, size)])
     r = response_vector(co, 2 * size - 1, PrecisionMode.RATIONAL).as_array()
     s = response_to_moments(r, PrecisionMode.RATIONAL).as_array()
-    c_top = connecting_from_response(r, size).aligned(
-        Orientation.CORNER_TOP).matrix
+    c_top = connecting_from_response(r, size).matrix
     return r, s, c_top, build_hankel(s, size).matrix
 
 

@@ -111,7 +111,7 @@ def _imports(source):
 
 
 def test_imports_catch_the_matrix_route():
-    for source in ("from .connecting import Orientation",
+    for source in ("from .connecting import ConnectingMatrix",
                    "from . import connecting",
                    "from .moments import build_hankel, moments_to_response",
                    "from ._multiprec import lift, pd_factor"):

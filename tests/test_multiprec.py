@@ -27,7 +27,6 @@ from jacobi_bc import (
     ConditioningError,
     ConditioningWarning,
     JacobiCoefficients,
-    Orientation,
     PrecisionMode,
     apply_response,
     build_hankel,
@@ -138,8 +137,7 @@ def _per_block_extremes(matrix, precision):
 def _gram_matrix(nu, size, shift):
     """S_size of moments (shift 0), corner-top C_size of a response (1)."""
     if shift:
-        return connecting_from_response(nu, size).aligned(
-            Orientation.CORNER_TOP).matrix
+        return connecting_from_response(nu, size).matrix
     return build_hankel(nu, size).matrix
 
 
@@ -245,11 +243,11 @@ def test_hankel_min_eigs_match_a_high_precision_oracle():
 
 def test_extremes_of_blocks_beyond_the_float_range():
     r = response_vector(GEO3, 79, RATIONAL).as_array()
-    top = connecting_from_response(r, 40).aligned(Orientation.CORNER_TOP)
-    assert max(top.matrix.ravel()) > 10 ** 308
+    top = connecting_from_response(r, 40).matrix
+    assert max(top.ravel()) > 10 ** 308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        beta, _ = leading_eig_extremes(top.matrix, r, 1, EXTENDED)
+        beta, _ = leading_eig_extremes(top, r, 1, EXTENDED)
     assert np.all(np.isfinite(beta)) and np.all(beta > 0)
     # geometric(3) is limit-circle: beta_T stays above the circle bound
     assert beta[-1] >= float(circle_bound_connecting(GEO3, 60)) - 1e-6
@@ -306,7 +304,7 @@ def _overflowed_connecting_block():
     # the sums of a response of 1e308 entries pass the float64 range
     with np.errstate(over="ignore"):
         conn = connecting_from_response([1e308, 0, 1e308, 0, 1e308], 3)
-    return conn.aligned(Orientation.CORNER_TOP).matrix
+    return conn.matrix
 
 
 @pytest.mark.parametrize("call", [
@@ -579,8 +577,7 @@ def test_top_eigenvalue_equals_the_scipy_subset_call(rng, graded):
 
 def test_leading_top_eigs_equal_the_wrapped_route(rng):
     r = response_vector(GEO3, 79, RATIONAL).as_array()
-    top = lift(connecting_from_response(r, 40).aligned(
-        Orientation.CORNER_TOP).matrix, EXTENDED)
+    top = lift(connecting_from_response(r, 40).matrix, EXTENDED)
     blocks = [top, _random_block(rng, 30, True),
               lift(_random_block(rng, 30, True), EXTENDED)]
     for arr in blocks:

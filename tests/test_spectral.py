@@ -4,8 +4,6 @@ from jacobi_bc import (
     BoundaryControl,
     JacobiCoefficients,
     eval_chebyshev,
-    eval_p,
-    eval_q,
     extension_parameter,
     fourier_image,
     quadrature,
@@ -14,7 +12,7 @@ from jacobi_bc import (
     solve_finite,
     spectral_data,
 )
-from jacobi_bc.spectral import eval_p_all
+from jacobi_bc.spectral import eval_p_all, eval_q_all
 
 from conftest import matrix_moment, random_coefficients
 
@@ -25,15 +23,15 @@ B1 = JacobiCoefficients.from_rules(lambda n: 1, lambda n: 1 if n == 1 else 0)
 class TestPolynomials:
     def test_p_examples(self):
         z = 1.37
-        assert eval_p(FREE, 2, z) == z
-        assert abs(eval_p(FREE, 3, z) - (z * z - 1)) < 1e-14
-        assert eval_p(B1, 2, z) == z - 1
+        assert eval_p_all(FREE, 2, z)[-1] == z
+        assert abs(eval_p_all(FREE, 3, z)[-1] - (z * z - 1)) < 1e-14
+        assert eval_p_all(B1, 2, z)[-1] == z - 1
 
     def test_q_examples(self):
         z = -0.42
-        assert eval_q(FREE, 1, z) == 0
-        assert eval_q(FREE, 2, z) == 1
-        assert eval_q(FREE, 3, z) == z
+        assert eval_q_all(FREE, 1, z)[-1] == 0
+        assert eval_q_all(FREE, 2, z)[-1] == 1
+        assert eval_q_all(FREE, 3, z)[-1] == z
 
     def test_chebyshev_examples(self):
         for z in (0.3, -1.8, 2.4 + 0.7j):
@@ -110,10 +108,9 @@ class TestQuadrature:
     def test_orthonormal_pairs(self, rng):
         co = random_coefficients(rng, 6)
         data = spectral_data(co, 6)
-        for i in (1, 3, 6):
-            for j in (1, 3, 6):
-                val = quadrature(data, lambda x: eval_p(co, i, x) * eval_p(co, j, x))
-                assert abs(val - (1.0 if i == j else 0.0)) < 1e-10
+        p = eval_p_all(co, 6, data.lambdas)    # row n - 1: p_n at the nodes
+        gram = (p * data.weights) @ p.T
+        assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
     def test_gauss_exactness_against_matrix_moments(self, rng):
         # the 6-node measure reproduces the moments of arbitrarily deep
