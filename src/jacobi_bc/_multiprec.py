@@ -1,8 +1,11 @@
 """The precision backend: the only module that knows what each mode means.
 
-DOUBLE keeps float64/complex128 ndarrays on LAPACK, which ``lapack``
-loads (scipy.linalg) by its first call, so a process that never reaches
-LAPACK never imports scipy.  EXTENDED lifts values to object arrays of
+DOUBLE keeps float64/complex128 ndarrays on LAPACK.  The eigenvalues of
+float blocks, the extremes of every mode and DOUBLE ``sym_eigenvalues``,
+come from numpy's LAPACK (``np.linalg.eigvalsh``).  scipy.linalg, which
+``lapack`` loads by its first call, serves only the DOUBLE factorization
+and sweeps and ``spectral_data``, so a process that never reaches them
+never imports scipy.  EXTENDED lifts values to object arrays of
 mpf from a private mpmath context fixed at EXTENDED_DPS digits, and
 RATIONAL to object arrays of Fraction, exact wherever no root or
 eigenvalue is needed.  Hankel and connecting matrices of rapidly growing
@@ -21,8 +24,9 @@ computes in the caller's own context.
 The pipeline modules write each step once, independent of dtype, on top
 of what this module provides:
 
-* ``lift``, the per-mode noise floor of data input, the pivot floor,
-  and the width quantum of the forward sweep (``width_quantum``);
+* ``lift`` (and ``lift_ints`` for exact integer coefficients), the
+  per-mode noise floor of data input, the pivot floor, and the width
+  quantum of the forward sweep (``width_quantum``);
 * Wheeler's modified Chebyshev recurrence (``modified_chebyshev``) on
   moments or a response.  Recovery reads the coefficients off it;
 * one builder (``_orthonormal_rows``) of Q = diag(d)^-1/2 L^-1 of the
@@ -60,7 +64,6 @@ before numpy's reflected operator takes over.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -133,6 +136,17 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
     else:    # numbers already of the private context are kept as they are
         out.flat = [v if type(v) in _OWN_TYPES else as_mpf(v) for v in values]
     return out
+
+
+def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
+    """Exact ints as the coefficients of a combination of values of
+    ``precision``: float64 in DOUBLE, where an int beyond its range
+    raises ConditioningError as in ``lift``, and the ints themselves in
+    the object modes, where an int times an mpf rounds once and times a
+    Fraction stays exact."""
+    if precision is PrecisionMode.DOUBLE:
+        return lift(ints, precision)
+    return np.array(ints, dtype=object)
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -466,41 +480,21 @@ _ZERO_EXP = -(1 << 40)
 def lapack():
     """scipy.linalg, imported by the first call.
 
-    LAPACK serves the eigenvalue extremes behind ``diagnose``, the DOUBLE
-    factorizations and triangular sweeps, and ``spectral_data``; of the
-    CLI commands only ``diagnose`` reaches it, and every other one skips
-    the import time and memory of scipy.
+    LAPACK through scipy serves only the DOUBLE factorizations
+    (``pd_factor``), the DOUBLE triangular sweeps (``_sweeps``) and
+    ``spectral_data``; none of the CLI commands ``response``, ``recover``
+    and ``diagnose`` reaches it, so they skip the import time and memory
+    of scipy.
     """
     import scipy.linalg
     return scipy.linalg
 
 
-@functools.cache
-def _syevr():
-    """LAPACK dsyevr and its workspace query, resolved once."""
-    return lapack().get_lapack_funcs(("syevr", "syevr_lwork"), dtype=float)
-
-
-@functools.cache
-def _syevr_workspace(n: int) -> dict:
-    """The dsyevr workspace of an n x n lower triangle, as the query that
-    scipy.linalg.eigh makes gives it."""
-    lwork, liwork, info = _syevr()[1](n, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dsyevr workspace query failed: {info}")
-    return {"lwork": int(lwork), "liwork": int(liwork)}
-
-
 def _top_eigenvalue(block: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric float64 ``block``: the LAPACK
-    call of scipy.linalg.eigvalsh(block, subset_by_index=[n - 1, n - 1]),
-    dsyevr on the lower triangle, with no wrapper in between."""
-    n = block.shape[0]
-    w, _, _, _, info = _syevr()[0](block, compute_v=0, range="I", lower=1,
-                                   il=n, iu=n, **_syevr_workspace(n))
-    if info:
-        raise np.linalg.LinAlgError(f"dsyevr failed: {info}")
-    return w[0]
+    """Largest eigenvalue of the symmetric float64 ``block``, from the
+    lower triangle by numpy's LAPACK (``np.linalg.eigvalsh``), the
+    eigensolver of DOUBLE ``sym_eigenvalues``."""
+    return np.linalg.eigvalsh(block)[-1]
 
 
 def _frexp_fields(sign: int, man: int, exp: int, bc: int):

@@ -63,6 +63,9 @@ __all__ = [
     "apply_response",
 ]
 
+# Steps whose widths and control values the sweep holds as lists at once.
+_STEP_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class WaveField:
@@ -207,9 +210,7 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     # Rapidly growing coefficient families overflow float64 inside the
     # cone; those cells hold inf or nan and are returned as they are.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, f in enumerate(ctrl):
-            k = min(t + 1, n_space, watched + horizon - t - 1)
-            k = min(-(-k // quantum) * quantum, n_space)
+        for t, k, f in _steps(ctrl, n_space, watched, quantum):
             i = t & 1
             if k != widths[i]:
                 p, older = prod[:, :k], slices[1 - i]
@@ -222,7 +223,21 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
             np.add(p2, p0, out=p2)
             np.add(p2, p1, out=p2)
             np.subtract(total, prev, out=prev)
-            out[:, t] = seen
+            out.T[t] = seen
+
+
+def _steps(ctrl, n_space: int, watched: int, quantum: int):
+    """(t, k, f_t) for the steps t = 0..horizon-1 of ``_sweep``, where k
+    is the width step t updates, as Python numbers, which a step reads
+    faster than numpy scalars.  They are computed with numpy
+    _STEP_CHUNK steps at a time, so their lists stay short."""
+    horizon = len(ctrl)
+    for start in range(0, horizon, _STEP_CHUNK):
+        t = np.arange(start, min(start + _STEP_CHUNK, horizon))
+        k = np.minimum(np.minimum(t + 1, n_space), watched + horizon - t - 1)
+        k = np.minimum(-(-k // quantum) * quantum, n_space)
+        yield from zip(t.tolist(), k.tolist(),
+                       ctrl[start:start + _STEP_CHUNK].tolist())
 
 
 def _check_field_memory(n_space: int, horizon: int, precision: PrecisionMode,

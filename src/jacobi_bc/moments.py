@@ -11,7 +11,7 @@ precision at the boundary.
 
 from __future__ import annotations
 
-import math
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +26,7 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
-from ._multiprec import above_noise, leading_eig_extremes, lift
+from ._multiprec import above_noise, leading_eig_extremes, lift, lift_ints
 
 __all__ = [
     "HankelMatrix",
@@ -102,22 +102,36 @@ def build_hankel(s, size: int) -> HankelMatrix:
     return HankelMatrix(mat.astype(np.result_type(mat, float)))
 
 
+def _transform_rows(size: int):
+    """Rows 0..size-1 of the transform, one at a time, as lists of exact
+    ints: row i holds the entries (i, j) for j = i % 2, i % 2 + 2, ..., i,
+    the only ones that can be nonzero.
+
+    Row i is T_{i+1}, and T_{i+2} = x T_{i+1} - T_i (T_0 = 0, T_1 = 1):
+    x shifts the entries of row i one column right, which for i odd puts
+    a zero in front, and row i-1 is subtracted entry by entry.  Only two
+    rows are held at a time.
+    """
+    below, row = [], [1]
+    for i in range(size):
+        yield row
+        shifted = [0] + row if i % 2 else row
+        below, row = row, [x - y for x, y in itertools.zip_longest(
+            shifted, below, fillvalue=0)]
+
+
 def chebyshev_transform(size: int) -> ChebyshevTransform:
     """Exact integer transform of order ``size``.
 
     Entry (i, j), 0-based, is zero for i < j or odd i + j, and otherwise
-    C((i+j)/2, j) * (-1)^((i+j)/2 + j); the 0-based convention is pinned
-    by matching rows against the T_k recurrence.
+    C((i+j)/2, j) * (-1)^((i+j)/2 + j); the rows come from the T_k
+    recurrence (``_transform_rows``).
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     mat = np.zeros((size, size), dtype=object)
-    for i in range(size):
-        for j in range(i + 1):
-            if (i + j) % 2:
-                continue
-            half = (i + j) // 2
-            mat[i, j] = math.comb(half, j) * (-1) ** (half + j)
+    for i, row in enumerate(_transform_rows(size)):
+        mat[i, i % 2:i + 1:2] = row
     return ChebyshevTransform(mat)
 
 
@@ -127,14 +141,15 @@ def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> R
     Row i of the transform is zero past the diagonal and at odd i + j, so
     r_i sums s_j over j <= i with i + j even only: the terms skipped are
     exact zeros, and no 0 * inf puts a NaN into a finite DOUBLE entry.
+    The rows are generated one at a time, so memory stays O(size); in
+    DOUBLE a row entry beyond float64 (from 1484 entries on) raises
+    ConditioningError.
     """
     sx = lift(sequence_values(s), precision)
-    # the integer transform keeps its exact entries against object values
-    lam = chebyshev_transform(sx.size).matrix.astype(sx.dtype)
     r = np.empty_like(sx)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
-        for i in range(sx.size):
-            r[i] = lam[i, i % 2:i + 1:2] @ sx[i % 2:i + 1:2]
+        for i, row in enumerate(_transform_rows(sx.size)):
+            r[i] = lift_ints(row, precision) @ sx[i % 2:i + 1:2]
     return ResponseVector(r)
 
 
@@ -142,13 +157,13 @@ def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> M
     """s = transform^{-1} r by back-substitution on the unit diagonal.
 
     Round-trips with moments_to_response exactly in rational mode.  As
-    there, only the terms j < i with i + j even are summed.
+    there, only the terms j < i with i + j even are summed, and the rows
+    are generated one at a time.
     """
     s = lift(sequence_values(r), precision)
-    lam = chebyshev_transform(s.size).matrix.astype(s.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
-        for i in range(s.size):
-            s[i] = s[i] - lam[i, i % 2:i:2] @ s[i % 2:i:2]
+        for i, row in enumerate(_transform_rows(s.size)):
+            s[i] = s[i] - lift_ints(row[:-1], precision) @ s[i % 2:i:2]
     return MomentSequence(s)
 
 

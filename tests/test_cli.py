@@ -289,6 +289,21 @@ class TestSizeLimits:
         assert err["type"] == "ConditioningError"
         assert "--precision extended" in err["message"]
 
+    @pytest.mark.parametrize("key", ["moments", "response"])
+    def test_long_double_conversion_exits_2_quickly(self, tmp_path, capsys,
+                                                    key):
+        # row 1483 of the transform holds an integer beyond float64; the
+        # rows before it are generated one at a time, not as a table
+        path = write_json(tmp_path / "in.json",
+                          {key: [1 / (k + 1) for k in range(2100)]})
+        start = time.perf_counter()
+        code = main(["moments", "--input", path])
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConditioningError"
+        assert "--precision extended" in err["message"]
+
     @pytest.mark.parametrize("command, payload, size", [
         # the connecting matrix sums past 1.8e308
         ("recover", {"response": [1e308, 0, 1e308, 0, 1e308]}, 3),
@@ -368,7 +383,7 @@ def _fresh_cli(argv):
     return _fresh_python(["-m", "jacobi_bc.cli", *argv])
 
 
-_LAPACK_PROBE = """
+_SCIPY_PROBE = """
 import sys
 import jacobi_bc, jacobi_bc.cli
 coeffs, response, report = sys.argv[1:]
@@ -377,18 +392,20 @@ def run(*argv):
     print(argv[0], "scipy.linalg" in sys.modules)
 run("response", "--input", coeffs, "--T", "63", "--output", response)
 run("recover", "--input", response, "--T", "32", "--output", report)
-run("diagnose", "--input", coeffs, "--N-max", "6", "--output", report)
+for precision in ("double", "extended"):
+    run("diagnose", "--input", coeffs, "--N-max", "6", "--precision",
+        precision, "--output", report)
 """
 
 
-def test_only_diagnose_loads_lapack(tmp_path, free_file):
-    """``response`` and ``recover`` never import scipy.linalg; the first
-    LAPACK call of ``diagnose`` does."""
-    proc = _fresh_python(["-c", _LAPACK_PROBE, free_file,
+def test_no_benchmarked_command_loads_scipy(tmp_path, free_file):
+    """``response``, ``recover`` and ``diagnose`` in both float modes
+    never import scipy.linalg: their eigenvalues come from numpy."""
+    proc = _fresh_python(["-c", _SCIPY_PROBE, free_file,
                           str(tmp_path / "r.json"), str(tmp_path / "d.json")])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["response", "False", "recover", "False",
-                                   "diagnose", "True"]
+                                   "diagnose", "False", "diagnose", "False"]
 
 
 class TestStderr:

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -35,6 +36,15 @@ def chebyshev_coefficient_oracle(count):
         shifted = [0] + rows[t][:count - 1]
         rows[t + 1] = [s - p for s, p in zip(shifted, rows[t - 1])]
     return rows[1:]
+
+
+def _bits(arr):
+    """The exact value of every entry: float64 bytes, or each object's
+    type and mpf fields or numerator and denominator."""
+    if arr.dtype != object:
+        return arr.dtype.str, arr.tobytes()
+    return [(type(v), getattr(v, "_mpf_", None) or (v.numerator, v.denominator))
+            for v in arr]
 
 
 class TestHankel:
@@ -82,6 +92,16 @@ class TestChebyshevTransform:
         oracle = chebyshev_coefficient_oracle(size)
         for i in range(size):
             assert list(mat[i]) == oracle[i]
+
+    def test_entries_match_the_binomial_formula(self):
+        size = 40
+        mat = chebyshev_transform(size).matrix
+        for i in range(size):
+            for j in range(size):
+                half, odd = divmod(i + j, 2)
+                want = (0 if j > i or odd
+                        else math.comb(half, j) * (-1) ** (half + j))
+                assert type(mat[i, j]) is int and mat[i, j] == want
 
     def test_rows_evaluate_to_polynomials(self, rng):
         mat = chebyshev_transform(8).matrix.astype(float)
@@ -138,6 +158,26 @@ class TestConversions:
         got = response_to_moments(r, precision).as_array()
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
         assert [str(v) for v in got] == [str(v) for v in want]
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode),
+                             ids=lambda p: p.value)
+    def test_conversions_equal_the_transform_rows(self, rng, precision):
+        # the rows generated one at a time give the bits of the same-parity
+        # terms of transform @ s and of its back-substitution
+        for size in range(1, 81):
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(
+                -8, 9, size)
+            s = lift(values, precision)
+            lam = chebyshev_transform(size).matrix.astype(s.dtype)
+            want = s.copy()
+            for i in range(size):
+                want[i] = lam[i, i % 2:i + 1:2] @ s[i % 2:i + 1:2]
+            got = moments_to_response(s, precision).as_array()
+            assert _bits(got) == _bits(want), size
+            for i in range(size):
+                want[i] = want[i] - lam[i, i % 2:i:2] @ want[i % 2:i:2]
+            assert _bits(response_to_moments(got, precision).as_array()) \
+                == _bits(want), size
 
     def test_double_round_trip(self, rng):
         s = rng.standard_normal(10)
