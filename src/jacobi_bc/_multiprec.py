@@ -45,7 +45,18 @@ of what this module provides:
 * ``sym_eigenvalues`` for single matrices and, block by block, for
   matrices that are not positive definite;
 * one positive-definite factorization (``pd_factor``) and one
-  substitute-and-refine loop for positive-definite solves.
+  substitute-and-refine loop for positive-definite solves;
+* ``dot``, the contraction of that loop: when an operand holds mpf or
+  mpc of the EXTENDED context it forms every product exactly and rounds
+  the sum once, which is both more accurate and three times faster
+  than numpy's object ``@``, which rounds after every product and add
+  through mpmath's Python operators.  Float and Fraction operands go
+  to ``@`` and keep its bits.  The two sweeps, the products W^T (W x)
+  of ``gram_solve`` and the residual norm use it.  ``pd_factor`` and
+  ``connecting._lower_product``, whose products are matrix-vector or
+  matrix-matrix ones, and the moment-response transforms keep ``@``;
+  the transforms would gain little, as ``dot`` too converts their int
+  operands one by one.
 
 The loop takes its factor from one of two places: ``mp_pd_solve`` forms
 it with ``pd_factor`` from a matrix (data input: connecting and Hankel
@@ -69,6 +80,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import MPContext
+from mpmath.libmp import mpf_mul, mpf_neg, mpf_pos, mpf_sum
 
 from .core import (ConditioningError, InsufficientDataError, PrecisionMode,
                    _to_fraction)
@@ -147,6 +159,14 @@ def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
     if precision is PrecisionMode.DOUBLE:
         return lift(ints, precision)
     return np.array(ints, dtype=object)
+
+
+def mode_of(values: np.ndarray) -> PrecisionMode:
+    """The mode whose number type the array ``values`` holds, as far as
+    ``lift_ints`` tells them apart: DOUBLE for a float or complex array,
+    RATIONAL for an object array (both object modes keep the ints)."""
+    return (PrecisionMode.RATIONAL if values.dtype == object
+            else PrecisionMode.DOUBLE)
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -575,6 +595,64 @@ def pd_factor(matrix):
     return low, piv
 
 
+def _holds_extended(arr: np.ndarray) -> bool:
+    return arr.dtype == object and any(type(x) in _OWN_TYPES for x in arr.flat)
+
+
+def dot(u: np.ndarray, v: np.ndarray):
+    """sum_k u_k v_k of two 1-D arrays.
+
+    When either holds an mpf or mpc of the EXTENDED context, every
+    product is formed exactly and the sum is rounded once to EXTENDED_DPS
+    digits (``_exact_dot``).  Other arrays, float64 and Fraction among
+    them, give ``u @ v`` with its bits.
+    """
+    if _holds_extended(u) or _holds_extended(v):
+        return _exact_dot(u.tolist(), v.tolist())
+    return u @ v
+
+
+def _exact_dot(u: list, v: list, conjugate: bool = False):
+    """sum_k u_k v_k (v_k conjugated when ``conjugate``) as an mpf, or an
+    mpc when a term is complex, of the EXTENDED context, with the real
+    and imaginary sums each rounded once.
+
+    ints, floats and complex convert exactly and mpf of any context keep
+    their mantissa (other numbers go through ``_EXTENDED.convert``); the
+    products are exact, and so is ``mpf_sum`` with no precision while
+    its terms span less than a million bits.  inf and NaN propagate
+    through mpmath's own special-value arithmetic.
+    """
+    prec, rnd = _EXTENDED._prec_rounding
+    real, imag = [], []
+    for a, b in zip(u, v):
+        if type(a) not in _OWN_TYPES:
+            a = _EXTENDED.convert(a)
+        if type(b) not in _OWN_TYPES:
+            b = _EXTENDED.convert(b)
+        if type(b) is _EXTENDED.mpf:
+            b_re, b_im = b._mpf_, None
+        else:
+            b_re, b_im = b._mpc_
+            if conjugate:
+                b_im = mpf_neg(b_im)
+        if type(a) is _EXTENDED.mpf:
+            real.append(mpf_mul(a._mpf_, b_re))
+            if b_im is not None:
+                imag.append(mpf_mul(a._mpf_, b_im))
+            continue
+        a_re, a_im = a._mpc_
+        real.append(mpf_mul(a_re, b_re))
+        imag.append(mpf_mul(a_im, b_re))
+        if b_im is not None:
+            real.append(mpf_neg(mpf_mul(a_im, b_im)))
+            imag.append(mpf_mul(a_re, b_im))
+    total = mpf_pos(mpf_sum(real), prec, rnd)
+    if not imag:
+        return _EXTENDED.make_mpf(total)
+    return _EXTENDED.make_mpc((total, mpf_pos(mpf_sum(imag), prec, rnd)))
+
+
 def _sweeps(low, piv, rhs):
     """x with L diag(d) L^T x = rhs for a lower-triangular L with a
     nonzero diagonal (d = 1 when ``piv`` is None), by the two triangular
@@ -588,15 +666,20 @@ def _sweeps(low, piv, rhs):
     diag = low.diagonal()
     x = rhs.copy()
     for i in range(x.size):
-        x[i] = (x[i] - low[i, :i] @ x[:i]) / diag[i]
+        x[i] = (x[i] - dot(low[i, :i], x[:i])) / diag[i]
     if piv is not None:
         x = x / piv
     for i in reversed(range(x.size)):
-        x[i] = (x[i] - low[i + 1:, i] @ x[i + 1:]) / diag[i]
+        x[i] = (x[i] - dot(low[i + 1:, i], x[i + 1:])) / diag[i]
     return x
 
 
 def _norm(vec) -> float:
+    """sqrt(sum |v_k|^2) as a float; an object vector's sum is exact
+    and rounded once to EXTENDED_DPS digits before the root."""
+    if vec.dtype == object:
+        values = vec.tolist()
+        return math.sqrt(float(_exact_dot(values, values, True).real))
     return math.sqrt(float(np.sum(np.abs(vec) ** 2)))
 
 
@@ -605,11 +688,23 @@ def _to_extended(arr: np.ndarray) -> np.ndarray:
     return lift(arr, PrecisionMode.EXTENDED) if arr.dtype == object else arr
 
 
+def solve_scalar(z, precision: PrecisionMode):
+    """z as a number of the arithmetic of a complex solve in
+    ``precision``: complex in DOUBLE, and an mpc of the EXTENDED context
+    in the object modes, where complex z converts exactly."""
+    if precision is PrecisionMode.DOUBLE:
+        return complex(z)
+    return _EXTENDED.mpc(z)
+
+
 def _refined_solve(low, piv, apply, rhs) -> tuple[np.ndarray, float]:
     """Solve A x = rhs, A = L diag(d) L^T given by its factor (see
     ``_sweeps``) and by ``apply(x) = A x``; refined until the relative
-    residual is below _RESIDUAL_TOL, or ConditioningError."""
-    b = np.asarray(rhs, dtype=complex).astype(np.result_type(low, complex))
+    residual is below _RESIDUAL_TOL, or ConditioningError.  The right
+    side is complex128 for a float factor, and lifted as by ``lift``
+    for an object factor, so mpc entries keep their digits."""
+    b = (lift(rhs, PrecisionMode.EXTENDED) if low.dtype == object
+         else np.asarray(rhs, dtype=complex))
     scale = max(_norm(b), 1e-300)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _sweeps(low, piv, b)
@@ -658,9 +753,9 @@ def gram_solve(upper, rhs) -> tuple[np.ndarray, float]:
     def apply(x):    # W^T (W x), summing only the nonzero terms of W
         wx, out = np.empty_like(x), np.empty_like(x)
         for i in range(x.size):
-            wx[i] = w[i, i:] @ x[i:]
+            wx[i] = dot(w[i, i:], x[i:])
         for i in range(x.size):
-            out[i] = w[:i + 1, i] @ wx[:i + 1]
+            out[i] = dot(w[:i + 1, i], wx[:i + 1])
         return out
 
     return _refined_solve(w.T, None, apply, rhs)

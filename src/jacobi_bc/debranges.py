@@ -51,7 +51,7 @@ from .core import (
 from .dynamics import control_operator
 from .moments import HankelMatrix
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
-from ._multiprec import gram_solve, lift, mp_pd_solve
+from ._multiprec import gram_solve, lift, mp_pd_solve, solve_scalar
 
 __all__ = [
     "KreinSolution",
@@ -77,13 +77,16 @@ class KreinSolution:
     Double-precision solves store complex128 entries; extended solves
     keep multiprecision entries (object dtype), since the identities the
     solution feeds cancel catastrophically once rounded.  Convert with
-    ``values.astype(complex)`` when float64 suffices.
+    ``values.astype(complex)`` when float64 suffices.  ``precision`` is
+    the mode of the solve, in whose arithmetic ``kernel_value`` evaluates
+    the T_k.
     """
 
     values: np.ndarray
     z: complex
     horizon: int
     residual: float
+    precision: PrecisionMode = PrecisionMode.DOUBLE
 
     def __post_init__(self):
         _freeze_array(self, "values", self.values,
@@ -93,12 +96,13 @@ class KreinSolution:
         """Reproducing kernel J_z(lam) = sum_k T_k(lam) j_k."""
         if isinstance(lam, np.ndarray):
             return np.array([self.kernel_value(v) for v in lam])
-        cheb = chebyshev_all(self.horizon, complex(lam))
+        cheb = chebyshev_all(self.horizon, solve_scalar(lam, self.precision))
         return complex(sum(v * c for v, c in zip(self.values, cheb)))
 
 
-def _krein_rhs(horizon: int, z) -> np.ndarray:
-    return np.conj(np.asarray(chebyshev_all(horizon, complex(z)), dtype=complex))
+def _krein_rhs(horizon: int, z, precision: PrecisionMode) -> np.ndarray:
+    """conj(T_1(z), ..., T_T(z)) in the arithmetic of the solve."""
+    return np.conj(np.array(chebyshev_all(horizon, solve_scalar(z, precision))))
 
 
 def krein_solve(connecting, z: complex,
@@ -114,13 +118,14 @@ def krein_solve(connecting, z: complex,
     mat = np.asarray(getattr(connecting, "matrix", connecting))
     horizon = mat.shape[0]
     try:
-        x, residual = mp_pd_solve(lift(mat, precision), _krein_rhs(horizon, z))
+        x, residual = mp_pd_solve(lift(mat, precision),
+                                  _krein_rhs(horizon, z, precision))
     except np.linalg.LinAlgError as exc:
         raise NotAResponseVectorError(
             "connecting matrix is not positive definite, so the data does "
             "not come from a genuine response vector") from exc
     return KreinSolution(values=x, z=complex(z), horizon=horizon,
-                         residual=residual)
+                         residual=residual, precision=precision)
 
 
 def krein_solve_hankel(hankel, z: complex,
@@ -133,7 +138,7 @@ def krein_solve_hankel(hankel, z: complex,
     """
     smat = hankel.matrix if isinstance(hankel, HankelMatrix) else np.asarray(hankel)
     horizon = smat.shape[0]
-    rhs = np.conj(np.asarray(complex(z) ** np.arange(horizon), dtype=complex))
+    rhs = np.conj(solve_scalar(z, precision) ** np.arange(horizon))
     try:
         return mp_pd_solve(lift(smat, precision), rhs)[0]
     except np.linalg.LinAlgError as exc:
@@ -171,9 +176,10 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
         return total
     if method == "krein":
         w = control_operator(source, horizon, precision).matrix
-        x, residual = gram_solve(w, _krein_rhs(horizon, z))
+        x, residual = gram_solve(w, _krein_rhs(horizon, z, precision))
         return KreinSolution(values=x, z=complex(z), horizon=horizon,
-                             residual=residual).kernel_value(lam)
+                             residual=residual,
+                             precision=precision).kernel_value(lam)
     raise ValueError(f"unknown kernel backend {method!r}")
 
 

@@ -304,6 +304,19 @@ class TestSizeLimits:
         assert err["type"] == "ConditioningError"
         assert "--precision extended" in err["message"]
 
+    def test_long_double_connect_exits_2_quickly(self, tmp_path, capsys):
+        # the transform conjugating S_T is filled one row at a time, and
+        # its row 1483 holds an integer beyond float64
+        path = write_json(tmp_path / "in.json",
+                          {"moments": [1 / (k + 1) for k in range(2967)]})
+        start = time.perf_counter()
+        code = main(["connect", "--input", path, "--T", "1484"])
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConditioningError"
+        assert "--precision extended" in err["message"]
+
     @pytest.mark.parametrize("command, payload, size", [
         # the connecting matrix sums past 1.8e308
         ("recover", {"response": [1e308, 0, 1e308, 0, 1e308]}, 3),

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -48,6 +49,21 @@ def monomial_coefficients(power, size):
         acc -= sum(lam[j, i] * f[j] for j in range(i + 1, size))
         f[i] = acc  # diagonal is 1
     return np.array([complex(v) for v in f])
+
+
+def _direct_kernel_80_digits(co, z, lam, size):
+    """sum_{n<T} conj(p_n(z)) p_n(lam) by the three-term recurrence in
+    80-digit mpmath, rounded to complex."""
+    with mpmath.workdps(80):
+        total = mpmath.mpc(0)
+        p_z, p_l = [mpmath.mpc(0), mpmath.mpc(1)], [mpmath.mpc(0), mpmath.mpc(1)]
+        for n in range(1, size + 1):
+            total += mpmath.conj(p_z[-1]) * p_l[-1]
+            a_n, a_prev = mpmath.mpf(co.a(n)), mpmath.mpf(co.a(n - 1))
+            b_n = mpmath.mpf(co.b(n))
+            for p, x in ((p_z, z), (p_l, lam)):
+                p.append(((x - b_n) * p[-1] - a_prev * p[-2]) / a_n)
+        return complex(total)
 
 
 class TestKreinSolve:
@@ -136,6 +152,18 @@ class TestKernelFinite:
             want = krein_solve(gram_from_control(co, size, EXTENDED), z,
                                EXTENDED).kernel_value(lam)
             assert abs(got - want) <= eps * abs(want)
+
+    def test_extended_krein_is_accurate_to_float64_rounding(self, rng):
+        # T_k(z) and T_k(lam) are evaluated in the 50-digit arithmetic of
+        # the solve, so only the final rounding to complex remains
+        for size in (1, 2, 9, 25, 40):
+            co = random_coefficients(rng, size + 1)
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+            lam = rng.uniform(-2, 2)
+            got = kernel_finite(co, z, lam, size, method="krein",
+                                precision=EXTENDED)
+            want = _direct_kernel_80_digits(co, z, lam, size)
+            assert abs(got - want) <= 2.2e-16 * abs(want)
 
     @pytest.mark.parametrize("size", [30, 40])
     def test_double_krein_refuses_an_ill_conditioned_w(self, size):

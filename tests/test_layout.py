@@ -11,7 +11,9 @@ builds or factors no matrix, and ``classify`` in ``determinacy.py``
 reads its sequences off the coefficients: it forms no response vector,
 moments, Hankel or connecting matrix.  No module imports scipy when it
 is loaded: LAPACK is imported by its first call, so commands that never
-reach it skip the import.
+reach it skip the import.  The substitute-and-refine loop of the
+positive-definite solves contracts through ``_multiprec.dot``, never
+``@``, which rounds an object array after every product and add.
 """
 
 import ast
@@ -156,4 +158,38 @@ def classify(coeffs, n_max, precision):
 def test_classify_takes_no_data_route():
     hits = _calls((PACKAGE / "determinacy.py").read_text(),
                   "classify") & DATA_ROUTE
+    assert not hits, hits
+
+
+SOLVE_LOOP = {"_sweeps", "_refined_solve", "gram_solve"}
+
+
+def _matmul_users(source, functions):
+    """The functions of ``functions`` in ``source`` that use ``@``."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in functions
+            and any(isinstance(op, ast.MatMult) for op in ast.walk(node))}
+
+
+def test_pattern_catches_a_matmul_in_the_solve_loop():
+    source = """
+def gram_solve(w, rhs):
+    def apply(x):
+        return w.T @ (w @ x)
+    return apply
+
+def _sweeps(low, piv, rhs):
+    rhs @= low
+
+def _refined_solve(low, piv, apply, rhs):
+    return dot(low[0], rhs)
+
+def other(a, b):
+    return a @ b
+"""
+    assert _matmul_users(source, SOLVE_LOOP) == {"gram_solve", "_sweeps"}
+
+
+def test_solve_loop_contracts_through_dot():
+    hits = _matmul_users((PACKAGE / "_multiprec.py").read_text(), SOLVE_LOOP)
     assert not hits, hits

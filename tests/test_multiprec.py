@@ -11,9 +11,11 @@ RATIONAL recurrence on integer numerators is checked, numerator and
 denominator, against the array recurrence run on the same Fractions.
 The largest eigenvalue of a block is checked against a 60-digit
 eigensolver, and the mantissas read off the mpf fields, bit for bit,
-against mpmath's frexp.
+against mpmath's frexp.  The dot product of the solve loop is checked
+against the exact sum of its terms in Fractions, rounded once.
 """
 
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -21,7 +23,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath import libmp
 from mpmath.ctx_mp_python import PythonMPContext
 
 from jacobi_bc import (
@@ -54,7 +57,9 @@ from jacobi_bc._multiprec import (
     _finite,
     _frexp_fields,
     _leading_top_eigs,
+    _norm,
     _top_eigenvalue,
+    dot,
     leading_eig_extremes,
     lift,
     modified_chebyshev,
@@ -642,3 +647,151 @@ def test_gram_blocks_of_a_wide_array(rng):
     want = [np.linalg.eigvalsh(wide[:, :n].T @ wide[:, :n])[-1]
             for n in range(1, 8)]
     assert np.allclose(np.ldexp(values, exps), want, rtol=1e-13, atol=0)
+
+
+# -- the dot product of the solve loop ----------------------------------
+
+def _mpf_of(man, exp):
+    return _EXTENDED.ldexp(_EXTENDED.mpf(man), exp)
+
+
+# full 160-bit mantissas, magnitudes from 2^-600 to 2^600
+_MPF = st.builds(_mpf_of, st.integers(-2 ** 160, 2 ** 160),
+                 st.integers(-760, 440))
+_OPERANDS = {
+    "mpf": _MPF,
+    "mpc": st.builds(_EXTENDED.mpc, _MPF, _MPF),
+    "complex": st.builds(complex, *[st.floats(-2.0 ** 600, 2.0 ** 600)] * 2),
+    "int": st.integers(-2 ** 600, 2 ** 600),
+}
+_BRANCHES = [("mpf", "mpf"), ("mpf", "mpc"), ("mpf", "complex"),
+             ("int", "mpf")]
+
+
+@st.composite
+def _dot_operands(draw):
+    """Two equally long lists of a branch's operand kinds, in either
+    order."""
+    kinds = draw(st.sampled_from(_BRANCHES))
+    size = draw(st.integers(0, 64))
+    lists = [draw(st.lists(_OPERANDS[k], min_size=size, max_size=size))
+             for k in kinds]
+    return lists[::-1] if draw(st.booleans()) else lists
+
+
+def _fields(x):
+    """The mpf fields of the real and imaginary part of x; ints, floats
+    and complex convert exactly."""
+    x = _EXTENDED.convert(x)
+    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, libmp.fzero)
+
+
+def _rational_parts(x):
+    """(real, imaginary) part of x as exact Fractions."""
+    return tuple(Fraction(*libmp.to_rational(f)) for f in _fields(x))
+
+
+def _rounded_once(value: Fraction):
+    """The mpf fields of ``value`` correctly rounded to the EXTENDED
+    precision."""
+    return libmp.from_rational(value.numerator, value.denominator,
+                               _EXTENDED.prec, libmp.round_nearest)
+
+
+def _exact_sum(u, v):
+    """sum_k u_k v_k, real and imaginary part, in exact Fractions."""
+    real = imag = Fraction(0)
+    for a, b in zip(u, v):
+        (ar, ai), (br, bi) = _rational_parts(a), _rational_parts(b)
+        real += ar * br - ai * bi
+        imag += ar * bi + ai * br
+    return real, imag
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(operands=_dot_operands())
+# a small term that survives the cancellation of two large ones
+@example(operands=[[_mpf_of(1, -600), _mpf_of(1, 600), _mpf_of(-1, 600)],
+                   [_mpf_of(1, 0)] * 3])
+@example(operands=[[_mpf_of(3, -700), _mpf_of(2 ** 160 - 1, 440)],
+                   [_EXTENDED.mpc(1, -1), _EXTENDED.mpc(-7, 2 ** 100)]])
+@example(operands=[[_mpf_of(1, 0), _mpf_of(1, -200)], [1e300 + 1j, -1e300j]])
+@example(operands=[[2 ** 600, -(2 ** 600), 1], [_mpf_of(1, 0)] * 3])
+def test_dot_rounds_the_exact_sum_once(operands):
+    u, v = (np.array(x, dtype=object) for x in operands)
+    got = dot(u, v)
+    assert _fields(got) == tuple(map(_rounded_once, _exact_sum(*operands)))
+    complex_terms = any(isinstance(x, (complex, _EXTENDED.mpc))
+                        for x in operands[0] + operands[1])
+    assert isinstance(got, _EXTENDED.mpc) == complex_terms
+
+
+_FLOATS = st.floats(-2.0 ** 600, 2.0 ** 600)
+
+
+@st.composite
+def _plain_operands(draw):
+    """Two equally long float64 or Fraction arrays."""
+    size = draw(st.integers(0, 64))
+    if draw(st.booleans()):
+        values = st.lists(_FLOATS, min_size=size, max_size=size)
+        return [np.array(draw(values), dtype=float) for _ in range(2)]
+    values = st.lists(st.fractions(max_denominator=2 ** 64),
+                      min_size=size, max_size=size)
+    return [np.array(draw(values), dtype=object) for _ in range(2)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(operands=_plain_operands())
+@example(operands=[np.array([2.0 ** 600, 1.0, -(2.0 ** 600)])] * 2)
+@example(operands=[np.array([Fraction(1, 3), Fraction(-5, 7)], dtype=object),
+                   np.array([Fraction(9, 2), Fraction(1, 3)], dtype=object)])
+def test_dot_of_floats_and_fractions_is_the_product(operands):
+    u, v = operands
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = dot(u, v), u @ v
+    assert type(got) is type(want)
+    if u.dtype == float:    # bits, NaN included
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+_INF, _NAN = _EXTENDED.inf, _EXTENDED.nan
+
+
+@pytest.mark.parametrize("u, v", [
+    ([_INF, 1], [2, 3]),
+    ([_INF, -_INF], [1, 1]),
+    ([_INF, 1], [0, 1]),
+    ([_NAN, 1], [1, 1]),
+    ([-_INF, 1], [_EXTENDED.mpc(1, 1), _EXTENDED.mpc(2)]),
+    ([_INF], [_EXTENDED.mpc(1, 0)]),
+    ([_EXTENDED.mpc(_INF, 1)], [_EXTENDED.mpc(1, -1)]),
+    ([_EXTENDED.mpc(1, _NAN), 2], [_EXTENDED.mpc(1, 1), _EXTENDED.mpc(3)]),
+], ids=["inf", "inf-inf", "inf*0", "nan", "-inf*mpc", "inf*real-mpc",
+        "mpc-inf", "mpc-nan"])
+def test_dot_propagates_inf_and_nan_as_the_product(u, v):
+    u, v = (lift(x, EXTENDED) for x in (u, v))
+    got, old = dot(u, v), u @ v
+
+    def specials(x):
+        return [(_EXTENDED.isnan(p), _EXTENDED.isinf(p) and p > 0,
+                 _EXTENDED.isinf(p) and p < 0)
+                for p in (_EXTENDED.re(x), _EXTENDED.im(x))]
+
+    assert specials(got) == specials(old)
+    assert any(any(flags) for flags in specials(got))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.integers(0, 64).flatmap(lambda size: st.lists(
+    st.one_of(_OPERANDS["mpf"], _OPERANDS["mpc"]),
+    min_size=size, max_size=size)))
+@example(values=[_mpf_of(1, -600), _EXTENDED.mpc(_mpf_of(3, 400), 1)])
+@example(values=[])
+def test_norm_is_the_root_of_the_square_sum_rounded_once(values):
+    squares = sum((re * re + im * im for re, im in map(_rational_parts,
+                                                       values)), Fraction(0))
+    want = math.sqrt(float(_EXTENDED.make_mpf(_rounded_once(squares))))
+    assert _norm(np.array(values, dtype=object)) == want
