@@ -47,15 +47,15 @@ of what this module provides:
 * one positive-definite factorization (``pd_factor``) and one
   substitute-and-refine loop for positive-definite solves;
 * ``dot``, the contraction of that loop: when an operand holds mpf or
-  mpc of the EXTENDED context it forms every product exactly and rounds
-  the sum once, which is both more accurate and three times faster
-  than numpy's object ``@``, which rounds after every product and add
-  through mpmath's Python operators.  Float and Fraction operands go
-  to ``@`` and keep its bits.  The two sweeps, the products W^T (W x)
-  of ``gram_solve`` and the residual norm use it.  ``pd_factor`` and
+  mpc of the EXTENDED context it is mpmath's ``fdot``, which forms every
+  product exactly and rounds the sum once, where numpy's object ``@``
+  rounds after every product and add through mpmath's Python operators
+  and is three times slower.  Float and Fraction operands go to ``@``
+  and keep its bits.  The two sweeps, the products W^T (W x) of
+  ``gram_solve`` and the residual norm use it.  ``pd_factor`` and
   ``connecting._lower_product``, whose products are matrix-vector or
   matrix-matrix ones, and the moment-response transforms keep ``@``;
-  the transforms would gain little, as ``dot`` too converts their int
+  the transforms would gain little, as ``fdot`` too converts their int
   operands one by one.
 
 The loop takes its factor from one of two places: ``mp_pd_solve`` forms
@@ -80,7 +80,6 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import MPContext
-from mpmath.libmp import mpf_mul, mpf_neg, mpf_pos, mpf_sum
 
 from .core import (ConditioningError, InsufficientDataError, PrecisionMode,
                    _to_fraction)
@@ -162,11 +161,18 @@ def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
 
 
 def mode_of(values: np.ndarray) -> PrecisionMode:
-    """The mode whose number type the array ``values`` holds, as far as
-    ``lift_ints`` tells them apart: DOUBLE for a float or complex array,
-    RATIONAL for an object array (both object modes keep the ints)."""
-    return (PrecisionMode.RATIONAL if values.dtype == object
-            else PrecisionMode.DOUBLE)
+    """The mode whose number type the array ``values`` holds: DOUBLE for
+    a float or complex array, EXTENDED for an object array holding an
+    mpf or mpc of the EXTENDED context, and RATIONAL for any other object
+    array."""
+    if values.dtype != object:
+        return PrecisionMode.DOUBLE
+    return (PrecisionMode.EXTENDED if _holds_extended(values)
+            else PrecisionMode.RATIONAL)
+
+
+def _holds_extended(arr: np.ndarray) -> bool:
+    return arr.dtype == object and any(type(x) in _OWN_TYPES for x in arr.flat)
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -595,62 +601,19 @@ def pd_factor(matrix):
     return low, piv
 
 
-def _holds_extended(arr: np.ndarray) -> bool:
-    return arr.dtype == object and any(type(x) in _OWN_TYPES for x in arr.flat)
-
-
 def dot(u: np.ndarray, v: np.ndarray):
     """sum_k u_k v_k of two 1-D arrays.
 
-    When either holds an mpf or mpc of the EXTENDED context, every
-    product is formed exactly and the sum is rounded once to EXTENDED_DPS
-    digits (``_exact_dot``).  Other arrays, float64 and Fraction among
-    them, give ``u @ v`` with its bits.
+    When either holds an mpf or mpc of the EXTENDED context, it is
+    ``_EXTENDED.fdot``: every product is formed exactly and the sum is
+    rounded once to EXTENDED_DPS digits, as long as no product or
+    partial sum is more than 2 * prec bits (338) smaller than what it is
+    added to; ``fdot`` drops such a term.  Other arrays, float64 and
+    Fraction among them, give ``u @ v`` with its bits.
     """
     if _holds_extended(u) or _holds_extended(v):
-        return _exact_dot(u.tolist(), v.tolist())
+        return _EXTENDED.fdot(u.tolist(), v.tolist())
     return u @ v
-
-
-def _exact_dot(u: list, v: list, conjugate: bool = False):
-    """sum_k u_k v_k (v_k conjugated when ``conjugate``) as an mpf, or an
-    mpc when a term is complex, of the EXTENDED context, with the real
-    and imaginary sums each rounded once.
-
-    ints, floats and complex convert exactly and mpf of any context keep
-    their mantissa (other numbers go through ``_EXTENDED.convert``); the
-    products are exact, and so is ``mpf_sum`` with no precision while
-    its terms span less than a million bits.  inf and NaN propagate
-    through mpmath's own special-value arithmetic.
-    """
-    prec, rnd = _EXTENDED._prec_rounding
-    real, imag = [], []
-    for a, b in zip(u, v):
-        if type(a) not in _OWN_TYPES:
-            a = _EXTENDED.convert(a)
-        if type(b) not in _OWN_TYPES:
-            b = _EXTENDED.convert(b)
-        if type(b) is _EXTENDED.mpf:
-            b_re, b_im = b._mpf_, None
-        else:
-            b_re, b_im = b._mpc_
-            if conjugate:
-                b_im = mpf_neg(b_im)
-        if type(a) is _EXTENDED.mpf:
-            real.append(mpf_mul(a._mpf_, b_re))
-            if b_im is not None:
-                imag.append(mpf_mul(a._mpf_, b_im))
-            continue
-        a_re, a_im = a._mpc_
-        real.append(mpf_mul(a_re, b_re))
-        imag.append(mpf_mul(a_im, b_re))
-        if b_im is not None:
-            real.append(mpf_neg(mpf_mul(a_im, b_im)))
-            imag.append(mpf_mul(a_re, b_im))
-    total = mpf_pos(mpf_sum(real), prec, rnd)
-    if not imag:
-        return _EXTENDED.make_mpf(total)
-    return _EXTENDED.make_mpc((total, mpf_pos(mpf_sum(imag), prec, rnd)))
 
 
 def _sweeps(low, piv, rhs):
@@ -675,11 +638,12 @@ def _sweeps(low, piv, rhs):
 
 
 def _norm(vec) -> float:
-    """sqrt(sum |v_k|^2) as a float; an object vector's sum is exact
-    and rounded once to EXTENDED_DPS digits before the root."""
+    """sqrt(sum |v_k|^2) as a float; an object vector's sum is formed
+    as in ``dot`` and rounded once to EXTENDED_DPS digits before the
+    root."""
     if vec.dtype == object:
         values = vec.tolist()
-        return math.sqrt(float(_exact_dot(values, values, True).real))
+        return math.sqrt(float(_EXTENDED.fdot(values, values, True).real))
     return math.sqrt(float(np.sum(np.abs(vec) ** 2)))
 
 

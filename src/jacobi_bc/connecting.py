@@ -28,9 +28,9 @@ from .core import (
     sequence_values,
 )
 from .dynamics import control_operator
-from .moments import HankelMatrix, _transform_rows
+from .moments import HankelMatrix, _transform_matrix
 from .spectral import chebyshev_all
-from ._multiprec import lift_ints, mode_of, pd_factor, sym_eigenvalues
+from ._multiprec import mode_of, pd_factor, sym_eigenvalues
 
 __all__ = [
     "ConnectingMatrix",
@@ -160,10 +160,10 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
 
     The transform Lambda is lower triangular, so entry (i, j), i >= j, of
     (Lambda S) Lambda^T sums over k <= j only; the exact zeros
-    Lambda[j, k], k > j, are not multiplied.  Lambda is filled one row at
-    a time in the number type of the Hankel entries (``lift_ints``), so a
-    float block whose transform leaves float64 (from size 1484 on) raises
-    ConditioningError.
+    Lambda[j, k], k > j, are not multiplied.  Lambda is built one row at
+    a time in the number type of the Hankel entries (``_transform_matrix``),
+    so a float block whose transform leaves float64 (from size 1484 on)
+    raises ConditioningError.
     """
     smat = hankel.matrix if isinstance(hankel, HankelMatrix) else np.asarray(hankel)
     if size is None:
@@ -171,10 +171,7 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
     if smat.shape[0] < size:
         raise ValueError("Hankel block smaller than the requested size")
     smat = smat[:size, :size].astype(np.result_type(smat, float))
-    mode = mode_of(smat)
-    lam = np.zeros_like(smat)
-    for i, row in enumerate(_transform_rows(size)):
-        lam[i, i % 2:i + 1:2] = lift_ints(row, mode)
+    lam = _transform_matrix(size, mode_of(smat))
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         mat = _mirror_lower(_lower_product(lam @ smat, lam))
     return ConnectingMatrix(mat)

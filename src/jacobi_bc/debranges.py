@@ -51,7 +51,7 @@ from .core import (
 from .dynamics import control_operator
 from .moments import HankelMatrix
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
-from ._multiprec import gram_solve, lift, mp_pd_solve, solve_scalar
+from ._multiprec import gram_solve, lift, mode_of, mp_pd_solve, solve_scalar
 
 __all__ = [
     "KreinSolution",
@@ -77,16 +77,14 @@ class KreinSolution:
     Double-precision solves store complex128 entries; extended solves
     keep multiprecision entries (object dtype), since the identities the
     solution feeds cancel catastrophically once rounded.  Convert with
-    ``values.astype(complex)`` when float64 suffices.  ``precision`` is
-    the mode of the solve, in whose arithmetic ``kernel_value`` evaluates
-    the T_k.
+    ``values.astype(complex)`` when float64 suffices.  ``kernel_value``
+    evaluates the T_k in the arithmetic of ``values``.
     """
 
     values: np.ndarray
     z: complex
     horizon: int
     residual: float
-    precision: PrecisionMode = PrecisionMode.DOUBLE
 
     def __post_init__(self):
         _freeze_array(self, "values", self.values,
@@ -96,7 +94,8 @@ class KreinSolution:
         """Reproducing kernel J_z(lam) = sum_k T_k(lam) j_k."""
         if isinstance(lam, np.ndarray):
             return np.array([self.kernel_value(v) for v in lam])
-        cheb = chebyshev_all(self.horizon, solve_scalar(lam, self.precision))
+        cheb = chebyshev_all(self.horizon,
+                             solve_scalar(lam, mode_of(self.values)))
         return complex(sum(v * c for v, c in zip(self.values, cheb)))
 
 
@@ -125,7 +124,7 @@ def krein_solve(connecting, z: complex,
             "connecting matrix is not positive definite, so the data does "
             "not come from a genuine response vector") from exc
     return KreinSolution(values=x, z=complex(z), horizon=horizon,
-                         residual=residual, precision=precision)
+                         residual=residual)
 
 
 def krein_solve_hankel(hankel, z: complex,
@@ -178,8 +177,7 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
         w = control_operator(source, horizon, precision).matrix
         x, residual = gram_solve(w, _krein_rhs(horizon, z, precision))
         return KreinSolution(values=x, z=complex(z), horizon=horizon,
-                             residual=residual,
-                             precision=precision).kernel_value(lam)
+                             residual=residual).kernel_value(lam)
     raise ValueError(f"unknown kernel backend {method!r}")
 
 

@@ -129,10 +129,18 @@ def chebyshev_transform(size: int) -> ChebyshevTransform:
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    mat = np.zeros((size, size), dtype=object)
+    return ChebyshevTransform(_transform_matrix(size, PrecisionMode.RATIONAL))
+
+
+def _transform_matrix(size: int, precision: PrecisionMode) -> np.ndarray:
+    """The transform of order ``size`` with the entries of
+    ``lift_ints(row, precision)``: float64 in DOUBLE, where an entry
+    beyond its range (from size 1484 on) raises ConditioningError, and
+    exact ints otherwise.  Filled one row at a time."""
+    mat = np.zeros((size, size), dtype=lift_ints([], precision).dtype)
     for i, row in enumerate(_transform_rows(size)):
-        mat[i, i % 2:i + 1:2] = row
-    return ChebyshevTransform(mat)
+        mat[i, i % 2:i + 1:2] = lift_ints(row, precision)
+    return mat
 
 
 def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> ResponseVector:

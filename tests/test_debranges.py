@@ -120,6 +120,25 @@ class TestKreinHankel:
     def test_trivial(self):
         assert krein_solve_hankel(np.array([[4.0]]), 0.5)[0] == 0.25
 
+    def test_extended_is_accurate_to_float64_rounding(self, rng):
+        # z^k is formed in the 50-digit arithmetic of the solve, so only
+        # the final rounding to complex remains
+        for size in (1, 2, 5, 9, 14, 20):
+            co = random_coefficients(rng, size)
+            s_vals = response_to_moments(
+                response_vector(co, 2 * size - 1)).as_array()
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+            got = krein_solve_hankel(build_hankel(s_vals, size), z,
+                                     precision=EXTENDED).astype(complex)
+            with mpmath.workdps(80):
+                smat = mpmath.matrix([[s_vals[i + j] for j in range(size)]
+                                      for i in range(size)])
+                rhs = mpmath.matrix([mpmath.conj(mpmath.mpc(z) ** k)
+                                     for k in range(size)])
+                want = np.array([complex(x)
+                                 for x in mpmath.lu_solve(smat, rhs)])
+            assert np.max(np.abs(got - want)) <= 1.1e-16 * np.max(np.abs(want))
+
 
 class TestKernelFinite:
     def test_free_two(self):
