@@ -32,7 +32,8 @@ of what this module provides:
 * one builder (``_orthonormal_rows``) of Q = diag(d)^-1/2 L^-1 of the
   Hankel or connecting matrix A = L diag(d) L^T, the coefficient table of
   the orthonormal polynomials, in O(n^2) operations by their three-term
-  recurrence in normalized form.  ``orthonormal_min_eigs`` feeds it
+  recurrence in normalized form, on one parity of each row when every
+  alpha_k is zero (a symmetric measure).  ``orthonormal_min_eigs`` feeds it
   Jacobi coefficients (``classify``), and ``leading_eig_extremes`` the
   recurrence coefficients Wheeler's algorithm reads off data; both read
   the smallest eigenvalue of every nested leading block off Q.
@@ -46,17 +47,18 @@ of what this module provides:
   matrices that are not positive definite;
 * one positive-definite factorization (``pd_factor``) and one
   substitute-and-refine loop for positive-definite solves;
-* ``dot``, the contraction of that loop: when an operand holds mpf or
-  mpc of the EXTENDED context it is mpmath's ``fdot``, which forms every
-  product exactly and rounds the sum once, where numpy's object ``@``
-  rounds after every product and add through mpmath's Python operators
-  and is three times slower.  Float and Fraction operands go to ``@``
-  and keep its bits.  The two sweeps, the products W^T (W x) of
-  ``gram_solve`` and the residual norm use it.  ``pd_factor`` and
-  ``connecting._lower_product``, whose products are matrix-vector or
-  matrix-matrix ones, and the moment-response transforms keep ``@``;
-  the transforms would gain little, as ``fdot`` too converts their int
-  operands one by one.
+* ``dot``, the contraction of the factorization and of that loop: when
+  an operand holds mpf or mpc of the EXTENDED context it is mpmath's
+  ``fdot``, once per row of a matrix operand, which forms every product
+  exactly and rounds the sum once, where numpy's object ``@`` rounds
+  after every product and add through mpmath's Python operators and is
+  three times slower.  Float and Fraction operands go to ``@`` and keep
+  its bits.  The row products of ``pd_factor``, the two sweeps, the
+  residual products of ``mp_pd_solve`` and of ``gram_solve`` and the
+  residual norm use it.  ``connecting._lower_product``, whose products
+  are matrix-matrix ones, and the moment-response transforms keep
+  ``@``; the transforms would gain little, as ``fdot`` too converts
+  their int operands one by one.
 
 The loop takes its factor from one of two places: ``mp_pd_solve`` forms
 it with ``pd_factor`` from a matrix (data input: connecting and Hankel
@@ -390,19 +392,29 @@ def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:
     sqrt(sigma_00).  Each new row is divided by sqrt(beta_{k+1}), so the
     orthonormal coefficients stay in range where the monic ones would
     overflow float64; a float row that overflows anyway holds inf or NaN.
+
+    When every alpha_k is zero (b = 0, a symmetric measure), p_k has the
+    parity of k, so row k is built on the entries l = k mod 2 alone, with
+    no alpha_k product, and the other half stays exact zeros.  Every
+    entry built takes the same operations in the same order as on the
+    full row; the skipped products only add zeros to them.
     """
     n = root_beta.size
+    step = 1 if any(alpha) else 2
     # zeros of the number type: the rows' upper triangle stays zero
     coef = np.full((n, n), root_beta[0] * 0, dtype=root_beta.dtype)
     coef[0, 0] = 1 / root_beta[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1):
-            nxt = coef[k + 1, :k + 2]
-            nxt[1:] = coef[k, :k + 1]
-            _plus_basis_shift(nxt[:k], coef[k, 1:k + 1], shift)
-            nxt[:k + 1] -= coef[k, :k + 1] * alpha[k]
+            lo = (k + 1) % step
+            nxt = coef[k + 1, lo:k + 2:step]
+            below = len(range(lo, k, step))     # entries l < k
+            nxt[1 - lo:] = coef[k, k % step:k + 1:step]
+            _plus_basis_shift(nxt[:below], coef[k, lo + 1:k + 1:step], shift)
+            if step == 1:
+                nxt[:k + 1] -= coef[k, :k + 1] * alpha[k]
             if k:
-                nxt[:k] -= coef[k - 1, :k] * root_beta[k]
+                nxt[:below] -= coef[k - 1, lo:k:step] * root_beta[k]
             nxt /= root_beta[k + 1]
     return coef
 
@@ -549,12 +561,16 @@ def _leading_top_eigs(arr, gram=False):
     value inf and never reaches LAPACK.
     """
     if arr.dtype == object:
-        parts = np.array([_frexp_fields(*x._mpf_) for x in arr.flat])
-        mant = parts[:, 0].reshape(arr.shape)
-        exps = parts[:, 1].reshape(arr.shape)
+        # only the nonzero entries are read: the triangle and, for a
+        # symmetric measure, the parity hold exact zeros
+        mant, exps = np.zeros(arr.shape), np.full(arr.shape, _ZERO_EXP)
+        nonzero = np.nonzero(arr)
+        if nonzero[0].size:
+            mant[nonzero], exps[nonzero] = zip(
+                *[_frexp_fields(*x._mpf_) for x in arr[nonzero]])
     else:
         mant, exps = np.frexp(arr)
-    exps = np.where(mant == 0, _ZERO_EXP, exps).astype(np.int64)
+        exps = np.where(mant == 0, _ZERO_EXP, exps).astype(np.int64)
     rows, cols = arr.shape
     corner = (np.minimum(np.arange(cols), rows - 1), np.arange(cols))
 
@@ -579,8 +595,10 @@ def pd_factor(matrix):
     Float arrays are factored by LAPACK Cholesky C (L = C diag(C)^-1,
     d = diag(C)^2).  Object arrays of mpf or Fraction are factored in
     their own arithmetic, with no square root, so Fraction input stays
-    exact.  Raises np.linalg.LinAlgError when the matrix is not positive
-    definite, and ConditioningError when a float array holds inf or NaN.
+    exact; each pivot and entry of L sums its products by ``dot``, so in
+    EXTENDED it is rounded once.  Raises np.linalg.LinAlgError when the
+    matrix is not positive definite, and ConditioningError when a float
+    array holds inf or NaN.
     """
     arr = np.asarray(matrix)
     if arr.dtype != object:
@@ -593,18 +611,19 @@ def pd_factor(matrix):
     piv = np.empty(n, dtype=object)
     for j in range(n):
         scaled = low[j, :j] * piv[:j]     # L[j, k] d_k, once per column
-        piv[j] = arr[j, j] - low[j, :j] @ scaled
+        piv[j] = arr[j, j] - dot(low[j, :j], scaled)
         if not piv[j] > 0:
             raise np.linalg.LinAlgError(f"pivot {j} is not positive")
         low[j, j] = 1
-        low[j + 1:, j] = (arr[j + 1:, j] - low[j + 1:, :j] @ scaled) / piv[j]
+        low[j + 1:, j] = (arr[j + 1:, j] - dot(low[j + 1:, :j], scaled)) / piv[j]
     return low, piv
 
 
 def dot(u: np.ndarray, v: np.ndarray):
-    """sum_k u_k v_k of two 1-D arrays.
+    """sum_k u_k v_k of a 1-D array v and a 1-D array u, or the vector of
+    these sums over the rows of a 2-D u.
 
-    When either holds an mpf or mpc of the EXTENDED context, it is
+    When either holds an mpf or mpc of the EXTENDED context, each sum is
     ``_EXTENDED.fdot``: every product is formed exactly and the sum is
     rounded once to EXTENDED_DPS digits, as long as no product or
     partial sum is more than 2 * prec bits (338) smaller than what it is
@@ -612,7 +631,11 @@ def dot(u: np.ndarray, v: np.ndarray):
     Fraction among them, give ``u @ v`` with its bits.
     """
     if _holds_extended(u) or _holds_extended(v):
-        return _EXTENDED.fdot(u.tolist(), v.tolist())
+        terms = v.tolist()
+        if u.ndim == 1:
+            return _EXTENDED.fdot(u.tolist(), terms)
+        return np.array([_EXTENDED.fdot(row, terms) for row in u.tolist()],
+                        dtype=object)
     return u @ v
 
 
@@ -700,7 +723,7 @@ def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     """
     mat = _to_extended(np.asarray(matrix))
     low, piv = pd_factor(mat)
-    return _refined_solve(low, piv, mat.__matmul__, rhs)
+    return _refined_solve(low, piv, lambda x: dot(mat, x), rhs)
 
 
 def gram_solve(upper, rhs) -> tuple[np.ndarray, float]:

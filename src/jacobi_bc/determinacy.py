@@ -22,7 +22,10 @@ simulated control operator, since C_T = W_T^T W_T.  No response, moment
 or Gram matrix is formed, so DOUBLE needs no noise floor and stays
 finite where the moments would overflow; it agrees with EXTENDED.  Data
 input (a response or moments) takes ``connecting_eig_sequences`` and
-``moments.hankel_min_eigs``.
+``moments.hankel_min_eigs``.  The circle bounds sum |p_n(z)|^2 over their
+quadrature nodes as the recurrence yields each p_n and keep only the
+last partial sums the truncation rule reads, so no depth x nodes table
+of polynomial values is formed.
 
 The beta criterion is one-directional only: the free coefficients are
 limit point yet keep beta_T = 1, so no verdict here ever rests on
@@ -42,8 +45,10 @@ here rather than silently reconciled.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -56,7 +61,8 @@ from .core import (
 )
 from .connecting import connecting_from_response
 from .dynamics import solve_finite
-from .spectral import TAIL_WINDOW, eval_p_all, eval_q_all, relative_tail
+from .spectral import (TAIL_WINDOW, _recurrence, eval_p_all, eval_q_all,
+                       relative_tail)
 from ._multiprec import (gram_max_eigs, leading_eig_extremes, noise_floor,
                          orthonormal_min_eigs)
 
@@ -154,10 +160,19 @@ def _partial_square_sums(coeffs, truncation, nodes):
     """Final sums over n <= truncation of |p_n(z)|^2 on the given nodes,
     plus the worst relative last-window contribution; raises when a sum
     overflows float64 or the tail is not decreasing (the series only
-    converges everywhere in the limit-circle regime)."""
+    converges everywhere in the limit-circle regime).
+
+    The sums are accumulated while the recurrence runs over the nodes,
+    one p_n at a time, and only the last 2 TAIL_WINDOW + 1 partial sums
+    that ``relative_tail`` reads are kept: no truncation x nodes table.
+    """
+    last = deque(maxlen=2 * TAIL_WINDOW + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        pv = eval_p_all(coeffs, truncation, np.asarray(nodes))
-        sums = np.cumsum(np.abs(pv) ** 2, axis=0)
+        for p in islice(_recurrence(coeffs, np.asarray(nodes), "p"),
+                        truncation):
+            term = np.abs(p) ** 2
+            last.append(last[-1] + term if last else term)
+    sums = list(last)
     overflowed = np.count_nonzero(~np.isfinite(sums[-1]))
     if overflowed:
         raise NotLimitCircleError(

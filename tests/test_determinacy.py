@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import mpmath
@@ -27,6 +28,8 @@ from jacobi_bc import (
 
 from jacobi_bc import _multiprec
 from jacobi_bc.cli import main
+from jacobi_bc.determinacy import CIRCLE_NODES, _partial_square_sums
+from jacobi_bc.spectral import TAIL_WINDOW, eval_p_all, relative_tail
 
 from conftest import random_coefficients, report_fields, semicircle_moments
 
@@ -389,3 +392,92 @@ class TestOverflowedDeficiencySums:
             warnings.simplefilter("error")
             with pytest.raises(NotLimitCircleError, match="overflows float64"):
                 bound(coeffs, depth)
+
+
+def _table_square_sums(coeffs, truncation, nodes):
+    """``determinacy._partial_square_sums`` as it was when it stacked the
+    truncation x nodes table of p_n(z) and summed it with np.cumsum,
+    kept verbatim as the oracle."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pv = eval_p_all(coeffs, truncation, np.asarray(nodes))
+        sums = np.cumsum(np.abs(pv) ** 2, axis=0)
+    overflowed = np.count_nonzero(~np.isfinite(sums[-1]))
+    if overflowed:
+        raise NotLimitCircleError(
+            "not limit circle: sum_n |p_n(z)|^2 overflows float64 at "
+            f"{overflowed} of {len(nodes)} quadrature nodes")
+    if truncation <= 2 * TAIL_WINDOW:
+        return sums[-1], float("nan")
+    rel = relative_tail(sums)
+    prev = relative_tail(sums[:-TAIL_WINDOW], sums[-1])
+    growing = (rel >= prev) & (rel > 1e-12)
+    if np.any(growing):
+        raise NotLimitCircleError(
+            "not limit circle: sum_n |p_n(z)|^2 has a non-decreasing "
+            f"tail at {int(np.count_nonzero(growing))} of {len(nodes)} "
+            "quadrature nodes")
+    return sums[-1], float(np.max(rel))
+
+
+def _bound_outcome(bound, coeffs, truncation):
+    """The estimate's fields as bytes, or the error's type and message."""
+    try:
+        est = bound(coeffs, truncation)
+    except NotLimitCircleError as exc:
+        return type(exc), str(exc)
+    return np.array([est.value, est.tail_estimate]).tobytes(), est.truncation
+
+
+class TestStreamedSquareSums:
+    """The circle bounds sum |p_n|^2 while the recurrence runs, keeping
+    the last partial sums only; the stacked table is their oracle."""
+
+    @pytest.mark.parametrize("bound", [circle_bound_hankel,
+                                       circle_bound_connecting])
+    @pytest.mark.parametrize("coeffs, truncation", [
+        (GEO, 60), (JacobiCoefficients.geometric(1.3), 60),
+        (JacobiCoefficients.geometric(4), 60), (FREE, 60),
+        (TestOverflowedDeficiencySums.GEO_HALF, 60),
+        (JacobiCoefficients.from_arrays([1, 2, 3, 1, 2, 5], [0] * 6), 6),
+        (random_coefficients(np.random.default_rng(3), 60), 60),
+        (GEO, 2 * TAIL_WINDOW), (GEO, 2 * TAIL_WINDOW + 1), (GEO, 1)],
+        ids=["geometric2", "geometric1.3", "geometric4", "free",
+             "geometric0.5", "finite-symmetric", "random", "window-2",
+             "window-2+1", "one-term"])
+    def test_equal_the_stacked_table(self, monkeypatch, bound, coeffs,
+                                     truncation):
+        from jacobi_bc import determinacy
+        got = _bound_outcome(bound, coeffs, truncation)
+        monkeypatch.setattr(determinacy, "_partial_square_sums",
+                            _table_square_sums)
+        assert got == _bound_outcome(bound, coeffs, truncation)
+
+    def test_free_tail_grows_at_the_same_nodes(self):
+        with pytest.raises(NotLimitCircleError) as streamed:
+            circle_bound_hankel(FREE, 60)
+        message = str(streamed.value)
+        assert message.startswith("not limit circle: sum_n |p_n(z)|^2 has "
+                                  "a non-decreasing tail at ")
+        assert message.endswith(f" of {CIRCLE_NODES} quadrature nodes")
+        nodes = np.exp(2j * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES)
+        with pytest.raises(NotLimitCircleError) as table:
+            _table_square_sums(FREE, 60, nodes)
+        assert message == str(table.value)
+
+    def test_short_truncation_has_no_tail(self):
+        nodes = np.cos(np.arange(1, 9) / 3)
+        sums, tail = _partial_square_sums(GEO, 2 * TAIL_WINDOW, nodes)
+        want, _ = _table_square_sums(GEO, 2 * TAIL_WINDOW, nodes)
+        assert np.isnan(tail) and sums.tobytes() == want.tobytes()
+
+    def test_hankel_bound_holds_no_node_table(self):
+        # the depth x nodes complex table of p_n took 3.9 MB at depth 60;
+        # the streamed sums keep a few rows of 2048 nodes
+        circle_bound_hankel(GEO, 60)
+        tracemalloc.start()
+        try:
+            circle_bound_hankel(GEO, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20

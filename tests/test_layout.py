@@ -11,9 +11,10 @@ builds or factors no matrix, and ``classify`` in ``determinacy.py``
 reads its sequences off the coefficients: it forms no response vector,
 moments, Hankel or connecting matrix.  No module imports scipy when it
 is loaded: LAPACK is imported by its first call, so commands that never
-reach it skip the import.  The substitute-and-refine loop of the
-positive-definite solves contracts through ``_multiprec.dot``, never
-``@``, which rounds an object array after every product and add.
+reach it skip the import.  The positive-definite factorization and the
+substitute-and-refine loop of the solves contract through
+``_multiprec.dot``, never ``@``, which rounds an object array after
+every product and add.
 """
 
 import ast
@@ -161,7 +162,8 @@ def test_classify_takes_no_data_route():
     assert not hits, hits
 
 
-SOLVE_LOOP = {"_sweeps", "_refined_solve", "gram_solve"}
+SOLVE_LOOP = {"_sweeps", "_refined_solve", "gram_solve", "pd_factor",
+              "mp_pd_solve"}
 
 
 def _matmul_users(source, functions):

@@ -15,7 +15,10 @@ against mpmath's frexp.  The dot product of the solve loop is checked
 against the exact sum of its terms in Fractions, rounded once; a
 cancellation that leaves a term more than 2 * prec bits below the
 cancelled ones is beyond what mpmath's fdot keeps, and no example
-builds one.
+builds one; its matrix form, which the factorization uses, is checked row
+by row the same way.  The orthonormal tables of symmetric measures, built
+on one parity, are checked bit for bit against the stride-one builder
+they replace.
 """
 
 import math
@@ -60,7 +63,10 @@ from jacobi_bc._multiprec import (
     _finite,
     _frexp_fields,
     _leading_top_eigs,
+    _min_eigs,
     _norm,
+    _orthonormal_rows,
+    _plus_basis_shift,
     _top_eigenvalue,
     dot,
     leading_eig_extremes,
@@ -590,7 +596,11 @@ def test_top_eigenvalue_matches_a_high_precision_oracle(rng, graded):
 def test_leading_top_eigs_equal_the_wrapped_route(rng):
     r = response_vector(GEO3, 79, RATIONAL).as_array()
     top = lift(connecting_from_response(r, 40).matrix, EXTENDED)
-    blocks = [top, _random_block(rng, 30, True),
+    # an orthonormal table of a symmetric measure: zeros of the triangle
+    # and of the parity, which the object route reads no fields of
+    rows = _orthonormal_rows(lift([0] * 23, EXTENDED),
+                             lift(GEO3.a_head(24), EXTENDED), 0)
+    blocks = [top, rows, _random_block(rng, 30, True),
               lift(_random_block(rng, 30, True), EXTENDED)]
     for arr in blocks:
         for gram in (False, True):
@@ -799,3 +809,190 @@ def test_norm_is_the_root_of_the_square_sum_rounded_once(values):
                                                        values)), Fraction(0))
     want = math.sqrt(float(_EXTENDED.make_mpf(_rounded_once(squares))))
     assert _norm(np.array(values, dtype=object)) == want
+
+
+# -- the orthonormal tables on one parity ---------------------------------
+
+def _stride_one_rows(alpha, root_beta, shift):
+    """``_orthonormal_rows`` as it was before it built the rows of a
+    symmetric measure on one parity, kept verbatim as the oracle."""
+    n = root_beta.size
+    coef = np.full((n, n), root_beta[0] * 0, dtype=root_beta.dtype)
+    coef[0, 0] = 1 / root_beta[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            nxt = coef[k + 1, :k + 2]
+            nxt[1:] = coef[k, :k + 1]
+            _plus_basis_shift(nxt[:k], coef[k, 1:k + 1], shift)
+            nxt[:k + 1] -= coef[k, :k + 1] * alpha[k]
+            if k:
+                nxt[:k] -= coef[k - 1, :k] * root_beta[k]
+            nxt /= root_beta[k + 1]
+    return coef
+
+
+def _same_where_finite(got, want):
+    """The entries of ``got`` equal those of ``want``, bit for bit (an
+    mpf by its fields), wherever ``want`` is finite."""
+    if want.dtype == object:
+        return ([x._mpf_ for x in got.flat] == [x._mpf_ for x in want.flat])
+    finite = np.isfinite(want)
+    return got[finite].tobytes() == want[finite].tobytes()
+
+
+def _family_rows(coeffs, n_max, shift, precision):
+    """(alpha, sqrt(beta), shift) of the table ``classify`` builds for
+    ``coeffs`` at ``n_max`` in DOUBLE or EXTENDED: a finite family stops
+    at its size."""
+    size = min(n_max, coeffs.size) if coeffs.is_finite else n_max
+    return (lift(coeffs.b_head(size - 1), precision),
+            lift(coeffs.a_head(size), precision), shift)
+
+
+_ROW_SIZES = st.integers(1, 40)
+_ROW_A = st.floats(0.25, 4.0)
+_ROW_B = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _row_families(draw):
+    """(coeffs, n_max, shift, precision): b = 0 (a symmetric measure) or
+    b drawn freely, float64 or mpf rows, either basis."""
+    size = draw(_ROW_SIZES)
+    a = [1.0] + draw(st.lists(_ROW_A, min_size=size, max_size=size))
+    b = (draw(st.lists(_ROW_B, min_size=size, max_size=size))
+         if draw(st.booleans()) else [0.0] * size)
+    return (JacobiCoefficients.from_arrays(a, b), size,
+            draw(st.sampled_from([0, 1])),
+            draw(st.sampled_from([PrecisionMode.DOUBLE, EXTENDED])))
+
+
+_SHORT_SYMMETRIC = JacobiCoefficients.from_arrays([1, 2, 3, 1, 2, 5], [0] * 6)
+_GEO_HALF = JacobiCoefficients.geometric(0.5)
+_SKEWED = JacobiCoefficients.from_arrays(
+    [1.0, 0.7, 1.3, 2.0, 0.5], [0.25, -0.5, 0.0, 1.5, -0.75])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=_row_families())
+@example(family=(JacobiCoefficients.geometric(2), 24, 0, EXTENDED))
+@example(family=(JacobiCoefficients.geometric(1.5), 24, 1, EXTENDED))
+@example(family=(_carleman(0.75), 24, 0, PrecisionMode.DOUBLE))
+@example(family=(_carleman(0.5), 24, 1, PrecisionMode.DOUBLE))
+@example(family=(_SKEWED, 5, 0, EXTENDED))
+@example(family=(_SKEWED, 5, 1, PrecisionMode.DOUBLE))
+# a finite symmetric family shorter than n_max
+@example(family=(_SHORT_SYMMETRIC, 24, 0, EXTENDED))
+@example(family=(_SHORT_SYMMETRIC, 24, 1, PrecisionMode.DOUBLE))
+# rows that underflow to subnormals and zeros
+@example(family=(JacobiCoefficients.geometric(2), 64, 0, PrecisionMode.DOUBLE))
+@example(family=(JacobiCoefficients.geometric(2), 64, 1, PrecisionMode.DOUBLE))
+# rows that overflow float64 from k = 44 on
+@example(family=(_GEO_HALF, 64, 0, PrecisionMode.DOUBLE))
+@example(family=(_GEO_HALF, 64, 1, PrecisionMode.DOUBLE))
+def test_parity_rows_equal_the_stride_one_rows(family):
+    coeffs, n_max, shift, precision = family
+    rows = _family_rows(coeffs, n_max, shift, precision)
+    got, want = _orthonormal_rows(*rows), _stride_one_rows(*rows)
+    assert got.dtype == want.dtype
+    assert _same_where_finite(got, want)
+    assert _min_eigs(got).tobytes() == _min_eigs(want).tobytes()
+
+
+def test_overflowed_double_rows_keep_their_zeros():
+    # the stride-one rows turn the parity zeros after an overflow into
+    # NaN (inf * 0); the parity rows leave them zero, and no block from
+    # the overflow on is read either way
+    rows = _family_rows(_GEO_HALF, 64, 0, PrecisionMode.DOUBLE)
+    got, want = _orthonormal_rows(*rows), _stride_one_rows(*rows)
+    assert np.isnan(want).any() and not np.isnan(got[::2, 1::2]).any()
+    assert (got[::2, 1::2] == 0).all() and (got[1::2, ::2] == 0).all()
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_exact_symmetric_data_take_the_parity_rows(monkeypatch, shift):
+    # Wheeler's alpha_k of exact symmetric data are exact zeros, so the
+    # data route builds its table on one parity too, with the same bits
+    from jacobi_bc import _multiprec
+    r = response_vector(GEO3, 47, RATIONAL).as_array()
+    s = response_to_moments(r, RATIONAL).as_array()
+    alphas = []
+    parity = _multiprec._orthonormal_rows
+    monkeypatch.setattr(_multiprec, "_orthonormal_rows",
+                        lambda alpha, *rest: alphas.append(alpha)
+                        or parity(alpha, *rest))
+
+    def run():
+        if shift:
+            return connecting_eig_sequences(r, 24, RATIONAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            return (hankel_min_eigs(s, 24, RATIONAL),)
+
+    got = run()
+    assert len(alphas) == 1 and alphas[0].size == 23
+    assert not any(alphas[0])
+    monkeypatch.setattr(_multiprec, "_orthonormal_rows", _stride_one_rows)
+    want = run()
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+# -- the matrix-vector dot product of the factorization -------------------
+
+@st.composite
+def _matrix_operands(draw):
+    """A 2-D u and a 1-D v of one branch's operand kinds, either side."""
+    kinds = draw(st.sampled_from(_BRANCHES))
+    rows, size = draw(st.integers(0, 6)), draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        kinds = kinds[::-1]
+    u = [draw(st.lists(_OPERANDS[kinds[0]], min_size=size, max_size=size))
+         for _ in range(rows)]
+    v = draw(st.lists(_OPERANDS[kinds[1]], min_size=size, max_size=size))
+    return u, v
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(operands=_matrix_operands())
+@example(operands=([[_mpf_of(1, -160), _mpf_of(1, 160), _mpf_of(-1, 160)]] * 2,
+                   [_mpf_of(1, 0)] * 3))
+def test_dot_of_a_matrix_rounds_each_row_once(operands):
+    rows, v = operands
+    u = np.array(rows, dtype=object).reshape(len(rows), len(v))
+    got = dot(u, np.array(v, dtype=object))
+    assert got.dtype == object and got.shape == (len(rows),)
+    for row, value in zip(rows, got):
+        assert _fields(value) == tuple(map(_rounded_once, _exact_sum(row, v)))
+
+
+def test_dot_of_a_float_or_fraction_matrix_is_the_product(rng):
+    u, v = rng.standard_normal((5, 7)), rng.standard_normal(7)
+    assert dot(u, v).tobytes() == (u @ v).tobytes()
+    exact = lift(rng.integers(-9, 9, (5, 7)) / 8, RATIONAL)
+    right = lift(rng.integers(-9, 9, 7) / 3, RATIONAL)
+    assert list(dot(exact, right)) == list(exact @ right)
+
+
+def test_fraction_factor_stays_exact():
+    # a Hilbert block: L diag(d) L^T reproduces it in exact Fractions
+    hilbert = np.array([[Fraction(1, i + j + 1) for j in range(8)]
+                        for i in range(8)], dtype=object)
+    low, piv = pd_factor(hilbert)
+    assert all(type(x) is Fraction for x in piv)
+    assert ((low * piv) @ low.T == hilbert).all()
+
+
+def test_extended_factor_sums_each_entry_once():
+    # every pivot and every entry of L is its defining sum formed by
+    # fdot from the entries before it, so the factor reproduces the
+    # block to a few units of the 50th digit
+    r = response_vector(GEO3, 39, EXTENDED).as_array()
+    block = lift(connecting_from_response(r, 20).matrix, EXTENDED)
+    low, piv = pd_factor(block)
+    for j in range(20):
+        scaled = low[j, :j] * piv[:j]
+        assert piv[j] == block[j, j] - _EXTENDED.fdot(low[j, :j].tolist(),
+                                                      scaled.tolist())
+    rebuilt = (low * piv) @ low.T
+    scale = max(abs(x) for x in block.flat)
+    assert max(abs(x) for x in (rebuilt - block).flat) <= 1e-45 * scale
