@@ -39,10 +39,10 @@ of what this module provides:
   the smallest eigenvalue of every nested leading block off Q.
   ``gram_max_eigs`` reads the largest one of W^T W off an
   upper-triangular W, such as the simulated control operator.  The
-  recurrence and the builder add the basis shift x pi_l = pi_{l+1} +
-  shift pi_{l-1} without multiplying by it: shift 1 adds the row
-  itself, and shift 0 adds nothing to object rows but keeps 0 * row on
-  float rows, whose zeros' signs it decides;
+  builder and the float rows of the recurrence add the basis shift x
+  pi_l = pi_{l+1} + shift pi_{l-1} without multiplying by it: shift 1
+  adds the row itself, and shift 0 adds nothing to object rows but
+  keeps 0 * row on float rows, whose zeros' signs it decides;
 * ``sym_eigenvalues`` for single matrices and, block by block, for
   matrices that are not positive definite;
 * one positive-definite factorization (``pd_factor``) and one
@@ -67,12 +67,21 @@ alone, whose transpose is the factor, so W^T W is never formed (the Krein
 kernel from coefficients).  The factorization and the sweeps are
 places with two paths: float arrays go to LAPACK, object arrays to
 substitutions in their own arithmetic.  The recurrence is the third:
-DOUBLE and EXTENDED run its rows as arrays, and RATIONAL as Python ints
-over one denominator per row, which skips the gcd that every Fraction
-operation pays and returns the same Fractions.  In products of an
-object array with an mpf scalar the array goes on the left: an mpf on
-the left makes mpmath format the whole array for an error message
-before numpy's reflected operator takes over.
+DOUBLE runs its rows as float64 arrays, and both object modes run one
+loop (``_integer_rows``) on rows of Python ints over one scale per row,
+den * 2^exp, read exactly off the Fractions or the mpf fields.  Only the
+normaliser of a new row and the rounding of sigma_kk, alpha_k and beta_k
+(none in RATIONAL) tell the modes apart.  RATIONAL divides the row by
+its gcd, so it pays one gcd per row instead of one per Fraction
+operation and returns the same Fractions.  EXTENDED rounds the row so
+that its smallest nonzero entry keeps _ROW_BITS bits (the precision and
+64 guard bits) and rounds each returned sigma_kk, alpha_k and beta_k
+once; on the moments and responses of the T = 40 recoveries it takes
+about 3 ms where rows of mpf took 19 ms (2-vCPU host), and it is closer
+to the exact recurrence of the same values.  In products of an object
+array with an mpf scalar the array goes on the left: an mpf on the left
+makes mpmath format the whole array for an error message before numpy's
+reflected operator takes over.
 """
 
 from __future__ import annotations
@@ -82,6 +91,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import MPContext
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .core import (ConditioningError, InsufficientDataError, PrecisionMode,
                    _to_fraction)
@@ -270,17 +280,19 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
     recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1} of the monic
     orthogonal p_k: alpha_k (k < size - 1) and beta_k = sigma_kk /
     sigma_{k-1,k-1} (k < size, beta_0 = 0).  Row k holds sigma_{k,l} =
-    int p_k pi_l dmu, l = k..2 size - 2 - k.  DOUBLE and EXTENDED run
-    the rows as arrays of their number type; RATIONAL runs them as
-    integer numerators over one denominator per row and returns the
-    same canonical Fractions.  Raises ConditioningError on an overflowed
-    float row (before its pivot is tested) and np.linalg.LinAlgError on
-    a pivot that is not positive.
+    int p_k pi_l dmu, l = k..2 size - 2 - k.  DOUBLE runs the rows as
+    float64 arrays (``_array_rows``).  EXTENDED and RATIONAL run them as
+    Python ints over one scale per row (``_integer_rows``): RATIONAL
+    exactly, returning the canonical Fractions, and EXTENDED on rows
+    rounded to _ROW_BITS bits, returning each sigma_kk, alpha_k and
+    beta_k as an mpf rounded once.  Raises ConditioningError on an inf
+    or NaN value (for DOUBLE, on an overflowed row, before its pivot is
+    tested) and np.linalg.LinAlgError on a pivot that is not positive.
     """
-    row = _lifted_nu(nu, size, precision)
-    if precision is PrecisionMode.RATIONAL:
-        return _integer_chebyshev(row.tolist(), size, shift)
-    return _array_chebyshev(row, size, shift)
+    pivots, alpha, beta = [], [], [0]
+    _wheeler_rows(_lifted_nu(nu, size, precision), size, shift, pivots,
+                  alpha, beta)
+    return np.array(pivots), np.array(alpha), np.array(beta)
 
 
 def _lifted_nu(nu, size: int, precision: PrecisionMode) -> np.ndarray:
@@ -294,19 +306,21 @@ def _lifted_nu(nu, size: int, precision: PrecisionMode) -> np.ndarray:
     return lift(nu[:2 * size - 1], precision)
 
 
-def _array_chebyshev(row: np.ndarray, size: int, shift: int):
-    """``modified_chebyshev`` on the lifted nu_0..nu_{2 size - 2}, with
-    every row an array of their number type."""
-    pivots, alpha, beta = [], [], [0]
-    _array_rows(row, size, shift, pivots, alpha, beta)
-    return np.array(pivots), np.array(alpha), np.array(beta)
+def _wheeler_rows(row: np.ndarray, size: int, shift: int, pivots: list,
+                  alpha: list, beta: list) -> None:
+    """Wheeler's rows k = 0..size-1 on the lifted nu: appends sigma_kk,
+    alpha_k (k < size - 1) and beta_k (k >= 1) to the lists, which start
+    empty, empty and [0].  A bad row raises as ``modified_chebyshev``
+    describes, and the lists keep the rows before it."""
+    rows = _integer_rows if row.dtype == object else _array_rows
+    rows(row, size, shift, pivots, alpha, beta)
 
 
 def _plus_basis_shift(acc: np.ndarray, row: np.ndarray, shift: int) -> None:
     """acc += shift * row for the basis shift 0 or 1, with no product
-    where it changes no bit: 1 * row is row once rounded, and 0 * row
-    adds an exact zero to object rows.  Float rows keep 0 * row, since
-    x + (-0.0) and x + 0.0 differ when x is -0.0."""
+    where it changes no bit: 1 * row is row itself, and 0 * row adds an
+    exact zero to object rows.  Float rows keep 0 * row, since x + (-0.0)
+    and x + 0.0 differ when x is -0.0."""
     if shift:
         acc += row
     elif acc.dtype != object:
@@ -315,21 +329,14 @@ def _plus_basis_shift(acc: np.ndarray, row: np.ndarray, shift: int) -> None:
 
 def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
                 alpha: list, beta: list) -> None:
-    """Wheeler's rows k = 0..size-1 on the lifted nu: appends sigma_kk,
-    alpha_k (k < size - 1) and beta_k (k >= 1) to the lists, which start
-    empty, empty and [0].  A bad row raises as ``modified_chebyshev``
-    describes, and the lists keep the rows before it."""
-    below = np.zeros(row.size + 2, dtype=row.dtype)    # sigma_{-1,l} = 0
+    """``_wheeler_rows`` on a float64 row."""
+    below = np.zeros(row.size + 2)    # sigma_{-1,l} = 0
     ratio = 0
     with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
         for k in range(size):
             if k:
-                # the arrays go left of the scalars (see the module note)
                 nxt = row[2:] - row[1:-1] * alpha[-1] - below[2:-2] * beta[-1]
-                # * 1 rounds the first row once, as the product did: an
-                # mpf of another context keeps its mantissa until then
-                _plus_basis_shift(nxt, row[:-2] * 1 if k == 1 else row[:-2],
-                                  shift)
+                _plus_basis_shift(nxt, row[:-2], shift)
                 row, below = nxt, row
                 beta.append(row[0] / pivots[-1])
             if not _finite(row)[0] > 0:
@@ -340,43 +347,130 @@ def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
                 ratio = row[1] / row[0]
 
 
-def _integer_chebyshev(fractions: list, size: int, shift: int):
-    """``modified_chebyshev`` on the Fractions nu_0..nu_{2 size - 2} in
-    the fraction-free manner of Bareiss (Math. Comp. 22 (1968)).
+# Every nonzero entry of an EXTENDED integer row keeps at least this many
+# bits, and the alpha_k and beta_k that build the next row keep this
+# many: the context's precision and 64 guard bits.
+_ROW_BITS = _EXTENDED.prec + 64
 
-    Row k is the int list num over the positive int den, sigma_{k,l} =
-    num[l - k] / den.  With alpha = p/q and beta = u/v the next row is
-    q v den_below (num[i+2] + shift num[i]) - v den_below p num[i+1] -
-    den q u num_below[i+2] over den q v den_below, and one gcd of the
-    row and its denominator keeps the ints as small as the canonical
-    Fractions.  Only the pivots, alpha and beta become Fractions.
+
+def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
+                  alpha: list, beta: list) -> None:
+    """``_wheeler_rows`` on an object row of Fractions (RATIONAL) or mpf
+    (EXTENDED), in the fraction-free manner of Bareiss (Math. Comp. 22
+    (1968)).
+
+    Row k is the int list num over one scale, sigma_{k,l} = num[l - k] /
+    den * 2^exp, read exactly off the Fractions or the mpf fields.  With
+    alpha_k = p / q * 2^ea and beta_k = u / v * 2^eb, the next row is
+
+        q v den_below 2^(exp - low) (num[i+2] + shift num[i])
+        - p v den_below 2^(exp + ea - low) num[i+1]
+        - u q den 2^(exp_below + eb - low) num_below[i+2]
+
+    over den q v den_below, times 2^low, where low is the smallest of the
+    three exponents.  sigma_kk, alpha_k and beta_k are formed from the
+    ints as exact ratios.  The two modes differ in the normaliser of a
+    new row and in what they make of these ratios:
+
+    * RATIONAL divides the row and its den by their gcd, which keeps the
+      ints as small as the canonical Fractions; it returns the Fractions
+      and builds the next row from them (exp and every e stay 0);
+    * EXTENDED (den, q and v stay 1) rounds the row to nearest so that
+      its smallest nonzero entry keeps _ROW_BITS bits, returns each ratio
+      as an mpf rounded once, and builds the next row from alpha_k and
+      beta_k cut to _ROW_BITS bits.  Each entry so keeps at least the
+      bits an mpf of its own would, and 64 more: rows of moments or
+      responses span hundreds of binary orders (2^900 for geometric(3)
+      at T = 24), and their small entries decide the pivots.
     """
-    den = math.lcm(*(f.denominator for f in fractions))
-    num = [f.numerator * (den // f.denominator) for f in fractions]
-    below, below_den = [0] * (len(num) + 2), 1    # sigma_{-1,l} = 0
-    pivots, alpha, beta, ratio = [], [], [0], 0
+    normalise, value = ((_gcd_row, _fraction) if mode_of(row) is
+                        PrecisionMode.RATIONAL else (_rounded_row, _rounded))
+    ratios = [_exact_ratio(x) for x in row.tolist()]
+    den = math.lcm(*(q for _, q, _ in ratios))
+    exp = min((e for p, _, e in ratios if p), default=0)
+    num = [p * (den // q) << (e - exp) for p, q, e in ratios]
+    # sigma_{-1,l} = 0
+    below, below_den, below_exp = [0] * (len(num) + 2), 1, 0
+    last = 0, 1    # sigma_{k-1,k} / sigma_{k-1,k-1}, 0 for k = 0
     for k in range(size):
         if k:
-            a, b = alpha[-1], beta[-1]
-            f1 = a.denominator * b.denominator * below_den
-            f2 = b.denominator * below_den * a.numerator
-            f3 = den * a.denominator * b.numerator
+            (p, q, ea), (u, v, eb) = step_alpha, step_beta
+            low = min(exp, exp + ea, below_exp + eb)
+            f1 = q * v * below_den << (exp - low)
+            f2 = p * v * below_den << (exp + ea - low)
+            f3 = u * q * den << (below_exp + eb - low)
             nxt = [f1 * (n2 + shift * n0) - f2 * n1 - f3 * m2
                    for n0, n1, n2, m2 in zip(num, num[1:], num[2:],
                                              below[2:])]
-            below, below_den = num, den
-            den *= f1
-            common = math.gcd(den, *nxt)
-            num = [x // common for x in nxt]
-            den //= common
-            beta.append(Fraction(num[0] * below_den, den * below[0]))
+            scale = den * q * v * below_den
+            below, below_den, below_exp = num, den, exp
+            num, den, exp = normalise(nxt, scale, low)
+            out, step_beta = value(num[0] * below_den, den * below[0],
+                                   exp - below_exp)
+            beta.append(out)
+        else:
+            step_beta = 0, 1, 0
         if not num[0] > 0:
             raise np.linalg.LinAlgError(f"pivot {k} is not positive")
-        pivots.append(Fraction(num[0], den))
+        pivots.append(value(num[0], den, exp)[0])
         if k < size - 1:
-            alpha.append(Fraction(num[1], num[0]) - ratio)
-            ratio = Fraction(num[1], num[0])
-    return np.array(pivots), np.array(alpha), np.array(beta)
+            rp, rq = last
+            out, step_alpha = value(num[1] * rq - rp * num[0], num[0] * rq, 0)
+            alpha.append(out)
+            last = num[1], num[0]
+
+
+def _exact_ratio(x):
+    """(p, q, e) with x = p / q * 2^e exactly: e = 0 for a Fraction and
+    q = 1 for an mpf.  An mpf inf or NaN, whose mantissa is 0 as that of
+    zero, is refused with ConditioningError, as ``_finite`` refuses a
+    float one."""
+    if not hasattr(x, "_mpf_"):
+        return x.numerator, x.denominator, 0
+    sign, man, exp, bc = x._mpf_
+    if not man and (exp or bc):
+        raise ConditioningError(
+            "a value is inf or NaN, which the recurrence cannot use")
+    return -man if sign else man, 1, exp
+
+
+def _gcd_row(nxt: list, den: int, exp: int):
+    """A RATIONAL row with its ints and den divided by their gcd."""
+    common = math.gcd(den, *nxt)
+    return [x // common for x in nxt], den // common, exp
+
+
+def _rounded_row(nxt: list, den: int, exp: int):
+    """An EXTENDED row (den = 1) with its low bits rounded off, to
+    nearest, so that its smallest nonzero entry keeps _ROW_BITS bits."""
+    drop = min(map(int.bit_length, filter(None, nxt)),
+               default=_ROW_BITS) - _ROW_BITS
+    if drop <= 0:
+        return nxt, den, exp
+    half = 1 << (drop - 1)
+    return [(x + half) >> drop for x in nxt], den, exp + drop
+
+
+def _fraction(n: int, d: int, e: int):
+    """n / d (e = 0 in RATIONAL rows) as a Fraction, and as the exact
+    ratio the next row takes."""
+    x = Fraction(n, d)
+    return x, (x.numerator, x.denominator, 0)
+
+
+def _rounded(n: int, d: int, e: int):
+    """n / d * 2^e (d > 0) as an mpf of the EXTENDED context, rounded to
+    nearest once, and as the ratio the next row takes, cut to _ROW_BITS
+    bits.  The cut quotient and a sticky bit for its remainder round as
+    the exact quotient does: they carry over 60 bits beyond the
+    precision, so a tie is an exact one."""
+    extra = _ROW_BITS - abs(n).bit_length() + d.bit_length()
+    quo, rem = (divmod(abs(n) << extra, d) if extra >= 0
+                else divmod(abs(n), d << -extra))
+    sign = -1 if n < 0 else 1
+    out = from_man_exp(sign * (quo << 1 | (rem != 0)), e - extra - 1,
+                       _EXTENDED.prec, round_nearest)
+    return _EXTENDED.make_mpf(out), (sign * quo, 1, e - extra)
 
 
 def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:
@@ -438,21 +532,24 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     no factorization: ``_orthonormal_rows`` of its alpha_k and
     sqrt(beta_k).  The smallest eigenvalues are read off Q as in
     ``orthonormal_min_eigs``, and lambda_max(A_n) = ||A_n||.  A DOUBLE
-    matrix holding inf or NaN is refused with ConditioningError.  A
-    pivot that is not positive, or a float row that overflows, ends the
-    recurrence: the blocks before it are still read off Q, and every
-    block from it on is eigen-solved by itself, so negative eigenvalues
-    are reported.
+    matrix holding inf or NaN is refused with ConditioningError, and so
+    is an object ``nu`` holding one.  A pivot that is not positive, or a
+    float row that overflows, ends the recurrence: the blocks before it
+    are still read off Q, and every block from it on is eigen-solved by
+    itself, so negative eigenvalues are reported.
     """
     mode = _eigen_mode(precision)
     work = _finite(lift(matrix, mode))
     size = work.shape[0]
     pivots, alpha, beta = [], [], [0]
     try:
-        _array_rows(_lifted_nu(nu, size, mode), size, shift, pivots, alpha,
-                    beta)
-    except (np.linalg.LinAlgError, ConditioningError):
+        _wheeler_rows(_lifted_nu(nu, size, mode), size, shift, pivots, alpha,
+                      beta)
+    except np.linalg.LinAlgError:
         pass
+    except ConditioningError:
+        if not pivots:    # inf or NaN data, not a row that overflowed
+            raise
     good = len(pivots)
     mins, maxs = np.empty(size), np.empty(size)
     if good:
@@ -570,7 +667,8 @@ def _leading_top_eigs(arr, gram=False):
                 *[_frexp_fields(*x._mpf_) for x in arr[nonzero]])
     else:
         mant, exps = np.frexp(arr)
-        exps = np.where(mant == 0, _ZERO_EXP, exps).astype(np.int64)
+        # int64 first: frexp's int32 exponents would wrap _ZERO_EXP to 0
+        exps = np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
     rows, cols = arr.shape
     corner = (np.minimum(np.arange(cols), rows - 1), np.arange(cols))
 

@@ -7,8 +7,9 @@ Orthogonal Polynomials, OUP 2004, section 2.1.7) reads the recurrence of
 the monic orthogonal polynomials p_k off either in O(T^2) operations,
 with no matrix.  The recurrence itself lives in
 ``_multiprec.modified_chebyshev``, which ``leading_eig_extremes`` shares
-for the eigenvalue sequences and which runs RATIONAL data on integer
-numerators over one denominator per row, returning exact Fractions; this
+for the eigenvalue sequences.  It runs both object modes on rows of
+Python ints over one scale per row: RATIONAL returns exact Fractions,
+and EXTENDED mpf rounded once from rows that keep 64 guard bits.  This
 module converts its output to float coefficients, applies the
 pivot-ratio floor and names the failure.  The squared norms int p_k^2
 dmu are the LDL^T pivots of C_T (responses) or S_T (moments), so their
@@ -134,9 +135,10 @@ def recover_from_moments(s, horizon: int,
     converted = moments_to_response(sv[:2 * horizon - 1], precision).as_array()
     a_cross, b_cross, _ = _recurrence(converted, horizon, 1, precision,
                                       NotAResponseVectorError)
-    gap = np.max(np.abs(np.array(a_rec + b_rec) - np.array(a_cross + b_cross)),
-                 initial=0.0)
-    if gap > 1e-8:
+    with np.errstate(invalid="ignore"):    # inf - inf: a NaN gap fails
+        gap = np.max(np.abs(np.array(a_rec + b_rec)
+                            - np.array(a_cross + b_cross)), initial=0.0)
+    if not gap <= 1e-8:
         raise JacobiBCError(
             f"moment and response recovery paths disagree by {gap:.3e}; "
             f"the data is too ill-conditioned for {precision.value} precision")

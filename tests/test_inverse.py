@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +8,7 @@ import scipy.linalg
 from jacobi_bc import (
     ConditioningError,
     InsufficientDataError,
+    JacobiBCError,
     JacobiCoefficients,
     NotAMomentSequenceError,
     NotAResponseVectorError,
@@ -130,6 +132,19 @@ class TestRecoverFromMoments:
         assert np.array_equal(rec.a, [0.5, 2.0])
         assert abs(rec.b[0] - 1.0) < 1e-15
         assert abs(rec.b[1] - 1 / 3) < 1e-15
+
+    @pytest.mark.parametrize("name", ["inf", "nan"])
+    def test_extended_inf_or_nan_moment_rejected(self, name):
+        # an mpf inf or NaN has mantissa 0, but it is not a zero moment
+        s = [1, 0, 1, 0, mpmath.mpf(name)]
+        with pytest.raises(ConditioningError, match="inf or NaN"):
+            recover_from_moments(s, 3, PrecisionMode.EXTENDED)
+
+    def test_nan_gap_fails_the_cross_check(self):
+        # a_1 = 1e200 is beyond float64 squared: both paths give a_1 = inf,
+        # and inf - inf is a NaN gap, which must not pass as agreement
+        with pytest.raises(JacobiBCError, match="disagree by nan"):
+            recover_from_moments([1, 0, 10 ** 400], 2, PrecisionMode.EXTENDED)
 
 
 class TestFactorization:

@@ -7,9 +7,10 @@ computed at mpmath's default 15 digits does not.  The eigenvalue
 extremes of nested blocks, read off the modified-Chebyshev recurrence,
 are checked against per-block eigen-solves, a high-precision eigensolver
 and, bit for bit, against the factor-and-invert route they replace.  The
-RATIONAL recurrence on integer numerators is checked, numerator and
-denominator, against the array recurrence run on the same Fractions.
-The largest eigenvalue of a block is checked against a 60-digit
+RATIONAL recurrence on integer rows is checked, numerator and
+denominator, against the array recurrence run on the same Fractions;
+the EXTENDED one must err no more than rows of mpf against the exact
+recurrence of the values it is given.  The largest eigenvalue of a block is checked against a 60-digit
 eigensolver, and the mantissas read off the mpf fields, bit for bit,
 against mpmath's frexp.  The dot product of the solve loop is checked
 against the exact sum of its terms in Fractions, rounded once; a
@@ -25,6 +26,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -55,11 +57,11 @@ from jacobi_bc import (
     response_vector,
     solve_finite,
 )
+from jacobi_bc import _multiprec
 from jacobi_bc._multiprec import (
     _EXTENDED,
     _ZERO_EXP,
     EXTENDED_DPS,
-    _array_chebyshev,
     _finite,
     _frexp_fields,
     _leading_top_eigs,
@@ -408,7 +410,7 @@ def _integer_form(nu, size, shift):
 
 
 def _array_form(nu, size, shift):
-    return _array_chebyshev(lift(nu[:2 * size - 1], RATIONAL), size, shift)
+    return _product_chebyshev(lift(nu[:2 * size - 1], RATIONAL), size, shift)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -531,22 +533,94 @@ def test_double_recurrence_equals_the_product_form(data):
                        PrecisionMode.DOUBLE) == want
 
 
+def _exact_fraction(x):
+    """An mpf (or int) as the exact Fraction of its value."""
+    if hasattr(x, "_mpf_"):
+        return Fraction(*libmp.to_rational(x._mpf_))
+    return Fraction(x)
+
+
+def _errors(got, exact):
+    """The relative errors of sigma_kk, alpha_k and beta_k against the
+    exact recurrence: componentwise for the positive sigma_kk and beta_k
+    (k >= 1), and normwise, max |error| / max |alpha|, for alpha, whose
+    entries can vanish.  An exact zero is matched only by a zero."""
+    def ratio(diff, scale):
+        if not scale:
+            return 0.0 if not diff else math.inf
+        return float(diff / scale)
+
+    piv, alpha, beta = ([_exact_fraction(x) for x in arr] for arr in got)
+    want_piv, want_alpha, want_beta = exact
+    alpha_diff = max((abs(x - y) for x, y in zip(alpha, want_alpha)),
+                     default=0)
+    return (max(ratio(abs(x - y), y) for x, y in zip(piv, want_piv)),
+            ratio(alpha_diff, max((abs(y) for y in want_alpha), default=0)),
+            max((ratio(abs(x - y), y)
+                 for x, y in zip(beta[1:], want_beta[1:])), default=0.0))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=_genuine_data())
-def test_extended_recurrence_equals_the_product_form(data):
-    """On values of a 100-digit context, whose mantissas ``lift`` keeps:
-    the product rounded the first row once, and so must the sum."""
+def test_extended_recurrence_is_no_worse_than_the_product_form(data):
+    """On values of a 100-digit context, whose mantissas ``lift`` keeps,
+    against the exact recurrence of those values (RATIONAL, on their
+    exact Fractions): the integer rows err no more in sigma_kk, alpha_k
+    and beta_k than the mpf rows of the product form.  leading_eig_extremes
+    feeds ``_orthonormal_rows`` the same alpha_k and the roots of the
+    same sigma_00 and beta_k."""
     nu, size, shift = data
     other = mpmath.MPContext()
     other.dps = 100
     nu = [other.mpf(v.numerator) / v.denominator for v in nu]
-    want = _exact_bits(_product_chebyshev, lift(nu[:2 * size - 1], EXTENDED),
-                       size, shift)
-    assert _exact_bits(modified_chebyshev, nu, size, shift, EXTENDED) == want
-    matrix = _gram_matrix(nu, size, shift)
-    want = _exact_bits(_product_extremes, matrix, nu, shift, EXTENDED)
-    assert _exact_bits(leading_eig_extremes, matrix, nu, shift,
-                       EXTENDED) == want
+    lifted = lift(nu[:2 * size - 1], EXTENDED)
+    exact = _integer_form([_exact_fraction(x) for x in lifted], size, shift)
+    got = modified_chebyshev(nu, size, shift, EXTENDED)
+    want = _product_chebyshev(lifted, size, shift)
+    for new, old in zip(_errors(got, exact), _errors(want, exact)):
+        assert new <= old
+    fed = []
+    with mock.patch.object(_multiprec, "_orthonormal_rows",
+                           side_effect=lambda *args: fed.append(args)
+                           or _orthonormal_rows(*args)):
+        leading_eig_extremes(_gram_matrix(nu, size, shift), nu, shift,
+                             EXTENDED)
+    (alpha, root_beta, fed_shift), = fed
+    piv, want_alpha, beta = got
+    assert fed_shift == shift
+    assert [x._mpf_ for x in alpha] == [x._mpf_ for x in want_alpha]
+    assert ([x._mpf_ for x in root_beta]
+            == [_EXTENDED.sqrt(x)._mpf_ for x in [piv[0], *beta[1:]]])
+
+
+def test_extended_recovery_of_exact_moments_equals_the_rational_one():
+    # a family on the 1/8 grid: the exact recovery's floats are the
+    # coefficients themselves, and the EXTENDED one rounds to them
+    rng = np.random.default_rng(8)
+    size = 16
+    co = JacobiCoefficients.from_arrays(
+        [1] + [Fraction(int(k), 8) for k in rng.integers(4, 17, size)],
+        [Fraction(int(k), 8) for k in rng.integers(-8, 9, size + 1)])
+    moments = response_to_moments(
+        response_vector(co, 2 * size - 1, RATIONAL), RATIONAL).as_array()
+    exact = recover_from_moments(moments, size, RATIONAL)
+    assert exact.a.tolist() == [float(x) for x in co.a_head(size)[1:]]
+    got = recover_from_moments(moments, size, EXTENDED)
+    assert got.a.tolist() == exact.a.tolist()
+    assert got.b.tolist() == exact.b.tolist()
+
+
+@pytest.mark.parametrize("name", ["inf", "-inf", "nan"])
+def test_extended_recurrence_refuses_inf_and_nan(name):
+    # their mpf mantissa is 0, as that of zero
+    nu = [1, 0, 1, 0, 1]
+    for k in (0, 2, 4):
+        bad = list(nu)
+        bad[k] = _EXTENDED.mpf(name)
+        with pytest.raises(ConditioningError, match="inf or NaN"):
+            modified_chebyshev(bad, 3, 0, EXTENDED)
+        with pytest.raises(ConditioningError, match="inf or NaN"):
+            leading_eig_extremes(_gram_matrix(bad, 3, 0), bad, 0, EXTENDED)
 
 
 def _wrapped_top_eigs(arr, gram=False):
@@ -557,7 +631,7 @@ def _wrapped_top_eigs(arr, gram=False):
     else:
         mant, exps = np.frexp(arr)
     mant = mant.astype(float)
-    exps = np.where(mant == 0, _ZERO_EXP, exps).astype(np.int64)
+    exps = np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
     top = np.maximum.accumulate(np.maximum.accumulate(exps, 0), 1).diagonal()
     values = []
     for n in range(1, arr.shape[0] + 1):
@@ -608,6 +682,22 @@ def test_leading_top_eigs_equal_the_wrapped_route(rng):
             want = _wrapped_top_eigs(arr, gram)
             assert got[0].tobytes() == want[0].tobytes()
             assert list(got[1]) == list(want[1])
+
+
+def test_leading_top_eigs_of_float_and_mpf_copies_agree():
+    # zeros beside entries below 0.5: a zero's exponent must stay below
+    # theirs, so every block is scaled alike in both number types
+    blocks = [np.diag([1e-300, 1e-300]),
+              np.array([[0.25, 0.0, 0.0], [0.0, 0.0, 0.125],
+                        [0.0, 0.125, 3e-5]])]
+    for block in blocks:
+        for gram in (False, True):
+            values, exps = _leading_top_eigs(block, gram)
+            mp_values, mp_exps = _leading_top_eigs(lift(block, EXTENDED), gram)
+            assert values.tobytes() == mp_values.tobytes()
+            assert list(exps) == list(mp_exps)
+    values, exps = _leading_top_eigs(blocks[0])
+    assert list(exps) == [-996, -996]
 
 
 @pytest.mark.parametrize("value", [
