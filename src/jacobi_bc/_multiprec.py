@@ -381,14 +381,17 @@ def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
       beta_k cut to _ROW_BITS bits.  Each entry so keeps at least the
       bits an mpf of its own would, and 64 more: rows of moments or
       responses span hundreds of binary orders (2^900 for geometric(3)
-      at T = 24), and their small entries decide the pivots.
+      at T = 24), and their small entries decide the pivots.  The cost
+      so grows with the span of the data, which has no bound for mpf
+      values: at a span near 2^100000 the ints run to that many bits,
+      where rows of mpf would cost the same at any span.
     """
     normalise, value = ((_gcd_row, _fraction) if mode_of(row) is
                         PrecisionMode.RATIONAL else (_rounded_row, _rounded))
     ratios = [_exact_ratio(x) for x in row.tolist()]
     den = math.lcm(*(q for _, q, _ in ratios))
     exp = min((e for p, _, e in ratios if p), default=0)
-    num = [p * (den // q) << (e - exp) for p, q, e in ratios]
+    num = [p * (den // q) << (e - exp) if p else 0 for p, q, e in ratios]
     # sigma_{-1,l} = 0
     below, below_den, below_exp = [0] * (len(num) + 2), 1, 0
     last = 0, 1    # sigma_{k-1,k} / sigma_{k-1,k-1}, 0 for k = 0
@@ -464,6 +467,8 @@ def _rounded(n: int, d: int, e: int):
     bits.  The cut quotient and a sticky bit for its remainder round as
     the exact quotient does: they carry over 60 bits beyond the
     precision, so a tie is an exact one."""
+    if not n:    # e = 0, or a zero alpha_k would lower the next row's low
+        return _EXTENDED.zero, (0, 1, 0)
     extra = _ROW_BITS - abs(n).bit_length() + d.bit_length()
     quo, rem = (divmod(abs(n) << extra, d) if extra >= 0
                 else divmod(abs(n), d << -extra))

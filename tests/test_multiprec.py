@@ -10,9 +10,9 @@ and, bit for bit, against the factor-and-invert route they replace.  The
 RATIONAL recurrence on integer rows is checked, numerator and
 denominator, against the array recurrence run on the same Fractions;
 the EXTENDED one must err no more than rows of mpf against the exact
-recurrence of the values it is given.  The largest eigenvalue of a block is checked against a 60-digit
-eigensolver, and the mantissas read off the mpf fields, bit for bit,
-against mpmath's frexp.  The dot product of the solve loop is checked
+recurrence of the values it is given.  The largest eigenvalue of a
+block is checked against a 60-digit eigensolver, and the mantissas
+read off the mpf fields, bit for bit, against mpmath's frexp.  The dot product of the solve loop is checked
 against the exact sum of its terms in Fractions, rounded once; a
 cancellation that leaves a term more than 2 * prec bits below the
 cancelled ones is beyond what mpmath's fdot keeps, and no example
@@ -39,6 +39,7 @@ from jacobi_bc import (
     ConditioningError,
     ConditioningWarning,
     JacobiCoefficients,
+    NotAMomentSequenceError,
     PrecisionMode,
     apply_response,
     build_hankel,
@@ -608,6 +609,39 @@ def test_extended_recovery_of_exact_moments_equals_the_rational_one():
     got = recover_from_moments(moments, size, EXTENDED)
     assert got.a.tolist() == exact.a.tolist()
     assert got.b.tolist() == exact.b.tolist()
+
+
+@pytest.mark.parametrize("nu", [[2, 0, 2, 0, 2], [2, 0, 8, 0, 33],
+                                [4, 0, 0, 0, 0]])
+def test_extended_rows_read_zeros_beside_large_exponents(nu):
+    # a zero mpf has exponent 0, below the exponent of every nonzero
+    # entry of these rows (or of their leading parts): the moments of
+    # delta_-1 + delta_1, data whose S_3 is positive definite and the
+    # moments of 4 delta_0
+    for precision in (EXTENDED, RATIONAL):
+        assert [float(x) for x in lift(nu, precision)] == nu
+    size = len(nu) // 2 + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        assert (hankel_min_eigs(nu, size, EXTENDED).tolist()
+                == hankel_min_eigs(nu, size, RATIONAL).tolist())
+    for horizon in range(1, size + 1):
+        outcome = {}
+        for precision in (EXTENDED, RATIONAL):
+            try:
+                got = recover_from_moments(nu[:2 * horizon - 1], horizon,
+                                           precision)
+                outcome[precision] = got.a.tolist(), got.b.tolist()
+            except NotAMomentSequenceError as exc:
+                outcome[precision] = str(exc).split(" at ")[0]
+        assert outcome[EXTENDED] == outcome[RATIONAL]
+
+
+def test_extended_zero_alpha_leaves_the_row_exponent():
+    # symmetric data have every alpha_k = 0; its ratio must not shift
+    # the next row by the bits a nonzero quotient would keep
+    value, ratio = _multiprec._rounded(0, 7, -5)
+    assert value == 0 and ratio == (0, 1, 0)
 
 
 @pytest.mark.parametrize("name", ["inf", "-inf", "nan"])
