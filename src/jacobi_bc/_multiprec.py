@@ -47,18 +47,20 @@ of what this module provides:
   matrices that are not positive definite;
 * one positive-definite factorization (``pd_factor``) and one
   substitute-and-refine loop for positive-definite solves;
-* ``dot``, the contraction of the factorization and of that loop: when
-  an operand holds mpf or mpc of the EXTENDED context it is mpmath's
-  ``fdot``, once per row of a matrix operand, which forms every product
-  exactly and rounds the sum once, where numpy's object ``@`` rounds
-  after every product and add through mpmath's Python operators and is
-  three times slower.  Float and Fraction operands go to ``@`` and keep
-  its bits.  The row products of ``pd_factor``, the two sweeps, the
-  residual products of ``mp_pd_solve`` and of ``gram_solve`` and the
-  residual norm use it.  ``connecting._lower_product``, whose products
-  are matrix-matrix ones, and the moment-response transforms keep
-  ``@``; the transforms would gain little, as ``fdot`` too converts
-  their int operands one by one.
+* ``dot``, the contraction of the factorization, of that loop, of the
+  moment-response transforms and of the Krein kernel: when an operand
+  holds mpf or mpc of the EXTENDED context, its values are read exactly
+  off the mpf fields as Python ints over one power of two (``_Fixed``),
+  and each sum is formed exactly by int products and rounded once,
+  where numpy's object ``@`` rounds after every product and add through
+  mpmath's Python operators.  Float and Fraction operands go to ``@``
+  and keep its bits.  The row products of ``pd_factor`` use it; the
+  two sweeps and the residual products of ``mp_pd_solve`` and
+  ``gram_solve`` and the residual norm use the same integer form, with
+  the factor and the matrix converted once per solve and the solution
+  extended entry by entry as the sweeps produce it.
+  ``connecting._lower_product``, whose products are matrix-matrix ones,
+  keeps ``@``.
 
 The loop takes its factor from one of two places: ``mp_pd_solve`` forms
 it with ``pd_factor`` from a matrix (data input: connecting and Hankel
@@ -88,10 +90,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 from mpmath import MPContext
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 from .core import (ConditioningError, InsufficientDataError, PrecisionMode,
                    _to_fraction)
@@ -99,7 +102,8 @@ from .core import (ConditioningError, InsufficientDataError, PrecisionMode,
 EXTENDED_DPS = 50
 _EXTENDED = MPContext()
 _EXTENDED.dps = EXTENDED_DPS
-_OWN_TYPES = (_EXTENDED.mpf, _EXTENDED.mpc)
+_MPF, _MPC = _EXTENDED.mpf, _EXTENDED.mpc
+_OWN_TYPES = (_MPF, _MPC)
 
 # Double-precision eigenvalues below this multiple of eps * ||block|| are noise.
 NOISE_FLOOR_FACTOR = 1e3
@@ -722,55 +726,184 @@ def pd_factor(matrix):
     return low, piv
 
 
+class _Fixed:
+    """Values of the EXTENDED context as Python ints over one power of
+    two: value k is (re[k] + i im[k]) 2^exp exactly, read off the mpf
+    fields as ``_exact_ratio`` reads them.  ``im`` is None while every
+    value is real, and exp is None while every value is zero.  Ints,
+    floats and complex convert exactly and other numbers by
+    ``_EXTENDED.convert``, as in mpmath's ``fdot``.  ``extend`` appends
+    values and lowers exp, shifting the ints held, when a new value
+    needs it.  An inf or NaN value raises ConditioningError.
+
+    The ints of a value span its distance from the smallest nonzero
+    value, so the cost grows with the exponent span of the values, as
+    in ``_integer_rows``."""
+
+    __slots__ = ("re", "im", "exp")
+
+    def __init__(self, values: list = ()):
+        self.re, self.im, self.exp = [], None, None
+        if values and all(type(x) is int for x in values):
+            self.re, self.exp = list(values), 0    # exact as they are
+        elif values:
+            self.extend(values)
+
+    def extend(self, values) -> None:
+        parts = [_fields(x) for x in values]
+        fields = [re for re, _ in parts]
+        if self.im is not None or any([im for _, im in parts]):
+            if self.im is None:
+                self.im = [0] * len(self.re)
+            fields += [im or fzero for _, im in parts]
+        if [m for _, m, e, b in fields if not m and (e or b)]:
+            raise ConditioningError(
+                "a value is inf or NaN, which the integer form cannot hold")
+        low = min([e for _, m, e, _ in fields if m], default=None)
+        if low is not None and (self.exp is None or low < self.exp):
+            if self.exp is not None:
+                up = self.exp - low
+                self.re = [x << up for x in self.re]
+                if self.im is not None:
+                    self.im = [x << up for x in self.im]
+            self.exp = low
+        exp = self.exp
+        ints = [((-m if s else m) << (e - exp)) if m else 0
+                for s, m, e, _ in fields]
+        count = len(parts)
+        self.re += ints[:count]
+        if self.im is not None:
+            self.im += ints[count:]
+
+    def __getitem__(self, index: slice) -> "_Fixed":
+        part = _Fixed()
+        part.re, part.exp = self.re[index], self.exp
+        if self.im is not None:
+            part.im = self.im[index]
+        return part
+
+    def dot(self, other: "_Fixed"):
+        """sum_k self_k other_k over the shorter of the two, summed
+        exactly and rounded once to the EXTENDED precision: an mpc when
+        either holds a complex value, else an mpf."""
+        exp = (self.exp or 0) + (other.exp or 0)
+        real = sum(map(mul, self.re, other.re))
+        if self.im is None and other.im is None:
+            return _EXTENDED.make_mpf(_round(real, exp))
+        imag = 0
+        if other.im is not None:
+            imag += sum(map(mul, self.re, other.im))
+        if self.im is not None:
+            imag += sum(map(mul, self.im, other.re))
+            if other.im is not None:
+                real -= sum(map(mul, self.im, other.im))
+        return _EXTENDED.make_mpc((_round(real, exp), _round(imag, exp)))
+
+
+def _fields(x):
+    """(real, imaginary) mpf fields of x, the imaginary ones None for a
+    real x."""
+    cls = type(x)
+    if cls is not _MPF and cls is not _MPC:
+        x = _EXTENDED.convert(x)
+        cls = type(x)
+    return (x._mpf_, None) if cls is _MPF else x._mpc_
+
+
+def _round(man: int, exp: int):
+    """The mpf fields of man * 2^exp rounded to nearest once."""
+    return from_man_exp(man, exp, _EXTENDED.prec, round_nearest)
+
+
+def _fixed_lines(arr: np.ndarray) -> tuple[list, list]:
+    """The rows and the columns of a 2-D object array as ``_Fixed``
+    vectors of one exponent, converted once."""
+    rows, cols = arr.shape
+    flat = _Fixed(arr.ravel().tolist())
+    return ([flat[i * cols:(i + 1) * cols] for i in range(rows)],
+            [flat[j::cols] for j in range(cols)])
+
+
+def _times(rows: list, vec: np.ndarray) -> np.ndarray:
+    """The object vector of the sums of the ``_Fixed`` rows times the
+    vector ``vec``, which is converted once."""
+    vec = _Fixed(vec.tolist())
+    out = np.empty(len(rows), dtype=object)
+    out[:] = [row.dot(vec) for row in rows]
+    return out
+
+
 def dot(u: np.ndarray, v: np.ndarray):
     """sum_k u_k v_k of a 1-D array v and a 1-D array u, or the vector of
     these sums over the rows of a 2-D u.
 
-    When either holds an mpf or mpc of the EXTENDED context, each sum is
-    ``_EXTENDED.fdot``: every product is formed exactly and the sum is
-    rounded once to EXTENDED_DPS digits, as long as no product or
-    partial sum is more than 2 * prec bits (338) smaller than what it is
-    added to; ``fdot`` drops such a term.  Other arrays, float64 and
-    Fraction among them, give ``u @ v`` with its bits.
+    When either holds an mpf or mpc of the EXTENDED context, each sum
+    is formed exactly on Python ints (``_Fixed``) and rounded once to
+    EXTENDED_DPS digits, however far its terms cancel; an operand
+    holding inf or NaN gives ``u @ v``, which propagates them as the
+    products do.  Other arrays, float64 and Fraction among them, give
+    ``u @ v`` with its bits.
     """
-    if _holds_extended(u) or _holds_extended(v):
-        terms = v.tolist()
-        if u.ndim == 1:
-            return _EXTENDED.fdot(u.tolist(), terms)
-        return np.array([_EXTENDED.fdot(row, terms) for row in u.tolist()],
-                        dtype=object)
+    if _holds_extended(v) or _holds_extended(u):
+        try:
+            if u.ndim == 1:
+                return _Fixed(u.tolist()).dot(_Fixed(v.tolist()))
+            return _times(_fixed_lines(u)[0], v)
+        except ConditioningError:    # inf or NaN
+            pass
     return u @ v
 
 
 def _sweeps(low, piv, rhs):
     """x with L diag(d) L^T x = rhs for a lower-triangular L with a
     nonzero diagonal (d = 1 when ``piv`` is None), by the two triangular
-    sweeps."""
-    if low.dtype != object:
-        solve_triangular = lapack().solve_triangular
-        y = solve_triangular(low, rhs, lower=True, check_finite=False)
-        return solve_triangular(
-            low, y if piv is None else y / piv, lower=True, trans="T",
-            check_finite=False)
-    diag = low.diagonal()
-    x = rhs.copy()
-    for i in range(x.size):
-        x[i] = (x[i] - dot(low[i, :i], x[:i])) / diag[i]
-    if piv is not None:
-        x = x / piv
-    for i in reversed(range(x.size)):
-        x[i] = (x[i] - dot(low[i + 1:, i], x[i + 1:])) / diag[i]
-    return x
+    sweeps.  A float L goes to LAPACK; an object L is given as its
+    ``_Factor``."""
+    if isinstance(low, _Factor):
+        return low.sweeps(piv, rhs)
+    solve_triangular = lapack().solve_triangular
+    y = solve_triangular(low, rhs, lower=True, check_finite=False)
+    return solve_triangular(
+        low, y if piv is None else y / piv, lower=True, trans="T",
+        check_finite=False)
+
+
+class _Factor:
+    """An object lower-triangular L with a nonzero diagonal in the
+    integer form of ``_Fixed``, converted once per solve: ``rows[i]``
+    holds L[i, :] and ``cols[i]`` L[::-1, i], the column read upwards."""
+
+    def __init__(self, rows: list, cols: list, diag: np.ndarray):
+        self.rows, self.diag = rows, diag
+        self.cols = [col[::-1] for col in cols]
+
+    def sweeps(self, piv, rhs) -> np.ndarray:
+        """``_sweeps`` on the integer form.  Each x_i is the same mpc
+        subtract and divide as on object arrays, with the dot product of
+        L[i, :i] and x[:i] (L[i+1:, i] and x[i+1:]) rounded once; the
+        forms of the entries done grow by one per step, and ``dot``
+        stops at the shorter of the two."""
+        x = rhs.copy()
+        done = _Fixed()
+        for i, row in enumerate(self.rows):
+            x[i] = (x[i] - row.dot(done)) / self.diag[i]
+            done.extend([x[i]])
+        if piv is not None:
+            x = x / piv
+        done = _Fixed()
+        for i in reversed(range(x.size)):
+            x[i] = (x[i] - self.cols[i].dot(done)) / self.diag[i]
+            done.extend([x[i]])
+        return x
 
 
 def _norm(vec) -> float:
-    """sqrt(sum |v_k|^2) as a float; an object vector's sum is formed
-    as in ``dot`` and rounded once to EXTENDED_DPS digits before the
-    root."""
-    if vec.dtype == object:
-        values = vec.tolist()
-        return math.sqrt(float(_EXTENDED.fdot(values, values, True).real))
-    return math.sqrt(float(np.sum(np.abs(vec) ** 2)))
+    """sqrt(sum |v_k|^2) as a float; an object vector's sum is the real
+    part of ``dot`` of the vector and its conjugate, formed exactly and
+    rounded once to EXTENDED_DPS digits before the root."""
+    if vec.dtype != object:
+        return math.sqrt(float(np.sum(np.abs(vec) ** 2)))
+    return math.sqrt(float(_EXTENDED.re(dot(vec, np.conj(vec)))))
 
 
 def _to_extended(arr: np.ndarray) -> np.ndarray:
@@ -792,8 +925,9 @@ def _refined_solve(low, piv, apply, rhs) -> tuple[np.ndarray, float]:
     ``_sweeps``) and by ``apply(x) = A x``; refined until the relative
     residual is below _RESIDUAL_TOL, or ConditioningError.  The right
     side is complex128 for a float factor, and lifted as by ``lift``
-    for an object factor, so mpc entries keep their digits."""
-    b = (lift(rhs, PrecisionMode.EXTENDED) if low.dtype == object
+    for an object factor (a ``_Factor``), so mpc entries keep their
+    digits."""
+    b = (lift(rhs, PrecisionMode.EXTENDED) if isinstance(low, _Factor)
          else np.asarray(rhs, dtype=complex))
     scale = max(_norm(b), 1e-300)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -820,13 +954,19 @@ def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     right side is inexact anyway), and x keeps its mpc entries because
     downstream identities (reproducing property, special states) cancel
     catastrophically when the solution is rounded to float64.  The
-    solution is refined until the residual is below 1e-10, and
-    ConditioningError is raised when that stalls.  Raises
-    np.linalg.LinAlgError when the matrix is not positive definite.
+    factor and the matrix are converted to the integer form of ``dot``
+    once per solve.  The solution is refined until the residual is
+    below 1e-10, and ConditioningError is raised when that stalls (or
+    an object matrix holds inf or NaN).  Raises np.linalg.LinAlgError
+    when the matrix is not positive definite.
     """
     mat = _to_extended(np.asarray(matrix))
     low, piv = pd_factor(mat)
-    return _refined_solve(low, piv, lambda x: dot(mat, x), rhs)
+    if mat.dtype != object:
+        return _refined_solve(low, piv, lambda x: dot(mat, x), rhs)
+    rows = _fixed_lines(mat)[0]
+    return _refined_solve(_Factor(*_fixed_lines(low), low.diagonal()), piv,
+                          lambda x: _times(rows, x), rhs)
 
 
 def gram_solve(upper, rhs) -> tuple[np.ndarray, float]:
@@ -834,13 +974,26 @@ def gram_solve(upper, rhs) -> tuple[np.ndarray, float]:
     diagonal, without forming W^T W.
 
     W^T is the Cholesky factor of W^T W, so the solve is the two
-    triangular sweeps on W, O(n^2), and the residual is W^T (W x) - rhs.
-    Number types, refinement and ConditioningError are as in
-    ``mp_pd_solve``; a float W holding inf or NaN is refused up front.
+    triangular sweeps on W, O(n^2), and the residual is W^T (W x) - rhs
+    (``_gram_operator``).  Number types, refinement and
+    ConditioningError are as in ``mp_pd_solve``; a W holding inf or NaN
+    is refused up front.
     """
-    w = _finite(_to_extended(np.asarray(upper)))
+    low, apply = _gram_operator(_finite(_to_extended(np.asarray(upper))))
+    return _refined_solve(low, None, apply, rhs)
 
-    def apply(x):    # W^T (W x), summing only the nonzero terms of W
+
+def _gram_operator(w: np.ndarray):
+    """W^T as the factor of W^T W for ``_sweeps``, and x -> W^T (W x).
+    An object W is converted to the integer form of ``dot`` once, and
+    its rows and columns serve both; a float W sums only its nonzero
+    terms."""
+    if w.dtype == object:
+        rows, cols = _fixed_lines(w)
+        return (_Factor(cols, rows, w.diagonal()),
+                lambda x: _times(cols, _times(rows, x)))
+
+    def apply(x):
         wx, out = np.empty_like(x), np.empty_like(x)
         for i in range(x.size):
             wx[i] = dot(w[i, i:], x[i:])
@@ -848,4 +1001,4 @@ def gram_solve(upper, rhs) -> tuple[np.ndarray, float]:
             out[i] = dot(w[:i + 1, i], wx[:i + 1])
         return out
 
-    return _refined_solve(w.T, None, apply, rhs)
+    return w.T, apply

@@ -33,6 +33,7 @@ from .core import (
     JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
+    _as_float,
     _finite_reals,
     validate_coefficients,
 )
@@ -75,13 +76,6 @@ def _is_real(x) -> bool:
 # value beyond float64 (an overflowed float, or an mpf, Fraction or int too
 # large for it) is null in JSON, which has no infinities or NaN, and inf,
 # -inf or nan in CSV.
-
-
-def _as_float(x) -> float:
-    try:
-        return float(x)
-    except OverflowError:   # an exact int or Fraction beyond float64
-        return math.inf if x > 0 else -math.inf
 
 
 def _json_number(x) -> float | None:

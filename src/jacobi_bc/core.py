@@ -103,6 +103,15 @@ def sequence_values(seq) -> np.ndarray:
     return np.asarray(getattr(seq, "values", seq))
 
 
+def _as_float(x) -> float:
+    """x as a float; an exact int or Fraction beyond float64 gives +-inf,
+    as an overflowed float or mpf does."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -51,7 +51,8 @@ from .core import (
 from .dynamics import control_operator
 from .moments import HankelMatrix
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
-from ._multiprec import gram_solve, lift, mode_of, mp_pd_solve, solve_scalar
+from ._multiprec import (dot, gram_solve, lift, mode_of, mp_pd_solve,
+                         solve_scalar)
 
 __all__ = [
     "KreinSolution",
@@ -91,12 +92,14 @@ class KreinSolution:
                       np.result_type(np.asarray(self.values), complex))
 
     def kernel_value(self, lam) -> complex:
-        """Reproducing kernel J_z(lam) = sum_k T_k(lam) j_k."""
+        """Reproducing kernel J_z(lam) = sum_k T_k(lam) j_k, summed by
+        ``_multiprec.dot``: in the object modes the sum is exact and
+        rounded once before its rounding to complex."""
         if isinstance(lam, np.ndarray):
             return np.array([self.kernel_value(v) for v in lam])
         cheb = chebyshev_all(self.horizon,
                              solve_scalar(lam, mode_of(self.values)))
-        return complex(sum(v * c for v, c in zip(self.values, cheb)))
+        return complex(dot(self.values, np.array(cheb)))
 
 
 def _krein_rhs(horizon: int, z, precision: PrecisionMode) -> np.ndarray:

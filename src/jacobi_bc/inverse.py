@@ -20,6 +20,7 @@ b_T never influences the states within the horizon and is not recoverable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .core import (
     NotAMomentSequenceError,
     NotAResponseVectorError,
     PrecisionMode,
+    _as_float,
     sequence_values,
 )
 from .dynamics import response_vector
@@ -98,14 +100,22 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
 def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult:
     """The result with its round-trip residual: the max response deviation
     over the window 0..2(T-1)-1 where the recovered size-(T-1) system must
-    match the input."""
+    match the input, in float64.  An entry beyond float64, of the input
+    or of the re-simulation, makes it inf."""
     coeffs = JacobiCoefficients.from_arrays([1.0] + a_rec, b_rec)
     window = 2 * horizon - 2
     residual = 0.0
     if window:
-        simulated = response_vector(coeffs, window).as_array()
-        reference = np.asarray(reference[:window], dtype=float)
-        residual = float(np.max(np.abs(simulated - reference)))
+        reference = reference[:window]
+        try:
+            reference = np.asarray(reference, dtype=float)
+        except OverflowError:    # an exact int or Fraction
+            reference = np.array([_as_float(x) for x in reference])
+        with np.errstate(over="ignore", invalid="ignore"):
+            simulated = response_vector(coeffs, window).as_array()
+            residual = float(np.max(np.abs(simulated - reference)))
+        if math.isnan(residual):    # inf - inf
+            residual = math.inf
     return RecoveryResult(coefficients=coeffs, residual=residual,
                           path=path, precision=precision)
 

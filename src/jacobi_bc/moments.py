@@ -26,7 +26,7 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
-from ._multiprec import above_noise, leading_eig_extremes, lift, lift_ints
+from ._multiprec import above_noise, dot, leading_eig_extremes, lift, lift_ints
 
 __all__ = [
     "HankelMatrix",
@@ -144,7 +144,8 @@ def _transform_matrix(size: int, precision: PrecisionMode) -> np.ndarray:
 
 
 def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> ResponseVector:
-    """r = transform @ s; exact in rational mode.
+    """r = transform @ s, each row summed by ``_multiprec.dot``: exact in
+    rational mode, rounded once in extended.
 
     Row i of the transform is zero past the diagonal and at odd i + j, so
     r_i sums s_j over j <= i with i + j even only: the terms skipped are
@@ -157,7 +158,7 @@ def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> R
     r = np.empty_like(sx)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         for i, row in enumerate(_transform_rows(sx.size)):
-            r[i] = lift_ints(row, precision) @ sx[i % 2:i + 1:2]
+            r[i] = dot(lift_ints(row, precision), sx[i % 2:i + 1:2])
     return ResponseVector(r)
 
 
@@ -165,13 +166,14 @@ def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> M
     """s = transform^{-1} r by back-substitution on the unit diagonal.
 
     Round-trips with moments_to_response exactly in rational mode.  As
-    there, only the terms j < i with i + j even are summed, and the rows
-    are generated one at a time.
+    there, only the terms j < i with i + j even are summed, by ``dot``,
+    and the rows are generated one at a time; in extended each step
+    subtracts the row's sum rounded once.
     """
     s = lift(sequence_values(r), precision)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         for i, row in enumerate(_transform_rows(s.size)):
-            s[i] = s[i] - lift_ints(row[:-1], precision) @ s[i % 2:i:2]
+            s[i] = s[i] - dot(lift_ints(row[:-1], precision), s[i % 2:i:2])
     return MomentSequence(s)
 
 

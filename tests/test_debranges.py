@@ -8,6 +8,7 @@ import jacobi_bc
 from jacobi_bc import (
     ConditioningError,
     JacobiCoefficients,
+    KreinSolution,
     NotAResponseVectorError,
     NotLimitCircleError,
     PrecisionMode,
@@ -30,6 +31,7 @@ from jacobi_bc import (
     spectral_data,
 )
 from jacobi_bc.debranges import kernel_backend_ratio
+from jacobi_bc._multiprec import _EXTENDED
 from jacobi_bc.spectral import chebyshev_all, eval_p_all
 
 from conftest import random_coefficients
@@ -183,6 +185,16 @@ class TestKernelFinite:
                                 precision=EXTENDED)
             want = _direct_kernel_80_digits(co, z, lam, size)
             assert abs(got - want) <= 2.2e-16 * abs(want)
+
+    def test_extended_kernel_value_rounds_its_sum_once(self):
+        # at lam = 3, T_1..T_3 = 1, 3, 8; 3 j_2 needs 170 bits and rounds
+        # up by 1, which j_1 cancels, so the exact sum is 8 - 1, where
+        # rounded products and partial sums would give 8
+        j_2 = _EXTENDED.mpc(2 ** 168 + 1)
+        values = np.array([-(j_2 * 3), j_2, _EXTENDED.mpc(1)], dtype=object)
+        sol = KreinSolution(values=values, z=0j, horizon=3, residual=0.0)
+        assert int(values[0].real) == -(3 * (2 ** 168 + 1) + 1)
+        assert sol.kernel_value(3.0) == 7
 
     @pytest.mark.parametrize("size", [30, 40])
     def test_double_krein_refuses_an_ill_conditioned_w(self, size):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -71,6 +72,19 @@ class TestRecoverFromResponse:
     def test_rejects_non_response(self):
         with pytest.raises(NotAResponseVectorError):
             recover_from_response([1, 2, 0], 2)
+
+    @pytest.mark.parametrize("precision", [PrecisionMode.RATIONAL,
+                                           PrecisionMode.EXTENDED])
+    def test_exact_response_beyond_float64(self, precision):
+        # geometric(3)'s exact response passes 1.8e308 at r_50, inside
+        # the window of T = 30, and so does its float64 re-simulation:
+        # the residual is inf, and the coefficients are recovered
+        r = response_vector(JacobiCoefficients.geometric(3), 59,
+                            PrecisionMode.RATIONAL).as_array()
+        rec = recover_from_response(r, 30, precision)
+        assert rec.residual == math.inf
+        assert np.array_equal(rec.a, 3.0 ** np.arange(1, 30))
+        assert np.array_equal(rec.b, np.zeros(29))
 
     def test_conditioning_guard(self):
         # growing off-diagonals spread the pivots over > 10 decades while

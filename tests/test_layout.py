@@ -162,8 +162,8 @@ def test_classify_takes_no_data_route():
     assert not hits, hits
 
 
-SOLVE_LOOP = {"_sweeps", "_refined_solve", "gram_solve", "pd_factor",
-              "mp_pd_solve"}
+SOLVE_LOOP = {"_sweeps", "_refined_solve", "gram_solve", "_gram_operator",
+              "sweeps", "pd_factor", "mp_pd_solve"}
 
 
 def _matmul_users(source, functions):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import libmp
 
 from jacobi_bc import (
     ConditioningWarning,
@@ -22,9 +23,22 @@ from jacobi_bc import (
     spectral_data,
 )
 
-from jacobi_bc._multiprec import lift
+from jacobi_bc._multiprec import _EXTENDED, lift
 
 from conftest import random_coefficients, semicircle_moments
+
+
+def _row_sum(row, values, precision):
+    """sum_j row_j values_j of exact ints and lifted values: ``@`` in
+    RATIONAL, and in EXTENDED the exact sum of the mpf values in
+    Fractions, rounded once."""
+    if precision is PrecisionMode.RATIONAL:
+        return row @ values
+    exact = sum((int(c) * Fraction(*libmp.to_rational(v._mpf_))
+                 for c, v in zip(row, values)), Fraction(0))
+    return _EXTENDED.make_mpf(libmp.from_rational(
+        exact.numerator, exact.denominator, _EXTENDED.prec,
+        libmp.round_nearest))
 
 
 def chebyshev_coefficient_oracle(count):
@@ -132,13 +146,15 @@ class TestConversions:
                                            PrecisionMode.EXTENDED])
     def test_moments_to_response_matches_the_full_product(self, precision):
         # only the nonzero terms of each transform row are summed; every
-        # skipped term is an exact zero, so the bits are those of lam @ s
+        # skipped term is an exact zero, so r_i is the full row's sum:
+        # lam @ s in RATIONAL, and in EXTENDED its exact value rounded
+        # once
         size = 41
         r = response_vector(random_coefficients(np.random.default_rng(3), size),
                             size, PrecisionMode.RATIONAL)
         s = response_to_moments(r, precision).as_array()
         lam = chebyshev_transform(size).matrix.astype(object)
-        want = lam @ s
+        want = [_row_sum(row, s, precision) for row in lam]
         got = moments_to_response(s, precision).as_array()
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
         assert [str(v) for v in got] == [str(v) for v in want]
@@ -147,14 +163,15 @@ class TestConversions:
                                            PrecisionMode.EXTENDED])
     def test_response_to_moments_matches_the_full_substitution(self, precision):
         # the back-substitution sums only the same-parity terms; the ones
-        # skipped are exact zeros, so the bits are those of the full rows
+        # skipped are exact zeros, so each step subtracts the full row's
+        # sum, in EXTENDED rounded once before the one rounded subtraction
         size = 41
         r = response_vector(random_coefficients(np.random.default_rng(3), size),
                             size, PrecisionMode.RATIONAL)
         lam = chebyshev_transform(size).matrix.astype(object)
         want = lift(r.as_array(), precision)
         for i in range(size):
-            want[i] = want[i] - lam[i, :i] @ want[:i]
+            want[i] = want[i] - _row_sum(lam[i, :i], want[:i], precision)
         got = response_to_moments(r, precision).as_array()
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
         assert [str(v) for v in got] == [str(v) for v in want]

@@ -11,18 +11,21 @@ RATIONAL recurrence on integer rows is checked, numerator and
 denominator, against the array recurrence run on the same Fractions;
 the EXTENDED one must err no more than rows of mpf against the exact
 recurrence of the values it is given.  The largest eigenvalue of a
-block is checked against a 60-digit eigensolver, and the mantissas
-read off the mpf fields, bit for bit, against mpmath's frexp.  The dot product of the solve loop is checked
-against the exact sum of its terms in Fractions, rounded once; a
-cancellation that leaves a term more than 2 * prec bits below the
-cancelled ones is beyond what mpmath's fdot keeps, and no example
-builds one; its matrix form, which the factorization uses, is checked row
-by row the same way.  The orthonormal tables of symmetric measures, built
-on one parity, are checked bit for bit against the stride-one builder
-they replace.
+block is checked against a 60-digit eigensolver, and the mantissas read
+off the mpf fields, bit for bit, against mpmath's frexp.  The dot
+product of the solve loop is checked against the exact sum of its terms
+in Fractions, rounded once, also where two terms cancel and leave one
+more than 2 * prec bits below them, which mpmath's fdot drops; its
+matrix form, which the factorization uses, is checked row by row the
+same way.  The sweeps, the residual products and the refined solution
+of ``gram_solve`` on the integer form are checked bit for bit against
+the fdot sweeps they replace.  The orthonormal tables of symmetric
+measures, built on one parity, are checked bit for bit against the
+stride-one builder they replace.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -72,9 +75,11 @@ from jacobi_bc._multiprec import (
     _plus_basis_shift,
     _top_eigenvalue,
     dot,
+    gram_solve,
     leading_eig_extremes,
     lift,
     modified_chebyshev,
+    mp_pd_solve,
     pd_factor,
     sym_eigenvalues,
 )
@@ -855,6 +860,10 @@ def _exact_sum(u, v):
                    [_EXTENDED.mpc(1, -1), _EXTENDED.mpc(-7, 2 ** 100)]])
 @example(operands=[[_mpf_of(1, 0), _mpf_of(1, -200)], [1e300 + 1j, -1e300j]])
 @example(operands=[[2 ** 600, -(2 ** 600), 1], [_mpf_of(1, 0)] * 3])
+# the same survivor 560 bits below the cancelling terms, beyond the
+# 2 * prec bits of fdot, which returned 0 here
+@example(operands=[[_mpf_of(1, -400), _mpf_of(1, 160), _mpf_of(-1, 160)],
+                   [_mpf_of(1, 0)] * 3])
 def test_dot_rounds_the_exact_sum_once(operands):
     u, v = (np.array(x, dtype=object) for x in operands)
     got = dot(u, v)
@@ -1120,3 +1129,118 @@ def test_extended_factor_sums_each_entry_once():
     rebuilt = (low * piv) @ low.T
     scale = max(abs(x) for x in block.flat)
     assert max(abs(x) for x in (rebuilt - block).flat) <= 1e-45 * scale
+
+
+# -- the solves on the integer form against the fdot sweeps ---------------
+
+def _fdot(u, v):
+    return _EXTENDED.fdot(u.tolist(), v.tolist())
+
+
+def _fdot_sweeps(low, piv, rhs):
+    """The object sweeps of the solves on fdot, the integer form's
+    oracle."""
+    diag = low.diagonal()
+    x = rhs.copy()
+    for i in range(x.size):
+        x[i] = (x[i] - _fdot(low[i, :i], x[:i])) / diag[i]
+    if piv is not None:
+        x = x / piv
+    for i in reversed(range(x.size)):
+        x[i] = (x[i] - _fdot(low[i + 1:, i], x[i + 1:])) / diag[i]
+    return x
+
+
+def _fdot_gram_apply(w):
+    """x -> W^T (W x) on fdot, summing only the nonzero terms of W."""
+    def apply(x):
+        wx, out = np.empty_like(x), np.empty_like(x)
+        for i in range(x.size):
+            wx[i] = _fdot(w[i, i:], x[i:])
+        for i in range(x.size):
+            out[i] = _fdot(w[:i + 1, i], wx[:i + 1])
+        return out
+    return apply
+
+
+def _fdot_norm(vec):
+    values = vec.tolist()
+    return math.sqrt(float(_EXTENDED.fdot(values, values, True).real))
+
+
+def _fdot_solve(low, piv, apply, rhs):
+    """The refinement loop of the solves on the fdot sweeps: x and its
+    relative residual, which is above the tolerance when it stalls."""
+    b = lift(rhs, EXTENDED)
+    scale = max(_fdot_norm(b), 1e-300)
+    x = _fdot_sweeps(low, piv, b)
+    residual = _fdot_norm(apply(x) - b) / scale
+    for _ in range(_multiprec._REFINE_STEPS):
+        if residual <= _multiprec._RESIDUAL_TOL:
+            break
+        x = x + _fdot_sweeps(low, piv, b - apply(x))
+        residual = _fdot_norm(apply(x) - b) / scale
+    return x, residual
+
+
+def _typed_fields(values):
+    return [(type(x), _fields(x)) for x in values]
+
+
+def _assert_solves_alike(solve, want_x, want_residual):
+    """``solve()`` returns the oracle's x and residual bit for bit, or,
+    where the oracle stalls, raises naming the same residual."""
+    if want_residual <= _multiprec._RESIDUAL_TOL:
+        x, residual = solve()
+        assert _typed_fields(x) == _typed_fields(want_x)
+        assert residual == want_residual
+    else:
+        with pytest.raises(ConditioningError,
+                           match=re.escape(f"{want_residual:.3e}")):
+            solve()
+
+
+_COMPLEX_RHS = st.builds(_EXTENDED.mpc, _MPF, _MPF)
+
+
+@st.composite
+def _gram_systems(draw):
+    """Random coefficients, a horizon and a complex right side."""
+    size = draw(st.integers(1, 40))
+    coeffs = random_coefficients(
+        np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), size + 1)
+    return coeffs, size, draw(st.lists(_COMPLEX_RHS, min_size=size,
+                                       max_size=size))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(system=_gram_systems())
+# W_40 of geometric(3) spans 2^1236; its solve stalls at 50 digits
+@example(system=(GEO3, 40, [_EXTENDED.mpc(1, -k) for k in range(40)]))
+@example(system=(GEO3, 12, [_EXTENDED.mpc(_mpf_of(3, -500), 2)] * 12))
+def test_gram_solve_equals_the_fdot_sweeps(system):
+    coeffs, size, rhs = system
+    w = control_operator(coeffs, size, EXTENDED).matrix
+    b = lift(rhs, EXTENDED)
+    low, apply = _multiprec._gram_operator(w)
+    x = _multiprec._sweeps(low, None, b)
+    assert _typed_fields(x) == _typed_fields(_fdot_sweeps(w.T, None, b))
+    product = apply(x)
+    assert _typed_fields(product) == _typed_fields(_fdot_gram_apply(w)(x))
+    assert _norm(product - b) == _fdot_norm(product - b)
+    _assert_solves_alike(lambda: gram_solve(w, rhs),
+                         *_fdot_solve(w.T, None, _fdot_gram_apply(w), rhs))
+
+
+@pytest.mark.parametrize("size", [1, 7, 25, 40])
+def test_pd_solve_equals_the_fdot_sweeps(rng, size):
+    # the data route of the Krein kernel: pd_factor's L and the block
+    # itself in the integer form
+    block = lift(gram_from_control(random_coefficients(rng, size + 1), size,
+                                   EXTENDED).matrix, EXTENDED)
+    rhs = [_EXTENDED.mpc(*rng.standard_normal(2)) for _ in range(size)]
+    low, piv = pd_factor(block)
+    _assert_solves_alike(
+        lambda: mp_pd_solve(block, rhs),
+        *_fdot_solve(low, piv, lambda x: np.array(
+            [_fdot(row, x) for row in block], dtype=object), rhs))
