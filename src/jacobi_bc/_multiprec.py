@@ -26,7 +26,8 @@ of what this module provides:
 
 * ``lift`` (and ``lift_ints`` for exact integer coefficients), the
   per-mode noise floor of data input, the pivot floor, and the width
-  quantum of the forward sweep (``width_quantum``);
+  quantum of the float forward sweep (``width_quantum``);
+* the forward sweep of ``dynamics`` on object rows (``forward_sweep``);
 * Wheeler's modified Chebyshev recurrence (``modified_chebyshev``) on
   moments or a response.  Recovery reads the coefficients off it;
 * one builder (``_orthonormal_rows``) of Q = diag(d)^-1/2 L^-1 of the
@@ -54,7 +55,8 @@ of what this module provides:
   and each sum is formed exactly by int products and rounded once,
   where numpy's object ``@`` rounds after every product and add through
   mpmath's Python operators.  Float and Fraction operands go to ``@``
-  and keep its bits.  The row products of ``pd_factor`` use it; the
+  and keep its bits.  The row products of ``pd_factor`` use it, on rows
+  of L held in that form and grown by one entry per column; the
   two sweeps and the residual products of ``mp_pd_solve`` and
   ``gram_solve`` and the residual norm use the same integer form, with
   the factor and the matrix converted once per solve and the solution
@@ -80,10 +82,14 @@ that its smallest nonzero entry keeps _ROW_BITS bits (the precision and
 64 guard bits) and rounds each returned sigma_kk, alpha_k and beta_k
 once; on the moments and responses of the T = 40 recoveries it takes
 about 3 ms where rows of mpf took 19 ms (2-vCPU host), and it is closer
-to the exact recurrence of the same values.  In products of an object
-array with an mpf scalar the array goes on the left: an mpf on the left
-makes mpmath format the whole array for an error message before numpy's
-reflected operator takes over.
+to the exact recurrence of the same values.  The forward sweep is the
+fourth: float rows run the numpy kernel of ``dynamics``, and both object
+modes run one loop (``_integer_sweep``) on time slices of ints over one
+scale, with the same two normalisers; an EXTENDED W_T at T = 40 takes
+about 3.6 ms where slices of mpf took 12.6 ms (same host).  In products
+of an object array with an mpf scalar the array goes on the left: an mpf
+on the left makes mpmath format the whole array for an error message
+before numpy's reflected operator takes over.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ from operator import mul
 
 import numpy as np
 from mpmath import MPContext
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import fzero, normalize, round_nearest
 
 from .core import (ConditioningError, InsufficientDataError, PrecisionMode,
                    _to_fraction)
@@ -215,16 +221,15 @@ def cell_bytes(precision: PrecisionMode) -> int:
 
 
 def width_quantum(coef: np.ndarray) -> int:
-    """Sites a forward sweep rounds its updated width up to, for the
-    coefficient rows (a_{n-1}, b_n, a_n) ``coef``.
+    """Sites the float sweep rounds its updated width up to, for the
+    float coefficient rows (a_{n-1}, b_n, a_n) ``coef``.
 
     A cell past the wavefront sums a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n
     - u_{n,t-1} over zeros, and stays +0.0 when every a_n (row 0) is
     positive and every b_n finite, as validated coefficients are; such
-    float rows take _WIDTH_QUANTUM.  Object rows pay a real mpf or
-    Fraction operation per extra cell, and a coefficient that is not
-    positive or not finite could put -0.0 or NaN past the wavefront, so
-    both keep the exact width.
+    real rows take _WIDTH_QUANTUM.  Complex rows, and rows with a
+    coefficient that is not positive or not finite (which could put -0.0
+    or NaN past the wavefront), keep the exact width.
     """
     if (coef.dtype.kind == "f" and np.isfinite(coef).all()
             and (coef[0] > 0).all()):
@@ -392,10 +397,7 @@ def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
     """
     normalise, value = ((_gcd_row, _fraction) if mode_of(row) is
                         PrecisionMode.RATIONAL else (_rounded_row, _rounded))
-    ratios = [_exact_ratio(x) for x in row.tolist()]
-    den = math.lcm(*(q for _, q, _ in ratios))
-    exp = min((e for p, _, e in ratios if p), default=0)
-    num = [p * (den // q) << (e - exp) if p else 0 for p, q, e in ratios]
+    num, den, exp = _one_scale([_exact_ratio(x) for x in row.tolist()])
     # sigma_{-1,l} = 0
     below, below_den, below_exp = [0] * (len(num) + 2), 1, 0
     last = 0, 1    # sigma_{k-1,k} / sigma_{k-1,k-1}, 0 for k = 0
@@ -441,6 +443,15 @@ def _exact_ratio(x):
     return -man if sign else man, 1, exp
 
 
+def _one_scale(ratios: list):
+    """(ints, den, exp) with ratio k = ints[k] / den * 2^exp exactly, for
+    the exact ratios (p, q, e) of ``_exact_ratio``."""
+    den = math.lcm(*(q for _, q, _ in ratios))
+    exp = min((e for p, _, e in ratios if p), default=0)
+    return ([p * (den // q) << (e - exp) if p else 0 for p, q, e in ratios],
+            den, exp)
+
+
 def _gcd_row(nxt: list, den: int, exp: int):
     """A RATIONAL row with its ints and den divided by their gcd."""
     common = math.gcd(den, *nxt)
@@ -477,9 +488,149 @@ def _rounded(n: int, d: int, e: int):
     quo, rem = (divmod(abs(n) << extra, d) if extra >= 0
                 else divmod(abs(n), d << -extra))
     sign = -1 if n < 0 else 1
-    out = from_man_exp(sign * (quo << 1 | (rem != 0)), e - extra - 1,
-                       _EXTENDED.prec, round_nearest)
+    out = _round(sign * (quo << 1 | (rem != 0)), e - extra - 1)
     return _EXTENDED.make_mpf(out), (sign * quo, 1, e - extra)
+
+
+def forward_sweep(ctrl, coef, out: np.ndarray, float_sweep) -> None:
+    """The forward sweep of ``dynamics``: u_{n,t+1} into out[n-1, t] for
+    the watched sites n = 1..len(out) and t = 0..len(ctrl)-1, from the
+    lifted control ``ctrl`` and coefficient rows (a_{n-1}, b_n, a_n)
+    ``coef``.  Float rows go to ``float_sweep``, object rows to
+    ``_integer_sweep``."""
+    sweep = _integer_sweep if coef.dtype == object else float_sweep
+    sweep(ctrl, coef, out)
+
+
+def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
+    """``forward_sweep`` on object rows of Fractions (RATIONAL) or of mpf
+    and mpc (EXTENDED), in one loop for both modes.
+
+    The coefficient rows and the control are read once, exactly off the
+    Fractions or the mpf fields, as ints over one scale den * 2^exp (as
+    in ``_integer_rows``), and each time slice is held the same way: an
+    int list per part (real, and imaginary when a coefficient or a
+    control value is an mpc) over a scale of its own.  Step t updates the
+    sites n = 1..k of the cone of ``dynamics._steps``, k = min(t + 1,
+    n_space, watched + horizon - t - 1), by one integer update
+
+        N_{t+1}[n] = f1 (A_n N_t[n+1] + A_{n-1} N_t[n-1] + B_n N_t[n])
+                     - f3 N_{t-1}[n]    (+ fc A_0 F_t at n = 1),
+
+    where f1, f3 and fc align the scales of the terms to the smallest.
+    The slices hold 0 at site 0, for which the control term stands, and
+    the sites a step leaves alone hold values no watched site reads.
+    The modes differ only in the normaliser of a new slice:
+
+    * RATIONAL divides the slice and its den by their gcd (``_gcd_row``)
+      and writes a cell as Fraction(num, den), the canonical Fraction
+      that Fraction operations on the recurrence give;
+    * EXTENDED rounds the slice to nearest so that its smallest nonzero
+      entry keeps _ROW_BITS bits (``_rounded_row``), and writes a cell as
+      an mpf (or mpc) rounded once from its ints.  Every entry so keeps
+      64 bits more than an mpf of its own.  As in ``_integer_rows``, the
+      ints of a slice span its exponent range, so the cost grows with the
+      span of the field, which has no bound for mpf values; an inf or NaN
+      value raises ConditioningError.
+
+    A cell is an mpc exactly where mpmath's one-expression step makes
+    one: where an mpc coefficient or control value reaches it through
+    the recurrence (a bit mask per slice).  Watched sites the wave has
+    not reached hold the lifted zero coef[2, -1].
+    """
+    n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
+    rational = mode_of(coef) is PrecisionMode.RATIONAL
+    zero = coef[2, -1]
+    a, b, ctrl = coef[0].tolist() + [zero], coef[1].tolist(), ctrl.tolist()
+    # bit n: site n has an mpc among a_{n-1}, b_n and a_n
+    coef_mpc = sum(1 << n for n in range(1, n_space + 1)
+                   if _is_mpc(a[n - 1]) or _is_mpc(b[n - 1]) or _is_mpc(a[n]))
+    ctrl_mpc = [_is_mpc(f) for f in ctrl]
+    parts = 2 if coef_mpc or any(ctrl_mpc) else 1
+    rows, cden, cexp = _int_parts(a + b, parts)
+    below = [row[:n_space] for row in rows]             # a_{n-1}
+    above = [row[1:n_space + 1] for row in rows]        # a_n
+    diag = [row[n_space + 1:] for row in rows]          # b_n
+    force, fden, fexp = _int_parts(ctrl, parts)
+    # per parity of t: the site-indexed ints of each part, their scale,
+    # and the mpc mask
+    slices = [[[0] * (n_space + 2) for _ in range(parts)] for _ in range(2)]
+    scales, masks = [(1, 0), (1, 0)], [0, 0]
+    out[...] = zero
+    for t in range(horizon):
+        k = min(t + 1, n_space, watched + horizon - t - 1)
+        i = t & 1
+        cur, older = slices[i], slices[1 - i]
+        (du, eu), (dp, ep) = scales[i], scales[1 - i]
+        f_t = [part[t] for part in force]
+        terms = [(cden * du, cexp + eu), (dp, ep)]
+        if any(f_t):
+            terms.append((cden * fden, cexp + fexp))
+        den = math.lcm(*(d for d, _ in terms))
+        low = min(e for _, e in terms)
+        f1, f3, *fc = [den // d << (e - low) for d, e in terms]
+        new = [[f1 * s - f3 * q for s, q in zip(part, old[1:k + 1])]
+               for part, old in zip(_site_sums(below, above, diag, cur, k),
+                                    older)]
+        if fc:    # a_0 f_t: site 1's sum over a slice of f_t at site 0
+            for part, term in zip(new, _site_sums(
+                    below, above, diag, [[f, 0, 0] for f in f_t], 1)):
+                part[0] += fc[0] * term[0]
+        flat, den, exp = (_gcd_row if rational else _rounded_row)(
+            [x for part in new for x in part], den, low)
+        for p, old in enumerate(older):
+            old[1:k + 1] = flat[p * k:(p + 1) * k]
+        scales[1 - i] = den, exp
+        m = min(k, watched)
+        if rational:
+            cells = [Fraction(x, den) for x in flat[:m]]
+        elif parts == 1:
+            cells = [_EXTENDED.make_mpf(_round(x, exp)) if x else zero
+                     for x in flat[:m]]
+        else:
+            near = masks[i] | masks[i] << 1 | masks[i] >> 1 | ctrl_mpc[t] << 1
+            masks[1 - i] = (coef_mpc | near | masks[1 - i]) & (2 << k) - 2
+            cells = [_cell(x, y, exp, masks[1 - i] >> n & 1, zero)
+                     for n, x, y in zip(range(1, m + 1), flat, flat[k:])]
+        out[:m, t] = cells
+
+
+def _is_mpc(x) -> bool:
+    return hasattr(x, "_mpc_")
+
+
+def _int_parts(values: list, parts: int):
+    """([re], den, exp) or ([re, im], den, exp) for two ``parts``: the
+    real (and imaginary) parts of ``values`` as ints over one scale,
+    read exactly as ``_exact_ratio`` reads them."""
+    fields = [x.real for x in values]
+    if parts == 2:
+        fields += [x.imag for x in values]
+    ints, den, exp = _one_scale([_exact_ratio(x) for x in fields])
+    n = len(values)
+    return [ints[p * n:(p + 1) * n] for p in range(parts)], den, exp
+
+
+def _site_sums(below, above, diag, cur, k: int) -> list:
+    """The parts of a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n for the
+    sites n = 1..k, from the parts of a_{n-1}, a_n and b_n and of the
+    slice ``cur``, whose part lists are indexed by site."""
+    def real(p, q):
+        lo, hi, mid, u = below[p], above[p], diag[p], cur[q]
+        return [h * u2 + l * u0 + d * u1 for l, h, d, u0, u1, u2 in
+                zip(lo, hi, mid, u[:k], u[1:k + 1], u[2:k + 2])]
+    if len(cur) == 1:
+        return [real(0, 0)]
+    return [[x - y for x, y in zip(real(0, 0), real(1, 1))],
+            [x + y for x, y in zip(real(0, 1), real(1, 0))]]
+
+
+def _cell(re: int, im: int, exp: int, mpc: int, zero):
+    """An EXTENDED cell re + i im over 2^exp, rounded once: an mpc when
+    ``mpc``, else an mpf (im is then 0), and ``zero`` for a real zero."""
+    if mpc:
+        return _EXTENDED.make_mpc((_round(re, exp), _round(im, exp)))
+    return _EXTENDED.make_mpf(_round(re, exp)) if re else zero
 
 
 def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:
@@ -702,10 +853,13 @@ def pd_factor(matrix):
     Float arrays are factored by LAPACK Cholesky C (L = C diag(C)^-1,
     d = diag(C)^2).  Object arrays of mpf or Fraction are factored in
     their own arithmetic, with no square root, so Fraction input stays
-    exact; each pivot and entry of L sums its products by ``dot``, so in
-    EXTENDED it is rounded once.  Raises np.linalg.LinAlgError when the
-    matrix is not positive definite, and ConditioningError when a float
-    array holds inf or NaN.
+    exact; each pivot and entry of L sums its products as ``dot`` does,
+    so in EXTENDED it is rounded once.  There every row of L is kept in
+    the integer form of ``dot`` (``_Fixed``), grown by one entry per
+    column, so each entry of L is converted once.  Raises
+    np.linalg.LinAlgError when the matrix is not positive definite, and
+    ConditioningError when a float array holds inf or NaN or when one
+    reaches an EXTENDED row product.
     """
     arr = np.asarray(matrix)
     if arr.dtype != object:
@@ -716,13 +870,23 @@ def pd_factor(matrix):
     n = arr.shape[0]
     low = np.zeros((n, n), dtype=object)
     piv = np.empty(n, dtype=object)
+    rows = [_Fixed() for _ in range(n)] if _holds_extended(arr) else None
     for j in range(n):
         scaled = low[j, :j] * piv[:j]     # L[j, k] d_k, once per column
-        piv[j] = arr[j, j] - dot(low[j, :j], scaled)
+        if rows is None:
+            sums = dot(low[j:, :j], scaled)
+        else:
+            right = _Fixed(scaled.tolist())
+            sums = np.array([row.dot(right) for row in rows[j:]],
+                            dtype=object)
+        piv[j] = arr[j, j] - sums[0]
         if not piv[j] > 0:
             raise np.linalg.LinAlgError(f"pivot {j} is not positive")
         low[j, j] = 1
-        low[j + 1:, j] = (arr[j + 1:, j] - dot(low[j + 1:, :j], scaled)) / piv[j]
+        low[j + 1:, j] = (arr[j + 1:, j] - sums[1:]) / piv[j]
+        if rows is not None:
+            for row, x in zip(rows[j + 1:], low[j + 1:, j].tolist()):
+                row.extend([x])
     return low, piv
 
 
@@ -811,8 +975,13 @@ def _fields(x):
 
 
 def _round(man: int, exp: int):
-    """The mpf fields of man * 2^exp rounded to nearest once."""
-    return from_man_exp(man, exp, _EXTENDED.prec, round_nearest)
+    """The mpf fields of man * 2^exp rounded to nearest once, as
+    ``from_man_exp`` gives them, with the bit count of int.bit_length."""
+    if man < 0:
+        return normalize(1, -man, exp, (-man).bit_length(), _EXTENDED.prec,
+                         round_nearest)
+    return normalize(0, man, exp, man.bit_length(), _EXTENDED.prec,
+                     round_nearest)
 
 
 def _fixed_lines(arr: np.ndarray) -> tuple[list, list]:

@@ -10,23 +10,28 @@ site per time step, so u_{n,t} = 0 whenever n > t (finite propagation
 speed); the semi-infinite solver therefore only materializes the cone
 n <= horizon.  The finite variant adds the Dirichlet wall u_{N+1,t} = 0.
 
-Every solver runs one rolling sweep (``_sweep``) over two time slices.
-A step updates only the sites inside the reachable cone: those the wave
-has reached, and from which a value can still travel back to the sites
-the caller reads before the horizon.  The cost of a step is numpy
-dispatch, not arithmetic, so a step is four ufunc calls into
-preallocated buffers, and float rows round the updated width up to a
-multiple of 64 sites so that the slices are re-cut only every 64 steps;
-the extra cells cannot change an output (see ``_sweep``).
-``response_vector`` reads site 1 alone, so it keeps O(T) memory and
-updates about a quarter of the cells of the full field.
+Every solver runs one rolling sweep over two time slices.  A step
+updates only the sites inside the reachable cone: those the wave has
+reached, and from which a value can still travel back to the sites the
+caller reads before the horizon.  Float rows run ``_sweep``, where the
+cost of a step is numpy dispatch, not arithmetic: a step is four ufunc
+calls into preallocated buffers, and the updated width is rounded up to
+a multiple of 64 sites so that the slices are re-cut only every 64
+steps; the extra cells cannot change an output.  Object rows (EXTENDED
+and RATIONAL) run ``_multiprec.forward_sweep`` on slices of Python ints
+over one scale, one integer update per cell and one conversion per cell
+kept.  ``response_vector`` reads site 1 alone, so it keeps O(T) memory
+and updates about a quarter of the cells of the full field.
 ``solve_semi_infinite``, ``solve_finite`` and ``control_operator``
 return the whole field, which is O(N T) memory;
 they refuse a field whose size estimate exceeds physical memory before
-allocating it.  Each computed cell gets the same operands in the same
-order in every solver, so all of them agree to the last bit.  The fields
-are plain arrays: writing them to files is the CLI's job, which streams
-CSV rows straight from the one field.
+allocating it.  Each computed cell gets the same operands in every
+solver.  In DOUBLE they come in the same order, and RATIONAL is exact,
+so there all solvers agree to the last bit; EXTENDED rounds each cell
+once from slices that carry 64 bits beyond the precision, so solvers
+that round different cones may differ in the last bit of a cell.  The
+fields are plain arrays: writing them to files is the CLI's job, which
+streams CSV rows straight from the one field.
 
 Because the coefficients do not depend on t, shifting a control in time
 shifts the solution: the impulse response determines the response to any
@@ -51,7 +56,7 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
-from ._multiprec import cell_bytes, lift, width_quantum
+from ._multiprec import cell_bytes, forward_sweep, lift, width_quantum
 
 __all__ = [
     "WaveField",
@@ -172,8 +177,8 @@ def _lift_system(coeffs: JacobiCoefficients, control, horizon: int,
 
 
 def _sweep(ctrl, coef, out: np.ndarray) -> None:
-    """Run the recurrence for t = 0..horizon-1 and write u_{n,t+1} into
-    out[n-1, t] for the watched sites n = 1..len(out).
+    """Run the recurrence on float rows for t = 0..horizon-1 and write
+    u_{n,t+1} into out[n-1, t] for the watched sites n = 1..len(out).
 
     Two rolling slices hold the sites 0..n_space+1 at times t-1 and t.
     Step t updates the sites 1..k of the cone, k = min(t+1, n_space,
@@ -189,12 +194,12 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     The sum is formed in the type of the coefficients and the field;
     a field that is real while b is complex takes its real part.
 
-    Float rows round k up to a multiple of ``width_quantum`` sites
-    (capped at n_space), and the views are re-cut only when that width
-    changes.  The cells it adds lie past the wavefront, where they stay
-    +0.0, or outside the watched sites' dependence cone, so no output
-    can see them.  Every other site keeps the lifted zero it starts with
-    or a value no watched site can see.
+    k is rounded up to a multiple of ``width_quantum`` sites (capped at
+    n_space), and the views are re-cut only when that width changes.
+    The cells it adds lie past the wavefront, where they stay +0.0, or
+    outside the watched sites' dependence cone, so no output can see
+    them.  Every other site keeps the zero it starts with or a value no
+    watched site can see.
     """
     n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
     quantum = width_quantum(coef)
@@ -266,7 +271,7 @@ def _watched_sites(coeffs: JacobiCoefficients, control, horizon: int,
     ctrl, coef, dtype = _lift_system(coeffs, control, horizon, n_space,
                                      precision)
     out = np.empty((watched, horizon), dtype=dtype)
-    _sweep(ctrl, coef, out)
+    forward_sweep(ctrl, coef, out, _sweep)
     out.setflags(write=False)
     return out
 
@@ -286,7 +291,7 @@ def _full_field(coeffs: JacobiCoefficients, control, horizon: int,
                                      precision)
     field = np.zeros((n_space + 1, horizon + 2), dtype=dtype)
     field[0, 1:horizon + 1] = ctrl
-    _sweep(ctrl, coef, field[1:, 2:])
+    forward_sweep(ctrl, coef, field[1:, 2:], _sweep)
     field.setflags(write=False)
     return field
 

@@ -1,7 +1,10 @@
 import json
+import math
+import re
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +209,91 @@ class TestExports:
         assert doc["rows"] == field.values.tolist()
 
 
+class _Exact:
+    """An exact complex rational: the oracle loops below run on it with
+    the operators of the mpf step, real and imaginary parts apart, and
+    round nothing."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @classmethod
+    def of(cls, x):
+        """x (int, Fraction, mpf or mpc) exactly."""
+        if hasattr(x, "_mpc_"):
+            return cls(cls.of(x.real).re, cls.of(x.imag).re)
+        if hasattr(x, "_mpf_"):
+            sign, man, exp, _ = x._mpf_
+            return cls(Fraction(-man if sign else man) * Fraction(2) ** exp)
+        return x if isinstance(x, cls) else cls(x)
+
+    def __add__(self, other):
+        other = _Exact.of(other)
+        return _Exact(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = _Exact.of(other)
+        return _Exact(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _Exact.of(other) - self
+
+    def __mul__(self, other):
+        other = _Exact.of(other)
+        return _Exact(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
+
+
+# the precision of the oracle loops that round nothing
+EXACT = "exact"
+
+
+def _oracle_lift(values, precision):
+    """``lift``, and for EXACT the EXTENDED lift read exactly."""
+    if precision != EXACT:
+        return lift(values, precision)
+    lifted = lift(values, PrecisionMode.EXTENDED)
+    return np.array([_Exact.of(x) for x in lifted.ravel().tolist()],
+                    dtype=object).reshape(lifted.shape)
+
+
+def _max_error(arr, exact) -> float:
+    """The largest error of a cell of ``arr`` against ``exact``, relative
+    to the cell's larger exact part; inf where an exact zero is missed."""
+    worst = Fraction(0)
+    for got, want in zip(arr.ravel().tolist(), exact.ravel().tolist()):
+        got, want = _Exact.of(got), _Exact.of(want)
+        miss = max(abs(got.re - want.re), abs(got.im - want.im))
+        size = max(abs(want.re), abs(want.im))
+        if miss and not size:
+            return math.inf
+        worst = max(worst, miss / size if miss else 0)
+    return float(worst)
+
+
+def _assert_as_accurate(got, step, exact):
+    """EXTENDED outputs: the shape, dtype, layout and number type (mpf or
+    mpc) of every cell of the mpf step's output, and a largest error
+    against the exact loop no greater than the mpf step's.  Each is a
+    callable; when the step raises, ``got`` must raise alike."""
+    try:
+        step = np.asarray(step())
+    except Exception as exc:  # both sides must fail alike
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            got()
+        return
+    got, exact = np.asarray(got()), np.asarray(exact())
+
+    def layout(arr):
+        return (arr.shape, arr.dtype, arr.flags.c_contiguous,
+                [type(v) for v in arr.ravel().tolist()])
+
+    assert layout(got) == layout(step)
+    assert _max_error(got, exact) <= _max_error(step, exact)
+
+
 def _reference_control(control, horizon: int, precision: PrecisionMode):
     if isinstance(control, BoundaryControl):
         vals = control.padded(horizon)
@@ -214,7 +302,7 @@ def _reference_control(control, horizon: int, precision: PrecisionMode):
         if len(vals) > horizon:
             raise ValueError("control longer than the horizon")
         vals = vals + [0] * (horizon - len(vals))
-    return lift(vals, precision)
+    return _oracle_lift(vals, precision)
 
 
 def _reference_field(coeffs, control, horizon, n_space, precision):
@@ -227,8 +315,8 @@ def _reference_field(coeffs, control, horizon, n_space, precision):
         raise ValueError("n_space must be >= 1")
     ctrl = _reference_control(control, horizon, precision)
 
-    a = lift(coeffs.a_head(n_space) + [0], precision)
-    b = lift([0] + coeffs.b_head(n_space), precision)
+    a = _oracle_lift(coeffs.a_head(n_space) + [0], precision)
+    b = _oracle_lift([0] + coeffs.b_head(n_space), precision)
     u = np.zeros((n_space + 2, horizon + 2), dtype=np.result_type(a, ctrl))
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,7 +369,9 @@ IDENTITY_FAMILIES = {
 
 
 class TestSweepMatchesFullField:
-    """The cone sweep reproduces every bit of the full-field loop."""
+    """The cone sweep reproduces every bit of the full-field loop in
+    DOUBLE and RATIONAL, and is as accurate as its mpf loop in EXTENDED
+    (``_assert_as_accurate``)."""
 
     @pytest.mark.parametrize("precision", list(PrecisionMode))
     @pytest.mark.parametrize("name", IDENTITY_FAMILIES)
@@ -289,24 +379,31 @@ class TestSweepMatchesFullField:
         co = IDENTITY_FAMILIES[name]
         rng = np.random.default_rng(11)
         size = co.size if co.is_finite else 7  # a finite section of a rule
+
+        def check(got, reference):
+            if precision is PrecisionMode.EXTENDED:
+                _assert_as_accurate(got, lambda: reference(precision),
+                                    lambda: reference(EXACT))
+            else:
+                assert _outcome(got) == _outcome(lambda: reference(precision))
+
         for horizon in (1, 2, 5, 17, 40):
-            assert _outcome(lambda: response_vector(co, horizon, precision).values) \
-                == _outcome(lambda: _reference_response(co, horizon, precision))
-            assert _outcome(lambda: control_operator(co, horizon, precision).matrix) \
-                == _outcome(lambda: _reference_operator(co, horizon, precision))
+            check(lambda: response_vector(co, horizon, precision).values,
+                  lambda mode: _reference_response(co, horizon, mode))
+            check(lambda: control_operator(co, horizon, precision).matrix,
+                  lambda mode: _reference_operator(co, horizon, mode))
             real = list(rng.uniform(-1, 1, horizon))
             cplx = list(rng.uniform(-1, 1, horizon) + 1j * rng.uniform(-1, 1, horizon))
             for ctrl in (BoundaryControl.impulse(horizon), real, cplx):
-                assert _outcome(lambda: solve_semi_infinite(
-                    co, ctrl, horizon, precision).values) == _outcome(
-                    lambda: WaveField(_reference_field(
-                        co, ctrl, horizon, horizon, precision),
+                check(lambda: solve_semi_infinite(
+                    co, ctrl, horizon, precision).values,
+                    lambda mode: WaveField(_reference_field(
+                        co, ctrl, horizon, horizon, mode),
                         horizon, horizon).values)
-                assert _outcome(lambda: solve_finite(
-                    co, size, ctrl, horizon, precision).values) == _outcome(
-                    lambda: WaveField(_reference_field(
-                        co, ctrl, horizon, size, precision),
-                        size, horizon).values)
+                check(lambda: solve_finite(
+                    co, size, ctrl, horizon, precision).values,
+                    lambda mode: WaveField(_reference_field(
+                        co, ctrl, horizon, size, mode), size, horizon).values)
 
     def test_long_response_identical(self):
         rng = np.random.default_rng(12)
@@ -419,8 +516,8 @@ def _cone_watched(coeffs, control, horizon, n_space, watched, precision):
     """Sites 1..watched at t = 1..horizon by the oracle sweep, lifted as
     the solvers lifted their coefficients before the kernel changed."""
     ctrl = _reference_control(control, horizon, precision)
-    a = lift(coeffs.a_head(n_space) + [0], precision)
-    b = lift([0] + coeffs.b_head(n_space), precision)
+    a = _oracle_lift(coeffs.a_head(n_space) + [0], precision)
+    b = _oracle_lift([0] + coeffs.b_head(n_space), precision)
     out = np.empty((watched, horizon), dtype=np.result_type(a, ctrl))
     _cone_sweep(ctrl, a, b, out)
     return ctrl, out
@@ -547,7 +644,15 @@ def _sweep_example(kind, precision, horizon, length, size, complex_control):
 @example(case=_sweep_example("geometric", PrecisionMode.RATIONAL, 10, 0, 7, False))
 @example(case=_sweep_example("complex_b", PrecisionMode.RATIONAL, 7, 8, 8, False))
 def test_sweep_kernel_equals_the_one_expression_step(case):
-    for got, want in zip(_solver_outputs(*case), _cone_outputs(*case)):
+    # DOUBLE and RATIONAL keep the bits of the one-expression step;
+    # EXTENDED keeps its number types and is no less accurate than it
+    # against the same step on the dyadic inputs in exact arithmetic
+    exact = _cone_outputs(*case[:-1], EXACT)
+    for got, want, truth in zip(_solver_outputs(*case), _cone_outputs(*case),
+                                exact):
+        if case[-1] is PrecisionMode.EXTENDED:
+            _assert_as_accurate(got, want, truth)
+            continue
         with warnings.catch_warnings():
             # the oracle drops a complex b's imaginary parts by assignment
             warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
@@ -566,3 +671,33 @@ def test_extended_complex_b_leaves_unreached_sites_real():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
             assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("precision",
+                         [PrecisionMode.EXTENDED, PrecisionMode.RATIONAL])
+def test_object_rows_never_reach_the_float_kernel(monkeypatch, precision):
+    co = JacobiCoefficients.from_arrays(
+        [1.0, 0.5, 2.0, 1.5, 0.75, 1.25], [0.25, -1.0, 0.0, 0.75, 0.5, -0.25])
+    calls = [lambda: control_operator(co, 6, precision).matrix,
+             lambda: response_vector(co, 6, precision).values,
+             lambda: solve_finite(co, 3, [1.0, -0.5], 6, precision).values]
+    before = [call() for call in calls]
+
+    def refuse(*args):
+        raise AssertionError("object rows reached the float kernel")
+
+    monkeypatch.setattr(dynamics, "_sweep", refuse)
+    for call, want in zip(calls, before):
+        got = call()
+        assert _bits(lambda: got) == _bits(lambda: want)
+    with pytest.raises(AssertionError, match="float kernel"):
+        control_operator(co, 6)
+
+
+@pytest.mark.parametrize("a, b", [([1.0, math.inf, 1.0], [0.0, 0.0, 0.0]),
+                                  ([1.0, 1.0, 1.0], [0.0, math.nan, 0.0])])
+def test_extended_sweep_refuses_inf_and_nan(a, b):
+    # the integer slices cannot hold them; the mpf step made NaN cells
+    co = JacobiCoefficients.from_arrays(a, b)
+    with pytest.raises(ConditioningError, match="inf or NaN"):
+        control_operator(co, 3, PrecisionMode.EXTENDED)
