@@ -60,7 +60,9 @@ of what this module provides:
   two sweeps and the residual products of ``mp_pd_solve`` and
   ``gram_solve`` and the residual norm use the same integer form, with
   the factor and the matrix converted once per solve and the solution
-  extended entry by entry as the sweeps produce it.
+  extended entry by entry as the sweeps produce it.  The transforms
+  between moments and responses convert the moments once
+  (``dot_operand``) and sum each row against a slice of that form.
   ``connecting._lower_product``, whose products are matrix-matrix ones,
   keeps ``@``.
 
@@ -71,7 +73,8 @@ alone, whose transpose is the factor, so W^T W is never formed (the Krein
 kernel from coefficients).  The factorization and the sweeps are
 places with two paths: float arrays go to LAPACK, object arrays to
 substitutions in their own arithmetic.  The recurrence is the third:
-DOUBLE runs its rows as float64 arrays, and both object modes run one
+DOUBLE runs its rows as float64 arrays, testing only the scalars it
+reads off them for inf or NaN, and both object modes run one
 loop (``_integer_rows``) on rows of Python ints over one scale per row,
 den * 2^exp, read exactly off the Fractions or the mpf fields.  Only the
 normaliser of a new row and the rounding of sigma_kk, alpha_k and beta_k
@@ -337,23 +340,48 @@ def _plus_basis_shift(acc: np.ndarray, row: np.ndarray, shift: int) -> None:
 
 
 def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
-                alpha: list, beta: list) -> None:
-    """``_wheeler_rows`` on a float64 row."""
-    below = np.zeros(row.size + 2)    # sigma_{-1,l} = 0
+                alpha: list, beta: list, checked: bool = False) -> None:
+    """``_wheeler_rows`` on a float64 row.
+
+    Unless ``checked``, a row is not tested for inf or NaN: only the
+    scalars read off it are, sigma_kk, alpha_k and beta_k, once the rows
+    are done.  That misses nothing, as sigma_{k+1,l-1} takes sigma_{k,l}
+    with coefficient 1 and a sum with an inf or NaN term is inf or NaN:
+    an entry of row k that is not finite reaches a later sigma_jj or
+    sigma_{j,j+1}, hence alpha_j.  When one of those scalars is not
+    finite, or a pivot is not positive, the rows run again from the
+    start ``checked``, every row tested by ``_finite``: that run raises
+    the error of the first bad row and leaves the lists as they were
+    before it.
+    """
+    start, below = row, np.zeros(row.size + 2)    # sigma_{-1,l} = 0
     ratio = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
-        for k in range(size):
-            if k:
-                nxt = row[2:] - row[1:-1] * alpha[-1] - below[2:-2] * beta[-1]
-                _plus_basis_shift(nxt, row[:-2], shift)
-                row, below = nxt, row
-                beta.append(row[0] / pivots[-1])
-            if not _finite(row)[0] > 0:
-                raise np.linalg.LinAlgError(f"pivot {k} is not positive")
-            pivots.append(row[0])
-            if k < size - 1:
-                alpha.append(row[1] / row[0] - ratio)
-                ratio = row[1] / row[0]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # see above
+            for k in range(size):
+                if k:
+                    nxt = (row[2:] - row[1:-1] * alpha[-1]
+                           - below[2:-2] * beta[-1])
+                    _plus_basis_shift(nxt, row[:-2], shift)
+                    row, below = nxt, row
+                    beta.append(row[0] / pivots[-1])
+                if checked:
+                    _finite(row)
+                pivot = row[0]
+                if not pivot > 0:
+                    raise np.linalg.LinAlgError(f"pivot {k} is not positive")
+                pivots.append(pivot)
+                if k < size - 1:
+                    step = row[1] / pivot
+                    alpha.append(step - ratio)
+                    ratio = step
+        if checked or np.isfinite(pivots + alpha + beta).all():
+            return
+    except np.linalg.LinAlgError:
+        if checked:
+            raise
+    del pivots[:], alpha[:], beta[1:]
+    _array_rows(start, size, shift, pivots, alpha, beta, checked=True)
 
 
 # Every nonzero entry of an EXTENDED integer row keeps at least this many
@@ -1011,8 +1039,12 @@ def dot(u: np.ndarray, v: np.ndarray):
     EXTENDED_DPS digits, however far its terms cancel; an operand
     holding inf or NaN gives ``u @ v``, which propagates them as the
     products do.  Other arrays, float64 and Fraction among them, give
-    ``u @ v`` with its bits.
+    ``u @ v`` with its bits.  A v prepared by ``dot_operand``, or a
+    slice of it, is summed against as it is, with the bits ``dot`` gives
+    the array.
     """
+    if isinstance(v, _Fixed):
+        return _Fixed(u.tolist()).dot(v)
     if _holds_extended(v) or _holds_extended(u):
         try:
             if u.ndim == 1:
@@ -1021,6 +1053,21 @@ def dot(u: np.ndarray, v: np.ndarray):
         except ConditioningError:    # inf or NaN
             pass
     return u @ v
+
+
+def dot_operand(v: np.ndarray):
+    """v ready for many ``dot`` calls: an array of mpf of the EXTENDED
+    context, none of them inf or NaN, as one ``_Fixed``, converted once,
+    whose slices ``dot`` takes as the array's slices; any other v as it
+    is.  A sum is the same number over any exponent, and is rounded
+    once, so the bits are those of ``dot`` on the array."""
+    values = v.tolist()
+    if v.dtype == object and set(map(type, values)) == {_MPF}:
+        try:
+            return _Fixed(values)
+        except ConditioningError:    # inf or NaN
+            pass
+    return v
 
 
 def _sweeps(low, piv, rhs):

@@ -29,6 +29,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .core import (
     JacobiBCError,
     JacobiCoefficients,
@@ -87,7 +89,16 @@ def _json_number(x) -> float | None:
 
 
 def _json_numbers(values) -> list:
-    return [_json_number(v) for v in values]
+    """``_json_number`` of each value; a 1-D float array, or a sequence
+    object holding one, converts at once by ``tolist``."""
+    arr = getattr(values, "values", values)
+    if not (isinstance(arr, np.ndarray) and arr.ndim == 1
+            and arr.dtype.kind == "f"):
+        return [_json_number(v) for v in values]
+    out = arr.tolist()
+    for i in np.flatnonzero(~np.isfinite(arr)).tolist():
+        out[i] = None
+    return out
 
 
 def _csv_number(x) -> str:
@@ -393,16 +404,49 @@ _COMMANDS = {
 
 
 def _write_output(args, payload, rows) -> None:
-    """Encode the requested format only: the ``payload()`` dict streamed by
-    the encoder of ``json.dumps(..., indent=2)``, or the ``rows()``."""
+    """Encode the requested format only: the ``payload()`` dict as the
+    exact bytes of ``json.dumps(doc, indent=2)`` and a newline (see
+    ``_json_chunks``), or the ``rows()``."""
     with (open(args.output, "w", encoding="utf-8", newline="") if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.fmt == "json":
-            json.dump({"schema": SCHEMA_TAG, "command": args.command,
-                       **payload()}, fh, indent=2)
+            fh.writelines(_json_chunks({"schema": SCHEMA_TAG,
+                                        "command": args.command,
+                                        **payload()}))
             fh.write("\n")
         else:
             csv.writer(fh).writerows(rows())
+
+
+_SCALARS = frozenset({int, float, bool, type(None)})
+
+
+def _json_chunks(obj, pad: str = ""):
+    """The text of ``json.dumps(obj, indent=2)`` (str keys), in chunks, at
+    the nesting whose indent is ``pad``.
+
+    A list of ints, floats, bools and None alone is one chunk: the C
+    encoder's ``json.dumps(list)`` with each ", " turned into the newline
+    and indent that ``indent=2`` puts between items, since no number or
+    null holds ", ".  Other lists and dicts that are not empty recurse,
+    and any other value is ``json.dumps`` of it.  So a ``simulate`` field
+    is written one row at a time."""
+    inner = pad + "  "
+    if (isinstance(obj, (list, tuple)) and obj
+            and set(map(type, obj)) <= _SCALARS):
+        yield ("[\n" + inner
+               + json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+               + "\n" + pad + "]")
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        keyed = isinstance(obj, dict)
+        sep = "{\n" + inner if keyed else "[\n" + inner
+        for key, value in obj.items() if keyed else enumerate(obj):
+            yield sep + (json.dumps(key) + ": " if keyed else "")
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + ("}" if keyed else "]")
+    else:
+        yield json.dumps(obj)
 
 
 def _emit_error(exc: Exception, validation: bool) -> None:

@@ -199,7 +199,9 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     The cells it adds lie past the wavefront, where they stay +0.0, or
     outside the watched sites' dependence cone, so no output can see
     them.  Every other site keeps the zero it starts with or a value no
-    watched site can see.
+    watched site can see.  One watched site (``response_vector``) is
+    collected in a list and written into ``out`` once, not a column per
+    step.
     """
     n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
     quantum = width_quantum(coef)
@@ -212,6 +214,8 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     acc = prod if np.iscomplexobj(out) else prod.real
     # per parity of t: the width its views were cut for, and the views
     widths, views = [0, 0], [None, None]
+    # one watched site: its values, written into out once at the end
+    site = [] if watched == 1 else None
     # Rapidly growing coefficient families overflow float64 inside the
     # cone; those cells hold inf or nan and are returned as they are.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +232,12 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
             np.add(p2, p0, out=p2)
             np.add(p2, p1, out=p2)
             np.subtract(total, prev, out=prev)
-            out.T[t] = seen
+            if site is None:
+                out.T[t] = seen
+            else:
+                site.append(seen[0])
+    if site is not None:
+        out[0] = site
 
 
 def _steps(ctrl, n_space: int, watched: int, quantum: int):

@@ -26,7 +26,8 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
-from ._multiprec import above_noise, dot, leading_eig_extremes, lift, lift_ints
+from ._multiprec import (above_noise, dot, dot_operand, leading_eig_extremes,
+                         lift, lift_ints)
 
 __all__ = [
     "HankelMatrix",
@@ -152,13 +153,15 @@ def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> R
     exact zeros, and no 0 * inf puts a NaN into a finite DOUBLE entry.
     The rows are generated one at a time, so memory stays O(size); in
     DOUBLE a row entry beyond float64 (from 1484 entries on) raises
-    ConditioningError.
+    ConditioningError.  In extended, s is read into the integer form of
+    ``dot`` once (``dot_operand``), not once per row.
     """
     sx = lift(sequence_values(s), precision)
+    sv = dot_operand(sx)
     r = np.empty_like(sx)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         for i, row in enumerate(_transform_rows(sx.size)):
-            r[i] = dot(lift_ints(row, precision), sx[i % 2:i + 1:2])
+            r[i] = dot(lift_ints(row, precision), sv[i % 2:i + 1:2])
     return ResponseVector(r)
 
 
@@ -168,12 +171,21 @@ def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> M
     Round-trips with moments_to_response exactly in rational mode.  As
     there, only the terms j < i with i + j even are summed, by ``dot``,
     and the rows are generated one at a time; in extended each step
-    subtracts the row's sum rounded once.
+    subtracts the row's sum rounded once, over the integer form of the
+    moments found so far, which grows by one value a row.
     """
     s = lift(sequence_values(r), precision)
+    # the moments found so far: s itself, or where s takes the integer
+    # form (``dot_operand``), that form grown from empty
+    found = dot_operand(s)
+    grow = found is not s
+    if grow:
+        found = found[:0]
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         for i, row in enumerate(_transform_rows(s.size)):
-            s[i] = s[i] - dot(lift_ints(row[:-1], precision), s[i % 2:i:2])
+            s[i] = s[i] - dot(lift_ints(row[:-1], precision), found[i % 2:i:2])
+            if grow:
+                found.extend([s[i]])
     return MomentSequence(s)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from jacobi_bc import (
     response_to_moments,
     response_vector,
 )
-from jacobi_bc.cli import main
+from jacobi_bc.cli import _json_number, _json_numbers, _write_output, main
 
 
 def write_json(path, obj):
@@ -631,6 +632,56 @@ class TestValuesBeyondFloat64:
         doc = {"schema": "jacobi-bc/1", "command": "response", "length": 9,
                "response": values}
         assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1e-7,
+                     2 ** 64, -(10 ** 300)]),
+    st.integers(-(2 ** 200), 2 ** 200))
+_JSON_TEXT = st.text(st.sampled_from('ab, "\\/\n\t\x00\x1f\u00e9\u2028'
+                                     '\U0001f600:[]{}'), max_size=8)
+_JSON_DOCS = st.recursive(
+    st.one_of(_JSON_SCALARS, _JSON_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(_JSON_SCALARS, max_size=9),
+        st.dictionaries(_JSON_TEXT, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(payload=st.dictionaries(_JSON_TEXT, _JSON_DOCS, max_size=5))
+@example(payload={"rows": [[-0.0, 5e-324, 1e308, None, 10 ** 40, True],
+                           [], [{}], ["a, b", 1.5]],
+                  "empty": {}, "nested": {"\u00e9\n\"": {"x": []}},
+                  "notes": ["\U0001f600", ""]})
+@example(payload={})
+def test_json_output_is_the_indented_dump(payload):
+    doc = {"schema": "jacobi-bc/1", "command": "recover", **payload}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        args = argparse.Namespace(output=str(out), fmt="json",
+                                  command="recover")
+        _write_output(args, lambda: payload, None)
+        assert out.read_bytes() == (json.dumps(doc, indent=2)
+                                    + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("values", [
+    np.array([1.5, np.inf, -np.inf, np.nan, -0.0, 5e-324]),
+    jacobi_bc.ResponseVector(np.array([np.nan, 2.0])),
+    np.array([3, 4]),
+    [1, 2.5, 10 ** 400],
+])
+def test_json_numbers_of_float_arrays_convert_at_once(values):
+    # tolist with null where float64 is not finite: the bits of the
+    # number-by-number conversion, which other values keep
+    want = [_json_number(v) for v in values]
+    got = _json_numbers(values)
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert json.dumps(got) == json.dumps(want)
 
 
 # the simulate estimate in bytes per cell: a float64 field cell plus the

@@ -637,6 +637,8 @@ def _sweep_example(kind, precision, horizon, length, size, complex_control):
 @example(case=_sweep_example("geometric", PrecisionMode.DOUBLE, 200, 0, 130, False))
 @example(case=_sweep_example("complex_b", PrecisionMode.DOUBLE, 70, 71, 71, False))
 @example(case=_sweep_example("unchecked", PrecisionMode.DOUBLE, 130, 131, 9, True))
+# one site of the full field: the sweep collects it and writes it once
+@example(case=_sweep_example("random", PrecisionMode.DOUBLE, 140, 141, 1, True))
 @example(case=_sweep_example("random", PrecisionMode.EXTENDED, 10, 11, 6, False))
 @example(case=_sweep_example("geometric", PrecisionMode.EXTENDED, 9, 0, 10, True))
 @example(case=_sweep_example("complex_b", PrecisionMode.EXTENDED, 8, 4, 4, True))
@@ -657,6 +659,29 @@ def test_sweep_kernel_equals_the_one_expression_step(case):
             # the oracle drops a complex b's imaginary parts by assignment
             warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
             assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("coeffs", [
+    JacobiCoefficients.from_rules(lambda n: 1 - 0.5 / (n + 1) ** 2,
+                                  lambda n: (-1) ** n * 0.3 / (n + 1) ** 2),
+    JacobiCoefficients.from_rules(lambda n: 0.5 + (n % 7) / 4,
+                                  lambda n: complex((n % 5) / 4 - 0.5,
+                                                    0.25 - (n % 3) / 4)),
+    JacobiCoefficients.from_arrays([1.0] + [0.5 + (k % 7) / 4
+                                            for k in range(1, 300)],
+                                   [-0.0 if k % 3 else 0.25
+                                    for k in range(300)]),
+    JacobiCoefficients.geometric(2),    # inf, then NaN
+], ids=["real", "complex_b", "finite", "overflow"])
+def test_response_vector_is_the_first_operator_row(coeffs):
+    # the one watched site the sweep collects, against the column writes
+    # of the full operator
+    horizon = 150
+    with warnings.catch_warnings():
+        # a real field drops a complex b's imaginary parts
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        assert _bits(lambda: response_vector(coeffs, horizon).values) == _bits(
+            lambda: control_operator(coeffs, horizon).matrix[0])
 
 
 def test_extended_complex_b_leaves_unreached_sites_real():

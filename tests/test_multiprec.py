@@ -66,6 +66,7 @@ from jacobi_bc._multiprec import (
     _EXTENDED,
     _ZERO_EXP,
     EXTENDED_DPS,
+    _array_rows,
     _finite,
     _frexp_fields,
     _leading_top_eigs,
@@ -75,6 +76,7 @@ from jacobi_bc._multiprec import (
     _plus_basis_shift,
     _top_eigenvalue,
     dot,
+    dot_operand,
     gram_solve,
     leading_eig_extremes,
     lift,
@@ -539,6 +541,79 @@ def test_double_recurrence_equals_the_product_form(data):
                        PrecisionMode.DOUBLE) == want
 
 
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, -1.0,
+                            1e300, -1e300, 5e-324])
+
+
+@st.composite
+def _unchecked_rows(draw):
+    """(row, size, shift): the float response (shift 1) or moments (0)
+    of a positive measure on a few points, scaled by up to 1e300 so that
+    later rows overflow, with some entries replaced by inf, NaN, a zero
+    of either sign, a negative or an extreme value at drawn positions."""
+    size = draw(st.integers(1, 9))
+    shift = draw(st.sampled_from([0, 1]))
+    points = draw(st.lists(st.floats(-3.0, 3.0), min_size=1,
+                           max_size=size + 1))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    basis = [np.ones(len(points)), np.array(points)]
+    while len(basis) < 2 * size - 1:
+        basis.append(basis[1] * basis[-1] - shift * basis[-2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = [float(np.sum(p) * scale) for p in basis[:2 * size - 1]]
+    for at in draw(st.lists(st.integers(0, 2 * size - 2), max_size=3)):
+        row[at] = draw(_SPECIAL)
+    return np.array(row), size, shift
+
+
+def _rows_outcome(row, size, shift, checked):
+    """The lists ``_array_rows`` leaves, with the bits of every entry,
+    and its error, if any."""
+    lists = ([], [], [0])
+    error = None
+    try:
+        _array_rows(row.copy(), size, shift, *lists, checked=checked)
+    except (np.linalg.LinAlgError, ConditioningError) as exc:
+        error = type(exc), str(exc)
+    return error, [np.array(x).tobytes() for x in lists]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_unchecked_rows())
+@example(case=(np.array([1.0, 0.5, 2.0, 0.25, math.inf]), 3, 1))
+@example(case=(np.array([1.0, 0.0, math.nan, 0.0, 2.0, 0.0, 5.0]), 4, 0))
+@example(case=(np.array([1.0, 1e300, 1e300, 1e300, 1e300]), 3, 0))
+@example(case=(np.array([1.0, 5.0, 1.0, 0.5, 2.0]), 3, 1))
+@example(case=(np.array([-0.0]), 1, 0))
+def test_unchecked_rows_equal_the_checked_run(case):
+    # testing only sigma_kk, alpha_k and beta_k for inf or NaN, and
+    # running the rows again checked on one, raises what testing every
+    # row raises and leaves the same partial lists
+    assert (_rows_outcome(*case, checked=False)
+            == _rows_outcome(*case, checked=True))
+
+
+@pytest.mark.parametrize("row, rows_before, error, message", [
+    # the inf reaches pivot 2 unchecked; checked, row 0 already holds it
+    ([1.0, 0.5, 2.0, 0.25, math.inf], 0, ConditioningError, "beyond double"),
+    # row 1 overflows
+    ([1.0, 1e300, 1e300, 1e300, 1e300], 1, ConditioningError,
+     "beyond double"),
+    # pivot 1 is 1 - 25 + 1 < 0
+    ([1.0, 5.0, 1.0, 0.5, 2.0], 1, np.linalg.LinAlgError,
+     "^pivot 1 is not positive$"),
+])
+def test_unchecked_rows_raise_the_checked_error(row, rows_before, error,
+                                                message):
+    pivots, alpha, beta = [], [], [0]
+    with pytest.raises(error, match=message):
+        _array_rows(np.array(row), 3, 1, pivots, alpha, beta)
+    # beta_k of the failing row k is kept, as the checked run keeps it
+    assert (pivots, alpha, len(beta)) == ([1.0] * rows_before,
+                                          [row[1]] * rows_before,
+                                          1 + rows_before)
+
+
 def _exact_fraction(x):
     """An mpf (or int) as the exact Fraction of its value."""
     if hasattr(x, "_mpf_"):
@@ -871,6 +946,38 @@ def test_dot_rounds_the_exact_sum_once(operands):
     complex_terms = any(isinstance(x, (complex, _EXTENDED.mpc))
                         for x in operands[0] + operands[1])
     assert isinstance(got, _EXTENDED.mpc) == complex_terms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=st.lists(_MPF, min_size=1, max_size=24),
+       ints=st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=12,
+                     max_size=12))
+# the odd values far below the even ones, and a zero, which has no exponent
+@example(values=[_mpf_of(3, 400), _mpf_of(-1, -700),
+                 _mpf_of(2 ** 160 - 1, 300), _mpf_of(0, 0), _mpf_of(5, 200)],
+         ints=[1, -2, 3, -(2 ** 70), 5, 6, 7, 8, 9, 10, 11, 12])
+def test_dot_operand_slices_keep_the_array_bits(values, ints):
+    # one integer form of v, sliced by parity, sums as each array slice
+    v = np.array(values, dtype=object)
+    form = dot_operand(v)
+    assert form is not v
+    for i in range(len(values)):
+        part = slice(i % 2, i + 1, 2)
+        u = np.array(ints[:len(range(*part.indices(len(values))))],
+                     dtype=object)
+        assert dot(u, form[part])._mpf_ == dot(u, v[part])._mpf_
+
+
+@pytest.mark.parametrize("values", [
+    [_EXTENDED.mpf(1), _EXTENDED.mpf("inf")],
+    [_EXTENDED.mpf(1), _EXTENDED.mpc(1, 2)],
+    [Fraction(1, 3)],
+    [],
+])
+def test_dot_operand_keeps_what_the_form_cannot_hold(values):
+    v = np.array(values, dtype=object)
+    assert dot_operand(v) is v
+    assert dot_operand(np.array([1.0, 2.0])).dtype == float
 
 
 _FLOATS = st.floats(-2.0 ** 600, 2.0 ** 600)
