@@ -11,6 +11,7 @@ from .core import (
     BoundaryControl,
     CoefficientUnderrunError,
     CoefficientValidation,
+    ComplexDataError,
     ConditioningError,
     ConditioningWarning,
     InsufficientDataError,

@@ -25,25 +25,29 @@ The pipeline modules write each step once, independent of dtype, on top
 of what this module provides:
 
 * ``lift`` (and ``lift_ints`` for exact integer coefficients), the
-  per-mode noise floor of data input, the pivot floor, and the width
-  quantum of the float forward sweep (``width_quantum``);
+  refusal of complex data (``require_real``), the per-mode noise floor
+  of data input, the pivot floor, and the width quantum of the float
+  forward sweep (``width_quantum``);
 * the forward sweep of ``dynamics`` on object rows (``forward_sweep``);
 * Wheeler's modified Chebyshev recurrence (``modified_chebyshev``) on
   moments or a response.  Recovery reads the coefficients off it;
-* one builder (``_orthonormal_rows``) of Q = diag(d)^-1/2 L^-1 of the
-  Hankel or connecting matrix A = L diag(d) L^T, the coefficient table of
-  the orthonormal polynomials, in O(n^2) operations by their three-term
-  recurrence in normalized form, on one parity of each row when every
-  alpha_k is zero (a symmetric measure).  ``orthonormal_min_eigs`` feeds it
-  Jacobi coefficients (``classify``), and ``leading_eig_extremes`` the
+* the frexp table (``_orthonormal_table``) of Q = diag(d)^-1/2 L^-1
+  of the Hankel or connecting matrix A = L diag(d) L^T, the coefficient
+  table of the orthonormal polynomials, in O(n^2) operations by their
+  three-term recurrence in normalized form, on one parity of each row
+  when every alpha_k is zero (a symmetric measure).  DOUBLE builds float64
+  rows (``_orthonormal_rows``); both object modes build rows of Python
+  ints (``_orthonormal_ints``), each an exact numerator divided once, and
+  read every int straight into the float64 table (``_int_table``), with
+  no mpf made per entry.  ``orthonormal_min_eigs`` feeds it Jacobi
+  coefficients (``classify``), and ``leading_eig_extremes`` the
   recurrence coefficients Wheeler's algorithm reads off data; both read
   the smallest eigenvalue of every nested leading block off Q.
   ``gram_max_eigs`` reads the largest one of W^T W off an
   upper-triangular W, such as the simulated control operator.  The
-  builder and the float rows of the recurrence add the basis shift x
-  pi_l = pi_{l+1} + shift pi_{l-1} without multiplying by it: shift 1
-  adds the row itself, and shift 0 adds nothing to object rows but
-  keeps 0 * row on float rows, whose zeros' signs it decides;
+  float rows of Q and of the recurrence add the basis shift x pi_l =
+  pi_{l+1} + shift pi_{l-1} without multiplying by it when shift is 1,
+  and keep 0 * row when it is 0, since it decides the signs of zeros;
 * ``sym_eigenvalues`` for single matrices and, block by block, for
   matrices that are not positive definite;
 * one positive-definite factorization (``pd_factor``) and one
@@ -105,8 +109,8 @@ import numpy as np
 from mpmath import MPContext
 from mpmath.libmp import fzero, normalize, round_nearest
 
-from .core import (ConditioningError, InsufficientDataError, PrecisionMode,
-                   _to_fraction)
+from .core import (ComplexDataError, ConditioningError,
+                   InsufficientDataError, PrecisionMode, _to_fraction)
 
 EXTENDED_DPS = 50
 _EXTENDED = MPContext()
@@ -183,6 +187,25 @@ def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
     if precision is PrecisionMode.DOUBLE:
         return lift(ints, precision)
     return np.array(ints, dtype=object)
+
+
+def require_real(values, name: str, first: int = 0) -> None:
+    """Refuse complex entries of ``values`` with ComplexDataError naming
+    the first, name_{first + k}: a complex or an mpc, whatever its
+    imaginary part, and in an array of complex dtype the first entry
+    with a nonzero imaginary part (entry 0 when none has one)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        at = int(np.argmax(arr.imag != 0))
+    elif arr.dtype == object:
+        at = next((k for k, x in enumerate(arr.tolist())
+                   if isinstance(x, complex) or _is_mpc(x)), None)
+        if at is None:
+            return
+    else:
+        return
+    raise ComplexDataError(
+        f"{name}_{first + at} = {arr[at]} is complex; it must be real")
 
 
 def mode_of(values: np.ndarray) -> PrecisionMode:
@@ -329,13 +352,12 @@ def _wheeler_rows(row: np.ndarray, size: int, shift: int, pivots: list,
 
 
 def _plus_basis_shift(acc: np.ndarray, row: np.ndarray, shift: int) -> None:
-    """acc += shift * row for the basis shift 0 or 1, with no product
-    where it changes no bit: 1 * row is row itself, and 0 * row adds an
-    exact zero to object rows.  Float rows keep 0 * row, since x + (-0.0)
-    and x + 0.0 differ when x is -0.0."""
+    """acc += shift * row on float rows for the basis shift 0 or 1, with
+    no product where it changes no bit: 1 * row is row itself.  0 * row
+    is kept, since x + (-0.0) and x + 0.0 differ when x is -0.0."""
     if shift:
         acc += row
-    elif acc.dtype != object:
+    else:
         acc += row * 0
 
 
@@ -663,7 +685,8 @@ def _cell(re: int, im: int, exp: int, mpc: int, zero):
 
 def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:
     """Q, whose row k holds the coefficients of the orthonormal p_k in the
-    basis pi_l, from the recurrence of the normalized form
+    basis pi_l, as a float64 array, from the recurrence of the normalized
+    form
 
         sqrt(beta_{k+1}) p_{k+1} = (x - alpha_k) p_k - sqrt(beta_k) p_{k-1}
 
@@ -673,18 +696,18 @@ def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:
     sqrt(beta_k) = sqrt(sigma_kk / sigma_{k-1,k-1}) and sqrt(beta_0) =
     sqrt(sigma_00).  Each new row is divided by sqrt(beta_{k+1}), so the
     orthonormal coefficients stay in range where the monic ones would
-    overflow float64; a float row that overflows anyway holds inf or NaN.
+    overflow float64; a row that overflows anyway holds inf or NaN.
 
     When every alpha_k is zero (b = 0, a symmetric measure), p_k has the
     parity of k, so row k is built on the entries l = k mod 2 alone, with
     no alpha_k product, and the other half stays exact zeros.  Every
     entry built takes the same operations in the same order as on the
-    full row; the skipped products only add zeros to them.
+    full row; the skipped products only add zeros to them.  The object
+    modes build the same rows on Python ints (``_orthonormal_ints``).
     """
     n = root_beta.size
     step = 1 if any(alpha) else 2
-    # zeros of the number type: the rows' upper triangle stays zero
-    coef = np.full((n, n), root_beta[0] * 0, dtype=root_beta.dtype)
+    coef = np.full((n, n), root_beta[0] * 0)
     coef[0, 0] = 1 / root_beta[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1):
@@ -699,6 +722,79 @@ def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:
                 nxt[:below] -= coef[k - 1, lo:k:step] * root_beta[k]
             nxt /= root_beta[k + 1]
     return coef
+
+
+def _orthonormal_table(alpha, root_beta, shift):
+    """The frexp table (``_frexp_table``) of Q = ``_orthonormal_rows``:
+    float rows (DOUBLE) are built as a float64 array, and mpf rows (the
+    object modes) as Python ints (``_orthonormal_ints``), each entry read
+    straight into the table (``_int_table``), with no mpf made for it."""
+    if root_beta.dtype != object:
+        return _frexp_table(_orthonormal_rows(alpha, root_beta, shift))
+    return _int_table(_orthonormal_ints(alpha, root_beta, shift))
+
+
+def _orthonormal_ints(alpha, root_beta, shift) -> list:
+    """The rows of ``_orthonormal_rows`` for mpf alpha_k and sqrt(beta_k),
+    as (ints, exp) with Q[k, l] = ints[l] 2^exp, l = 0..k.
+
+    alpha_k and sqrt(beta_k) are read exactly (``_exact_ratio``).  The
+    numerator (x - alpha_k) p_k - sqrt(beta_k) p_{k-1} of row k+1 is
+    formed exactly, as ints over the smallest exponent of its terms, and
+    divided once by sqrt(beta_{k+1}), rounded to nearest to as many bits
+    as leave _ROW_BITS in the smallest nonzero entry, the budget of
+    ``_rounded_row``.  Every entry so keeps 64 bits more than an mpf of
+    its own, where rows of mpf round up to five times per entry.
+    Symmetric measures take the parity rows of ``_orthonormal_rows``,
+    the other entries staying exact zeros.  As in ``_integer_rows``, the
+    ints of a row span its exponent range, so the cost grows with the
+    span of the rows.
+    """
+    step = 1 if any(alpha) else 2
+    rows, part, low = [], [1], 0    # the numerator of row 0: 1 over 2^0
+    for k, (root, _, e) in enumerate(map(_exact_ratio, root_beta)):
+        if k:    # (x - alpha_{k-1}) p_{k-1} - sqrt(beta_{k-1}) p_{k-2}
+            (cur, exp), (p, _, ea) = rows[-1], _exact_ratio(alpha[k - 1])
+            lo = k % step
+            pad = [0, *cur, 0, 0]    # pad[l + 1] = Q[k - 1, l]
+            part = pad[lo:k + 1:step]
+            if shift:
+                part = [x + y for x, y in zip(part, pad[lo + 2::step])]
+            # (factor, exponent, entries) of the terms to subtract
+            terms = [(p, exp + ea, pad[lo + 1::step])] if p else []
+            if k > 1:
+                older, old_exp = rows[-2]
+                terms.append((last_root, old_exp + last_e,
+                              [*older[lo::step], 0, 0]))
+            low = min([exp] + [at for _, at, _ in terms])
+            part = [x << exp - low for x in part]
+            for factor, at, entries in terms:
+                factor <<= at - low
+                part = [x - factor * y for x, y in zip(part, entries)]
+        keep = (_ROW_BITS + root.bit_length()
+                - min(map(int.bit_length, filter(None, part))))
+        up, down = max(keep, 0) + 1, root << max(-keep, 0)
+        ints = [0] * (k + 1)
+        ints[k % step::step] = [((x << up) // down + 1) >> 1 for x in part]
+        rows.append((ints, low - e - keep))
+        last_root, last_e = root, e
+    return rows
+
+
+def _int_table(rows: list):
+    """The frexp table (``_frexp_table``) of the rows (ints, exp) of
+    ``_orthonormal_ints``: the mantissa of x 2^exp is x 2^-bits rounded
+    to float64 to nearest, as float() rounds an int and ``_frexp_fields``
+    the mantissa of an mpf; an int too wide for float() is divided by
+    2^bits, which Python rounds alike."""
+    n = len(rows)
+    mant, exps = np.zeros((n, n)), np.full((n, n), _ZERO_EXP)
+    for k, (ints, exp) in enumerate(rows):
+        bits = [x.bit_length() for x in ints]
+        mant[k, :k + 1] = [math.ldexp(x, -b) if b < 1024 else x / (1 << b)
+                           for x, b in zip(ints, bits)]
+        exps[k, :k + 1] = [exp + b if b else _ZERO_EXP for b in bits]
+    return mant, exps
 
 
 def _eigen_mode(precision: PrecisionMode) -> PrecisionMode:
@@ -717,7 +813,7 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     Both are lifted as for ``sym_eigenvalues`` (float64, or mpf at
     EXTENDED_DPS digits).  With A = matrix = L diag(d) L^T, Q =
     diag(d)^-1/2 L^-1 comes from ``modified_chebyshev`` on ``nu``, with
-    no factorization: ``_orthonormal_rows`` of its alpha_k and
+    no factorization: ``_orthonormal_table`` of its alpha_k and
     sqrt(beta_k).  The smallest eigenvalues are read off Q as in
     ``orthonormal_min_eigs``, and lambda_max(A_n) = ||A_n||.  A DOUBLE
     matrix holding inf or NaN is refused with ConditioningError, and so
@@ -742,9 +838,9 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     mins, maxs = np.empty(size), np.empty(size)
     if good:
         root_beta = np.array(pivots[:1] + beta[1:good]) ** 0.5
-        mins[:good] = _min_eigs(_orthonormal_rows(np.array(alpha[:good - 1]),
-                                                  root_beta, shift))
-        a_top, a_exp = _leading_top_eigs(work[:good, :good])
+        mins[:good] = _min_eigs(_orthonormal_table(
+            np.array(alpha[:good - 1]), root_beta, shift))
+        a_top, a_exp = _leading_top_eigs(_frexp_table(work[:good, :good]))
         with np.errstate(over="ignore", under="ignore"):
             maxs[:good] = np.ldexp(a_top, a_exp)
     for n in range(good + 1, size + 1):
@@ -753,14 +849,14 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     return mins, maxs
 
 
-def _min_eigs(q: np.ndarray) -> np.ndarray:
+def _min_eigs(table) -> np.ndarray:
     """lambda_min(A_n) = 1 / lambda_max(Q_n Q_n^T) for every leading
-    block, where A_n^-1 = Q_n^T Q_n: a well-conditioned largest
-    eigenvalue per block, which keeps the relative accuracy of the tiny
-    eigenvalues of graded matrices where a QR-type eigensolver loses it.
-    A float block holding inf or NaN gives 0.0: an entry past 1.8e308
-    puts lambda below 1 / 1.8e308^2."""
-    top, exp = _leading_top_eigs(q, gram=True)
+    block, where A_n^-1 = Q_n^T Q_n, from the frexp table of Q: a
+    well-conditioned largest eigenvalue per block, which keeps the
+    relative accuracy of the tiny eigenvalues of graded matrices where a
+    QR-type eigensolver loses it.  A block holding inf or NaN gives 0.0:
+    an entry past 1.8e308 puts lambda below 1 / 1.8e308^2."""
+    top, exp = _leading_top_eigs(table, gram=True)
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(1 / top, -exp)
 
@@ -770,13 +866,13 @@ def orthonormal_min_eigs(a, b, shift: int,
     """Smallest eigenvalue of every leading block of the Gram matrix of
     the spectral measure of a_0..a_{size-1} (a_0 = 1) and b_1..b_{size-1}
     in the basis x^l (shift 0: S_N) or U_l(x/2) (shift 1: the corner-top
-    C_T), as float64: ``_min_eigs`` of the ``_orthonormal_rows`` of
+    C_T), as float64: ``_min_eigs`` of the ``_orthonormal_table`` of
     alpha_k = b_{k+1} and sqrt(beta_k) = a_k, with no moment, response
-    or matrix formed.  The rows are float64 in DOUBLE and mpf at
-    EXTENDED_DPS digits otherwise.
+    or matrix formed.  The rows are float64 in DOUBLE; otherwise a and b
+    are lifted to mpf at EXTENDED_DPS digits and the rows built on ints.
     """
     mode = _eigen_mode(precision)
-    return _min_eigs(_orthonormal_rows(lift(b, mode), lift(a, mode), shift))
+    return _min_eigs(_orthonormal_table(lift(b, mode), lift(a, mode), shift))
 
 
 def gram_max_eigs(upper, precision: PrecisionMode) -> np.ndarray:
@@ -790,8 +886,8 @@ def gram_max_eigs(upper, precision: PrecisionMode) -> np.ndarray:
     The entries are lifted as for ``sym_eigenvalues``.  A float block
     holding inf or NaN, and a value beyond float64, gives inf.
     """
-    top, exp = _leading_top_eigs(lift(upper, _eigen_mode(precision)),
-                                 gram=True)
+    top, exp = _leading_top_eigs(
+        _frexp_table(lift(upper, _eigen_mode(precision))), gram=True)
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(top, exp)
 
@@ -833,36 +929,45 @@ def _frexp_fields(sign: int, man: int, exp: int, bc: int):
     return -mant if sign else mant, exp + bc
 
 
-def _leading_top_eigs(arr, gram=False):
-    """Largest eigenvalue of B_n = arr[:n, :n] (of B_n B_n^T when
-    ``gram``) for n = 1..columns, as (values, exponents) with lambda =
-    ldexp(value, exponent).  A ``gram`` array may have fewer rows than
-    columns; its B_n then keeps all of them.
-
-    Each block is scaled by a power of two that brings its largest entry
-    into [0.5, 1) before it is rounded to float64 for LAPACK, so mpf
-    entries beyond the float range neither overflow nor underflow.  A
-    float block holding inf or NaN, and every block after it, gets the
-    value inf and never reaches LAPACK.
-    """
-    if arr.dtype == object:
-        # only the nonzero entries are read: the triangle and, for a
-        # symmetric measure, the parity hold exact zeros
-        mant, exps = np.zeros(arr.shape), np.full(arr.shape, _ZERO_EXP)
-        nonzero = np.nonzero(arr)
-        if nonzero[0].size:
-            mant[nonzero], exps[nonzero] = zip(
-                *[_frexp_fields(*x._mpf_) for x in arr[nonzero]])
-    else:
+def _frexp_table(arr):
+    """(mantissas, exponents) of the entries of a float or mpf array as
+    frexp gives them, float64 and int64, with the exponent _ZERO_EXP for
+    a zero: the table ``_leading_top_eigs`` reads.  An mpf mantissa is
+    rounded to float64 as float() rounds it (``_frexp_fields``), and only
+    the nonzero entries are read, since a triangle of W holds exact zeros.
+    An mpf inf or NaN raises ValueError."""
+    if arr.dtype != object:
         mant, exps = np.frexp(arr)
         # int64 first: frexp's int32 exponents would wrap _ZERO_EXP to 0
-        exps = np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
-    rows, cols = arr.shape
+        return mant, np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
+    mant, exps = np.zeros(arr.shape), np.full(arr.shape, _ZERO_EXP)
+    nonzero = np.nonzero(arr)
+    if nonzero[0].size:
+        mant[nonzero], exps[nonzero] = zip(
+            *[_frexp_fields(*x._mpf_) for x in arr[nonzero]])
+    return mant, exps
+
+
+def _leading_top_eigs(table, gram=False):
+    """Largest eigenvalue of B_n = arr[:n, :n] (of B_n B_n^T when
+    ``gram``) for n = 1..columns, as (values, exponents) with lambda =
+    ldexp(value, exponent), from the frexp table (mantissas, exponents)
+    of arr (``_frexp_table`` or ``_int_table``).  A ``gram`` array may
+    have fewer rows than columns; its B_n then keeps all of them.
+
+    Each block is scaled by a power of two that brings its largest entry
+    into [0.5, 1) before it is rounded to float64 for LAPACK, so entries
+    beyond the float range neither overflow nor underflow.  A block
+    holding inf or NaN, and every block after it, gets the value inf and
+    never reaches LAPACK.
+    """
+    mant, exps = table
+    rows, cols = mant.shape
     corner = (np.minimum(np.arange(cols), rows - 1), np.arange(cols))
 
-    def per_block(table, ufunc):
+    def per_block(entries, ufunc):
         # entry n-1: ufunc over the whole block arr[:n, :n]
-        return ufunc.accumulate(ufunc.accumulate(table, 0), 1)[corner]
+        return ufunc.accumulate(ufunc.accumulate(entries, 0), 1)[corner]
 
     top = per_block(exps, np.maximum)
     finite = np.count_nonzero(per_block(np.isfinite(mant), np.minimum))

@@ -32,6 +32,7 @@ __all__ = [
     "NotAMomentSequenceError",
     "NotLimitCircleError",
     "ConditioningError",
+    "ComplexDataError",
     "ConditioningWarning",
     "PrecisionMode",
     "JacobiCoefficients",
@@ -76,6 +77,11 @@ class NotLimitCircleError(JacobiBCError):
 class ConditioningError(JacobiBCError):
     """Pivots or eigenvalues fell below the safe threshold for the active
     precision mode."""
+
+
+class ComplexDataError(JacobiBCError):
+    """A value that must be real, such as a datum of recovery or a
+    coefficient ``classify`` reads, is complex."""
 
 
 class ConditioningWarning(UserWarning):

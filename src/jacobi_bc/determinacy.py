@@ -64,7 +64,7 @@ from .dynamics import solve_finite
 from .spectral import (TAIL_WINDOW, _recurrence, eval_p_all, eval_q_all,
                        relative_tail)
 from ._multiprec import (gram_max_eigs, leading_eig_extremes, noise_floor,
-                         orthonormal_min_eigs)
+                         orthonormal_min_eigs, require_real)
 
 __all__ = [
     "Verdict",
@@ -266,11 +266,17 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     coefficients keep beta_T = 1).  The deficiency sums and circle
     bounds run to DEFICIENCY_DEPTH, or to the size of a finite family
     when that is smaller; they run in float64 in every mode, and a
-    coefficient beyond its range raises ConditioningError.
+    coefficient beyond its range raises ConditioningError, and a complex
+    one ComplexDataError.
     """
     notes = []
     # a finite family of size n holds a_0..a_{n-1} and b_1..b_n only
     size = min(n_max, coeffs.size) if coeffs.is_finite else n_max
+    # a finite family holds p_n and q_n for n <= its size only
+    depth = min(DEFICIENCY_DEPTH, coeffs.size or DEFICIENCY_DEPTH)
+    # every coefficient read below
+    require_real(coeffs.a_head(max(size, depth)), "a")
+    require_real(coeffs.b_head(max(size, depth)), "b", 1)
     # C_T = W_T^T W_T for the control-to-state map W_T, the rows 1..size
     # and times 1..n_max of the impulse field
     field = solve_finite(coeffs, size, [1], n_max, precision)
@@ -280,8 +286,6 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     lambda_seq[:size] = orthonormal_min_eigs(a, b, 0, precision)
     beta_seq[:size] = orthonormal_min_eigs(a, b, 1, precision)
 
-    # a finite family holds p_n and q_n for n <= its size only
-    depth = min(DEFICIENCY_DEPTH, coeffs.size or DEFICIENCY_DEPTH)
     deficiency_p, deficiency_q = deficiency_partial_sums(coeffs, depth)
     # an overflowed sum (inf) diverges
     deficiency_converged = (math.isfinite(deficiency_p[-1])

@@ -205,7 +205,7 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     """
     n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
     quantum = width_quantum(coef)
-    slices = (np.full(n_space + 2, coef[2, -1], dtype=out.dtype),)
+    slices = (np.zeros(n_space + 2, dtype=out.dtype),)
     slices += (slices[0].copy(),)
     sites = [as_strided(s, (3, n_space), s.strides * 2, writeable=False)
              for s in slices]

@@ -37,7 +37,7 @@ from .core import (
 )
 from .dynamics import response_vector
 from .moments import moments_to_response
-from ._multiprec import modified_chebyshev, pivot_floor
+from ._multiprec import modified_chebyshev, pivot_floor, require_real
 
 __all__ = ["RecoveryResult", "recover_from_response", "recover_from_moments"]
 
@@ -124,8 +124,9 @@ def recover_from_response(r, horizon: int,
                           precision: PrecisionMode = PrecisionMode.DOUBLE) -> RecoveryResult:
     """Coefficients from r_0..r_{2T-2}, the modified moments of the
     U_l(x/2) basis; a non-positive pivot, one of C_T, means r is the
-    response of no genuine system."""
+    response of no genuine system.  Complex data raise ComplexDataError."""
     rv = sequence_values(r)
+    require_real(rv, "r")
     a_rec, b_rec, _ = _recurrence(rv, horizon, 1, precision,
                                   NotAResponseVectorError)
     return _result(a_rec, b_rec, rv, horizon, "BoundaryControl", precision)
@@ -137,9 +138,11 @@ def recover_from_moments(s, horizon: int,
     pivot, one of S_T, means s are the moments of no positive measure.
 
     The converted response entries, other data in another basis, give an
-    independent recovery, and the two must agree within 1e-8.
+    independent recovery, and the two must agree within 1e-8.  Complex
+    data raise ComplexDataError.
     """
     sv = sequence_values(s)
+    require_real(sv, "s")
     a_rec, b_rec, _ = _recurrence(sv, horizon, 0, precision,
                                   NotAMomentSequenceError)
     converted = moments_to_response(sv[:2 * horizon - 1], precision).as_array()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jacobi_bc import (
+    ComplexDataError,
     ConditioningWarning,
     JacobiBCError,
     JacobiCoefficients,
@@ -236,6 +237,22 @@ ROUTE_FAMILIES = {"free": FREE, "geometric1.5": JacobiCoefficients.geometric(1.5
 
 def _relative_gap(got, want):
     return np.max(np.abs(np.asarray(got) / np.asarray(want) - 1))
+
+
+@pytest.mark.parametrize("precision", list(PrecisionMode))
+@pytest.mark.parametrize("coeffs, entry", [
+    (JacobiCoefficients.from_rules(lambda n: 1, lambda n: 0.5j), "b_1"),
+    (JacobiCoefficients.from_arrays([1, 1, 1j, 1], [0, 0, 0, 0]), "a_2"),
+    (JacobiCoefficients.from_arrays(
+        [1, _multiprec.lift([2 + 1j], PrecisionMode.EXTENDED)[0]], [0, 0]),
+     "a_1"),
+    # past n_max, where only the deficiency sums and circle bounds read it
+    (JacobiCoefficients.from_rules(lambda n: 1,
+                                   lambda n: 1j if n == 40 else 0), "b_40"),
+], ids=["complex_b", "complex_a", "mpc_a", "deep_b"])
+def test_classify_refuses_complex_coefficients(coeffs, entry, precision):
+    with pytest.raises(ComplexDataError, match=f"^{entry} = "):
+        classify(coeffs, 8, precision)
 
 
 class TestCoefficientRoute:

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from jacobi_bc import (
+    ComplexDataError,
     ConditioningError,
     InsufficientDataError,
     JacobiBCError,
@@ -197,6 +198,23 @@ def test_moment_recovery_simulates_once(monkeypatch):
 def test_short_data_is_insufficient(recover, data):
     with pytest.raises(InsufficientDataError):
         recover(data, 3)
+
+
+@pytest.mark.parametrize("precision", list(PrecisionMode))
+@pytest.mark.parametrize("recover, name", [(recover_from_response, "r"),
+                                           (recover_from_moments, "s")])
+@pytest.mark.parametrize("data, at", [
+    ([1 + 1j, 0, 1, 0, 2], 0),
+    # complex dtype: the first entry with a nonzero imaginary part
+    (np.array([1, 0, 2 + 0j, 0.5j, 2]), 3),
+    (np.array([1, 0, 1, 0, lift([1j], PrecisionMode.EXTENDED)[0]],
+              dtype=object), 4),
+], ids=["complex", "complex128", "mpc"])
+def test_complex_data_are_refused(recover, name, data, at, precision):
+    # one validation error naming the entry, in every mode; no imaginary
+    # part is dropped on the way
+    with pytest.raises(ComplexDataError, match=f"^{name}_{at} = "):
+        recover(data, 3, precision)
 
 
 def _factor_and_extract(matrix, precision):

@@ -21,7 +21,10 @@ same way.  The sweeps, the residual products and the refined solution
 of ``gram_solve`` on the integer form are checked bit for bit against
 the fdot sweeps they replace.  The orthonormal tables of symmetric
 measures, built on one parity, are checked bit for bit against the
-stride-one builder they replace.
+stride-one builder they replace.  The tables of the object modes, built
+on Python ints, are checked byte for byte against the frexp tables of
+the mpf rows they replace, and must err no more than those rows against
+the exact table of the same values.
 """
 
 import math
@@ -69,10 +72,14 @@ from jacobi_bc._multiprec import (
     _array_rows,
     _finite,
     _frexp_fields,
+    _frexp_table,
+    _int_table,
     _leading_top_eigs,
     _min_eigs,
     _norm,
+    _orthonormal_ints,
     _orthonormal_rows,
+    _orthonormal_table,
     _plus_basis_shift,
     _top_eigenvalue,
     dot,
@@ -201,7 +208,8 @@ def _factored_min_eigs(matrix):
     inv = np.eye(work.shape[0], dtype=object)
     for i in range(1, work.shape[0]):
         inv[i, :i] = -(low[i, :i] @ inv[:i, :i])
-    top, exp = _leading_top_eigs(inv * (piv ** -0.5)[:, None], gram=True)
+    top, exp = _leading_top_eigs(_frexp_table(inv * (piv ** -0.5)[:, None]),
+                                 gram=True)
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(1 / top, -exp)
 
@@ -498,8 +506,8 @@ def _product_extremes(matrix, nu, shift, precision):
     recurrence = _product_chebyshev(lift(nu[:2 * size - 1], precision),
                                     size, shift)
     q_top, q_exp = _leading_top_eigs(
-        _product_orthonormal_rows(*recurrence, shift), gram=True)
-    a_top, a_exp = _leading_top_eigs(lift(matrix, precision))
+        _frexp_table(_product_orthonormal_rows(*recurrence, shift)), gram=True)
+    a_top, a_exp = _leading_top_eigs(_frexp_table(lift(matrix, precision)))
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(1 / q_top, -q_exp), np.ldexp(a_top, a_exp)
 
@@ -648,7 +656,7 @@ def test_extended_recurrence_is_no_worse_than_the_product_form(data):
     against the exact recurrence of those values (RATIONAL, on their
     exact Fractions): the integer rows err no more in sigma_kk, alpha_k
     and beta_k than the mpf rows of the product form.  leading_eig_extremes
-    feeds ``_orthonormal_rows`` the same alpha_k and the roots of the
+    feeds ``_orthonormal_table`` the same alpha_k and the roots of the
     same sigma_00 and beta_k."""
     nu, size, shift = data
     other = mpmath.MPContext()
@@ -661,9 +669,9 @@ def test_extended_recurrence_is_no_worse_than_the_product_form(data):
     for new, old in zip(_errors(got, exact), _errors(want, exact)):
         assert new <= old
     fed = []
-    with mock.patch.object(_multiprec, "_orthonormal_rows",
+    with mock.patch.object(_multiprec, "_orthonormal_table",
                            side_effect=lambda *args: fed.append(args)
-                           or _orthonormal_rows(*args)):
+                           or _orthonormal_table(*args)):
         leading_eig_extremes(_gram_matrix(nu, size, shift), nu, shift,
                              EXTENDED)
     (alpha, root_beta, fed_shift), = fed
@@ -786,13 +794,13 @@ def test_leading_top_eigs_equal_the_wrapped_route(rng):
     top = lift(connecting_from_response(r, 40).matrix, EXTENDED)
     # an orthonormal table of a symmetric measure: zeros of the triangle
     # and of the parity, which the object route reads no fields of
-    rows = _orthonormal_rows(lift([0] * 23, EXTENDED),
-                             lift(GEO3.a_head(24), EXTENDED), 0)
+    rows = _mpf_orthonormal_rows(lift([0] * 23, EXTENDED),
+                                 lift(GEO3.a_head(24), EXTENDED), 0)
     blocks = [top, rows, _random_block(rng, 30, True),
               lift(_random_block(rng, 30, True), EXTENDED)]
     for arr in blocks:
         for gram in (False, True):
-            got = _leading_top_eigs(arr, gram)
+            got = _leading_top_eigs(_frexp_table(arr), gram)
             want = _wrapped_top_eigs(arr, gram)
             assert got[0].tobytes() == want[0].tobytes()
             assert list(got[1]) == list(want[1])
@@ -806,11 +814,12 @@ def test_leading_top_eigs_of_float_and_mpf_copies_agree():
                         [0.0, 0.125, 3e-5]])]
     for block in blocks:
         for gram in (False, True):
-            values, exps = _leading_top_eigs(block, gram)
-            mp_values, mp_exps = _leading_top_eigs(lift(block, EXTENDED), gram)
+            values, exps = _leading_top_eigs(_frexp_table(block), gram)
+            mp_values, mp_exps = _leading_top_eigs(
+                _frexp_table(lift(block, EXTENDED)), gram)
             assert values.tobytes() == mp_values.tobytes()
             assert list(exps) == list(mp_exps)
-    values, exps = _leading_top_eigs(blocks[0])
+    values, exps = _leading_top_eigs(_frexp_table(blocks[0]))
     assert list(exps) == [-996, -996]
 
 
@@ -836,7 +845,7 @@ def test_infinite_or_nan_entries_are_refused(name):
     block = lift([[1, 0], [0, 1]], EXTENDED)
     block[1, 1] = bad
     with pytest.raises(ValueError):
-        _leading_top_eigs(block)
+        _frexp_table(block)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -850,7 +859,7 @@ def test_blocks_from_a_non_finite_entry_are_inf(monkeypatch, bad):
                         lambda block: sizes.append(len(block)) or top(block))
     arr = np.array([[2.0, 1.0, 0.0], [0.0, bad, 1.0], [0.0, 0.0, 3.0]])
     for gram in (False, True):
-        values, exps = _leading_top_eigs(arr, gram)
+        values, exps = _leading_top_eigs(_frexp_table(arr), gram)
         assert np.ldexp(values[0], exps[0]) == (4.0 if gram else 2.0)
         assert list(values[1:]) == [np.inf, np.inf]
     assert sizes == [1, 1]
@@ -860,7 +869,7 @@ def test_gram_blocks_of_a_wide_array(rng):
     # W with fewer rows than columns and W[i, j] = 0 for i > j, as the
     # control operator of a finite family: lambda_max(W[:, :n]^T W[:, :n])
     wide = np.triu(rng.standard_normal((3, 7)))
-    values, exps = _leading_top_eigs(wide, gram=True)
+    values, exps = _leading_top_eigs(_frexp_table(wide), gram=True)
     want = [np.linalg.eigvalsh(wide[:, :n].T @ wide[:, :n])[-1]
             for n in range(1, 8)]
     assert np.allclose(np.ldexp(values, exps), want, rtol=1e-13, atol=0)
@@ -1071,13 +1080,39 @@ def _stride_one_rows(alpha, root_beta, shift):
     return coef
 
 
+def _mpf_orthonormal_rows(alpha, root_beta, shift):
+    """``_orthonormal_rows`` as it was when it also built the rows of the
+    object modes in mpf, kept verbatim as the oracle of the integer
+    rows."""
+    n = root_beta.size
+    step = 1 if any(alpha) else 2
+    # zeros of the number type: the rows' upper triangle stays zero
+    coef = np.full((n, n), root_beta[0] * 0, dtype=root_beta.dtype)
+    coef[0, 0] = 1 / root_beta[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            lo = (k + 1) % step
+            nxt = coef[k + 1, lo:k + 2:step]
+            below = len(range(lo, k, step))     # entries l < k
+            nxt[1 - lo:] = coef[k, k % step:k + 1:step]
+            _plus_basis_shift(nxt[:below], coef[k, lo + 1:k + 1:step], shift)
+            if step == 1:
+                nxt[:k + 1] -= coef[k, :k + 1] * alpha[k]
+            if k:
+                nxt[:below] -= coef[k - 1, lo:k:step] * root_beta[k]
+            nxt /= root_beta[k + 1]
+    return coef
+
+
 def _same_where_finite(got, want):
-    """The entries of ``got`` equal those of ``want``, bit for bit (an
-    mpf by its fields), wherever ``want`` is finite."""
-    if want.dtype == object:
-        return ([x._mpf_ for x in got.flat] == [x._mpf_ for x in want.flat])
+    """The entries of the float ``got`` equal those of ``want``, bit for
+    bit, wherever ``want`` is finite."""
     finite = np.isfinite(want)
     return got[finite].tobytes() == want[finite].tobytes()
+
+
+def _table_bytes(table):
+    return [part.tobytes() for part in table]
 
 
 def _family_rows(coeffs, n_max, shift, precision):
@@ -1133,10 +1168,15 @@ _SKEWED = JacobiCoefficients.from_arrays(
 def test_parity_rows_equal_the_stride_one_rows(family):
     coeffs, n_max, shift, precision = family
     rows = _family_rows(coeffs, n_max, shift, precision)
-    got, want = _orthonormal_rows(*rows), _stride_one_rows(*rows)
-    assert got.dtype == want.dtype
-    assert _same_where_finite(got, want)
-    assert _min_eigs(got).tobytes() == _min_eigs(want).tobytes()
+    want = _stride_one_rows(*rows)
+    if precision is EXTENDED:    # the integer rows, read into the table
+        got = _orthonormal_table(*rows)
+        assert _table_bytes(got) == _table_bytes(_frexp_table(want))
+    else:
+        got = _orthonormal_rows(*rows)
+        assert _same_where_finite(got, want)
+        got = _frexp_table(got)
+    assert _min_eigs(got).tobytes() == _min_eigs(_frexp_table(want)).tobytes()
 
 
 def test_overflowed_double_rows_keep_their_zeros():
@@ -1157,8 +1197,8 @@ def test_exact_symmetric_data_take_the_parity_rows(monkeypatch, shift):
     r = response_vector(GEO3, 47, RATIONAL).as_array()
     s = response_to_moments(r, RATIONAL).as_array()
     alphas = []
-    parity = _multiprec._orthonormal_rows
-    monkeypatch.setattr(_multiprec, "_orthonormal_rows",
+    parity = _multiprec._orthonormal_table
+    monkeypatch.setattr(_multiprec, "_orthonormal_table",
                         lambda alpha, *rest: alphas.append(alpha)
                         or parity(alpha, *rest))
 
@@ -1172,9 +1212,75 @@ def test_exact_symmetric_data_take_the_parity_rows(monkeypatch, shift):
     got = run()
     assert len(alphas) == 1 and alphas[0].size == 23
     assert not any(alphas[0])
-    monkeypatch.setattr(_multiprec, "_orthonormal_rows", _stride_one_rows)
+    monkeypatch.setattr(_multiprec, "_orthonormal_table",
+                        lambda *rows: _frexp_table(_stride_one_rows(*rows)))
     want = run()
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+# -- the integer rows of the object modes ---------------------------------
+
+_RANDOM_B = JacobiCoefficients.from_arrays(
+    [1.0] + np.random.default_rng(64).uniform(0.25, 4.0, 64).tolist(),
+    np.random.default_rng(65).uniform(-2.0, 2.0, 64).tolist())
+_CARLEMAN_09 = JacobiCoefficients.from_rules(lambda n: (n + 1) ** 0.9,
+                                             lambda n: 0)
+
+
+def _worst_error(values, exact):
+    """max |v - e| / |e| over the entries, both given as exact Fractions;
+    an exact zero is matched only by a zero."""
+    worst = Fraction(0)
+    for v, e in zip(values, exact, strict=True):
+        if not e:
+            if v:
+                return math.inf
+        else:
+            worst = max(worst, abs(v - e) / abs(e))
+    return worst
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(family=_row_families())
+# the pinned diagnose case
+@example(family=(GEO3, 30, 0, EXTENDED))
+@example(family=(GEO3, 30, 1, EXTENDED))
+@example(family=(_RANDOM_B, 64, 0, EXTENDED))
+@example(family=(_RANDOM_B, 64, 1, EXTENDED))
+@example(family=(_CARLEMAN_09, 128, 0, EXTENDED))
+@example(family=(_CARLEMAN_09, 128, 1, EXTENDED))
+def test_integer_tables_equal_those_of_the_mpf_rows(family):
+    """The integer rows, read into the table with no mpf, give the frexp
+    table of the mpf rows byte for byte, hence the same lambda_min of
+    every block; against the exact table of the same lifted values they
+    err no more than the mpf rows."""
+    coeffs, n_max, shift, _ = family
+    rows = _family_rows(coeffs, n_max, shift, EXTENDED)
+    mpf_rows = _mpf_orthonormal_rows(*rows)
+    got, want = _orthonormal_table(*rows), _frexp_table(mpf_rows)
+    assert _table_bytes(got) == _table_bytes(want)
+    assert _min_eigs(got).tobytes() == _min_eigs(want).tobytes()
+    exact = _stride_one_rows(*[np.array([_exact_fraction(x) for x in part],
+                                        dtype=object) for part in rows[:2]],
+                             shift)
+    lower = [(k, l) for k in range(len(exact)) for l in range(k + 1)]
+    ints = [Fraction(x) * Fraction(2) ** exp
+            for row, exp in _orthonormal_ints(*rows) for x in row]
+    assert (_worst_error(ints, [exact[at] for at in lower])
+            <= _worst_error([_exact_fraction(mpf_rows[at]) for at in lower],
+                            [exact[at] for at in lower]))
+
+
+@pytest.mark.parametrize("value", [
+    # a tie at float64's last bit, to even; a bit far below breaks it
+    (1 << 1100) + (1 << 1047), (1 << 1100) + (1 << 1047) + 1,
+    # rounds up to a mantissa of 1.0
+    (1 << 1101) - 1, -((1 << 1100) + (3 << 1046)), 3 ** 700, 3 ** 20])
+def test_int_table_rounds_wide_ints_to_nearest(value):
+    bits = abs(value).bit_length()
+    mant, exps = _int_table([([value], -7)])
+    assert mant[0, 0] == float(Fraction(value, 1 << bits))
+    assert exps[0, 0] == bits - 7
 
 
 # -- the matrix-vector dot product of the factorization -------------------
