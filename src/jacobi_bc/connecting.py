@@ -30,7 +30,7 @@ from .core import (
 from .dynamics import control_operator
 from .moments import HankelMatrix, _transform_matrix
 from .spectral import chebyshev_all
-from ._multiprec import mode_of, pd_factor, sym_eigenvalues
+from ._multiprec import mode_of, pd_factor, require_real, sym_eigenvalues
 
 __all__ = [
     "ConnectingMatrix",
@@ -193,6 +193,7 @@ def validate_response(r, size: int,
     verdict and its certificate come from the same eigen-solve: the
     smallest eigenvalue must be positive.
     """
+    require_real(sequence_values(r), "r")
     certificate = connecting_from_response(r, size).min_eigenvalue(precision)
     return ResponseValidation(accepted=certificate > 0,
                               min_eigenvalue=certificate)

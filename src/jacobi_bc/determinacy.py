@@ -100,10 +100,11 @@ def connecting_eig_sequences(r, t_max: int,
     beta non-increasing and gamma non-decreasing (the corner-top blocks
     are nested, so eigenvalues interlace) up to the noise floor.
     """
+    rv = sequence_values(r)
+    require_real(rv, "r")
     # corner-top blocks are nested, so one build serves every horizon
     beta, gamma = leading_eig_extremes(
-        connecting_from_response(r, t_max).matrix, sequence_values(r), 1,
-        precision)
+        connecting_from_response(r, t_max).matrix, rv, 1, precision)
     norms = np.maximum(np.abs(beta), np.abs(gamma))
     slack = _MONOTONE_SLACK + noise_floor(norms[1:], precision)
     # compared without subtracting, so an overflowed gamma passes after

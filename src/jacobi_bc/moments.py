@@ -27,7 +27,7 @@ from .core import (
     sequence_values,
 )
 from ._multiprec import (above_noise, dot, dot_operand, leading_eig_extremes,
-                         lift, lift_ints)
+                         lift, lift_ints, require_real)
 
 __all__ = [
     "HankelMatrix",
@@ -202,6 +202,7 @@ def hankel_min_eigs(s, n_max: int,
     exponentially ill-conditioned).
     """
     sv = sequence_values(s)
+    require_real(sv, "s")
     mins, maxs = leading_eig_extremes(build_hankel(sv, n_max).matrix, sv, 0,
                                       precision)
     noisy = np.flatnonzero(~above_noise(mins, maxs, precision))

@@ -5,17 +5,20 @@ import pytest
 from mpmath import mpf
 
 from jacobi_bc import (
+    ComplexDataError,
     ConnectingMatrix,
     InsufficientDataError,
     JacobiCoefficients,
     PrecisionMode,
     build_hankel,
     chebyshev_transform,
+    connecting_eig_sequences,
     connecting_from_hankel,
     connecting_from_response,
     connecting_from_spectrum,
     control_operator,
     gram_from_control,
+    hankel_min_eigs,
     response_to_moments,
     response_vector,
     spectral_data,
@@ -299,3 +302,16 @@ class TestValidateResponse:
                         ([1.0], 1)):
             verdict = validate_response(r, size, precision)
             assert verdict.accepted == (verdict.min_eigenvalue > 0)
+
+
+@pytest.mark.parametrize("precision", list(PrecisionMode))
+@pytest.mark.parametrize("route, name", [
+    (hankel_min_eigs, "s"),
+    (connecting_eig_sequences, "r"),
+    (validate_response, "r"),
+], ids=["hankel_min_eigs", "connecting_eig_sequences", "validate_response"])
+def test_data_eigenvalue_routes_refuse_complex_data(route, name, precision):
+    # refused as recovery refuses it, before any eigenvalue work, in every
+    # mode; none of them ends in an internal error or drops the imaginary part
+    with pytest.raises(ComplexDataError, match=f"^{name}_0 = "):
+        route([1 + 1j, 0, 1, 0, 2], 3, precision)
