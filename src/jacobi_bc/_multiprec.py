@@ -2,16 +2,14 @@
 
 DOUBLE keeps float64/complex128 ndarrays on LAPACK.  The eigenvalues of
 float blocks, the extremes of every mode and DOUBLE ``sym_eigenvalues``,
-come from numpy's LAPACK (``np.linalg.eigvalsh``).  scipy.linalg, which
-``lapack`` loads by its first call, serves only the DOUBLE factorization
-and sweeps and ``spectral_data``, so a process that never reaches them
-never imports scipy.  EXTENDED lifts values to object arrays of
-mpf from a private mpmath context fixed at EXTENDED_DPS digits, and
-RATIONAL to object arrays of Fraction, exact wherever no root or
-eigenvalue is needed.  Hankel and connecting matrices of rapidly growing
-coefficient families span hundreds of orders of magnitude, putting their
-smallest eigenvalues far below the float64 noise floor (~eps *
-||matrix||); the object modes exist for them.
+come from numpy's LAPACK (``np.linalg.eigvalsh``); scipy's, through
+``lapack``, only where a DOUBLE step needs it.  EXTENDED lifts values to
+object arrays of mpf from a private mpmath context fixed at EXTENDED_DPS
+digits, and RATIONAL to object arrays of Fraction, exact wherever no root
+or eigenvalue is needed.  Hankel and connecting matrices of rapidly
+growing coefficient families span hundreds of orders of magnitude,
+putting their smallest eigenvalues far below the float64 noise floor
+(~eps * ||matrix||); the object modes exist for them.
 
 An mpf computes in the context it belongs to, so EXTENDED values carry
 their 50 digits into every module with no precision switch at the call
@@ -21,82 +19,40 @@ mantissa kept, and an mpf of the private context is kept as it is; one
 passed to a dtype-keeping function such as ``connecting_from_response``
 computes in the caller's own context.
 
-The pipeline modules write each step once, independent of dtype, on top
-of what this module provides:
+The pipeline modules write each step once, independent of dtype, on the
+steps this module provides: lifting and refusing data (``lift``,
+``require_real``) and its floors, the forward sweep (``forward_sweep``),
+Wheeler's recurrence (``modified_chebyshev``), the eigenvalue sequences
+read off Q = diag(d)^-1/2 L^-1 for A = L diag(d) L^T, the table of the
+orthonormal polynomials (``orthonormal_min_eigs``,
+``leading_eig_extremes``, ``gram_max_eigs``), ``sym_eigenvalues``, one
+positive-definite factorization and solve (``pd_factor``,
+``mp_pd_solve``, ``gram_solve``) and the contraction ``dot``.
 
-* ``lift`` (and ``lift_ints`` for exact integer coefficients), the
-  refusal of complex data (``require_real``), the per-mode noise floor
-  of data input, the pivot floor, and the width quantum of the float
-  forward sweep (``width_quantum``);
-* the forward sweep of ``dynamics`` on object rows (``forward_sweep``);
-* Wheeler's modified Chebyshev recurrence (``modified_chebyshev``) on
-  moments or a response.  Recovery reads the coefficients off it;
-* the frexp table (``_orthonormal_table``) of Q = diag(d)^-1/2 L^-1
-  of the Hankel or connecting matrix A = L diag(d) L^T, the coefficient
-  table of the orthonormal polynomials, in O(n^2) operations by their
-  three-term recurrence in normalized form, on one parity of each row
-  when every alpha_k is zero (a symmetric measure).  DOUBLE builds float64
-  rows (``_orthonormal_rows``); both object modes build rows of Python
-  ints (``_orthonormal_ints``), each an exact numerator divided once, and
-  read every int straight into the float64 table (``_int_table``), with
-  no mpf made per entry.  ``orthonormal_min_eigs`` feeds it Jacobi
-  coefficients (``classify``), and ``leading_eig_extremes`` the
-  recurrence coefficients Wheeler's algorithm reads off data; both read
-  the smallest eigenvalue of every nested leading block off Q.
-  ``gram_max_eigs`` reads the largest one of W^T W off an
-  upper-triangular W, such as the simulated control operator.  The
-  float rows of Q and of the recurrence add the basis shift x pi_l =
-  pi_{l+1} + shift pi_{l-1} without multiplying by it when shift is 1,
-  and keep 0 * row when it is 0, since it decides the signs of zeros;
-* ``sym_eigenvalues`` for single matrices and, block by block, for
-  matrices that are not positive definite;
-* one positive-definite factorization (``pd_factor``) and one
-  substitute-and-refine loop for positive-definite solves;
-* ``dot``, the contraction of the factorization, of that loop, of the
-  moment-response transforms and of the Krein kernel: when an operand
-  holds mpf or mpc of the EXTENDED context, its values are read exactly
-  off the mpf fields as Python ints over one power of two (``_Fixed``),
-  and each sum is formed exactly by int products and rounded once,
-  where numpy's object ``@`` rounds after every product and add through
-  mpmath's Python operators.  Float and Fraction operands go to ``@``
-  and keep its bits.  The row products of ``pd_factor`` use it, on rows
-  of L held in that form and grown by one entry per column; the
-  two sweeps and the residual products of ``mp_pd_solve`` and
-  ``gram_solve`` and the residual norm use the same integer form, with
-  the factor and the matrix converted once per solve and the solution
-  extended entry by entry as the sweeps produce it.  The transforms
-  between moments and responses convert the moments once
-  (``dot_operand``) and sum each row against a slice of that form.
-  ``connecting._lower_product``, whose products are matrix-matrix ones,
-  keeps ``@``.
+Float arrays take numpy and LAPACK.  Object arrays take four loops on
+Python ints, each one for both object modes: the recurrence
+(``_integer_rows``), the sweep (``_integer_sweep``), the rows of Q
+(``_orthonormal_ints``) and the sums of ``dot`` and the solves
+(``_Ints.dot``).  They share one integer form, ``_Ints``: a vector as
+Python ints over one scale den * 2^exp, with an imaginary part only when
+some value is an mpc.  ``_read`` takes numbers into it exactly;
+``_normalised`` keeps its ints short, RATIONAL by one gcd per vector,
+for the canonical Fractions, EXTENDED by rounding to nearest so that the
+smallest nonzero int keeps _ROW_BITS bits, the precision and 64 guard
+bits; ``_emitted`` gives back Fractions, mpf or mpc rounded once, or
+frexp fields.  An EXTENDED value so keeps 64 bits more than an mpf and
+is rounded once where mpf arithmetic rounds at every step, but the ints
+span the exponent range of the vector, which has no bound for mpf
+values, and so does the cost.  On the benchmark's families (2-vCPU
+host) the recurrence of a T = 40 recovery takes about 3 ms where rows
+of mpf took 19 ms, and an EXTENDED W_T at T = 40 about 3.6 ms where
+slices of mpf took 12.6 ms.  A sum of ``dot`` is rounded once where
+numpy's object ``@`` rounds after every product and add; float and
+Fraction operands keep ``@`` and its bits.
 
-The loop takes its factor from one of two places: ``mp_pd_solve`` forms
-it with ``pd_factor`` from a matrix (data input: connecting and Hankel
-blocks), and ``gram_solve`` solves W^T W x = rhs on an upper-triangular W
-alone, whose transpose is the factor, so W^T W is never formed (the Krein
-kernel from coefficients).  The factorization and the sweeps are
-places with two paths: float arrays go to LAPACK, object arrays to
-substitutions in their own arithmetic.  The recurrence is the third:
-DOUBLE runs its rows as float64 arrays, testing only the scalars it
-reads off them for inf or NaN, and both object modes run one
-loop (``_integer_rows``) on rows of Python ints over one scale per row,
-den * 2^exp, read exactly off the Fractions or the mpf fields.  Only the
-normaliser of a new row and the rounding of sigma_kk, alpha_k and beta_k
-(none in RATIONAL) tell the modes apart.  RATIONAL divides the row by
-its gcd, so it pays one gcd per row instead of one per Fraction
-operation and returns the same Fractions.  EXTENDED rounds the row so
-that its smallest nonzero entry keeps _ROW_BITS bits (the precision and
-64 guard bits) and rounds each returned sigma_kk, alpha_k and beta_k
-once; on the moments and responses of the T = 40 recoveries it takes
-about 3 ms where rows of mpf took 19 ms (2-vCPU host), and it is closer
-to the exact recurrence of the same values.  The forward sweep is the
-fourth: float rows run the numpy kernel of ``dynamics``, and both object
-modes run one loop (``_integer_sweep``) on time slices of ints over one
-scale, with the same two normalisers; an EXTENDED W_T at T = 40 takes
-about 3.6 ms where slices of mpf took 12.6 ms (same host).  In products
-of an object array with an mpf scalar the array goes on the left: an mpf
-on the left makes mpmath format the whole array for an error message
-before numpy's reflected operator takes over.
+In products of an object array with an mpf scalar the array goes on the
+left: an mpf on the left makes mpmath format the whole array for an
+error message before numpy's reflected operator takes over.
 """
 
 from __future__ import annotations
@@ -316,11 +272,8 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
     orthogonal p_k: alpha_k (k < size - 1) and beta_k = sigma_kk /
     sigma_{k-1,k-1} (k < size, beta_0 = 0).  Row k holds sigma_{k,l} =
     int p_k pi_l dmu, l = k..2 size - 2 - k.  DOUBLE runs the rows as
-    float64 arrays (``_array_rows``).  EXTENDED and RATIONAL run them as
-    Python ints over one scale per row (``_integer_rows``): RATIONAL
-    exactly, returning the canonical Fractions, and EXTENDED on rows
-    rounded to _ROW_BITS bits, returning each sigma_kk, alpha_k and
-    beta_k as an mpf rounded once.  Raises ConditioningError on an inf
+    float64 arrays (``_array_rows``), the object modes on the integer
+    form (``_integer_rows``).  Raises ConditioningError on an inf
     or NaN value (for DOUBLE, on an overflowed row, before its pivot is
     tested) and np.linalg.LinAlgError on a pivot that is not positive.
     """
@@ -406,48 +359,191 @@ def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
     _array_rows(start, size, shift, pivots, alpha, beta, checked=True)
 
 
-# Every nonzero entry of an EXTENDED integer row keeps at least this many
-# bits, and the alpha_k and beta_k that build the next row keep this
-# many: the context's precision and 64 guard bits.
+# Every nonzero entry of an EXTENDED integer vector keeps at least this
+# many bits: the context's precision and 64 guard bits.
 _ROW_BITS = _EXTENDED.prec + 64
+
+
+class _Ints:
+    """The integer form: value k is (re[k] + i im[k]) / den * 2^exp
+    exactly; ``im`` is None while every value is real, den is 1 but for
+    Fractions, and exp may be None only while every value is zero."""
+
+    __slots__ = ("re", "im", "den", "exp")
+
+    def __init__(self, re: list, im=None, den: int = 1, exp=None):
+        self.re, self.im, self.den, self.exp = re, im, den, exp
+
+    def parts(self, count: int) -> list:
+        """[re], or [re, im] for two, im zeros for real values."""
+        return [self.re, self.im or [0] * len(self.re)][:count]
+
+    def __getitem__(self, index: slice) -> "_Ints":
+        return _Ints(self.re[index], None if self.im is None else
+                     self.im[index], self.den, self.exp)
+
+    def extend(self, values) -> None:
+        """Append ``values``, read by ``_read``, on the finer scale."""
+        new = _read(values)
+        exp = (new.exp if self.exp is None else self.exp if new.exp is None
+               else min(self.exp, new.exp))
+        den = self.den if self.den == new.den else math.lcm(self.den, new.den)
+        for vec in (self, new):
+            up = 0 if vec.exp is None else vec.exp - exp
+            if up or den != vec.den:
+                factor = den // vec.den
+                vec.re = [x * factor << up for x in vec.re]
+                vec.im = vec.im and [x * factor << up for x in vec.im]
+            vec.den, vec.exp = den, exp
+        if self.im is not None or new.im is not None:
+            self.im = self.im or [0] * len(self.re)
+            self.im += new.im or [0] * len(new.re)
+        self.re += new.re
+
+    def dot(self, other: "_Ints"):
+        """sum_k self_k other_k over the shorter of the two, exact and
+        rounded once: an mpc when either holds an im, else an mpf."""
+        real, imag = sum(map(mul, self.re, other.re)), 0
+        if other.im is not None:
+            imag += sum(map(mul, self.re, other.im))
+        if self.im is not None:
+            imag += sum(map(mul, self.im, other.re))
+            if other.im is not None:
+                real -= sum(map(mul, self.im, other.im))
+        exp, den = (self.exp or 0) + (other.exp or 0), self.den * other.den
+        if self.im is None and other.im is None:    # one value, one _round
+            return _EXTENDED.make_mpf(_round(real, exp, den))
+        return _EXTENDED.make_mpc((_round(real, exp, den),
+                                   _round(imag, exp, den)))
+
+
+def _read(values) -> _Ints:
+    """``values`` as one _Ints, exactly: ints and Fractions alone as they
+    are, mpf and mpc off their fields, and any other number among these
+    (float, complex, Fraction) as ``_EXTENDED.convert`` makes it, as
+    mpmath's ``fdot`` takes it; inf and NaN raise ConditioningError."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return _Ints(list(values), None, 1, 0 if values else None)
+    if kinds <= {int, Fraction}:
+        den = math.lcm(*[x.denominator for x in values])
+        return _Ints([x.numerator * (den // x.denominator) for x in values],
+                     None, den, 0)
+
+    def fields(x):    # the mpf fields of the real and the imaginary part
+        cls = type(x)
+        if cls is _MPF:
+            return x._mpf_, None
+        if cls is _MPC:
+            return x._mpc_
+        return fields(_EXTENDED.convert(x))
+
+    if kinds == {_MPF}:
+        flat, imags = [x._mpf_ for x in values], ()
+    else:
+        flat, imags = zip(*map(fields, values))
+    complex_ = any(imags)
+    if complex_:
+        flat += tuple([im or fzero for im in imags])
+    exps = [e for _, m, e, _ in flat if m]
+    if len(exps) < len(flat) and any([e for _, m, e, _ in flat if not m]):
+        raise ConditioningError(    # the fields of inf and NaN
+            "a value is inf or NaN, which the integer form cannot hold")
+    exp = min(exps) if exps else None
+    ints = [(-m if s else m) << e - exp if m else 0 for s, m, e, _ in flat]
+    if not complex_:
+        return _Ints(ints, None, 1, exp)
+    return _Ints(ints[:len(values)], ints[len(values):], 1, exp)
+
+
+def _normalised(vec: _Ints, kind, divide: bool = False) -> _Ints:
+    """``vec`` with short ints for numbers of ``kind`` (see ``_emitted``):
+    RATIONAL divides them and den by their gcd; EXTENDED rounds them to
+    nearest so that the smallest nonzero one keeps _ROW_BITS bits (or one
+    more), to ``divide`` after dividing them exactly by den."""
+    ints, den, exp = vec.re if vec.im is None else vec.re + vec.im, 1, vec.exp
+    if kind is Fraction:
+        den = math.gcd(vec.den, *ints)
+        ints, den = [x // den for x in ints], vec.den // den
+    else:
+        least = min(map(int.bit_length, filter(None, ints)), default=_ROW_BITS)
+        if divide:
+            keep = _ROW_BITS + vec.den.bit_length() - least
+            up, down = max(keep, 0) + 1, vec.den << max(-keep, 0)
+            ints = [((x << up) // down + 1) >> 1 for x in ints]
+            exp -= keep
+        elif least > _ROW_BITS:
+            drop = least - _ROW_BITS
+            half = 1 << drop - 1
+            ints, exp = [(x + half) >> drop for x in ints], exp + drop
+        else:
+            return vec
+    if vec.im is None:
+        return _Ints(ints, None, den, exp)
+    return _Ints(ints[:len(vec.re)], ints[len(vec.re):], den, exp)
+
+
+def _quotient(man: int, den: int):
+    """(quo, rem, extra): |man| / den = (quo + rem / den) 2^-extra."""
+    extra = _ROW_BITS - man.bit_length() + den.bit_length()
+    if extra >= 0:
+        return (*divmod(abs(man) << extra, den), extra)
+    return (*divmod(abs(man), den << -extra), extra)
+
+
+def _round(man: int, exp: int, den: int = 1):
+    """The mpf fields of man / den * 2^exp rounded to nearest once.  A den
+    > 1 is divided out with a sticky bit for the remainder, which rounds
+    as the exact quotient does."""
+    if den != 1:
+        quo, rem, extra = _quotient(man, den)
+        quo = quo << 1 | (rem != 0)
+        man, exp = -quo if man < 0 else quo, exp - extra - 1
+    if man < 0:
+        return normalize(1, -man, exp, (-man).bit_length(), _EXTENDED.prec,
+                         round_nearest)
+    return normalize(0, man, exp, man.bit_length(), _EXTENDED.prec,
+                     round_nearest)
+
+
+def _emitted(vec: _Ints, kind, zero=None, mpc: int = -1) -> list:
+    """``vec`` as Fractions (exp 0); as _MPF, each rounded once, an mpc
+    where ``vec`` has an im and bit k of ``mpc`` is set, ``zero`` if given
+    for a real zero; or as the float frexp fields of re[k] 2^exp (den 1),
+    rounded to nearest as float() and true division round an int."""
+    re, den, exp, make_mpf = vec.re, vec.den, vec.exp or 0, _EXTENDED.make_mpf
+    if kind is _MPF and vec.im is None:
+        return [make_mpf(_round(x, exp, den)) if x or zero is None else zero
+                for x in re]
+    if kind is _MPF:
+        return [_EXTENDED.make_mpc((_round(x, exp, den), _round(y, exp, den)))
+                if mpc >> k & 1 else make_mpf(_round(x, exp, den))
+                if x or zero is None else zero
+                for k, (x, y) in enumerate(zip(re, vec.im))]
+    if kind is Fraction:
+        return [Fraction(x, den) for x in re]
+    return [(math.ldexp(x, -b) if b < 1024 else x / (1 << b),
+             exp + b if b else 0) for x, b in zip(re, map(int.bit_length, re))]
 
 
 def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
                   alpha: list, beta: list) -> None:
-    """``_wheeler_rows`` on an object row of Fractions (RATIONAL) or mpf
-    (EXTENDED), in the fraction-free manner of Bareiss (Math. Comp. 22
-    (1968)).
+    """``_wheeler_rows`` on an object row of Fractions or mpf, in the
+    fraction-free manner of Bareiss (Math. Comp. 22 (1968)).
 
-    Row k is the int list num over one scale, sigma_{k,l} = num[l - k] /
-    den * 2^exp, read exactly off the Fractions or the mpf fields.  With
-    alpha_k = p / q * 2^ea and beta_k = u / v * 2^eb, the next row is
+    Row k is sigma_{k,l} = num[l - k] / den * 2^exp.  With alpha_k = p /
+    q * 2^ea and beta_k = u / v * 2^eb (``_ratio``), the next row is
 
         q v den_below 2^(exp - low) (num[i+2] + shift num[i])
         - p v den_below 2^(exp + ea - low) num[i+1]
         - u q den 2^(exp_below + eb - low) num_below[i+2]
 
     over den q v den_below, times 2^low, where low is the smallest of the
-    three exponents.  sigma_kk, alpha_k and beta_k are formed from the
-    ints as exact ratios.  The two modes differ in the normaliser of a
-    new row and in what they make of these ratios:
-
-    * RATIONAL divides the row and its den by their gcd, which keeps the
-      ints as small as the canonical Fractions; it returns the Fractions
-      and builds the next row from them (exp and every e stay 0);
-    * EXTENDED (den, q and v stay 1) rounds the row to nearest so that
-      its smallest nonzero entry keeps _ROW_BITS bits, returns each ratio
-      as an mpf rounded once, and builds the next row from alpha_k and
-      beta_k cut to _ROW_BITS bits.  Each entry so keeps at least the
-      bits an mpf of its own would, and 64 more: rows of moments or
-      responses span hundreds of binary orders (2^900 for geometric(3)
-      at T = 24), and their small entries decide the pivots.  The cost
-      so grows with the span of the data, which has no bound for mpf
-      values: at a span near 2^100000 the ints run to that many bits,
-      where rows of mpf would cost the same at any span.
+    three exponents, then ``_normalised``.
     """
-    normalise, value = ((_gcd_row, _fraction) if mode_of(row) is
-                        PrecisionMode.RATIONAL else (_rounded_row, _rounded))
-    num, den, exp = _one_scale([_exact_ratio(x) for x in row.tolist()])
+    kind = Fraction if mode_of(row) is PrecisionMode.RATIONAL else _MPF
+    first = _read(row.tolist())
+    num, den, exp = first.re, first.den, first.exp
     # sigma_{-1,l} = 0
     below, below_den, below_exp = [0] * (len(num) + 2), 1, 0
     last = 0, 1    # sigma_{k-1,k} / sigma_{k-1,k-1}, 0 for k = 0
@@ -461,135 +557,67 @@ def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
             nxt = [f1 * (n2 + shift * n0) - f2 * n1 - f3 * m2
                    for n0, n1, n2, m2 in zip(num, num[1:], num[2:],
                                              below[2:])]
-            scale = den * q * v * below_den
+            new = _normalised(_Ints(nxt, None, den * q * v * below_den, low),
+                              kind)
             below, below_den, below_exp = num, den, exp
-            num, den, exp = normalise(nxt, scale, low)
-            out, step_beta = value(num[0] * below_den, den * below[0],
-                                   exp - below_exp)
+            num, den, exp = new.re, new.den, new.exp
+            out, step_beta = _ratio(num[0] * below_den, den * below[0],
+                                    exp - below_exp, kind)
             beta.append(out)
         else:
             step_beta = 0, 1, 0
         if not num[0] > 0:
             raise np.linalg.LinAlgError(f"pivot {k} is not positive")
-        pivots.append(value(num[0], den, exp)[0])
+        pivots.append(_emitted(_Ints(num[:1], None, den, exp), kind)[0])
         if k < size - 1:
             rp, rq = last
-            out, step_alpha = value(num[1] * rq - rp * num[0], num[0] * rq, 0)
+            out, step_alpha = _ratio(num[1] * rq - rp * num[0], num[0] * rq,
+                                     0, kind)
             alpha.append(out)
             last = num[1], num[0]
 
 
-def _exact_ratio(x):
-    """(p, q, e) with x = p / q * 2^e exactly: e = 0 for a Fraction and
-    q = 1 for an mpf.  An mpf inf or NaN, whose mantissa is 0 as that of
-    zero, is refused with ConditioningError, as ``_finite`` refuses a
-    float one."""
-    if not hasattr(x, "_mpf_"):
-        return x.numerator, x.denominator, 0
-    sign, man, exp, bc = x._mpf_
-    if not man and (exp or bc):
-        raise ConditioningError(
-            "a value is inf or NaN, which the recurrence cannot use")
-    return -man if sign else man, 1, exp
-
-
-def _one_scale(ratios: list):
-    """(ints, den, exp) with ratio k = ints[k] / den * 2^exp exactly, for
-    the exact ratios (p, q, e) of ``_exact_ratio``."""
-    den = math.lcm(*(q for _, q, _ in ratios))
-    exp = min((e for p, _, e in ratios if p), default=0)
-    return ([p * (den // q) << (e - exp) if p else 0 for p, q, e in ratios],
-            den, exp)
-
-
-def _gcd_row(nxt: list, den: int, exp: int):
-    """A RATIONAL row with its ints and den divided by their gcd."""
-    common = math.gcd(den, *nxt)
-    return [x // common for x in nxt], den // common, exp
-
-
-def _rounded_row(nxt: list, den: int, exp: int):
-    """An EXTENDED row (den = 1) with its low bits rounded off, to
-    nearest, so that its smallest nonzero entry keeps _ROW_BITS bits."""
-    drop = min(map(int.bit_length, filter(None, nxt)),
-               default=_ROW_BITS) - _ROW_BITS
-    if drop <= 0:
-        return nxt, den, exp
-    half = 1 << (drop - 1)
-    return [(x + half) >> drop for x in nxt], den, exp + drop
-
-
-def _fraction(n: int, d: int, e: int):
-    """n / d (e = 0 in RATIONAL rows) as a Fraction, and as the exact
-    ratio the next row takes."""
-    x = Fraction(n, d)
-    return x, (x.numerator, x.denominator, 0)
-
-
-def _rounded(n: int, d: int, e: int):
-    """n / d * 2^e (d > 0) as an mpf of the EXTENDED context, rounded to
-    nearest once, and as the ratio the next row takes, cut to _ROW_BITS
-    bits.  The cut quotient and a sticky bit for its remainder round as
-    the exact quotient does: they carry over 60 bits beyond the
-    precision, so a tie is an exact one."""
-    if not n:    # e = 0, or a zero alpha_k would lower the next row's low
-        return _EXTENDED.zero, (0, 1, 0)
-    extra = _ROW_BITS - abs(n).bit_length() + d.bit_length()
-    quo, rem = (divmod(abs(n) << extra, d) if extra >= 0
-                else divmod(abs(n), d << -extra))
-    sign = -1 if n < 0 else 1
-    out = _round(sign * (quo << 1 | (rem != 0)), e - extra - 1)
-    return _EXTENDED.make_mpf(out), (sign * quo, 1, e - extra)
+def _ratio(n: int, d: int, e: int, kind):
+    """n / d * 2^e (d > 0) as the recurrence returns it, and as the ratio
+    (p, q, e) the next row takes: the Fraction's terms, or the EXTENDED
+    quotient cut toward zero; 0 over 2^0 for a zero alpha_k."""
+    if kind is Fraction:
+        value = Fraction(n, d)
+        terms = _read([value])
+        return value, (terms.re[0], terms.den, 0)
+    value = _EXTENDED.make_mpf(_round(n, e, d))
+    if not n:
+        return value, (0, 1, 0)
+    quo, _, extra = _quotient(n, d)
+    return value, (-quo if n < 0 else quo, 1, e - extra)
 
 
 def forward_sweep(ctrl, coef, out: np.ndarray, float_sweep) -> None:
-    """The forward sweep of ``dynamics``: u_{n,t+1} into out[n-1, t] for
-    the watched sites n = 1..len(out) and t = 0..len(ctrl)-1, from the
-    lifted control ``ctrl`` and coefficient rows (a_{n-1}, b_n, a_n)
-    ``coef``.  Float rows go to ``float_sweep``, object rows to
-    ``_integer_sweep``."""
+    """The forward sweep of ``dynamics``, u_{n,t+1} into out[n-1, t] for
+    n = 1..len(out) and t < len(ctrl), from the lifted control and rows
+    (a_{n-1}, b_n, a_n): ``float_sweep`` or ``_integer_sweep``."""
     sweep = _integer_sweep if coef.dtype == object else float_sweep
     sweep(ctrl, coef, out)
 
 
 def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
-    """``forward_sweep`` on object rows of Fractions (RATIONAL) or of mpf
-    and mpc (EXTENDED), in one loop for both modes.
+    """``forward_sweep`` on object rows of Fractions, mpf and mpc.
 
-    The coefficient rows and the control are read once, exactly off the
-    Fractions or the mpf fields, as ints over one scale den * 2^exp (as
-    in ``_integer_rows``), and each time slice is held the same way: an
-    int list per part (real, and imaginary when a coefficient or a
-    control value is an mpc) over a scale of its own.  Step t updates the
+    The rows and the control are read once, and step t updates the
     sites n = 1..k of the cone of ``dynamics._steps``, k = min(t + 1,
-    n_space, watched + horizon - t - 1), by one integer update
+    n_space, watched + horizon - t - 1), of a time slice by
 
         N_{t+1}[n] = f1 (A_n N_t[n+1] + A_{n-1} N_t[n-1] + B_n N_t[n])
                      - f3 N_{t-1}[n]    (+ fc A_0 F_t at n = 1),
 
-    where f1, f3 and fc align the scales of the terms to the smallest.
-    The slices hold 0 at site 0, for which the control term stands, and
-    the sites a step leaves alone hold values no watched site reads.
-    The modes differ only in the normaliser of a new slice:
-
-    * RATIONAL divides the slice and its den by their gcd (``_gcd_row``)
-      and writes a cell as Fraction(num, den), the canonical Fraction
-      that Fraction operations on the recurrence give;
-    * EXTENDED rounds the slice to nearest so that its smallest nonzero
-      entry keeps _ROW_BITS bits (``_rounded_row``), and writes a cell as
-      an mpf (or mpc) rounded once from its ints.  Every entry so keeps
-      64 bits more than an mpf of its own.  As in ``_integer_rows``, the
-      ints of a slice span its exponent range, so the cost grows with the
-      span of the field, which has no bound for mpf values; an inf or NaN
-      value raises ConditioningError.
-
+    where f1, f3 and fc align the scales of the terms, then
+    ``_normalised``.  Site 0 holds 0, for which the control term stands.
     A cell is an mpc exactly where mpmath's one-expression step makes
-    one: where an mpc coefficient or control value reaches it through
-    the recurrence (a bit mask per slice).  Watched sites the wave has
-    not reached hold the lifted zero coef[2, -1].
+    one, where an mpc coefficient or control value reaches it (a bit
+    mask per slice).  Sites the wave has not reached hold coef[2, -1].
     """
     n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
-    rational = mode_of(coef) is PrecisionMode.RATIONAL
+    kind = Fraction if mode_of(coef) is PrecisionMode.RATIONAL else _MPF
     zero = coef[2, -1]
     a, b, ctrl = coef[0].tolist() + [zero], coef[1].tolist(), ctrl.tolist()
     # bit n: site n has an mpc among a_{n-1}, b_n and a_n
@@ -597,11 +625,11 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
                    if _is_mpc(a[n - 1]) or _is_mpc(b[n - 1]) or _is_mpc(a[n]))
     ctrl_mpc = [_is_mpc(f) for f in ctrl]
     parts = 2 if coef_mpc or any(ctrl_mpc) else 1
-    rows, cden, cexp = _int_parts(a + b, parts)
-    below = [row[:n_space] for row in rows]             # a_{n-1}
-    above = [row[1:n_space + 1] for row in rows]        # a_n
-    diag = [row[n_space + 1:] for row in rows]          # b_n
-    force, fden, fexp = _int_parts(ctrl, parts)
+    rows, force = _read(a + b), _read(ctrl)
+    cden, cexp, fden, fexp = rows.den, rows.exp, force.den, force.exp
+    # the parts of a_{n-1}, a_n, b_n and f_t
+    below, above, diag, force = (vec.parts(parts) for vec in (
+        rows[:n_space], rows[1:n_space + 1], rows[n_space + 1:], force))
     # per parity of t: the site-indexed ints of each part, their scale,
     # and the mpc mask
     slices = [[[0] * (n_space + 2) for _ in range(parts)] for _ in range(2)]
@@ -626,45 +654,25 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
             for part, term in zip(new, _site_sums(
                     below, above, diag, [[f, 0, 0] for f in f_t], 1)):
                 part[0] += fc[0] * term[0]
-        flat, den, exp = (_gcd_row if rational else _rounded_row)(
-            [x for part in new for x in part], den, low)
-        for p, old in enumerate(older):
-            old[1:k + 1] = flat[p * k:(p + 1) * k]
-        scales[1 - i] = den, exp
-        m = min(k, watched)
-        if rational:
-            cells = [Fraction(x, den) for x in flat[:m]]
-        elif parts == 1:
-            cells = [_EXTENDED.make_mpf(_round(x, exp)) if x else zero
-                     for x in flat[:m]]
-        else:
+        vec = _normalised(_Ints(*new, den, low) if parts == 2
+                          else _Ints(new[0], None, den, low), kind)
+        for old, part in zip(older, vec.parts(parts)):
+            old[1:k + 1] = part
+        scales[1 - i] = vec.den, vec.exp
+        if parts == 2:
             near = masks[i] | masks[i] << 1 | masks[i] >> 1 | ctrl_mpc[t] << 1
             masks[1 - i] = (coef_mpc | near | masks[1 - i]) & (2 << k) - 2
-            cells = [_cell(x, y, exp, masks[1 - i] >> n & 1, zero)
-                     for n, x, y in zip(range(1, m + 1), flat, flat[k:])]
-        out[:m, t] = cells
+        m = min(k, watched)
+        out[:m, t] = _emitted(vec[:m], kind, zero, masks[1 - i] >> 1)
 
 
 def _is_mpc(x) -> bool:
     return hasattr(x, "_mpc_")
 
 
-def _int_parts(values: list, parts: int):
-    """([re], den, exp) or ([re, im], den, exp) for two ``parts``: the
-    real (and imaginary) parts of ``values`` as ints over one scale,
-    read exactly as ``_exact_ratio`` reads them."""
-    fields = [x.real for x in values]
-    if parts == 2:
-        fields += [x.imag for x in values]
-    ints, den, exp = _one_scale([_exact_ratio(x) for x in fields])
-    n = len(values)
-    return [ints[p * n:(p + 1) * n] for p in range(parts)], den, exp
-
-
 def _site_sums(below, above, diag, cur, k: int) -> list:
-    """The parts of a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n for the
-    sites n = 1..k, from the parts of a_{n-1}, a_n and b_n and of the
-    slice ``cur``, whose part lists are indexed by site."""
+    """The parts of a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n, n = 1..k,
+    from the parts of a_{n-1}, a_n, b_n and the site-indexed ``cur``."""
     def real(p, q):
         lo, hi, mid, u = below[p], above[p], diag[p], cur[q]
         return [h * u2 + l * u0 + d * u1 for l, h, d, u0, u1, u2 in
@@ -673,14 +681,6 @@ def _site_sums(below, above, diag, cur, k: int) -> list:
         return [real(0, 0)]
     return [[x - y for x, y in zip(real(0, 0), real(1, 1))],
             [x + y for x, y in zip(real(0, 1), real(1, 0))]]
-
-
-def _cell(re: int, im: int, exp: int, mpc: int, zero):
-    """An EXTENDED cell re + i im over 2^exp, rounded once: an mpc when
-    ``mpc``, else an mpf (im is then 0), and ``zero`` for a real zero."""
-    if mpc:
-        return _EXTENDED.make_mpc((_round(re, exp), _round(im, exp)))
-    return _EXTENDED.make_mpf(_round(re, exp)) if re else zero
 
 
 def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:
@@ -726,75 +726,53 @@ def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:
 
 def _orthonormal_table(alpha, root_beta, shift):
     """The frexp table (``_frexp_table``) of Q = ``_orthonormal_rows``:
-    float rows (DOUBLE) are built as a float64 array, and mpf rows (the
-    object modes) as Python ints (``_orthonormal_ints``), each entry read
-    straight into the table (``_int_table``), with no mpf made for it."""
+    float64 rows for float input, and for mpf ``_orthonormal_ints``,
+    whose ints go straight into the table, with no mpf made."""
     if root_beta.dtype != object:
         return _frexp_table(_orthonormal_rows(alpha, root_beta, shift))
-    return _int_table(_orthonormal_ints(alpha, root_beta, shift))
+    rows = _orthonormal_ints(alpha, root_beta, shift)
+    n = len(rows)
+    mant, exps = np.zeros((n, n)), np.zeros((n, n), dtype=np.int64)
+    for k, row in enumerate(rows):
+        mant[k, :k + 1], exps[k, :k + 1] = zip(*_emitted(row, float))
+    return mant, np.where(mant == 0, _ZERO_EXP, exps)
 
 
 def _orthonormal_ints(alpha, root_beta, shift) -> list:
-    """The rows of ``_orthonormal_rows`` for mpf alpha_k and sqrt(beta_k),
-    as (ints, exp) with Q[k, l] = ints[l] 2^exp, l = 0..k.
-
-    alpha_k and sqrt(beta_k) are read exactly (``_exact_ratio``).  The
-    numerator (x - alpha_k) p_k - sqrt(beta_k) p_{k-1} of row k+1 is
-    formed exactly, as ints over the smallest exponent of its terms, and
-    divided once by sqrt(beta_{k+1}), rounded to nearest to as many bits
-    as leave _ROW_BITS in the smallest nonzero entry, the budget of
-    ``_rounded_row``.  Every entry so keeps 64 bits more than an mpf of
-    its own, where rows of mpf round up to five times per entry.
-    Symmetric measures take the parity rows of ``_orthonormal_rows``,
-    the other entries staying exact zeros.  As in ``_integer_rows``, the
-    ints of a row span its exponent range, so the cost grows with the
-    span of the rows.
-    """
+    """The rows of ``_orthonormal_rows`` for mpf alpha_k and sqrt(beta_k)
+    as _Ints, Q[k, l] = re[l] 2^exp: the numerator (x - alpha_k) p_k -
+    sqrt(beta_k) p_{k-1} of row k+1 is formed exactly and divided once
+    by sqrt(beta_{k+1}) (``_normalised``), where rows of mpf round up to
+    five times per entry; symmetric measures take the parity rows."""
     step = 1 if any(alpha) else 2
+    roots, alphas = _read(root_beta.tolist()), _read(alpha.tolist())
     rows, part, low = [], [1], 0    # the numerator of row 0: 1 over 2^0
-    for k, (root, _, e) in enumerate(map(_exact_ratio, root_beta)):
+    for k, root in enumerate(roots.re):
         if k:    # (x - alpha_{k-1}) p_{k-1} - sqrt(beta_{k-1}) p_{k-2}
-            (cur, exp), (p, _, ea) = rows[-1], _exact_ratio(alpha[k - 1])
+            cur, p = rows[-1], alphas.re[k - 1]
             lo = k % step
-            pad = [0, *cur, 0, 0]    # pad[l + 1] = Q[k - 1, l]
+            pad = [0, *cur.re, 0, 0]    # pad[l + 1] = Q[k - 1, l]
             part = pad[lo:k + 1:step]
             if shift:
                 part = [x + y for x, y in zip(part, pad[lo + 2::step])]
             # (factor, exponent, entries) of the terms to subtract
-            terms = [(p, exp + ea, pad[lo + 1::step])] if p else []
+            terms = [(p, cur.exp + alphas.exp, pad[lo + 1::step])] if p else []
             if k > 1:
-                older, old_exp = rows[-2]
-                terms.append((last_root, old_exp + last_e,
-                              [*older[lo::step], 0, 0]))
-            low = min([exp] + [at for _, at, _ in terms])
-            part = [x << exp - low for x in part]
+                older = rows[-2]
+                terms.append((roots.re[k - 1], older.exp + roots.exp,
+                              [*older.re[lo::step], 0, 0]))
+            low = min([cur.exp] + [at for _, at, _ in terms])
+            part = [x << cur.exp - low for x in part]
             for factor, at, entries in terms:
                 factor <<= at - low
                 part = [x - factor * y for x, y in zip(part, entries)]
-        keep = (_ROW_BITS + root.bit_length()
-                - min(map(int.bit_length, filter(None, part))))
-        up, down = max(keep, 0) + 1, root << max(-keep, 0)
+        tz = max((root & -root).bit_length() - 1, 0)  # from the roots' scale
+        row = _normalised(_Ints(part, None, root >> tz, low - roots.exp - tz),
+                          _MPF, divide=True)
         ints = [0] * (k + 1)
-        ints[k % step::step] = [((x << up) // down + 1) >> 1 for x in part]
-        rows.append((ints, low - e - keep))
-        last_root, last_e = root, e
+        ints[k % step::step] = row.re
+        rows.append(_Ints(ints, None, 1, row.exp))
     return rows
-
-
-def _int_table(rows: list):
-    """The frexp table (``_frexp_table``) of the rows (ints, exp) of
-    ``_orthonormal_ints``: the mantissa of x 2^exp is x 2^-bits rounded
-    to float64 to nearest, as float() rounds an int and ``_frexp_fields``
-    the mantissa of an mpf; an int too wide for float() is divided by
-    2^bits, which Python rounds alike."""
-    n = len(rows)
-    mant, exps = np.zeros((n, n)), np.full((n, n), _ZERO_EXP)
-    for k, (ints, exp) in enumerate(rows):
-        bits = [x.bit_length() for x in ints]
-        mant[k, :k + 1] = [math.ldexp(x, -b) if b < 1024 else x / (1 << b)
-                           for x, b in zip(ints, bits)]
-        exps[k, :k + 1] = [exp + b if b else _ZERO_EXP for b in bits]
-    return mant, exps
 
 
 def _eigen_mode(precision: PrecisionMode) -> PrecisionMode:
@@ -916,43 +894,31 @@ def _top_eigenvalue(block: np.ndarray) -> float:
     return np.linalg.eigvalsh(block)[-1]
 
 
-def _frexp_fields(sign: int, man: int, exp: int, bc: int):
-    """frexp of the mpf with fields (sign, man, exp, bc), the mantissa
-    rounded to float64 to nearest as float() rounds it: +-man 2^-bc and
-    exp + bc.  Zero gives (0.0, 0); inf and NaN, whose man is 0 with
-    other fields set, raise ValueError, as mpmath's frexp does."""
-    if not man:
-        if sign or exp or bc:
-            raise ValueError("frexp of an infinite or NaN mpf")
-        return 0.0, 0
-    mant = math.ldexp(man, -bc)
-    return -mant if sign else mant, exp + bc
-
-
 def _frexp_table(arr):
     """(mantissas, exponents) of the entries of a float or mpf array as
     frexp gives them, float64 and int64, with the exponent _ZERO_EXP for
-    a zero: the table ``_leading_top_eigs`` reads.  An mpf mantissa is
-    rounded to float64 as float() rounds it (``_frexp_fields``), and only
-    the nonzero entries are read, since a triangle of W holds exact zeros.
-    An mpf inf or NaN raises ValueError."""
+    a zero: the table ``_leading_top_eigs`` reads.  An mpf inf or NaN
+    raises ValueError, as mpmath's frexp does."""
     if arr.dtype != object:
         mant, exps = np.frexp(arr)
-        # int64 first: frexp's int32 exponents would wrap _ZERO_EXP to 0
-        return mant, np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
-    mant, exps = np.zeros(arr.shape), np.full(arr.shape, _ZERO_EXP)
-    nonzero = np.nonzero(arr)
-    if nonzero[0].size:
-        mant[nonzero], exps[nonzero] = zip(
-            *[_frexp_fields(*x._mpf_) for x in arr[nonzero]])
-    return mant, exps
+    else:    # the nonzero entries only: a triangle of W holds exact zeros
+        mant, exps = np.zeros(arr.shape), np.zeros(arr.shape, dtype=np.int64)
+        nonzero = np.nonzero(arr)
+        try:
+            fields = _emitted(_read(arr[nonzero].tolist()), float)
+        except ConditioningError as exc:
+            raise ValueError("frexp of an infinite or NaN mpf") from exc
+        if fields:
+            mant[nonzero], exps[nonzero] = zip(*fields)
+    # int64 first: frexp's int32 exponents would wrap _ZERO_EXP to 0
+    return mant, np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
 
 
 def _leading_top_eigs(table, gram=False):
     """Largest eigenvalue of B_n = arr[:n, :n] (of B_n B_n^T when
     ``gram``) for n = 1..columns, as (values, exponents) with lambda =
     ldexp(value, exponent), from the frexp table (mantissas, exponents)
-    of arr (``_frexp_table`` or ``_int_table``).  A ``gram`` array may
+    of arr (``_frexp_table`` or ``_orthonormal_table``).  A ``gram`` array may
     have fewer rows than columns; its B_n then keeps all of them.
 
     Each block is scaled by a power of two that brings its largest entry
@@ -987,12 +953,10 @@ def pd_factor(matrix):
     d = diag(C)^2).  Object arrays of mpf or Fraction are factored in
     their own arithmetic, with no square root, so Fraction input stays
     exact; each pivot and entry of L sums its products as ``dot`` does,
-    so in EXTENDED it is rounded once.  There every row of L is kept in
-    the integer form of ``dot`` (``_Fixed``), grown by one entry per
-    column, so each entry of L is converted once.  Raises
-    np.linalg.LinAlgError when the matrix is not positive definite, and
-    ConditioningError when a float array holds inf or NaN or when one
-    reaches an EXTENDED row product.
+    so in EXTENDED it is rounded once, on rows of L held as _Ints and
+    grown by one entry per column.  Raises np.linalg.LinAlgError when the
+    matrix is not positive definite, and ConditioningError when a float
+    array holds inf or NaN or when one reaches an EXTENDED row product.
     """
     arr = np.asarray(matrix)
     if arr.dtype != object:
@@ -1003,15 +967,11 @@ def pd_factor(matrix):
     n = arr.shape[0]
     low = np.zeros((n, n), dtype=object)
     piv = np.empty(n, dtype=object)
-    rows = [_Fixed() for _ in range(n)] if _holds_extended(arr) else None
+    rows = [_Ints([]) for _ in range(n)] if _holds_extended(arr) else None
     for j in range(n):
         scaled = low[j, :j] * piv[:j]     # L[j, k] d_k, once per column
-        if rows is None:
-            sums = dot(low[j:, :j], scaled)
-        else:
-            right = _Fixed(scaled.tolist())
-            sums = np.array([row.dot(right) for row in rows[j:]],
-                            dtype=object)
+        sums = (dot(low[j:, :j], scaled) if rows is None
+                else _times(rows[j:], scaled))
         piv[j] = arr[j, j] - sums[0]
         if not piv[j] > 0:
             raise np.linalg.LinAlgError(f"pivot {j} is not positive")
@@ -1023,153 +983,49 @@ def pd_factor(matrix):
     return low, piv
 
 
-class _Fixed:
-    """Values of the EXTENDED context as Python ints over one power of
-    two: value k is (re[k] + i im[k]) 2^exp exactly, read off the mpf
-    fields as ``_exact_ratio`` reads them.  ``im`` is None while every
-    value is real, and exp is None while every value is zero.  Ints,
-    floats and complex convert exactly and other numbers by
-    ``_EXTENDED.convert``, as in mpmath's ``fdot``.  ``extend`` appends
-    values and lowers exp, shifting the ints held, when a new value
-    needs it.  An inf or NaN value raises ConditioningError.
-
-    The ints of a value span its distance from the smallest nonzero
-    value, so the cost grows with the exponent span of the values, as
-    in ``_integer_rows``."""
-
-    __slots__ = ("re", "im", "exp")
-
-    def __init__(self, values: list = ()):
-        self.re, self.im, self.exp = [], None, None
-        if values and all(type(x) is int for x in values):
-            self.re, self.exp = list(values), 0    # exact as they are
-        elif values:
-            self.extend(values)
-
-    def extend(self, values) -> None:
-        parts = [_fields(x) for x in values]
-        fields = [re for re, _ in parts]
-        if self.im is not None or any([im for _, im in parts]):
-            if self.im is None:
-                self.im = [0] * len(self.re)
-            fields += [im or fzero for _, im in parts]
-        if [m for _, m, e, b in fields if not m and (e or b)]:
-            raise ConditioningError(
-                "a value is inf or NaN, which the integer form cannot hold")
-        low = min([e for _, m, e, _ in fields if m], default=None)
-        if low is not None and (self.exp is None or low < self.exp):
-            if self.exp is not None:
-                up = self.exp - low
-                self.re = [x << up for x in self.re]
-                if self.im is not None:
-                    self.im = [x << up for x in self.im]
-            self.exp = low
-        exp = self.exp
-        ints = [((-m if s else m) << (e - exp)) if m else 0
-                for s, m, e, _ in fields]
-        count = len(parts)
-        self.re += ints[:count]
-        if self.im is not None:
-            self.im += ints[count:]
-
-    def __getitem__(self, index: slice) -> "_Fixed":
-        part = _Fixed()
-        part.re, part.exp = self.re[index], self.exp
-        if self.im is not None:
-            part.im = self.im[index]
-        return part
-
-    def dot(self, other: "_Fixed"):
-        """sum_k self_k other_k over the shorter of the two, summed
-        exactly and rounded once to the EXTENDED precision: an mpc when
-        either holds a complex value, else an mpf."""
-        exp = (self.exp or 0) + (other.exp or 0)
-        real = sum(map(mul, self.re, other.re))
-        if self.im is None and other.im is None:
-            return _EXTENDED.make_mpf(_round(real, exp))
-        imag = 0
-        if other.im is not None:
-            imag += sum(map(mul, self.re, other.im))
-        if self.im is not None:
-            imag += sum(map(mul, self.im, other.re))
-            if other.im is not None:
-                real -= sum(map(mul, self.im, other.im))
-        return _EXTENDED.make_mpc((_round(real, exp), _round(imag, exp)))
-
-
-def _fields(x):
-    """(real, imaginary) mpf fields of x, the imaginary ones None for a
-    real x."""
-    cls = type(x)
-    if cls is not _MPF and cls is not _MPC:
-        x = _EXTENDED.convert(x)
-        cls = type(x)
-    return (x._mpf_, None) if cls is _MPF else x._mpc_
-
-
-def _round(man: int, exp: int):
-    """The mpf fields of man * 2^exp rounded to nearest once, as
-    ``from_man_exp`` gives them, with the bit count of int.bit_length."""
-    if man < 0:
-        return normalize(1, -man, exp, (-man).bit_length(), _EXTENDED.prec,
-                         round_nearest)
-    return normalize(0, man, exp, man.bit_length(), _EXTENDED.prec,
-                     round_nearest)
-
-
-def _fixed_lines(arr: np.ndarray) -> tuple[list, list]:
-    """The rows and the columns of a 2-D object array as ``_Fixed``
-    vectors of one exponent, converted once."""
+def _int_lines(arr: np.ndarray) -> tuple[list, list]:
+    """The rows and columns of a 2-D object array as _Ints, read once."""
     rows, cols = arr.shape
-    flat = _Fixed(arr.ravel().tolist())
+    flat = _read(arr.ravel().tolist())
     return ([flat[i * cols:(i + 1) * cols] for i in range(rows)],
             [flat[j::cols] for j in range(cols)])
 
 
 def _times(rows: list, vec: np.ndarray) -> np.ndarray:
-    """The object vector of the sums of the ``_Fixed`` rows times the
-    vector ``vec``, which is converted once."""
-    vec = _Fixed(vec.tolist())
-    out = np.empty(len(rows), dtype=object)
-    out[:] = [row.dot(vec) for row in rows]
-    return out
+    """The object vector of the _Ints ``rows`` times ``vec``, read once."""
+    vec = _read(vec.tolist())
+    return np.array([row.dot(vec) for row in rows], dtype=object)
 
 
 def dot(u: np.ndarray, v: np.ndarray):
     """sum_k u_k v_k of a 1-D array v and a 1-D array u, or the vector of
-    these sums over the rows of a 2-D u.
-
-    When either holds an mpf or mpc of the EXTENDED context, each sum
-    is formed exactly on Python ints (``_Fixed``) and rounded once to
-    EXTENDED_DPS digits, however far its terms cancel; an operand
-    holding inf or NaN gives ``u @ v``, which propagates them as the
-    products do.  Other arrays, float64 and Fraction among them, give
-    ``u @ v`` with its bits.  A v prepared by ``dot_operand``, or a
-    slice of it, is summed against as it is, with the bits ``dot`` gives
-    the array.
+    these sums over the rows of a 2-D u.  When either holds an mpf or mpc
+    of the EXTENDED context, each sum is formed exactly (``_Ints.dot``)
+    and rounded once, however far its terms cancel; an operand holding
+    inf or NaN gives ``u @ v``, which propagates them.  Other arrays,
+    float64 and Fraction among them, give ``u @ v`` with its bits.  A v
+    from ``dot_operand``, or a slice of it, gives the bits of the array.
     """
-    if isinstance(v, _Fixed):
-        return _Fixed(u.tolist()).dot(v)
+    if isinstance(v, _Ints):
+        return _read(u.tolist()).dot(v)
     if _holds_extended(v) or _holds_extended(u):
         try:
             if u.ndim == 1:
-                return _Fixed(u.tolist()).dot(_Fixed(v.tolist()))
-            return _times(_fixed_lines(u)[0], v)
+                return _read(u.tolist()).dot(_read(v.tolist()))
+            return _times(_int_lines(u)[0], v)
         except ConditioningError:    # inf or NaN
             pass
     return u @ v
 
 
 def dot_operand(v: np.ndarray):
-    """v ready for many ``dot`` calls: an array of mpf of the EXTENDED
-    context, none of them inf or NaN, as one ``_Fixed``, converted once,
-    whose slices ``dot`` takes as the array's slices; any other v as it
-    is.  A sum is the same number over any exponent, and is rounded
-    once, so the bits are those of ``dot`` on the array."""
+    """v ready for many ``dot`` calls: an array of EXTENDED mpf, none inf
+    or NaN, as one _Ints read once, which ``dot`` takes as the array and
+    ``extend`` grows; any other v as it is."""
     values = v.tolist()
     if v.dtype == object and set(map(type, values)) == {_MPF}:
         try:
-            return _Fixed(values)
+            return _read(values)
         except ConditioningError:    # inf or NaN
             pass
     return v
@@ -1190,28 +1046,24 @@ def _sweeps(low, piv, rhs):
 
 
 class _Factor:
-    """An object lower-triangular L with a nonzero diagonal in the
-    integer form of ``_Fixed``, converted once per solve: ``rows[i]``
-    holds L[i, :] and ``cols[i]`` L[::-1, i], the column read upwards."""
+    """An object lower-triangular L with a nonzero diagonal as _Ints read
+    once per solve: rows[i] = L[i, :], cols[i] = L[::-1, i] (upwards)."""
 
     def __init__(self, rows: list, cols: list, diag: np.ndarray):
         self.rows, self.diag = rows, diag
         self.cols = [col[::-1] for col in cols]
 
     def sweeps(self, piv, rhs) -> np.ndarray:
-        """``_sweeps`` on the integer form.  Each x_i is the same mpc
-        subtract and divide as on object arrays, with the dot product of
-        L[i, :i] and x[:i] (L[i+1:, i] and x[i+1:]) rounded once; the
-        forms of the entries done grow by one per step, and ``dot``
-        stops at the shorter of the two."""
+        """``_sweeps``: each x_i is the mpc subtract and divide of object
+        arrays, with its dot product rounded once, on the x_j done."""
         x = rhs.copy()
-        done = _Fixed()
+        done = _Ints([])
         for i, row in enumerate(self.rows):
             x[i] = (x[i] - row.dot(done)) / self.diag[i]
             done.extend([x[i]])
         if piv is not None:
             x = x / piv
-        done = _Fixed()
+        done = _Ints([])
         for i in reversed(range(x.size)):
             x[i] = (x[i] - self.cols[i].dot(done)) / self.diag[i]
             done.extend([x[i]])
@@ -1274,19 +1126,18 @@ def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     EXTENDED_DPS digits (Fraction entries are rounded there, since the
     right side is inexact anyway), and x keeps its mpc entries because
     downstream identities (reproducing property, special states) cancel
-    catastrophically when the solution is rounded to float64.  The
-    factor and the matrix are converted to the integer form of ``dot``
-    once per solve.  The solution is refined until the residual is
-    below 1e-10, and ConditioningError is raised when that stalls (or
-    an object matrix holds inf or NaN).  Raises np.linalg.LinAlgError
-    when the matrix is not positive definite.
+    catastrophically when the solution is rounded to float64; the factor
+    and the matrix are read once.  The solution is refined until the
+    residual is below 1e-10, and ConditioningError is raised when that
+    stalls (or an object matrix holds inf or NaN).  Raises
+    np.linalg.LinAlgError when the matrix is not positive definite.
     """
     mat = _to_extended(np.asarray(matrix))
     low, piv = pd_factor(mat)
     if mat.dtype != object:
         return _refined_solve(low, piv, lambda x: dot(mat, x), rhs)
-    rows = _fixed_lines(mat)[0]
-    return _refined_solve(_Factor(*_fixed_lines(low), low.diagonal()), piv,
+    rows = _int_lines(mat)[0]
+    return _refined_solve(_Factor(*_int_lines(low), low.diagonal()), piv,
                           lambda x: _times(rows, x), rhs)
 
 
@@ -1306,11 +1157,10 @@ def gram_solve(upper, rhs) -> tuple[np.ndarray, float]:
 
 def _gram_operator(w: np.ndarray):
     """W^T as the factor of W^T W for ``_sweeps``, and x -> W^T (W x).
-    An object W is converted to the integer form of ``dot`` once, and
-    its rows and columns serve both; a float W sums only its nonzero
-    terms."""
+    An object W is read once, and its rows and columns serve both; a
+    float W sums only its nonzero terms."""
     if w.dtype == object:
-        rows, cols = _fixed_lines(w)
+        rows, cols = _int_lines(w)
         return (_Factor(cols, rows, w.diagonal()),
                 lambda x: _times(cols, _times(rows, x)))
 

@@ -195,3 +195,78 @@ def other(a, b):
 def test_solve_loop_contracts_through_dot():
     hits = _matmul_users((PACKAGE / "_multiprec.py").read_text(), SOLVE_LOOP)
     assert not hits, hits
+
+
+# The object modes keep their values in one integer form in
+# ``_multiprec.py``: one reader takes numbers apart and one emitter rounds
+# them back, so no fifth integer form grows its own reading or rounding.
+FIELD_READ = re.compile(r"\.(_mpf_|_mpc_|numerator|denominator)\b")
+NORMALIZE_CALL = re.compile(r"\bnormalize\(")
+READERS = {"_read", "as_mpf"}    # as_mpf re-homes an mpf with its fields
+EMITTERS = {"_round"}            # the rounding ``_emitted`` and dot use
+
+
+def _owners(pattern, source):
+    """The functions of ``source`` (methods as Class.method, and
+    "<module>" outside any) with a line that ``pattern`` matches."""
+    spans = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            spans.append((node.name, node.lineno, node.end_lineno))
+        elif isinstance(node, ast.ClassDef):
+            spans += [(f"{node.name}.{item.name}", item.lineno,
+                       item.end_lineno) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return {next((name for name, first, last in spans
+                  if first <= number <= last), "<module>")
+            for number, line in enumerate(source.splitlines(), 1)
+            if pattern.search(line)}
+
+
+def test_pattern_catches_a_field_read_outside_the_reader():
+    source = """
+def _read(values):
+    def parts(x):
+        return x.numerator, x.denominator
+    return [x._mpf_ for x in values]
+
+class _Form:
+    def extend(self, x):
+        self.re.append(x._mpc_[0])
+
+def _is_mpc(x):
+    return hasattr(x, "_mpc_")
+
+def _cell(x):
+    return x.denominator
+"""
+    assert _owners(FIELD_READ, source) == {"_read", "_Form.extend", "_cell"}
+    for line in ('    return hasattr(x, "_mpf_")', "    numerator = 3",
+                 "    den = vec.den", "    ints = vec.re"):
+        assert not FIELD_READ.search(line), line
+
+
+def test_only_the_reader_takes_numbers_apart():
+    hits = _owners(FIELD_READ, (PACKAGE / "_multiprec.py").read_text())
+    assert hits <= READERS, hits - READERS
+
+
+def test_pattern_catches_a_normalize_call_outside_the_emitter():
+    source = """
+from mpmath.libmp import normalize
+
+def _round(man, exp):
+    return normalize(0, man, exp, man.bit_length(), 169, "n")
+
+def _normalised(vec, rational):
+    return vec
+
+def _cell(x, exp):
+    return make_mpf(normalize(0, x, exp, x.bit_length(), 169, "n"))
+"""
+    assert _owners(NORMALIZE_CALL, source) == {"_round", "_cell"}
+
+
+def test_only_the_emitter_rounds_to_mpf():
+    hits = _owners(NORMALIZE_CALL, (PACKAGE / "_multiprec.py").read_text())
+    assert hits <= EMITTERS, hits - EMITTERS

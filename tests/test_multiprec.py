@@ -70,10 +70,10 @@ from jacobi_bc._multiprec import (
     _ZERO_EXP,
     EXTENDED_DPS,
     _array_rows,
+    _emitted,
     _finite,
-    _frexp_fields,
     _frexp_table,
-    _int_table,
+    _Ints,
     _leading_top_eigs,
     _min_eigs,
     _norm,
@@ -81,6 +81,7 @@ from jacobi_bc._multiprec import (
     _orthonormal_rows,
     _orthonormal_table,
     _plus_basis_shift,
+    _read,
     _top_eigenvalue,
     dot,
     dot_operand,
@@ -728,7 +729,7 @@ def test_extended_rows_read_zeros_beside_large_exponents(nu):
 def test_extended_zero_alpha_leaves_the_row_exponent():
     # symmetric data have every alpha_k = 0; its ratio must not shift
     # the next row by the bits a nonzero quotient would keep
-    value, ratio = _multiprec._rounded(0, 7, -5)
+    value, ratio = _multiprec._ratio(0, 7, -5, _multiprec._MPF)
     assert value == 0 and ratio == (0, 1, 0)
 
 
@@ -832,7 +833,7 @@ def test_leading_top_eigs_of_float_and_mpf_copies_agree():
 def test_frexp_fields_equal_mpmath_frexp(value):
     x = lift([value], EXTENDED)[0]
     mant, exp = _EXTENDED.frexp(x)
-    assert _frexp_fields(*x._mpf_) == (float(mant), exp)
+    assert _emitted(_read([x]), float)[0] == (float(mant), exp)
 
 
 @pytest.mark.parametrize("name", ["inf", "-inf", "nan"])
@@ -841,7 +842,7 @@ def test_infinite_or_nan_entries_are_refused(name):
     with pytest.raises(ValueError):
         _EXTENDED.frexp(bad)
     with pytest.raises(ValueError):
-        _frexp_fields(*bad._mpf_)
+        _frexp_table(np.array([bad], dtype=object))
     block = lift([[1, 0], [0, 1]], EXTENDED)
     block[1, 1] = bad
     with pytest.raises(ValueError):
@@ -1264,8 +1265,8 @@ def test_integer_tables_equal_those_of_the_mpf_rows(family):
                                         dtype=object) for part in rows[:2]],
                              shift)
     lower = [(k, l) for k in range(len(exact)) for l in range(k + 1)]
-    ints = [Fraction(x) * Fraction(2) ** exp
-            for row, exp in _orthonormal_ints(*rows) for x in row]
+    ints = [Fraction(x) * Fraction(2) ** row.exp
+            for row in _orthonormal_ints(*rows) for x in row.re]
     assert (_worst_error(ints, [exact[at] for at in lower])
             <= _worst_error([_exact_fraction(mpf_rows[at]) for at in lower],
                             [exact[at] for at in lower]))
@@ -1278,9 +1279,9 @@ def test_integer_tables_equal_those_of_the_mpf_rows(family):
     (1 << 1101) - 1, -((1 << 1100) + (3 << 1046)), 3 ** 700, 3 ** 20])
 def test_int_table_rounds_wide_ints_to_nearest(value):
     bits = abs(value).bit_length()
-    mant, exps = _int_table([([value], -7)])
-    assert mant[0, 0] == float(Fraction(value, 1 << bits))
-    assert exps[0, 0] == bits - 7
+    (mant, exp), = _emitted(_Ints([value], None, 1, -7), float)
+    assert mant == float(Fraction(value, 1 << bits))
+    assert exp == bits - 7
 
 
 # -- the matrix-vector dot product of the factorization -------------------
