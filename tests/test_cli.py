@@ -759,19 +759,27 @@ DECAYING = {"a": [1.0] + [1 - 0.5 / (n + 1) ** 2 for n in range(1, 32)],
 
 
 class TestPinnedBytes:
-    """The exact bytes of eight outputs: a finite family under a control
-    file; geometric(3) in EXTENDED, whose gamma_26..gamma_30 are null in
-    JSON and inf in CSV (CSV rows end in CRLF, as csv.writer writes);
-    RATIONAL recovery of a 1/8-grid family from its response and from its
-    moments; and the DOUBLE response r_0..r_62 of a decaying family and
-    its recovery."""
+    """The exact bytes of the outputs in ``tests/pinned``: a finite family
+    under a control file; geometric(3) in EXTENDED, whose gamma_26..gamma_30
+    are null in JSON and inf in CSV (CSV rows end in CRLF, as csv.writer
+    writes); RATIONAL recovery of a 1/8-grid family from its response and
+    from its moments; the DOUBLE response r_0..r_62 of a decaying family and
+    its recovery; the connecting block of the 1/8-grid response, of its
+    moments and of the decaying family's coefficients; the moment/response
+    conversion both ways; and the kernel and Hermite-Biehler function of the
+    decaying family on the default grid and on a points file."""
 
     @pytest.mark.parametrize("name", ["simulate.json", "simulate.csv",
                                       "diagnose.json", "diagnose.csv",
                                       "recover-response.json",
                                       "recover-moments.json",
                                       "response.json",
-                                      "recover-double.json"])
+                                      "recover-double.json"] + [
+        f"{command}.{fmt}" for command in (
+            "connect-response", "connect-moments", "connect-coefficients",
+            "moments-response", "moments-moments", "kernel-grid",
+            "kernel-points", "hb-grid", "hb-points")
+        for fmt in ("json", "csv")])
     def test_output_bytes(self, tmp_path, name):
         command, fmt = name.split(".")
         if command == "simulate":
@@ -792,11 +800,26 @@ class TestPinnedBytes:
                 response = str(tmp_path / "r.json")
                 assert main(argv + ["--output", response]) == 0
                 argv = ["recover", "--input", response]
+        elif command == "connect-coefficients":
+            coeffs = write_json(tmp_path / "c.json", DECAYING)
+            argv = ["connect", "--input", coeffs, "--T", "5"]
+        elif command.startswith(("kernel", "hb")):
+            cmd, grid = command.split("-")
+            coeffs = write_json(tmp_path / "c.json", DECAYING)
+            argv = [cmd, "--input", coeffs, "--T", "6"]
+            if grid == "points":
+                points = [{"z": [0.5, 1.0], "lambda": -0.75},
+                          {"z": 2.0, "lambda": [0.25, -0.5]},
+                          {"z": [-1.5, 0.25], "lambda": [1.0, 3.0]}]
+                argv += ["--input", write_json(tmp_path / "p.json",
+                                               {"points": points})]
         else:
-            key = command.split("-")[1]
+            cmd, key = command.split("-")
             values = EIGHTHS_RESPONSE if key == "response" else EIGHTHS_MOMENTS
             data = write_json(tmp_path / "d.json", {key: values})
-            argv = ["recover", "--input", data, "--precision", "rational"]
+            argv = [cmd, "--input", data]
+            if cmd == "recover":
+                argv += ["--precision", "rational"]
         out = tmp_path / name
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
