@@ -209,12 +209,11 @@ def width_quantum(coef: np.ndarray) -> int:
     A cell past the wavefront sums a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n
     - u_{n,t-1} over zeros, and stays +0.0 when every a_n (row 0) is
     positive and every b_n finite, as validated coefficients are; such
-    real rows take _WIDTH_QUANTUM.  Complex rows, and rows with a
-    coefficient that is not positive or not finite (which could put -0.0
-    or NaN past the wavefront), keep the exact width.
+    rows take _WIDTH_QUANTUM.  Rows with a coefficient that is not
+    positive or not finite (which could put -0.0 or NaN past the
+    wavefront) keep the exact width.
     """
-    if (coef.dtype.kind == "f" and np.isfinite(coef).all()
-            and (coef[0] > 0).all()):
+    if np.isfinite(coef).all() and (coef[0] > 0).all():
         return _WIDTH_QUANTUM
     return 1
 
@@ -612,24 +611,23 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
 
     where f1, f3 and fc align the scales of the terms, then
     ``_normalised``.  Site 0 holds 0, for which the control term stands.
-    A cell is an mpc exactly where mpmath's one-expression step makes
-    one, where an mpc coefficient or control value reaches it (a bit
-    mask per slice).  Sites the wave has not reached hold coef[2, -1].
+    The coefficients are real (``dynamics`` refuses complex ones).  A
+    cell is an mpc exactly where mpmath's one-expression step makes one,
+    where an mpc control value reaches it (a bit mask per slice).  Sites
+    the wave has not reached hold coef[2, -1].
     """
     n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
     kind = Fraction if mode_of(coef) is PrecisionMode.RATIONAL else _MPF
     zero = coef[2, -1]
     a, b, ctrl = coef[0].tolist() + [zero], coef[1].tolist(), ctrl.tolist()
-    # bit n: site n has an mpc among a_{n-1}, b_n and a_n
-    coef_mpc = sum(1 << n for n in range(1, n_space + 1)
-                   if _is_mpc(a[n - 1]) or _is_mpc(b[n - 1]) or _is_mpc(a[n]))
     ctrl_mpc = [_is_mpc(f) for f in ctrl]
-    parts = 2 if coef_mpc or any(ctrl_mpc) else 1
+    parts = 2 if any(ctrl_mpc) else 1
     rows, force = _read(a + b), _read(ctrl)
     cden, cexp, fden, fexp = rows.den, rows.exp, force.den, force.exp
-    # the parts of a_{n-1}, a_n, b_n and f_t
-    below, above, diag, force = (vec.parts(parts) for vec in (
-        rows[:n_space], rows[1:n_space + 1], rows[n_space + 1:], force))
+    # the ints of a_{n-1}, a_n and b_n, and the parts of f_t
+    below, above, diag = (rows.re[:n_space], rows.re[1:n_space + 1],
+                          rows.re[n_space + 1:])
+    force = force.parts(parts)
     # per parity of t: the site-indexed ints of each part, their scale,
     # and the mpc mask
     slices = [[[0] * (n_space + 2) for _ in range(parts)] for _ in range(2)]
@@ -647,13 +645,12 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
         den = math.lcm(*(d for d, _ in terms))
         low = min(e for _, e in terms)
         f1, f3, *fc = [den // d << (e - low) for d, e in terms]
-        new = [[f1 * s - f3 * q for s, q in zip(part, old[1:k + 1])]
-               for part, old in zip(_site_sums(below, above, diag, cur, k),
-                                    older)]
-        if fc:    # a_0 f_t: site 1's sum over a slice of f_t at site 0
-            for part, term in zip(new, _site_sums(
-                    below, above, diag, [[f, 0, 0] for f in f_t], 1)):
-                part[0] += fc[0] * term[0]
+        new = [[f1 * s - f3 * q for s, q in zip(
+                    _site_sums(below, above, diag, part, k), old[1:k + 1])]
+               for part, old in zip(cur, older)]
+        if fc:    # a_0 f_t, site 1's term of the control at site 0
+            for part, f in zip(new, f_t):
+                part[0] += fc[0] * below[0] * f
         vec = _normalised(_Ints(*new, den, low) if parts == 2
                           else _Ints(new[0], None, den, low), kind)
         for old, part in zip(older, vec.parts(parts)):
@@ -661,7 +658,7 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
         scales[1 - i] = vec.den, vec.exp
         if parts == 2:
             near = masks[i] | masks[i] << 1 | masks[i] >> 1 | ctrl_mpc[t] << 1
-            masks[1 - i] = (coef_mpc | near | masks[1 - i]) & (2 << k) - 2
+            masks[1 - i] = (near | masks[1 - i]) & (2 << k) - 2
         m = min(k, watched)
         out[:m, t] = _emitted(vec[:m], kind, zero, masks[1 - i] >> 1)
 
@@ -670,17 +667,11 @@ def _is_mpc(x) -> bool:
     return hasattr(x, "_mpc_")
 
 
-def _site_sums(below, above, diag, cur, k: int) -> list:
-    """The parts of a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n, n = 1..k,
-    from the parts of a_{n-1}, a_n, b_n and the site-indexed ``cur``."""
-    def real(p, q):
-        lo, hi, mid, u = below[p], above[p], diag[p], cur[q]
-        return [h * u2 + l * u0 + d * u1 for l, h, d, u0, u1, u2 in
-                zip(lo, hi, mid, u[:k], u[1:k + 1], u[2:k + 2])]
-    if len(cur) == 1:
-        return [real(0, 0)]
-    return [[x - y for x, y in zip(real(0, 0), real(1, 1))],
-            [x + y for x, y in zip(real(0, 1), real(1, 0))]]
+def _site_sums(below, above, diag, u, k: int) -> list:
+    """a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n, n = 1..k, from the ints of
+    a_{n-1}, a_n and b_n and one part ``u`` of a slice, site-indexed."""
+    return [h * u2 + l * u0 + d * u1 for l, h, d, u0, u1, u2 in
+            zip(below, above, diag, u[:k], u[1:k + 1], u[2:k + 2])]
 
 
 def _orthonormal_rows(alpha, root_beta, shift) -> np.ndarray:

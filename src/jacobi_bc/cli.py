@@ -181,12 +181,14 @@ def _primary_coefficients(args) -> JacobiCoefficients:
     return _coefficients(_primary_input(args), args.input[0])
 
 
-def _sequence_input(obj: dict, path: str):
-    """(key, values) of a 'response' or 'moments' file, else (None, None)."""
+def _sequence_input(args):
+    """The first input file, read once, with its 'response' or 'moments'
+    entry: (obj, key, values), key and values None when it has neither."""
+    obj = _primary_input(args)
     for key in ("response", "moments"):
         if key in obj:
-            return key, _number_list(obj, key, path)
-    return None, None
+            return obj, key, _number_list(obj, key, args.input[0])
+    return obj, None, None
 
 
 def _complex_from(pair, path: str) -> complex:
@@ -197,14 +199,31 @@ def _complex_from(pair, path: str) -> complex:
     raise CliInputError(f"{path}: points must be finite numbers or [re, im] pairs")
 
 
-def _points(args, keys: tuple) -> list:
-    """Evaluation points of the second input file, one tuple per point."""
-    path = args.input[1]
-    raw = _load_json(path).get("points")
-    if not isinstance(raw, list) or not raw or \
-            not all(isinstance(p, dict) for p in raw):
-        raise CliInputError(f"{path}: expected a 'points' list of objects")
-    return [tuple(_complex_from(p.get(k), path) for k in keys) for p in raw]
+def _grid_output(args, horizon: int, keys: tuple, default_points, evaluate):
+    """Payload and CSV producer of ``evaluate(*point)`` at the 'points' of
+    the second input file, else at ``default_points``.  An entry holds the
+    real and imaginary parts of each coordinate (named by ``keys``) and of
+    the value; the CSV columns are the entry keys."""
+    points = default_points
+    if len(args.input) > 1:
+        path = args.input[1]
+        raw = _load_json(path).get("points")
+        if not isinstance(raw, list) or not raw or \
+                not all(isinstance(p, dict) for p in raw):
+            raise CliInputError(f"{path}: expected a 'points' list of objects")
+        points = [tuple(_complex_from(p.get(k), path) for k in keys)
+                  for p in raw]
+    entries = []
+    for point in points:
+        entry = {}
+        for key, x in zip(keys + ("value",), point + (evaluate(*point),)):
+            x = complex(x)
+            entry.update({f"re_{key}": x.real, f"im_{key}": x.imag})
+        entries.append(entry)
+    return (lambda: {"horizon": horizon, "values": [
+                {k: _json_number(v) for k, v in e.items()} for e in entries]},
+            lambda: [list(entries[0])] + [
+                [_csv_number(v) for v in e.values()] for e in entries])
 
 
 def _series_rows(index: str, label: str, values):
@@ -265,23 +284,18 @@ def _cmd_response(args):
             _series_rows("t", "r_t", r))
 
 
-def _connect_from_input(args):
-    obj = _primary_input(args)
-    path = args.input[0]
-    key, values = _sequence_input(obj, path)
-    if key is not None:
-        size = args.horizon or (len(values) + 1) // 2
-        if key == "response":
-            return connecting_mod.connecting_from_response(values, size)
-        hank = moments_mod.build_hankel(values, size)
-        return connecting_mod.connecting_from_hankel(hank, size)
-    coeffs = _coefficients(obj, path)
-    size = _require_horizon(args)
-    return connecting_mod.gram_from_control(coeffs, size, args.precision)
-
-
 def _cmd_connect(args):
-    conn = _connect_from_input(args)
+    obj, key, values = _sequence_input(args)
+    size = (args.horizon or (len(values) + 1) // 2) if key else None
+    if key == "response":
+        conn = connecting_mod.connecting_from_response(values, size)
+    elif key == "moments":
+        conn = connecting_mod.connecting_from_hankel(
+            moments_mod.build_hankel(values, size), size)
+    else:
+        conn = connecting_mod.gram_from_control(
+            _coefficients(obj, args.input[0]), _require_horizon(args),
+            args.precision)
     return (lambda: {"size": conn.size, "orientation": "corner-top",
                      "matrix": [_json_numbers(row) for row in conn.matrix]},
             lambda: [["orientation", "corner-top"]] + [
@@ -289,11 +303,10 @@ def _cmd_connect(args):
 
 
 def _cmd_recover(args):
-    obj = _primary_input(args)
-    path = args.input[0]
-    key, values = _sequence_input(obj, path)
+    _, key, values = _sequence_input(args)
     if key is None:
-        raise CliInputError(f"{path}: expected a 'response' or 'moments' key")
+        raise CliInputError(
+            f"{args.input[0]}: expected a 'response' or 'moments' key")
     horizon = args.horizon or (len(values) + 1) // 2
     recover = (inverse.recover_from_response if key == "response"
                else inverse.recover_from_moments)
@@ -333,56 +346,30 @@ def _cmd_diagnose(args):
 def _cmd_kernel(args):
     coeffs = _primary_coefficients(args)
     horizon = _require_horizon(args)
-    if len(args.input) > 1:
-        points = _points(args, ("z", "lambda"))
-    else:
-        points = [(complex(re, im), complex(lam)) for re in (-2.0, 0.0, 2.0)
-                  for im in (0.5, 1.5) for lam in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    entries = []
-    for z, lam in points:
-        val = complex(debranges.kernel_finite(coeffs, z, lam, horizon))
-        entries.append({"re_z": z.real, "im_z": z.imag,
-                        "re_lambda": lam.real, "im_lambda": lam.imag,
-                        "re_value": val.real, "im_value": val.imag})
-    return _grid_output(horizon, entries)
+    grid = [(complex(re, im), complex(lam)) for re in (-2.0, 0.0, 2.0)
+            for im in (0.5, 1.5) for lam in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    return _grid_output(
+        args, horizon, ("z", "lambda"), grid,
+        lambda z, lam: debranges.kernel_finite(coeffs, z, lam, horizon))
 
 
 def _cmd_hb(args):
-    coeffs = _primary_coefficients(args)
-    horizon = _require_horizon(args)
-    if len(args.input) > 1:
-        points = [z for (z,) in _points(args, ("z",))]
-    else:
-        points = [complex(re, im) for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
-                  for im in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    evaluator = debranges.hermite_biehler(coeffs, horizon)
-    entries = []
-    for z in points:
-        val = complex(evaluator(z))
-        entries.append({"re_z": z.real, "im_z": z.imag,
-                        "re_value": val.real, "im_value": val.imag})
-    return _grid_output(horizon, entries)
-
-
-def _grid_output(horizon: int, entries: list):
-    """Payload and CSV producer of evaluation entries; the CSV columns are
-    the keys."""
-    return (lambda: {"horizon": horizon, "values": [
-                {k: _json_number(v) for k, v in e.items()} for e in entries]},
-            lambda: [list(entries[0])] + [
-                [_csv_number(v) for v in e.values()] for e in entries])
+    evaluator = debranges.hermite_biehler(_primary_coefficients(args),
+                                          _require_horizon(args))
+    grid = [(complex(re, im),) for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
+            for im in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    return _grid_output(args, evaluator.horizon, ("z",), grid, evaluator)
 
 
 def _cmd_moments(args):
-    obj = _primary_input(args)
-    path = args.input[0]
-    key, values = _sequence_input(obj, path)
+    _, key, values = _sequence_input(args)
     if key == "response":
         out_key, label, convert = "moments", "s_k", moments_mod.response_to_moments
     elif key == "moments":
         out_key, label, convert = "response", "r_k", moments_mod.moments_to_response
     else:
-        raise CliInputError(f"{path}: expected a 'response' or 'moments' key")
+        raise CliInputError(
+            f"{args.input[0]}: expected a 'response' or 'moments' key")
     out = convert(values, args.precision)
     return (lambda: {"direction": f"{key}-to-{out_key}",
                      out_key: _json_numbers(out)},

@@ -81,7 +81,7 @@ class ConditioningError(JacobiBCError):
 
 class ComplexDataError(JacobiBCError):
     """A value that must be real, such as a datum of recovery or a
-    coefficient ``classify`` reads, is complex."""
+    coefficient that ``classify``, a solver or a kernel reads, is complex."""
 
 
 class ConditioningWarning(UserWarning):

@@ -25,13 +25,13 @@ so the direct sum stays an independent oracle.
 
 In the limit-circle regime the polynomial sum converges as T grows,
 giving the infinite kernel; the Hermite-Biehler function is assembled
-from the kernel at z = i.
+from the kernel at z = i, summed by the direct backend of
+``kernel_finite``.
 
 The closed-form kernel built from E by the standard de Branges formula
 uses a 1/pi-weighted scalar product whose normalization differs from
-the coefficient-space product here; the constant between the two kernel
-routes is measured (kernel_backend_ratio) and reported, never silently
-absorbed.
+the coefficient-space product here; the tests measure the constant
+between the two kernel routes, and neither route absorbs it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .dynamics import control_operator
 from .moments import HankelMatrix
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
 from ._multiprec import (dot, gram_solve, lift, mode_of, mp_pd_solve,
-                         solve_scalar)
+                         require_real, solve_scalar)
 
 __all__ = [
     "KreinSolution",
@@ -65,7 +65,6 @@ __all__ = [
     "scalar_product",
     "hermite_biehler",
     "kernel_from_E",
-    "kernel_backend_ratio",
 ]
 
 SINGULAR_TOL, DIFFERENCE_STEP = 1e-8, 1e-5    # of kernel_from_E
@@ -149,6 +148,13 @@ def krein_solve_hankel(hankel, z: complex,
             "the moments of a positive measure") from exc
 
 
+def _require_real_p(coeffs: JacobiCoefficients, horizon: int) -> None:
+    """Refuse a complex a_0..a_{T-1} or b_1..b_{T-1}, the entries that
+    p_1..p_T read, with ComplexDataError."""
+    require_real(coeffs.a_head(horizon), "a")
+    require_real(coeffs.b_head(horizon - 1), "b", 1)
+
+
 def kernel_finite(source, z: complex, lam, horizon: int | None = None,
                   method: str = "direct",
                   precision: PrecisionMode = PrecisionMode.DOUBLE) -> complex:
@@ -160,7 +166,8 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
     conj(p_n(z)) p_n(lam), and method "krein" solves the Krein equation
     on the simulated W_T by two triangular sweeps without forming C_T
     (``_multiprec.gram_solve``).  The two backends
-    agree on genuine data.  W_T's diagonal is positive by construction, so
+    agree on genuine data.  Both refuse complex coefficients with
+    ComplexDataError.  W_T's diagonal is positive by construction, so
     the coefficient route never raises NotAResponseVectorError; a W_T too
     ill-conditioned for the precision raises ConditioningError when the
     refined residual stays above 1e-10.
@@ -170,6 +177,7 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
     if horizon is None:
         raise ValueError("horizon is required with coefficient input")
     if method == "direct":
+        _require_real_p(source, horizon)
         p_z = eval_p_all(source, horizon, complex(z))
         p_l = eval_p_all(source, horizon, lam)
         total = 0
@@ -200,12 +208,16 @@ def kernel_infinite(coeffs: JacobiCoefficients, z: complex, lam: complex,
     drops below ``tol``.
 
     The series converges locally uniformly exactly in the limit-circle
-    regime; hitting the cap raises NotLimitCircleError.
+    regime; hitting the cap raises NotLimitCircleError.  A complex
+    coefficient among those read raises ComplexDataError.
     """
     total, sizes = 0j, []
     terms = zip(_recurrence(coeffs, complex(z), "p"),
                 _recurrence(coeffs, complex(lam), "p"))
     for n, (pz, pl) in enumerate(terms, 1):
+        if n > 1:    # the entries p_n read last, refused when complex
+            require_real([coeffs.a(n - 2), coeffs.a(n - 1)], "a", n - 2)
+            require_real([coeffs.b(n - 1)], "b", n - 1)
         term = np.conj(pz) * pl
         total += term
         sizes.append(abs(term) + (sizes[-1] if sizes else 0.0))
@@ -248,22 +260,11 @@ class HermiteBiehlerFunction:
 
     coeffs: JacobiCoefficients
     horizon: int
-    kernel_coeffs: np.ndarray
     norm_sq: float
 
-    def __post_init__(self):
-        _freeze_array(self, "kernel_coeffs", self.kernel_coeffs, complex)
-
-    def kernel_at_i(self, z):
-        """J_i(z) = sum_n conj(p_n(i)) p_n(z); z scalar or ndarray."""
-        p_z = eval_p_all(self.coeffs, self.horizon, z)
-        total = 0
-        for n in range(self.horizon):
-            total = total + self.kernel_coeffs[n] * p_z[n]
-        return total
-
     def __call__(self, z):
-        val = (np.sqrt(np.pi) * (1 - 1j * np.asarray(z)) * self.kernel_at_i(z)
+        val = (np.sqrt(np.pi) * (1 - 1j * np.asarray(z))
+               * kernel_finite(self.coeffs, 1j, z, self.horizon)
                / np.sqrt(self.norm_sq))
         return complex(val) if np.ndim(z) == 0 else val
 
@@ -272,11 +273,10 @@ def hermite_biehler(coeffs: JacobiCoefficients, horizon: int) -> HermiteBiehlerF
     """Hermite-Biehler function of the horizon-T reachable space."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    p_i = eval_p_all(coeffs, horizon, 1j)
-    kernel_coeffs = np.conj(np.asarray(p_i, dtype=complex))
-    norm_sq = float(np.sum(np.abs(kernel_coeffs) ** 2))
+    _require_real_p(coeffs, horizon)
+    p_i = np.asarray(eval_p_all(coeffs, horizon, 1j), dtype=complex)
     return HermiteBiehlerFunction(coeffs=coeffs, horizon=horizon,
-                                  kernel_coeffs=kernel_coeffs, norm_sq=norm_sq)
+                                  norm_sq=float(np.sum(np.abs(p_i) ** 2)))
 
 
 def kernel_from_E(E, z: complex, xi: complex) -> complex:
@@ -303,17 +303,3 @@ def kernel_from_E(E, z: complex, xi: complex) -> complex:
         return complex(0.5j * deriv)
     return complex(numerator(xi) / (2j * denom))
 
-
-def kernel_backend_ratio(coeffs: JacobiCoefficients, horizon: int,
-                         points) -> np.ndarray:
-    """Measured ratios kernel_from_E / kernel_finite at (z, xi) samples.
-
-    Reports the empirical normalization constant between the closed-form
-    route and the polynomial-sum route.
-    """
-    E = hermite_biehler(coeffs, horizon)
-    ratios = []
-    for z, xi in points:
-        direct = kernel_finite(coeffs, z, xi, horizon)
-        ratios.append(kernel_from_E(E, z, xi) / direct)
-    return np.asarray(ratios)

@@ -9,6 +9,8 @@ the control applied at site 0: u_{0,t} = f_t.  The control enters one
 site per time step, so u_{n,t} = 0 whenever n > t (finite propagation
 speed); the semi-infinite solver therefore only materializes the cone
 n <= horizon.  The finite variant adds the Dirichlet wall u_{N+1,t} = 0.
+The coefficients must be real, and every solver refuses a complex a_n or
+b_n with ComplexDataError; the control may be complex.
 
 Every solver runs one rolling sweep over two time slices.  A step
 updates only the sites inside the reachable cone: those the wave has
@@ -56,7 +58,8 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
-from ._multiprec import cell_bytes, forward_sweep, lift, width_quantum
+from ._multiprec import (cell_bytes, forward_sweep, lift, require_real,
+                         width_quantum)
 
 __all__ = [
     "WaveField",
@@ -163,17 +166,16 @@ def _lift_system(coeffs: JacobiCoefficients, control, horizon: int,
     The last a_n is a zero that multiplies the ghost site n_space + 1,
     which is identically zero: the causality cone for the semi-infinite
     system, the Dirichlet wall for the finite one; it is also the zero an
-    unreached site holds.  The field takes the type of a and the
-    control: a complex b alone leaves it real, and the sweep drops b's
-    imaginary parts at each step.  Object rows keep their own types, so
-    a complex b leaves a and that zero real there too.
+    unreached site holds.  The coefficients must be real (a complex a_n
+    or b_n raises ComplexDataError); the control is lifted first and may
+    be complex, which makes the field complex.
     """
     ctrl = _control_array(control, horizon, precision)
-    a = coeffs.a_head(n_space)
-    coef = np.array([lift(row, precision) for row in
-                     (a, coeffs.b_head(n_space), a[1:] + [0])])
-    real_a = np.iscomplexobj(coef) and not np.iscomplexobj(a)
-    return ctrl, coef, np.result_type(coef.real if real_a else coef, ctrl)
+    a, b = coeffs.a_head(n_space), coeffs.b_head(n_space)
+    require_real(a, "a")
+    require_real(b, "b", 1)
+    coef = np.array([lift(row, precision) for row in (a, b, a[1:] + [0])])
+    return ctrl, coef, np.result_type(coef, ctrl)
 
 
 def _sweep(ctrl, coef, out: np.ndarray) -> None:
@@ -191,9 +193,6 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     u_{n-1}) + b_n u_n - u_{n,t-1}, the operands and order of the
     full-field update, so each cell an output reads has its bits.
 
-    The sum is formed in the type of the coefficients and the field;
-    a field that is real while b is complex takes its real part.
-
     k is rounded up to a multiple of ``width_quantum`` sites (capped at
     n_space), and the views are re-cut only when that width changes.
     The cells it adds lie past the wavefront, where they stay +0.0, or
@@ -209,9 +208,7 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     slices += (slices[0].copy(),)
     sites = [as_strided(s, (3, n_space), s.strides * 2, writeable=False)
              for s in slices]
-    prod = np.empty((3, n_space), dtype=np.result_type(coef, out))
-    # prod itself, or its real part where only b is complex
-    acc = prod if np.iscomplexobj(out) else prod.real
+    prod = np.empty((3, n_space), dtype=out.dtype)
     # per parity of t: the width its views were cut for, and the views
     widths, views = [0, 0], [None, None]
     # one watched site: its values, written into out once at the end
@@ -225,13 +222,13 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
                 p, older = prod[:, :k], slices[1 - i]
                 widths[i] = k
                 views[i] = (slices[i], coef[:, :k], sites[i][:, :k], p, *p,
-                            acc[2, :k], older[1:k + 1], older[1:watched + 1])
-            cur, c, u, p, p0, p1, p2, total, prev, seen = views[i]
+                            older[1:k + 1], older[1:watched + 1])
+            cur, c, u, p, p0, p1, p2, prev, seen = views[i]
             cur[0] = f
             np.multiply(c, u, out=p)
             np.add(p2, p0, out=p2)
             np.add(p2, p1, out=p2)
-            np.subtract(total, prev, out=prev)
+            np.subtract(p2, prev, out=prev)
             if site is None:
                 out.T[t] = seen
             else:
@@ -349,10 +346,8 @@ def response_vector(coeffs: JacobiCoefficients, length: int,
         raise ValueError("length must be >= 1")
     n_space = coeffs.size if coeffs.is_finite else length
     _check_sizes(length, n_space)
-    row = _watched_sites(coeffs, [1], length, n_space, 1, precision)[0]
-    if np.iscomplexobj(row):
-        row = row.real
-    return ResponseVector(row)
+    return ResponseVector(
+        _watched_sites(coeffs, [1], length, n_space, 1, precision)[0])
 
 
 def control_operator(coeffs: JacobiCoefficients, horizon: int,
@@ -368,8 +363,6 @@ def control_operator(coeffs: JacobiCoefficients, horizon: int,
     _check_sizes(horizon, horizon)
     _check_field_memory(horizon, horizon, precision)
     w = _watched_sites(coeffs, [1], horizon, horizon, horizon, precision)
-    if np.iscomplexobj(w):
-        w = w.real
     return ControlOperatorMatrix(matrix=w, horizon=horizon)
 
 

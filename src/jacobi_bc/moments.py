@@ -77,15 +77,6 @@ class ChebyshevTransform:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def as_float(self) -> np.ndarray:
-        return self.matrix.astype(float)
-
-    def row_coefficients(self, k: int) -> list:
-        """Monomial coefficients of T_k (k is 1-based), padded to size."""
-        if not (1 <= k <= self.size):
-            raise IndexError("row index out of range")
-        return list(self.matrix[k - 1])
-
 
 def build_hankel(s, size: int) -> HankelMatrix:
     """The size x size block with entries s_{i+j} (0-based indices).

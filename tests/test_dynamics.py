@@ -3,7 +3,6 @@ import math
 import re
 import time
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from jacobi_bc import (
     BoundaryControl,
     CoefficientUnderrunError,
+    ComplexDataError,
     ConditioningError,
     ControlOperatorMatrix,
     JacobiBCError,
@@ -22,6 +22,9 @@ from jacobi_bc import (
     WaveField,
     apply_response,
     control_operator,
+    hermite_biehler,
+    kernel_finite,
+    kernel_infinite,
     response_vector,
     solve_finite,
     solve_semi_infinite,
@@ -525,9 +528,6 @@ def _cone_watched(coeffs, control, horizon, n_space, watched, precision):
 
 def _cone_outputs(coeffs, size, control, horizon, precision):
     """response_vector, solve_finite and control_operator by the oracle."""
-    def real(arr):
-        return arr.real if np.iscomplexobj(arr) else arr
-
     def field():
         ctrl, interior = _cone_watched(coeffs, control, horizon, size, size,
                                        precision)
@@ -537,11 +537,11 @@ def _cone_outputs(coeffs, size, control, horizon, precision):
         return out
 
     n_space = coeffs.size if coeffs.is_finite else horizon
-    return [lambda: real(_cone_watched(coeffs, [1], horizon, n_space, 1,
-                                       precision)[1][0]),
+    return [lambda: _cone_watched(coeffs, [1], horizon, n_space, 1,
+                                  precision)[1][0],
             field,
-            lambda: real(_cone_watched(coeffs, [1], horizon, horizon,
-                                       horizon, precision)[1])]
+            lambda: _cone_watched(coeffs, [1], horizon, horizon, horizon,
+                                  precision)[1]]
 
 
 def _solver_outputs(coeffs, size, control, horizon, precision):
@@ -579,14 +579,13 @@ def _sweep_cases(draw):
     """(coefficients, finite size, control, horizon, precision).  DOUBLE
     horizons reach past three 64-site widths; the 2^n family overflows
     to inf and then NaN; the unchecked family has negative or -0.0 a and
-    NaN b, which no validated input holds; the complex-b family has a
-    real a, so a real control leaves its field real."""
+    NaN b, which no validated input holds."""
     precision = draw(st.sampled_from(list(PrecisionMode)))
     double = precision is PrecisionMode.DOUBLE
     horizon = draw(st.integers(1, 200 if double else 10))
     length = draw(st.sampled_from([horizon + 1, max(horizon // 2, 1)]))
     kind = draw(st.sampled_from(
-        ["random", "geometric", "complex_b"] + ["unchecked"] * double))
+        ["random", "geometric"] + ["unchecked"] * double))
     if kind == "geometric":
         coeffs = JacobiCoefficients.geometric(2)
     else:
@@ -595,8 +594,6 @@ def _sweep_cases(draw):
         if kind == "unchecked":
             a = st.sampled_from([0.75, -0.0, -1.25]) | a
             b = st.just(float("nan")) | b
-        if kind == "complex_b":
-            b = st.builds(complex, b, _ZEROS_AND_REALS)
         coeffs = JacobiCoefficients.from_arrays(
             [1.0] + draw(st.lists(a, min_size=length - 1, max_size=length - 1)),
             draw(st.lists(b, min_size=length, max_size=length)))
@@ -622,8 +619,6 @@ def _sweep_example(kind, precision, horizon, length, size, complex_control):
         if kind == "unchecked":
             a[1:4] = [0.75, -0.0, -1.25]
             b[1] = float("nan")
-        if kind == "complex_b":
-            b = [complex(v, 0.25 - (k % 3) / 4) for k, v in enumerate(b)]
         coeffs = JacobiCoefficients.from_arrays(a, b)
     control = [1.0, -0.0, 0.5, 0.0, -0.75][:horizon]
     if complex_control:
@@ -635,16 +630,13 @@ def _sweep_example(kind, precision, horizon, length, size, complex_control):
 @given(case=_sweep_cases())
 @example(case=_sweep_example("random", PrecisionMode.DOUBLE, 150, 75, 40, True))
 @example(case=_sweep_example("geometric", PrecisionMode.DOUBLE, 200, 0, 130, False))
-@example(case=_sweep_example("complex_b", PrecisionMode.DOUBLE, 70, 71, 71, False))
 @example(case=_sweep_example("unchecked", PrecisionMode.DOUBLE, 130, 131, 9, True))
 # one site of the full field: the sweep collects it and writes it once
 @example(case=_sweep_example("random", PrecisionMode.DOUBLE, 140, 141, 1, True))
 @example(case=_sweep_example("random", PrecisionMode.EXTENDED, 10, 11, 6, False))
 @example(case=_sweep_example("geometric", PrecisionMode.EXTENDED, 9, 0, 10, True))
-@example(case=_sweep_example("complex_b", PrecisionMode.EXTENDED, 8, 4, 4, True))
 @example(case=_sweep_example("random", PrecisionMode.RATIONAL, 10, 11, 5, False))
 @example(case=_sweep_example("geometric", PrecisionMode.RATIONAL, 10, 0, 7, False))
-@example(case=_sweep_example("complex_b", PrecisionMode.RATIONAL, 7, 8, 8, False))
 def test_sweep_kernel_equals_the_one_expression_step(case):
     # DOUBLE and RATIONAL keep the bits of the one-expression step;
     # EXTENDED keeps its number types and is no less accurate than it
@@ -655,24 +647,18 @@ def test_sweep_kernel_equals_the_one_expression_step(case):
         if case[-1] is PrecisionMode.EXTENDED:
             _assert_as_accurate(got, want, truth)
             continue
-        with warnings.catch_warnings():
-            # the oracle drops a complex b's imaginary parts by assignment
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            assert _bits(got) == _bits(want)
+        assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("coeffs", [
     JacobiCoefficients.from_rules(lambda n: 1 - 0.5 / (n + 1) ** 2,
                                   lambda n: (-1) ** n * 0.3 / (n + 1) ** 2),
-    JacobiCoefficients.from_rules(lambda n: 0.5 + (n % 7) / 4,
-                                  lambda n: complex((n % 5) / 4 - 0.5,
-                                                    0.25 - (n % 3) / 4)),
     JacobiCoefficients.from_arrays([1.0] + [0.5 + (k % 7) / 4
                                             for k in range(1, 300)],
                                    [-0.0 if k % 3 else 0.25
                                     for k in range(300)]),
     JacobiCoefficients.geometric(2),    # inf, then NaN
-], ids=["real", "complex_b", "finite", "overflow"])
+], ids=["real", "finite", "overflow"])
 def test_response_vector_is_the_first_operator_row(coeffs):
     # the one watched site the sweep collects, against the column writes
     # of the full operator
@@ -682,18 +668,41 @@ def test_response_vector_is_the_first_operator_row(coeffs):
     assert got[0] == (horizon,)    # values, not an error on both sides
 
 
-def test_extended_complex_b_leaves_unreached_sites_real():
-    # each coefficient row is lifted on its own, so a complex b leaves a
-    # and the zero an unreached site holds real, as in the oracle sweep
-    co = JacobiCoefficients.from_arrays([1.0, 1.0, 0.75, 1.0],
-                                        [0j, -0.25 + 0j, 1 - 1j, -1 - 1j])
-    case = (co, 2, [0.0], 8, PrecisionMode.EXTENDED)
-    field = solve_finite(*case).values
-    assert type(field[2, 2]) is type(lift([0.0], PrecisionMode.EXTENDED)[0])
-    for got, want in zip(_solver_outputs(*case), _cone_outputs(*case)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            assert _bits(got) == _bits(want)
+def _coefficient_routes():
+    """Each route that reads coefficients, once per mode where it takes
+    one: (route(coeffs, horizon, precision), precision)."""
+    moded = {
+        "solve_semi_infinite":
+            lambda co, T, p: solve_semi_infinite(co, [1.0], T, p),
+        "solve_finite": lambda co, T, p: solve_finite(co, T, [1.0], T, p),
+        "response_vector": response_vector,
+        "control_operator": control_operator,
+        "kernel_krein":
+            lambda co, T, p: kernel_finite(co, 1j, 0.5, T, "krein", p),
+    }
+    for name, route in moded.items():
+        for precision in PrecisionMode:
+            yield pytest.param(route, precision,
+                               id=f"{name}-{precision.value}")
+    yield pytest.param(lambda co, T, p: kernel_finite(co, 1j, 0.5, T), None,
+                       id="kernel_direct")
+    yield pytest.param(lambda co, T, p: hermite_biehler(co, T), None,
+                       id="hermite_biehler")
+    yield pytest.param(lambda co, T, p: kernel_infinite(co, 1j, 0.5), None,
+                       id="kernel_infinite")
+
+
+@pytest.mark.parametrize("route, precision", _coefficient_routes())
+@pytest.mark.parametrize("coeffs, horizon, entry", [
+    (JacobiCoefficients.from_rules(lambda n: 1, lambda n: 0.5j), 4, "b_1"),
+    (JacobiCoefficients.from_arrays([1, 1, 1j, 1], [0, 0, 0, 0]), 4, "a_2"),
+    (JacobiCoefficients.from_arrays(
+        [1, lift([2 + 1j], PrecisionMode.EXTENDED)[0]], [0, 0]), 2, "a_1"),
+], ids=["complex_b", "complex_a", "mpc_a"])
+def test_coefficient_routes_refuse_complex_coefficients(
+        route, precision, coeffs, horizon, entry):
+    with pytest.raises(ComplexDataError, match=f"^{entry} = "):
+        route(coeffs, horizon, precision)
 
 
 @pytest.mark.parametrize("precision",

@@ -14,7 +14,8 @@ is loaded: LAPACK is imported by its first call, so commands that never
 reach it skip the import.  The positive-definite factorization and the
 substitute-and-refine loop of the solves contract through
 ``_multiprec.dot``, never ``@``, which rounds an object array after
-every product and add.
+every product and add.  A public function has a caller in the package or
+a stated reason to be kept without one.
 """
 
 import ast
@@ -270,3 +271,103 @@ def _cell(x, exp):
 def test_only_the_emitter_rounds_to_mpf():
     hits = _owners(NORMALIZE_CALL, (PACKAGE / "_multiprec.py").read_text())
     assert hits <= EMITTERS, hits - EMITTERS
+
+
+# Every public function has a caller in the package (``cli.py`` counts)
+# or a stated reason to be kept without one, so a wrapper that only tests
+# call cannot land unexplained, and an entry whose function gained a
+# caller or left ``__all__`` goes.
+UNCALLED_PUBLIC = {
+    "apply_response": "the response operator R f of the paper, the "
+                      "convolution twin of the forward solve",
+    "chebyshev_transform": "the exact T_k-to-monomial transform; the "
+                           "acceptance suite checks it",
+    "connecting_eig_sequences": "beta_T and gamma_T of the data; the "
+                                "acceptance suite reads them",
+    "connecting_from_spectrum": "the spectral construction of C_T, one "
+                                "of the four the acceptance suite compares",
+    "eval_chebyshev": "T_t(z) of the paper; the acceptance suite imports it",
+    "extension_parameter": "the extension parameter h of the "
+                           "limit-circle case, a paper quantity",
+    "fourier_image": "the polynomial a state transforms to, a paper "
+                     "quantity",
+    "hankel_positivity": "the Hankel side of validate_response",
+    "kernel_from_E": "the de Branges kernel of E_T, the cross-check of "
+                     "kernel_finite",
+    "kernel_infinite": "the limit-circle kernel, a paper quantity",
+    "krein_solve_hankel": "the Hankel twin of krein_solve",
+    "materialize_matrix": "the Jacobi block A^N itself, a paper quantity",
+    "quadrature": "the integral against the spectral measure of A^N",
+    "scalar_product": "[F, G] = (C_T f, g) of the paper; the acceptance "
+                      "suite checks the reproducing identity with it",
+    "solution_via_spectrum": "the spectral representation of the field, "
+                             "the oracle of the forward solve",
+    "validate_response": "the response characterization of the paper; "
+                         "the acceptance suite checks it",
+}
+
+
+def _uncalled(sources):
+    """The functions named in the ``__all__`` of ``sources`` ({module
+    name: source}) that no code there refers to outside their own def;
+    imports and the ``__all__`` strings do not refer."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    public = set()
+    for tree in trees.values():
+        named = {elt.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__"
+                         for t in node.targets)
+                 for elt in node.value.elts}
+        public |= {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name in named}
+    called = set()
+    for tree in trees.values():
+        for top in tree.body:
+            called |= {getattr(node, "id", None) or getattr(node, "attr", None)
+                       for node in ast.walk(top)
+                       if isinstance(node, (ast.Name, ast.Attribute))
+                       } - {getattr(top, "name", None)}
+    return public - called
+
+
+def test_scan_catches_a_public_function_without_a_caller():
+    sources = {"a.py": '''
+__all__ = ["used", "attribute", "unused", "recursive"]
+
+def used(x):
+    return x
+
+def attribute(x):
+    return x
+
+def unused(x):
+    return used(x)
+
+def recursive(n):
+    return recursive(n - 1) if n else 0
+
+def _private(x):
+    return x
+''', "b.py": '''
+from .a import unused
+from . import a
+
+__all__ = ["caller"]
+
+def caller(x):
+    return a.attribute(x)
+
+if __name__ == "__main__":
+    caller(1)
+'''}
+    assert _uncalled(sources) == {"unused", "recursive"}
+
+
+def test_public_functions_have_a_caller_or_a_reason():
+    uncalled = _uncalled({path.name: path.read_text()
+                          for path in PACKAGE.glob("*.py")})
+    assert uncalled <= set(UNCALLED_PUBLIC), \
+        f"no caller and no stated reason: {sorted(uncalled - set(UNCALLED_PUBLIC))}"
+    assert set(UNCALLED_PUBLIC) <= uncalled, \
+        f"stale entries: {sorted(set(UNCALLED_PUBLIC) - uncalled)}"
