@@ -148,11 +148,12 @@ def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
 def require_real(values, name: str, first: int = 0) -> None:
     """Refuse complex entries of ``values`` with ComplexDataError naming
     the first, name_{first + k}: a complex or an mpc, whatever its
-    imaginary part, and in an array of complex dtype the first entry
+    imaginary part, and in an ndarray of complex dtype the first entry
     with a nonzero imaginary part (entry 0 when none has one)."""
     arr = np.asarray(values)
     if arr.dtype.kind == "c":
-        at = int(np.argmax(arr.imag != 0))
+        at = (int(np.argmax(arr.imag != 0)) if isinstance(values, np.ndarray)
+              else next(k for k, x in enumerate(values) if np.iscomplexobj(x)))
     elif arr.dtype == object:
         at = next((k for k, x in enumerate(arr.tolist())
                    if isinstance(x, complex) or _is_mpc(x)), None)

@@ -27,6 +27,19 @@ quadrature nodes as the recurrence yields each p_n and keep only the
 last partial sums the truncation rule reads, so no depth x nodes table
 of polynomial values is formed.
 
+Both quadratures are exact for the truncated sums (p_n has degree
+n - 1), so the bounds carry no quadrature error beyond rounding.  On the
+unit circle sum_{n<=K} |p_n(e^{i theta})|^2 is a trigonometric
+polynomial of degree K - 1, which the M-node trapezoid rule integrates
+exactly for M >= K; M is the smallest power of two >= K
+(``_circle_nodes``).  Power-of-two grids nest: 2 pi k / M is one
+rounding of 2 pi k followed by an exact power-of-two scaling, so node k
+of M is bitwise node k L / M of any larger power-of-two grid L, and the
+sums at those nodes agree bit for bit.  On (-1, 1) sum_{n<=K} |p_n(x)|^2
+is a polynomial of degree 2K - 2, which the n-node Gauss-Chebyshev rule
+integrates exactly for 2n - 1 >= 2K - 2; n is the larger of
+GAUSS_CHEBYSHEV_NODES and K.
+
 The beta criterion is one-directional only: the free coefficients are
 limit point yet keep beta_T = 1, so no verdict here ever rests on
 beta_T alone.  All finite-depth verdicts are heuristic; the thresholds
@@ -82,7 +95,7 @@ __all__ = [
 _MONOTONE_SLACK = 1e-12
 
 DEFICIENCY_DEPTH, TAIL_TOL, EPS_DET = 60, 1e-10, 1e-8     # classify's policy
-CIRCLE_NODES, GAUSS_CHEBYSHEV_NODES = 2048, 256     # of the circle bounds
+GAUSS_CHEBYSHEV_NODES = 256     # the connecting bound's fewest nodes
 
 
 class Verdict(Enum):
@@ -157,6 +170,13 @@ class CircleBoundEstimate:
         return self.value
 
 
+def _circle_nodes(truncation: int) -> int:
+    """The trapezoid nodes of ``circle_bound_hankel``: the smallest power
+    of two >= the truncation K, at least the K the rule needs to be
+    exact, and nested in every larger power-of-two grid."""
+    return 1 << (truncation - 1).bit_length()
+
+
 def _partial_square_sums(coeffs, truncation, nodes):
     """Final sums over n <= truncation of |p_n(z)|^2 on the given nodes,
     plus the worst relative last-window contribution; raises when a sum
@@ -197,14 +217,19 @@ def circle_bound_hankel(coeffs: JacobiCoefficients,
     """Limit-circle lower bound for lim lambda_N.
 
     Averages sum_{n<=K} |p_n(e^{i theta})|^2 over the unit circle with
-    the trapezoid rule (periodic integrand, spectral accuracy) and
-    returns the reciprocal: the trace of S_N^{-1} in the orthonormal
-    basis is the circle average of the squared polynomial mass, by
-    coefficient Parseval, which caps 1 / lambda_N.
+    the trapezoid rule on ``_circle_nodes(K)`` nodes, exact for this
+    trigonometric polynomial of degree K - 1, and returns the
+    reciprocal: the trace of S_N^{-1} in the orthonormal basis is the
+    circle average of the squared polynomial mass, by coefficient
+    Parseval, which caps 1 / lambda_N.  ``tail_estimate`` is the largest
+    relative contribution of the last TAIL_WINDOW terms over those
+    nodes (nan for K <= 2 TAIL_WINDOW); it is a truncation diagnostic,
+    not a quadrature error.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    thetas = 2 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
+    count = _circle_nodes(truncation)
+    thetas = 2 * np.pi * np.arange(count) / count
     nodes = np.exp(1j * thetas)
     sums, tail = _partial_square_sums(coeffs, truncation, nodes)
     return CircleBoundEstimate(value=1.0 / float(np.mean(sums)),
@@ -216,11 +241,14 @@ def circle_bound_connecting(coeffs: JacobiCoefficients,
     """Limit-circle lower bound for lim beta_T.
 
     Integrates sum_{n<=K} |p_n(x)|^2 against dx / sqrt(1 - x^2) over
-    (-1, 1) by Gauss-Chebyshev quadrature and returns the reciprocal.
+    (-1, 1) by Gauss-Chebyshev quadrature on max(GAUSS_CHEBYSHEV_NODES,
+    K) nodes, exact for this polynomial of degree 2K - 2, and returns
+    the reciprocal; ``tail_estimate`` is read over those nodes as in
+    ``circle_bound_hankel``.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    nodes = GAUSS_CHEBYSHEV_NODES
+    nodes = max(GAUSS_CHEBYSHEV_NODES, truncation)
     x = np.cos((2 * np.arange(1, nodes + 1) - 1) * np.pi / (2 * nodes))
     sums, tail = _partial_square_sums(coeffs, truncation, x)
     integral = float(np.pi / nodes * np.sum(sums))

@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jacobi_bc import JacobiCoefficients, materialize_matrix
+
+# every property test: no per-example deadline (the object modes are
+# slow), and the same examples on every run
+settings.register_profile("jacobi_bc", deadline=None, derandomize=True)
+settings.load_profile("jacobi_bc")
 
 
 def random_coefficients(rng, size, a_range=(0.5, 2.0), b_range=(-1.0, 1.0)):

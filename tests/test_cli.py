@@ -242,7 +242,7 @@ _PAYLOAD = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(payload=_PAYLOAD,
        command=st.sampled_from(["simulate", "response", "connect", "recover",
                                 "diagnose", "kernel", "hb", "moments"]),
@@ -651,7 +651,7 @@ _JSON_DOCS = st.recursive(
     max_leaves=30)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(payload=st.dictionaries(_JSON_TEXT, _JSON_DOCS, max_size=5))
 @example(payload={"rows": [[-0.0, 5e-324, 1e308, None, 10 ** 40, True],
                            [], [{}], ["a, b", 1.5]],

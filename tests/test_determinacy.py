@@ -1,10 +1,12 @@
 import json
+import re
 import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jacobi_bc import (
     ComplexDataError,
@@ -29,7 +31,7 @@ from jacobi_bc import (
 
 from jacobi_bc import _multiprec
 from jacobi_bc.cli import main
-from jacobi_bc.determinacy import CIRCLE_NODES, _partial_square_sums
+from jacobi_bc.determinacy import _circle_nodes, _partial_square_sums
 from jacobi_bc.spectral import TAIL_WINDOW, eval_p_all, relative_tail
 
 from conftest import random_coefficients, report_fields, semicircle_moments
@@ -249,7 +251,8 @@ def _relative_gap(got, want):
     # past n_max, where only the deficiency sums and circle bounds read it
     (JacobiCoefficients.from_rules(lambda n: 1,
                                    lambda n: 1j if n == 40 else 0), "b_40"),
-], ids=["complex_b", "complex_a", "mpc_a", "deep_b"])
+    (JacobiCoefficients.from_arrays([1, 1, 1, 1], [0, 0, 0j, 0]), "b_3"),
+], ids=["complex_b", "complex_a", "mpc_a", "deep_b", "zero_imaginary_b"])
 def test_classify_refuses_complex_coefficients(coeffs, entry, precision):
     with pytest.raises(ComplexDataError, match=f"^{entry} = "):
         classify(coeffs, 8, precision)
@@ -473,10 +476,11 @@ class TestStreamedSquareSums:
         with pytest.raises(NotLimitCircleError) as streamed:
             circle_bound_hankel(FREE, 60)
         message = str(streamed.value)
+        count = _circle_nodes(60)
         assert message.startswith("not limit circle: sum_n |p_n(z)|^2 has "
                                   "a non-decreasing tail at ")
-        assert message.endswith(f" of {CIRCLE_NODES} quadrature nodes")
-        nodes = np.exp(2j * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES)
+        assert message.endswith(f" of {count} quadrature nodes")
+        nodes = np.exp(2j * np.pi * np.arange(count) / count)
         with pytest.raises(NotLimitCircleError) as table:
             _table_square_sums(FREE, 60, nodes)
         assert message == str(table.value)
@@ -489,7 +493,7 @@ class TestStreamedSquareSums:
 
     def test_hankel_bound_holds_no_node_table(self):
         # the depth x nodes complex table of p_n took 3.9 MB at depth 60;
-        # the streamed sums keep a few rows of 2048 nodes
+        # the streamed sums keep a few rows of _circle_nodes(60) = 64 nodes
         circle_bound_hankel(GEO, 60)
         tracemalloc.start()
         try:
@@ -498,3 +502,98 @@ class TestStreamedSquareSums:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def _circle_sums(coeffs, truncation, count):
+    """``_partial_square_sums`` on the count-node trapezoid grid, or the
+    error's type and message with its node counts masked."""
+    nodes = np.exp(1j * (2 * np.pi * np.arange(count) / count))
+    try:
+        return _partial_square_sums(coeffs, truncation, nodes)
+    except NotLimitCircleError as exc:
+        return type(exc), re.sub(r"at \d+ of \d+ quadrature",
+                                 "at # of # quadrature", str(exc))
+
+
+def _exact_circle_mean(coeffs, truncation):
+    """The unit-circle mean of sum_{n<=K} |p_n|^2 in 40-digit mpmath: by
+    Parseval, the sum of the squared monomial coefficients of p_1..p_K."""
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    prev, cur, total = [], [ctx.mpf(1)], ctx.mpf(0)
+    for n in range(1, truncation + 1):
+        total += sum(c * c for c in cur)
+        a_n, a_prev, b_n = (ctx.mpf(coeffs.a(n)), ctx.mpf(coeffs.a(n - 1)),
+                            ctx.mpf(coeffs.b(n)))
+        # p_{n+1} = ((z - b_n) p_n - a_{n-1} p_{n-1}) / a_n
+        nxt = [0] + cur
+        for k, c in enumerate(cur):
+            nxt[k] -= b_n * c
+        for k, c in enumerate(prev):
+            nxt[k] -= a_prev * c
+        prev, cur = cur, [c / a_n for c in nxt]
+    return total
+
+
+class TestCircleNodes:
+    """The trapezoid rule of ``circle_bound_hankel`` runs on the smallest
+    power of two >= K nodes: exact for the degree K - 1 integrand, and
+    nested in the larger power-of-two grids."""
+
+    def test_smallest_power_of_two_at_least_the_truncation(self):
+        assert [_circle_nodes(k) for k in (1, 2, 3, 60, 64, 65, 2049)] == [
+            1, 2, 4, 64, 64, 128, 4096]
+
+    @settings(max_examples=120)
+    @given(truncation=st.integers(1, 200),
+           family=st.one_of(
+               st.floats(1.2, 4).map(JacobiCoefficients.geometric),
+               st.just(FREE),
+               st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 40))))
+    @example(truncation=60, family=TestOverflowedDeficiencySums.GEO_HALF)
+    def test_sums_are_the_2048_grid_sums_at_its_nested_nodes(
+            self, truncation, family):
+        if isinstance(family, tuple):
+            seed, extra = family
+            family = random_coefficients(np.random.default_rng(seed),
+                                         truncation + extra)
+        count = _circle_nodes(truncation)
+        got = _circle_sums(family, truncation, count)
+        want = _circle_sums(family, truncation, 2048)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert isinstance(got[0], np.ndarray)
+            assert got[0].tobytes() == want[0][::2048 // count].tobytes()
+            # the tail estimate is a max over a subset of the nodes
+            assert not got[1] > want[1]
+
+    @pytest.mark.parametrize("coeffs, truncation", [
+        *[(JacobiCoefficients.geometric(q), k)
+          for q in (1.6, 2.2, 3) for k in (11, 30, 60)],
+        *[(random_coefficients(np.random.default_rng(seed), 80), 10)
+          for seed in (5, 6, 7)]])
+    def test_bound_is_the_exact_mean_to_eight_ulps(self, coeffs, truncation):
+        # the rounding of each node's sum averages out less over 16 nodes
+        # than over 2048: on 40 random size-80 families at K = 10 the
+        # 16-node bound was within 5.9 ulps, the 2048-node one within 3.7
+        want = 1 / _exact_circle_mean(coeffs, truncation)
+        value = circle_bound_hankel(coeffs, truncation).value
+        assert abs(value - want) <= 8 * np.spacing(value)
+
+    @pytest.mark.parametrize("truncation", [300, 600])
+    @pytest.mark.parametrize("q", [1.1, 2])
+    def test_gauss_chebyshev_is_exact_past_its_fewest_nodes(self, q,
+                                                            truncation):
+        coeffs = JacobiCoefficients.geometric(q)
+        nodes = 2 * truncation
+        x = np.cos((2 * np.arange(1, nodes + 1) - 1) * np.pi / (2 * nodes))
+        sums, _ = _partial_square_sums(coeffs, truncation, x)
+        want = 1 / float(np.pi / nodes * np.sum(sums))
+        got = circle_bound_connecting(coeffs, truncation).value
+        assert abs(got / want - 1) <= 1e-14
+
+    def test_gauss_chebyshev_nodes_follow_the_truncation(self):
+        with pytest.raises(NotLimitCircleError,
+                           match=" of 300 quadrature nodes$"):
+            circle_bound_connecting(JacobiCoefficients.geometric(1.01), 300)

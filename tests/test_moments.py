@@ -133,7 +133,7 @@ class TestConversions:
         assert np.array_equal(moments_to_response([1, 0, 1]).as_array(), [1, 0, 0])
         assert np.array_equal(moments_to_response([1, 1, 2]).as_array(), [1, 1, 1])
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(st.lists(st.fractions(min_value=-5, max_value=5,
                                  max_denominator=64),
                     min_size=12, max_size=12))

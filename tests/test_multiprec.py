@@ -430,7 +430,7 @@ def _array_form(nu, size, shift):
     return _product_chebyshev(lift(nu[:2 * size - 1], RATIONAL), size, shift)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(data=st.one_of(_genuine_data(), _arbitrary_data()))
 def test_integer_recurrence_equals_the_fraction_arrays(data):
     want = _chebyshev_outcome(_array_form, *data)
@@ -539,7 +539,7 @@ def _double_data(draw):
     return [draw(_SIGNED_ZERO) if v == 0 else float(v) for v in nu], size, shift
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(data=_double_data())
 def test_double_recurrence_equals_the_product_form(data):
     nu, size, shift = data
@@ -587,7 +587,7 @@ def _rows_outcome(row, size, shift, checked):
     return error, [np.array(x).tobytes() for x in lists]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(case=_unchecked_rows())
 @example(case=(np.array([1.0, 0.5, 2.0, 0.25, math.inf]), 3, 1))
 @example(case=(np.array([1.0, 0.0, math.nan, 0.0, 2.0, 0.0, 5.0]), 4, 0))
@@ -650,7 +650,7 @@ def _errors(got, exact):
                  for x, y in zip(beta[1:], want_beta[1:])), default=0.0))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(data=_genuine_data())
 def test_extended_recurrence_is_no_worse_than_the_product_form(data):
     """On values of a 100-digit context, whose mantissas ``lift`` keeps,
@@ -935,7 +935,7 @@ def _exact_sum(u, v):
     return real, imag
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(operands=_dot_operands())
 # a small term that survives the cancellation of two large ones, within
 # the 2 * prec bits below a partial sum that fdot keeps
@@ -958,7 +958,7 @@ def test_dot_rounds_the_exact_sum_once(operands):
     assert isinstance(got, _EXTENDED.mpc) == complex_terms
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(values=st.lists(_MPF, min_size=1, max_size=24),
        ints=st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=12,
                      max_size=12))
@@ -1005,7 +1005,7 @@ def _plain_operands(draw):
     return [np.array(draw(values), dtype=object) for _ in range(2)]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(operands=_plain_operands())
 @example(operands=[np.array([2.0 ** 600, 1.0, -(2.0 ** 600)])] * 2)
 @example(operands=[np.array([Fraction(1, 3), Fraction(-5, 7)], dtype=object),
@@ -1048,7 +1048,7 @@ def test_dot_propagates_inf_and_nan_as_the_product(u, v):
     assert any(any(flags) for flags in specials(got))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(values=st.integers(0, 64).flatmap(lambda size: st.lists(
     st.one_of(_OPERANDS["mpf"], _OPERANDS["mpc"]),
     min_size=size, max_size=size)))
@@ -1149,7 +1149,7 @@ _SKEWED = JacobiCoefficients.from_arrays(
     [1.0, 0.7, 1.3, 2.0, 0.5], [0.25, -0.5, 0.0, 1.5, -0.75])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(family=_row_families())
 @example(family=(JacobiCoefficients.geometric(2), 24, 0, EXTENDED))
 @example(family=(JacobiCoefficients.geometric(1.5), 24, 1, EXTENDED))
@@ -1241,7 +1241,7 @@ def _worst_error(values, exact):
     return worst
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(family=_row_families())
 # the pinned diagnose case
 @example(family=(GEO3, 30, 0, EXTENDED))
@@ -1299,7 +1299,7 @@ def _matrix_operands(draw):
     return u, v
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(operands=_matrix_operands())
 @example(operands=([[_mpf_of(1, -160), _mpf_of(1, 160), _mpf_of(-1, 160)]] * 2,
                    [_mpf_of(1, 0)] * 3))
@@ -1427,7 +1427,7 @@ def _gram_systems(draw):
                                        max_size=size))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(system=_gram_systems())
 # W_40 of geometric(3) spans 2^1236; its solve stalls at 50 digits
 @example(system=(GEO3, 40, [_EXTENDED.mpc(1, -k) for k in range(40)]))
