@@ -53,26 +53,70 @@ Fraction operands keep ``@`` and its bits.
 In products of an object array with an mpf scalar the array goes on the
 left: an mpf on the left makes mpmath format the whole array for an
 error message before numpy's reflected operator takes over.
+
+mpmath is imported, and the EXTENDED context built, by the first read of
+an attribute of ``_EXTENDED`` (``_load_extended``): DOUBLE work, and
+RATIONAL work that stays in Fractions, never loads it.  The load holds a
+lock and runs once, since a second context would make a second pair of
+mpf types, whose values ``mode_of`` and ``dot`` would not take for
+EXTENDED ones.  Before it, ``_EXTENDED`` is a stand-in, _OWN_TYPES is
+empty, and ``_MPF``, ``_MPC``, ``_ROW_BITS``, ``normalize``,
+``round_nearest`` and ``fzero`` are None.  No other gate is needed: a
+value of the context exists only after the load, and every object path
+reads an attribute of ``_EXTENDED`` (``as_mpf``, ``_read`` through
+``convert``, ``solve_scalar``, ``_emitted`` for mpf) before it uses one
+of those names.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from operator import mul
 
 import numpy as np
-from mpmath import MPContext
-from mpmath.libmp import fzero, normalize, round_nearest
 
 from .core import (ComplexDataError, ConditioningError,
                    InsufficientDataError, PrecisionMode, _to_fraction)
 
 EXTENDED_DPS = 50
-_EXTENDED = MPContext()
-_EXTENDED.dps = EXTENDED_DPS
-_MPF, _MPC = _EXTENDED.mpf, _EXTENDED.mpc
-_OWN_TYPES = (_MPF, _MPC)
+
+
+class _Unloaded:
+    """``_EXTENDED`` until mpmath is loaded: reading an attribute loads it
+    (``_load_extended``) and reads the context's."""
+
+    def __getattr__(self, name):
+        return getattr(_load_extended(), name)
+
+
+_EXTENDED = _Unloaded()
+# Bound with the context by ``_load_extended``; no value is of _OWN_TYPES
+# before it runs.
+_MPF = _MPC = fzero = normalize = round_nearest = _ROW_BITS = None
+_OWN_TYPES = ()
+_LOAD_LOCK = threading.Lock()
+
+
+def _load_extended():
+    """The EXTENDED context at EXTENDED_DPS digits, imported and built by
+    the first call and kept: one per process (see the module docstring)."""
+    global _EXTENDED, _MPF, _MPC, _OWN_TYPES, _ROW_BITS
+    global fzero, normalize, round_nearest
+    with _LOAD_LOCK:
+        if isinstance(_EXTENDED, _Unloaded):
+            from mpmath import MPContext
+            from mpmath.libmp import fzero, normalize, round_nearest
+            context = MPContext()
+            context.dps = EXTENDED_DPS
+            _MPF, _MPC = context.mpf, context.mpc
+            _OWN_TYPES = (_MPF, _MPC)
+            # Every nonzero entry of an EXTENDED integer vector keeps at
+            # least this many bits: the precision and 64 guard bits.
+            _ROW_BITS = context.prec + 64
+            _EXTENDED = context    # last: a reader of it finds the rest bound
+    return _EXTENDED
 
 # Double-precision eigenvalues below this multiple of eps * ||block|| are noise.
 NOISE_FLOOR_FACTOR = 1e3
@@ -359,11 +403,6 @@ def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
     _array_rows(start, size, shift, pivots, alpha, beta, checked=True)
 
 
-# Every nonzero entry of an EXTENDED integer vector keeps at least this
-# many bits: the context's precision and 64 guard bits.
-_ROW_BITS = _EXTENDED.prec + 64
-
-
 class _Ints:
     """The integer form: value k is (re[k] + i im[k]) / den * 2^exp
     exactly; ``im`` is None while every value is real, den is 1 but for
@@ -507,23 +546,26 @@ def _round(man: int, exp: int, den: int = 1):
 
 
 def _emitted(vec: _Ints, kind, zero=None, mpc: int = -1) -> list:
-    """``vec`` as Fractions (exp 0); as _MPF, each rounded once, an mpc
-    where ``vec`` has an im and bit k of ``mpc`` is set, ``zero`` if given
-    for a real zero; or as the float frexp fields of re[k] 2^exp (den 1),
-    rounded to nearest as float() and true division round an int."""
-    re, den, exp, make_mpf = vec.re, vec.den, vec.exp or 0, _EXTENDED.make_mpf
-    if kind is _MPF and vec.im is None:
-        return [make_mpf(_round(x, exp, den)) if x or zero is None else zero
-                for x in re]
-    if kind is _MPF:
-        return [_EXTENDED.make_mpc((_round(x, exp, den), _round(y, exp, den)))
-                if mpc >> k & 1 else make_mpf(_round(x, exp, den))
-                if x or zero is None else zero
-                for k, (x, y) in enumerate(zip(re, vec.im))]
+    """``vec`` as Fractions (exp 0); as the float frexp fields of re[k]
+    2^exp (den 1), rounded to nearest as float() and true division round
+    an int; or as _MPF, each rounded once, an mpc where ``vec`` has an im
+    and bit k of ``mpc`` is set, ``zero`` if given for a real zero.  Only
+    _MPF reads the EXTENDED context."""
+    re, den, exp = vec.re, vec.den, vec.exp or 0
     if kind is Fraction:
         return [Fraction(x, den) for x in re]
-    return [(math.ldexp(x, -b) if b < 1024 else x / (1 << b),
-             exp + b if b else 0) for x, b in zip(re, map(int.bit_length, re))]
+    if kind is float:
+        return [(math.ldexp(x, -b) if b < 1024 else x / (1 << b),
+                 exp + b if b else 0)
+                for x, b in zip(re, map(int.bit_length, re))]
+    make_mpf = _EXTENDED.make_mpf
+    if vec.im is None:
+        return [make_mpf(_round(x, exp, den)) if x or zero is None else zero
+                for x in re]
+    return [_EXTENDED.make_mpc((_round(x, exp, den), _round(y, exp, den)))
+            if mpc >> k & 1 else make_mpf(_round(x, exp, den))
+            if x or zero is None else zero
+            for k, (x, y) in enumerate(zip(re, vec.im))]
 
 
 def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,

@@ -238,7 +238,7 @@ class ExtensionParameterEstimate:
     """
 
     value: float | None
-    candidate: float | None
+    candidate: float
     converged: bool
     summable: bool
     last_delta: float
@@ -271,12 +271,6 @@ def extension_parameter(coeffs: JacobiCoefficients,
 
     summable = bool(relative_tail(np.cumsum(np.square(p) + np.square(q)))
                     <= EXTENSION_TAIL_TOL)
-
-    if not ratios:
-        return ExtensionParameterEstimate(
-            value=None, candidate=None, converged=False, summable=summable,
-            last_delta=float("inf"), skipped=tuple(skipped),
-            message="no numerical limit: p_n(0) vanishes at every index")
 
     candidate = ratios[-1][1]
     if len(ratios) >= 2:

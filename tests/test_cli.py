@@ -567,6 +567,17 @@ class TestPrecisionSelection:
                      "--output", str(out)]) == 0
         assert json.loads(out.read_text())["precision"] == "double"
 
+    def test_unknown_env_precision_exits_2(self, tmp_path, monkeypatch,
+                                           capsys):
+        # the environment is the one way past the --precision choices
+        path = write_json(tmp_path / "r.json", {"response": [1, 0, 0]})
+        monkeypatch.setenv("JACOBI_BC_PRECISION", "bogus")
+        assert main(["recover", "--input", path]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)["error"]
+        assert (err["type"], err["kind"]) == ("CliInputError", "validation")
+        assert "'bogus'" in err["message"] and captured.out == ""
+
 
 def _strict_json(text):
     def refuse(token):

@@ -185,6 +185,35 @@ class TestKernelFinite:
             want = _direct_kernel_80_digits(co, z, lam, size)
             assert abs(got - want) <= 2.2e-16 * abs(want)
 
+    @pytest.mark.parametrize("precision", [PrecisionMode.DOUBLE, EXTENDED])
+    def test_block_route_is_the_krein_solve_of_the_block(self, rng,
+                                                         precision):
+        # a ConnectingMatrix or its array goes through krein_solve; the
+        # coefficient sum of the same family is its oracle
+        size = 5
+        co = random_coefficients(rng, size)
+        block = connecting_from_response(response_vector(co, 2 * size - 1),
+                                         size)
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+        lam = rng.uniform(-2, 2)
+        want = kernel_finite(co, z, lam, size)
+        solved = krein_solve(block, z, precision).kernel_value(lam)
+        for source in (block, block.matrix):
+            got = kernel_finite(source, z, lam, precision=precision)
+            assert got == solved
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("precision", [PrecisionMode.DOUBLE, EXTENDED])
+    def test_kernel_value_of_an_array_is_the_scalar_calls(self, rng,
+                                                          precision):
+        size = 6
+        co = random_coefficients(rng, size)
+        sol = krein_solve(gram_from_control(co, size, precision), 0.3 + 0.8j,
+                          precision)
+        lams = np.array([-1.5, 0.0, 0.25, 1.75 - 0.5j])
+        got = sol.kernel_value(lams)
+        assert got.tolist() == [sol.kernel_value(lam) for lam in lams]
+
     def test_extended_kernel_value_rounds_its_sum_once(self):
         # at lam = 3, T_1..T_3 = 1, 3, 8; 3 j_2 needs 170 bits and rounds
         # up by 1, which j_1 cancels, so the exact sum is 8 - 1, where

@@ -11,15 +11,19 @@ builds or factors no matrix, and ``classify`` in ``determinacy.py``
 reads its sequences off the coefficients: it forms no response vector,
 moments, Hankel or connecting matrix.  No module imports scipy when it
 is loaded: LAPACK is imported by its first call, so commands that never
-reach it skip the import.  The positive-definite factorization and the
-substitute-and-refine loop of the solves contract through
-``_multiprec.dot``, never ``@``, which rounds an object array after
-every product and add.  A public function has a caller in the package or
+reach it skip the import; mpmath comes with the EXTENDED context, at its
+first use, so DOUBLE commands skip that import too.  The
+positive-definite factorization and the substitute-and-refine loop of
+the solves contract through ``_multiprec.dot``, never ``@``, which
+rounds an object array after every product and add.  A public function has a caller in the package or
 a stated reason to be kept without one.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jacobi_bc"
@@ -98,6 +102,66 @@ def test_pattern_catches_a_module_level_scipy_import():
 def test_no_module_level_scipy_import():
     hits = _hits(MODULE_LEVEL_SCIPY, home=None)
     assert not hits, "\n".join(hits)
+
+
+# Every command in DOUBLE, in one new interpreter, on a small finite
+# family; then one EXTENDED command.  Each line printed is the precision,
+# the command and whether mpmath is loaded after it.
+_MPMATH_PROBE = """
+import contextlib, io, json, os, sys
+import jacobi_bc, jacobi_bc.cli
+assert "mpmath" not in sys.modules
+
+
+def write(name, obj):
+    path = os.path.join(sys.argv[1], name)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return path
+
+
+def run(precision, *argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = jacobi_bc.cli.main([*argv, "--precision", precision])
+    assert code == 0, argv
+    print(precision, argv[0], "mpmath" in sys.modules)
+    return json.loads(out.getvalue())
+
+
+co = write("co.json", {"a": [1, 0.8, 1.2, 0.9], "b": [0.1, -0.2, 0.0, 0.3]})
+for precision in ("double", "rational"):
+    run(precision, "simulate", "--input", co, "--T", "5")
+    r = write("r.json", run(precision, "response", "--input", co, "--T", "7"))
+    s = write("s.json", run(precision, "moments", "--input", r))
+    run(precision, "moments", "--input", s)
+    for data in (r, s):
+        run(precision, "recover", "--input", data)
+        run(precision, "connect", "--input", data)
+    run(precision, "connect", "--input", co, "--T", "4")
+    if precision == "double":
+        run(precision, "diagnose", "--input", co, "--N-max", "4")
+        run(precision, "kernel", "--input", co, "--T", "4")
+        run(precision, "hb", "--input", co, "--T", "4")
+run("extended", "response", "--input", co, "--T", "7")
+"""
+
+
+def test_double_commands_never_load_mpmath(tmp_path):
+    """mpmath comes with the EXTENDED context, at its first use: no DOUBLE
+    command loads it, nor a RATIONAL one that takes no root or
+    eigenvalue (those of ``diagnose``, ``kernel`` and ``hb`` do)."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _MPMATH_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    loaded = [line for line in lines if line[2] == "True"]
+    assert loaded == [["extended", "response", "True"]], lines
+    assert sorted({tuple(line[:2]) for line in lines[:-1]}) == sorted(
+        [(p, c) for p in ("double", "rational")
+         for c in ("simulate", "response", "moments", "recover", "connect")]
+        + [("double", c) for c in ("diagnose", "kernel", "hb")])
 
 
 MATRIX_ROUTE = {"connecting", "build_hankel", "pd_factor"}

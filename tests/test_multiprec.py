@@ -27,11 +27,16 @@ the mpf rows they replace, and must err no more than those rows against
 the exact table of the same values.
 """
 
+import ast
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -1458,3 +1463,103 @@ def test_pd_solve_equals_the_fdot_sweeps(rng, size):
         lambda: mp_pd_solve(block, rhs),
         *_fdot_solve(low, piv, lambda x: np.array(
             [_fdot(row, x) for row in block], dtype=object), rhs))
+
+
+# The first use of the EXTENDED context, in a new interpreter: ``_SETUP``
+# runs there and here, where the context is loaded, and each statement of
+# ``_FIRST_CALLS`` binds ``result``, whose ``fields`` must agree.
+_SETUP = """
+import sys
+
+import numpy as np
+
+from jacobi_bc import (PrecisionMode, build_hankel, krein_solve_hankel,
+                       recover_from_moments)
+from jacobi_bc import _multiprec
+from jacobi_bc._multiprec import dot, lift, mode_of
+
+EXTENDED = PrecisionMode.EXTENDED
+
+
+def fields(x):
+    # the fields of every number, mpf and mpc with whether they are of
+    # the one EXTENDED context of the process
+    if isinstance(x, (np.ndarray, list, tuple)):
+        return [fields(v) for v in list(x)]
+    if hasattr(x, "_mpc_"):
+        return "mpc", x._mpc_, type(x) is _multiprec._MPC
+    if hasattr(x, "_mpf_"):
+        return "mpf", x._mpf_, type(x) is _multiprec._MPF
+    if isinstance(x, float):
+        return x.hex()
+    return repr(x)
+"""
+
+_FIRST_CALLS = {
+    "lift": "result = lift([0.1, 2], EXTENDED)",
+    # the first mpmath of this solve is solve_scalar, before any lift
+    "krein_solve_hankel": "result = krein_solve_hankel("
+                          "build_hankel([1, 0, 1], 2), 0.5j, EXTENDED)",
+    "recover_from_moments": "r = recover_from_moments([1, 0, 1, 0, 2], 3, "
+                            "EXTENDED); result = r.a, r.b, r.residual",
+    # a caller's mpf is of no EXTENDED type, loaded or not
+    "mode_of and dot": "import mpmath; "
+                       "v = np.array([mpmath.mpf(1), mpmath.mpf(2)], "
+                       "dtype=object); result = mode_of(v).name, dot(v, v)",
+}
+
+_FIRST_USE = _SETUP + """
+assert isinstance(_multiprec._EXTENDED, _multiprec._Unloaded)
+assert "mpmath" not in sys.modules
+exec(sys.argv[1])
+print(repr(fields(result)))
+"""
+
+
+def _fresh_fields(source, *args):
+    """The fields ``source`` prints in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(_multiprec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", source, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def _loaded_fields(statement):
+    space = {}
+    exec(_SETUP, space)
+    exec(statement, space)
+    return space["fields"](space["result"])
+
+
+@pytest.mark.parametrize("name", list(_FIRST_CALLS))
+def test_first_use_gives_the_bits_of_a_loaded_process(name):
+    statement = _FIRST_CALLS[name]
+    assert _fresh_fields(_FIRST_USE, statement) == _loaded_fields(statement)
+
+
+_RACE = _SETUP + """
+import threading
+
+sys.setswitchinterval(1e-6)
+start, results = threading.Barrier(2), [None, None]
+
+
+def first_call(k):
+    start.wait()
+    results[k] = lift([0.1, 2], EXTENDED)
+
+
+threads = [threading.Thread(target=first_call, args=(k,)) for k in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(repr(fields(results)))
+"""
+
+
+def test_concurrent_first_use_builds_one_context():
+    # a second context would make its own mpf type, not _multiprec._MPF
+    one = _loaded_fields(_FIRST_CALLS["lift"])
+    assert _fresh_fields(_RACE) == [one, one]

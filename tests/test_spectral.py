@@ -195,3 +195,19 @@ class TestExtensionParameter:
     def test_skipped_indices_reported(self):
         est = extension_parameter(JacobiCoefficients.geometric(2), 10)
         assert set(est.skipped) == {2, 4, 6, 8, 10}
+
+    def test_one_ratio_does_not_converge(self):
+        # p_1(0) = 1 always gives a ratio; p_2(0) = 0 here gives no second
+        est = extension_parameter(
+            JacobiCoefficients.from_arrays([1, 2, 3], [0, 0, 0]), 2)
+        assert est.skipped == (2,)
+        assert est.last_delta == float("inf") and not est.converged
+
+    def test_moving_ratios_are_reported(self):
+        # a_n = 1.5^n is limit circle (the sums converge), but b_n of
+        # period 3 keeps -q_n(0)/p_n(0) jumping at depth 62
+        co = JacobiCoefficients.from_rules(lambda n: 1.5 ** n,
+                                           lambda n: 0.3 * (n % 3 - 1))
+        est = extension_parameter(co, 62)
+        assert est.summable and not est.converged and est.value is None
+        assert est.message == "no numerical limit: ratios still move by 1.233e+01"
