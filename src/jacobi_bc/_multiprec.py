@@ -1,9 +1,9 @@
 """The precision backend: the only module that knows what each mode means.
 
-DOUBLE keeps float64/complex128 ndarrays on LAPACK.  The eigenvalues of
-float blocks, the extremes of every mode and DOUBLE ``sym_eigenvalues``,
-come from numpy's LAPACK (``np.linalg.eigvalsh``); scipy's, through
-``lapack``, only where a DOUBLE step needs it.  EXTENDED lifts values to
+DOUBLE keeps float64/complex128 ndarrays on numpy and its LAPACK: the
+eigenvalues of float blocks (the extremes of every mode and DOUBLE
+``sym_eigenvalues``) come from ``np.linalg.eigvalsh``, and the DOUBLE
+factorization from ``np.linalg.cholesky``.  EXTENDED lifts values to
 object arrays of mpf from a private mpmath context fixed at EXTENDED_DPS
 digits, and RATIONAL to object arrays of Fraction, exact wherever no root
 or eigenvalue is needed.  Hankel and connecting matrices of rapidly
@@ -29,7 +29,8 @@ orthonormal polynomials (``orthonormal_min_eigs``,
 positive-definite factorization and solve (``pd_factor``,
 ``mp_pd_solve``, ``gram_solve``) and the contraction ``dot``.
 
-Float arrays take numpy and LAPACK.  Object arrays take four loops on
+Float arrays take numpy and its LAPACK, and the DOUBLE triangular
+sweeps a substitution loop on ``dot``.  Object arrays take four loops on
 Python ints, each one for both object modes: the recurrence
 (``_integer_rows``), the sweep (``_integer_sweep``), the rows of Q
 (``_orthonormal_ints``) and the sums of ``dot`` and the solves
@@ -131,12 +132,13 @@ _WIDTH_QUANTUM = 64
 
 def as_mpf(x):
     """x as an mpf (mpc when complex) of the EXTENDED context: floats and
-    complex convert exactly, ints and Fractions round to EXTENDED_DPS
-    digits, and an mpf or mpc of any context keeps its mantissa."""
+    complex convert exactly, ints and Fractions round once to nearest at
+    EXTENDED_DPS digits, and an mpf or mpc of any context keeps its
+    mantissa."""
     if isinstance(x, (int, float)):
         return _EXTENDED.mpf(x)
     if isinstance(x, Fraction):
-        return _EXTENDED.mpf(x.numerator) / _EXTENDED.mpf(x.denominator)
+        return _EXTENDED.make_mpf(_round(x.numerator, 0, x.denominator))
     if isinstance(x, complex):
         return _EXTENDED.mpc(x)
     if hasattr(x, "_mpf_"):
@@ -908,19 +910,6 @@ def gram_max_eigs(upper, precision: PrecisionMode) -> np.ndarray:
 _ZERO_EXP = -(1 << 40)
 
 
-def lapack():
-    """scipy.linalg, imported by the first call.
-
-    LAPACK through scipy serves only the DOUBLE factorizations
-    (``pd_factor``), the DOUBLE triangular sweeps (``_sweeps``) and
-    ``spectral_data``; none of the CLI commands ``response``, ``recover``
-    and ``diagnose`` reaches it, so they skip the import time and memory
-    of scipy.
-    """
-    import scipy.linalg
-    return scipy.linalg
-
-
 def _top_eigenvalue(block: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric float64 ``block``, from the
     lower triangle by numpy's LAPACK (``np.linalg.eigvalsh``), the
@@ -983,19 +972,19 @@ def _leading_top_eigs(table, gram=False):
 def pd_factor(matrix):
     """Unit lower-triangular L and pivots d with matrix = L diag(d) L^T.
 
-    Float arrays are factored by LAPACK Cholesky C (L = C diag(C)^-1,
-    d = diag(C)^2).  Object arrays of mpf or Fraction are factored in
-    their own arithmetic, with no square root, so Fraction input stays
-    exact; each pivot and entry of L sums its products as ``dot`` does,
-    so in EXTENDED it is rounded once, on rows of L held as _Ints and
-    grown by one entry per column.  Raises np.linalg.LinAlgError when the
-    matrix is not positive definite, and ConditioningError when a float
-    array holds inf or NaN or when one reaches an EXTENDED row product.
+    Float arrays are factored by numpy's LAPACK Cholesky C
+    (``np.linalg.cholesky``; L = C diag(C)^-1, d = diag(C)^2).  Object
+    arrays of mpf or Fraction are factored in their own arithmetic, with
+    no square root, so Fraction input stays exact; each pivot and entry
+    of L sums its products as ``dot`` does, so in EXTENDED it is rounded
+    once, on rows of L held as _Ints and grown by one entry per column.
+    Raises np.linalg.LinAlgError when the matrix is not positive
+    definite, and ConditioningError when a float array holds inf or NaN
+    or when one reaches an EXTENDED row product.
     """
     arr = np.asarray(matrix)
     if arr.dtype != object:
-        chol = lapack().cholesky(_finite(arr), lower=True,
-                                 check_finite=False)
+        chol = np.linalg.cholesky(_finite(arr))
         diag = np.diagonal(chol)
         return chol / diag, diag * diag
     n = arr.shape[0]
@@ -1068,15 +1057,19 @@ def dot_operand(v: np.ndarray):
 def _sweeps(low, piv, rhs):
     """x with L diag(d) L^T x = rhs for a lower-triangular L with a
     nonzero diagonal (d = 1 when ``piv`` is None), by the two triangular
-    sweeps.  A float L goes to LAPACK; an object L is given as its
-    ``_Factor``."""
+    sweeps.  A float L is substituted row by row, forward on L and back
+    on L^T, each row contracting through ``dot`` on the x_j done; an
+    object L is given as its ``_Factor``."""
     if isinstance(low, _Factor):
         return low.sweeps(piv, rhs)
-    solve_triangular = lapack().solve_triangular
-    y = solve_triangular(low, rhs, lower=True, check_finite=False)
-    return solve_triangular(
-        low, y if piv is None else y / piv, lower=True, trans="T",
-        check_finite=False)
+    x = rhs.copy()
+    for i in range(x.size):
+        x[i] = (x[i] - dot(low[i, :i], x[:i])) / low[i, i]
+    if piv is not None:
+        x = x / piv
+    for i in reversed(range(x.size)):
+        x[i] = (x[i] - dot(low[i + 1:, i], x[i + 1:])) / low[i, i]
+    return x
 
 
 class _Factor:
@@ -1155,13 +1148,14 @@ def _refined_solve(low, piv, apply, rhs) -> tuple[np.ndarray, float]:
 def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     """Solve a real positive-definite system with a complex right side.
 
-    Returns (x, relative residual).  Float arrays are solved in
-    complex128 on LAPACK.  Object arrays are solved in mpc at
-    EXTENDED_DPS digits (Fraction entries are rounded there, since the
-    right side is inexact anyway), and x keeps its mpc entries because
-    downstream identities (reproducing property, special states) cancel
-    catastrophically when the solution is rounded to float64; the factor
-    and the matrix are read once.  The solution is refined until the
+    Returns (x, relative residual).  Float arrays are factored by numpy's
+    LAPACK and solved in complex128 by the substitution of ``_sweeps``.
+    Object arrays are solved in mpc at EXTENDED_DPS digits (Fraction
+    entries are rounded there, since the right side is inexact anyway),
+    and x keeps its mpc entries because downstream identities
+    (reproducing property, special states) cancel catastrophically when
+    the solution is rounded to float64; the factor and the matrix are
+    read once.  The solution is refined until the
     residual is below 1e-10, and ConditioningError is raised when that
     stalls (or an object matrix holds inf or NaN).  Raises
     np.linalg.LinAlgError when the matrix is not positive definite.

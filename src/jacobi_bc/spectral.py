@@ -28,7 +28,6 @@ from itertools import count, islice
 
 import numpy as np
 
-from ._multiprec import lapack
 from .core import (
     BoundaryControl,
     ConditioningError,
@@ -158,7 +157,9 @@ def spectral_data(coeffs: JacobiCoefficients, size: int) -> SpectralData:
 
     Weights come from the squared first components of the normalized
     eigenvectors, which equals 1/sum_i p_i(lambda_k)^2 and is numerically
-    stabler than root-finding on p_{N+1}.
+    stabler than root-finding on p_{N+1}.  The eigenvectors are numpy's
+    ``eigh`` of the dense tridiagonal A^N, O(N^3): this is the library's
+    cross-representation check, and no command calls it.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -167,7 +168,8 @@ def spectral_data(coeffs: JacobiCoefficients, size: int) -> SpectralData:
     if size == 1:
         return SpectralData(lambdas=diag, weights=np.array([1.0]))
     try:
-        lam, vec = lapack().eigh_tridiagonal(diag, off)
+        lam, vec = np.linalg.eigh(
+            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:
         raise JacobiBCError(f"tridiagonal eigensolver failed: {exc}") from exc
     return SpectralData(lambdas=lam, weights=vec[0, :] ** 2)

@@ -397,31 +397,6 @@ def _fresh_cli(argv):
     return _fresh_python(["-m", "jacobi_bc.cli", *argv])
 
 
-_SCIPY_PROBE = """
-import sys
-import jacobi_bc, jacobi_bc.cli
-coeffs, response, report = sys.argv[1:]
-def run(*argv):
-    assert jacobi_bc.cli.main(list(argv)) == 0, argv
-    print(argv[0], "scipy.linalg" in sys.modules)
-run("response", "--input", coeffs, "--T", "63", "--output", response)
-run("recover", "--input", response, "--T", "32", "--output", report)
-for precision in ("double", "extended"):
-    run("diagnose", "--input", coeffs, "--N-max", "6", "--precision",
-        precision, "--output", report)
-"""
-
-
-def test_no_benchmarked_command_loads_scipy(tmp_path, free_file):
-    """``response``, ``recover`` and ``diagnose`` in both float modes
-    never import scipy.linalg: their eigenvalues come from numpy."""
-    proc = _fresh_python(["-c", _SCIPY_PROBE, free_file,
-                          str(tmp_path / "r.json"), str(tmp_path / "d.json")])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["response", "False", "recover", "False",
-                                   "diagnose", "False", "diagnose", "False"]
-
-
 class TestStderr:
     """A failing command writes one JSON document to stderr and nothing
     else: an overflow the library refuses raises no numpy warning first."""

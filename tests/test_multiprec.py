@@ -24,7 +24,10 @@ measures, built on one parity, are checked bit for bit against the
 stride-one builder they replace.  The tables of the object modes, built
 on Python ints, are checked byte for byte against the frexp tables of
 the mpf rows they replace, and must err no more than those rows against
-the exact table of the same values.
+the exact table of the same values.  The DOUBLE factor is checked bit
+for bit against scipy's Cholesky, and the substitution sweeps of the
+DOUBLE solves against scipy's triangular solves.  A Fraction lifted to
+EXTENDED is checked against mpmath's correctly rounded quotient.
 """
 
 import ast
@@ -42,6 +45,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 from mpmath.ctx_mp_python import PythonMPContext
@@ -88,6 +92,7 @@ from jacobi_bc._multiprec import (
     _plus_basis_shift,
     _read,
     _top_eigenvalue,
+    as_mpf,
     dot,
     dot_operand,
     gram_solve,
@@ -327,6 +332,20 @@ def test_lift_rehomes_a_caller_mpf_with_its_mantissa():
     assert type(lifted) is not type(third)
     assert type(lifted) is type(lift([1], EXTENDED)[0])
     assert lifted._mpf_ == third._mpf_
+
+
+@settings(max_examples=300)
+@given(value=st.builds(lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
+                       st.integers(-(1 << 600), 1 << 600),
+                       st.integers(1, 1 << 600), st.integers(-400, 400)))
+@example(value=Fraction(0))
+@example(value=Fraction(-1, 3))
+# rounding 2^170 + 1 to the precision first loses the 1
+@example(value=Fraction(2 ** 170 + 1, 3))
+@example(value=Fraction(-(10 ** 400), 3))
+@example(value=Fraction(1, 3 * 10 ** 400))
+def test_as_mpf_rounds_a_fraction_once(value):
+    assert as_mpf(value)._mpf_ == _rounded_once(value)
 
 
 def test_extended_lifts_complex_controls():
@@ -1465,6 +1484,45 @@ def test_pd_solve_equals_the_fdot_sweeps(rng, size):
             [_fdot(row, x) for row in block], dtype=object), rhs))
 
 
+# -- the DOUBLE factor and solves against scipy's LAPACK ------------------
+
+def _spd_block(rng, size):
+    """A random symmetric positive-definite float block, condition <= 5."""
+    g = rng.standard_normal((size, size))
+    return g @ g.T + size * np.eye(size)
+
+
+def _assert_close(got, want):
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("size", [5, 40, 256])
+def test_double_factor_is_scipys_cholesky(rng, size):
+    block = _spd_block(rng, size)
+    chol = scipy.linalg.cholesky(block, lower=True)
+    diag = np.diagonal(chol)
+    low, piv = pd_factor(block)
+    assert low.tobytes() == (chol / diag).tobytes()
+    assert piv.tobytes() == (diag * diag).tobytes()
+
+
+@pytest.mark.parametrize("size", [5, 40, 256])
+def test_double_sweeps_match_scipys_triangular_solves(rng, size):
+    block = _spd_block(rng, size)
+    rhs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    low, piv = pd_factor(block)
+    half = scipy.linalg.solve_triangular(low, rhs, lower=True)
+    want = scipy.linalg.solve_triangular(low, half / piv, lower=True,
+                                         trans="T")
+    _assert_close(_multiprec._sweeps(low, piv, rhs), want)
+    _assert_close(mp_pd_solve(block, rhs)[0], want)
+    # W is the upper Cholesky factor, so W^T W is the block
+    w = scipy.linalg.cholesky(block, lower=False)
+    half = scipy.linalg.solve_triangular(w, rhs, trans="T")
+    want = scipy.linalg.solve_triangular(w, half)
+    _assert_close(gram_solve(w, rhs)[0], want)
+
+
 # The first use of the EXTENDED context, in a new interpreter: ``_SETUP``
 # runs there and here, where the context is loaded, and each statement of
 # ``_FIRST_CALLS`` binds ``result``, whose ``fields`` must agree.
@@ -1502,6 +1560,9 @@ _FIRST_CALLS = {
                           "build_hankel([1, 0, 1], 2), 0.5j, EXTENDED)",
     "recover_from_moments": "r = recover_from_moments([1, 0, 1, 0, 2], 3, "
                             "EXTENDED); result = r.a, r.b, r.residual",
+    # as_mpf reads the context before its emitter uses mpmath's normalize
+    "as_mpf": "from fractions import Fraction; "
+              "result = _multiprec.as_mpf(Fraction(-1, 3))",
     # a caller's mpf is of no EXTENDED type, loaded or not
     "mode_of and dot": "import mpmath; "
                        "v = np.array([mpmath.mpf(1), mpmath.mpf(2)], "

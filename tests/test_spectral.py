@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
+import scipy.linalg
 
 from jacobi_bc import (
     BoundaryControl,
+    JacobiBCError,
     JacobiCoefficients,
     eval_chebyshev,
     extension_parameter,
@@ -94,6 +97,26 @@ class TestSpectralData:
         sampled = np.asarray(eval_p_all(co, 8, data.lambdas))
         gram = (sampled * data.weights) @ sampled.T
         assert np.max(np.abs(gram - np.eye(8))) < 1e-10
+
+    @pytest.mark.parametrize("size", [5, 40, 256])
+    def test_matches_scipys_tridiagonal_eigensolver(self, rng, size):
+        # a and b near the free values: wider ranges localize the
+        # eigenvectors at 256 sites until a squared first component
+        # underflows to zero
+        co = random_coefficients(rng, size, (0.9, 1.1), (-0.1, 0.1))
+        data = spectral_data(co, size)
+        lam, vec = scipy.linalg.eigh_tridiagonal(
+            np.array([float(x) for x in co.b_head(size)]),
+            np.array([float(x) for x in co.a_head(size)[1:]]))
+        assert data.lambdas.tobytes() == lam.tobytes()
+        assert np.max(np.abs(data.weights - vec[0] ** 2)) <= 1e-15
+
+    def test_eigensolver_failure_is_a_library_error(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(JacobiBCError, match="did not converge"):
+            spectral_data(FREE, 3)
 
 
 class TestQuadrature:
