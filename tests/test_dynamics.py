@@ -631,6 +631,11 @@ def _sweep_example(kind, precision, horizon, length, size, complex_control):
 @example(case=_sweep_example("random", PrecisionMode.DOUBLE, 150, 75, 40, True))
 @example(case=_sweep_example("geometric", PrecisionMode.DOUBLE, 200, 0, 130, False))
 @example(case=_sweep_example("unchecked", PrecisionMode.DOUBLE, 130, 131, 9, True))
+# the 128-step chunk edge: a horizon of one chunk, one step past it, and
+# two chunks, whose widths cross four 64-site runs
+@example(case=_sweep_example("random", PrecisionMode.DOUBLE, 128, 129, 128, True))
+@example(case=_sweep_example("unchecked", PrecisionMode.DOUBLE, 129, 65, 65, False))
+@example(case=_sweep_example("random", PrecisionMode.DOUBLE, 256, 257, 200, True))
 # one site of the full field: the sweep collects it and writes it once
 @example(case=_sweep_example("random", PrecisionMode.DOUBLE, 140, 141, 1, True))
 @example(case=_sweep_example("random", PrecisionMode.EXTENDED, 10, 11, 6, False))

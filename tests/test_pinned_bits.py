@@ -1,15 +1,22 @@
-"""The exact output bits of the object modes' integer loops, pinned.
+"""The exact output bits of the forward sweeps and Wheeler's rows, pinned.
 
-The oracle tests elsewhere check that the EXTENDED rows, sweeps, tables
-and solves are no worse than their mpf counterparts; these pin what they
-return, field by field: the sign, mantissa, exponent and bit count of
-every mpf (both parts of every mpc), the numerator and denominator of
-every Fraction and the bytes of every float64 table.  A change that
-rounds one value of these loops differently changes a digest here.
+The object modes' integer loops: the oracle tests elsewhere check that
+the EXTENDED rows, sweeps, tables and solves are no worse than their mpf
+counterparts; these pin what they return, field by field: the sign,
+mantissa, exponent and bit count of every mpf (both parts of every mpc),
+the numerator and denominator of every Fraction and the bytes of every
+float64 table.  The DOUBLE kernels (``dynamics._sweep`` and
+``_multiprec._array_rows``) are pinned the same way, on a family of the
+benchmark's kind at its horizons, on a complex control whose field
+crosses several 64-site widths and the 128-step chunk edge, and on a
+moment row whose pivot fails, which runs the rows again checked.  A
+change that rounds one value of these loops differently changes a digest
+here.
 
-The digests were recorded from the code as it stood before the loops
-shared one integer form; a change that means to alter these bits
-records them anew and says why.
+The object-mode digests were recorded from the code as it stood before
+the loops shared one integer form, the DOUBLE ones from the code before
+the float kernels dropped their per-step bookkeeping; a change that
+means to alter these bits records them anew and says why.
 """
 
 import hashlib
@@ -21,12 +28,13 @@ import pytest
 from jacobi_bc import (JacobiCoefficients, PrecisionMode, build_hankel,
                        connecting_from_response, control_operator,
                        kernel_finite, moments_to_response, response_to_moments,
-                       response_vector, solve_semi_infinite)
-from jacobi_bc._multiprec import (_EXTENDED, gram_max_eigs, gram_solve,
-                                  leading_eig_extremes, lift,
+                       response_vector, solve_finite, solve_semi_infinite)
+from jacobi_bc._multiprec import (_EXTENDED, _wheeler_rows, gram_max_eigs,
+                                  gram_solve, leading_eig_extremes, lift,
                                   modified_chebyshev, mp_pd_solve,
                                   orthonormal_min_eigs, pd_factor)
 
+DOUBLE = PrecisionMode.DOUBLE
 EXTENDED = PrecisionMode.EXTENDED
 RATIONAL = PrecisionMode.RATIONAL
 GEO3 = JacobiCoefficients.geometric(3)
@@ -39,6 +47,21 @@ RANDOM = JacobiCoefficients.from_arrays(
     [1.0] + np.random.default_rng(26).uniform(0.5, 2.0, 48).tolist(),
     np.random.default_rng(27).uniform(-1.0, 1.0, 48).tolist())
 Z, LAM = 0.3 + 1j, -0.4 + 0.2j
+
+
+def _decaying(horizon, seed):
+    """a_n = 1 - d_n, b_n = v_n d_n with d_n = u_n / (n+1)^2, u_n in
+    [0, 0.5) and v_n in [-1, 1): the benchmark's recovery families, 2T
+    entries long, so the response to 2T - 1 sees no wall."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(1, 2 * horizon + 1)
+    d = rng.uniform(0.0, 0.5, n.size) / (n + 1.0) ** 2
+    return JacobiCoefficients.from_arrays(
+        [1.0] + (1.0 - d[:-1]).tolist(),
+        (rng.uniform(-1.0, 1.0, n.size) * d).tolist())
+
+
+DECAYING = _decaying(1024, 32)
 
 
 def _fields(x):
@@ -66,6 +89,8 @@ def _fields(x):
         return ("float", x.hex())
     if isinstance(x, complex):
         return ("complex", x.real.hex(), x.imag.hex())
+    if x is None or isinstance(x, str):    # no error, or its message
+        return (type(x).__name__, x)
     raise TypeError(f"no exact fields for {type(x).__name__}")
 
 
@@ -130,7 +155,33 @@ def _pd_solve():
     return pd_factor(mat), mp_pd_solve(mat, rhs)
 
 
+def _double_complex_control():
+    rng = np.random.default_rng(33)
+    control = (rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)).tolist()
+    return (control_operator(DECAYING, 300).matrix,
+            solve_finite(DECAYING, 250, control, 300).values)
+
+
+def _double_moment_rows():
+    # the float rows of moments fail at a pivot: the unchecked pass, the
+    # checked run again from the start, and the lists it leaves
+    s = response_to_moments(response_vector(DECAYING, 199)).as_array()
+    pivots, alpha, beta = [], [], [0]
+    try:
+        _wheeler_rows(lift(s, DOUBLE), 100, 0, pivots, alpha, beta)
+        error = None
+    except np.linalg.LinAlgError as exc:
+        error = str(exc)
+    return pivots, alpha, beta, error
+
+
 CASES = {
+    "response-vector-double": lambda: response_vector(
+        DECAYING, 2047).as_array(),
+    "control-operator-and-finite-field-double": _double_complex_control,
+    "chebyshev-double-response": lambda: modified_chebyshev(
+        response_vector(DECAYING, 2047).as_array(), 1024, 1, DOUBLE),
+    "chebyshev-double-moments": _double_moment_rows,
     "chebyshev-extended-response": lambda: _chebyshev(EXTENDED, 1),
     "chebyshev-extended-moments": lambda: _chebyshev(EXTENDED, 0),
     "chebyshev-rational-response": lambda: _chebyshev(RATIONAL, 1),
@@ -150,6 +201,10 @@ CASES = {
 }
 
 PINNED = {
+    'chebyshev-double-moments':
+        'ec8c2c1c89c26ce915c70b150667bdab262ba33ec2fd98a3e8c0dcb05236bc69',
+    'chebyshev-double-response':
+        '4915777d6136b76169570f7b3cb25b9d49f0e298e893dc771f88abdbc3e159cf',
     'chebyshev-extended-moments':
         'a716556fa5c04c550b5df3db989f8d06516f8631a75f35a2949a231138fb9d77',
     'chebyshev-extended-response':
@@ -160,6 +215,8 @@ PINNED = {
         'fc35306219080adc76f2e31b6ba4ccab845e944c43ccbc513e927b3edc5faf49',
     'chebyshev-wide-span-moments':
         'c2554fec86c6a0ca633b1dd845388e98d75e0474eeabc801ff67e4c38cdfa40b',
+    'control-operator-and-finite-field-double':
+        'eec1af15b71ac39d5940a4b8459109455f5e43d5acafd3c32605271679ad0f5b',
     'control-operator-extended':
         '36ba435d8a19843be874dc41330d8ca7902ffdc30d0b153efb7947c53f3cc95c',
     'control-operator-rational':
@@ -174,6 +231,8 @@ PINNED = {
         '188445f8c90c71f676d49d652336636166b1e4203086946169394c419656f56b',
     'pd-factor-and-solve-extended':
         'eee96c322129297151a1e34feebba88675922d425f9b84e85255cf4499dcc36b',
+    'response-vector-double':
+        'bbdb8eb60c5588a5ff0c1abbbda34aabb67789397b008b2ed5e44b22bd4b2ab1',
     'semi-infinite-complex-control':
         '27f75d8ef2ca2b496746642f37d3fbbd92b1458f1af7ab4743deb609d3f5b712',
 }
