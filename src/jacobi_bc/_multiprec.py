@@ -128,6 +128,8 @@ _REFINE_STEPS = 5
 # Float rows of a forward sweep round the updated width up to a multiple
 # of this many sites.
 _WIDTH_QUANTUM = 64
+# Steps whose widths a forward sweep computes at once.
+_STEP_CHUNK = 128
 
 
 def as_mpf(x):
@@ -265,6 +267,21 @@ def width_quantum(coef: np.ndarray) -> int:
     return 1
 
 
+def cone_runs(horizon: int, n_space: int, watched: int, quantum: int = 1):
+    """(start, stop, k): steps start..stop-1 of a forward sweep update
+    the sites 1..k, k = min(t + 1, n_space, watched + horizon - t - 1)
+    (reached, and able to reach a watched site by the horizon) rounded
+    up to a multiple of ``quantum``, at most n_space.  The widths are
+    computed _STEP_CHUNK steps at a time, so a run ends with its chunk."""
+    for first in range(0, horizon, _STEP_CHUNK):
+        t = np.arange(first, min(first + _STEP_CHUNK, horizon))
+        k = np.minimum(np.minimum(t + 1, n_space), watched + horizon - t - 1)
+        k = np.minimum(-(-k // quantum) * quantum, n_space)
+        edges = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), k.size]
+        for lo, hi in zip(edges, edges[1:]):
+            yield first + lo, first + hi, int(k[lo])
+
+
 def noise_floor(norm, precision: PrecisionMode):
     """Eigenvalues of a block with spectral norm ``norm`` (scalar or
     array) that lie below this are rounding noise of the mode's
@@ -364,6 +381,13 @@ def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
                 alpha: list, beta: list, checked: bool = False) -> None:
     """``_wheeler_rows`` on a float64 row.
 
+    Row k + 1 is (sigma_{k,l+1} - sigma_{k,l} alpha_k) - sigma_{k-1,l}
+    beta_k, then + shift sigma_{k,l-1} as ``_plus_basis_shift`` adds it.
+    Rows k - 1, k and k + 1 rotate through three preallocated rows, the
+    products go into a fourth, and alpha_k, beta_k and sigma_kk are read
+    off as Python floats, which round as float64 does, so a row of shift
+    1 is five ufunc calls with positional outs and the same bits.
+
     Unless ``checked``, a row is not tested for inf or NaN: only the
     scalars read off it are, sigma_kk, alpha_k and beta_k, once the rows
     are done.  That misses nothing, as sigma_{k+1,l-1} takes sigma_{k,l}
@@ -375,26 +399,36 @@ def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
     the error of the first bad row and leaves the lists as they were
     before it.
     """
-    start, below = row, np.zeros(row.size + 2)    # sigma_{-1,l} = 0
-    ratio = 0
+    m = row.size
+    # rows k - 1 (sigma_{-1,l} = 0 for k = 0), k and k + 1, and the products
+    below, cur, nxt, prod = np.zeros((4, m + 2))
+    cur[:m] = row
+    a, b, last, ratio = 0, 0, 1, 0    # alpha_{k-1}, beta_{k-1}, sigma_{k-1,k-1}
+    multiply, subtract, add = np.multiply, np.subtract, np.add
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # see above
             for k in range(size):
                 if k:
-                    nxt = (row[2:] - row[1:-1] * alpha[-1]
-                           - below[2:-2] * beta[-1])
-                    _plus_basis_shift(nxt, row[:-2], shift)
-                    row, below = nxt, row
-                    beta.append(row[0] / pivots[-1])
+                    m -= 2
+                    new, tmp, term = nxt[:m], prod[:m], cur[:m]
+                    multiply(cur[1:m + 1], a, tmp)
+                    subtract(cur[2:m + 2], tmp, new)
+                    multiply(below[2:m + 2], b, tmp)
+                    subtract(new, tmp, new)
+                    add(new, term if shift else multiply(term, 0, tmp), new)
+                    below, cur, nxt = cur, nxt, below
+                    b = cur.item(0) / last
+                    beta.append(b)
                 if checked:
-                    _finite(row)
-                pivot = row[0]
-                if not pivot > 0:
+                    _finite(cur[:m])
+                last = cur.item(0)
+                if not last > 0:
                     raise np.linalg.LinAlgError(f"pivot {k} is not positive")
-                pivots.append(pivot)
+                pivots.append(last)
                 if k < size - 1:
-                    step = row[1] / pivot
-                    alpha.append(step - ratio)
+                    step = cur.item(1) / last
+                    a = step - ratio
+                    alpha.append(a)
                     ratio = step
         if checked or np.isfinite(pivots + alpha + beta).all():
             return
@@ -402,7 +436,7 @@ def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
         if checked:
             raise
     del pivots[:], alpha[:], beta[1:]
-    _array_rows(start, size, shift, pivots, alpha, beta, checked=True)
+    _array_rows(row, size, shift, pivots, alpha, beta, checked=True)
 
 
 class _Ints:
@@ -462,30 +496,38 @@ def _read(values) -> _Ints:
     """``values`` as one _Ints, exactly: ints and Fractions alone as they
     are, mpf and mpc off their fields, and any other number among these
     (float, complex, Fraction) as ``_EXTENDED.convert`` makes it, as
-    mpmath's ``fdot`` takes it; inf and NaN raise ConditioningError."""
-    kinds = set(map(type, values))
-    if kinds <= {int}:
-        return _Ints(list(values), None, 1, 0 if values else None)
-    if kinds <= {int, Fraction}:
-        den = math.lcm(*[x.denominator for x in values])
-        return _Ints([x.numerator * (den // x.denominator) for x in values],
-                     None, den, 0)
-
-    def fields(x):    # the mpf fields of the real and the imaginary part
-        cls = type(x)
-        if cls is _MPF:
-            return x._mpf_, None
-        if cls is _MPC:
-            return x._mpc_
-        return fields(_EXTENDED.convert(x))
-
-    if kinds == {_MPF}:
-        flat, imags = [x._mpf_ for x in values], ()
+    mpmath's ``fdot`` takes it; inf and NaN raise ConditioningError.  A
+    lone mpf or mpc, which ``_Ints.extend`` takes at every step of the
+    EXTENDED solves, goes straight to its fields."""
+    lone = values[0] if len(values) == 1 else None
+    if type(lone) is _MPF:
+        flat, complex_ = (lone._mpf_,), False
+    elif type(lone) is _MPC:
+        flat, complex_ = lone._mpc_, True
     else:
-        flat, imags = zip(*map(fields, values))
-    complex_ = any(imags)
-    if complex_:
-        flat += tuple([im or fzero for im in imags])
+        kinds = set(map(type, values))
+        if kinds <= {int}:
+            return _Ints(list(values), None, 1, 0 if values else None)
+        if kinds <= {int, Fraction}:
+            den = math.lcm(*[x.denominator for x in values])
+            return _Ints([x.numerator * (den // x.denominator)
+                          for x in values], None, den, 0)
+
+        def fields(x):    # the mpf fields of the real and the imaginary part
+            cls = type(x)
+            if cls is _MPF:
+                return x._mpf_, None
+            if cls is _MPC:
+                return x._mpc_
+            return fields(_EXTENDED.convert(x))
+
+        if kinds == {_MPF}:
+            flat, imags = [x._mpf_ for x in values], ()
+        else:
+            flat, imags = zip(*map(fields, values))
+        complex_ = any(imags)
+        if complex_:
+            flat += tuple([im or fzero for im in imags])
     exps = [e for _, m, e, _ in flat if m]
     if len(exps) < len(flat) and any([e for _, m, e, _ in flat if not m]):
         raise ConditioningError(    # the fields of inf and NaN
@@ -648,8 +690,7 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
     """``forward_sweep`` on object rows of Fractions, mpf and mpc.
 
     The rows and the control are read once, and step t updates the
-    sites n = 1..k of the cone of ``dynamics._steps``, k = min(t + 1,
-    n_space, watched + horizon - t - 1), of a time slice by
+    sites n = 1..k of the cone (``cone_runs``) of a time slice by
 
         N_{t+1}[n] = f1 (A_n N_t[n+1] + A_{n-1} N_t[n-1] + B_n N_t[n])
                      - f3 N_{t-1}[n]    (+ fc A_0 F_t at n = 1),
@@ -678,8 +719,8 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
     slices = [[[0] * (n_space + 2) for _ in range(parts)] for _ in range(2)]
     scales, masks = [(1, 0), (1, 0)], [0, 0]
     out[...] = zero
-    for t in range(horizon):
-        k = min(t + 1, n_space, watched + horizon - t - 1)
+    runs = cone_runs(horizon, n_space, watched)
+    for t, k in ((t, k) for t0, t1, k in runs for t in range(t0, t1)):
         i = t & 1
         cur, older = slices[i], slices[1 - i]
         (du, eu), (dp, ep) = scales[i], scales[1 - i]

@@ -27,7 +27,7 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
-from .dynamics import control_operator
+from .dynamics import _check_block_memory, control_operator
 from .moments import HankelMatrix, _transform_matrix
 from .spectral import chebyshev_all
 from ._multiprec import mode_of, pd_factor, require_real, sym_eigenvalues
@@ -102,7 +102,8 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
     The paper's C^T has entry (i, j), 1-based,
     sum_{k=0..T-max(i,j)} r_{|i-j|+2k}.  This returns C_T = J C^T J, with
     entry sum_{k=0..min(i,j)-1} r_{|i-j|+2k}.  Exact input entries stay
-    exact.
+    exact.  A block whose size estimate exceeds physical memory is
+    refused with JacobiBCError before it is allocated.
     """
     rv = sequence_values(r)
     if size < 1:
@@ -110,6 +111,7 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
     if len(rv) < 2 * size - 1:
         raise InsufficientDataError(
             f"insufficient response data: need {2 * size - 1}, got {len(rv)}")
+    _check_block_memory(size, mode_of(rv), "connecting matrix")
     mat = np.zeros((size, size), dtype=np.result_type(rv, float))
     rows = np.arange(size)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf

@@ -16,14 +16,18 @@ Every solver runs one rolling sweep over two time slices.  A step
 updates only the sites inside the reachable cone: those the wave has
 reached, and from which a value can still travel back to the sites the
 caller reads before the horizon.  Float rows run ``_sweep``, where the
-cost of a step is numpy dispatch, not arithmetic: a step is four ufunc
-calls into preallocated buffers, and the updated width is rounded up to
-a multiple of 64 sites so that the slices are re-cut only every 64
-steps; the extra cells cannot change an output.  Object rows (EXTENDED
-and RATIONAL) run ``_multiprec.forward_sweep`` on slices of Python ints
-over one scale, one integer update per cell and one conversion per cell
-kept.  ``response_vector`` reads site 1 alone, so it keeps O(T) memory
-and updates about a quarter of the cells of the full field.
+cost of a step is numpy dispatch, not arithmetic: the updated width is
+rounded up to a multiple of 64 sites, so the steps come in runs of one
+width, up to 64 long, whose views are cut once, and a step is its
+control write, four ufunc calls into preallocated buffers and the read
+of the watched sites; the extra cells cannot change an output.  Object
+rows (EXTENDED and RATIONAL) run ``_multiprec._integer_sweep`` on slices
+of Python ints over one scale, one integer update per cell and one
+conversion per cell kept; ``_multiprec.forward_sweep`` sends each kind
+of row to its kernel, and both take their widths from
+``_multiprec.cone_runs``.  ``response_vector`` reads site 1 alone, so
+it keeps O(T) memory and updates about a quarter of the cells of the
+full field.
 ``solve_semi_infinite``, ``solve_finite`` and ``control_operator``
 return the whole field, which is O(N T) memory;
 they refuse a field whose size estimate exceeds physical memory before
@@ -43,6 +47,7 @@ control operator.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -58,8 +63,8 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
-from ._multiprec import (cell_bytes, forward_sweep, lift, require_real,
-                         width_quantum)
+from ._multiprec import (cell_bytes, cone_runs, forward_sweep, lift,
+                         require_real, width_quantum)
 
 __all__ = [
     "WaveField",
@@ -70,10 +75,6 @@ __all__ = [
     "control_operator",
     "apply_response",
 ]
-
-# Steps whose widths and control values the sweep holds as lists at once.
-_STEP_CHUNK = 128
-
 
 @dataclass(frozen=True)
 class WaveField:
@@ -182,92 +183,92 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     """Run the recurrence on float rows for t = 0..horizon-1 and write
     u_{n,t+1} into out[n-1, t] for the watched sites n = 1..len(out).
 
-    Two rolling slices hold the sites 0..n_space+1 at times t-1 and t.
-    Step t updates the sites 1..k of the cone, k = min(t+1, n_space,
-    watched + horizon - t - 1): the wave has reached them, and a value
-    there can still travel back to a watched site by the horizon.  The
-    coefficients are held once as rows (a_{n-1}, b_n, a_n), and each
-    slice has a strided view with rows (u_{n-1}, u_n, u_{n+1}), so a
-    step is four ufunc calls: one 3-row product P, P_2 + P_0, + P_1, and
-    - u_{n,t-1} into the older slice.  That is (a_n u_{n+1} + a_{n-1}
-    u_{n-1}) + b_n u_n - u_{n,t-1}, the operands and order of the
-    full-field update, so each cell an output reads has its bits.
-
-    k is rounded up to a multiple of ``width_quantum`` sites (capped at
-    n_space), and the views are re-cut only when that width changes.
-    The cells it adds lie past the wavefront, where they stay +0.0, or
-    outside the watched sites' dependence cone, so no output can see
-    them.  Every other site keeps the zero it starts with or a value no
-    watched site can see.  One watched site (``response_vector``) is
-    collected in a list and written into ``out`` once, not a column per
-    step.
+    Two rolling slices hold the sites 0..n_space+1 at times t-1 and t;
+    step t updates the sites 1..k of ``cone_runs``, k rounded up to a
+    multiple of ``width_quantum``, whose extra cells lie past the
+    wavefront, where they stay +0.0, or outside the watched sites'
+    dependence cone.  The views are cut once per run of one width (up
+    to 64 steps) and swap slices after each step, so a step is the
+    control, four ufunc calls with positional outs and the watched read:
+    P = (a_{n-1}, b_n, a_n) times the strided rows (u_{n-1}, u_n,
+    u_{n+1}), P_2 + P_0, + P_1, and - u_{n,t-1} into the older slice, the
+    operands and order of the full-field update, so each cell an output
+    reads has its bits.  One watched site (``response_vector``) is
+    collected as Python floats and written into ``out`` once.
     """
     n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
-    quantum = width_quantum(coef)
-    slices = (np.zeros(n_space + 2, dtype=out.dtype),)
-    slices += (slices[0].copy(),)
+    slices = np.zeros((2, n_space + 2), dtype=out.dtype)
     sites = [as_strided(s, (3, n_space), s.strides * 2, writeable=False)
              for s in slices]
+    seen = slices[:, 1:watched + 1]
     prod = np.empty((3, n_space), dtype=out.dtype)
-    # per parity of t: the width its views were cut for, and the views
-    widths, views = [0, 0], [None, None]
-    # one watched site: its values, written into out once at the end
-    site = [] if watched == 1 else None
+    single, site, columns = watched == 1, [], iter(out.T)
+    keep = site.append
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     # Rapidly growing coefficient families overflow float64 inside the
     # cone; those cells hold inf or nan and are returned as they are.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, k, f in _steps(ctrl, n_space, watched, quantum):
-            i = t & 1
-            if k != widths[i]:
-                p, older = prod[:, :k], slices[1 - i]
-                widths[i] = k
-                views[i] = (slices[i], coef[:, :k], sites[i][:, :k], p, *p,
-                            older[1:k + 1], older[1:watched + 1])
-            cur, c, u, p, p0, p1, p2, prev, seen = views[i]
-            cur[0] = f
-            np.multiply(c, u, out=p)
-            np.add(p2, p0, out=p2)
-            np.add(p2, p1, out=p2)
-            np.subtract(p2, prev, out=prev)
-            if site is None:
-                out.T[t] = seen
-            else:
-                site.append(seen[0])
-    if site is not None:
+        for start, stop, k in cone_runs(horizon, n_space, watched,
+                                        width_quantum(coef)):
+            # slice i holds u_t, and the other u_{t-1}, which the step
+            # overwrites with u_{t+1}
+            i = start & 1
+            now, before = slices[i], slices[1 - i]
+            u, u_before = sites[i][:, :k], sites[1 - i][:, :k]
+            new, new_before = before[1:k + 1], now[1:k + 1]
+            got, got_before = seen[1 - i], seen[i]
+            c, p = coef[:, :k], prod[:, :k]
+            p0, p1, p2 = p
+            for f in ctrl[start:stop].tolist():
+                now[0] = f
+                multiply(c, u, p)
+                add(p2, p0, p2)
+                add(p2, p1, p2)
+                subtract(p2, new, new)
+                if single:
+                    keep(new.item(0))
+                else:
+                    next(columns)[...] = got
+                now, before = before, now
+                u, u_before = u_before, u
+                new, new_before = new_before, new
+                got, got_before = got_before, got
+    if single:
         out[0] = site
 
 
-def _steps(ctrl, n_space: int, watched: int, quantum: int):
-    """(t, k, f_t) for the steps t = 0..horizon-1 of ``_sweep``, where k
-    is the width step t updates, as Python numbers, which a step reads
-    faster than numpy scalars.  They are computed with numpy
-    _STEP_CHUNK steps at a time, so their lists stay short."""
-    horizon = len(ctrl)
-    for start in range(0, horizon, _STEP_CHUNK):
-        t = np.arange(start, min(start + _STEP_CHUNK, horizon))
-        k = np.minimum(np.minimum(t + 1, n_space), watched + horizon - t - 1)
-        k = np.minimum(-(-k // quantum) * quantum, n_space)
-        yield from zip(t.tolist(), k.tolist(),
-                       ctrl[start:start + _STEP_CHUNK].tolist())
+def _check_memory(cells: int, precision: PrecisionMode, what: str,
+                  advice: str, per_cell: int = 0) -> None:
+    """Refuse, before anything is allocated, ``what``, an array of
+    ``cells`` cells whose estimate exceeds physical memory: ``cell_bytes``
+    per cell, plus the ``per_cell`` bytes a caller holds beside it.  The
+    JacobiBCError names both sizes and ends with ``advice``."""
+    need = cells * (cell_bytes(precision) + per_cell)
+    have = _physical_memory()
+    if need > have:
+        raise JacobiBCError(
+            f"{what} needs about {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory; {advice}")
 
 
 def _check_field_memory(n_space: int, horizon: int, precision: PrecisionMode,
                         per_cell: int = 0) -> None:
-    """Refuse, before anything is allocated, a field of (n_space+1) x
-    (horizon+2) cells whose estimate exceeds physical memory.
+    """``_check_memory`` for a field of (n_space+1) x (horizon+2) cells,
+    of which the solvers keep one copy; the sweep's O(n + T) working set
+    is not counted."""
+    _check_memory((n_space + 1) * (horizon + 2), precision,
+                  f"a {n_space + 1} x {horizon + 2} wave field",
+                  "use a shorter horizon (response vectors need only O(T) "
+                  "memory)", per_cell)
 
-    The estimate counts ``cell_bytes`` per cell for the field, of which
-    the solvers keep one copy, plus the ``per_cell`` bytes a caller holds
-    beside it; the sweep's O(n + T) working set is not counted.
-    """
-    need = (n_space + 1) * (horizon + 2) * (cell_bytes(precision) + per_cell)
-    have = _physical_memory()
-    if need > have:
-        raise JacobiBCError(
-            f"a {n_space + 1} x {horizon + 2} wave field needs about "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
-            "of physical memory; use a shorter horizon (response vectors "
-            "need only O(T) memory)")
+
+def _check_block_memory(size: int, precision: PrecisionMode,
+                        what: str) -> None:
+    """``_check_memory`` for a size x size block of ``what`` built from
+    data; the message names the largest block that would fit."""
+    fit = math.isqrt(_physical_memory() // cell_bytes(precision))
+    _check_memory(size * size, precision, f"a {size} x {size} {what}",
+                  f"use a size of at most {fit}")
 
 
 def _watched_sites(coeffs: JacobiCoefficients, control, horizon: int,

@@ -26,8 +26,9 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
+from .dynamics import _check_block_memory
 from ._multiprec import (above_noise, dot, dot_operand, leading_eig_extremes,
-                         lift, lift_ints, require_real)
+                         lift, lift_ints, mode_of, require_real)
 
 __all__ = [
     "HankelMatrix",
@@ -81,7 +82,9 @@ class ChebyshevTransform:
 def build_hankel(s, size: int) -> HankelMatrix:
     """The size x size block with entries s_{i+j} (0-based indices).
 
-    Entries keep their numeric type, so Fraction moments stay exact.
+    Entries keep their numeric type, so Fraction moments stay exact.  A
+    block whose size estimate exceeds physical memory is refused with
+    JacobiBCError before it is allocated.
     """
     sv = sequence_values(s)
     if size < 1:
@@ -89,6 +92,7 @@ def build_hankel(s, size: int) -> HankelMatrix:
     if len(sv) < 2 * size - 1:
         raise InsufficientDataError(
             f"insufficient moments: need {2 * size - 1}, got {len(sv)}")
+    _check_block_memory(size, mode_of(sv), "Hankel block")
     idx = np.arange(size)
     mat = sv[idx[:, None] + idx[None, :]]
     return HankelMatrix(mat.astype(np.result_type(mat, float)))

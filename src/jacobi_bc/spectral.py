@@ -159,7 +159,11 @@ def spectral_data(coeffs: JacobiCoefficients, size: int) -> SpectralData:
     eigenvectors, which equals 1/sum_i p_i(lambda_k)^2 and is numerically
     stabler than root-finding on p_{N+1}.  The eigenvectors are numpy's
     ``eigh`` of the dense tridiagonal A^N, O(N^3): this is the library's
-    cross-representation check, and no command calls it.
+    cross-representation check, and no command calls it.  An eigenvector
+    localized far from site 1 can have a first component below about
+    1.5e-162, whose square underflows to 0; the measure then has no
+    float64 weight there, and ConditioningError names the first such
+    eigenvalue.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -172,7 +176,15 @@ def spectral_data(coeffs: JacobiCoefficients, size: int) -> SpectralData:
             np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:
         raise JacobiBCError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return SpectralData(lambdas=lam, weights=vec[0, :] ** 2)
+    weights = vec[0, :] ** 2
+    if not weights.all():
+        k = int(np.argmin(weights))
+        raise ConditioningError(
+            f"the weight of eigenvalue {k + 1} of {size}, lambda = "
+            f"{float(lam[k])!r}, squares to 0 in double precision: its "
+            f"first eigenvector component, {vec[0, k]:.3g}, is below about "
+            "1.5e-162; use a smaller size")
+    return SpectralData(lambdas=lam, weights=weights)
 
 
 def quadrature(data: SpectralData, integrand) -> complex:

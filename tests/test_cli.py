@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -382,19 +384,53 @@ class TestSizeLimits:
         assert err["kind"] == "validation"
         assert "physical memory" in err["message"]
 
+    @pytest.mark.parametrize("key, block", [("response", "connecting matrix"),
+                                            ("moments", "Hankel block")])
+    def test_oversized_block_exits_2_under_an_address_space_limit(
+            self, tmp_path, key, block):
+        # 200,000 entries, or enough that a float64 block exceeds this
+        # host's physical memory; the child may map 3 GiB, so a block
+        # allocated before the size check would exit 1 with MemoryError
+        entries = max(200_000, 2 * math.isqrt(_physical_bytes() // 8) + 3)
+        path = write_json(tmp_path / "in.json",
+                          {key: [1.0] + [0.0] * (entries - 1)})
+        proc = _fresh_cli(["connect", "--input", path, "--output",
+                           str(tmp_path / "out.json")],
+                          address_space=3 * 2**30)
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert err["kind"] == "validation"
+        assert err["type"] == "JacobiBCError"
+        assert f"x {(entries + 1) // 2} {block} needs" in err["message"]
+        assert "physical memory" in err["message"]
 
-def _fresh_python(args):
+
+def _physical_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _limit_address_space(limit):
+    """A preexec_fn capping the child's address space at ``limit`` bytes."""
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return limit_child
+
+
+def _fresh_python(args, address_space=None):
     """A new interpreter on this package under Python's default warning
-    filters, so a numpy warning would reach its stderr."""
+    filters, so a numpy warning would reach its stderr; with
+    ``address_space``, capped at that many bytes of address space, the
+    cap set in the child alone."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(jacobi_bc.__file__).parents[1])
+    limit = address_space and _limit_address_space(address_space)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=env, timeout=300, preexec_fn=limit)
 
 
-def _fresh_cli(argv):
+def _fresh_cli(argv, address_space=None):
     """The CLI in a new interpreter (see ``_fresh_python``)."""
-    return _fresh_python(["-m", "jacobi_bc.cli", *argv])
+    return _fresh_python(["-m", "jacobi_bc.cli", *argv], address_space)
 
 
 class TestStderr:

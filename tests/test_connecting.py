@@ -8,6 +8,7 @@ from jacobi_bc import (
     ComplexDataError,
     ConnectingMatrix,
     InsufficientDataError,
+    JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
     build_hankel,
@@ -24,12 +25,36 @@ from jacobi_bc import (
     spectral_data,
     validate_response,
 )
+from jacobi_bc import dynamics
 from jacobi_bc.connecting import _lower_product, _mirror_lower
 
 from conftest import random_coefficients
 
 FREE = JacobiCoefficients.free()
 B1 = JacobiCoefficients.from_rules(lambda n: 1, lambda n: 1 if n == 1 else 0)
+
+
+@pytest.mark.parametrize("build, what", [
+    (connecting_from_response, "connecting matrix"),
+    (build_hankel, "Hankel block"),
+])
+@pytest.mark.parametrize("data, cell", [
+    ([1.0, 0.5, 2.0, 0.25, 5.0, 0.125, 14.0], 8),
+    ([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 4), Fraction(5),
+      Fraction(1, 8), Fraction(14)], 56),
+])
+def test_block_limit_is_the_size_estimate(monkeypatch, build, what, data,
+                                          cell):
+    # size^2 cells of the data's number type, the estimate the wave
+    # fields use, checked before the block is allocated
+    need = 4 * 4 * cell
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: need)
+    assert build(data, 4).matrix.shape == (4, 4)
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: need - 1)
+    with pytest.raises(JacobiBCError, match=f"^a 4 x 4 {what} needs about "
+                                            ".* physical memory; use a size "
+                                            "of at most 3$"):
+        build(data, 4)
 
 
 class TestFromResponse:

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from jacobi_bc import (
     BoundaryControl,
+    ConditioningError,
     JacobiBCError,
     JacobiCoefficients,
     eval_chebyshev,
@@ -110,6 +111,15 @@ class TestSpectralData:
             np.array([float(x) for x in co.a_head(size)[1:]]))
         assert data.lambdas.tobytes() == lam.tobytes()
         assert np.max(np.abs(data.weights - vec[0] ** 2)) <= 1e-15
+
+    def test_underflowed_weight_is_a_conditioning_error(self):
+        # a in [0.5, 2], b in [-1, 1] localize eigenvectors at 256 sites
+        # until a squared first component underflows to zero
+        co = random_coefficients(np.random.default_rng(81), 256)
+        with pytest.raises(ConditioningError,
+                           match=r"^the weight of eigenvalue \d+ of 256, "
+                                 r"lambda = .*, squares to 0"):
+            spectral_data(co, 256)
 
     def test_eigensolver_failure_is_a_library_error(self, monkeypatch):
         def fail(matrix):
