@@ -403,7 +403,8 @@ def _array_rows(row: np.ndarray, size: int, shift: int, pivots: list,
     # rows k - 1 (sigma_{-1,l} = 0 for k = 0), k and k + 1, and the products
     below, cur, nxt, prod = np.zeros((4, m + 2))
     cur[:m] = row
-    a, b, last, ratio = 0, 0, 1, 0    # alpha_{k-1}, beta_{k-1}, sigma_{k-1,k-1}
+    # alpha_{k-1}, beta_{k-1} and sigma_{k-1,k-1} as Python floats
+    a, b, last, ratio = 0, 0, 1, 0
     multiply, subtract, add = np.multiply, np.subtract, np.add
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # see above

@@ -200,7 +200,6 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     slices = np.zeros((2, n_space + 2), dtype=out.dtype)
     sites = [as_strided(s, (3, n_space), s.strides * 2, writeable=False)
              for s in slices]
-    seen = slices[:, 1:watched + 1]
     prod = np.empty((3, n_space), dtype=out.dtype)
     single, site, columns = watched == 1, [], iter(out.T)
     keep = site.append
@@ -216,7 +215,6 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
             now, before = slices[i], slices[1 - i]
             u, u_before = sites[i][:, :k], sites[1 - i][:, :k]
             new, new_before = before[1:k + 1], now[1:k + 1]
-            got, got_before = seen[1 - i], seen[i]
             c, p = coef[:, :k], prod[:, :k]
             p0, p1, p2 = p
             for f in ctrl[start:stop].tolist():
@@ -228,11 +226,10 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
                 if single:
                     keep(new.item(0))
                 else:
-                    next(columns)[...] = got
+                    next(columns)[...] = before[1:watched + 1]
                 now, before = before, now
                 u, u_before = u_before, u
                 new, new_before = new_before, new
-                got, got_before = got_before, got
     if single:
         out[0] = site
 
