@@ -74,6 +74,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from heapq import merge
 from operator import mul
 
 import numpy as np
@@ -128,8 +129,6 @@ _REFINE_STEPS = 5
 # Float rows of a forward sweep round the updated width up to a multiple
 # of this many sites.
 _WIDTH_QUANTUM = 64
-# Steps whose widths a forward sweep computes at once.
-_STEP_CHUNK = 128
 
 
 def as_mpf(x):
@@ -269,17 +268,23 @@ def width_quantum(coef: np.ndarray) -> int:
 
 def cone_runs(horizon: int, n_space: int, watched: int, quantum: int = 1):
     """(start, stop, k): steps start..stop-1 of a forward sweep update
-    the sites 1..k, k = min(t + 1, n_space, watched + horizon - t - 1)
-    (reached, and able to reach a watched site by the horizon) rounded
-    up to a multiple of ``quantum``, at most n_space.  The widths are
-    computed _STEP_CHUNK steps at a time, so a run ends with its chunk."""
-    for first in range(0, horizon, _STEP_CHUNK):
-        t = np.arange(first, min(first + _STEP_CHUNK, horizon))
-        k = np.minimum(np.minimum(t + 1, n_space), watched + horizon - t - 1)
-        k = np.minimum(-(-k // quantum) * quantum, n_space)
-        edges = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), k.size]
-        for lo, hi in zip(edges, edges[1:]):
-            yield first + lo, first + hi, int(k[lo])
+    the sites 1..k, min(t + 1, n_space, watched + horizon - t - 1) (those
+    reached from which a watched site can be reached by the horizon)
+    rounded up to a multiple of ``quantum``, at most n_space.  k can
+    change only at t = 0 or watched + horizon - 1 modulo ``quantum``, the
+    only steps at which it is evaluated."""
+    last = watched + horizon - 1
+
+    def width(t):
+        return min(-(-min(t + 1, last - t) // quantum) * quantum, n_space)
+
+    start, k = 0, width(0)
+    for t in merge(range(quantum, horizon, quantum),
+                   range(last % quantum, horizon, quantum)):
+        if t > start and width(t) != k:
+            yield start, t, k
+            start, k = t, width(t)
+    yield start, horizon, k
 
 
 def noise_floor(norm, precision: PrecisionMode):

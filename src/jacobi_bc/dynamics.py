@@ -185,16 +185,15 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
 
     Two rolling slices hold the sites 0..n_space+1 at times t-1 and t;
     step t updates the sites 1..k of ``cone_runs``, k rounded up to a
-    multiple of ``width_quantum``, whose extra cells lie past the
-    wavefront, where they stay +0.0, or outside the watched sites'
-    dependence cone.  The views are cut once per run of one width (up
-    to 64 steps) and swap slices after each step, so a step is the
-    control, four ufunc calls with positional outs and the watched read:
-    P = (a_{n-1}, b_n, a_n) times the strided rows (u_{n-1}, u_n,
-    u_{n+1}), P_2 + P_0, + P_1, and - u_{n,t-1} into the older slice, the
-    operands and order of the full-field update, so each cell an output
-    reads has its bits.  One watched site (``response_vector``) is
-    collected as Python floats and written into ``out`` once.
+    multiple of ``width_quantum``: the extra cells lie past the wavefront,
+    where they stay +0.0, or outside the watched sites' dependence cone.
+    The views are cut once per run of one width and swap slices after
+    each step, so a step is the control, four ufunc calls with positional
+    outs and the watched read: P = (a_{n-1}, b_n, a_n) times the strided
+    rows (u_{n-1}, u_n, u_{n+1}), P_2 + P_0, + P_1, and - u_{n,t-1} into
+    the older slice, the operands and order of the full-field update, so
+    each cell an output reads has its bits.  One watched site
+    (``response_vector``) is collected as Python floats, written once.
     """
     n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
     slices = np.zeros((2, n_space + 2), dtype=out.dtype)
@@ -209,8 +208,7 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop, k in cone_runs(horizon, n_space, watched,
                                         width_quantum(coef)):
-            # slice i holds u_t, and the other u_{t-1}, which the step
-            # overwrites with u_{t+1}
+            # slice i holds u_t; the step overwrites u_{t-1} with u_{t+1}
             i = start & 1
             now, before = slices[i], slices[1 - i]
             u, u_before = sites[i][:, :k], sites[1 - i][:, :k]

@@ -30,7 +30,7 @@ from jacobi_bc import (
     solve_semi_infinite,
 )
 from jacobi_bc import dynamics
-from jacobi_bc._multiprec import lift
+from jacobi_bc._multiprec import cone_runs, lift
 from jacobi_bc.cli import main
 
 from conftest import random_coefficients
@@ -631,8 +631,7 @@ def _sweep_example(kind, precision, horizon, length, size, complex_control):
 @example(case=_sweep_example("random", PrecisionMode.DOUBLE, 150, 75, 40, True))
 @example(case=_sweep_example("geometric", PrecisionMode.DOUBLE, 200, 0, 130, False))
 @example(case=_sweep_example("unchecked", PrecisionMode.DOUBLE, 130, 131, 9, True))
-# the 128-step chunk edge: a horizon of one chunk, one step past it, and
-# two chunks, whose widths cross four 64-site runs
+# horizons at and one step past two 64-site width runs, and at four
 @example(case=_sweep_example("random", PrecisionMode.DOUBLE, 128, 129, 128, True))
 @example(case=_sweep_example("unchecked", PrecisionMode.DOUBLE, 129, 65, 65, False))
 @example(case=_sweep_example("random", PrecisionMode.DOUBLE, 256, 257, 200, True))
@@ -653,6 +652,25 @@ def test_sweep_kernel_equals_the_one_expression_step(case):
             _assert_as_accurate(got, want, truth)
             continue
         assert _bits(got) == _bits(want)
+
+
+@given(horizon=st.integers(1, 300), n_space=st.integers(1, 300),
+       watched=st.integers(1, 300), quantum=st.sampled_from([1, 2, 7, 64]))
+@example(horizon=2047, n_space=2048, watched=1, quantum=64)
+@example(horizon=300, n_space=300, watched=300, quantum=64)
+def test_cone_runs_give_each_step_its_width(horizon, n_space, watched,
+                                             quantum):
+    # maximal runs that tile the steps, each step with the cone width
+    # min(t + 1, n_space, watched + horizon - t - 1) rounded up to the
+    # quantum and capped at n_space, evaluated step by step here
+    runs = list(cone_runs(horizon, n_space, watched, quantum))
+    assert [start for start, _, _ in runs] == [0] + [
+        stop for _, stop, _ in runs[:-1]]
+    assert runs[-1][1] == horizon
+    assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
+    assert [k for start, stop, k in runs for _ in range(start, stop)] == [
+        min(-(-min(t + 1, n_space, watched + horizon - t - 1) // quantum)
+            * quantum, n_space) for t in range(horizon)]
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -8,10 +8,9 @@ the numerator and denominator of every Fraction and the bytes of every
 float64 table.  The DOUBLE kernels (``dynamics._sweep`` and
 ``_multiprec._array_rows``) are pinned the same way, on a family of the
 benchmark's kind at its horizons, on a complex control whose field
-crosses several 64-site widths and the 128-step chunk edge, and on a
-moment row whose pivot fails, which runs the rows again checked.  A
-change that rounds one value of these loops differently changes a digest
-here.
+crosses several 64-site widths, and on a moment row whose pivot fails,
+which runs the rows again checked.  A change that rounds one value of
+these loops differently changes a digest here.
 
 The object-mode digests were recorded from the code as it stood before
 the loops shared one integer form, the DOUBLE ones from the code before
