@@ -103,7 +103,8 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
     sum_{k=0..T-max(i,j)} r_{|i-j|+2k}.  This returns C_T = J C^T J, with
     entry sum_{k=0..min(i,j)-1} r_{|i-j|+2k}.  Exact input entries stay
     exact.  A block whose size estimate exceeds physical memory is
-    refused with JacobiBCError before it is allocated.
+    refused with JacobiBCError before it is allocated; the block is the
+    only array of its size made.
     """
     rv = sequence_values(r)
     if size < 1:
@@ -121,6 +122,7 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
             diag = np.cumsum(rv[d:2 * size - d:2])
             mat[rows[:size - d], rows[d:]] = diag
             mat[rows[d:], rows[:size - d]] = diag
+    mat.setflags(write=False)    # kept by ConnectingMatrix without a copy
     return ConnectingMatrix(mat)
 
 

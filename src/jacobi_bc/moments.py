@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     ConditioningWarning,
@@ -84,7 +85,8 @@ def build_hankel(s, size: int) -> HankelMatrix:
 
     Entries keep their numeric type, so Fraction moments stay exact.  A
     block whose size estimate exceeds physical memory is refused with
-    JacobiBCError before it is allocated.
+    JacobiBCError before it is allocated; the block is the only array of
+    its size made.
     """
     sv = sequence_values(s)
     if size < 1:
@@ -93,9 +95,12 @@ def build_hankel(s, size: int) -> HankelMatrix:
         raise InsufficientDataError(
             f"insufficient moments: need {2 * size - 1}, got {len(sv)}")
     _check_block_memory(size, mode_of(sv), "Hankel block")
-    idx = np.arange(size)
-    mat = sv[idx[:, None] + idx[None, :]]
-    return HankelMatrix(mat.astype(np.result_type(mat, float)))
+    # row i is the window s_i..s_{i+size-1}, copied once into the block,
+    # which HankelMatrix keeps as it is
+    mat = np.array(sliding_window_view(sv[:2 * size - 1], size),
+                   dtype=np.result_type(sv, float))
+    mat.setflags(write=False)
+    return HankelMatrix(mat)
 
 
 def _transform_rows(size: int):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,22 @@ def test_block_limit_is_the_size_estimate(monkeypatch, build, what, data,
                                             ".* physical memory; use a size "
                                             "of at most 3$"):
         build(data, 4)
+
+
+@pytest.mark.parametrize("build", [connecting_from_response, build_hankel])
+def test_peak_is_the_block(build):
+    # the block is the one size^2 array made, so the size check's
+    # estimate is the peak; a second copy would not fit below the bound
+    size = 1000
+    data = np.linspace(1.0, 2.0, 2 * size - 1)
+    tracemalloc.start()
+    try:
+        block = build(data, size).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (size, size) and block.dtype == float
+    assert peak < size * size * 8 + 128 * size
 
 
 class TestFromResponse:
