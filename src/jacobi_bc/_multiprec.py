@@ -74,7 +74,6 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from heapq import merge
 from operator import mul
 
 import numpy as np
@@ -266,25 +265,10 @@ def width_quantum(coef: np.ndarray) -> int:
     return 1
 
 
-def cone_runs(horizon: int, n_space: int, watched: int, quantum: int = 1):
-    """(start, stop, k): steps start..stop-1 of a forward sweep update
-    the sites 1..k, min(t + 1, n_space, watched + horizon - t - 1) (those
-    reached from which a watched site can be reached by the horizon)
-    rounded up to a multiple of ``quantum``, at most n_space.  k can
-    change only at t = 0 or watched + horizon - 1 modulo ``quantum``, the
-    only steps at which it is evaluated."""
-    last = watched + horizon - 1
-
-    def width(t):
-        return min(-(-min(t + 1, last - t) // quantum) * quantum, n_space)
-
-    start, k = 0, width(0)
-    for t in merge(range(quantum, horizon, quantum),
-                   range(last % quantum, horizon, quantum)):
-        if t > start and width(t) != k:
-            yield start, t, k
-            start, k = t, width(t)
-    yield start, horizon, k
+def cone_width(t: int, n_space: int, watched: int, horizon: int) -> int:
+    """The k of the sites 1..k that step t of a forward sweep updates:
+    reached, and able to reach a watched site 1..watched by the horizon."""
+    return min(t + 1, n_space, watched + horizon - t - 1)
 
 
 def noise_floor(norm, precision: PrecisionMode):
@@ -696,7 +680,7 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
     """``forward_sweep`` on object rows of Fractions, mpf and mpc.
 
     The rows and the control are read once, and step t updates the
-    sites n = 1..k of the cone (``cone_runs``) of a time slice by
+    sites n = 1..k of the cone (``cone_width``) of a time slice by
 
         N_{t+1}[n] = f1 (A_n N_t[n+1] + A_{n-1} N_t[n-1] + B_n N_t[n])
                      - f3 N_{t-1}[n]    (+ fc A_0 F_t at n = 1),
@@ -725,8 +709,8 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
     slices = [[[0] * (n_space + 2) for _ in range(parts)] for _ in range(2)]
     scales, masks = [(1, 0), (1, 0)], [0, 0]
     out[...] = zero
-    runs = cone_runs(horizon, n_space, watched)
-    for t, k in ((t, k) for t0, t1, k in runs for t in range(t0, t1)):
+    for t in range(horizon):
+        k = cone_width(t, n_space, watched, horizon)
         i = t & 1
         cur, older = slices[i], slices[1 - i]
         (du, eu), (dp, ep) = scales[i], scales[1 - i]

@@ -24,8 +24,8 @@ of the watched sites; the extra cells cannot change an output.  Object
 rows (EXTENDED and RATIONAL) run ``_multiprec._integer_sweep`` on slices
 of Python ints over one scale, one integer update per cell and one
 conversion per cell kept; ``_multiprec.forward_sweep`` sends each kind
-of row to its kernel, and both take their widths from
-``_multiprec.cone_runs``.  ``response_vector`` reads site 1 alone, so
+of row to its kernel, and both read their widths off
+``_multiprec.cone_width``.  ``response_vector`` reads site 1 alone, so
 it keeps O(T) memory and updates about a quarter of the cells of the
 full field.
 ``solve_semi_infinite``, ``solve_finite`` and ``control_operator``
@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from heapq import merge
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -63,7 +64,7 @@ from .core import (
     _freeze_array,
     sequence_values,
 )
-from ._multiprec import (cell_bytes, cone_runs, forward_sweep, lift,
+from ._multiprec import (cell_bytes, cone_width, forward_sweep, lift,
                          require_real, width_quantum)
 
 __all__ = [
@@ -184,7 +185,7 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     u_{n,t+1} into out[n-1, t] for the watched sites n = 1..len(out).
 
     Two rolling slices hold the sites 0..n_space+1 at times t-1 and t;
-    step t updates the sites 1..k of ``cone_runs``, k rounded up to a
+    step t updates the sites 1..k of ``cone_width``, k rounded up to a
     multiple of ``width_quantum``: the extra cells lie past the wavefront,
     where they stay +0.0, or outside the watched sites' dependence cone.
     The views are cut once per run of one width and swap slices after
@@ -206,8 +207,8 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
     # Rapidly growing coefficient families overflow float64 inside the
     # cone; those cells hold inf or nan and are returned as they are.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop, k in cone_runs(horizon, n_space, watched,
-                                        width_quantum(coef)):
+        for start, stop, k in _runs(horizon, n_space, watched,
+                                    width_quantum(coef)):
             # slice i holds u_t; the step overwrites u_{t-1} with u_{t+1}
             i = start & 1
             now, before = slices[i], slices[1 - i]
@@ -230,6 +231,24 @@ def _sweep(ctrl, coef, out: np.ndarray) -> None:
                 new, new_before = new_before, new
     if single:
         out[0] = site
+
+
+def _runs(horizon: int, n_space: int, watched: int, quantum: int):
+    """(start, stop, k): steps start..stop-1 of ``_sweep`` update the
+    sites 1..k, ``cone_width`` rounded up to a multiple of ``quantum``
+    (at most n_space), which can change only at t = 0 or watched +
+    horizon - 1 modulo ``quantum``: k is evaluated at those steps alone."""
+    def width(t):
+        k = cone_width(t, n_space, watched, horizon)
+        return min(-(-k // quantum) * quantum, n_space)
+
+    start, k = 0, width(0)
+    for t in merge(range(quantum, horizon, quantum),
+                   range((watched + horizon - 1) % quantum, horizon, quantum)):
+        if t > start and width(t) != k:
+            yield start, t, k
+            start, k = t, width(t)
+    yield start, horizon, k
 
 
 def _check_memory(cells: int, precision: PrecisionMode, what: str,

@@ -30,7 +30,7 @@ from jacobi_bc import (
     solve_semi_infinite,
 )
 from jacobi_bc import dynamics
-from jacobi_bc._multiprec import cone_runs, lift
+from jacobi_bc._multiprec import lift
 from jacobi_bc.cli import main
 
 from conftest import random_coefficients
@@ -658,12 +658,12 @@ def test_sweep_kernel_equals_the_one_expression_step(case):
        watched=st.integers(1, 300), quantum=st.sampled_from([1, 2, 7, 64]))
 @example(horizon=2047, n_space=2048, watched=1, quantum=64)
 @example(horizon=300, n_space=300, watched=300, quantum=64)
-def test_cone_runs_give_each_step_its_width(horizon, n_space, watched,
+def test_sweep_runs_give_each_step_its_width(horizon, n_space, watched,
                                              quantum):
     # maximal runs that tile the steps, each step with the cone width
     # min(t + 1, n_space, watched + horizon - t - 1) rounded up to the
     # quantum and capped at n_space, evaluated step by step here
-    runs = list(cone_runs(horizon, n_space, watched, quantum))
+    runs = list(dynamics._runs(horizon, n_space, watched, quantum))
     assert [start for start, _, _ in runs] == [0] + [
         stop for _, stop, _ in runs[:-1]]
     assert runs[-1][1] == horizon
