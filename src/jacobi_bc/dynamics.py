@@ -18,9 +18,10 @@ reached, and from which a value can still travel back to the sites the
 caller reads before the horizon.  Float rows run ``_sweep``, where the
 cost of a step is numpy dispatch, not arithmetic: the updated width is
 rounded up to a multiple of 64 sites, so the steps come in runs of one
-width, up to 64 long, whose views are cut once, and a step is its
-control write, four ufunc calls into preallocated buffers and the read
-of the watched sites; the extra cells cannot change an output.  Object
+width (64 long while the width grows or shrinks) whose views are cut
+once, and a step is its control write, four ufunc calls into
+preallocated buffers and the read of the watched sites; the extra cells
+cannot change an output.  Object
 rows (EXTENDED and RATIONAL) run ``_multiprec._integer_sweep`` on slices
 of Python ints over one scale, one integer update per cell and one
 conversion per cell kept; ``_multiprec.forward_sweep`` sends each kind

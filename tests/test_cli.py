@@ -391,7 +391,8 @@ class TestSizeLimits:
         # 200,000 entries, or enough that a float64 block exceeds this
         # host's physical memory; the child may map 3 GiB, so a block
         # allocated before the size check would exit 1 with MemoryError
-        entries = max(200_000, 2 * math.isqrt(_physical_bytes() // 8) + 3)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        entries = max(200_000, 2 * math.isqrt(memory // 8) + 3)
         path = write_json(tmp_path / "in.json",
                           {key: [1.0] + [0.0] * (entries - 1)})
         proc = _fresh_cli(["connect", "--input", path, "--output",
@@ -405,17 +406,6 @@ class TestSizeLimits:
         assert "physical memory" in err["message"]
 
 
-def _physical_bytes() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _limit_address_space(limit):
-    """A preexec_fn capping the child's address space at ``limit`` bytes."""
-    def limit_child():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    return limit_child
-
-
 def _fresh_python(args, address_space=None):
     """A new interpreter on this package under Python's default warning
     filters, so a numpy warning would reach its stderr; with
@@ -423,7 +413,8 @@ def _fresh_python(args, address_space=None):
     cap set in the child alone."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(jacobi_bc.__file__).parents[1])
-    limit = address_space and _limit_address_space(address_space)
+    limit = address_space and (lambda: resource.setrlimit(
+        resource.RLIMIT_AS, (address_space, address_space)))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=300, preexec_fn=limit)
 
