@@ -21,16 +21,18 @@ computes in the caller's own context.
 
 The pipeline modules write each step once, independent of dtype, on the
 steps this module provides: lifting and refusing data (``lift``,
-``require_real``) and its floors, the forward sweep (``forward_sweep``),
-Wheeler's recurrence (``modified_chebyshev``), the eigenvalue sequences
-read off Q = diag(d)^-1/2 L^-1 for A = L diag(d) L^T, the table of the
-orthonormal polynomials (``orthonormal_min_eigs``,
-``leading_eig_extremes``, ``gram_max_eigs``), ``sym_eigenvalues``, one
-positive-definite factorization and solve (``pd_factor``,
-``mp_pd_solve``, ``gram_solve``) and the contraction ``dot``.
+``require_real``) and its floors, the forward sweep with its cone width
+and coefficient rows (``forward_sweep``), Wheeler's recurrence
+(``modified_chebyshev``), the eigenvalue sequences read off Q =
+diag(d)^-1/2 L^-1 for A = L diag(d) L^T, the table of the orthonormal
+polynomials (``orthonormal_min_eigs``, ``leading_eig_extremes``,
+``gram_max_eigs``), ``sym_eigenvalues``, one positive-definite
+factorization and solve (``pd_factor``, ``mp_pd_solve``,
+``gram_solve``) and the contraction ``dot``.
 
-Float arrays take numpy and its LAPACK, and the DOUBLE triangular
-sweeps a substitution loop on ``dot``.  Object arrays take four loops on
+Float arrays take numpy and its LAPACK, the forward sweep four ufunc
+calls a step (``_float_sweep``), and the DOUBLE triangular sweeps a
+substitution loop on ``dot``.  Object arrays take four loops on
 Python ints, each one for both object modes: the recurrence
 (``_integer_rows``), the sweep (``_integer_sweep``), the rows of Q
 (``_orthonormal_ints``) and the sums of ``dot`` and the solves
@@ -74,9 +76,11 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from heapq import merge
 from operator import mul
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import (ComplexDataError, ConditioningError,
                    InsufficientDataError, PrecisionMode, _to_fraction)
@@ -124,11 +128,6 @@ NOISE_FLOOR_FACTOR = 1e3
 
 _RESIDUAL_TOL = 1e-10
 _REFINE_STEPS = 5
-
-# Float rows of a forward sweep round the updated width up to a multiple
-# of this many sites.
-_WIDTH_QUANTUM = 64
-
 
 def as_mpf(x):
     """x as an mpf (mpc when complex) of the EXTENDED context: floats and
@@ -247,28 +246,6 @@ def cell_bytes(precision: PrecisionMode) -> int:
     if precision is PrecisionMode.DOUBLE:
         return np.dtype(float).itemsize
     return 8 + 48
-
-
-def width_quantum(coef: np.ndarray) -> int:
-    """Sites the float sweep rounds its updated width up to, for the
-    float coefficient rows (a_{n-1}, b_n, a_n) ``coef``.
-
-    A cell past the wavefront sums a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n
-    - u_{n,t-1} over zeros, and stays +0.0 when every a_n (row 0) is
-    positive and every b_n finite, as validated coefficients are; such
-    rows take _WIDTH_QUANTUM.  Rows with a coefficient that is not
-    positive or not finite (which could put -0.0 or NaN past the
-    wavefront) keep the exact width.
-    """
-    if np.isfinite(coef).all() and (coef[0] > 0).all():
-        return _WIDTH_QUANTUM
-    return 1
-
-
-def cone_width(t: int, n_space: int, watched: int, horizon: int) -> int:
-    """The k of the sites 1..k that step t of a forward sweep updates:
-    reached, and able to reach a watched site 1..watched by the horizon."""
-    return min(t + 1, n_space, watched + horizon - t - 1)
 
 
 def noise_floor(norm, precision: PrecisionMode):
@@ -668,19 +645,112 @@ def _ratio(n: int, d: int, e: int, kind):
     return value, (-quo if n < 0 else quo, 1, e - extra)
 
 
-def forward_sweep(ctrl, coef, out: np.ndarray, float_sweep) -> None:
-    """The forward sweep of ``dynamics``, u_{n,t+1} into out[n-1, t] for
-    n = 1..len(out) and t < len(ctrl), from the lifted control and rows
-    (a_{n-1}, b_n, a_n): ``float_sweep`` or ``_integer_sweep``."""
-    sweep = _integer_sweep if coef.dtype == object else float_sweep
-    sweep(ctrl, coef, out)
+# Float sweeps round the updated width up to a multiple of this many sites.
+_WIDTH_QUANTUM = 64
 
 
-def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
-    """``forward_sweep`` on object rows of Fractions, mpf and mpc.
+def forward_sweep(ctrl, a, b, out: np.ndarray) -> None:
+    """The forward sweep of ``dynamics``: u_{n,t+1} into out[n-1, t] for
+    the watched sites n = 1..len(out) and t < len(ctrl), from the lifted
+    control, a_0..a_{N-1} and b_1..b_N of the sites n = 1..N = len(a).
+    The site N + 1 is identically zero: the causality cone for the
+    semi-infinite system, the Dirichlet wall for the finite one.  Float
+    values run ``_float_sweep``, object values ``_integer_sweep``; step t
+    of either updates the sites 1..``_cone_width``."""
+    sweep = _integer_sweep if a.dtype == object else _float_sweep
+    sweep(ctrl, a, b, out)
 
-    The rows and the control are read once, and step t updates the
-    sites n = 1..k of the cone (``cone_width``) of a time slice by
+
+def _cone_width(t: int, n_space: int, watched: int, horizon: int) -> int:
+    """The k of the sites 1..k that step t of a forward sweep updates:
+    reached, and able to reach a watched site 1..watched by the horizon."""
+    return min(t + 1, n_space, watched + horizon - t - 1)
+
+
+def _float_sweep(ctrl, a, b, out: np.ndarray) -> None:
+    """``forward_sweep`` on float values, where the cost of a step is
+    numpy dispatch, not arithmetic.
+
+    The rows P = (a_{n-1}, b_n, a_n) of the sites n = 1..N, whose last
+    a_n is the zero of the ghost site, are built once.  Two rolling
+    slices hold the sites 0..N+1 at times t-1 and t; step t updates the
+    sites 1..k of ``_cone_width``, k rounded up to a multiple of
+    _WIDTH_QUANTUM when every a_n is positive and every coefficient
+    finite, as validated ones are: the extra cells lie past the
+    wavefront, where a sum over zeros keeps them +0.0, or outside the
+    watched sites' dependence cone.  Other rows, which could put -0.0 or
+    NaN past the wavefront, keep the exact width.  The views are cut once
+    per run of one width (``_runs``) and swap slices after each step, so
+    a step is the control, four ufunc calls with positional outs and the
+    watched read: P times the strided rows (u_{n-1}, u_n, u_{n+1}), P_2 +
+    P_0, + P_1, and - u_{n,t-1} into the older slice, the operands and
+    order of the full-field update, so each cell an output reads has its
+    bits.  One watched site (``response_vector``) is collected as Python
+    floats, written once.
+    """
+    n_space, horizon, watched = len(a), len(ctrl), len(out)
+    coef = np.array([a, b, np.append(a[1:], 0.0)])
+    quantum = (_WIDTH_QUANTUM if np.isfinite(coef).all() and (a > 0).all()
+               else 1)
+    slices = np.zeros((2, n_space + 2), dtype=out.dtype)
+    sites = [as_strided(s, (3, n_space), s.strides * 2, writeable=False)
+             for s in slices]
+    prod = np.empty((3, n_space), dtype=out.dtype)
+    single, site, columns = watched == 1, [], iter(out.T)
+    keep = site.append
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    # Rapidly growing coefficient families overflow float64 inside the
+    # cone; those cells hold inf or nan and are returned as they are.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop, k in _runs(horizon, n_space, watched, quantum):
+            # slice i holds u_t; the step overwrites u_{t-1} with u_{t+1}
+            i = start & 1
+            now, before = slices[i], slices[1 - i]
+            u, u_before = sites[i][:, :k], sites[1 - i][:, :k]
+            new, new_before = before[1:k + 1], now[1:k + 1]
+            c, p = coef[:, :k], prod[:, :k]
+            p0, p1, p2 = p
+            for f in ctrl[start:stop].tolist():
+                now[0] = f
+                multiply(c, u, p)
+                add(p2, p0, p2)
+                add(p2, p1, p2)
+                subtract(p2, new, new)
+                if single:
+                    keep(new.item(0))
+                else:
+                    next(columns)[...] = before[1:watched + 1]
+                now, before = before, now
+                u, u_before = u_before, u
+                new, new_before = new_before, new
+    if single:
+        out[0] = site
+
+
+def _runs(horizon: int, n_space: int, watched: int, quantum: int):
+    """(start, stop, k): steps start..stop-1 of ``_float_sweep`` update
+    the sites 1..k, ``_cone_width`` rounded up to a multiple of
+    ``quantum`` (at most n_space), which can change only at t = 0 or
+    watched + horizon - 1 modulo ``quantum``: k is evaluated at those
+    steps alone."""
+    def width(t):
+        k = _cone_width(t, n_space, watched, horizon)
+        return min(-(-k // quantum) * quantum, n_space)
+
+    start, k = 0, width(0)
+    for t in merge(range(quantum, horizon, quantum),
+                   range((watched + horizon - 1) % quantum, horizon, quantum)):
+        if t > start and width(t) != k:
+            yield start, t, k
+            start, k = t, width(t)
+    yield start, horizon, k
+
+
+def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
+    """``forward_sweep`` on object values: Fractions, mpf and mpc.
+
+    The coefficients and the control are read once, and step t updates the
+    sites n = 1..k of the cone (``_cone_width``) of a time slice by
 
         N_{t+1}[n] = f1 (A_n N_t[n+1] + A_{n-1} N_t[n-1] + B_n N_t[n])
                      - f3 N_{t-1}[n]    (+ fc A_0 F_t at n = 1),
@@ -690,12 +760,12 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
     The coefficients are real (``dynamics`` refuses complex ones).  A
     cell is an mpc exactly where mpmath's one-expression step makes one,
     where an mpc control value reaches it (a bit mask per slice).  Sites
-    the wave has not reached hold coef[2, -1].
+    the wave has not reached hold the mode's zero.
     """
-    n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
-    kind = Fraction if mode_of(coef) is PrecisionMode.RATIONAL else _MPF
-    zero = coef[2, -1]
-    a, b, ctrl = coef[0].tolist() + [zero], coef[1].tolist(), ctrl.tolist()
+    n_space, horizon, watched = len(a), len(ctrl), len(out)
+    kind = Fraction if mode_of(a) is PrecisionMode.RATIONAL else _MPF
+    zero = kind(0)
+    a, b, ctrl = a.tolist() + [zero], b.tolist(), ctrl.tolist()
     ctrl_mpc = [_is_mpc(f) for f in ctrl]
     parts = 2 if any(ctrl_mpc) else 1
     rows, force = _read(a + b), _read(ctrl)
@@ -710,7 +780,7 @@ def _integer_sweep(ctrl, coef, out: np.ndarray) -> None:
     scales, masks = [(1, 0), (1, 0)], [0, 0]
     out[...] = zero
     for t in range(horizon):
-        k = cone_width(t, n_space, watched, horizon)
+        k = _cone_width(t, n_space, watched, horizon)
         i = t & 1
         cur, older = slices[i], slices[1 - i]
         (du, eu), (dp, ep) = scales[i], scales[1 - i]

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -280,9 +281,23 @@ class BoundaryControl:
 
     def padded(self, horizon: int) -> list:
         """Values extended by zeros up to ``horizon`` entries."""
-        if horizon < len(self.values):
-            raise ValueError("cannot truncate a control; build a shorter one")
-        return list(self.values) + [0] * (horizon - len(self.values))
+        return list(_read_control(self, horizon)[1])
+
+
+def _read_control(control, horizon: int | None = None):
+    """The horizon, by default the length of ``control`` (a BoundaryControl
+    or a sequence f_0, f_1, ...), and an iterator over the control's
+    values zero-extended to it, which a solver drains after its size
+    checks.  A control longer than the horizon raises ValueError: no
+    solver drops a value."""
+    values = (control.values if isinstance(control, BoundaryControl)
+              else control)
+    if horizon is None:
+        horizon = len(values)
+    if len(values) > horizon:
+        raise ValueError(f"the control has {len(values)} values, more than "
+                         f"the horizon {horizon}; pass a shorter control")
+    return horizon, chain(values, repeat(0, horizon - len(values)))
 
 
 def _freeze_array(obj, name: str, raw, dtype=None) -> np.ndarray:

@@ -12,23 +12,13 @@ n <= horizon.  The finite variant adds the Dirichlet wall u_{N+1,t} = 0.
 The coefficients must be real, and every solver refuses a complex a_n or
 b_n with ComplexDataError; the control may be complex.
 
-Every solver runs one rolling sweep over two time slices.  A step
-updates only the sites inside the reachable cone: those the wave has
-reached, and from which a value can still travel back to the sites the
-caller reads before the horizon.  Float rows run ``_sweep``, where the
-cost of a step is numpy dispatch, not arithmetic: the updated width is
-rounded up to a multiple of 64 sites, so the steps come in runs of one
-width (64 long while the width grows or shrinks) whose views are cut
-once, and a step is its control write, four ufunc calls into
-preallocated buffers and the read of the watched sites; the extra cells
-cannot change an output.  Object
-rows (EXTENDED and RATIONAL) run ``_multiprec._integer_sweep`` on slices
-of Python ints over one scale, one integer update per cell and one
-conversion per cell kept; ``_multiprec.forward_sweep`` sends each kind
-of row to its kernel, and both read their widths off
-``_multiprec.cone_width``.  ``response_vector`` reads site 1 alone, so
-it keeps O(T) memory and updates about a quarter of the cells of the
-full field.
+Every solver lifts the control and the coefficients once and runs the
+one forward sweep of the backend, ``_multiprec.forward_sweep``, over two
+time slices.  A step updates only the sites inside the reachable cone:
+those the wave has reached, and from which a value can still travel
+back to the sites the caller reads before the horizon.
+``response_vector`` reads site 1 alone, so it keeps O(T) memory and
+updates about a quarter of the cells of the full field.
 ``solve_semi_infinite``, ``solve_finite`` and ``control_operator``
 return the whole field, which is O(N T) memory;
 they refuse a field whose size estimate exceeds physical memory before
@@ -51,22 +41,19 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from heapq import merge
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import (
-    BoundaryControl,
     JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
     ResponseVector,
     _freeze_array,
+    _read_control,
     sequence_values,
 )
-from ._multiprec import (cell_bytes, cone_width, forward_sweep, lift,
-                         require_real, width_quantum)
+from ._multiprec import cell_bytes, forward_sweep, lift, require_real
 
 __all__ = [
     "WaveField",
@@ -97,13 +84,17 @@ class WaveField:
         """u_{n,t} with the natural indices (t may be -1)."""
         if not (0 <= n <= self.n_space):
             raise IndexError(f"space index {n} outside 0..{self.n_space}")
-        if not (-1 <= t <= self.horizon):
-            raise IndexError(f"time index {t} outside -1..{self.horizon}")
-        return self.values[n, t + 1]
+        return self.values[n, self._column(t)]
 
     def state(self, t: int) -> np.ndarray:
-        """Interior snapshot (u_{1,t}, ..., u_{n_space,t})."""
-        return self.values[1:, t + 1]
+        """Interior snapshot (u_{1,t}, ..., u_{n_space,t}), with the
+        time indices of ``value``."""
+        return self.values[1:, self._column(t)]
+
+    def _column(self, t: int) -> int:
+        if not (-1 <= t <= self.horizon):
+            raise IndexError(f"time index {t} outside -1..{self.horizon}")
+        return t + 1
 
 
 @dataclass(frozen=True)
@@ -138,17 +129,6 @@ class ControlOperatorMatrix:
         return self.flipped() @ f
 
 
-def _control_array(control, horizon: int, precision: PrecisionMode):
-    if isinstance(control, BoundaryControl):
-        vals = control.padded(horizon)
-    else:
-        vals = list(control)
-        if len(vals) > horizon:
-            raise ValueError("control longer than the horizon")
-        vals = vals + [0] * (horizon - len(vals))
-    return lift(vals, precision)
-
-
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -160,96 +140,22 @@ def _check_sizes(horizon: int, n_space: int) -> None:
         raise ValueError("n_space must be >= 1")
 
 
-def _lift_system(coeffs: JacobiCoefficients, control, horizon: int,
-                 n_space: int, precision: PrecisionMode):
-    """The control and the (3, n_space) coefficient rows (a_{n-1}, b_n,
-    a_n) of the sites n = 1..n_space, each row lifted on its own to the
-    number type of ``precision``, and the number type of the field.
+def _lift_system(coeffs: JacobiCoefficients, ctrl, n_space: int,
+                 precision: PrecisionMode):
+    """The control values ``ctrl`` (an iterable), a_0..a_{n_space-1} and
+    b_1..b_{n_space}, each lifted once to the number type of
+    ``precision``, and the number type of the field.
 
-    The last a_n is a zero that multiplies the ghost site n_space + 1,
-    which is identically zero: the causality cone for the semi-infinite
-    system, the Dirichlet wall for the finite one; it is also the zero an
-    unreached site holds.  The coefficients must be real (a complex a_n
-    or b_n raises ComplexDataError); the control is lifted first and may
-    be complex, which makes the field complex.
+    The coefficients must be real (a complex a_n or b_n raises
+    ComplexDataError); the control is lifted first and may be complex,
+    which makes the field complex.
     """
-    ctrl = _control_array(control, horizon, precision)
+    ctrl = lift(list(ctrl), precision)
     a, b = coeffs.a_head(n_space), coeffs.b_head(n_space)
     require_real(a, "a")
     require_real(b, "b", 1)
-    coef = np.array([lift(row, precision) for row in (a, b, a[1:] + [0])])
-    return ctrl, coef, np.result_type(coef, ctrl)
-
-
-def _sweep(ctrl, coef, out: np.ndarray) -> None:
-    """Run the recurrence on float rows for t = 0..horizon-1 and write
-    u_{n,t+1} into out[n-1, t] for the watched sites n = 1..len(out).
-
-    Two rolling slices hold the sites 0..n_space+1 at times t-1 and t;
-    step t updates the sites 1..k of ``cone_width``, k rounded up to a
-    multiple of ``width_quantum``: the extra cells lie past the wavefront,
-    where they stay +0.0, or outside the watched sites' dependence cone.
-    The views are cut once per run of one width and swap slices after
-    each step, so a step is the control, four ufunc calls with positional
-    outs and the watched read: P = (a_{n-1}, b_n, a_n) times the strided
-    rows (u_{n-1}, u_n, u_{n+1}), P_2 + P_0, + P_1, and - u_{n,t-1} into
-    the older slice, the operands and order of the full-field update, so
-    each cell an output reads has its bits.  One watched site
-    (``response_vector``) is collected as Python floats, written once.
-    """
-    n_space, horizon, watched = coef.shape[1], len(ctrl), len(out)
-    slices = np.zeros((2, n_space + 2), dtype=out.dtype)
-    sites = [as_strided(s, (3, n_space), s.strides * 2, writeable=False)
-             for s in slices]
-    prod = np.empty((3, n_space), dtype=out.dtype)
-    single, site, columns = watched == 1, [], iter(out.T)
-    keep = site.append
-    multiply, add, subtract = np.multiply, np.add, np.subtract
-    # Rapidly growing coefficient families overflow float64 inside the
-    # cone; those cells hold inf or nan and are returned as they are.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop, k in _runs(horizon, n_space, watched,
-                                    width_quantum(coef)):
-            # slice i holds u_t; the step overwrites u_{t-1} with u_{t+1}
-            i = start & 1
-            now, before = slices[i], slices[1 - i]
-            u, u_before = sites[i][:, :k], sites[1 - i][:, :k]
-            new, new_before = before[1:k + 1], now[1:k + 1]
-            c, p = coef[:, :k], prod[:, :k]
-            p0, p1, p2 = p
-            for f in ctrl[start:stop].tolist():
-                now[0] = f
-                multiply(c, u, p)
-                add(p2, p0, p2)
-                add(p2, p1, p2)
-                subtract(p2, new, new)
-                if single:
-                    keep(new.item(0))
-                else:
-                    next(columns)[...] = before[1:watched + 1]
-                now, before = before, now
-                u, u_before = u_before, u
-                new, new_before = new_before, new
-    if single:
-        out[0] = site
-
-
-def _runs(horizon: int, n_space: int, watched: int, quantum: int):
-    """(start, stop, k): steps start..stop-1 of ``_sweep`` update the
-    sites 1..k, ``cone_width`` rounded up to a multiple of ``quantum``
-    (at most n_space), which can change only at t = 0 or watched +
-    horizon - 1 modulo ``quantum``: k is evaluated at those steps alone."""
-    def width(t):
-        k = cone_width(t, n_space, watched, horizon)
-        return min(-(-k // quantum) * quantum, n_space)
-
-    start, k = 0, width(0)
-    for t in merge(range(quantum, horizon, quantum),
-                   range((watched + horizon - 1) % quantum, horizon, quantum)):
-        if t > start and width(t) != k:
-            yield start, t, k
-            start, k = t, width(t)
-    yield start, horizon, k
+    a, b = lift(a, precision), lift(b, precision)
+    return ctrl, a, b, np.result_type(a, b, ctrl)
 
 
 def _check_memory(cells: int, precision: PrecisionMode, what: str,
@@ -286,36 +192,38 @@ def _check_block_memory(size: int, precision: PrecisionMode,
                   f"use a size of at most {fit}")
 
 
-def _watched_sites(coeffs: JacobiCoefficients, control, horizon: int,
-                   n_space: int, watched: int, precision: PrecisionMode):
-    """u_{n,t+1} for the sites n = 1..watched and t = 0..horizon-1, as a
-    read-only C-contiguous (watched, horizon) array."""
-    ctrl, coef, dtype = _lift_system(coeffs, control, horizon, n_space,
-                                     precision)
+def _impulse_sites(coeffs: JacobiCoefficients, horizon: int, n_space: int,
+                   watched: int, precision: PrecisionMode):
+    """u_{n,t+1} of the impulse control for the sites n = 1..watched and
+    t = 0..horizon-1, as a read-only C-contiguous (watched, horizon)
+    array."""
+    ctrl, a, b, dtype = _lift_system(coeffs, _read_control([1], horizon)[1],
+                                     n_space, precision)
     out = np.empty((watched, horizon), dtype=dtype)
-    forward_sweep(ctrl, coef, out, _sweep)
+    forward_sweep(ctrl, a, b, out)
     out.setflags(write=False)
     return out
 
 
-def _full_field(coeffs: JacobiCoefficients, control, horizon: int,
-                n_space: int, precision: PrecisionMode) -> np.ndarray:
-    """Rows n = 0..n_space and columns t = -1..horizon, C-contiguous and
-    read-only, so WaveField keeps it without a copy.
+def _full_field(coeffs: JacobiCoefficients, ctrl, horizon: int,
+                n_space: int, precision: PrecisionMode) -> WaveField:
+    """The field of rows n = 0..n_space and columns t = -1..horizon, its
+    values C-contiguous and read-only, so WaveField keeps them without a
+    copy.
 
-    Row 0 carries the control, zero at t = -1 and t = horizon; the
-    interior is zero at t = -1 and t = 0.  A field whose size estimate
-    exceeds physical memory is refused before anything is allocated.
+    Row 0 carries the control values ``ctrl``, zero at t = -1 and t =
+    horizon; the interior is zero at t = -1 and t = 0.  A field whose
+    size estimate exceeds physical memory is refused before anything is
+    allocated, the control included.
     """
     _check_sizes(horizon, n_space)
     _check_field_memory(n_space, horizon, precision)
-    ctrl, coef, dtype = _lift_system(coeffs, control, horizon, n_space,
-                                     precision)
+    ctrl, a, b, dtype = _lift_system(coeffs, ctrl, n_space, precision)
     field = np.zeros((n_space + 1, horizon + 2), dtype=dtype)
     field[0, 1:horizon + 1] = ctrl
-    forward_sweep(ctrl, coef, field[1:, 2:], _sweep)
+    forward_sweep(ctrl, a, b, field[1:, 2:])
     field.setflags(write=False)
-    return field
+    return WaveField(values=field, n_space=n_space, horizon=horizon)
 
 
 def solve_semi_infinite(coeffs: JacobiCoefficients, control,
@@ -324,14 +232,13 @@ def solve_semi_infinite(coeffs: JacobiCoefficients, control,
     """Field of the semi-infinite system up to time ``horizon``.
 
     Materializes the causality cone n <= horizon, which contains every
-    nonzero value.  Controls shorter than the horizon are zero-extended.
+    nonzero value.  The horizon defaults to the control's length; a
+    shorter control is zero-extended and a longer one raises ValueError.
     Raises JacobiBCError, before allocating, when the field cannot fit in
     physical memory.
     """
-    if horizon is None:
-        horizon = control.horizon if hasattr(control, "horizon") else len(control)
-    values = _full_field(coeffs, control, horizon, horizon, precision)
-    return WaveField(values=values, n_space=horizon, horizon=horizon)
+    horizon, ctrl = _read_control(control, horizon)
+    return _full_field(coeffs, ctrl, horizon, horizon, precision)
 
 
 def solve_finite(coeffs: JacobiCoefficients, size: int, control,
@@ -340,13 +247,11 @@ def solve_finite(coeffs: JacobiCoefficients, size: int, control,
     """Field of the size-N system with the Dirichlet wall at n = N + 1.
 
     Coincides with the semi-infinite field wherever n <= t <= N; beyond
-    that the wall reflects the wave.  Oversized fields are refused as in
-    ``solve_semi_infinite``.
+    that the wall reflects the wave.  Controls and oversized fields are
+    treated as in ``solve_semi_infinite``.
     """
-    if horizon is None:
-        horizon = control.horizon if hasattr(control, "horizon") else len(control)
-    values = _full_field(coeffs, control, horizon, size, precision)
-    return WaveField(values=values, n_space=size, horizon=horizon)
+    horizon, ctrl = _read_control(control, horizon)
+    return _full_field(coeffs, ctrl, horizon, size, precision)
 
 
 def response_vector(coeffs: JacobiCoefficients, length: int,
@@ -363,7 +268,7 @@ def response_vector(coeffs: JacobiCoefficients, length: int,
     n_space = coeffs.size if coeffs.is_finite else length
     _check_sizes(length, n_space)
     return ResponseVector(
-        _watched_sites(coeffs, [1], length, n_space, 1, precision)[0])
+        _impulse_sites(coeffs, length, n_space, 1, precision)[0])
 
 
 def control_operator(coeffs: JacobiCoefficients, horizon: int,
@@ -378,7 +283,7 @@ def control_operator(coeffs: JacobiCoefficients, horizon: int,
     """
     _check_sizes(horizon, horizon)
     _check_field_memory(horizon, horizon, precision)
-    w = _watched_sites(coeffs, [1], horizon, horizon, horizon, precision)
+    w = _impulse_sites(coeffs, horizon, horizon, horizon, precision)
     return ControlOperatorMatrix(matrix=w, horizon=horizon)
 
 

@@ -29,11 +29,11 @@ from itertools import count, islice
 import numpy as np
 
 from .core import (
-    BoundaryControl,
     ConditioningError,
     JacobiBCError,
     JacobiCoefficients,
     SpectralData,
+    _read_control,
 )
 from .dynamics import WaveField
 
@@ -200,14 +200,11 @@ def solution_via_spectrum(coeffs: JacobiCoefficients, size: int, control,
     """Field of the size-N system assembled from its spectral data.
 
     v_{n,t} = sum_k w_k [sum_{j=1..t} T_j(lambda_k) f_{t-j}] p_n(lambda_k);
-    a cross-representation check against the time-stepping solver.
+    a cross-representation check against the time-stepping solver.  The
+    control is read as ``solve_finite`` reads it.
     """
-    if horizon is None:
-        horizon = control.horizon if hasattr(control, "horizon") else len(control)
-    if isinstance(control, BoundaryControl):
-        f = np.asarray(control.padded(horizon))
-    else:
-        f = np.asarray(list(control) + [0] * (horizon - len(control)))
+    horizon, f = _read_control(control, horizon)
+    f = np.asarray(list(f))
     data = spectral_data(coeffs, size)
     nodes = data.lambdas
     cheb = chebyshev_all(horizon, nodes)          # (horizon, K): rows T_1..T_horizon
@@ -218,7 +215,7 @@ def solution_via_spectrum(coeffs: JacobiCoefficients, size: int, control,
         conv[t] = np.tensordot(f[t - 1::-1], cheb[:t], axes=(0, 0))
     inner = pvals @ (data.weights[None, :] * conv).T    # (size, horizon+1)
     values = np.zeros((size + 1, horizon + 2), dtype=inner.dtype)
-    values[0, 1:horizon + 1] = f[:horizon]
+    values[0, 1:horizon + 1] = f
     values[1:, 1:] = inner
     return WaveField(values=values, n_space=size, horizon=horizon)
 

@@ -721,12 +721,12 @@ class TestSimulateMemory:
         assert peak < estimate
 
     def test_refused_before_solving(self, monkeypatch, free_file, capsys):
-        from jacobi_bc import dynamics
+        from jacobi_bc import _multiprec, dynamics
         horizon = 20
         estimate = (horizon + 1) * (horizon + 2) * _SIMULATE_CELL_BYTES
         sweeps = []
-        real_sweep = dynamics._sweep
-        monkeypatch.setattr(dynamics, "_sweep",
+        real_sweep = _multiprec._float_sweep
+        monkeypatch.setattr(_multiprec, "_float_sweep",
                             lambda *a: sweeps.append(1) or real_sweep(*a))
         monkeypatch.setattr(dynamics, "_physical_memory", lambda: estimate - 1)
         argv = ["simulate", "--input", free_file, "--T", str(horizon)]

@@ -26,10 +26,11 @@ from jacobi_bc import (
     kernel_finite,
     kernel_infinite,
     response_vector,
+    solution_via_spectrum,
     solve_finite,
     solve_semi_infinite,
 )
-from jacobi_bc import dynamics
+from jacobi_bc import _multiprec, dynamics
 from jacobi_bc._multiprec import lift
 from jacobi_bc.cli import main
 
@@ -73,6 +74,16 @@ class TestSolvers:
         field = solve_semi_infinite(B1, BoundaryControl.impulse(4))
         assert not np.any(field.values[1:, 0])  # t = -1
         assert not np.any(field.values[1:, 1])  # t = 0
+
+    def test_state_checks_the_time_index(self):
+        # state(t) takes the time indices value(n, t) takes, no others
+        field = solve_semi_infinite(B1, BoundaryControl.impulse(3))
+        assert list(field.state(-1)) == [0.0] * 3
+        assert list(field.state(3)) == [field.value(n, 3) for n in (1, 2, 3)]
+        for t in (-2, 4):
+            with pytest.raises(IndexError,
+                               match=f"^time index {t} outside -1..3$"):
+                field.state(t)
 
     def test_underrun(self):
         short = JacobiCoefficients.from_arrays([1.0], [0.0])
@@ -371,6 +382,35 @@ IDENTITY_FAMILIES = {
 }
 
 
+_CONTROL_ROUTES = {
+    "solve_semi_infinite":
+        lambda control, *horizon: solve_semi_infinite(B1, control, *horizon),
+    "solve_finite":
+        lambda control, *horizon: solve_finite(B1, 3, control, *horizon),
+    "solution_via_spectrum":
+        lambda control, *horizon: solution_via_spectrum(B1, 3, control,
+                                                        *horizon),
+}
+
+
+@pytest.mark.parametrize("route", _CONTROL_ROUTES.values(),
+                         ids=_CONTROL_ROUTES)
+@pytest.mark.parametrize("wrap", [list, BoundaryControl],
+                         ids=["list", "BoundaryControl"])
+def test_every_route_reads_a_control_alike(route, wrap):
+    # the horizon defaults to the control's length, a shorter control is
+    # zero-extended, and a longer one is refused with one message, never cut
+    control = wrap([1.0, 2.0, 3.0, 4.0, 5.0])
+    field = route(control)
+    assert field.horizon == 5
+    assert list(field.values[0]) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0]
+    assert list(route(control, 7).values[0, 1:8]) == [1, 2, 3, 4, 5, 0, 0]
+    with pytest.raises(ValueError, match=re.escape(
+            "the control has 5 values, more than the horizon 3; pass a "
+            "shorter control")):
+        route(control, 3)
+
+
 class TestSweepMatchesFullField:
     """The cone sweep reproduces every bit of the full-field loop in
     DOUBLE and RATIONAL, and is as accurate as its mpf loop in EXTENDED
@@ -663,7 +703,7 @@ def test_sweep_runs_give_each_step_its_width(horizon, n_space, watched,
     # maximal runs that tile the steps, each step with the cone width
     # min(t + 1, n_space, watched + horizon - t - 1) rounded up to the
     # quantum and capped at n_space, evaluated step by step here
-    runs = list(dynamics._runs(horizon, n_space, watched, quantum))
+    runs = list(_multiprec._runs(horizon, n_space, watched, quantum))
     assert [start for start, _, _ in runs] == [0] + [
         stop for _, stop, _ in runs[:-1]]
     assert runs[-1][1] == horizon
@@ -743,7 +783,7 @@ def test_object_rows_never_reach_the_float_kernel(monkeypatch, precision):
     def refuse(*args):
         raise AssertionError("object rows reached the float kernel")
 
-    monkeypatch.setattr(dynamics, "_sweep", refuse)
+    monkeypatch.setattr(_multiprec, "_float_sweep", refuse)
     for call, want in zip(calls, before):
         got = call()
         assert _bits(lambda: got) == _bits(lambda: want)

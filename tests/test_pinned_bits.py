@@ -5,7 +5,7 @@ the EXTENDED rows, sweeps, tables and solves are no worse than their mpf
 counterparts; these pin what they return, field by field: the sign,
 mantissa, exponent and bit count of every mpf (both parts of every mpc),
 the numerator and denominator of every Fraction and the bytes of every
-float64 table.  The DOUBLE kernels (``dynamics._sweep`` and
+float64 table.  The DOUBLE kernels (``_multiprec._float_sweep`` and
 ``_multiprec._array_rows``) are pinned the same way, on a family of the
 benchmark's kind at its horizons, on a complex control whose field
 crosses several 64-site widths, and on a moment row whose pivot fails,
