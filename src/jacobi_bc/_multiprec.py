@@ -20,9 +20,10 @@ passed to a dtype-keeping function such as ``connecting_from_response``
 computes in the caller's own context.
 
 The pipeline modules write each step once, independent of dtype, on the
-steps this module provides: lifting and refusing data (``lift``,
-``require_real``) and its floors, the forward sweep with its cone width
-and coefficient rows (``forward_sweep``), Wheeler's recurrence
+steps this module provides: lifting and refusing data and
+coefficients (``lift``, ``require_real``, ``real_heads``) and its
+floors, the forward sweep with its cone width and coefficient rows
+(``forward_sweep``), Wheeler's recurrence
 (``modified_chebyshev``), the eigenvalue sequences read off Q =
 diag(d)^-1/2 L^-1 for A = L diag(d) L^T, the table of the orthonormal
 polynomials (``orthonormal_min_eigs``, ``leading_eig_extremes``,
@@ -82,8 +83,8 @@ from operator import mul
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import (ComplexDataError, ConditioningError,
-                   InsufficientDataError, PrecisionMode, _to_fraction)
+from .core import (ComplexDataError, ConditioningError, PrecisionMode,
+                   _data_head, _to_fraction)
 
 EXTENDED_DPS = 50
 
@@ -190,11 +191,12 @@ def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
     return np.array(ints, dtype=object)
 
 
-def require_real(values, name: str, first: int = 0) -> None:
-    """Refuse complex entries of ``values`` with ComplexDataError naming
-    the first, name_{first + k}: a complex or an mpc, whatever its
-    imaginary part, and in an ndarray of complex dtype the first entry
-    with a nonzero imaginary part (entry 0 when none has one)."""
+def require_real(values, name: str, first: int = 0) -> np.ndarray:
+    """``values`` as the array ``np.asarray`` reads them into, or
+    ComplexDataError naming the first complex entry, name_{first + k}: a
+    complex or an mpc, whatever its imaginary part, and in an ndarray of
+    complex dtype the first entry with a nonzero imaginary part (entry 0
+    when none has one)."""
     arr = np.asarray(values)
     if arr.dtype.kind == "c":
         at = (int(np.argmax(arr.imag != 0)) if isinstance(values, np.ndarray)
@@ -203,11 +205,19 @@ def require_real(values, name: str, first: int = 0) -> None:
         at = next((k for k, x in enumerate(arr.tolist())
                    if isinstance(x, complex) or _is_mpc(x)), None)
         if at is None:
-            return
+            return arr
     else:
-        return
+        return arr
     raise ComplexDataError(
         f"{name}_{first + at} = {arr[at]} is complex; it must be real")
+
+
+def real_heads(coeffs, a_count: int, b_count: int):
+    """a_0..a_{a_count-1} and b_1..b_{b_count} of ``coeffs``, read and
+    checked by ``require_real``, a before b: the one reader of the
+    coefficients of the solvers, the kernels, ``classify`` and A^N."""
+    return (require_real(coeffs.a_head(a_count), "a"),
+            require_real(coeffs.b_head(b_count), "b", 1))
 
 
 def mode_of(values: np.ndarray) -> PrecisionMode:
@@ -307,20 +317,20 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
     tested) and np.linalg.LinAlgError on a pivot that is not positive.
     """
     pivots, alpha, beta = [], [], [0]
-    _wheeler_rows(_lifted_nu(nu, size, precision), size, shift, pivots,
-                  alpha, beta)
+    _wheeler_rows(_lifted_nu(nu, size, shift, precision), size, shift,
+                  pivots, alpha, beta)
     return np.array(pivots), np.array(alpha), np.array(beta)
 
 
-def _lifted_nu(nu, size: int, precision: PrecisionMode) -> np.ndarray:
+def _lifted_nu(nu, size: int, shift: int,
+               precision: PrecisionMode) -> np.ndarray:
     """nu_0..nu_{2 size - 2} lifted, or the error of a size below 1 or
-    too short a sequence."""
+    too short a sequence, which names the moments (shift 0) or the
+    response (shift 1)."""
     if size < 1:
         raise ValueError("horizon must be >= 1")
-    if len(nu) < 2 * size - 1:
-        raise InsufficientDataError(
-            f"insufficient data: need {2 * size - 1}, got {len(nu)}")
-    return lift(nu[:2 * size - 1], precision)
+    kind = "response data" if shift else "moments"
+    return lift(_data_head(nu, 2 * size - 1, kind), precision)
 
 
 def _wheeler_rows(row: np.ndarray, size: int, shift: int, pivots: list,
@@ -942,8 +952,8 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     size = work.shape[0]
     pivots, alpha, beta = [], [], [0]
     try:
-        _wheeler_rows(_lifted_nu(nu, size, mode), size, shift, pivots, alpha,
-                      beta)
+        _wheeler_rows(_lifted_nu(nu, size, shift, mode), size, shift,
+                      pivots, alpha, beta)
     except np.linalg.LinAlgError:
         pass
     except ConditioningError:

@@ -60,18 +60,9 @@ class CliInputError(Exception):
     """Malformed or inconsistent command input (exit code 2)."""
 
 
-def _finite_numbers(values: list) -> bool:
-    """Whether every entry is a finite int or float, not a bool (see
-    ``_finite_reals``); an int beyond float64 is not finite."""
-    try:
-        return _finite_reals(values)
-    except OverflowError:
-        return False
-
-
 def _is_real(x) -> bool:
-    """A finite int or float, not a bool (see ``_finite_numbers``)."""
-    return _finite_numbers([x])
+    """A finite int or float, not a bool (see ``_finite_reals``)."""
+    return _finite_reals([x])
 
 
 # Result numbers leave the package through these two conversions only: a
@@ -159,7 +150,7 @@ def _generator(gen) -> JacobiCoefficients:
 
 def _number_list(obj, key: str, path: str) -> list:
     vals = obj.get(key)
-    if not isinstance(vals, list) or not vals or not _finite_numbers(vals):
+    if not isinstance(vals, list) or not vals or not _finite_reals(vals):
         raise CliInputError(
             f"{path}: {key!r} must be a non-empty list of finite numbers")
     return vals

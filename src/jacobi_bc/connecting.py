@@ -20,15 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    InsufficientDataError,
     JacobiCoefficients,
     PrecisionMode,
     SpectralData,
+    _data_head,
     _freeze_array,
     sequence_values,
 )
 from .dynamics import _check_block_memory, control_operator
-from .moments import HankelMatrix, _transform_matrix
+from .moments import _transform_matrix
 from .spectral import chebyshev_all
 from ._multiprec import mode_of, pd_factor, require_real, sym_eigenvalues
 
@@ -106,12 +106,9 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
     refused with JacobiBCError before it is allocated; the block is the
     only array of its size made.
     """
-    rv = sequence_values(r)
     if size < 1:
         raise ValueError("size must be >= 1")
-    if len(rv) < 2 * size - 1:
-        raise InsufficientDataError(
-            f"insufficient response data: need {2 * size - 1}, got {len(rv)}")
+    rv = _data_head(r, 2 * size - 1, "response data")
     _check_block_memory(size, mode_of(rv), "connecting matrix")
     mat = np.zeros((size, size), dtype=np.result_type(rv, float))
     rows = np.arange(size)
@@ -169,7 +166,7 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
     so a float block whose transform leaves float64 (from size 1484 on)
     raises ConditioningError.
     """
-    smat = hankel.matrix if isinstance(hankel, HankelMatrix) else np.asarray(hankel)
+    smat = np.asarray(getattr(hankel, "matrix", hankel))
     if size is None:
         size = smat.shape[0]
     if smat.shape[0] < size:

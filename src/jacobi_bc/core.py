@@ -110,6 +110,18 @@ def sequence_values(seq) -> np.ndarray:
     return np.asarray(getattr(seq, "values", seq))
 
 
+def _data_head(data, count: int, kind: str) -> np.ndarray:
+    """The first ``count`` values of ``data`` (``sequence_values``); fewer
+    raise InsufficientDataError naming ``kind``, the kind of data.  The
+    one length rule of responses and moments: 2T - 1 values for a block
+    or a recurrence of size T, T for the response map."""
+    values = sequence_values(data)
+    if len(values) < count:
+        raise InsufficientDataError(
+            f"insufficient {kind}: need {count} values, got {len(values)}")
+    return values[:count]
+
+
 def _as_float(x) -> float:
     """x as a float; an exact int or Fraction beyond float64 gives +-inf,
     as an overflowed float or mpf does."""
@@ -137,6 +149,41 @@ def _rule_entry(rule, name: str, n: int):
             f"the coefficient rule overflows at {name}_{n}: {exc}") from exc
 
 
+class _Entries:
+    """One coefficient sequence name_first, name_{first+1}, ...: the
+    stored tuple of a finite family, or a rule with its memo, a dict whose
+    writes are idempotent, so a family is safe to share across threads."""
+
+    def __init__(self, name: str, first: int, stored=None, rule=None):
+        self.name, self.first, self.rule, self.memo = name, first, rule, {}
+        self.stored = None if stored is None else tuple(stored)
+
+    def entry(self, n: int):
+        name, first, stored = self.name, self.first, self.stored
+        if n < first:
+            raise IndexError(f"{name} is indexed from {first}")
+        if stored is None:
+            if n not in self.memo:
+                self.memo[n] = _rule_entry(self.rule, name, n)
+            return self.memo[n]
+        if n - first >= len(stored):
+            raise CoefficientUnderrunError(
+                f"coefficient underrun: {name}_{n} requested, only "
+                f"{name}_{first}..{name}_{first + len(stored) - 1} available")
+        return stored[n - first]
+
+    def head(self, count: int) -> list:
+        """The first ``count`` entries; ``entry`` names a missing one."""
+        stored = self.stored
+        if stored is not None and 0 <= count <= len(stored):
+            return list(stored[:count])
+        return [self.entry(n) for n in range(self.first, self.first + count)]
+
+    def probe(self, depth: int) -> list:
+        """Every stored entry, or the rule's first ``depth``."""
+        return self.head(depth if self.stored is None else len(self.stored))
+
+
 class JacobiCoefficients:
     """The sequences a_n (n >= 0, with a_0 = 1) and b_n (n >= 1).
 
@@ -144,7 +191,9 @@ class JacobiCoefficients:
     produce entries on demand through a rule and memoize them, so
     repeated materialization is deterministic.  Entries keep the numeric
     type they were supplied with: int/Fraction inputs stay exact, which
-    is what ``PrecisionMode.RATIONAL`` relies on.
+    is what ``PrecisionMode.RATIONAL`` relies on.  Each sequence is read
+    by one ``_Entries``, which gives ``a``/``b`` and ``a_head``/``b_head``
+    alike.
     """
 
     def __init__(self, a=None, b=None, *, a_rule=None, b_rule=None,
@@ -154,21 +203,14 @@ class JacobiCoefficients:
         if a is not None and a_rule is not None:
             raise ValueError("supply explicit arrays or rules, not both")
         if a is not None:
-            self._a = tuple(a)
-            self._b = tuple(b)
-            if not self._a:
+            self._a, self._b = _Entries("a", 0, a), _Entries("b", 1, b)
+            if not self._a.stored:
                 raise ValueError("the off-diagonal array must contain a_0")
-            self._a_rule = None
-            self._b_rule = None
         else:
             if a_rule is None or b_rule is None:
                 raise ValueError("generator-backed coefficients need both rules")
-            self._a = None
-            self._b = None
-            self._a_rule = a_rule
-            self._b_rule = b_rule
-        self._a_memo: dict[int, object] = {}
-        self._b_memo: dict[int, object] = {}
+            self._a = _Entries("a", 0, rule=a_rule)
+            self._b = _Entries("b", 1, rule=b_rule)
         self._generator = generator
 
     # -- construction -------------------------------------------------
@@ -204,54 +246,28 @@ class JacobiCoefficients:
 
     @property
     def is_finite(self) -> bool:
-        return self._a is not None
+        return self._a.stored is not None
 
     @property
     def size(self):
         """Number of stored diagonal entries, or None for generator-backed."""
-        return len(self._b) if self.is_finite else None
+        return len(self._b.stored) if self.is_finite else None
 
     def a(self, n: int):
         """Off-diagonal entry a_n, n >= 0."""
-        if n < 0:
-            raise IndexError("a is indexed from 0")
-        if self.is_finite:
-            if n >= len(self._a):
-                raise CoefficientUnderrunError(
-                    f"coefficient underrun: a_{n} requested, "
-                    f"only a_0..a_{len(self._a) - 1} available")
-            return self._a[n]
-        if n not in self._a_memo:
-            self._a_memo[n] = _rule_entry(self._a_rule, "a", n)
-        return self._a_memo[n]
+        return self._a.entry(n)
 
     def b(self, n: int):
         """Diagonal entry b_n, n >= 1."""
-        if n < 1:
-            raise IndexError("b is indexed from 1")
-        if self.is_finite:
-            if n > len(self._b):
-                raise CoefficientUnderrunError(
-                    f"coefficient underrun: b_{n} requested, "
-                    f"only b_1..b_{len(self._b)} available")
-            return self._b[n - 1]
-        if n not in self._b_memo:
-            self._b_memo[n] = _rule_entry(self._b_rule, "b", n)
-        return self._b_memo[n]
+        return self._b.entry(n)
 
     def a_head(self, count: int) -> list:
-        """[a_0, ..., a_{count-1}]; a finite family slices its stored
-        entries, and ``a`` names the first missing one."""
-        if self.is_finite and 0 <= count <= len(self._a):
-            return list(self._a[:count])
-        return [self.a(n) for n in range(count)]
+        """[a_0, ..., a_{count-1}]; ``a`` names the first missing one."""
+        return self._a.head(count)
 
     def b_head(self, count: int) -> list:
-        """[b_1, ..., b_count]; a finite family slices its stored
-        entries, and ``b`` names the first missing one."""
-        if self.is_finite and 0 <= count <= len(self._b):
-            return list(self._b[:count])
-        return [self.b(n) for n in range(1, count + 1)]
+        """[b_1, ..., b_count]; ``b`` names the first missing one."""
+        return self._b.head(count)
 
     def __repr__(self):
         if self.is_finite:
@@ -285,11 +301,14 @@ class BoundaryControl:
 
 
 def _read_control(control, horizon: int | None = None):
-    """The horizon, by default the length of ``control`` (a BoundaryControl
-    or a sequence f_0, f_1, ...), and an iterator over the control's
-    values zero-extended to it, which a solver drains after its size
-    checks.  A control longer than the horizon raises ValueError: no
-    solver drops a value."""
+    """The one reader of a control: the horizon, by default the length of
+    ``control`` (a BoundaryControl or a sequence f_0, f_1, ...), and an
+    iterator over the control's values zero-extended to it, which a
+    solver drains after its size checks.  A control longer than the
+    horizon raises ValueError: no route drops a value.  The solvers,
+    ``solution_via_spectrum``, ``fourier_image``, ``apply_response``,
+    ``ControlOperatorMatrix.apply`` and ``BoundaryControl.padded`` read
+    their controls here."""
     values = (control.values if isinstance(control, BoundaryControl)
               else control)
     if horizon is None:
@@ -398,13 +417,15 @@ def materialize_matrix(coeffs: JacobiCoefficients, size: int,
     each off-diagonal value is written to both triangles from the same
     source entry, so the result is exactly symmetric in every mode.
     Entries are lifted to the number type of ``precision``: RATIONAL
-    returns an object array of exact Fractions, EXTENDED one of mpf.
+    returns an object array of exact Fractions, EXTENDED one of mpf, and
+    DOUBLE refuses an entry beyond float64 with ConditioningError.  A
+    complex entry raises ComplexDataError (``_multiprec.real_heads``).
     """
-    from ._multiprec import lift
+    from ._multiprec import lift, real_heads
     if size < 1:
         raise ValueError("size must be >= 1")
-    diag = lift(coeffs.b_head(size), precision)
-    off = lift(coeffs.a_head(size)[1:], precision)
+    a, b = real_heads(coeffs, size, size)
+    diag, off = lift(b, precision), lift(a[1:], precision)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -412,11 +433,14 @@ PROBE_DEPTH = 64   # of generator-backed families in validate_coefficients
 
 
 def _finite_reals(values: list) -> bool:
-    """Whether every entry is a finite int or float (bools are refused
-    although Python counts them as ints), in one pass of C builtins.  An
-    int beyond float64 raises OverflowError."""
-    return (set(map(type, values)) <= {int, float}
-            and all(map(math.isfinite, values)))
+    """Whether every entry is a finite int or float, in one pass of C
+    builtins.  Bools are refused although Python counts them as ints, and
+    an int beyond float64 is not finite."""
+    try:
+        return (set(map(type, values)) <= {int, float}
+                and all(map(math.isfinite, values)))
+    except OverflowError:    # math.isfinite of an int beyond float64
+        return False
 
 
 def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
@@ -426,13 +450,6 @@ def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
     checked in full; generator-backed ones up to PROBE_DEPTH.
     """
     issues = []
-    if coeffs.is_finite:
-        a_depth = len(coeffs._a)
-        b_depth = coeffs.size
-    else:
-        a_depth = PROBE_DEPTH + 1
-        b_depth = PROBE_DEPTH
-
     def finite(x):
         if isinstance(x, (int, Fraction)):
             return True
@@ -441,15 +458,13 @@ def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
         except (TypeError, OverflowError, ValueError):
             return False
 
-    depth = max(a_depth - 1, b_depth)
-    a_head, b_head = coeffs.a_head(a_depth), coeffs.b_head(b_depth)
-    entries = a_head + b_head
-    try:
-        plain = _finite_reals(entries)
-    except OverflowError:   # a huge int, which the loop below accepts
-        plain = False
+    a_head = coeffs._a.probe(PROBE_DEPTH + 1)
+    b_head = coeffs._b.probe(PROBE_DEPTH)
+    depth = max(len(a_head) - 1, len(b_head))
     # plain ints and floats are checked in one pass; the loop words issues
-    if plain and a_head[0] == 1 and min(a_head[1:], default=1) > 0:
+    # (and accepts an int beyond float64, which is not plain)
+    if (_finite_reals(a_head + b_head) and a_head[0] == 1
+            and min(a_head[1:], default=1) > 0):
         return CoefficientValidation(valid=True, issues=(), checked_depth=depth)
     a0, *a_rest = a_head
     if not finite(a0):

@@ -49,10 +49,9 @@ from .core import (
     _freeze_array,
 )
 from .dynamics import control_operator
-from .moments import HankelMatrix
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
 from ._multiprec import (dot, gram_solve, lift, mode_of, mp_pd_solve,
-                         require_real, solve_scalar)
+                         real_heads, require_real, solve_scalar)
 
 __all__ = [
     "KreinSolution",
@@ -137,7 +136,7 @@ def krein_solve_hankel(hankel, z: complex,
     kernel and relates to the connecting-side solution by f =
     transform^T j (tested, not assumed).
     """
-    smat = hankel.matrix if isinstance(hankel, HankelMatrix) else np.asarray(hankel)
+    smat = np.asarray(getattr(hankel, "matrix", hankel))
     horizon = smat.shape[0]
     rhs = np.conj(solve_scalar(z, precision) ** np.arange(horizon))
     try:
@@ -146,13 +145,6 @@ def krein_solve_hankel(hankel, z: complex,
         raise NotAMomentSequenceError(
             "Hankel matrix is not positive definite, so the data are not "
             "the moments of a positive measure") from exc
-
-
-def _require_real_p(coeffs: JacobiCoefficients, horizon: int) -> None:
-    """Refuse a complex a_0..a_{T-1} or b_1..b_{T-1}, the entries that
-    p_1..p_T read, with ComplexDataError."""
-    require_real(coeffs.a_head(horizon), "a")
-    require_real(coeffs.b_head(horizon - 1), "b", 1)
 
 
 def kernel_finite(source, z: complex, lam, horizon: int | None = None,
@@ -177,7 +169,7 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
     if horizon is None:
         raise ValueError("horizon is required with coefficient input")
     if method == "direct":
-        _require_real_p(source, horizon)
+        real_heads(source, horizon, horizon - 1)    # what p_1..p_T read
         p_z = eval_p_all(source, horizon, complex(z))
         p_l = eval_p_all(source, horizon, lam)
         total = 0
@@ -273,7 +265,7 @@ def hermite_biehler(coeffs: JacobiCoefficients, horizon: int) -> HermiteBiehlerF
     """Hermite-Biehler function of the horizon-T reachable space."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    _require_real_p(coeffs, horizon)
+    real_heads(coeffs, horizon, horizon - 1)    # what p_1..p_T read
     p_i = np.asarray(eval_p_all(coeffs, horizon, 1j), dtype=complex)
     return HermiteBiehlerFunction(coeffs=coeffs, horizon=horizon,
                                   norm_sq=float(np.sum(np.abs(p_i) ** 2)))

@@ -37,8 +37,7 @@ rounding of 2 pi k followed by an exact power-of-two scaling, so node k
 of M is bitwise node k L / M of any larger power-of-two grid L, and the
 sums at those nodes agree bit for bit.  On (-1, 1) sum_{n<=K} |p_n(x)|^2
 is a polynomial of degree 2K - 2, which the n-node Gauss-Chebyshev rule
-integrates exactly for 2n - 1 >= 2K - 2; n is the larger of
-GAUSS_CHEBYSHEV_NODES and K.
+integrates exactly for 2n - 1 >= 2K - 2; n is K.
 
 The beta criterion is one-directional only: the free coefficients are
 limit point yet keep beta_T = 1, so no verdict here ever rests on
@@ -77,7 +76,7 @@ from .dynamics import solve_finite
 from .spectral import (TAIL_WINDOW, _recurrence, eval_p_all, eval_q_all,
                        relative_tail)
 from ._multiprec import (gram_max_eigs, leading_eig_extremes, noise_floor,
-                         orthonormal_min_eigs, require_real)
+                         orthonormal_min_eigs, real_heads, require_real)
 
 __all__ = [
     "Verdict",
@@ -95,7 +94,6 @@ __all__ = [
 _MONOTONE_SLACK = 1e-12
 
 DEFICIENCY_DEPTH, TAIL_TOL, EPS_DET = 60, 1e-10, 1e-8     # classify's policy
-GAUSS_CHEBYSHEV_NODES = 256     # the connecting bound's fewest nodes
 
 
 class Verdict(Enum):
@@ -241,17 +239,17 @@ def circle_bound_connecting(coeffs: JacobiCoefficients,
     """Limit-circle lower bound for lim beta_T.
 
     Integrates sum_{n<=K} |p_n(x)|^2 against dx / sqrt(1 - x^2) over
-    (-1, 1) by Gauss-Chebyshev quadrature on max(GAUSS_CHEBYSHEV_NODES,
-    K) nodes, exact for this polynomial of degree 2K - 2, and returns
-    the reciprocal; ``tail_estimate`` is read over those nodes as in
+    (-1, 1) by Gauss-Chebyshev quadrature on K nodes, exact for this
+    polynomial of degree 2K - 2, and returns the reciprocal;
+    ``tail_estimate`` is read over those nodes as in
     ``circle_bound_hankel``.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    nodes = max(GAUSS_CHEBYSHEV_NODES, truncation)
-    x = np.cos((2 * np.arange(1, nodes + 1) - 1) * np.pi / (2 * nodes))
+    k = np.arange(1, truncation + 1)
+    x = np.cos((2 * k - 1) * np.pi / (2 * truncation))
     sums, tail = _partial_square_sums(coeffs, truncation, x)
-    integral = float(np.pi / nodes * np.sum(sums))
+    integral = float(np.pi / truncation * np.sum(sums))
     return CircleBoundEstimate(value=1.0 / integral, tail_estimate=tail,
                                truncation=truncation)
 
@@ -303,14 +301,14 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     size = min(n_max, coeffs.size) if coeffs.is_finite else n_max
     # a finite family holds p_n and q_n for n <= its size only
     depth = min(DEFICIENCY_DEPTH, coeffs.size or DEFICIENCY_DEPTH)
-    # every coefficient read below
-    require_real(coeffs.a_head(max(size, depth)), "a")
-    require_real(coeffs.b_head(max(size, depth)), "b", 1)
+    # every coefficient read below: the tables' heads, those of the sums
+    # to depth, and (checked by solve_finite) those of the field
+    a, b = real_heads(coeffs, size, size - 1)
+    real_heads(coeffs, depth, depth)
     # C_T = W_T^T W_T for the control-to-state map W_T, the rows 1..size
     # and times 1..n_max of the impulse field
     field = solve_finite(coeffs, size, [1], n_max, precision)
     gamma_seq = gram_max_eigs(field.values[1:, 2:], precision)
-    a, b = coeffs.a_head(size), coeffs.b_head(size - 1)
     lambda_seq, beta_seq = np.zeros(n_max), np.zeros(n_max)
     lambda_seq[:size] = orthonormal_min_eigs(a, b, 0, precision)
     beta_seq[:size] = orthonormal_min_eigs(a, b, 1, precision)

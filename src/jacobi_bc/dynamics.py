@@ -49,11 +49,11 @@ from .core import (
     JacobiCoefficients,
     PrecisionMode,
     ResponseVector,
+    _data_head,
     _freeze_array,
     _read_control,
-    sequence_values,
 )
-from ._multiprec import cell_bytes, forward_sweep, lift, require_real
+from ._multiprec import cell_bytes, forward_sweep, lift, real_heads
 
 __all__ = [
     "WaveField",
@@ -122,11 +122,11 @@ class ControlOperatorMatrix:
         return self.matrix[:, ::-1]
 
     def apply(self, control) -> np.ndarray:
-        """State (u^f_{1,T}, ..., u^f_{T,T}) produced by ``control``."""
-        f = np.asarray(getattr(control, "values", control))
-        if len(f) != self.horizon:
-            raise ValueError("control length must equal the horizon")
-        return self.flipped() @ f
+        """State (u^f_{1,T}, ..., u^f_{T,T}) produced by ``control``, read
+        as the solvers read it at this horizon: a shorter control is
+        zero-extended, and a longer one raises ValueError."""
+        f = list(_read_control(control, self.horizon)[1])
+        return self.flipped() @ np.asarray(f)
 
 
 def _physical_memory() -> int:
@@ -151,9 +151,7 @@ def _lift_system(coeffs: JacobiCoefficients, ctrl, n_space: int,
     which makes the field complex.
     """
     ctrl = lift(list(ctrl), precision)
-    a, b = coeffs.a_head(n_space), coeffs.b_head(n_space)
-    require_real(a, "a")
-    require_real(b, "b", 1)
+    a, b = real_heads(coeffs, n_space, n_space)
     a, b = lift(a, precision), lift(b, precision)
     return ctrl, a, b, np.result_type(a, b, ctrl)
 
@@ -291,11 +289,11 @@ def apply_response(r, control, horizon: int | None = None) -> np.ndarray:
     """Outputs ((R f)_1, ..., (R f)_T): the convolution sum_s r_s f_{t-1-s}.
 
     Equals u^f_{1,t} for t = 1..T when r is the system's impulse response.
+    The control is read as the solvers read it; fewer than T values of r
+    raise InsufficientDataError.
     """
-    rv = sequence_values(r)
-    f = np.asarray(getattr(control, "values", control))
-    if horizon is None:
-        horizon = len(f)
-    if len(rv) < horizon:
-        raise ValueError("response vector shorter than the horizon")
-    return np.convolve(rv[:horizon], f)[:horizon]
+    horizon = _read_control(control, horizon)[0]
+    # convolved as given: the zero extension adds nothing to the sums, and
+    # its zeros would only regroup numpy's summation
+    f = list(_read_control(control)[1])
+    return np.convolve(_data_head(r, horizon, "response data"), f)[:horizon]

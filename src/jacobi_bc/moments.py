@@ -20,10 +20,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     ConditioningWarning,
-    InsufficientDataError,
     MomentSequence,
     PrecisionMode,
     ResponseVector,
+    _data_head,
     _freeze_array,
     sequence_values,
 )
@@ -88,16 +88,13 @@ def build_hankel(s, size: int) -> HankelMatrix:
     JacobiBCError before it is allocated; the block is the only array of
     its size made.
     """
-    sv = sequence_values(s)
     if size < 1:
         raise ValueError("size must be >= 1")
-    if len(sv) < 2 * size - 1:
-        raise InsufficientDataError(
-            f"insufficient moments: need {2 * size - 1}, got {len(sv)}")
+    sv = _data_head(s, 2 * size - 1, "moments")
     _check_block_memory(size, mode_of(sv), "Hankel block")
     # row i is the window s_i..s_{i+size-1}, copied once into the block,
     # which HankelMatrix keeps as it is
-    mat = np.array(sliding_window_view(sv[:2 * size - 1], size),
+    mat = np.array(sliding_window_view(sv, size),
                    dtype=np.result_type(sv, float))
     mat.setflags(write=False)
     return HankelMatrix(mat)

@@ -34,6 +34,7 @@ from .core import (
     JacobiCoefficients,
     SpectralData,
     _read_control,
+    materialize_matrix,
 )
 from .dynamics import WaveField
 
@@ -163,17 +164,12 @@ def spectral_data(coeffs: JacobiCoefficients, size: int) -> SpectralData:
     localized far from site 1 can have a first component below about
     1.5e-162, whose square underflows to 0; the measure then has no
     float64 weight there, and ConditioningError names the first such
-    eigenvalue.
+    eigenvalue.  The block is ``materialize_matrix`` in DOUBLE, which
+    refuses a complex coefficient and one beyond float64.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    diag = np.array([float(x) for x in coeffs.b_head(size)])
-    off = np.array([float(x) for x in coeffs.a_head(size)[1:]])
-    if size == 1:
-        return SpectralData(lambdas=diag, weights=np.array([1.0]))
+    block = materialize_matrix(coeffs, size)
     try:
-        lam, vec = np.linalg.eigh(
-            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        lam, vec = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:
         raise JacobiBCError(f"tridiagonal eigensolver failed: {exc}") from exc
     weights = vec[0, :] ** 2
@@ -224,10 +220,11 @@ def fourier_image(control, z):
     """Image sum_{k=1..T} T_k(z) f_{T-k} of the state driven by ``control``.
 
     This is the degree < T polynomial the state at time T transforms to;
-    z may be a scalar or an ndarray.
+    z may be a scalar or an ndarray; the control is read as the solvers
+    read it.
     """
-    f = list(getattr(control, "values", control))
-    horizon = len(f)
+    horizon, f = _read_control(control)
+    f = list(f)
     if horizon < 1:
         raise ValueError("control must have at least one entry")
     cheb = chebyshev_all(horizon, z)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from jacobi_bc import (
     BoundaryControl,
     CoefficientUnderrunError,
+    ComplexDataError,
     JacobiCoefficients,
     MomentSequence,
     PrecisionMode,
@@ -16,6 +18,7 @@ from jacobi_bc import (
     validate_coefficients,
 )
 from jacobi_bc.cli import _coefficients
+from jacobi_bc.core import _finite_reals
 
 from conftest import random_coefficients
 
@@ -50,6 +53,20 @@ class TestMaterialize:
             assert np.array_equal(np.diagonal(mat), np.zeros(size))
             if size > 1:
                 assert np.array_equal(np.diagonal(mat, 1), np.ones(size - 1))
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    def test_complex_entry_refused(self, precision):
+        # DOUBLE and EXTENDED returned a complex block
+        co = JacobiCoefficients.from_arrays([1, 0.5 + 0j], [0.0, 0.0])
+        with pytest.raises(ComplexDataError,
+                           match=re.escape("a_1 = (0.5+0j)")):
+            materialize_matrix(co, 2, precision)
+
+    def test_underrun_names_a_before_b(self):
+        co = JacobiCoefficients.from_arrays([1, 1], [0, 0])
+        with pytest.raises(CoefficientUnderrunError, match=re.escape(
+                "a_2 requested, only a_0..a_1 available")):
+            materialize_matrix(co, 3)
 
     def test_rational_mode_exact_entries(self):
         co = JacobiCoefficients.from_arrays(
@@ -104,6 +121,12 @@ class TestValidate:
         report = validate_coefficients(
             JacobiCoefficients.from_arrays([1, 10 ** 400, -2], [0, 0, 0]))
         assert report.issues == ("negative off-diagonal: a_2 = -2",)
+
+    def test_an_int_beyond_float64_is_not_plain(self):
+        # math.isfinite raised OverflowError, which each caller caught
+        assert _finite_reals([1, 2.5]) and not _finite_reals([1, True])
+        assert not _finite_reals([10 ** 400])
+        assert not _finite_reals([1.0, -10 ** 400])
 
 
 class TestCoefficients:

@@ -9,6 +9,7 @@ from jacobi_bc import (
     ConditioningError,
     JacobiCoefficients,
     KreinSolution,
+    NotAMomentSequenceError,
     NotAResponseVectorError,
     NotLimitCircleError,
     PrecisionMode,
@@ -409,3 +410,10 @@ class TestKernelFromE:
                            for z, xi in pts])
         spread = np.max(np.abs(ratios - ratios[0]))
         assert spread < 1e-8 * max(1.0, abs(ratios[0]))
+
+
+@pytest.mark.parametrize("precision", [PrecisionMode.DOUBLE,
+                                       PrecisionMode.EXTENDED])
+def test_krein_solve_hankel_refuses_an_indefinite_block(precision):
+    with pytest.raises(NotAMomentSequenceError):
+        krein_solve_hankel([[1, 2], [2, 1]], 0.5j, precision)

@@ -535,6 +535,29 @@ def _exact_circle_mean(coeffs, truncation):
     return total
 
 
+def _exact_chebyshev_integral(coeffs, truncation):
+    """The integral of sum_{n<=K} p_n(x)^2 against dx / sqrt(1 - x^2) over
+    (-1, 1) in 40-digit mpmath, from the monomial coefficients of
+    p_1..p_K and the moments pi C(k, k/2) / 2^k (k even) of the weight."""
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    moments = [ctx.pi * ctx.binomial(k, k // 2) / ctx.mpf(2) ** k
+               if k % 2 == 0 else 0 for k in range(2 * truncation - 1)]
+    prev, cur, total = [], [ctx.mpf(1)], ctx.mpf(0)
+    for n in range(1, truncation + 1):
+        total += sum(ci * cj * moments[i + j] for i, ci in enumerate(cur)
+                     for j, cj in enumerate(cur))
+        a_n, a_prev, b_n = (ctx.mpf(coeffs.a(n)), ctx.mpf(coeffs.a(n - 1)),
+                            ctx.mpf(coeffs.b(n)))
+        nxt = [0] + cur
+        for k, c in enumerate(cur):
+            nxt[k] -= b_n * c
+        for k, c in enumerate(prev):
+            nxt[k] -= a_prev * c
+        prev, cur = cur, [c / a_n for c in nxt]
+    return total
+
+
 class TestCircleNodes:
     """The trapezoid rule of ``circle_bound_hankel`` runs on the smallest
     power of two >= K nodes: exact for the degree K - 1 integrand, and
@@ -579,6 +602,19 @@ class TestCircleNodes:
         # 16-node bound was within 5.9 ulps, the 2048-node one within 3.7
         want = 1 / _exact_circle_mean(coeffs, truncation)
         value = circle_bound_hankel(coeffs, truncation).value
+        assert abs(value - want) <= 8 * np.spacing(value)
+
+    @pytest.mark.parametrize("coeffs, truncation", [
+        *[(JacobiCoefficients.geometric(q), k)
+          for q in (1.6, 2.2, 3) for k in (11, 30, 60)],
+        *[(random_coefficients(np.random.default_rng(seed), 80), 10)
+          for seed in (5, 6, 7)]])
+    def test_connecting_bound_is_the_exact_integral_to_eight_ulps(
+            self, coeffs, truncation):
+        # on K nodes it was within 0-2 ulps of the exact value at these
+        # points; the 256-node rule was 1 ulp nearer geometric(3) at K = 60
+        want = 1 / _exact_chebyshev_integral(coeffs, truncation)
+        value = circle_bound_connecting(coeffs, truncation).value
         assert abs(value - want) <= 8 * np.spacing(value)
 
     @pytest.mark.parametrize("truncation", [300, 600])

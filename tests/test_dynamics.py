@@ -15,6 +15,7 @@ from jacobi_bc import (
     ComplexDataError,
     ConditioningError,
     ControlOperatorMatrix,
+    InsufficientDataError,
     JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
@@ -409,6 +410,54 @@ def test_every_route_reads_a_control_alike(route, wrap):
             "the control has 5 values, more than the horizon 3; pass a "
             "shorter control")):
         route(control, 3)
+
+
+def _apply_response_route(control, horizon):
+    return apply_response(response_vector(B1, 7), control, horizon)
+
+
+def _operator_route(control, horizon):
+    return control_operator(B1, horizon).apply(control)
+
+
+@pytest.mark.parametrize("route", [_apply_response_route, _operator_route],
+                         ids=["apply_response", "ControlOperatorMatrix.apply"])
+@pytest.mark.parametrize("wrap", [list, BoundaryControl],
+                         ids=["list", "BoundaryControl"])
+def test_response_maps_read_a_control_as_the_solvers(route, wrap):
+    # a shorter control is zero-extended, and a longer one is refused with
+    # the solvers' message where it was cut or refused with another
+    control = wrap([1.0, 2.0, 3.0, 4.0, 5.0])
+    field = solve_semi_infinite(B1, control, 7)
+    want = (field.values[1, 2:] if route is _apply_response_route
+            else field.state(7))
+    assert np.max(np.abs(route(control, 7) - want)) < 1e-12
+    with pytest.raises(ValueError, match=re.escape(
+            "the control has 5 values, more than the horizon 3; pass a "
+            "shorter control")):
+        route(control, 3)
+
+
+def test_operator_applies_a_shorter_control_exactly():
+    co, horizon = JacobiCoefficients.geometric(3), 9
+    control = [Fraction(1, 3), -2, Fraction(5, 7)]
+    got = control_operator(co, horizon, PrecisionMode.RATIONAL).apply(control)
+    want = solve_semi_infinite(co, control, horizon,
+                               PrecisionMode.RATIONAL).state(horizon)
+    assert list(got) == list(want)
+
+
+def test_apply_response_needs_a_value_per_output():
+    r = response_vector(FREE, 6)
+    with pytest.raises(InsufficientDataError, match=re.escape(
+            "insufficient response data: need 7 values, got 6")):
+        apply_response(r, [1.0] * 7)
+
+
+def test_operator_diagonal_is_the_wavefront_amplitude():
+    co = JacobiCoefficients.from_arrays([1, 0.5, 2.0, 0.25], [0.1, 0, -1, 3])
+    w = control_operator(co, 4)
+    assert list(w.diagonal) == [1.0, 0.5, 1.0, 0.25]
 
 
 class TestSweepMatchesFullField:

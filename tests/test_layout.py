@@ -17,7 +17,9 @@ substitute-and-refine loop of the solves contract through
 ``_multiprec.dot``, never ``@``, which rounds an object array after
 every product and add.  A public function has a caller in the package
 or a stated reason to be kept without one, and a public function of the
-backend a caller outside it or a reason.
+backend a caller outside it or a reason.  Controls, responses and
+moments are read by ``core`` alone: no other library module takes an
+argument apart through ``getattr(x, "values", ...)``.
 """
 
 import ast
@@ -365,7 +367,6 @@ UNCALLED_PUBLIC = {
                      "kernel_finite",
     "kernel_infinite": "the limit-circle kernel, a paper quantity",
     "krein_solve_hankel": "the Hankel twin of krein_solve",
-    "materialize_matrix": "the Jacobi block A^N itself, a paper quantity",
     "quadrature": "the integral against the spectral measure of A^N",
     "scalar_product": "[F, G] = (C_T f, g) of the paper; the acceptance "
                       "suite checks the reproducing identity with it",
@@ -501,3 +502,35 @@ def test_backend_functions_have_a_caller_outside_or_a_reason():
         f"{sorted(uncalled - set(BACKEND_UNCALLED))}"
     assert set(BACKEND_UNCALLED) <= uncalled, \
         f"stale entries: {sorted(set(BACKEND_UNCALLED) - uncalled)}"
+
+
+# ``core`` reads every control (``_read_control``) and every response or
+# moment sequence (``sequence_values``, ``_data_head``).  ``cli.py`` is
+# exempt: it turns result objects into files.
+VALUES_READ = re.compile(r"""getattr\(\s*\w+\s*,\s*["']values["']""")
+VALUES_READERS = {"core.py", "cli.py"}
+
+
+def _values_reads(sources):
+    """``module:line`` of each ``getattr(<name>, "values", ...)`` in
+    ``sources`` ({module name: source}) outside VALUES_READERS."""
+    return [f"{name}:{number}"
+            for name, source in sources.items() if name not in VALUES_READERS
+            for number, line in enumerate(source.splitlines(), 1)
+            if VALUES_READ.search(line)]
+
+
+def test_scan_catches_a_values_read_outside_core():
+    sources = {"core.py": 'x = np.asarray(getattr(seq, "values", seq))\n',
+               "cli.py": 'arr = getattr(values, "values", values)\n',
+               "spectral.py": 'def image(control):\n'
+                              '    f = getattr(control, "values", control)\n'
+                              '    g = getattr( control ,\'values\', None)\n'
+                              '    return getattr(control, "matrix", f)\n'}
+    assert _values_reads(sources) == ["spectral.py:2", "spectral.py:3"]
+
+
+def test_only_core_reads_values_off_an_argument():
+    hits = _values_reads({path.name: path.read_text()
+                          for path in PACKAGE.glob("*.py")})
+    assert not hits, hits

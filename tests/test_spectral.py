@@ -4,6 +4,7 @@ import scipy.linalg
 
 from jacobi_bc import (
     BoundaryControl,
+    ComplexDataError,
     ConditioningError,
     JacobiBCError,
     JacobiCoefficients,
@@ -244,3 +245,22 @@ class TestExtensionParameter:
         est = extension_parameter(co, 62)
         assert est.summable and not est.converged and est.value is None
         assert est.message == "no numerical limit: ratios still move by 1.233e+01"
+
+
+def test_p_names_a_diagonal_entry_beyond_float64():
+    co = JacobiCoefficients.from_arrays([1, 1, 1], [10 ** 400, 0, 0])
+    with pytest.raises(ConditioningError, match="coefficient b_1 is beyond"):
+        eval_p_all(co, 3, 0.5)
+
+
+@pytest.mark.parametrize("a, b, error, match", [
+    ([1, 0.5 + 0j, 1], [0, 0, 0], ComplexDataError, "a_1 = "),
+    ([1, 0.5, 1], [0, 1j, 0], ComplexDataError, "b_2 = 1j"),
+    ([1, 10 ** 400, 1], [0, 0, 0], ConditioningError, "exceeds double"),
+    ([1, 1, 1], [0, 0, -10 ** 400], ConditioningError, "exceeds double"),
+])
+def test_spectral_data_refuses_what_the_block_refuses(a, b, error, match):
+    # a complex entry raised TypeError, and an int beyond float64
+    # OverflowError, from float(x)
+    with pytest.raises(error, match=match):
+        spectral_data(JacobiCoefficients.from_arrays(a, b), 3)
