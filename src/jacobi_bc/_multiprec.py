@@ -20,10 +20,10 @@ passed to a dtype-keeping function such as ``connecting_from_response``
 computes in the caller's own context.
 
 The pipeline modules write each step once, independent of dtype, on the
-steps this module provides: lifting and refusing data and
-coefficients (``lift``, ``require_real``, ``real_heads``) and its
-floors, the forward sweep with its cone width and coefficient rows
-(``forward_sweep``), Wheeler's recurrence
+steps this module provides: lifting and refusing data and coefficients
+(``lift``, ``require_real``, which the accessors of ``JacobiCoefficients``
+call on a coefficient) and its floors, the forward sweep with its cone
+width and coefficient rows (``forward_sweep``), Wheeler's recurrence
 (``modified_chebyshev``), the eigenvalue sequences read off Q =
 diag(d)^-1/2 L^-1 for A = L diag(d) L^T, the table of the orthonormal
 polynomials (``orthonormal_min_eigs``, ``leading_eig_extremes``,
@@ -157,7 +157,8 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
     an object array of mpf of the private EXTENDED_DPS-digit context (see
     ``as_mpf``); RATIONAL an object array of Fraction, where floats
     convert exactly and inexact types such as mpf are refused with
-    TypeError.
+    TypeError.  Both keep the exact ints of a list that numpy would make
+    float64 (an int among floats, or one in [2^63, 2^64)).
     """
     if precision is PrecisionMode.DOUBLE:
         arr = np.array(values)
@@ -169,6 +170,8 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
                 "a value exceeds double precision (about 1.8e308); use "
                 "PrecisionMode.EXTENDED (--precision extended)") from exc
     arr = np.asarray(values)
+    if arr.dtype == float and not isinstance(values, np.ndarray):
+        arr = np.array(values, dtype=object)
     out = np.empty(arr.shape, dtype=object)
     # tolist() turns numpy scalars into the Python numbers both converters
     # accept
@@ -210,14 +213,6 @@ def require_real(values, name: str, first: int = 0) -> np.ndarray:
         return arr
     raise ComplexDataError(
         f"{name}_{first + at} = {arr[at]} is complex; it must be real")
-
-
-def real_heads(coeffs, a_count: int, b_count: int):
-    """a_0..a_{a_count-1} and b_1..b_{b_count} of ``coeffs``, read and
-    checked by ``require_real``, a before b: the one reader of the
-    coefficients of the solvers, the kernels, ``classify`` and A^N."""
-    return (require_real(coeffs.a_head(a_count), "a"),
-            require_real(coeffs.b_head(b_count), "b", 1))
 
 
 def mode_of(values: np.ndarray) -> PrecisionMode:

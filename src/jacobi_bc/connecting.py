@@ -169,6 +169,8 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
     smat = np.asarray(getattr(hankel, "matrix", hankel))
     if size is None:
         size = smat.shape[0]
+    if size < 1:
+        raise ValueError("size must be >= 1")
     if smat.shape[0] < size:
         raise ValueError("Hankel block smaller than the requested size")
     smat = smat[:size, :size].astype(np.result_type(smat, float))

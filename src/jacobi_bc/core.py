@@ -81,8 +81,8 @@ class ConditioningError(JacobiBCError):
 
 
 class ComplexDataError(JacobiBCError):
-    """A value that must be real, such as a datum of recovery or a
-    coefficient that ``classify``, a solver or a kernel reads, is complex."""
+    """A value that must be real, such as a datum of recovery or any
+    coefficient read from a ``JacobiCoefficients``, is complex."""
 
 
 class ConditioningWarning(UserWarning):
@@ -106,8 +106,14 @@ class PrecisionMode(Enum):
 
 
 def sequence_values(seq) -> np.ndarray:
-    """Uniform 1-D array view of ResponseVector/MomentSequence/array-likes."""
-    return np.asarray(getattr(seq, "values", seq))
+    """Uniform 1-D array view of ResponseVector/MomentSequence/array-likes;
+    a list of ints alone stays exact, where numpy would make it float64."""
+    values = getattr(seq, "values", seq)
+    arr = np.asarray(values)
+    if (arr.dtype == float and isinstance(values, list)
+            and all(type(x) is int for x in values)):
+        return np.array(values, dtype=object)
+    return arr
 
 
 def _data_head(data, count: int, kind: str) -> np.ndarray:
@@ -184,6 +190,17 @@ class _Entries:
         return self.head(depth if self.stored is None else len(self.stored))
 
 
+_REAL_TYPES = frozenset((int, float, Fraction, np.int64, np.float64))
+
+
+def _real(values: list, name: str, first: int) -> list:
+    """``values``, or ComplexDataError naming the first complex entry."""
+    if not set(map(type, values)) <= _REAL_TYPES:
+        from ._multiprec import require_real
+        require_real(values, name, first)
+    return values
+
+
 class JacobiCoefficients:
     """The sequences a_n (n >= 0, with a_0 = 1) and b_n (n >= 1).
 
@@ -193,7 +210,10 @@ class JacobiCoefficients:
     type they were supplied with: int/Fraction inputs stay exact, which
     is what ``PrecisionMode.RATIONAL`` relies on.  Each sequence is read
     by one ``_Entries``, which gives ``a``/``b`` and ``a_head``/``b_head``
-    alike.
+    alike.  These four are the one place that refuses a complex entry,
+    naming the first one read; ``a`` and ``b``, read three times a step
+    in the polynomial recurrences, pass an entry of _REAL_TYPES (real
+    by its type) untested.  ``validate_coefficients`` reads raw entries.
     """
 
     def __init__(self, a=None, b=None, *, a_rule=None, b_rule=None,
@@ -255,19 +275,21 @@ class JacobiCoefficients:
 
     def a(self, n: int):
         """Off-diagonal entry a_n, n >= 0."""
-        return self._a.entry(n)
+        x = self._a.entry(n)
+        return x if type(x) in _REAL_TYPES else _real([x], "a", n)[0]
 
     def b(self, n: int):
         """Diagonal entry b_n, n >= 1."""
-        return self._b.entry(n)
+        x = self._b.entry(n)
+        return x if type(x) in _REAL_TYPES else _real([x], "b", n)[0]
 
     def a_head(self, count: int) -> list:
         """[a_0, ..., a_{count-1}]; ``a`` names the first missing one."""
-        return self._a.head(count)
+        return _real(self._a.head(count), "a", 0)
 
     def b_head(self, count: int) -> list:
         """[b_1, ..., b_count]; ``b`` names the first missing one."""
-        return self._b.head(count)
+        return _real(self._b.head(count), "b", 1)
 
     def __repr__(self):
         if self.is_finite:
@@ -419,12 +441,12 @@ def materialize_matrix(coeffs: JacobiCoefficients, size: int,
     Entries are lifted to the number type of ``precision``: RATIONAL
     returns an object array of exact Fractions, EXTENDED one of mpf, and
     DOUBLE refuses an entry beyond float64 with ConditioningError.  A
-    complex entry raises ComplexDataError (``_multiprec.real_heads``).
+    complex entry raises ComplexDataError, as every coefficient read does.
     """
-    from ._multiprec import lift, real_heads
+    from ._multiprec import lift
     if size < 1:
         raise ValueError("size must be >= 1")
-    a, b = real_heads(coeffs, size, size)
+    a, b = coeffs.a_head(size), coeffs.b_head(size)
     diag, off = lift(b, precision), lift(a[1:], precision)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 

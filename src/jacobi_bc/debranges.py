@@ -51,7 +51,7 @@ from .core import (
 from .dynamics import control_operator
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
 from ._multiprec import (dot, gram_solve, lift, mode_of, mp_pd_solve,
-                         real_heads, require_real, solve_scalar)
+                         solve_scalar)
 
 __all__ = [
     "KreinSolution",
@@ -157,10 +157,10 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
     the block).  For coefficients, method "direct" sums
     conj(p_n(z)) p_n(lam), and method "krein" solves the Krein equation
     on the simulated W_T by two triangular sweeps without forming C_T
-    (``_multiprec.gram_solve``).  The two backends
-    agree on genuine data.  Both refuse complex coefficients with
-    ComplexDataError.  W_T's diagonal is positive by construction, so
-    the coefficient route never raises NotAResponseVectorError; a W_T too
+    (``_multiprec.gram_solve``).  The two backends agree on genuine data.
+    Both raise ComplexDataError at the first complex coefficient they
+    read.  W_T's diagonal is positive by construction, so the
+    coefficient route never raises NotAResponseVectorError; a W_T too
     ill-conditioned for the precision raises ConditioningError when the
     refined residual stays above 1e-10.
     """
@@ -169,7 +169,6 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
     if horizon is None:
         raise ValueError("horizon is required with coefficient input")
     if method == "direct":
-        real_heads(source, horizon, horizon - 1)    # what p_1..p_T read
         p_z = eval_p_all(source, horizon, complex(z))
         p_l = eval_p_all(source, horizon, lam)
         total = 0
@@ -207,9 +206,6 @@ def kernel_infinite(coeffs: JacobiCoefficients, z: complex, lam: complex,
     terms = zip(_recurrence(coeffs, complex(z), "p"),
                 _recurrence(coeffs, complex(lam), "p"))
     for n, (pz, pl) in enumerate(terms, 1):
-        if n > 1:    # the entries p_n read last, refused when complex
-            require_real([coeffs.a(n - 2), coeffs.a(n - 1)], "a", n - 2)
-            require_real([coeffs.b(n - 1)], "b", n - 1)
         term = np.conj(pz) * pl
         total += term
         sizes.append(abs(term) + (sizes[-1] if sizes else 0.0))
@@ -265,7 +261,6 @@ def hermite_biehler(coeffs: JacobiCoefficients, horizon: int) -> HermiteBiehlerF
     """Hermite-Biehler function of the horizon-T reachable space."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    real_heads(coeffs, horizon, horizon - 1)    # what p_1..p_T read
     p_i = np.asarray(eval_p_all(coeffs, horizon, 1j), dtype=complex)
     return HermiteBiehlerFunction(coeffs=coeffs, horizon=horizon,
                                   norm_sq=float(np.sum(np.abs(p_i) ** 2)))

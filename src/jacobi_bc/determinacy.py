@@ -76,7 +76,7 @@ from .dynamics import solve_finite
 from .spectral import (TAIL_WINDOW, _recurrence, eval_p_all, eval_q_all,
                        relative_tail)
 from ._multiprec import (gram_max_eigs, leading_eig_extremes, noise_floor,
-                         orthonormal_min_eigs, real_heads, require_real)
+                         orthonormal_min_eigs, require_real)
 
 __all__ = [
     "Verdict",
@@ -293,18 +293,17 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     coefficients keep beta_T = 1).  The deficiency sums and circle
     bounds run to DEFICIENCY_DEPTH, or to the size of a finite family
     when that is smaller; they run in float64 in every mode, and a
-    coefficient beyond its range raises ConditioningError, and a complex
-    one ComplexDataError.
+    coefficient beyond its range raises ConditioningError.  The first
+    complex coefficient read, by any of them, raises ComplexDataError.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     notes = []
     # a finite family of size n holds a_0..a_{n-1} and b_1..b_n only
     size = min(n_max, coeffs.size) if coeffs.is_finite else n_max
     # a finite family holds p_n and q_n for n <= its size only
     depth = min(DEFICIENCY_DEPTH, coeffs.size or DEFICIENCY_DEPTH)
-    # every coefficient read below: the tables' heads, those of the sums
-    # to depth, and (checked by solve_finite) those of the field
-    a, b = real_heads(coeffs, size, size - 1)
-    real_heads(coeffs, depth, depth)
+    a, b = coeffs.a_head(size), coeffs.b_head(size - 1)
     # C_T = W_T^T W_T for the control-to-state map W_T, the rows 1..size
     # and times 1..n_max of the impulse field
     field = solve_finite(coeffs, size, [1], n_max, precision)

@@ -9,8 +9,8 @@ the control applied at site 0: u_{0,t} = f_t.  The control enters one
 site per time step, so u_{n,t} = 0 whenever n > t (finite propagation
 speed); the semi-infinite solver therefore only materializes the cone
 n <= horizon.  The finite variant adds the Dirichlet wall u_{N+1,t} = 0.
-The coefficients must be real, and every solver refuses a complex a_n or
-b_n with ComplexDataError; the control may be complex.
+The coefficients must be real (every coefficient read refuses a complex
+a_n or b_n with ComplexDataError); the control may be complex.
 
 Every solver lifts the control and the coefficients once and runs the
 one forward sweep of the backend, ``_multiprec.forward_sweep``, over two
@@ -53,7 +53,7 @@ from .core import (
     _freeze_array,
     _read_control,
 )
-from ._multiprec import cell_bytes, forward_sweep, lift, real_heads
+from ._multiprec import cell_bytes, forward_sweep, lift
 
 __all__ = [
     "WaveField",
@@ -146,13 +146,12 @@ def _lift_system(coeffs: JacobiCoefficients, ctrl, n_space: int,
     b_1..b_{n_space}, each lifted once to the number type of
     ``precision``, and the number type of the field.
 
-    The coefficients must be real (a complex a_n or b_n raises
-    ComplexDataError); the control is lifted first and may be complex,
-    which makes the field complex.
+    The control is lifted first and may be complex, which makes the field
+    complex; a complex a_n or b_n raises ComplexDataError.
     """
     ctrl = lift(list(ctrl), precision)
-    a, b = real_heads(coeffs, n_space, n_space)
-    a, b = lift(a, precision), lift(b, precision)
+    a = lift(coeffs.a_head(n_space), precision)
+    b = lift(coeffs.b_head(n_space), precision)
     return ctrl, a, b, np.result_type(a, b, ctrl)
 
 
@@ -293,7 +292,8 @@ def apply_response(r, control, horizon: int | None = None) -> np.ndarray:
     raise InsufficientDataError.
     """
     horizon = _read_control(control, horizon)[0]
+    _check_sizes(horizon, 1)
     # convolved as given: the zero extension adds nothing to the sums, and
     # its zeros would only regroup numpy's summation
-    f = list(_read_control(control)[1])
+    f = list(_read_control(control)[1]) or [0]
     return np.convolve(_data_head(r, horizon, "response data"), f)[:horizon]

@@ -24,6 +24,8 @@ from jacobi_bc import (
 )
 from jacobi_bc.cli import _json_number, _json_numbers, _write_output, main
 
+from conftest import semicircle_moments
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
@@ -70,6 +72,18 @@ class TestRecover:
         assert main(["recover", "--input", path, "--T", "3"]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "InsufficientDataError"
+
+    def test_catalan_moments_recover_exactly_in_rational(self, tmp_path):
+        # JSON ints up to C_36, in [2^63, 2^64), where numpy would round
+        # them to float64 and fail at pivot 31
+        path = write_json(tmp_path / "m.json",
+                          {"moments": semicircle_moments(73)})
+        out = tmp_path / "out.json"
+        assert main(["recover", "--input", path, "--precision", "rational",
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["a"] == [1.0] * 36 and doc["b"] == [0.0] * 36
+        assert doc["residual"] == 0.0
 
     def test_moments_input(self, tmp_path):
         resp = write_json(tmp_path / "m.json", {"moments": [1, 1, 2]})

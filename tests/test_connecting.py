@@ -58,6 +58,13 @@ def test_block_limit_is_the_size_estimate(monkeypatch, build, what, data,
         build(data, 4)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_connecting_from_hankel_refuses_a_size_below_1(size):
+    # as its sibling builders do, not with an empty block or numpy's error
+    with pytest.raises(ValueError, match="^size must be >= 1$"):
+        connecting_from_hankel(build_hankel([1, 0, 1], 2), size)
+
+
 @pytest.mark.parametrize("build", [connecting_from_response, build_hankel])
 def test_peak_is_the_block(build):
     # the block is the one size^2 array made, so the size check's

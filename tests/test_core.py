@@ -18,9 +18,24 @@ from jacobi_bc import (
     validate_coefficients,
 )
 from jacobi_bc.cli import _coefficients
-from jacobi_bc.core import _finite_reals
+from jacobi_bc.core import _finite_reals, sequence_values
 
 from conftest import random_coefficients
+
+
+@pytest.mark.parametrize("values, dtype", [
+    ([1, 3 ** 40], object),          # numpy: float64, off by -33
+    ([1, 2 ** 64], object),          # numpy's own object array
+    ([1, 2], np.int64),
+    ([1, 2.5], float),
+    ([1, 3 ** 40, 0.5], float),      # not ints alone
+    (np.array([1.0, 3.0 ** 40]), float),
+])
+def test_sequence_values_keeps_a_list_of_ints_exact(values, dtype):
+    arr = sequence_values(values)
+    assert arr.dtype == dtype
+    if dtype is object:
+        assert arr.tolist() == values
 
 
 class TestMaterialize:
@@ -67,6 +82,15 @@ class TestMaterialize:
         with pytest.raises(CoefficientUnderrunError, match=re.escape(
                 "a_2 requested, only a_0..a_1 available")):
             materialize_matrix(co, 3)
+
+    @pytest.mark.parametrize("precision", [PrecisionMode.EXTENDED,
+                                           PrecisionMode.RATIONAL])
+    def test_exact_modes_keep_ints_numpy_would_round(self, precision):
+        # a_40 = 3**40 lies in [2^63, 2^64), where numpy rounds a list of
+        # ints to float64 (by -33 here); below 2^169 an mpf holds it
+        mat = materialize_matrix(JacobiCoefficients.geometric(3), 41,
+                                 precision)
+        assert mat[39, 40] == mat[40, 39] == 3 ** 40
 
     def test_rational_mode_exact_entries(self):
         co = JacobiCoefficients.from_arrays(

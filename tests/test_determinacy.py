@@ -258,6 +258,12 @@ def test_classify_refuses_complex_coefficients(coeffs, entry, precision):
         classify(coeffs, 8, precision)
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_classify_refuses_n_max_below_1(n_max):
+    with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+        classify(JacobiCoefficients.free(), n_max)
+
+
 class TestCoefficientRoute:
     """classify reads lambda_N, beta_T and gamma_T off the coefficients:
     the orthonormal rows for lambda and beta, the simulated W_T for

@@ -31,6 +31,10 @@ from jacobi_bc import (
     solve_finite,
     solve_semi_infinite,
 )
+from jacobi_bc import (circle_bound_connecting, circle_bound_hankel,
+                       deficiency_partial_sums, extension_parameter,
+                       validate_coefficients)
+from jacobi_bc.spectral import eval_p_all, eval_q_all
 from jacobi_bc import _multiprec, dynamics
 from jacobi_bc._multiprec import lift
 from jacobi_bc.cli import main
@@ -454,6 +458,23 @@ def test_apply_response_needs_a_value_per_output():
         apply_response(r, [1.0] * 7)
 
 
+def test_apply_response_refuses_an_empty_horizon():
+    r = response_vector(FREE, 6)
+    with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+        apply_response(r, [])
+    # an empty control read at a horizon is the zero control, as in the
+    # solvers
+    assert apply_response(r, [], horizon=3).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_exact_modes_keep_ints_numpy_would_round():
+    # a_40 = 3**40 lies in [2^63, 2^64), where numpy rounds a list of ints
+    # to float64; the diagonal of W_T is a_0 a_1 ... a_k
+    co = JacobiCoefficients.geometric(3)
+    w = control_operator(co, 41, PrecisionMode.RATIONAL).matrix
+    assert w[40, 40] == 3 ** sum(range(41))
+
+
 def test_operator_diagonal_is_the_wavefront_amplitude():
     co = JacobiCoefficients.from_arrays([1, 0.5, 2.0, 0.25], [0.1, 0, -1, 3])
     w = control_operator(co, 4)
@@ -802,21 +823,64 @@ def _coefficient_routes():
                        id="hermite_biehler")
     yield pytest.param(lambda co, T, p: kernel_infinite(co, 1j, 0.5), None,
                        id="kernel_infinite")
+    # the routes that read the coefficients through the accessors alone,
+    # and the accessors themselves
+    unmoded = {
+        "eval_p_all": lambda co, T: eval_p_all(co, T, 0.5),
+        "eval_q_all": lambda co, T: eval_q_all(co, T, 0.5),
+        "deficiency_partial_sums": deficiency_partial_sums,
+        "circle_bound_hankel": circle_bound_hankel,
+        "circle_bound_connecting": circle_bound_connecting,
+        "extension_parameter": extension_parameter,
+        "accessors_a_b": lambda co, T: [(co.a(n - 1), co.b(n))
+                                        for n in range(1, T + 1)],
+        "accessors_a_head_b_head": lambda co, T: (co.a_head(T), co.b_head(T)),
+    }
+    for name, route in unmoded.items():
+        yield pytest.param(lambda co, T, p, route=route: route(co, T), None,
+                           id=name)
 
 
-@pytest.mark.parametrize("route, precision", _coefficient_routes())
-@pytest.mark.parametrize("coeffs, horizon, entry", [
+COMPLEX_FAMILIES = [
     (JacobiCoefficients.from_rules(lambda n: 1, lambda n: 0.5j), 4, "b_1"),
     (JacobiCoefficients.from_arrays([1, 1, 1j, 1], [0, 0, 0, 0]), 4, "a_2"),
     (JacobiCoefficients.from_arrays(
         [1, lift([2 + 1j], PrecisionMode.EXTENDED)[0]], [0, 0]), 2, "a_1"),
     # np.asarray turns the list complex; the complex entry is still b_3
     (JacobiCoefficients.from_arrays([1, 1, 1, 1], [0, 0, 0j, 0]), 4, "b_3"),
-], ids=["complex_b", "complex_a", "mpc_a", "zero_imaginary_b"])
+]
+COMPLEX_IDS = ["complex_b", "complex_a", "mpc_a", "zero_imaginary_b"]
+
+
+@pytest.mark.parametrize("route, precision", _coefficient_routes())
+@pytest.mark.parametrize("coeffs, horizon, entry", COMPLEX_FAMILIES,
+                         ids=COMPLEX_IDS)
 def test_coefficient_routes_refuse_complex_coefficients(
         route, precision, coeffs, horizon, entry):
     with pytest.raises(ComplexDataError, match=f"^{entry} = "):
         route(coeffs, horizon, precision)
+
+
+@pytest.mark.parametrize("family, issues", zip(COMPLEX_FAMILIES, [
+    tuple(f"b_{n} is not finite" for n in range(1, 65)),
+    ("a_2 is not finite",),
+    ("a_1 is not finite",),
+    ("b_3 is not finite",),
+]), ids=COMPLEX_IDS)
+def test_validation_still_reports_on_complex_families(family, issues):
+    # report-style: it reads the raw entries, never the refusing accessors
+    report = validate_coefficients(family[0])
+    assert (report.valid, report.issues) == (False, issues)
+
+
+def test_lazy_routes_name_the_first_complex_entry_they_read():
+    # b_1 is read (p_2) before a_2 (p_3); a reader of whole heads reads
+    # a first
+    co = JacobiCoefficients.from_arrays([1, 1, 1j, 1], [1j, 0, 0, 0])
+    with pytest.raises(ComplexDataError, match="^b_1 = "):
+        kernel_finite(co, 1j, 0.5, 4)
+    with pytest.raises(ComplexDataError, match="^a_2 = "):
+        response_vector(co, 4)
 
 
 @pytest.mark.parametrize("precision",

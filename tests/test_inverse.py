@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ import scipy.linalg
 from jacobi_bc import (
     ComplexDataError,
     ConditioningError,
+    ConditioningWarning,
     InsufficientDataError,
     JacobiBCError,
     JacobiCoefficients,
@@ -18,6 +20,8 @@ from jacobi_bc import (
     build_hankel,
     connecting_from_response,
     control_operator,
+    hankel_min_eigs,
+    moments_to_response,
     recover_from_moments,
     recover_from_response,
     response_to_moments,
@@ -28,7 +32,7 @@ from jacobi_bc import (
 from jacobi_bc._multiprec import lift, pd_factor
 from jacobi_bc.inverse import _recurrence
 
-from conftest import random_coefficients
+from conftest import random_coefficients, semicircle_moments
 
 FREE = JacobiCoefficients.free()
 
@@ -215,6 +219,38 @@ def test_complex_data_are_refused(recover, name, data, at, precision):
     # part is dropped on the way
     with pytest.raises(ComplexDataError, match=f"^{name}_{at} = "):
         recover(data, 3, precision)
+
+
+@pytest.mark.parametrize("horizon", [36, 37, 38])
+def test_catalan_moments_recover_exactly_in_rational(horizon):
+    # s_72 = C_36 lies in [2^63, 2^64), where numpy rounds a list of ints
+    # to float64; T = 37 read the rounded moments and failed at pivot 31
+    s = semicircle_moments(2 * horizon - 1)
+    rec = recover_from_moments(s, horizon, PrecisionMode.RATIONAL)
+    assert rec.a.tolist() == [1.0] * (horizon - 1)
+    assert rec.b.tolist() == [0.0] * (horizon - 1)
+    assert rec.residual == 0.0
+
+
+def test_int_data_round_as_their_floats_in_double():
+    # an int in [2^63, 2^64) is read exactly and rounds to the float64
+    # that numpy made of it, so DOUBLE outputs keep their bits
+    s = semicircle_moments(73)
+    floats = [float(x) for x in s]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        for route in (lambda d: response_to_moments(d).values,
+                      lambda d: moments_to_response(d).values,
+                      lambda d: hankel_min_eigs(d, 37),
+                      lambda d: recover_from_moments(d, 18).a,
+                      lambda d: recover_from_response(d, 30).b):
+            got, want = route(s), route(floats)
+            assert got.dtype == want.dtype == float
+            assert got.tobytes() == want.tobytes()
+    for data in (s, floats):
+        with pytest.raises(NotAMomentSequenceError,
+                           match="pivot 31 is not positive"):
+            recover_from_moments(data, 37)
 
 
 def _factor_and_extract(matrix, precision):

@@ -19,7 +19,9 @@ every product and add.  A public function has a caller in the package
 or a stated reason to be kept without one, and a public function of the
 backend a caller outside it or a reason.  Controls, responses and
 moments are read by ``core`` alone: no other library module takes an
-argument apart through ``getattr(x, "values", ...)``.
+argument apart through ``getattr(x, "values", ...)``.  So are the
+coefficients: the accessors of ``JacobiCoefficients`` refuse a complex
+one, and no other module checks a coefficient with ``require_real``.
 """
 
 import ast
@@ -533,4 +535,47 @@ def test_scan_catches_a_values_read_outside_core():
 def test_only_core_reads_values_off_an_argument():
     hits = _values_reads({path.name: path.read_text()
                           for path in PACKAGE.glob("*.py")})
+    assert not hits, hits
+
+
+# The accessors of ``JacobiCoefficients`` in ``core`` refuse a complex
+# coefficient; a route-level check elsewhere would be a second policy.
+COEFFICIENT_NAMES = {"a", "b"}
+
+
+def _coefficient_checks(sources):
+    """``module:line`` of each ``require_real`` call in ``sources``
+    ({module name: source}) outside ``core.py`` whose name, its second
+    argument or ``name=``, is a coefficient's."""
+    hits = []
+    for module, source in sources.items():
+        if module == "core.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call) and "require_real" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None))):
+                continue
+            names = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "name"]
+            if any(isinstance(n, ast.Constant) and n.value in COEFFICIENT_NAMES
+                   for n in names):
+                hits.append(f"{module}:{node.lineno}")
+    return hits
+
+
+def test_scan_catches_a_coefficient_check_outside_core():
+    sources = {"core.py": 'require_real(values, "a", 0)\n',
+               "dynamics.py": 'def lift_all(co, n):\n'
+                              '    a = require_real(co.a_head(n), "a")\n'
+                              '    b = _multiprec.require_real(\n'
+                              '        co.b_head(n), name="b", first=1)\n'
+                              '    require_real(rv, "r")\n'
+                              '    return require_real(values, name)\n'}
+    assert _coefficient_checks(sources) == ["dynamics.py:2", "dynamics.py:3"]
+
+
+def test_only_core_refuses_a_complex_coefficient():
+    hits = _coefficient_checks({path.name: path.read_text()
+                                for path in PACKAGE.glob("*.py")})
     assert not hits, hits

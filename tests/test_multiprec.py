@@ -309,6 +309,22 @@ def test_lift_keeps_extended_values_bit_for_bit():
     assert [v._mpf_ for v in values] == before
 
 
+@pytest.mark.parametrize("values", [[1, 3 ** 40], [0.5, 3 ** 40],
+                                    [[1, 2 ** 63 + 1], [0.25, 3]]])
+def test_lift_keeps_ints_numpy_would_round(values):
+    # numpy makes each list float64, which rounds 3**40 by -33 and
+    # 2**63 + 1 by 1; the exact modes read the numbers themselves, and
+    # DOUBLE rounds each int as float() does
+    flat = np.array(values, dtype=object).ravel().tolist()
+    for precision in (EXTENDED, PrecisionMode.RATIONAL):
+        got = lift(values, precision)
+        assert got.shape == np.shape(values)
+        assert got.ravel().tolist() == flat
+    double = lift(values, PrecisionMode.DOUBLE)
+    assert double.dtype == float
+    assert double.ravel().tolist() == [float(x) for x in flat]
+
+
 def test_double_lift_copies_once_and_never_aliases():
     values = [float(k) for k in range(2048)]
     lift(values, PrecisionMode.DOUBLE)      # a first call may allocate more
