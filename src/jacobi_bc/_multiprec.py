@@ -20,16 +20,14 @@ passed to a dtype-keeping function such as ``connecting_from_response``
 computes in the caller's own context.
 
 The pipeline modules write each step once, independent of dtype, on the
-steps this module provides: lifting and refusing data and coefficients
-(``lift``, ``require_real``, which the accessors of ``JacobiCoefficients``
-call on a coefficient) and its floors, the forward sweep with its cone
-width and coefficient rows (``forward_sweep``), Wheeler's recurrence
+steps this module provides: lifting values read by ``core``'s one rule
+(``lift``), refusing complex ones (``require_real``) and the floors, the
+forward sweep (``forward_sweep``), Wheeler's recurrence
 (``modified_chebyshev``), the eigenvalue sequences read off Q =
-diag(d)^-1/2 L^-1 for A = L diag(d) L^T, the table of the orthonormal
-polynomials (``orthonormal_min_eigs``, ``leading_eig_extremes``,
-``gram_max_eigs``), ``sym_eigenvalues``, one positive-definite
-factorization and solve (``pd_factor``, ``mp_pd_solve``,
-``gram_solve``) and the contraction ``dot``.
+diag(d)^-1/2 L^-1 for A = L diag(d) L^T (``orthonormal_min_eigs``,
+``leading_eig_extremes``, ``gram_max_eigs``), ``sym_eigenvalues``, one
+positive-definite factorization and solve (``pd_factor``,
+``mp_pd_solve``, ``gram_solve``) and the contraction ``dot``.
 
 Float arrays take numpy and its LAPACK, the forward sweep four ufunc
 calls a step (``_float_sweep``), and the DOUBLE triangular sweeps a
@@ -47,10 +45,7 @@ bits; ``_emitted`` gives back Fractions, mpf or mpc rounded once, or
 frexp fields.  An EXTENDED value so keeps 64 bits more than an mpf and
 is rounded once where mpf arithmetic rounds at every step, but the ints
 span the exponent range of the vector, which has no bound for mpf
-values, and so does the cost.  On the benchmark's families (2-vCPU
-host) the recurrence of a T = 40 recovery takes about 3 ms where rows
-of mpf took 19 ms, and an EXTENDED W_T at T = 40 about 3.6 ms where
-slices of mpf took 12.6 ms.  A sum of ``dot`` is rounded once where
+values, and so does the cost.  A sum of ``dot`` is rounded once where
 numpy's object ``@`` rounds after every product and add; float and
 Fraction operands keep ``@`` and its bits.
 
@@ -84,7 +79,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import (ComplexDataError, ConditioningError, PrecisionMode,
-                   _data_head, _to_fraction)
+                   _data_head, _read_array, _to_fraction, sequence_values)
 
 EXTENDED_DPS = 50
 
@@ -149,29 +144,24 @@ def as_mpf(x):
 
 
 def lift(values, precision: PrecisionMode) -> np.ndarray:
-    """``values`` as an array of the number type of ``precision``.
-
-    Every mode returns a new array, never a view of ``values``.  DOUBLE
-    gives float64 (complex128 for complex input), copied once, and raises
-    ConditioningError for a value beyond its range.  EXTENDED gives
-    an object array of mpf of the private EXTENDED_DPS-digit context (see
+    """``values``, read by ``core._read_array``, as a new array of the
+    number type of ``precision``, never a view of ``values``.  DOUBLE
+    gives float64 (complex128 for complex input) and raises
+    ConditioningError for a value beyond its range.  EXTENDED gives an
+    object array of mpf of the private EXTENDED_DPS-digit context (see
     ``as_mpf``); RATIONAL an object array of Fraction, where floats
     convert exactly and inexact types such as mpf are refused with
-    TypeError.  Both keep the exact ints of a list that numpy would make
-    float64 (an int among floats, or one in [2^63, 2^64)).
+    TypeError.
     """
+    arr = _read_array(values)
     if precision is PrecisionMode.DOUBLE:
-        arr = np.array(values)
         try:
             return arr.astype(complex if np.iscomplexobj(arr) else float,
-                              copy=False)
+                              copy=arr is values or arr.base is not None)
         except OverflowError as exc:
             raise ConditioningError(
                 "a value exceeds double precision (about 1.8e308); use "
                 "PrecisionMode.EXTENDED (--precision extended)") from exc
-    arr = np.asarray(values)
-    if arr.dtype == float and not isinstance(values, np.ndarray):
-        arr = np.array(values, dtype=object)
     out = np.empty(arr.shape, dtype=object)
     # tolist() turns numpy scalars into the Python numbers both converters
     # accept
@@ -319,13 +309,15 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
 
 def _lifted_nu(nu, size: int, shift: int,
                precision: PrecisionMode) -> np.ndarray:
-    """nu_0..nu_{2 size - 2} lifted, or the error of a size below 1 or
-    too short a sequence, which names the moments (shift 0) or the
-    response (shift 1)."""
+    """nu_0..nu_{2 size - 2} lifted: the recurrence routes' one read of
+    their data.  A size below 1, a complex entry (ComplexDataError, see
+    ``require_real``) or too short a sequence raises, naming the response
+    r (shift 1) or the moments s (shift 0)."""
     if size < 1:
         raise ValueError("horizon must be >= 1")
-    kind = "response data" if shift else "moments"
-    return lift(_data_head(nu, 2 * size - 1, kind), precision)
+    kind, name = ("response data", "r") if shift else ("moments", "s")
+    values = require_real(sequence_values(nu), name)
+    return lift(_data_head(values, 2 * size - 1, kind), precision)
 
 
 def _wheeler_rows(row: np.ndarray, size: int, shift: int, pivots: list,

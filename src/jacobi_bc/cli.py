@@ -37,6 +37,7 @@ from .core import (
     PrecisionMode,
     _as_float,
     _finite_reals,
+    sequence_values,
     validate_coefficients,
 )
 from . import connecting as connecting_mod
@@ -60,9 +61,11 @@ class CliInputError(Exception):
     """Malformed or inconsistent command input (exit code 2)."""
 
 
-def _is_real(x) -> bool:
-    """A finite int or float, not a bool (see ``_finite_reals``)."""
-    return _finite_reals([x])
+class _Parser(argparse.ArgumentParser):
+    """Turns a malformed command line into CliInputError (subparsers too)."""
+
+    def error(self, message):
+        raise CliInputError(message)
 
 
 # Result numbers leave the package through these two conversions only: a
@@ -82,9 +85,8 @@ def _json_number(x) -> float | None:
 def _json_numbers(values) -> list:
     """``_json_number`` of each value; a 1-D float array, or a sequence
     object holding one, converts at once by ``tolist``."""
-    arr = getattr(values, "values", values)
-    if not (isinstance(arr, np.ndarray) and arr.ndim == 1
-            and arr.dtype.kind == "f"):
+    arr = sequence_values(values)
+    if not (arr.ndim == 1 and arr.dtype.kind == "f"):
         return [_json_number(v) for v in values]
     out = arr.tolist()
     for i in np.flatnonzero(~np.isfinite(arr)).tolist():
@@ -139,7 +141,7 @@ def _generator(gen) -> JacobiCoefficients:
         return JacobiCoefficients.free()
     if kind == "geometric":
         ratio = params.get("ratio", 2)
-        if not _is_real(ratio):
+        if not _finite_reals([ratio]):
             raise ValueError(
                 f"geometric ratio must be a real number, got {ratio!r}")
         if isinstance(ratio, float) and ratio.is_integer():
@@ -183,9 +185,9 @@ def _sequence_input(args):
 
 
 def _complex_from(pair, path: str) -> complex:
-    if _is_real(pair):
+    if _finite_reals([pair]):
         return complex(pair)
-    if isinstance(pair, list) and len(pair) == 2 and all(map(_is_real, pair)):
+    if isinstance(pair, list) and len(pair) == 2 and _finite_reals(pair):
         return complex(pair[0], pair[1])
     raise CliInputError(f"{path}: points must be finite numbers or [re, im] pairs")
 
@@ -435,17 +437,8 @@ def _emit_error(exc: Exception, validation: bool) -> None:
     sys.stderr.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _parse_precision(value: str) -> PrecisionMode:
-    try:
-        return PrecisionMode(value)
-    except ValueError as exc:
-        raise CliInputError(
-            f"unknown precision {value!r}; choose double, extended, or rational"
-        ) from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jacobi-bc",
         description="Boundary-control toolkit for Jacobi matrices")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -473,13 +466,17 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     """Run one command; returns the process exit code."""
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         for flag, value in (("--T", args.horizon), ("--N-max", args.n_max)):
             if value is not None and value < 1:
                 raise CliInputError(f"{flag} must be >= 1")
-        args.precision = _parse_precision(
-            args.precision or os.environ.get("JACOBI_BC_PRECISION", "double"))
+        precision = (args.precision
+                     or os.environ.get("JACOBI_BC_PRECISION", "double"))
+        if precision not in {mode.value for mode in PrecisionMode}:
+            raise CliInputError(f"unknown precision {precision!r}; choose "
+                                f"double, extended, or rational")
+        args.precision = PrecisionMode(precision)
         _write_output(args, *_COMMANDS[args.command][0](args))
         return 0
     except (CliInputError, JacobiBCError) as exc:

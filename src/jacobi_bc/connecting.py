@@ -25,6 +25,7 @@ from .core import (
     SpectralData,
     _data_head,
     _freeze_array,
+    block_values,
     sequence_values,
 )
 from .dynamics import _check_block_memory, control_operator
@@ -166,7 +167,7 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
     so a float block whose transform leaves float64 (from size 1484 on)
     raises ConditioningError.
     """
-    smat = np.asarray(getattr(hankel, "matrix", hankel))
+    smat = block_values(hankel)
     if size is None:
         size = smat.shape[0]
     if size < 1:

@@ -45,6 +45,7 @@ __all__ = [
     "materialize_matrix",
     "validate_coefficients",
     "sequence_values",
+    "block_values",
 ]
 
 class JacobiBCError(Exception):
@@ -105,15 +106,43 @@ class PrecisionMode(Enum):
     RATIONAL = "rational"
 
 
-def sequence_values(seq) -> np.ndarray:
-    """Uniform 1-D array view of ResponseVector/MomentSequence/array-likes;
-    a list of ints alone stays exact, where numpy would make it float64."""
-    values = getattr(seq, "values", seq)
+# float64 holds every integer below 2^53 in magnitude: only an entry at
+# least that large can be a Python int that numpy's float64 rounded
+_EXACT_FLOAT_INTS = 2.0 ** 53
+
+
+def _read_array(values) -> np.ndarray:
+    """The one rule that reads an array argument: an ndarray as it is; a
+    list, nested for a block, as numpy reads it, but as an object array
+    wherever float64 would round a Python int in it, with each finite
+    float of an object array as the int or Fraction it holds."""
+    if isinstance(values, np.ndarray):
+        return values
     arr = np.asarray(values)
-    if (arr.dtype == float and isinstance(values, list)
-            and all(type(x) is int for x in values)):
-        return np.array(values, dtype=object)
+    if arr.dtype.kind in "iufc":
+        real = arr.real    # an int is real, whatever the list's dtype
+        if (-_EXACT_FLOAT_INTS < np.fmin.reduce(real, None, initial=0)
+                and np.fmax.reduce(real, None, initial=0) < _EXACT_FLOAT_INTS):
+            return arr
+        raw = np.array(values, dtype=object)
+        if all(type(x) is not int or float(x) == x for x in raw.flat):
+            return arr
+        arr = raw
+    if not set(map(type, arr.flat)).isdisjoint((float, np.float64)):
+        arr.flat = [(int(x) if x.is_integer() else Fraction(x))
+                    if isinstance(x, float) and math.isfinite(x) else x
+                    for x in arr.flat]
     return arr
+
+
+def sequence_values(seq) -> np.ndarray:
+    """The one reader of a response or moment sequence (``_read_array``)."""
+    return _read_array(getattr(seq, "values", seq))
+
+
+def block_values(block) -> np.ndarray:
+    """The one reader of a block, such as a HankelMatrix or a nested list."""
+    return _read_array(getattr(block, "matrix", block))
 
 
 def _data_head(data, count: int, kind: str) -> np.ndarray:
@@ -327,10 +356,8 @@ def _read_control(control, horizon: int | None = None):
     ``control`` (a BoundaryControl or a sequence f_0, f_1, ...), and an
     iterator over the control's values zero-extended to it, which a
     solver drains after its size checks.  A control longer than the
-    horizon raises ValueError: no route drops a value.  The solvers,
-    ``solution_via_spectrum``, ``fourier_image``, ``apply_response``,
-    ``ControlOperatorMatrix.apply`` and ``BoundaryControl.padded`` read
-    their controls here."""
+    horizon raises ValueError: no route drops a value.  Every route that
+    takes a control reads it here."""
     values = (control.values if isinstance(control, BoundaryControl)
               else control)
     if horizon is None:
@@ -342,8 +369,9 @@ def _read_control(control, horizon: int | None = None):
 
 
 def _freeze_array(obj, name: str, raw, dtype=None) -> np.ndarray:
-    """Store a read-only copy of ``raw`` (cast to ``dtype`` when given) as
-    field ``name`` of the frozen dataclass ``obj``; returns it.
+    """Store a read-only copy of ``raw``, read by ``_read_array`` and cast
+    to ``dtype`` when given, as field ``name`` of the frozen dataclass
+    ``obj``; returns it.
 
     An ndarray that is already read-only and owns its memory is stored
     as it is: no other name can write to it, and a copy would double the
@@ -354,7 +382,7 @@ def _freeze_array(obj, name: str, raw, dtype=None) -> np.ndarray:
             and (dtype is None or raw.dtype == dtype)):
         arr = raw
     else:
-        arr = np.array(raw, dtype=dtype, copy=True)
+        arr = np.array(_read_array(raw), dtype=dtype, copy=True)
         arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr

@@ -47,6 +47,8 @@ from .core import (
     NotLimitCircleError,
     PrecisionMode,
     _freeze_array,
+    block_values,
+    sequence_values,
 )
 from .dynamics import control_operator
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
@@ -115,7 +117,7 @@ def krein_solve(connecting, z: complex,
     residual is below 1e-10 (ConditioningError when that stalls); badly
     conditioned blocks can go through extended precision instead.
     """
-    mat = np.asarray(getattr(connecting, "matrix", connecting))
+    mat = block_values(connecting)
     horizon = mat.shape[0]
     try:
         x, residual = mp_pd_solve(lift(mat, precision),
@@ -136,7 +138,7 @@ def krein_solve_hankel(hankel, z: complex,
     kernel and relates to the connecting-side solution by f =
     transform^T j (tested, not assumed).
     """
-    smat = np.asarray(getattr(hankel, "matrix", hankel))
+    smat = block_values(hankel)
     horizon = smat.shape[0]
     rhs = np.conj(solve_scalar(z, precision) ** np.arange(horizon))
     try:
@@ -226,11 +228,9 @@ def scalar_product(f, g, connecting) -> complex:
     blocks (extended/rational constructions) are combined in their own
     arithmetic.
     """
-    mat = np.asarray(getattr(connecting, "matrix", connecting))
-    fv = np.asarray(f)
-    gv = np.asarray(g)
-    fv = fv.astype(np.result_type(fv, complex))
-    gv = gv.astype(np.result_type(gv, complex))
+    mat = block_values(connecting)
+    fv, gv = (v.astype(np.result_type(v, complex))
+              for v in map(sequence_values, (f, g)))
     if fv.shape != gv.shape or fv.ndim != 1 or fv.size != mat.shape[0]:
         raise ValueError("coefficient vectors must match the block size")
     return complex(np.vdot(mat @ fv, gv))

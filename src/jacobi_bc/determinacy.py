@@ -69,14 +69,13 @@ from .core import (
     JacobiCoefficients,
     NotLimitCircleError,
     PrecisionMode,
-    sequence_values,
 )
 from .connecting import connecting_from_response
 from .dynamics import solve_finite
 from .spectral import (TAIL_WINDOW, _recurrence, eval_p_all, eval_q_all,
                        relative_tail)
 from ._multiprec import (gram_max_eigs, leading_eig_extremes, noise_floor,
-                         orthonormal_min_eigs, require_real)
+                         orthonormal_min_eigs)
 
 __all__ = [
     "Verdict",
@@ -111,11 +110,8 @@ def connecting_eig_sequences(r, t_max: int,
     beta non-increasing and gamma non-decreasing (the corner-top blocks
     are nested, so eigenvalues interlace) up to the noise floor.
     """
-    rv = sequence_values(r)
-    require_real(rv, "r")
-    # corner-top blocks are nested, so one build serves every horizon
     beta, gamma = leading_eig_extremes(
-        connecting_from_response(r, t_max).matrix, rv, 1, precision)
+        connecting_from_response(r, t_max).matrix, r, 1, precision)
     norms = np.maximum(np.abs(beta), np.abs(gamma))
     slack = _MONOTONE_SLACK + noise_floor(norms[1:], precision)
     # compared without subtracting, so an overflowed gamma passes after

@@ -51,6 +51,7 @@ from .core import (
     ResponseVector,
     _data_head,
     _freeze_array,
+    _read_array,
     _read_control,
 )
 from ._multiprec import cell_bytes, forward_sweep, lift
@@ -125,8 +126,8 @@ class ControlOperatorMatrix:
         """State (u^f_{1,T}, ..., u^f_{T,T}) produced by ``control``, read
         as the solvers read it at this horizon: a shorter control is
         zero-extended, and a longer one raises ValueError."""
-        f = list(_read_control(control, self.horizon)[1])
-        return self.flipped() @ np.asarray(f)
+        f = _read_array(list(_read_control(control, self.horizon)[1]))
+        return self.flipped() @ f
 
 
 def _physical_memory() -> int:
@@ -295,5 +296,5 @@ def apply_response(r, control, horizon: int | None = None) -> np.ndarray:
     _check_sizes(horizon, 1)
     # convolved as given: the zero extension adds nothing to the sums, and
     # its zeros would only regroup numpy's summation
-    f = list(_read_control(control)[1]) or [0]
+    f = _read_array(list(_read_control(control)[1]) or [0])
     return np.convolve(_data_head(r, horizon, "response data"), f)[:horizon]

@@ -33,11 +33,10 @@ from .core import (
     NotAResponseVectorError,
     PrecisionMode,
     _as_float,
-    sequence_values,
 )
 from .dynamics import response_vector
 from .moments import moments_to_response
-from ._multiprec import modified_chebyshev, pivot_floor, require_real
+from ._multiprec import modified_chebyshev, pivot_floor
 
 __all__ = ["RecoveryResult", "recover_from_response", "recover_from_moments"]
 
@@ -125,11 +124,9 @@ def recover_from_response(r, horizon: int,
     """Coefficients from r_0..r_{2T-2}, the modified moments of the
     U_l(x/2) basis; a non-positive pivot, one of C_T, means r is the
     response of no genuine system.  Complex data raise ComplexDataError."""
-    rv = sequence_values(r)
-    require_real(rv, "r")
-    a_rec, b_rec, _ = _recurrence(rv, horizon, 1, precision,
+    a_rec, b_rec, _ = _recurrence(r, horizon, 1, precision,
                                   NotAResponseVectorError)
-    return _result(a_rec, b_rec, rv, horizon, "BoundaryControl", precision)
+    return _result(a_rec, b_rec, r, horizon, "BoundaryControl", precision)
 
 
 def recover_from_moments(s, horizon: int,
@@ -141,11 +138,9 @@ def recover_from_moments(s, horizon: int,
     independent recovery, and the two must agree within 1e-8.  Complex
     data raise ComplexDataError.
     """
-    sv = sequence_values(s)
-    require_real(sv, "s")
-    a_rec, b_rec, _ = _recurrence(sv, horizon, 0, precision,
+    a_rec, b_rec, _ = _recurrence(s, horizon, 0, precision,
                                   NotAMomentSequenceError)
-    converted = moments_to_response(sv[:2 * horizon - 1], precision).as_array()
+    converted = moments_to_response(s[:2 * horizon - 1], precision).as_array()
     a_cross, b_cross, _ = _recurrence(converted, horizon, 1, precision,
                                       NotAResponseVectorError)
     with np.errstate(invalid="ignore"):    # inf - inf: a NaN gap fails

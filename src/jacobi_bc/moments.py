@@ -29,7 +29,7 @@ from .core import (
 )
 from .dynamics import _check_block_memory
 from ._multiprec import (above_noise, dot, dot_operand, leading_eig_extremes,
-                         lift, lift_ints, mode_of, require_real)
+                         lift, lift_ints, mode_of)
 
 __all__ = [
     "HankelMatrix",
@@ -198,9 +198,7 @@ def hankel_min_eigs(s, n_max: int,
     past that point (Hankel blocks of genuine moment sequences are
     exponentially ill-conditioned).
     """
-    sv = sequence_values(s)
-    require_real(sv, "s")
-    mins, maxs = leading_eig_extremes(build_hankel(sv, n_max).matrix, sv, 0,
+    mins, maxs = leading_eig_extremes(build_hankel(s, n_max).matrix, s, 0,
                                       precision)
     noisy = np.flatnonzero(~above_noise(mins, maxs, precision))
     if noisy.size:

@@ -33,6 +33,7 @@ from .core import (
     JacobiBCError,
     JacobiCoefficients,
     SpectralData,
+    _as_float,
     _read_control,
     materialize_matrix,
 )
@@ -83,20 +84,11 @@ def _recurrence(coeffs, z, kind):
             prev, cur = cur, ((z - b_n) * cur - a_prev * prev) / a_n
         except OverflowError as exc:    # an int beyond float64
             # a_{n-1} passed the step before as its a_n
-            name = f"b_{n}" if _beyond_float(abs(b_n)) else f"a_{n}"
+            name = f"b_{n}" if np.isinf(_as_float(b_n)) else f"a_{n}"
             raise ConditioningError(
                 f"coefficient {name} is beyond the float64 range (about "
                 "1.8e308), in which the polynomials p_n(z) and q_n(z) are "
                 "evaluated in every precision mode") from exc
-
-
-def _beyond_float(x) -> bool:
-    """Whether the real number x rounds past the float64 range."""
-    try:
-        float(x)
-    except OverflowError:
-        return True
-    return False
 
 
 def _first_values(coeffs, n_max, z, kind):

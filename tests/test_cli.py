@@ -139,6 +139,26 @@ class TestParser:
         assert "requires --input" in json.loads(
             capsys.readouterr().err)["error"]["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["response", "--T", "x"], ["response", "--bogus"], ["bogus"], []],
+        ids=["bad-value", "unknown-flag", "unknown-command", "no-command"])
+    def test_argument_errors_write_one_validation_document(self, argv,
+                                                           capsys):
+        # main returns its code: no usage text and no SystemExit
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        doc = json.loads(captured.err)
+        assert captured.out == "" and set(doc) == {"schema", "error"}
+        assert doc["error"]["kind"] == "validation"
+        assert doc["error"]["type"] == "CliInputError"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["recover", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: jacobi-bc")
+
 
 class TestValidationFailures:
     def test_malformed_json(self, tmp_path, capsys):
@@ -157,6 +177,17 @@ class TestValidationFailures:
     def test_wrong_payload_key(self, tmp_path, capsys):
         path = write_json(tmp_path / "w.json", {"something": [1]})
         assert main(["recover", "--input", path]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["diagnose"], "command 'diagnose' requires --N-max"),
+        (["response", "--T", "3"], "cannot read input file"),
+    ], ids=["diagnose-without-N-max", "unreadable-input"])
+    def test_validation_document(self, tmp_path, capsys, free_file, argv,
+                                 message):
+        path = free_file if argv[0] == "diagnose" else str(tmp_path / "no")
+        assert main(argv + ["--input", path]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation" and message in err["message"]
 
 
 class TestMalformedInput:
@@ -799,9 +830,12 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("name", ["simulate.json", "simulate.csv",
                                       "diagnose.json", "diagnose.csv",
                                       "recover-response.json",
+                                      "recover-response.csv",
                                       "recover-moments.json",
+                                      "recover-moments.csv",
                                       "response.json",
-                                      "recover-double.json"] + [
+                                      "recover-double.json",
+                                      "recover-double.csv"] + [
         f"{command}.{fmt}" for command in (
             "connect-response", "connect-moments", "connect-coefficients",
             "moments-response", "moments-moments", "kernel-grid",

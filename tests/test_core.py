@@ -28,7 +28,7 @@ from conftest import random_coefficients
     ([1, 2 ** 64], object),          # numpy's own object array
     ([1, 2], np.int64),
     ([1, 2.5], float),
-    ([1, 3 ** 40, 0.5], float),      # not ints alone
+    ([1, 3 ** 40, 0.5], object),     # whatever else the list holds
     (np.array([1.0, 3.0 ** 40]), float),
 ])
 def test_sequence_values_keeps_a_list_of_ints_exact(values, dtype):

@@ -221,6 +221,15 @@ def test_complex_data_are_refused(recover, name, data, at, precision):
         recover(data, 3, precision)
 
 
+@pytest.mark.parametrize("recover, name", [(recover_from_response, "r"),
+                                           (recover_from_moments, "s")])
+def test_a_complex_entry_past_the_head_is_named(recover, name):
+    # the data are checked whole, not only the 2T - 1 values the
+    # recurrence reads, so the complex dtype is never blamed on r_0
+    with pytest.raises(ComplexDataError, match=f"^{name}_5 = 1j is complex"):
+        recover([1, 0, 1, 0, 2, 1j], 3)
+
+
 @pytest.mark.parametrize("horizon", [36, 37, 38])
 def test_catalan_moments_recover_exactly_in_rational(horizon):
     # s_72 = C_36 lies in [2^63, 2^64), where numpy rounds a list of ints

@@ -17,9 +17,10 @@ substitute-and-refine loop of the solves contract through
 ``_multiprec.dot``, never ``@``, which rounds an object array after
 every product and add.  A public function has a caller in the package
 or a stated reason to be kept without one, and a public function of the
-backend a caller outside it or a reason.  Controls, responses and
-moments are read by ``core`` alone: no other library module takes an
-argument apart through ``getattr(x, "values", ...)``.  So are the
+backend a caller outside it or a reason.  Controls, responses, moments
+and blocks are read by ``core`` alone: no other library module takes an
+argument apart through ``getattr(x, "values", ...)`` or
+``getattr(x, "matrix", ...)``.  So are the
 coefficients: the accessors of ``JacobiCoefficients`` refuse a complex
 one, and no other module checks a coefficient with ``require_real``.
 """
@@ -534,6 +535,38 @@ def test_scan_catches_a_values_read_outside_core():
 
 def test_only_core_reads_values_off_an_argument():
     hits = _values_reads({path.name: path.read_text()
+                          for path in PACKAGE.glob("*.py")})
+    assert not hits, hits
+
+
+# ``core`` reads every block argument (``block_values``), with no
+# exemption: a module that takes ``.matrix`` off an argument itself reads
+# a nested list by a rule of its own.
+MATRIX_READ = re.compile(r"""getattr\(\s*\w+\s*,\s*["']matrix["']""")
+
+
+def _matrix_reads(sources):
+    """``module:line`` of each ``getattr(<name>, "matrix", ...)`` in
+    ``sources`` ({module name: source}) outside ``core.py``."""
+    return [f"{name}:{number}"
+            for name, source in sources.items() if name != "core.py"
+            for number, line in enumerate(source.splitlines(), 1)
+            if MATRIX_READ.search(line)]
+
+
+def test_scan_catches_a_matrix_read_outside_core():
+    sources = {"core.py": 'x = _read_array(getattr(block, "matrix", block))\n',
+               "debranges.py": 'def solve(x):\n'
+                               '    m = np.asarray(getattr(x, "matrix", x))\n'
+                               '    h = getattr( x ,\'matrix\', None)\n'
+                               '    return getattr(x, "values", m)\n',
+               "cli.py": 'rows = getattr(conn, "matrix", conn)\n'}
+    assert _matrix_reads(sources) == ["debranges.py:2", "debranges.py:3",
+                                      "cli.py:1"]
+
+
+def test_only_core_reads_a_matrix_off_an_argument():
+    hits = _matrix_reads({path.name: path.read_text()
                           for path in PACKAGE.glob("*.py")})
     assert not hits, hits
 
