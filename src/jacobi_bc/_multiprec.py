@@ -21,13 +21,14 @@ computes in the caller's own context.
 
 The pipeline modules write each step once, independent of dtype, on the
 steps this module provides: lifting values read by ``core``'s one rule
-(``lift``), refusing complex ones (``require_real``) and the floors, the
-forward sweep (``forward_sweep``), Wheeler's recurrence
-(``modified_chebyshev``), the eigenvalue sequences read off Q =
-diag(d)^-1/2 L^-1 for A = L diag(d) L^T (``orthonormal_min_eigs``,
-``leading_eig_extremes``, ``gram_max_eigs``), ``sym_eigenvalues``, one
-positive-definite factorization and solve (``pd_factor``,
-``mp_pd_solve``, ``gram_solve``) and the contraction ``dot``.
+(``lift``), the one way into float64 (``to_double``), refusing complex
+values (``require_real``) and the floors, the forward sweep
+(``forward_sweep``), Wheeler's recurrence (``modified_chebyshev``), the
+eigenvalue sequences read off Q = diag(d)^-1/2 L^-1 for A = L diag(d)
+L^T (``orthonormal_min_eigs``, ``leading_eig_extremes``,
+``gram_max_eigs``), ``sym_eigenvalues``, one positive-definite
+factorization and solve (``pd_factor``, ``mp_pd_solve``, ``gram_solve``)
+and the contraction ``dot``.
 
 Float arrays take numpy and its LAPACK, the forward sweep four ufunc
 calls a step (``_float_sweep``), and the DOUBLE triangular sweeps a
@@ -37,13 +38,11 @@ Python ints, each one for both object modes: the recurrence
 (``_orthonormal_ints``) and the sums of ``dot`` and the solves
 (``_Ints.dot``).  They share one integer form, ``_Ints``: a vector as
 Python ints over one scale den * 2^exp, with an imaginary part only when
-some value is an mpc.  ``_read`` takes numbers into it exactly;
-``_normalised`` keeps its ints short, RATIONAL by one gcd per vector,
-for the canonical Fractions, EXTENDED by rounding to nearest so that the
-smallest nonzero int keeps _ROW_BITS bits, the precision and 64 guard
-bits; ``_emitted`` gives back Fractions, mpf or mpc rounded once, or
-frexp fields.  An EXTENDED value so keeps 64 bits more than an mpf and
-is rounded once where mpf arithmetic rounds at every step, but the ints
+some value is an mpc: ``_read`` takes numbers into it exactly,
+``_normalised`` keeps its ints short (for EXTENDED, the precision and 64
+guard bits) and ``_emitted`` gives them back, an mpf rounded once.  An
+EXTENDED value so keeps 64 bits more than an mpf and is rounded once
+where mpf arithmetic rounds at every step, but the ints
 span the exponent range of the vector, which has no bound for mpf
 values, and so does the cost.  A sum of ``dot`` is rounded once where
 numpy's object ``@`` rounds after every product and add; float and
@@ -54,17 +53,12 @@ left: an mpf on the left makes mpmath format the whole array for an
 error message before numpy's reflected operator takes over.
 
 mpmath is imported, and the EXTENDED context built, by the first read of
-an attribute of ``_EXTENDED`` (``_load_extended``): DOUBLE work, and
-RATIONAL work that stays in Fractions, never loads it.  The load holds a
-lock and runs once, since a second context would make a second pair of
-mpf types, whose values ``mode_of`` and ``dot`` would not take for
-EXTENDED ones.  Before it, ``_EXTENDED`` is a stand-in, _OWN_TYPES is
-empty, and ``_MPF``, ``_MPC``, ``_ROW_BITS``, ``normalize``,
-``round_nearest`` and ``fzero`` are None.  No other gate is needed: a
+an attribute of ``_EXTENDED`` (``_load_extended``), once and under a
+lock: a second context would make a second pair of mpf types.  DOUBLE
+work, and RATIONAL work that stays in Fractions, never loads it.  The
+names the load binds are None before it, which needs no other gate: a
 value of the context exists only after the load, and every object path
-reads an attribute of ``_EXTENDED`` (``as_mpf``, ``_read`` through
-``convert``, ``solve_scalar``, ``_emitted`` for mpf) before it uses one
-of those names.
+reads an attribute of ``_EXTENDED`` before it uses one of those names.
 """
 
 from __future__ import annotations
@@ -79,7 +73,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import (ComplexDataError, ConditioningError, PrecisionMode,
-                   _data_head, _read_array, _to_fraction, sequence_values)
+                   _as_float, _data_head, _read_array, _to_fraction,
+                   sequence_values)
 
 EXTENDED_DPS = 50
 
@@ -143,28 +138,45 @@ def as_mpf(x):
     return _EXTENDED.mpf(float(x))
 
 
+_BEYOND_DOUBLE = ("a value exceeds double precision (about 1.8e308); use "
+                  "PrecisionMode.EXTENDED (--precision extended)")
+
+
+def to_double(x, refusal: str = _BEYOND_DOUBLE, *names) -> float:
+    """x as a float, the one rule by which a real enters float64: a float,
+    numpy's included, as it is, whatever its value; any other real rounded
+    to nearest; one beyond float64 (an int, Fraction or mpf past about
+    1.8e308, or an mpf infinity) refused with ConditioningError
+    ``refusal.format(*names)``, which is formatted only then."""
+    if isinstance(x, float):
+        return float(x)
+    value = _as_float(x)    # the way out: +-inf beyond float64
+    if math.isinf(value):
+        raise ConditioningError(refusal.format(*names))
+    return value
+
+
 def lift(values, precision: PrecisionMode) -> np.ndarray:
     """``values``, read by ``core._read_array``, as a new array of the
     number type of ``precision``, never a view of ``values``.  DOUBLE
-    gives float64 (complex128 for complex input) and raises
-    ConditioningError for a value beyond its range.  EXTENDED gives an
-    object array of mpf of the private EXTENDED_DPS-digit context (see
-    ``as_mpf``); RATIONAL an object array of Fraction, where floats
-    convert exactly and inexact types such as mpf are refused with
-    TypeError.
-    """
+    gives float64 (complex128 for complex input): a numeric array casts,
+    and each value of an object array enters by ``to_double``, as each
+    coefficient of the polynomial routes does, so those compute in float64
+    however a number is spelled; a result leaves by ``core._as_float``,
+    +-inf beyond float64.  EXTENDED gives an object array of mpf of the
+    private EXTENDED_DPS-digit context (see ``as_mpf``); RATIONAL an
+    object array of Fraction, where floats convert exactly and inexact
+    types such as mpf are refused with TypeError."""
     arr = _read_array(values)
+    # tolist() turns numpy scalars into the Python numbers the converters
+    # accept
     if precision is PrecisionMode.DOUBLE:
-        try:
+        if arr.dtype != object:    # float64 holds every value of the cast
             return arr.astype(complex if np.iscomplexobj(arr) else float,
                               copy=arr is values or arr.base is not None)
-        except OverflowError as exc:
-            raise ConditioningError(
-                "a value exceeds double precision (about 1.8e308); use "
-                "PrecisionMode.EXTENDED (--precision extended)") from exc
+        return np.array([to_double(v) for v in arr.ravel().tolist()],
+                        dtype=float).reshape(arr.shape)
     out = np.empty(arr.shape, dtype=object)
-    # tolist() turns numpy scalars into the Python numbers both converters
-    # accept
     values = arr.ravel().tolist()
     if precision is PrecisionMode.RATIONAL:
         out.flat = [_to_fraction(v) for v in values]
@@ -175,32 +187,27 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
 
 def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
     """Exact ints as the coefficients of a combination of values of
-    ``precision``: float64 in DOUBLE, where an int beyond its range
-    raises ConditioningError as in ``lift``, and the ints themselves in
-    the object modes, where an int times an mpf rounds once and times a
-    Fraction stays exact."""
-    if precision is PrecisionMode.DOUBLE:
-        return lift(ints, precision)
-    return np.array(ints, dtype=object)
+    ``precision``: float64 in DOUBLE, by ``lift``, and the ints themselves
+    in the object modes, where an int times an mpf rounds once and times
+    a Fraction stays exact."""
+    return (lift(ints, precision) if precision is PrecisionMode.DOUBLE
+            else np.array(ints, dtype=object))
 
 
 def require_real(values, name: str, first: int = 0) -> np.ndarray:
     """``values`` as the array ``np.asarray`` reads them into, or
-    ComplexDataError naming the first complex entry, name_{first + k}: a
-    complex or an mpc, whatever its imaginary part, and in an ndarray of
-    complex dtype the first entry with a nonzero imaginary part (entry 0
-    when none has one)."""
+    ComplexDataError naming one complex entry, name_{first + k}: the
+    first with a nonzero imaginary part, or, when none has one, the first
+    of complex type (a complex or an mpc; entry 0 of a complex array)."""
     arr = np.asarray(values)
-    if arr.dtype.kind == "c":
-        at = (int(np.argmax(arr.imag != 0)) if isinstance(values, np.ndarray)
-              else next(k for k, x in enumerate(values) if np.iscomplexobj(x)))
-    elif arr.dtype == object:
-        at = next((k for k, x in enumerate(arr.tolist())
-                   if isinstance(x, complex) or _is_mpc(x)), None)
-        if at is None:
-            return arr
-    else:
+    if arr.dtype.kind not in "cO":
         return arr
+    entries = arr.tolist() if isinstance(values, np.ndarray) else list(values)
+    typed = [k for k, x in enumerate(entries)
+             if isinstance(x, complex) or _is_mpc(x)]
+    if not typed:
+        return arr
+    at = next((k for k in typed if entries[k].imag != 0), typed[0])
     raise ComplexDataError(
         f"{name}_{first + at} = {arr[at]} is complex; it must be real")
 
@@ -1253,9 +1260,9 @@ def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     and x keeps its mpc entries because downstream identities
     (reproducing property, special states) cancel catastrophically when
     the solution is rounded to float64; the factor and the matrix are
-    read once.  The solution is refined until the
-    residual is below 1e-10, and ConditioningError is raised when that
-    stalls (or an object matrix holds inf or NaN).  Raises
+    read once.  The solution is refined until the residual is below
+    1e-10, and ConditioningError is raised when that stalls (or an object
+    matrix holds inf or NaN).  Raises
     np.linalg.LinAlgError when the matrix is not positive definite.
     """
     mat = _to_extended(np.asarray(matrix))

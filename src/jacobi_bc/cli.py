@@ -25,7 +25,6 @@ import contextlib
 import csv
 import functools
 import json
-import math
 import os
 import sys
 
@@ -36,6 +35,7 @@ from .core import (
     JacobiCoefficients,
     PrecisionMode,
     _as_float,
+    _as_floats,
     _finite_reals,
     sequence_values,
     validate_coefficients,
@@ -76,18 +76,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_number(x) -> float | None:
     """x as a float, or None (JSON null) where float64 cannot hold it."""
-    if x is None:
-        return None
-    v = _as_float(x)
-    return v if math.isfinite(v) else None
+    return None if x is None else _json_numbers([x])[0]
 
 
 def _json_numbers(values) -> list:
-    """``_json_number`` of each value; a 1-D float array, or a sequence
-    object holding one, converts at once by ``tolist``."""
-    arr = sequence_values(values)
-    if not (arr.ndim == 1 and arr.dtype.kind == "f"):
-        return [_json_number(v) for v in values]
+    """``_json_number`` of each value, converted at once (``_as_floats``)."""
+    arr = _as_floats(sequence_values(values))
     out = arr.tolist()
     for i in np.flatnonzero(~np.isfinite(arr)).tolist():
         out[i] = None

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,12 +157,20 @@ def _data_head(data, count: int, kind: str) -> np.ndarray:
 
 
 def _as_float(x) -> float:
-    """x as a float; an exact int or Fraction beyond float64 gives +-inf,
-    as an overflowed float or mpf does."""
+    """x as a float, the one way out to float64: an exact int or Fraction
+    beyond float64 gives +-inf, as an overflowed float or mpf does."""
     try:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def _as_floats(values: np.ndarray) -> np.ndarray:
+    """``values`` as float64 by ``_as_float``'s rule, in one cast."""
+    try:
+        return values.astype(float)
+    except OverflowError:    # an exact int or Fraction beyond float64
+        return np.vectorize(_as_float, otypes=[float])(values)
 
 
 def _to_fraction(x) -> Fraction:
@@ -348,16 +355,16 @@ class BoundaryControl:
 
     def padded(self, horizon: int) -> list:
         """Values extended by zeros up to ``horizon`` entries."""
-        return list(_read_control(self, horizon)[1])
+        return list(_read_control(self, horizon)[1]) + [0] * (
+            horizon - self.horizon)
 
 
 def _read_control(control, horizon: int | None = None):
     """The one reader of a control: the horizon, by default the length of
-    ``control`` (a BoundaryControl or a sequence f_0, f_1, ...), and an
-    iterator over the control's values zero-extended to it, which a
-    solver drains after its size checks.  A control longer than the
-    horizon raises ValueError: no route drops a value.  Every route that
-    takes a control reads it here."""
+    ``control`` (a BoundaryControl or a sequence f_0, f_1, ...), and its
+    values, which a route zero-extends after its size checks.  A control
+    longer than the horizon raises ValueError: no route drops a value.
+    Every route that takes a control reads it here."""
     values = (control.values if isinstance(control, BoundaryControl)
               else control)
     if horizon is None:
@@ -365,7 +372,7 @@ def _read_control(control, horizon: int | None = None):
     if len(values) > horizon:
         raise ValueError(f"the control has {len(values)} values, more than "
                          f"the horizon {horizon}; pass a shorter control")
-    return horizon, chain(values, repeat(0, horizon - len(values)))
+    return horizon, values
 
 
 def _freeze_array(obj, name: str, raw, dtype=None) -> np.ndarray:

@@ -136,20 +136,11 @@ def deficiency_partial_sums(coeffs: JacobiCoefficients, depth: int,
     counts as inf, so a sum that overflows is inf from there on: the
     series diverges as far as float64 can tell.
     """
-    p = eval_p_all(coeffs, depth, complex(z))
-    q = eval_q_all(coeffs, depth, complex(z))
-    return (np.cumsum([_squared_modulus(v) for v in p]),
-            np.cumsum([_squared_modulus(v) for v in q]))
-
-
-def _squared_modulus(v) -> float:
-    """|v|^2, or inf where it is beyond float64; an overflowed recurrence
-    leaves inf or nan in v, an overflowed square raises."""
-    try:
-        square = abs(v) ** 2
-    except OverflowError:
-        return math.inf
-    return square if math.isfinite(square) else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.abs([eval_p_all(coeffs, depth, complex(z)),
+                          eval_q_all(coeffs, depth, complex(z))]) ** 2
+    squares[np.isnan(squares)] = np.inf    # an overflowed recurrence
+    return np.cumsum(squares[0]), np.cumsum(squares[1])
 
 
 @dataclass(frozen=True)
@@ -288,9 +279,11 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     holds in the limit-circle case but the converse fails (free
     coefficients keep beta_T = 1).  The deficiency sums and circle
     bounds run to DEFICIENCY_DEPTH, or to the size of a finite family
-    when that is smaller; they run in float64 in every mode, and a
-    coefficient beyond its range raises ConditioningError.  The first
-    complex coefficient read, by any of them, raises ComplexDataError.
+    when that is smaller; they run in float64 in every mode and for every
+    spelling of the coefficients (``spectral._recurrence``), and a
+    coefficient beyond its range raises ConditioningError naming it.  The
+    first complex coefficient read, by any of them, raises
+    ComplexDataError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

@@ -26,9 +26,7 @@ allocating it.  Each computed cell gets the same operands in every
 solver.  In DOUBLE they come in the same order, and RATIONAL is exact,
 so there all solvers agree to the last bit; EXTENDED rounds each cell
 once from slices that carry 64 bits beyond the precision, so solvers
-that round different cones may differ in the last bit of a cell.  The
-fields are plain arrays: writing them to files is the CLI's job, which
-streams CSV rows straight from the one field.
+that round different cones may differ in the last bit of a cell.
 
 Because the coefficients do not depend on t, shifting a control in time
 shifts the solution: the impulse response determines the response to any
@@ -126,7 +124,8 @@ class ControlOperatorMatrix:
         """State (u^f_{1,T}, ..., u^f_{T,T}) produced by ``control``, read
         as the solvers read it at this horizon: a shorter control is
         zero-extended, and a longer one raises ValueError."""
-        f = _read_array(list(_read_control(control, self.horizon)[1]))
+        horizon, values = _read_control(control, self.horizon)
+        f = _read_array(list(values) + [0] * (horizon - len(values)))
         return self.flipped() @ f
 
 
@@ -141,16 +140,23 @@ def _check_sizes(horizon: int, n_space: int) -> None:
         raise ValueError("n_space must be >= 1")
 
 
-def _lift_system(coeffs: JacobiCoefficients, ctrl, n_space: int,
-                 precision: PrecisionMode):
-    """The control values ``ctrl`` (an iterable), a_0..a_{n_space-1} and
-    b_1..b_{n_space}, each lifted once to the number type of
-    ``precision``, and the number type of the field.
+def _lift_control(values, horizon: int, precision: PrecisionMode):
+    """Control values read by ``_read_control``, lifted once, then
+    zero-extended to ``horizon`` by what ``lift`` gives for a 0 of their
+    dtype (an mpc 0 for a complex control in EXTENDED)."""
+    values = _read_array(values)
+    zero = lift(np.zeros(1, dtype=values.dtype), precision)
+    return np.concatenate((lift(values, precision),
+                           np.repeat(zero, horizon - len(values))))
 
-    The control is lifted first and may be complex, which makes the field
-    complex; a complex a_n or b_n raises ComplexDataError.
-    """
-    ctrl = lift(list(ctrl), precision)
+
+def _lift_system(coeffs: JacobiCoefficients, ctrl, horizon: int,
+                 n_space: int, precision: PrecisionMode):
+    """The control ``ctrl`` (``_lift_control``, first: it may be complex,
+    which makes the field complex), a_0..a_{n_space-1} and b_1..b_{n_space}
+    lifted once to the number type of ``precision``, and the number type
+    of the field; a complex a_n or b_n raises ComplexDataError."""
+    ctrl = _lift_control(ctrl, horizon, precision)
     a = lift(coeffs.a_head(n_space), precision)
     b = lift(coeffs.b_head(n_space), precision)
     return ctrl, a, b, np.result_type(a, b, ctrl)
@@ -195,8 +201,7 @@ def _impulse_sites(coeffs: JacobiCoefficients, horizon: int, n_space: int,
     """u_{n,t+1} of the impulse control for the sites n = 1..watched and
     t = 0..horizon-1, as a read-only C-contiguous (watched, horizon)
     array."""
-    ctrl, a, b, dtype = _lift_system(coeffs, _read_control([1], horizon)[1],
-                                     n_space, precision)
+    ctrl, a, b, dtype = _lift_system(coeffs, [1], horizon, n_space, precision)
     out = np.empty((watched, horizon), dtype=dtype)
     forward_sweep(ctrl, a, b, out)
     out.setflags(write=False)
@@ -216,7 +221,8 @@ def _full_field(coeffs: JacobiCoefficients, ctrl, horizon: int,
     """
     _check_sizes(horizon, n_space)
     _check_field_memory(n_space, horizon, precision)
-    ctrl, a, b, dtype = _lift_system(coeffs, ctrl, n_space, precision)
+    ctrl, a, b, dtype = _lift_system(coeffs, ctrl, horizon, n_space,
+                                     precision)
     field = np.zeros((n_space + 1, horizon + 2), dtype=dtype)
     field[0, 1:horizon + 1] = ctrl
     forward_sweep(ctrl, a, b, field[1:, 2:])

@@ -32,7 +32,8 @@ from .core import (
     NotAMomentSequenceError,
     NotAResponseVectorError,
     PrecisionMode,
-    _as_float,
+    _as_floats,
+    sequence_values,
 )
 from .dynamics import response_vector
 from .moments import moments_to_response
@@ -71,9 +72,10 @@ class RecoveryResult:
 
 def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
                 failure: type[JacobiBCError]):
-    """a_1..a_{T-1}, b_1..b_{T-1} (floats) and the pivots sigma_kk (in the
-    arithmetic of ``precision``) off the array nu_l = int pi_l dmu, by
-    ``_multiprec.modified_chebyshev`` (shift 1: responses, 0: moments).
+    """a_1..a_{T-1}, b_1..b_{T-1} (floats, +-inf beyond float64) and the
+    pivots sigma_kk (in the arithmetic of ``precision``) off the array
+    nu_l = int pi_l dmu, by ``_multiprec.modified_chebyshev`` (shift 1:
+    responses, 0: moments).
 
     b_{k+1} = alpha_k and a_k = sqrt(sigma_kk / sigma_{k-1,k-1}).  Raises
     ConditioningError on an overflowed row (before its pivot is tested)
@@ -86,14 +88,14 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
         raise failure(f"not {kind}: {exc} at {precision.value} precision; "
                       f"genuine but ill-conditioned data may need more "
                       f"digits") from None
-    pivot_ratios = np.sqrt((piv / np.max(piv)).astype(float))
+    pivot_ratios = np.sqrt(_as_floats(piv / np.max(piv)))
     worst = int(np.argmin(pivot_ratios))
     if pivot_ratios[worst] < pivot_floor(precision):
         raise ConditioningError(
             f"pivot ratio {pivot_ratios[worst]:.3e} at index {worst} is below "
             f"{pivot_floor(precision):g}; use extended precision")
-    return (np.sqrt((piv[1:] / piv[:-1]).astype(float)).tolist(),
-            alpha.astype(float).tolist(), piv)
+    return (np.sqrt(_as_floats(piv[1:] / piv[:-1])).tolist(),
+            _as_floats(alpha).tolist(), piv)
 
 
 def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult:
@@ -105,11 +107,7 @@ def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult
     window = 2 * horizon - 2
     residual = 0.0
     if window:
-        reference = reference[:window]
-        try:
-            reference = np.asarray(reference, dtype=float)
-        except OverflowError:    # an exact int or Fraction
-            reference = np.array([_as_float(x) for x in reference])
+        reference = _as_floats(sequence_values(reference)[:window])
         with np.errstate(over="ignore", invalid="ignore"):
             simulated = response_vector(coeffs, window).as_array()
             residual = float(np.max(np.abs(simulated - reference)))

@@ -32,12 +32,13 @@ from .core import (
     ConditioningError,
     JacobiBCError,
     JacobiCoefficients,
+    PrecisionMode,
     SpectralData,
-    _as_float,
     _read_control,
     materialize_matrix,
 )
-from .dynamics import WaveField
+from .dynamics import WaveField, _lift_control
+from ._multiprec import to_double
 
 __all__ = [
     "eval_chebyshev",
@@ -67,28 +68,30 @@ def _zero_like(z):
     return np.zeros_like(z) if isinstance(z, np.ndarray) else 0 * z
 
 
+_BEYOND_FLOAT64 = ("coefficient {}_{} is beyond the float64 range (about "
+                   "1.8e308) of p_n(z) and q_n(z) in every precision mode")
+
+
 def _recurrence(coeffs, z, kind):
     """phi_1(z), phi_2(z), ... of the first (kind "p") or second (kind
-    "q") family, lazily: phi_{n+1} reads a_n and b_n only when requested,
-    so a size-N finite family yields phi_1..phi_N.
+    "q") family, lazily: phi_{n+1} reads a_n, a_{n-1} and b_n only when
+    requested, so a size-N finite family yields phi_1..phi_N.
 
     Both start from phi_0: p_0 = 0 and, under a_0 = 1, q_0 = -1, which
     gives q_2 = 1/a_1 from the same update.  z is a scalar or an ndarray.
+    Each coefficient enters by ``_multiprec.to_double`` as it is read, so
+    the polynomial routes compute in float64 (complex128 for complex z)
+    in every mode, and the same numbers give the same bits however they
+    are spelled; one beyond float64 raises ConditioningError naming it.
     """
     zero, one = _zero_like(z), _one_like(z)
     prev, cur = (zero, one) if kind == "p" else (-one, zero)
     for n in count(1):
         yield cur
-        a_n, a_prev, b_n = coeffs.a(n), coeffs.a(n - 1), coeffs.b(n)
-        try:
-            prev, cur = cur, ((z - b_n) * cur - a_prev * prev) / a_n
-        except OverflowError as exc:    # an int beyond float64
-            # a_{n-1} passed the step before as its a_n
-            name = f"b_{n}" if np.isinf(_as_float(b_n)) else f"a_{n}"
-            raise ConditioningError(
-                f"coefficient {name} is beyond the float64 range (about "
-                "1.8e308), in which the polynomials p_n(z) and q_n(z) are "
-                "evaluated in every precision mode") from exc
+        a_n = to_double(coeffs.a(n), _BEYOND_FLOAT64, "a", n)
+        a_prev = to_double(coeffs.a(n - 1), _BEYOND_FLOAT64, "a", n - 1)
+        b_n = to_double(coeffs.b(n), _BEYOND_FLOAT64, "b", n)
+        prev, cur = cur, ((z - b_n) * cur - a_prev * prev) / a_n
 
 
 def _first_values(coeffs, n_max, z, kind):
@@ -192,7 +195,7 @@ def solution_via_spectrum(coeffs: JacobiCoefficients, size: int, control,
     control is read as ``solve_finite`` reads it.
     """
     horizon, f = _read_control(control, horizon)
-    f = np.asarray(list(f))
+    f = _lift_control(f, horizon, PrecisionMode.DOUBLE)
     data = spectral_data(coeffs, size)
     nodes = data.lambdas
     cheb = chebyshev_all(horizon, nodes)          # (horizon, K): rows T_1..T_horizon
@@ -216,7 +219,6 @@ def fourier_image(control, z):
     read it.
     """
     horizon, f = _read_control(control)
-    f = list(f)
     if horizon < 1:
         raise ValueError("control must have at least one entry")
     cheb = chebyshev_all(horizon, z)
@@ -258,39 +260,32 @@ def extension_parameter(coeffs: JacobiCoefficients,
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    p = [float(v) for v in eval_p_all(coeffs, n_max, 0.0)]
-    q = [float(v) for v in eval_q_all(coeffs, n_max, 0.0)]
+    p, q = eval_p_all(coeffs, n_max, 0.0), eval_q_all(coeffs, n_max, 0.0)
 
     skipped, ratios = [], []
-    for n in range(1, n_max + 1):
-        pn = p[n - 1]
-        if pn == 0.0 or abs(pn) < 1e-280:
+    for n, (pn, qn) in enumerate(zip(p, q), 1):
+        if abs(pn) < 1e-280:    # 0 too
             skipped.append(n)
-            continue
-        ratios.append((n, -q[n - 1] / pn))
+        else:
+            ratios.append(-qn / pn)
 
     summable = bool(relative_tail(np.cumsum(np.square(p) + np.square(q)))
                     <= EXTENSION_TAIL_TOL)
 
-    candidate = ratios[-1][1]
-    if len(ratios) >= 2:
-        last_delta = abs(ratios[-1][1] - ratios[-2][1])
-        converged = last_delta <= EXTENSION_RTOL * max(1.0, abs(candidate))
-    else:
-        last_delta = float("inf")
-        converged = False
+    candidate = ratios[-1]
+    last_delta = (abs(candidate - ratios[-2]) if len(ratios) >= 2
+                  else float("inf"))    # an inf delta has not converged
+    converged = last_delta <= EXTENSION_RTOL * max(1.0, abs(candidate))
 
     if converged and summable:
-        return ExtensionParameterEstimate(
-            value=candidate, candidate=candidate, converged=True, summable=True,
-            last_delta=last_delta, skipped=tuple(skipped),
-            message=f"converged with |h_N - h_prev| = {last_delta:.3e}")
-    if not summable:
+        message = f"converged with |h_N - h_prev| = {last_delta:.3e}"
+    elif not summable:
         message = ("no numerical limit: sum p_n(0)^2 + q_n(0)^2 does not "
                    "converge, so the extension parameter is undefined "
                    "(limit point suspected)")
     else:
         message = f"no numerical limit: ratios still move by {last_delta:.3e}"
     return ExtensionParameterEstimate(
-        value=None, candidate=candidate, converged=converged, summable=summable,
+        value=candidate if converged and summable else None,
+        candidate=candidate, converged=converged, summable=summable,
         last_delta=last_delta, skipped=tuple(skipped), message=message)

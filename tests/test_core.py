@@ -15,6 +15,7 @@ from jacobi_bc import (
     ResponseVector,
     SpectralData,
     materialize_matrix,
+    recover_from_response,
     validate_coefficients,
 )
 from jacobi_bc.cli import _coefficients
@@ -36,6 +37,26 @@ def test_sequence_values_keeps_a_list_of_ints_exact(values, dtype):
     assert arr.dtype == dtype
     if dtype is object:
         assert arr.tolist() == values
+
+
+@pytest.mark.parametrize("read, message", [
+    (lambda: JacobiCoefficients.from_arrays([1, 2 + 0j, 3j],
+                                            [0, 0, 0]).a_head(3), "a_2 = 3j"),
+    (lambda: recover_from_response([1, 2 + 0j, 3j, 0, 1], 3), "r_2 = 3j"),
+    (lambda: JacobiCoefficients.from_arrays([1, 2, 3 + 0j],
+                                            [0, 0, 0]).a_head(3),
+     "a_2 = (3+0j)"),
+    (lambda: recover_from_response(np.array([1, 0, 2 + 0j, 0, 1]), 3),
+     "r_0 = (1+0j)"),
+], ids=["coefficient list", "data list", "list of zero imaginary parts",
+        "complex array of zero imaginary parts"])
+def test_a_list_and_an_array_name_the_same_complex_entry(read, message):
+    # coefficients reach the check as a list, data as the reader's
+    # ndarray; both name the first entry with a nonzero imaginary part,
+    # where the list named the first of complex type, a_1 = (2+0j).  When
+    # none has one, the first of complex type: entry 0 of a complex array
+    with pytest.raises(ComplexDataError, match=f"^{re.escape(message)} is"):
+        read()
 
 
 class TestMaterialize:

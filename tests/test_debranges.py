@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import mpmath
@@ -236,6 +237,32 @@ class TestKernelFinite:
         via_w = kernel_finite(co, 0.3 + 1j, 0.5, size, method="krein",
                               precision=EXTENDED)
         assert abs(via_w - direct) < 1e-6 * abs(direct)
+
+    def test_double_krein_refuses_a_residual_the_gate_does_not_pass(self):
+        # W_T of a_k = 0.65 at T = 16: every refined residual lies in
+        # (3e-10, 7e-10), so the 1e-10 gate of ``_refined_solve`` refuses
+        # what a 1e-8 gate would accept
+        co = JacobiCoefficients.from_arrays([1] + [0.65] * 16, [0.0] * 16)
+        with pytest.raises(ConditioningError, match="stalled") as info:
+            kernel_finite(co, 0.3 + 1j, 0.5, 16, method="krein")
+        residual = float(re.search(r"residual (\S+);", str(info.value))[1])
+        assert 1e-10 < residual <= 1e-8
+
+    def test_double_krein_needs_more_than_one_refinement_step(
+            self, monkeypatch):
+        # the first residuals of this W_T (T = 13) are 1.0e-9, 4.1e-10,
+        # 3.3e-10 and 4.0e-10; the fourth refinement step reaches 6.4e-11
+        rng = np.random.default_rng(3)
+        co = random_coefficients(rng, 13)
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+        lam = rng.uniform(-2, 2)
+        got = kernel_finite(co, z, lam, 13, method="krein")
+        want = kernel_finite(co, z, lam, 13, method="krein",
+                             precision=EXTENDED)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        monkeypatch.setattr(jacobi_bc._multiprec, "_REFINE_STEPS", 1)
+        with pytest.raises(ConditioningError, match="stalled"):
+            kernel_finite(co, z, lam, 13, method="krein")
 
     @pytest.mark.parametrize("precision", list(PrecisionMode))
     def test_krein_never_forms_the_gram_block(self, rng, monkeypatch,

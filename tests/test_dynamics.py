@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -576,6 +577,16 @@ def test_double_overflow_is_a_conditioning_error():
         response_vector(geo2, 1030)
     with pytest.raises(ConditioningError, match="exceeds double precision"):
         solve_semi_infinite(geo2, [1], 1100)
+
+
+@pytest.mark.parametrize("big", [10 ** 400, mpmath.mpf("1e400"),
+                                 mpmath.mpf("inf")],
+                         ids=["int", "mpf", "mpf infinity"])
+def test_double_refuses_a_coefficient_beyond_float64_in_every_spelling(big):
+    # an mpf b_2 beyond float64 gave the response [1, 0, nan, nan, nan]
+    co = JacobiCoefficients.from_arrays([1, 1, 1], [0, big, 0])
+    with pytest.raises(ConditioningError, match="exceeds double precision"):
+        response_vector(co, 5)
 
 
 class TestFieldPeakMemory:

@@ -241,6 +241,18 @@ def test_catalan_moments_recover_exactly_in_rational(horizon):
     assert rec.residual == 0.0
 
 
+def test_an_exact_coefficient_beyond_float64_leaves_as_inf():
+    # a_8 = 10^160 of geometric(10^20) has the pivot ratio 10^320: RATIONAL
+    # raised OverflowError, where EXTENDED gave inf with residual inf
+    r = response_vector(JacobiCoefficients.geometric(10 ** 20), 23,
+                        PrecisionMode.RATIONAL)
+    want = [10.0 ** (20 * k) for k in range(1, 8)] + [math.inf] * 4
+    for precision in (PrecisionMode.EXTENDED, PrecisionMode.RATIONAL):
+        rec = recover_from_response(r, 12, precision)
+        assert rec.a.tolist() == want and rec.b.tolist() == [0.0] * 11
+        assert rec.residual == math.inf
+
+
 def test_int_data_round_as_their_floats_in_double():
     # an int in [2^63, 2^64) is read exactly and rounds to the float64
     # that numpy made of it, so DOUBLE outputs keep their bits

@@ -22,7 +22,9 @@ and blocks are read by ``core`` alone: no other library module takes an
 argument apart through ``getattr(x, "values", ...)`` or
 ``getattr(x, "matrix", ...)``.  So are the
 coefficients: the accessors of ``JacobiCoefficients`` refuse a complex
-one, and no other module checks a coefficient with ``require_real``.
+one, and no other module checks a coefficient with ``require_real``.  A
+value enters float64 by ``_multiprec.to_double`` and a result leaves it
+by ``core._as_float``: no other module casts with ``.astype(float)``.
 """
 
 import ast
@@ -611,4 +613,39 @@ def test_scan_catches_a_coefficient_check_outside_core():
 def test_only_core_refuses_a_complex_coefficient():
     hits = _coefficient_checks({path.name: path.read_text()
                                 for path in PACKAGE.glob("*.py")})
+    assert not hits, hits
+
+
+# A float64 result leaves by ``core._as_float``'s rule (``_as_floats`` for
+# an array), and a value enters float64 by ``_multiprec.to_double``: a
+# module that casts with ``.astype(float)`` itself converts by a rule of
+# its own, one that raises OverflowError on an exact value beyond float64.
+FLOAT_CAST = re.compile(r"\.astype\(\s*(float|np\.float64)\b")
+FLOAT_CASTERS = {"core.py", "_multiprec.py"}
+
+
+def _float_casts(sources):
+    """``module:line`` of each ``.astype(float)`` in ``sources`` ({module
+    name: source}) outside FLOAT_CASTERS."""
+    return [f"{name}:{number}"
+            for name, source in sources.items() if name not in FLOAT_CASTERS
+            for number, line in enumerate(source.splitlines(), 1)
+            if FLOAT_CAST.search(line)]
+
+
+def test_scan_catches_a_float_cast_outside_the_rules():
+    sources = {"core.py": "    return values.astype(float)\n",
+               "_multiprec.py": "    return arr.astype(float, copy=False)\n",
+               "inverse.py": "ratios = np.sqrt((piv / piv[0]).astype(float))\n"
+                             "b = alpha.astype( float ).tolist()\n"
+                             "c = x.astype(np.float64, copy=False)\n"
+                             "d = x.astype(np.result_type(x, float))\n"
+                             "e = _as_floats(alpha)\n"}
+    assert _float_casts(sources) == ["inverse.py:1", "inverse.py:2",
+                                     "inverse.py:3"]
+
+
+def test_only_the_float_rules_cast_to_float():
+    hits = _float_casts({path.name: path.read_text()
+                         for path in PACKAGE.glob("*.py")})
     assert not hits, hits

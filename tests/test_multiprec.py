@@ -325,6 +325,24 @@ def test_lift_keeps_ints_numpy_would_round(values):
     assert double.ravel().tolist() == [float(x) for x in flat]
 
 
+@pytest.mark.parametrize("value", [
+    10 ** 400, Fraction(-10 ** 400, 3), mpmath.mpf("1e400"),
+    mpmath.mpf("-inf"), lambda: _multiprec.as_mpf(Fraction(10 ** 400))],
+    ids=["int", "Fraction", "mpf", "mpf infinity", "EXTENDED mpf"])
+def test_double_refuses_every_value_beyond_float64(value):
+    # an mpf beyond float64 was lifted to inf; the one entry rule refuses
+    # it as it refuses an int or a Fraction
+    value = value() if callable(value) else value
+    with pytest.raises(ConditioningError, match="exceeds double precision"):
+        lift([0.5, value], PrecisionMode.DOUBLE)
+
+
+def test_double_keeps_a_float_inf_and_rounds_an_int_once():
+    # a float is taken as it is, whatever its value
+    got = lift([math.inf, 3 ** 40], PrecisionMode.DOUBLE)
+    assert got.tolist() == [math.inf, float(3 ** 40)]
+
+
 def test_double_lift_copies_once_and_never_aliases():
     values = [float(k) for k in range(2048)]
     lift(values, PrecisionMode.DOUBLE)      # a first call may allocate more

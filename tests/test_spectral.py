@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -251,6 +254,18 @@ def test_p_names_a_diagonal_entry_beyond_float64():
     co = JacobiCoefficients.from_arrays([1, 1, 1], [10 ** 400, 0, 0])
     with pytest.raises(ConditioningError, match="coefficient b_1 is beyond"):
         eval_p_all(co, 3, 0.5)
+
+
+@pytest.mark.parametrize("big", [10 ** 400, Fraction(10 ** 400, 3),
+                                 mpmath.mpf("1e400"), mpmath.mpf("inf")],
+                         ids=["int", "Fraction", "mpf", "mpf infinity"])
+def test_p_names_a_coefficient_beyond_float64_in_every_spelling(big):
+    # an mpf b_2 made the recurrence compute in mpf and return values
+    # beyond float64; every coefficient now enters by the one entry rule
+    co = JacobiCoefficients.from_arrays([1, 0.5, 1, 1], [0, big, 0, 0])
+    with pytest.raises(ConditioningError, match=(
+            "^coefficient b_2 is beyond the float64 range")):
+        eval_p_all(co, 4, 0.5)
 
 
 @pytest.mark.parametrize("a, b, error, match", [
