@@ -38,11 +38,13 @@ Python ints, each one for both object modes: the recurrence
 (``_orthonormal_ints``) and the sums of ``dot`` and the solves
 (``_Ints.dot``).  They share one integer form, ``_Ints``: a vector as
 Python ints over one scale den * 2^exp, with an imaginary part only when
-some value is an mpc: ``_read`` takes numbers into it exactly,
-``_normalised`` keeps its ints short (for EXTENDED, the precision and 64
-guard bits) and ``_emitted`` gives them back, an mpf rounded once.  An
-EXTENDED value so keeps 64 bits more than an mpf and is rounded once
-where mpf arithmetic rounds at every step, but the ints
+some value is an mpc.  ``_read`` takes numbers into it exactly;
+``_normalised`` keeps its ints short, RATIONAL by one gcd per vector,
+for the canonical Fractions, EXTENDED by rounding to nearest so that the
+smallest nonzero int keeps _ROW_BITS bits, the precision and 64 guard
+bits; ``_emitted`` gives back Fractions, mpf or mpc rounded once, or
+frexp fields.  An EXTENDED value so keeps 64 bits more than an mpf and
+is rounded once where mpf arithmetic rounds at every step, but the ints
 span the exponent range of the vector, which has no bound for mpf
 values, and so does the cost.  A sum of ``dot`` is rounded once where
 numpy's object ``@`` rounds after every product and add; float and
@@ -53,12 +55,17 @@ left: an mpf on the left makes mpmath format the whole array for an
 error message before numpy's reflected operator takes over.
 
 mpmath is imported, and the EXTENDED context built, by the first read of
-an attribute of ``_EXTENDED`` (``_load_extended``), once and under a
-lock: a second context would make a second pair of mpf types.  DOUBLE
-work, and RATIONAL work that stays in Fractions, never loads it.  The
-names the load binds are None before it, which needs no other gate: a
+an attribute of ``_EXTENDED`` (``_load_extended``): DOUBLE work, and
+RATIONAL work that stays in Fractions, never loads it.  The load holds a
+lock and runs once, since a second context would make a second pair of
+mpf types, whose values ``mode_of`` and ``dot`` would not take for
+EXTENDED ones.  Before it, ``_EXTENDED`` is a stand-in, _OWN_TYPES is
+empty, and ``_MPF``, ``_MPC``, ``_ROW_BITS``, ``normalize``,
+``round_nearest`` and ``fzero`` are None.  No other gate is needed: a
 value of the context exists only after the load, and every object path
-reads an attribute of ``_EXTENDED`` before it uses one of those names.
+reads an attribute of ``_EXTENDED`` (``as_mpf``, ``_read`` through
+``convert``, ``solve_scalar``, ``_emitted`` for mpf) before it uses one
+of those names.
 """
 
 from __future__ import annotations
@@ -162,8 +169,8 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
     gives float64 (complex128 for complex input): a numeric array casts,
     and each value of an object array enters by ``to_double``, as each
     coefficient of the polynomial routes does, so those compute in float64
-    however a number is spelled; a result leaves by ``core._as_float``,
-    +-inf beyond float64.  EXTENDED gives an object array of mpf of the
+    however a number is spelled; a value beyond float64 raises
+    ConditioningError.  EXTENDED gives an object array of mpf of the
     private EXTENDED_DPS-digit context (see ``as_mpf``); RATIONAL an
     object array of Fraction, where floats convert exactly and inexact
     types such as mpf are refused with TypeError."""
@@ -171,7 +178,9 @@ def lift(values, precision: PrecisionMode) -> np.ndarray:
     # tolist() turns numpy scalars into the Python numbers the converters
     # accept
     if precision is PrecisionMode.DOUBLE:
-        if arr.dtype != object:    # float64 holds every value of the cast
+        # a numeric array casts as numpy casts it: in range for every
+        # dtype but longdouble, whose values beyond float64 become +-inf
+        if arr.dtype != object:
             return arr.astype(complex if np.iscomplexobj(arr) else float,
                               copy=arr is values or arr.base is not None)
         return np.array([to_double(v) for v in arr.ravel().tolist()],
@@ -190,21 +199,23 @@ def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
     ``precision``: float64 in DOUBLE, by ``lift``, and the ints themselves
     in the object modes, where an int times an mpf rounds once and times
     a Fraction stays exact."""
-    return (lift(ints, precision) if precision is PrecisionMode.DOUBLE
-            else np.array(ints, dtype=object))
+    if precision is PrecisionMode.DOUBLE:
+        return lift(ints, precision)
+    return np.array(ints, dtype=object)
 
 
 def require_real(values, name: str, first: int = 0) -> np.ndarray:
     """``values`` as the array ``np.asarray`` reads them into, or
     ComplexDataError naming one complex entry, name_{first + k}: the
     first with a nonzero imaginary part, or, when none has one, the first
-    of complex type (a complex or an mpc; entry 0 of a complex array)."""
+    of complex type (a complex, numpy's included, or an mpc; entry 0 of a
+    complex array)."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "cO":
         return arr
     entries = arr.tolist() if isinstance(values, np.ndarray) else list(values)
     typed = [k for k, x in enumerate(entries)
-             if isinstance(x, complex) or _is_mpc(x)]
+             if isinstance(x, (complex, np.complexfloating)) or _is_mpc(x)]
     if not typed:
         return arr
     at = next((k for k in typed if entries[k].imag != 0), typed[0])

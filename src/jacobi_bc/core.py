@@ -355,8 +355,7 @@ class BoundaryControl:
 
     def padded(self, horizon: int) -> list:
         """Values extended by zeros up to ``horizon`` entries."""
-        return list(_read_control(self, horizon)[1]) + [0] * (
-            horizon - self.horizon)
+        return _zero_extended(self, horizon)
 
 
 def _read_control(control, horizon: int | None = None):
@@ -373,6 +372,13 @@ def _read_control(control, horizon: int | None = None):
         raise ValueError(f"the control has {len(values)} values, more than "
                          f"the horizon {horizon}; pass a shorter control")
     return horizon, values
+
+
+def _zero_extended(control, horizon: int) -> list:
+    """The values of ``control``, read by ``_read_control`` at
+    ``horizon``, as a list extended by int zeros to ``horizon`` entries."""
+    horizon, values = _read_control(control, horizon)
+    return list(values) + [0] * (horizon - len(values))
 
 
 def _freeze_array(obj, name: str, raw, dtype=None) -> np.ndarray:

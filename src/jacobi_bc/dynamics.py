@@ -26,7 +26,9 @@ allocating it.  Each computed cell gets the same operands in every
 solver.  In DOUBLE they come in the same order, and RATIONAL is exact,
 so there all solvers agree to the last bit; EXTENDED rounds each cell
 once from slices that carry 64 bits beyond the precision, so solvers
-that round different cones may differ in the last bit of a cell.
+that round different cones may differ in the last bit of a cell.  The
+fields are plain arrays: writing them to files is the CLI's job, which
+streams CSV rows straight from the one field.
 
 Because the coefficients do not depend on t, shifting a control in time
 shifts the solution: the impulse response determines the response to any
@@ -51,6 +53,7 @@ from .core import (
     _freeze_array,
     _read_array,
     _read_control,
+    _zero_extended,
 )
 from ._multiprec import cell_bytes, forward_sweep, lift
 
@@ -124,8 +127,7 @@ class ControlOperatorMatrix:
         """State (u^f_{1,T}, ..., u^f_{T,T}) produced by ``control``, read
         as the solvers read it at this horizon: a shorter control is
         zero-extended, and a longer one raises ValueError."""
-        horizon, values = _read_control(control, self.horizon)
-        f = _read_array(list(values) + [0] * (horizon - len(values)))
+        f = _read_array(_zero_extended(control, self.horizon))
         return self.flipped() @ f
 
 

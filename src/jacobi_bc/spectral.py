@@ -74,8 +74,8 @@ _BEYOND_FLOAT64 = ("coefficient {}_{} is beyond the float64 range (about "
 
 def _recurrence(coeffs, z, kind):
     """phi_1(z), phi_2(z), ... of the first (kind "p") or second (kind
-    "q") family, lazily: phi_{n+1} reads a_n, a_{n-1} and b_n only when
-    requested, so a size-N finite family yields phi_1..phi_N.
+    "q") family, lazily: phi_{n+1} reads a_n and b_n only when requested
+    (phi_2 reads a_0 first), so a size-N finite family yields phi_1..phi_N.
 
     Both start from phi_0: p_0 = 0 and, under a_0 = 1, q_0 = -1, which
     gives q_2 = 1/a_1 from the same update.  z is a scalar or an ndarray.
@@ -86,12 +86,14 @@ def _recurrence(coeffs, z, kind):
     """
     zero, one = _zero_like(z), _one_like(z)
     prev, cur = (zero, one) if kind == "p" else (-one, zero)
+    yield cur
+    a_prev = to_double(coeffs.a(0), _BEYOND_FLOAT64, "a", 0)
     for n in count(1):
-        yield cur
         a_n = to_double(coeffs.a(n), _BEYOND_FLOAT64, "a", n)
-        a_prev = to_double(coeffs.a(n - 1), _BEYOND_FLOAT64, "a", n - 1)
         b_n = to_double(coeffs.b(n), _BEYOND_FLOAT64, "b", n)
         prev, cur = cur, ((z - b_n) * cur - a_prev * prev) / a_n
+        a_prev = a_n    # a_{n-1} of the next step
+        yield cur
 
 
 def _first_values(coeffs, n_max, z, kind):
@@ -260,32 +262,39 @@ def extension_parameter(coeffs: JacobiCoefficients,
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    p, q = eval_p_all(coeffs, n_max, 0.0), eval_q_all(coeffs, n_max, 0.0)
+    p = [float(v) for v in eval_p_all(coeffs, n_max, 0.0)]
+    q = [float(v) for v in eval_q_all(coeffs, n_max, 0.0)]
 
     skipped, ratios = [], []
-    for n, (pn, qn) in enumerate(zip(p, q), 1):
-        if abs(pn) < 1e-280:    # 0 too
+    for n in range(1, n_max + 1):
+        pn = p[n - 1]
+        if pn == 0.0 or abs(pn) < 1e-280:
             skipped.append(n)
-        else:
-            ratios.append(-qn / pn)
+            continue
+        ratios.append((n, -q[n - 1] / pn))
 
     summable = bool(relative_tail(np.cumsum(np.square(p) + np.square(q)))
                     <= EXTENSION_TAIL_TOL)
 
-    candidate = ratios[-1]
-    last_delta = (abs(candidate - ratios[-2]) if len(ratios) >= 2
-                  else float("inf"))    # an inf delta has not converged
-    converged = last_delta <= EXTENSION_RTOL * max(1.0, abs(candidate))
+    candidate = ratios[-1][1]
+    if len(ratios) >= 2:
+        last_delta = abs(ratios[-1][1] - ratios[-2][1])
+        converged = last_delta <= EXTENSION_RTOL * max(1.0, abs(candidate))
+    else:
+        last_delta = float("inf")
+        converged = False
 
     if converged and summable:
-        message = f"converged with |h_N - h_prev| = {last_delta:.3e}"
-    elif not summable:
+        return ExtensionParameterEstimate(
+            value=candidate, candidate=candidate, converged=True, summable=True,
+            last_delta=last_delta, skipped=tuple(skipped),
+            message=f"converged with |h_N - h_prev| = {last_delta:.3e}")
+    if not summable:
         message = ("no numerical limit: sum p_n(0)^2 + q_n(0)^2 does not "
                    "converge, so the extension parameter is undefined "
                    "(limit point suspected)")
     else:
         message = f"no numerical limit: ratios still move by {last_delta:.3e}"
     return ExtensionParameterEstimate(
-        value=candidate if converged and summable else None,
-        candidate=candidate, converged=converged, summable=summable,
+        value=None, candidate=candidate, converged=converged, summable=summable,
         last_delta=last_delta, skipped=tuple(skipped), message=message)

@@ -48,8 +48,16 @@ def test_sequence_values_keeps_a_list_of_ints_exact(values, dtype):
      "a_2 = (3+0j)"),
     (lambda: recover_from_response(np.array([1, 0, 2 + 0j, 0, 1]), 3),
      "r_0 = (1+0j)"),
+    # numpy's complex64 is no Python complex, yet as complex as one
+    (lambda: JacobiCoefficients.from_arrays(
+        np.array([1, .5 + .5j, 1], dtype=np.complex64), [0, 0, 0]).a_head(3),
+     "a_1 = (0.5+0.5j)"),
+    (lambda: JacobiCoefficients.from_arrays(
+        np.array([1, .5 + .5j, 1], dtype=np.complex64), [0, 0, 0]).a(1),
+     "a_1 = (0.5+0.5j)"),
 ], ids=["coefficient list", "data list", "list of zero imaginary parts",
-        "complex array of zero imaginary parts"])
+        "complex array of zero imaginary parts", "complex64 head",
+        "complex64 entry"])
 def test_a_list_and_an_array_name_the_same_complex_entry(read, message):
     # coefficients reach the check as a list, data as the reader's
     # ndarray; both name the first entry with a nonzero imaginary part,
