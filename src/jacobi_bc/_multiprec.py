@@ -163,28 +163,54 @@ def to_double(x, refusal: str = _BEYOND_DOUBLE, *names) -> float:
     return value
 
 
+def _root_floats(values: np.ndarray) -> np.ndarray:
+    """sqrt of the positive ``values`` as float64, the root taken before
+    a value leaves its arithmetic: an object value m 4^e gives sqrt(m)
+    2^e, with m in (1/4, 4) rounded once, so a root that float64 holds
+    is finite even where its square is not, and has the bits of
+    sqrt(float(value)) wherever both are normal floats.  A float array
+    takes np.sqrt."""
+    if values.dtype != object:
+        return np.sqrt(values)
+    roots, halves = [], []
+    for x in values.tolist():
+        vec = _read([x])
+        man, den = vec.re[0], vec.den
+        half = (man.bit_length() - den.bit_length() + vec.exp) // 2
+        up = vec.exp - 2 * half    # m = man 2^up / den
+        roots.append(math.sqrt((man << up) / den if up >= 0
+                               else man / (den << -up)))
+        halves.append(half)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(roots, halves)
+
+
 def lift(values, precision: PrecisionMode) -> np.ndarray:
     """``values``, read by ``core._read_array``, as a new array of the
     number type of ``precision``, never a view of ``values``.  DOUBLE
-    gives float64 (complex128 for complex input): a numeric array casts,
-    and each value of an object array enters by ``to_double``, as each
-    coefficient of the polynomial routes does, so those compute in float64
-    however a number is spelled; a value beyond float64 raises
-    ConditioningError.  EXTENDED gives an object array of mpf of the
-    private EXTENDED_DPS-digit context (see ``as_mpf``); RATIONAL an
-    object array of Fraction, where floats convert exactly and inexact
-    types such as mpf are refused with TypeError."""
+    gives float64 (complex128 for complex input): an array of a dtype
+    that casts to complex128 safely casts, and each value of any other
+    array (object, longdouble, clongdouble) enters by ``to_double``, a
+    complex one by its real and imaginary parts, as each coefficient of
+    the polynomial routes does, so those compute in float64 however a
+    number is spelled; a value beyond float64 raises ConditioningError.
+    EXTENDED gives an object array of mpf of the private
+    EXTENDED_DPS-digit context (see ``as_mpf``); RATIONAL an object array
+    of Fraction, where floats convert exactly and inexact types such as
+    mpf are refused with TypeError."""
     arr = _read_array(values)
     # tolist() turns numpy scalars into the Python numbers the converters
     # accept
     if precision is PrecisionMode.DOUBLE:
-        # a numeric array casts as numpy casts it: in range for every
-        # dtype but longdouble, whose values beyond float64 become +-inf
-        if arr.dtype != object:
+        if np.can_cast(arr.dtype, complex):    # every value in range
             return arr.astype(complex if np.iscomplexobj(arr) else float,
                               copy=arr is values or arr.base is not None)
-        return np.array([to_double(v) for v in arr.ravel().tolist()],
-                        dtype=float).reshape(arr.shape)
+        values = arr.ravel().tolist()
+        if any(map(_is_complex, values)):
+            return np.array([complex(to_double(v.real), to_double(v.imag))
+                             for v in values], complex).reshape(arr.shape)
+        return np.array([to_double(v) for v in values],
+                        float).reshape(arr.shape)
     out = np.empty(arr.shape, dtype=object)
     values = arr.ravel().tolist()
     if precision is PrecisionMode.RATIONAL:
@@ -214,8 +240,7 @@ def require_real(values, name: str, first: int = 0) -> np.ndarray:
     if arr.dtype.kind not in "cO":
         return arr
     entries = arr.tolist() if isinstance(values, np.ndarray) else list(values)
-    typed = [k for k, x in enumerate(entries)
-             if isinstance(x, (complex, np.complexfloating)) or _is_mpc(x)]
+    typed = [k for k, x in enumerate(entries) if _is_complex(x)]
     if not typed:
         return arr
     at = next((k for k in typed if entries[k].imag != 0), typed[0])
@@ -828,6 +853,12 @@ def _is_mpc(x) -> bool:
     return hasattr(x, "_mpc_")
 
 
+def _is_complex(x) -> bool:
+    """Whether x is of a complex type: a complex, numpy's included, or an
+    mpc."""
+    return isinstance(x, (complex, np.complexfloating)) or _is_mpc(x)
+
+
 def _site_sums(below, above, diag, u, k: int) -> list:
     """a_n u_{n+1} + a_{n-1} u_{n-1} + b_n u_n, n = 1..k, from the ints of
     a_{n-1}, a_n and b_n and one part ``u`` of a slice, site-indexed."""
@@ -934,49 +965,86 @@ def _eigen_mode(precision: PrecisionMode) -> PrecisionMode:
             else PrecisionMode.EXTENDED)
 
 
+def _data_pivots(nu, size: int, shift: int, precision: PrecisionMode):
+    """The verdict on data, taken as recovery takes it: Wheeler's rows on
+    ``nu`` in the arithmetic of ``precision`` (exact Fractions in
+    RATIONAL).  Returns (table, good, failed): the pivots of the blocks
+    1..good are positive, ``failed`` tells that pivot good is not (so
+    every later block has lambda_min <= 0, by interlacing; a row that
+    overflows stops the rows unfailed), and ``table`` is the
+    ``_orthonormal_table`` of their Q in the eigenvalue mode (0 if none)."""
+    pivots, alpha, beta = [], [], [0]
+    failed = False
+    try:
+        _wheeler_rows(_lifted_nu(nu, size, shift, precision), size, shift,
+                      pivots, alpha, beta)
+    except np.linalg.LinAlgError:
+        failed = True
+    except ConditioningError:
+        if not pivots:    # inf or NaN data, not a row that overflowed
+            raise
+    good, mode = len(pivots), _eigen_mode(precision)
+    return good and _orthonormal_table(
+        lift(alpha[:good - 1], mode),
+        lift(pivots[:1] + beta[1:good], mode) ** 0.5, shift), good, failed
+
+
 def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     """(smallest, largest) eigenvalue of every leading block
     matrix[:n, :n], n = 1..size, as float64, where ``matrix`` is the
     Hankel matrix of the moments ``nu`` (shift 0) or the corner-top
     connecting matrix of the response ``nu`` (shift 1).
 
-    Both are lifted as for ``sym_eigenvalues`` (float64, or mpf at
-    EXTENDED_DPS digits).  With A = matrix = L diag(d) L^T, Q =
-    diag(d)^-1/2 L^-1 comes from ``modified_chebyshev`` on ``nu``, with
-    no factorization: ``_orthonormal_table`` of its alpha_k and
-    sqrt(beta_k).  The smallest eigenvalues are read off Q as in
-    ``orthonormal_min_eigs``, and lambda_max(A_n) = ||A_n||.  A DOUBLE
-    matrix holding inf or NaN is refused with ConditioningError, and so
-    is an object ``nu`` holding one.  A pivot that is not positive, or a
-    float row that overflows, ends the recurrence: the blocks before it
-    are still read off Q, and every block from it on is eigen-solved by
-    itself, so negative eigenvalues are reported.
+    The verdict is the pivots' (``_data_pivots``), in the mode's own
+    arithmetic.  With A = matrix = L diag(d) L^T, Q = diag(d)^-1/2 L^-1
+    comes from the same run, with no factorization, and the smallest
+    eigenvalues are read off Q as in ``orthonormal_min_eigs``;
+    lambda_max(A_n) = ||A_n||, with A lifted as for ``sym_eigenvalues``
+    (float64, or mpf at EXTENDED_DPS digits).  A DOUBLE matrix holding
+    inf or NaN is refused with ConditioningError, and so is ``nu``
+    holding one.  A pivot that is not positive, or a float row that
+    overflows, ends the recurrence: the blocks before it are still read
+    off Q, and every block from it on is eigen-solved by itself.  A block
+    past a failed pivot reports an eigenvalue <= 0: its value clamped.
     """
-    mode = _eigen_mode(precision)
-    work = _finite(lift(matrix, mode))
+    work = _finite(lift(matrix, _eigen_mode(precision)))
     size = work.shape[0]
-    pivots, alpha, beta = [], [], [0]
-    try:
-        _wheeler_rows(_lifted_nu(nu, size, shift, mode), size, shift,
-                      pivots, alpha, beta)
-    except np.linalg.LinAlgError:
-        pass
-    except ConditioningError:
-        if not pivots:    # inf or NaN data, not a row that overflowed
-            raise
-    good = len(pivots)
+    table, good, failed = _data_pivots(nu, size, shift, precision)
     mins, maxs = np.empty(size), np.empty(size)
     if good:
-        root_beta = np.array(pivots[:1] + beta[1:good]) ** 0.5
-        mins[:good] = _min_eigs(_orthonormal_table(
-            np.array(alpha[:good - 1]), root_beta, shift))
+        mins[:good] = _min_eigs(table)
         a_top, a_exp = _leading_top_eigs(_frexp_table(work[:good, :good]))
         with np.errstate(over="ignore", under="ignore"):
             maxs[:good] = np.ldexp(a_top, a_exp)
     for n in range(good + 1, size + 1):
         mins[n - 1], maxs[n - 1] = sym_eigenvalues(matrix[:n, :n],
                                                    precision)[[0, -1]]
+    if failed:
+        mins[good:] = np.minimum(mins[good:], 0.0)
     return mins, maxs
+
+
+def _last_min_eig(matrix, nu, shift: int, precision: PrecisionMode) -> float:
+    """The last smallest eigenvalue of ``leading_eig_extremes`` alone:
+    1 / lambda_max(Q Q^T), one scaled LAPACK call, when every pivot is
+    positive, or else one eigen-solve of ``matrix``, clamped to <= 0.0
+    past a failed pivot.  ConditioningError where a double cannot hold
+    the value of a block the pivots accept (an overflowed float row of
+    Q, or a value below the range): never 0.0."""
+    table, good, failed = _data_pivots(nu, len(matrix), shift, precision)
+    if good < len(matrix):
+        value = float(sym_eigenvalues(matrix, precision)[0])
+        return min(value, 0.0) if failed else value
+    mant, exps = table
+    top = exps.max()
+    block = np.ldexp(_finite(mant), exps - top)
+    with np.errstate(over="ignore", under="ignore"):
+        value = float(np.ldexp(1 / _top_eigenvalue(block @ block.T),
+                               -2 * top))
+    if not value > 0:
+        raise ConditioningError("the pivots accept the block, but its "
+                                "smallest eigenvalue is below double range")
+    return value
 
 
 def _min_eigs(table) -> np.ndarray:
@@ -1092,33 +1160,28 @@ def pd_factor(matrix):
     (``np.linalg.cholesky``; L = C diag(C)^-1, d = diag(C)^2).  Object
     arrays of mpf or Fraction are factored in their own arithmetic, with
     no square root, so Fraction input stays exact; each pivot and entry
-    of L sums its products as ``dot`` does, so in EXTENDED it is rounded
-    once, on rows of L held as _Ints and grown by one entry per column.
+    of L sums its products by ``dot``, so in EXTENDED it is rounded once.
     Raises np.linalg.LinAlgError when the matrix is not positive
-    definite, and ConditioningError when a float array holds inf or NaN
-    or when one reaches an EXTENDED row product.
+    definite, and ConditioningError when it holds inf or NaN.
     """
     arr = np.asarray(matrix)
     if arr.dtype != object:
         chol = np.linalg.cholesky(_finite(arr))
         diag = np.diagonal(chol)
         return chol / diag, diag * diag
+    if _holds_extended(arr):    # Fractions are finite
+        _read(arr.ravel().tolist())    # inf or NaN: ConditioningError
     n = arr.shape[0]
     low = np.zeros((n, n), dtype=object)
     piv = np.empty(n, dtype=object)
-    rows = [_Ints([]) for _ in range(n)] if _holds_extended(arr) else None
     for j in range(n):
         scaled = low[j, :j] * piv[:j]     # L[j, k] d_k, once per column
-        sums = (dot(low[j:, :j], scaled) if rows is None
-                else _times(rows[j:], scaled))
+        sums = dot(low[j:, :j], scaled)
         piv[j] = arr[j, j] - sums[0]
         if not piv[j] > 0:
             raise np.linalg.LinAlgError(f"pivot {j} is not positive")
         low[j, j] = 1
         low[j + 1:, j] = (arr[j + 1:, j] - sums[1:]) / piv[j]
-        if rows is not None:
-            for row, x in zip(rows[j + 1:], low[j + 1:, j].tolist()):
-                row.extend([x])
     return low, piv
 
 

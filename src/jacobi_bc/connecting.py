@@ -26,12 +26,11 @@ from .core import (
     _data_head,
     _freeze_array,
     block_values,
-    sequence_values,
 )
 from .dynamics import _check_block_memory, control_operator
 from .moments import _transform_matrix
 from .spectral import chebyshev_all
-from ._multiprec import mode_of, pd_factor, require_real, sym_eigenvalues
+from ._multiprec import _last_min_eig, mode_of, pd_factor
 
 __all__ = [
     "ConnectingMatrix",
@@ -92,9 +91,6 @@ class ConnectingMatrix:
             return True
         except np.linalg.LinAlgError:
             return False
-
-    def min_eigenvalue(self, precision: PrecisionMode = PrecisionMode.DOUBLE) -> float:
-        return float(sym_eigenvalues(self.matrix, precision)[0])
 
 
 def connecting_from_response(r, size: int) -> ConnectingMatrix:
@@ -191,13 +187,14 @@ class ResponseValidation:
 
 def validate_response(r, size: int,
                       precision: PrecisionMode = PrecisionMode.DOUBLE) -> ResponseValidation:
-    """Whether r_0..r_{2N-2} is the response of some genuine system.
-
-    True exactly when the connecting matrix C_N is positive definite; the
-    verdict and its certificate come from the same eigen-solve: the
-    smallest eigenvalue must be positive.
+    """Whether r_0..r_{2N-2} is the response of some genuine system:
+    whether C_N is positive definite, by the signs of its LDL^T pivots,
+    Wheeler's rows on r in the mode's own arithmetic, as recovery runs
+    them.  The certificate comes from the same run
+    (``_multiprec._last_min_eig``): lambda_min(C_N) read off Q, or one
+    eigen-solve of C_N, which past a failed pivot reports a value <= 0.
     """
-    require_real(sequence_values(r), "r")
-    certificate = connecting_from_response(r, size).min_eigenvalue(precision)
+    certificate = _last_min_eig(connecting_from_response(r, size).matrix, r,
+                                1, precision)
     return ResponseValidation(accepted=certificate > 0,
                               min_eigenvalue=certificate)

@@ -37,7 +37,7 @@ from .core import (
 )
 from .dynamics import response_vector
 from .moments import moments_to_response
-from ._multiprec import modified_chebyshev, pivot_floor
+from ._multiprec import _root_floats, modified_chebyshev, pivot_floor
 
 __all__ = ["RecoveryResult", "recover_from_response", "recover_from_moments"]
 
@@ -77,12 +77,15 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
     nu_l = int pi_l dmu, by ``_multiprec.modified_chebyshev`` (shift 1:
     responses, 0: moments).
 
-    b_{k+1} = alpha_k and a_k = sqrt(sigma_kk / sigma_{k-1,k-1}).  Raises
+    b_{k+1} = alpha_k and a_k = sqrt(beta_k), beta_k = sigma_kk /
+    sigma_{k-1,k-1}, rooted before it leaves the mode's arithmetic
+    (``_multiprec._root_floats``): an a_k that float64 holds is finite
+    even where beta_k is beyond float64.  Raises
     ConditioningError on an overflowed row (before its pivot is tested)
     or a pivot ratio below the mode's floor, ``failure`` on a pivot <= 0.
     """
     try:
-        piv, alpha, _ = modified_chebyshev(nu, horizon, shift, precision)
+        piv, alpha, beta = modified_chebyshev(nu, horizon, shift, precision)
     except np.linalg.LinAlgError as exc:
         kind = "a response vector" if shift else "a moment sequence"
         raise failure(f"not {kind}: {exc} at {precision.value} precision; "
@@ -94,8 +97,8 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
         raise ConditioningError(
             f"pivot ratio {pivot_ratios[worst]:.3e} at index {worst} is below "
             f"{pivot_floor(precision):g}; use extended precision")
-    return (np.sqrt(_as_floats(piv[1:] / piv[:-1])).tolist(),
-            _as_floats(alpha).tolist(), piv)
+    return (_root_floats(beta[1:]).tolist(), _as_floats(alpha).tolist(),
+            piv)
 
 
 def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult:

@@ -191,8 +191,9 @@ def hankel_min_eigs(s, n_max: int,
     """Smallest eigenvalue of S_N for N = 1..n_max.
 
     All of them are read off one recurrence on s (see
-    ``leading_eig_extremes``); a block that is not positive definite
-    reports its negative eigenvalue.  A ConditioningWarning is emitted
+    ``leading_eig_extremes``), whose pivots, in the mode's arithmetic,
+    decide which blocks are positive definite; a block past a failed
+    pivot reports an eigenvalue <= 0.  A ConditioningWarning is emitted
     once the value drops below the noise floor of the mode (for double
     precision 1e3 * eps * ||S_N||); extended precision is recommended
     past that point (Hankel blocks of genuine moment sequences are
@@ -227,7 +228,10 @@ def hankel_positivity(s, n_max: int,
 
     A moment problem is solvable by a positive measure exactly when every
     leading block is positive definite; the report gives the first N
-    where that fails, if any.
+    where that fails, if any.  The verdict is the pivots' of Wheeler's
+    rows on s, in the mode's own arithmetic (exact Fractions in
+    RATIONAL), as recovery takes it: a block past a failed pivot reports
+    an eigenvalue <= 0 (see ``hankel_min_eigs``).
     """
     eigs = hankel_min_eigs(s, n_max, precision)
     bad = np.flatnonzero(eigs <= 0)

@@ -160,10 +160,10 @@ class TestRecoverFromMoments:
             recover_from_moments(s, 3, PrecisionMode.EXTENDED)
 
     def test_nan_gap_fails_the_cross_check(self):
-        # a_1 = 1e200 is beyond float64 squared: both paths give a_1 = inf,
-        # and inf - inf is a NaN gap, which must not pass as agreement
+        # a_1 = 1e400 is beyond float64: both paths give a_1 = inf, and
+        # inf - inf is a NaN gap, which must not pass as agreement
         with pytest.raises(JacobiBCError, match="disagree by nan"):
-            recover_from_moments([1, 0, 10 ** 400], 2, PrecisionMode.EXTENDED)
+            recover_from_moments([1, 0, 10 ** 800], 2, PrecisionMode.EXTENDED)
 
 
 class TestFactorization:
@@ -241,12 +241,14 @@ def test_catalan_moments_recover_exactly_in_rational(horizon):
     assert rec.residual == 0.0
 
 
-def test_an_exact_coefficient_beyond_float64_leaves_as_inf():
-    # a_8 = 10^160 of geometric(10^20) has the pivot ratio 10^320: RATIONAL
-    # raised OverflowError, where EXTENDED gave inf with residual inf
+def test_a_coefficient_whose_square_leaves_float64_keeps_its_float():
+    # a_8 = 10^160 of geometric(10^20) has the pivot ratio beta_8 = 10^320,
+    # beyond float64: the root is taken before beta_k leaves the mode, so
+    # a_8..a_11 = 10^160..10^220 come back as floats, not inf; the
+    # re-simulated response overflows, so the residual stays inf
     r = response_vector(JacobiCoefficients.geometric(10 ** 20), 23,
                         PrecisionMode.RATIONAL)
-    want = [10.0 ** (20 * k) for k in range(1, 8)] + [math.inf] * 4
+    want = [float(10 ** (20 * k)) for k in range(1, 12)]
     for precision in (PrecisionMode.EXTENDED, PrecisionMode.RATIONAL):
         rec = recover_from_response(r, 12, precision)
         assert rec.a.tolist() == want and rec.b.tolist() == [0.0] * 11

@@ -456,6 +456,9 @@ def test_public_functions_have_a_caller_or_a_reason():
 BACKEND_UNCALLED = {
     "as_mpf": "one value as an mpf of the EXTENDED context; the tests "
               "convert with it, and perfbench leaves it untraced by name",
+    "sym_eigenvalues": "the one full eigen-solve, which the backend takes "
+                       "past a failed pivot; the tests' reference, and "
+                       "perfbench keys it by name",
 }
 
 
@@ -507,6 +510,40 @@ def test_backend_functions_have_a_caller_outside_or_a_reason():
         f"{sorted(uncalled - set(BACKEND_UNCALLED))}"
     assert set(BACKEND_UNCALLED) <= uncalled, \
         f"stale entries: {sorted(set(BACKEND_UNCALLED) - uncalled)}"
+
+
+# Response and moment data are judged by the signs of Wheeler's pivots,
+# in the backend (``_data_pivots``); a full eigen-solve is the backend's
+# own step past a failed pivot, so no other module judges a block by one.
+def _eigen_solvers(sources):
+    """The modules of ``sources`` ({module name: source}) other than
+    ``_multiprec.py`` that call ``sym_eigenvalues``, by name or as an
+    attribute; an import or a string does not call."""
+    return sorted(
+        name for name, source in sources.items() if name != "_multiprec.py"
+        and any(isinstance(node, ast.Call) and "sym_eigenvalues" in
+                (getattr(node.func, "id", None),
+                 getattr(node.func, "attr", None))
+                for node in ast.walk(ast.parse(source))))
+
+
+def test_scan_catches_an_eigen_solve_outside_the_backend():
+    sources = {
+        "_multiprec.py": "def last(m, p):\n    return sym_eigenvalues(m, p)\n",
+        "connecting.py": "def least(self, p):\n"
+                         "    return float(sym_eigenvalues(self.matrix, p)[0])\n",
+        "moments.py": "def lowest(m, p):\n"
+                      "    return _multiprec.sym_eigenvalues(m, p)[0]\n",
+        "determinacy.py": "from ._multiprec import sym_eigenvalues\n"
+                          "KEY = ('multiprec', 'sym_eigenvalues')\n",
+    }
+    assert _eigen_solvers(sources) == ["connecting.py", "moments.py"]
+
+
+def test_only_the_backend_eigen_solves():
+    hits = _eigen_solvers({path.name: path.read_text()
+                           for path in PACKAGE.glob("*.py")})
+    assert not hits, hits
 
 
 # ``core`` reads every control (``_read_control``) and every response or

@@ -343,6 +343,40 @@ def test_double_keeps_a_float_inf_and_rounds_an_int_once():
     assert got.tolist() == [math.inf, float(3 ** 40)]
 
 
+def test_double_enters_a_complex_entry_by_its_parts():
+    # an object array holding a complex raised a bare TypeError
+    co = JacobiCoefficients.from_arrays([1, 1, 1], [0, 0, 0])
+    got = solve_finite(co, 3, [2 ** 60 + 1, 1j], 3).values
+    want = solve_finite(co, 3, [float(2 ** 60 + 1), 1j], 3).values
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+    lifted = lift([Fraction(1, 3), mpmath.mpc(0.5, -2 ** 70)],
+                  PrecisionMode.DOUBLE)
+    assert lifted.dtype == complex
+    assert lifted.tolist() == [1 / 3, complex(0.5, -2.0 ** 70)]
+    with pytest.raises(ConditioningError, match="exceeds double precision"):
+        lift([1, mpmath.mpc(1, mpmath.mpf("1e400"))], PrecisionMode.DOUBLE)
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+def test_double_refuses_a_long_double_beyond_float64(dtype):
+    # a cast made it inf with only numpy's RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError,
+                           match="exceeds double precision"):
+            lift(np.array([dtype("1e400")]), PrecisionMode.DOUBLE)
+        got = lift(np.array([dtype("0.1"), dtype(3)]), PrecisionMode.DOUBLE)
+    assert got.dtype == (complex if dtype is np.clongdouble else float)
+    assert got.tolist() == [float(np.longdouble("0.1")), 3.0]
+
+
+def test_double_casts_float_and_complex_arrays_as_they_are():
+    floats = np.random.default_rng(2).normal(size=7) * 1e300
+    for arr in (floats, floats + 1j * floats[::-1]):
+        lifted = lift(arr, PrecisionMode.DOUBLE)
+        assert lifted.dtype == arr.dtype and lifted.tobytes() == arr.tobytes()
+
+
 def test_double_lift_copies_once_and_never_aliases():
     values = [float(k) for k in range(2048)]
     lift(values, PrecisionMode.DOUBLE)      # a first call may allocate more
@@ -1401,6 +1435,15 @@ def test_extended_factor_sums_each_entry_once():
     rebuilt = (low * piv) @ low.T
     scale = max(abs(x) for x in block.flat)
     assert max(abs(x) for x in (rebuilt - block).flat) <= 1e-45 * scale
+
+
+@pytest.mark.parametrize("at", [(1, 1), (1, 0)])
+def test_extended_factor_refuses_inf(at):
+    # wherever the mpf inf sits, it is refused, not read as a pivot
+    block = lift([[1, 0.5], [0.5, 2]], EXTENDED)
+    block[at] = block[at[::-1]] = mpmath.mpf("inf")
+    with pytest.raises(ConditioningError, match="inf or NaN"):
+        pd_factor(block)
 
 
 # -- the solves on the integer form against the fdot sweeps ---------------
