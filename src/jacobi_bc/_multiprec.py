@@ -80,8 +80,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import (ComplexDataError, ConditioningError, PrecisionMode,
-                   _as_float, _data_head, _read_array, _to_fraction,
-                   sequence_values)
+                   _as_float, _data_head, _python_number, _read_array,
+                   _to_fraction, sequence_values)
 
 EXTENDED_DPS = 50
 
@@ -131,18 +131,23 @@ def as_mpf(x):
     """x as an mpf (mpc when complex) of the EXTENDED context: floats and
     complex convert exactly, ints and Fractions round once to nearest at
     EXTENDED_DPS digits, and an mpf or mpc of any context keeps its
-    mantissa."""
+    mantissa.  A numpy scalar enters as the number it holds
+    (``core._python_number``), a complex one by its two parts; any other
+    type raises TypeError, as in RATIONAL."""
+    x = _python_number(x)
     if isinstance(x, (int, float)):
         return _EXTENDED.mpf(x)
     if isinstance(x, Fraction):
         return _EXTENDED.make_mpf(_round(x.numerator, 0, x.denominator))
     if isinstance(x, complex):
         return _EXTENDED.mpc(x)
+    if isinstance(x, np.complexfloating):    # complex64, clongdouble
+        return _EXTENDED.mpc(as_mpf(x.real), as_mpf(x.imag))
     if hasattr(x, "_mpf_"):
         return _EXTENDED.make_mpf(x._mpf_)
     if hasattr(x, "_mpc_"):
         return _EXTENDED.make_mpc(x._mpc_)
-    return _EXTENDED.mpf(float(x))
+    raise TypeError(f"cannot use {type(x).__name__} value in extended mode")
 
 
 _BEYOND_DOUBLE = ("a value exceeds double precision (about 1.8e308); use "
@@ -965,15 +970,26 @@ def _eigen_mode(precision: PrecisionMode) -> PrecisionMode:
             else PrecisionMode.EXTENDED)
 
 
-def _data_pivots(nu, size: int, shift: int, precision: PrecisionMode):
-    """The verdict on data, taken as recovery takes it: Wheeler's rows on
-    ``nu`` in the arithmetic of ``precision`` (exact Fractions in
-    RATIONAL).  Returns (table, good, failed): the pivots of the blocks
-    1..good are positive, ``failed`` tells that pivot good is not (so
-    every later block has lambda_min <= 0, by interlacing; a row that
-    overflows stops the rows unfailed), and ``table`` is the
-    ``_orthonormal_table`` of their Q in the eigenvalue mode (0 if none)."""
-    pivots, alpha, beta = [], [], [0]
+def _data_eigs(matrix, nu, shift: int, precision: PrecisionMode, first: int):
+    """(mins, maxs, good) for the leading blocks n = first..size of the
+    Hankel (shift 0) or connecting (shift 1) ``matrix`` of the data ``nu``,
+    entry n - first for block n.  The verdict is taken as recovery takes
+    it: Wheeler's rows on ``nu`` in the arithmetic of ``precision`` (exact
+    Fractions in RATIONAL), whose pivots of the blocks 1..good are
+    positive; the rows stop at a pivot that is not (``failed``) or at a
+    row that overflows.  Each block is read by one of two steps:
+
+    * a block the pivots accept: lambda_min off Q = diag(d)^-1/2 L^-1,
+      for A = matrix = L diag(d) L^T, from the same run with no
+      factorization (``_min_eigs`` of the ``_orthonormal_table`` in the
+      eigenvalue mode); a value float64 cannot hold, from an overflowed
+      float row of Q or below the float range, raises ConditioningError.
+      Its ``maxs`` entry is left to the caller;
+    * a block the pivots did not read: both extremes from
+      ``sym_eigenvalues``, lambda_min clamped to <= 0.0 past a failed
+      pivot (every such block has lambda_min <= 0, by interlacing).
+    """
+    size, pivots, alpha, beta = len(matrix), [], [], [0]
     failed = False
     try:
         _wheeler_rows(_lifted_nu(nu, size, shift, precision), size, shift,
@@ -984,9 +1000,25 @@ def _data_pivots(nu, size: int, shift: int, precision: PrecisionMode):
         if not pivots:    # inf or NaN data, not a row that overflowed
             raise
     good, mode = len(pivots), _eigen_mode(precision)
-    return good and _orthonormal_table(
-        lift(alpha[:good - 1], mode),
-        lift(pivots[:1] + beta[1:good], mode) ** 0.5, shift), good, failed
+    mins, maxs = np.empty((2, size - first + 1))
+    if good >= first:
+        table = _orthonormal_table(
+            lift(alpha[:good - 1], mode),
+            lift(pivots[:1] + beta[1:good], mode) ** 0.5, shift)
+        read = _min_eigs(table, first)
+        if not (read > 0).all():
+            _finite(table[0])    # an overflowed float row of Q
+            raise ConditioningError("the pivots accept the block, but its "
+                                    "smallest eigenvalue is below double "
+                                    "range")
+        mins[:read.size] = read
+    start = max(good + 1, first)    # the first block the pivots did not read
+    for n in range(start, size + 1):
+        mins[n - first], maxs[n - first] = sym_eigenvalues(matrix[:n, :n],
+                                                           precision)[[0, -1]]
+    if failed:
+        mins[start - first:] = np.minimum(mins[start - first:], 0.0)
+    return mins, maxs, good
 
 
 def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
@@ -995,66 +1027,46 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     Hankel matrix of the moments ``nu`` (shift 0) or the corner-top
     connecting matrix of the response ``nu`` (shift 1).
 
-    The verdict is the pivots' (``_data_pivots``), in the mode's own
-    arithmetic.  With A = matrix = L diag(d) L^T, Q = diag(d)^-1/2 L^-1
-    comes from the same run, with no factorization, and the smallest
-    eigenvalues are read off Q as in ``orthonormal_min_eigs``;
+    The smallest eigenvalues are ``_data_eigs`` from block 1, the one
+    reader that ``_last_min_eig`` runs from the last block: a block the
+    pivots accept reports a value > 0 or raises ConditioningError, never
+    0.0, and a block past a failed pivot reports a value <= 0.
     lambda_max(A_n) = ||A_n||, with A lifted as for ``sym_eigenvalues``
-    (float64, or mpf at EXTENDED_DPS digits).  A DOUBLE matrix holding
-    inf or NaN is refused with ConditioningError, and so is ``nu``
-    holding one.  A pivot that is not positive, or a float row that
-    overflows, ends the recurrence: the blocks before it are still read
-    off Q, and every block from it on is eigen-solved by itself.  A block
-    past a failed pivot reports an eigenvalue <= 0: its value clamped.
+    (float64, or mpf at EXTENDED_DPS digits), comes from
+    ``_leading_top_eigs`` for the blocks the pivots accept and from the
+    eigen-solve of each other block.  A DOUBLE matrix holding inf or NaN
+    is refused with ConditioningError, and so is ``nu`` holding one.
     """
     work = _finite(lift(matrix, _eigen_mode(precision)))
-    size = work.shape[0]
-    table, good, failed = _data_pivots(nu, size, shift, precision)
-    mins, maxs = np.empty(size), np.empty(size)
+    mins, maxs, good = _data_eigs(matrix, nu, shift, precision, 1)
     if good:
-        mins[:good] = _min_eigs(table)
         a_top, a_exp = _leading_top_eigs(_frexp_table(work[:good, :good]))
         with np.errstate(over="ignore", under="ignore"):
             maxs[:good] = np.ldexp(a_top, a_exp)
-    for n in range(good + 1, size + 1):
-        mins[n - 1], maxs[n - 1] = sym_eigenvalues(matrix[:n, :n],
-                                                   precision)[[0, -1]]
-    if failed:
-        mins[good:] = np.minimum(mins[good:], 0.0)
     return mins, maxs
 
 
 def _last_min_eig(matrix, nu, shift: int, precision: PrecisionMode) -> float:
-    """The last smallest eigenvalue of ``leading_eig_extremes`` alone:
-    1 / lambda_max(Q Q^T), one scaled LAPACK call, when every pivot is
-    positive, or else one eigen-solve of ``matrix``, clamped to <= 0.0
-    past a failed pivot.  ConditioningError where a double cannot hold
-    the value of a block the pivots accept (an overflowed float row of
-    Q, or a value below the range): never 0.0."""
-    table, good, failed = _data_pivots(nu, len(matrix), shift, precision)
-    if good < len(matrix):
-        value = float(sym_eigenvalues(matrix, precision)[0])
-        return min(value, 0.0) if failed else value
-    mant, exps = table
-    top = exps.max()
-    block = np.ldexp(_finite(mant), exps - top)
-    with np.errstate(over="ignore", under="ignore"):
-        value = float(np.ldexp(1 / _top_eigenvalue(block @ block.T),
-                               -2 * top))
-    if not value > 0:
-        raise ConditioningError("the pivots accept the block, but its "
-                                "smallest eigenvalue is below double range")
-    return value
+    """The smallest eigenvalue of ``matrix`` as ``leading_eig_extremes``
+    reports it for its last block, bit for bit: ``_data_eigs`` from that
+    block alone, which is one LAPACK call when the pivots accept it, and
+    one eigen-solve of ``matrix`` when they do not.  A value > 0 or
+    ConditioningError where the pivots accept the block, never 0.0; a
+    value <= 0 past a failed pivot."""
+    return float(_data_eigs(matrix, nu, shift, precision, len(matrix))[0][0])
 
 
-def _min_eigs(table) -> np.ndarray:
-    """lambda_min(A_n) = 1 / lambda_max(Q_n Q_n^T) for every leading
-    block, where A_n^-1 = Q_n^T Q_n, from the frexp table of Q: a
-    well-conditioned largest eigenvalue per block, which keeps the
+def _min_eigs(table, first: int = 1) -> np.ndarray:
+    """lambda_min(A_n) = 1 / lambda_max(Q_n Q_n^T) for the leading blocks
+    n = first..size, where A_n^-1 = Q_n^T Q_n, from the frexp table of Q:
+    a well-conditioned largest eigenvalue per block, which keeps the
     relative accuracy of the tiny eigenvalues of graded matrices where a
     QR-type eigensolver loses it.  A block holding inf or NaN gives 0.0:
-    an entry past 1.8e308 puts lambda below 1 / 1.8e308^2."""
-    top, exp = _leading_top_eigs(table, gram=True)
+    an entry past 1.8e308 puts lambda below 1 / 1.8e308^2.  That is the
+    value of a coefficient table (``orthonormal_min_eigs``); the data
+    reader, ``_data_eigs``, refuses such a block, and one whose value
+    underflows, with ConditioningError."""
+    top, exp = _leading_top_eigs(table, gram=True, first=first)
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(1 / top, -exp)
 
@@ -1121,9 +1133,9 @@ def _frexp_table(arr):
     return mant, np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
 
 
-def _leading_top_eigs(table, gram=False):
+def _leading_top_eigs(table, gram=False, first: int = 1):
     """Largest eigenvalue of B_n = arr[:n, :n] (of B_n B_n^T when
-    ``gram``) for n = 1..columns, as (values, exponents) with lambda =
+    ``gram``) for n = first..columns, as (values, exponents) with lambda =
     ldexp(value, exponent), from the frexp table (mantissas, exponents)
     of arr (``_frexp_table`` or ``_orthonormal_table``).  A ``gram`` array may
     have fewer rows than columns; its B_n then keeps all of them.
@@ -1144,13 +1156,13 @@ def _leading_top_eigs(table, gram=False):
 
     top = per_block(exps, np.maximum)
     finite = np.count_nonzero(per_block(np.isfinite(mant), np.minimum))
-    values = np.full(cols, np.inf)
-    for n in range(1, finite + 1):
+    values = np.full(cols - first + 1, np.inf)
+    for n in range(first, finite + 1):
         block = np.ldexp(mant[:n, :n], exps[:n, :n] - top[n - 1])
         if gram:
             block = block @ block.T
-        values[n - 1] = _top_eigenvalue(block)
-    return values, top * (2 if gram else 1)
+        values[n - first] = _top_eigenvalue(block)
+    return values, top[first - 1:] * (2 if gram else 1)
 
 
 def pd_factor(matrix):

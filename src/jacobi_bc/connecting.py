@@ -23,8 +23,8 @@ from .core import (
     JacobiCoefficients,
     PrecisionMode,
     SpectralData,
+    _BlockMixin,
     _data_head,
-    _freeze_array,
     block_values,
 )
 from .dynamics import _check_block_memory, control_operator
@@ -69,19 +69,11 @@ def _lower_product(x: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConnectingMatrix:
+class ConnectingMatrix(_BlockMixin):
     """Symmetric corner-top connecting-operator block C_T."""
 
     matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = _freeze_array(self, "matrix", self.matrix)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("connecting matrix must be square")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    _kind = "connecting matrix"
 
     def is_positive_definite(self) -> bool:
         """Whether L diag(d) L^T factors the matrix in its own arithmetic
@@ -191,8 +183,11 @@ def validate_response(r, size: int,
     whether C_N is positive definite, by the signs of its LDL^T pivots,
     Wheeler's rows on r in the mode's own arithmetic, as recovery runs
     them.  The certificate comes from the same run
-    (``_multiprec._last_min_eig``): lambda_min(C_N) read off Q, or one
-    eigen-solve of C_N, which past a failed pivot reports a value <= 0.
+    (``_multiprec._last_min_eig``), the last value of
+    ``connecting_eig_sequences`` bit for bit: where the pivots accept
+    C_N, lambda_min(C_N) > 0 read off Q, or ConditioningError where a
+    double cannot hold it, never 0.0; past a failed pivot, one
+    eigen-solve of C_N, which reports a value <= 0.
     """
     certificate = _last_min_eig(connecting_from_response(r, size).matrix, r,
                                 1, precision)

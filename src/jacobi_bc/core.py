@@ -173,7 +173,20 @@ def _as_floats(values: np.ndarray) -> np.ndarray:
         return np.vectorize(_as_float, otypes=[float])(values)
 
 
+def _python_number(x):
+    """A real numpy scalar as the Python number that holds its value: an
+    integer as an int, a finite floating value (longdouble's included)
+    as the Fraction of its integer ratio, inf or NaN as a float; any
+    other value as it is."""
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
+        return Fraction(*x.as_integer_ratio()) if np.isfinite(x) else float(x)
+    return x
+
+
 def _to_fraction(x) -> Fraction:
+    x = _python_number(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, float)):
@@ -399,6 +412,20 @@ def _freeze_array(obj, name: str, raw, dtype=None) -> np.ndarray:
         arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
+
+
+class _BlockMixin:
+    """A frozen square block ``matrix``, which ``_kind`` names when it
+    is not square."""
+
+    def __post_init__(self):
+        arr = _freeze_array(self, "matrix", self.matrix)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"{self._kind} must be square")
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
 
 
 class _SequenceMixin:

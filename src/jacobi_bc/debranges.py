@@ -107,6 +107,18 @@ def _krein_rhs(horizon: int, z, precision: PrecisionMode) -> np.ndarray:
     return np.conj(np.array(chebyshev_all(horizon, solve_scalar(z, precision))))
 
 
+def _block_solve(block, rhs, precision: PrecisionMode, refusal):
+    """(x, residual, T) of ``mp_pd_solve`` on the T x T ``block`` (read
+    by ``block_values``), lifted to ``precision``, against rhs(T); a block
+    that is not positive definite raises the error ``refusal``."""
+    mat = block_values(block)
+    try:
+        return (*mp_pd_solve(lift(mat, precision), rhs(mat.shape[0])),
+                mat.shape[0])
+    except np.linalg.LinAlgError as exc:
+        raise refusal from exc
+
+
 def krein_solve(connecting, z: complex,
                 precision: PrecisionMode = PrecisionMode.DOUBLE) -> KreinSolution:
     """Solve C_T j = conj(T_1(z), ..., T_T(z)) for a connecting block.
@@ -117,15 +129,11 @@ def krein_solve(connecting, z: complex,
     residual is below 1e-10 (ConditioningError when that stalls); badly
     conditioned blocks can go through extended precision instead.
     """
-    mat = block_values(connecting)
-    horizon = mat.shape[0]
-    try:
-        x, residual = mp_pd_solve(lift(mat, precision),
-                                  _krein_rhs(horizon, z, precision))
-    except np.linalg.LinAlgError as exc:
-        raise NotAResponseVectorError(
+    x, residual, horizon = _block_solve(
+        connecting, lambda t: _krein_rhs(t, z, precision), precision,
+        NotAResponseVectorError(
             "connecting matrix is not positive definite, so the data does "
-            "not come from a genuine response vector") from exc
+            "not come from a genuine response vector"))
     return KreinSolution(values=x, z=complex(z), horizon=horizon,
                          residual=residual)
 
@@ -138,15 +146,11 @@ def krein_solve_hankel(hankel, z: complex,
     kernel and relates to the connecting-side solution by f =
     transform^T j (tested, not assumed).
     """
-    smat = block_values(hankel)
-    horizon = smat.shape[0]
-    rhs = np.conj(solve_scalar(z, precision) ** np.arange(horizon))
-    try:
-        return mp_pd_solve(lift(smat, precision), rhs)[0]
-    except np.linalg.LinAlgError as exc:
-        raise NotAMomentSequenceError(
+    return _block_solve(
+        hankel, lambda t: np.conj(solve_scalar(z, precision) ** np.arange(t)),
+        precision, NotAMomentSequenceError(
             "Hankel matrix is not positive definite, so the data are not "
-            "the moments of a positive measure") from exc
+            "the moments of a positive measure"))[0]
 
 
 def kernel_finite(source, z: complex, lam, horizon: int | None = None,

@@ -106,9 +106,13 @@ def connecting_eig_sequences(r, t_max: int,
     """(beta_T, gamma_T) = (min eig(C_T), max eig(C_T)) for T = 1..t_max.
 
     One recurrence on r gives beta and one build of C_{t_max} gives
-    gamma for every nested block (see ``leading_eig_extremes``); asserts
-    beta non-increasing and gamma non-decreasing (the corner-top blocks
-    are nested, so eigenvalues interlace) up to the noise floor.
+    gamma for every nested block (see ``leading_eig_extremes``): a block
+    the pivots accept reports a beta > 0, or raises ConditioningError
+    where a double cannot hold it, never 0.0, and a block past a failed
+    pivot reports a beta <= 0; ``validate_response`` certifies with the
+    last beta, bit for bit.  Asserts beta non-increasing and gamma
+    non-decreasing (the corner-top blocks are nested, so eigenvalues
+    interlace) up to the noise floor.
     """
     beta, gamma = leading_eig_extremes(
         connecting_from_response(r, t_max).matrix, r, 1, precision)

@@ -72,10 +72,9 @@ class RecoveryResult:
 
 def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
                 failure: type[JacobiBCError]):
-    """a_1..a_{T-1}, b_1..b_{T-1} (floats, +-inf beyond float64) and the
-    pivots sigma_kk (in the arithmetic of ``precision``) off the array
-    nu_l = int pi_l dmu, by ``_multiprec.modified_chebyshev`` (shift 1:
-    responses, 0: moments).
+    """a_1..a_{T-1}, b_1..b_{T-1} (floats, +-inf beyond float64) off the
+    array nu_l = int pi_l dmu, by ``_multiprec.modified_chebyshev``
+    (shift 1: responses, 0: moments).
 
     b_{k+1} = alpha_k and a_k = sqrt(beta_k), beta_k = sigma_kk /
     sigma_{k-1,k-1}, rooted before it leaves the mode's arithmetic
@@ -97,8 +96,7 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
         raise ConditioningError(
             f"pivot ratio {pivot_ratios[worst]:.3e} at index {worst} is below "
             f"{pivot_floor(precision):g}; use extended precision")
-    return (_root_floats(beta[1:]).tolist(), _as_floats(alpha).tolist(),
-            piv)
+    return _root_floats(beta[1:]).tolist(), _as_floats(alpha).tolist()
 
 
 def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult:
@@ -125,8 +123,8 @@ def recover_from_response(r, horizon: int,
     """Coefficients from r_0..r_{2T-2}, the modified moments of the
     U_l(x/2) basis; a non-positive pivot, one of C_T, means r is the
     response of no genuine system.  Complex data raise ComplexDataError."""
-    a_rec, b_rec, _ = _recurrence(r, horizon, 1, precision,
-                                  NotAResponseVectorError)
+    a_rec, b_rec = _recurrence(r, horizon, 1, precision,
+                               NotAResponseVectorError)
     return _result(a_rec, b_rec, r, horizon, "BoundaryControl", precision)
 
 
@@ -139,11 +137,11 @@ def recover_from_moments(s, horizon: int,
     independent recovery, and the two must agree within 1e-8.  Complex
     data raise ComplexDataError.
     """
-    a_rec, b_rec, _ = _recurrence(s, horizon, 0, precision,
-                                  NotAMomentSequenceError)
+    a_rec, b_rec = _recurrence(s, horizon, 0, precision,
+                               NotAMomentSequenceError)
     converted = moments_to_response(s[:2 * horizon - 1], precision).as_array()
-    a_cross, b_cross, _ = _recurrence(converted, horizon, 1, precision,
-                                      NotAResponseVectorError)
+    a_cross, b_cross = _recurrence(converted, horizon, 1, precision,
+                                   NotAResponseVectorError)
     with np.errstate(invalid="ignore"):    # inf - inf: a NaN gap fails
         gap = np.max(np.abs(np.array(a_rec + b_rec)
                             - np.array(a_cross + b_cross)), initial=0.0)

@@ -23,6 +23,7 @@ from .core import (
     MomentSequence,
     PrecisionMode,
     ResponseVector,
+    _BlockMixin,
     _data_head,
     _freeze_array,
     sequence_values,
@@ -45,23 +46,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HankelMatrix:
+class HankelMatrix(_BlockMixin):
     """Matrix with constant anti-diagonals: entry (i, j) = s_{i+j}."""
 
     matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = _freeze_array(self, "matrix", self.matrix)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("Hankel matrix must be square")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    _kind = "Hankel matrix"
 
 
 @dataclass(frozen=True)
-class ChebyshevTransform:
+class ChebyshevTransform(_BlockMixin):
     """Unit lower-triangular integer matrix of T_k monomial coefficients.
 
     Row i (0-based) holds the coefficients of T_{i+1} in the monomial
@@ -71,13 +64,7 @@ class ChebyshevTransform:
     """
 
     matrix: np.ndarray
-
-    def __post_init__(self):
-        _freeze_array(self, "matrix", self.matrix)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    _kind = "Chebyshev transform"
 
 
 def build_hankel(s, size: int) -> HankelMatrix:
@@ -192,8 +179,10 @@ def hankel_min_eigs(s, n_max: int,
 
     All of them are read off one recurrence on s (see
     ``leading_eig_extremes``), whose pivots, in the mode's arithmetic,
-    decide which blocks are positive definite; a block past a failed
-    pivot reports an eigenvalue <= 0.  A ConditioningWarning is emitted
+    decide which blocks are positive definite: a block the pivots accept
+    reports an eigenvalue > 0, or raises ConditioningError where a double
+    cannot hold it, never 0.0, and a block past a failed pivot reports
+    an eigenvalue <= 0.  A ConditioningWarning is emitted
     once the value drops below the noise floor of the mode (for double
     precision 1e3 * eps * ||S_N||); extended precision is recommended
     past that point (Hankel blocks of genuine moment sequences are
@@ -230,8 +219,10 @@ def hankel_positivity(s, n_max: int,
     leading block is positive definite; the report gives the first N
     where that fails, if any.  The verdict is the pivots' of Wheeler's
     rows on s, in the mode's own arithmetic (exact Fractions in
-    RATIONAL), as recovery takes it: a block past a failed pivot reports
-    an eigenvalue <= 0 (see ``hankel_min_eigs``).
+    RATIONAL), as recovery takes it: a block the pivots accept reports
+    an eigenvalue > 0, or raises ConditioningError where a double cannot
+    hold it, never 0.0, and a block past a failed pivot reports an
+    eigenvalue <= 0 (see ``hankel_min_eigs``).
     """
     eigs = hankel_min_eigs(s, n_max, precision)
     bad = np.flatnonzero(eigs <= 0)

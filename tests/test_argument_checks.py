@@ -7,13 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from jacobi_bc import (BoundaryControl, ConnectingMatrix, HankelMatrix,
-                       JacobiCoefficients, SpectralData, build_hankel,
-                       chebyshev_transform, circle_bound_connecting,
-                       circle_bound_hankel, connecting_from_hankel,
-                       connecting_from_response, connecting_from_spectrum,
-                       eval_chebyshev, extension_parameter, fourier_image,
-                       hermite_biehler, kernel_finite, materialize_matrix,
+from jacobi_bc import (BoundaryControl, ChebyshevTransform, ConnectingMatrix,
+                       HankelMatrix, JacobiCoefficients, SpectralData,
+                       build_hankel, chebyshev_transform,
+                       circle_bound_connecting, circle_bound_hankel,
+                       connecting_from_hankel, connecting_from_response,
+                       connecting_from_spectrum, eval_chebyshev,
+                       extension_parameter, fourier_image, hermite_biehler,
+                       kernel_finite, materialize_matrix,
                        recover_from_response, response_vector, scalar_product,
                        solve_finite)
 from jacobi_bc.spectral import chebyshev_all, eval_p_all
@@ -48,6 +49,8 @@ TWO_NODES = SpectralData([-1.0, 1.0], [0.5, 0.5])
      ValueError, "connecting matrix must be square"),
     (lambda: HankelMatrix(np.zeros((2, 3))),
      ValueError, "Hankel matrix must be square"),
+    (lambda: ChebyshevTransform(np.zeros(3)),
+     ValueError, "Chebyshev transform must be square"),
     (lambda: connecting_from_response([1.0], 0),
      ValueError, "size must be >= 1"),
     (lambda: connecting_from_spectrum(TWO_NODES, 0),
@@ -80,7 +83,8 @@ TWO_NODES = SpectralData([-1.0, 1.0], [0.5, 0.5])
         "impulse-horizon", "coefficients-one-array",
         "coefficients-arrays-and-rules", "coefficients-no-a0",
         "coefficients-one-rule", "spectral-data-shapes",
-        "connecting-not-square", "hankel-not-square", "connecting-size",
+        "connecting-not-square", "hankel-not-square",
+        "transform-not-square", "connecting-size",
         "spectrum-size", "hankel-size", "transform-size",
         "hankel-block-too-small", "kernel-no-horizon", "kernel-method",
         "scalar-product-shapes", "hermite-biehler-horizon",

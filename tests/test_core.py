@@ -143,6 +143,12 @@ class TestValidate:
         assert not report.valid
         assert any("a_0 convention" in msg for msg in report.issues)
 
+    @pytest.mark.parametrize("a0", [float("nan"), float("inf")])
+    def test_nonfinite_a0(self, a0):
+        report = validate_coefficients(
+            JacobiCoefficients.from_arrays([a0, 1.0], [0.0, 0.0]))
+        assert report.issues == ("a_0 is not finite",)
+
     def test_nonfinite_entry(self):
         report = validate_coefficients(
             JacobiCoefficients.from_arrays([1.0, float("inf")], [0.0, 0.0]))

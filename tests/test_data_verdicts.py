@@ -14,10 +14,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jacobi_bc import (
     ConditioningError,
     ConditioningWarning,
+    JacobiBCError,
     JacobiCoefficients,
     NotAMomentSequenceError,
     NotAResponseVectorError,
@@ -179,6 +181,104 @@ def test_a_certificate_below_the_double_range_raises():
     recover_from_response(r, 20, RATIONAL)
     with pytest.raises(ConditioningError, match="pivots accept the block"):
         validate_response(r, 20, RATIONAL)
+
+
+def _geometric_tenth(size):
+    """The exact response and moments of geometric(1/10) read to T = size:
+    at T = 19 and 20 the pivots accept C_T and S_T, whose smallest
+    eigenvalues lie below the double range."""
+    r = response_vector(JacobiCoefficients.geometric(Fraction(1, 10)),
+                        2 * size - 1, RATIONAL).as_array()
+    return size, r, response_to_moments(r, RATIONAL).as_array()
+
+
+@pytest.mark.parametrize("size", [18, 19, 20])
+def test_every_reader_refuses_a_block_below_the_double_range(size):
+    # the parent's hankel_positivity reported solvable=False at 19 and 20
+    # from an underflowed 0.0, and the sequences read 0.0 there, where
+    # exact recovery and the pivots accept the data
+    horizon, r, s = _geometric_tenth(size)
+    recover_from_response(r, horizon, RATIONAL)
+    recover_from_moments(s, horizon, RATIONAL)
+    readers = (lambda: validate_response(r, horizon, RATIONAL).min_eigenvalue,
+               lambda: hankel_positivity(s, horizon, RATIONAL).solvable,
+               lambda: hankel_min_eigs(s, horizon, RATIONAL)[-1],
+               lambda: connecting_eig_sequences(r, horizon, RATIONAL)[0][-1])
+    with warnings.catch_warnings():    # lambda_18 lies below the floor
+        warnings.simplefilter("ignore", ConditioningWarning)
+        for reader in readers:
+            if size == 18:
+                assert reader() > 0
+            else:
+                with pytest.raises(ConditioningError,
+                                   match="pivots accept the block, but its "
+                                         "smallest eigenvalue is below"):
+                    reader()
+
+
+def _outcome(call):
+    """The float that ``call`` returns, as its hex digits, or the type
+    and message of the error it raises."""
+    try:
+        return float(call()).hex()
+    except JacobiBCError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _moments_verdict(s, horizon, precision):
+    """Recovery's verdict on the moments: False on a pivot that is not
+    positive, None where recovery raises anything else."""
+    try:
+        recover_from_moments(s, horizon, precision)
+    except NotAMomentSequenceError:
+        return False
+    except JacobiBCError:
+        return None
+    return True
+
+
+@st.composite
+def _eighths_data(draw):
+    """The exact response and moments of a family of size n = 2..12 on the
+    1/8 grid, a_k in [1/2, 2] and b_k in [-1, 1], read to T = 1..2n."""
+    n = draw(st.integers(2, 12))
+
+    def eighths(low, high, count):
+        return draw(st.lists(st.integers(low, high).map(
+            lambda k: Fraction(k, 8)), min_size=count, max_size=count))
+
+    coeffs = JacobiCoefficients.from_arrays([1] + eighths(4, 16, n - 1),
+                                            eighths(-8, 8, n))
+    horizon = draw(st.integers(1, 2 * n))
+    r = response_vector(coeffs, 2 * horizon - 1, RATIONAL).as_array()
+    return horizon, r, response_to_moments(r, RATIONAL).as_array()
+
+
+@settings(max_examples=20)
+@given(data=_eighths_data())
+@example(data=_geometric_tenth(18))
+@example(data=_geometric_tenth(19))
+@example(data=_geometric_tenth(20))
+def test_the_certificate_and_the_verdicts_have_one_reader(data):
+    # validation reads the last block of the sequences' own computation,
+    # and hankel_positivity judges the moments as recovery does
+    horizon, r, s = data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        for precision in PrecisionMode:
+            certificate = _outcome(lambda: validate_response(
+                r, horizon, precision).min_eigenvalue)
+            assert certificate == _outcome(lambda: connecting_eig_sequences(
+                r, horizon, precision)[0][-1]), precision
+            try:
+                solvable = hankel_positivity(s, horizon, precision).solvable
+            except JacobiBCError:
+                continue
+            # rounding to the mode moves the pivots (geometric(1/10) fails
+            # pivot 5 in DOUBLE and 8 in EXTENDED), so the oracle is
+            # recovery in the same mode: exact recovery in RATIONAL
+            verdict = _moments_verdict(s, horizon, precision)
+            assert verdict is None or solvable is verdict, precision
 
 
 def test_an_overflowed_double_row_of_q_raises(monkeypatch):

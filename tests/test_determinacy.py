@@ -211,6 +211,17 @@ class TestClassify:
         report = classify(FREE, 1)
         assert report.verdict is Verdict.INCONCLUSIVE
 
+    def test_conflicting_signals_are_noted(self):
+        # free up to a_10, so C_T = I and gamma_T = 1 for T <= 6, and
+        # a_n = 4^n past it, so the deficiency sums converge
+        coeffs = JacobiCoefficients.from_rules(
+            lambda n: 1 if n <= 10 else 4 ** n, lambda n: 0)
+        report = classify(coeffs, 6)
+        assert list(report.gamma_seq) == [1.0] * 6
+        assert report.lambda_seq[-1] > 1e-2
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert "conflicting signals; raise n_max or precision" in report.notes
+
     def test_report_serializes(self, tmp_path):
         # the CLI writes the report; the package itself knows no file format
         coeffs = tmp_path / "free.json"

@@ -29,8 +29,7 @@ from jacobi_bc import (
     validate_response,
 )
 
-from jacobi_bc._multiprec import lift, pd_factor
-from jacobi_bc.inverse import _recurrence
+from jacobi_bc._multiprec import lift, modified_chebyshev, pd_factor
 
 from conftest import random_coefficients, semicircle_moments
 
@@ -306,8 +305,8 @@ class TestMatrixOracle:
     def test_rational_pivots_are_ldl_pivots(self, size):
         r, s, c_top, hankel = _exact_data(size)
         for data, shift, matrix in ((r, 1, c_top), (s, 0, hankel)):
-            _, _, piv = _recurrence(data, size, shift, PrecisionMode.RATIONAL,
-                                    NotAResponseVectorError)
+            piv, _, _ = modified_chebyshev(data, size, shift,
+                                           PrecisionMode.RATIONAL)
             _, ldl = pd_factor(lift(matrix, PrecisionMode.RATIONAL))
             assert all(type(x) is Fraction for x in piv)
             assert list(piv) == list(ldl)

@@ -25,6 +25,8 @@ coefficients: the accessors of ``JacobiCoefficients`` refuse a complex
 one, and no other module checks a coefficient with ``require_real``.  A
 value enters float64 by ``_multiprec.to_double`` and a result leaves it
 by ``core._as_float``: no other module casts with ``.astype(float)``.
+A smallest eigenvalue is read off Q by one scaled LAPACK loop:
+``_top_eigenvalue`` has one caller, ``_leading_top_eigs``.
 """
 
 import ast
@@ -513,7 +515,7 @@ def test_backend_functions_have_a_caller_outside_or_a_reason():
 
 
 # Response and moment data are judged by the signs of Wheeler's pivots,
-# in the backend (``_data_pivots``); a full eigen-solve is the backend's
+# in the backend (``_data_eigs``); a full eigen-solve is the backend's
 # own step past a failed pivot, so no other module judges a block by one.
 def _eigen_solvers(sources):
     """The modules of ``sources`` ({module name: source}) other than
@@ -544,6 +546,62 @@ def test_only_the_backend_eigen_solves():
     hits = _eigen_solvers({path.name: path.read_text()
                            for path in PACKAGE.glob("*.py")})
     assert not hits, hits
+
+
+# A smallest eigenvalue is read off Q by one scaled LAPACK loop,
+# ``_leading_top_eigs``, which the eigenvalue sequences and validation
+# both run: no second scaled solve grows back beside it.
+def _callers(function, sources):
+    """The top-level functions (methods as Class.method) of ``sources``
+    ({module name: source}) whose body calls ``function``, by name or as
+    an attribute, as ``module:caller``."""
+    found = set()
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            if isinstance(top, ast.FunctionDef):
+                defs = [(top.name, top)]
+            elif isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{item.name}", item) for item in top.body
+                        if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            found |= {f"{name}:{owner}" for owner, node in defs
+                      if any(isinstance(call, ast.Call) and function in
+                             (getattr(call.func, "id", None),
+                              getattr(call.func, "attr", None))
+                             for call in ast.walk(node))}
+    return found
+
+
+def test_scan_catches_a_second_caller_of_the_top_eigenvalue():
+    sources = {"_multiprec.py": '''
+def _leading_top_eigs(table, gram=False):
+    def per_block(entries):
+        return entries
+    return [_top_eigenvalue(block) for block in per_block(table)]
+
+def _last_min_eig(matrix, nu, shift, precision):
+    block = np.ldexp(mant, exps - top)
+    return np.ldexp(1 / _top_eigenvalue(block @ block.T), -2 * top)
+
+def _top_eigenvalue(block):
+    return np.linalg.eigvalsh(block)[-1]
+
+KEY = "_top_eigenvalue"
+''', "moments.py": '''
+class Reader:
+    def top(self, block):
+        return _multiprec._top_eigenvalue(block)
+'''}
+    assert _callers("_top_eigenvalue", sources) == {
+        "_multiprec.py:_leading_top_eigs", "_multiprec.py:_last_min_eig",
+        "moments.py:Reader.top"}
+
+
+def test_the_top_eigenvalue_has_one_caller():
+    callers = _callers("_top_eigenvalue", {
+        path.name: path.read_text() for path in PACKAGE.glob("*.py")})
+    assert callers == {"_multiprec.py:_leading_top_eigs"}, callers
 
 
 # ``core`` reads every control (``_read_control``) and every response or

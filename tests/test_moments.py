@@ -62,6 +62,9 @@ def _bits(arr):
 
 
 class TestHankel:
+    def test_size(self):
+        assert build_hankel(semicircle_moments(7), 4).size == 4
+
     def test_semicircle_two(self):
         assert np.array_equal(build_hankel([1, 0, 1], 2).matrix,
                               [[1, 0], [0, 1]])
@@ -86,6 +89,9 @@ class TestHankel:
 
 
 class TestChebyshevTransform:
+    def test_size(self):
+        assert chebyshev_transform(5).size == 5
+
     def test_order_three(self):
         assert np.array_equal(chebyshev_transform(3).matrix.astype(int),
                               [[1, 0, 0], [0, 1, 0], [-1, 0, 1]])

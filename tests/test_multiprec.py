@@ -38,6 +38,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -414,6 +415,21 @@ def test_lift_rehomes_a_caller_mpf_with_its_mantissa():
 @example(value=Fraction(1, 3 * 10 ** 400))
 def test_as_mpf_rounds_a_fraction_once(value):
     assert as_mpf(value)._mpf_ == _rounded_once(value)
+
+
+def test_as_mpf_keeps_the_mantissa_of_an_mpc_of_another_context():
+    value = mpmath.mpc(mpmath.mpf(1) / 3, -2)
+    got = as_mpf(value)
+    assert type(got) is _multiprec._MPC and got._mpc_ == value._mpc_
+
+
+@pytest.mark.parametrize("value", ["1.5", Decimal("0.1"), None])
+def test_as_mpf_refuses_a_type_it_does_not_read(value):
+    # RATIONAL refuses the same values
+    with pytest.raises(TypeError, match="in extended mode"):
+        as_mpf(value)
+    with pytest.raises(TypeError, match="in rational mode"):
+        lift(np.array([value], dtype=object), RATIONAL)
 
 
 def test_extended_lifts_complex_controls():

@@ -21,16 +21,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jacobi_bc import (BoundaryControl, ConnectingMatrix, HankelMatrix,
-                       JacobiCoefficients, MomentSequence, PrecisionMode,
-                       ResponseVector, apply_response, build_hankel,
-                       connecting_eig_sequences, control_operator,
-                       connecting_from_hankel, connecting_from_response,
-                       hankel_min_eigs, kernel_finite, krein_solve,
-                       krein_solve_hankel, moments_to_response,
-                       recover_from_moments, recover_from_response,
-                       response_to_moments, response_vector, scalar_product,
-                       solve_finite, validate_response)
+from jacobi_bc import (BoundaryControl, ConditioningError, ConnectingMatrix,
+                       HankelMatrix, JacobiCoefficients, MomentSequence,
+                       PrecisionMode, ResponseVector, apply_response,
+                       build_hankel, connecting_eig_sequences,
+                       control_operator, connecting_from_hankel,
+                       connecting_from_response, hankel_min_eigs,
+                       kernel_finite, krein_solve, krein_solve_hankel,
+                       moments_to_response, recover_from_moments,
+                       recover_from_response, response_to_moments,
+                       response_vector, scalar_product, solve_finite,
+                       validate_response)
 
 from conftest import semicircle_moments
 
@@ -155,6 +156,88 @@ def test_data_routes_read_every_spelling_alike(data, pick):
                                        route(d, mode))
              for name, route in routes.items() for mode in PrecisionMode},
             spellings)
+
+
+def _numpy_spellings(values):
+    """The list; an object ndarray of numpy scalars, np.int64 for an int
+    in its range and np.longdouble for any other value; and a longdouble
+    ndarray.  The list alone where a longdouble cannot hold every value
+    exactly."""
+    longs = [np.longdouble(x.numerator) / x.denominator
+             for x in map(Fraction, values)]
+    if any(Fraction(*h.as_integer_ratio()) != x
+           for h, x in zip(longs, values)):
+        return {"list": list(values)}
+    scalars = [np.int64(x) if type(x) is int and abs(x) < 2 ** 63 else h
+               for x, h in zip(values, longs)]
+    return {"list": list(values),
+            "numpy scalars": np.array(scalars, dtype=object),
+            "longdouble ndarray": np.array(longs, dtype=np.longdouble)}
+
+
+@settings(max_examples=12)
+@given(data=EXACT_DATA)
+@example(data=_catalan(36))
+@example(data=_catalan(37))
+@example(data=_catalan(38))
+def test_numpy_scalars_enter_as_the_numbers_they_hold(data):
+    # the parent read an np.int64 or a longdouble of an object array into
+    # EXTENDED through float64, and refused them in RATIONAL
+    horizon, r, s = data
+    for values, routes in (
+            (r, {"recover_from_response": lambda d, p: recover_from_response(
+                     d, horizon, p),
+                 "connecting_eig_sequences": lambda d, p:
+                     connecting_eig_sequences(d, horizon, p),
+                 "validate_response": lambda d, p: validate_response(
+                     d, horizon, p),
+                 "response_to_moments": response_to_moments}),
+            (s, {"recover_from_moments": lambda d, p: recover_from_moments(
+                     d, horizon, p),
+                 "hankel_min_eigs": lambda d, p: hankel_min_eigs(
+                     d, horizon, p),
+                 "moments_to_response": moments_to_response})):
+        _assert_same_for_every_spelling(
+            {f"{name} {mode.value}": (lambda d, route=route, mode=mode:
+                                       route(d, mode))
+             for name, route in routes.items() for mode in PrecisionMode},
+            _numpy_spellings(values))
+
+
+def test_a_longdouble_beyond_double_is_kept_exactly():
+    # 1/3 as a longdouble is 12297829382473034411 / 2^65; times 2^1100 it
+    # lies past 1.8e308 and keeps all 64 of its bits
+    third = np.longdouble(1) / 3
+    value = third * np.longdouble(2) ** 1100
+    exact = 12297829382473034411 * 2 ** 1035
+    assert Fraction(*third.as_integer_ratio()) == Fraction(
+        12297829382473034411, 2 ** 65)
+    for spelling in (np.array([value]), np.array([value], dtype=object)):
+        moments = response_to_moments(spelling, RATIONAL).values
+        assert moments.tolist() == [exact]
+        moments = response_to_moments(spelling, PrecisionMode.EXTENDED).values
+        assert moments[0]._mpf_ == (0, 12297829382473034411, 1035, 64)
+        with pytest.raises(ConditioningError, match="exceeds double"):
+            response_to_moments(spelling, PrecisionMode.DOUBLE)
+
+
+def test_a_complex_numpy_control_keeps_its_imaginary_part():
+    # the parent dropped the imaginary parts of a clongdouble control in
+    # EXTENDED, with a ComplexWarning only
+    coeffs = JacobiCoefficients.from_arrays([1, .5, .5], [0, 0, 0])
+    control = [1 + 2j, .5j]
+    extended = PrecisionMode.EXTENDED
+    want = _canon(solve_finite(coeffs, 3, control, 2, extended))
+    for dtype in (np.complex64, np.clongdouble):
+        spelled = np.array(control, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _canon(solve_finite(coeffs, 3, spelled, 2, extended)) == want
+        with pytest.raises(TypeError, match="in rational mode"):
+            solve_finite(coeffs, 3, spelled, 2, RATIONAL)
+    field = solve_finite(coeffs, 3, np.array(control, np.clongdouble), 2,
+                         extended).values
+    assert complex(field[0, 1]) == 1 + 2j
 
 
 @settings(max_examples=6)
