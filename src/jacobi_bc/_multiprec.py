@@ -43,7 +43,10 @@ some value is an mpc.  ``_read`` takes numbers into it exactly;
 for the canonical Fractions, EXTENDED by rounding to nearest so that the
 smallest nonzero int keeps _ROW_BITS bits, the precision and 64 guard
 bits; ``_emitted`` gives back Fractions, mpf or mpc rounded once, or
-frexp fields.  An EXTENDED value so keeps 64 bits more than an mpf and
+frexp fields.  A sweep whose field only feeds an eigenvalue table
+(``gram_max_eigs``) emits each cell as ``_frexp_fields``, rounded once
+to EXTENDED and then to float64, the bits of its mpf with no Fraction
+or mpf made.  An EXTENDED value so keeps 64 bits more than an mpf and
 is rounded once where mpf arithmetic rounds at every step, but the ints
 span the exponent range of the vector, which has no bound for mpf
 values, and so does the cost.  A sum of ``dot`` is rounded once where
@@ -61,11 +64,15 @@ lock and runs once, since a second context would make a second pair of
 mpf types, whose values ``mode_of`` and ``dot`` would not take for
 EXTENDED ones.  Before it, ``_EXTENDED`` is a stand-in, _OWN_TYPES is
 empty, and ``_MPF``, ``_MPC``, ``_ROW_BITS``, ``normalize``,
-``round_nearest`` and ``fzero`` are None.  No other gate is needed: a
-value of the context exists only after the load, and every object path
-reads an attribute of ``_EXTENDED`` (``as_mpf``, ``_read`` through
-``convert``, ``solve_scalar``, ``_emitted`` for mpf) before it uses one
-of those names.
+``round_nearest``, ``from_float`` and ``fzero`` are None.  No other gate
+is needed: a value of the context exists only after the load, and every
+object path reads an attribute of ``_EXTENDED`` (``as_mpf``, whose float
+branch reads ``make_mpf`` before it calls ``from_float``, ``_read``
+through ``convert``, ``solve_scalar``, ``_emitted`` for mpf, and
+``_round``, which reads the precision first) before it uses one of
+those names.  So RATIONAL work loads mpmath at its first rounding to
+EXTENDED, such as the first ``_frexp_fields`` of its gamma, and not
+before.
 """
 
 from __future__ import annotations
@@ -97,7 +104,8 @@ class _Unloaded:
 _EXTENDED = _Unloaded()
 # Bound with the context by ``_load_extended``; no value is of _OWN_TYPES
 # before it runs.
-_MPF = _MPC = fzero = normalize = round_nearest = _ROW_BITS = None
+_MPF = _MPC = fzero = from_float = normalize = round_nearest = None
+_ROW_BITS = None
 _OWN_TYPES = ()
 _LOAD_LOCK = threading.Lock()
 
@@ -106,11 +114,12 @@ def _load_extended():
     """The EXTENDED context at EXTENDED_DPS digits, imported and built by
     the first call and kept: one per process (see the module docstring)."""
     global _EXTENDED, _MPF, _MPC, _OWN_TYPES, _ROW_BITS
-    global fzero, normalize, round_nearest
+    global fzero, from_float, normalize, round_nearest
     with _LOAD_LOCK:
         if isinstance(_EXTENDED, _Unloaded):
             from mpmath import MPContext
-            from mpmath.libmp import fzero, normalize, round_nearest
+            from mpmath.libmp import (fzero, from_float, normalize,
+                                      round_nearest)
             context = MPContext()
             context.dps = EXTENDED_DPS
             _MPF, _MPC = context.mpf, context.mpc
@@ -129,13 +138,17 @@ _REFINE_STEPS = 5
 
 def as_mpf(x):
     """x as an mpf (mpc when complex) of the EXTENDED context: floats and
-    complex convert exactly, ints and Fractions round once to nearest at
-    EXTENDED_DPS digits, and an mpf or mpc of any context keeps its
-    mantissa.  A numpy scalar enters as the number it holds
-    (``core._python_number``), a complex one by its two parts; any other
-    type raises TypeError, as in RATIONAL."""
+    complex convert exactly, a float straight from its fields
+    (``from_float``, where ``mpf(x)`` arrives after its argument
+    dispatch), ints and Fractions round once to nearest at EXTENDED_DPS
+    digits, and an mpf or mpc of any context keeps its mantissa.  A
+    numpy scalar enters as the number it holds (``core._python_number``),
+    a complex one by its two parts; any other type raises TypeError, as
+    in RATIONAL."""
     x = _python_number(x)
-    if isinstance(x, (int, float)):
+    if isinstance(x, float):
+        return _EXTENDED.make_mpf(from_float(x))
+    if isinstance(x, int):
         return _EXTENDED.mpf(x)
     if isinstance(x, Fraction):
         return _EXTENDED.make_mpf(_round(x.numerator, 0, x.denominator))
@@ -590,15 +603,15 @@ def _round(man: int, exp: int, den: int = 1):
     """The mpf fields of man / den * 2^exp rounded to nearest once.  A den
     > 1 is divided out with a sticky bit for the remainder, which rounds
     as the exact quotient does."""
+    prec = _EXTENDED.prec    # first: it loads the context of the names below
     if den != 1:
         quo, rem, extra = _quotient(man, den)
         quo = quo << 1 | (rem != 0)
         man, exp = -quo if man < 0 else quo, exp - extra - 1
     if man < 0:
-        return normalize(1, -man, exp, (-man).bit_length(), _EXTENDED.prec,
+        return normalize(1, -man, exp, (-man).bit_length(), prec,
                          round_nearest)
-    return normalize(0, man, exp, man.bit_length(), _EXTENDED.prec,
-                     round_nearest)
+    return normalize(0, man, exp, man.bit_length(), prec, round_nearest)
 
 
 def _emitted(vec: _Ints, kind, zero=None, mpc: int = -1) -> list:
@@ -622,6 +635,23 @@ def _emitted(vec: _Ints, kind, zero=None, mpc: int = -1) -> list:
             if mpc >> k & 1 else make_mpf(_round(x, exp, den))
             if x or zero is None else zero
             for k, (x, y) in enumerate(zip(re, vec.im))]
+
+
+def _frexp_fields(vec: _Ints) -> list:
+    """The frexp fields (``_frexp_table``'s) of the real values of
+    ``vec``: each rounded once to EXTENDED (``_round``), its mantissa then
+    rounded to float64, the two roundings by which ``_frexp_table`` reads
+    the mpf of ``_emitted`` or of ``as_mpf`` of a Fraction, with no mpf
+    made; (0.0, _ZERO_EXP) for a zero."""
+    exp, den, fields = vec.exp or 0, vec.den, []
+    for x in vec.re:
+        if x:
+            sign, man, at, bits = _round(x, exp, den)
+            fields.append((math.ldexp(-man if sign else man, -bits),
+                           at + bits))
+        else:
+            fields.append((0.0, _ZERO_EXP))
+    return fields
 
 
 def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
@@ -694,14 +724,15 @@ def _ratio(n: int, d: int, e: int, kind):
 _WIDTH_QUANTUM = 64
 
 
-def forward_sweep(ctrl, a, b, out: np.ndarray) -> None:
-    """The forward sweep of ``dynamics``: u_{n,t+1} into out[n-1, t] for
-    the watched sites n = 1..len(out) and t < len(ctrl), from the lifted
-    control, a_0..a_{N-1} and b_1..b_N of the sites n = 1..N = len(a).
-    The site N + 1 is identically zero: the causality cone for the
-    semi-infinite system, the Dirichlet wall for the finite one.  Float
-    values run ``_float_sweep``, object values ``_integer_sweep``; step t
-    of either updates the sites 1..``_cone_width``."""
+def forward_sweep(ctrl, a, b, out) -> None:
+    """The forward sweep of ``dynamics`` and ``gram_max_eigs``: u_{n,t+1}
+    into out[n-1, t] for the watched sites n = 1..len(out) and t <
+    len(ctrl), from the lifted control, a_0..a_{N-1} and b_1..b_N of the
+    sites n = 1..N = len(a).  The site N + 1 is identically zero: the
+    causality cone for the semi-infinite system, the Dirichlet wall for
+    the finite one.  Float values run ``_float_sweep``, object values
+    ``_integer_sweep``, whose ``out`` may be a frexp table; step t of
+    either updates the sites 1..``_cone_width``."""
     sweep = _integer_sweep if a.dtype == object else _float_sweep
     sweep(ctrl, a, b, out)
 
@@ -806,8 +837,15 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
     cell is an mpc exactly where mpmath's one-expression step makes one,
     where an mpc control value reaches it (a bit mask per slice).  Sites
     the wave has not reached hold the mode's zero.
+
+    ``out`` may instead be a frexp table (mantissas, exponents), a
+    float64 and an int64 array whose zero cells the caller has set: each
+    cell of a real control's field is then written as its
+    ``_frexp_fields``, with no Fraction or mpf made.
     """
-    n_space, horizon, watched = len(a), len(ctrl), len(out)
+    table = isinstance(out, tuple)
+    n_space, horizon = len(a), len(ctrl)
+    watched = len(out[0] if table else out)
     kind = Fraction if mode_of(a) is PrecisionMode.RATIONAL else _MPF
     zero = kind(0)
     a, b, ctrl = a.tolist() + [zero], b.tolist(), ctrl.tolist()
@@ -823,7 +861,8 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
     # and the mpc mask
     slices = [[[0] * (n_space + 2) for _ in range(parts)] for _ in range(2)]
     scales, masks = [(1, 0), (1, 0)], [0, 0]
-    out[...] = zero
+    if not table:
+        out[...] = zero
     for t in range(horizon):
         k = _cone_width(t, n_space, watched, horizon)
         i = t & 1
@@ -851,7 +890,10 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
             near = masks[i] | masks[i] << 1 | masks[i] >> 1 | ctrl_mpc[t] << 1
             masks[1 - i] = (near | masks[1 - i]) & (2 << k) - 2
         m = min(k, watched)
-        out[:m, t] = _emitted(vec[:m], kind, zero, masks[1 - i] >> 1)
+        if table:
+            out[0][:m, t], out[1][:m, t] = zip(*_frexp_fields(vec[:m]))
+        else:
+            out[:m, t] = _emitted(vec[:m], kind, zero, masks[1 - i] >> 1)
 
 
 def _is_mpc(x) -> bool:
@@ -1085,19 +1127,33 @@ def orthonormal_min_eigs(a, b, shift: int,
     return _min_eigs(_orthonormal_table(lift(b, mode), lift(a, mode), shift))
 
 
-def gram_max_eigs(upper, precision: PrecisionMode) -> np.ndarray:
-    """lambda_max(W_n^T W_n), W_n = upper[:, :n], for n = 1..columns, as
-    float64: the largest eigenvalue of every leading block of C = W^T W,
-    without forming C, for a W with W[i, j] = 0 for i > j, such as the
-    control operator W_T (with fewer rows than columns for a finite
-    family).  W_n^T W_n then shares its nonzero eigenvalues with
-    B_n B_n^T, B_n = upper[:n, :n].
+def gram_max_eigs(a, b, n_max: int, precision: PrecisionMode) -> np.ndarray:
+    """lambda_max(C_T) = ||W_T||^2 for T = 1..n_max, as float64, for the
+    size-n system of a_0..a_{n-1} and b_1..b_n with its Dirichlet wall,
+    without forming C_T = W_T^T W_T or the wave field.  W = W_{n_max}
+    holds u_{m,t} of the impulse control for m = 1..n and t = 1..n_max
+    (fewer rows than columns when n < n_max); W[i, j] = 0 for i > j, so
+    W_T^T W_T shares its nonzero eigenvalues with B_T B_T^T, B_T =
+    W[:T, :T].
 
-    The entries are lifted as for ``sym_eigenvalues``.  A float block
-    holding inf or NaN, and a value beyond float64, gives inf.
+    The one forward sweep runs in the arithmetic of ``precision`` and
+    hands ``_leading_top_eigs`` the frexp table of W: ``np.frexp`` of the
+    float64 field in DOUBLE, and in the object modes each cell as its
+    ``_frexp_fields``, the bits ``_frexp_table`` reads off the same field
+    lifted to EXTENDED, with no Fraction or mpf cell made.  A DOUBLE cell
+    that overflowed to inf or NaN, and a value beyond float64, gives inf.
     """
-    top, exp = _leading_top_eigs(
-        _frexp_table(lift(upper, _eigen_mode(precision))), gram=True)
+    ctrl = np.repeat(lift([1, 0], precision), [1, n_max - 1])    # the impulse
+    a, b = lift(a, precision), lift(b, precision)
+    shape = len(a), n_max
+    if a.dtype == object:
+        table = np.zeros(shape), np.full(shape, _ZERO_EXP)
+        forward_sweep(ctrl, a, b, table)
+    else:
+        field = np.empty(shape)
+        forward_sweep(ctrl, a, b, field)
+        table = _frexp_table(field)
+    top, exp = _leading_top_eigs(table, gram=True)
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(top, exp)
 

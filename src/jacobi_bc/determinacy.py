@@ -18,10 +18,11 @@ it takes as a sign of the limit-point case when it stabilizes.
 S_N and C_T are Gram matrices of the spectral measure in the bases x^l
 and U_l(x/2), whose orthonormal-polynomial tables follow from a_n and
 b_n by the three-term recurrence, and gamma_T = ||W_T||^2 for the
-simulated control operator, since C_T = W_T^T W_T.  No response, moment
-or Gram matrix is formed, so DOUBLE needs no noise floor and stays
-finite where the moments would overflow; it agrees with EXTENDED.  Data
-input (a response or moments) takes ``connecting_eig_sequences`` and
+control operator, which the forward sweep yields cell by cell, since
+C_T = W_T^T W_T.  No response, moment, Gram matrix or wave field is
+formed, so DOUBLE needs no noise floor and stays finite where the
+moments would overflow; it agrees with EXTENDED.  Data input (a
+response or moments) takes ``connecting_eig_sequences`` and
 ``moments.hankel_min_eigs``.  The circle bounds sum |p_n(z)|^2 over their
 quadrature nodes as the recurrence yields each p_n and keep only the
 last partial sums the truncation rule reads, so no depth x nodes table
@@ -71,11 +72,11 @@ from .core import (
     PrecisionMode,
 )
 from .connecting import connecting_from_response
-from .dynamics import solve_finite
+from .dynamics import _check_field_memory
 from .spectral import (TAIL_WINDOW, _recurrence, eval_p_all, eval_q_all,
                        relative_tail)
-from ._multiprec import (gram_max_eigs, leading_eig_extremes, noise_floor,
-                         orthonormal_min_eigs)
+from ._multiprec import (gram_max_eigs, leading_eig_extremes, lift,
+                         noise_floor, orthonormal_min_eigs)
 
 __all__ = [
     "Verdict",
@@ -275,19 +276,22 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     * Inconclusive otherwise, and always for n_max < 4.
 
     lambda_N and beta_T come from ``orthonormal_min_eigs`` on a_0..a_{N-1}
-    and b_1..b_{N-1}, gamma_T from ``gram_max_eigs`` on the impulse field
-    W_T; in DOUBLE a block past an overflowed entry gives lambda = beta
-    = 0.0 and gamma = inf.  A finite family of size n has an n-atom
-    measure, so lambda_N = beta_N = 0.0 for N > n, and its W_T has n
-    rows.  beta_T never decides a verdict by itself: its lower bound
-    holds in the limit-circle case but the converse fails (free
-    coefficients keep beta_T = 1).  The deficiency sums and circle
-    bounds run to DEFICIENCY_DEPTH, or to the size of a finite family
-    when that is smaller; they run in float64 in every mode and for every
-    spelling of the coefficients (``spectral._recurrence``), and a
-    coefficient beyond its range raises ConditioningError naming it.  The
-    first complex coefficient read, by any of them, raises
-    ComplexDataError.
+    and b_1..b_{N-1}, gamma_T from ``gram_max_eigs`` on a_0..a_{N-1} and
+    b_1..b_N, whose forward sweep hands the eigenvalue step the frexp
+    table of W_T, with no wave field or Fraction or mpf cell made; an
+    n_max whose impulse field ``solve_finite`` would refuse for physical
+    memory is refused the same way, before the sweep.  In DOUBLE a block
+    past an overflowed entry gives lambda = beta = 0.0 and gamma = inf.
+    A finite family of size n has an n-atom measure, so lambda_N = beta_N
+    = 0.0 for N > n, and its W_T has n rows.  beta_T never decides a
+    verdict by itself: its lower bound holds in the limit-circle case but
+    the converse fails (free coefficients keep beta_T = 1).  The
+    deficiency sums and circle bounds run to DEFICIENCY_DEPTH, or to the
+    size of a finite family when that is smaller; they run in float64 in
+    every mode and for every spelling of the coefficients
+    (``spectral._recurrence``), and a coefficient beyond its range raises
+    ConditioningError naming it.  The first complex coefficient read, by
+    any of them, raises ComplexDataError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -296,14 +300,16 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     size = min(n_max, coeffs.size) if coeffs.is_finite else n_max
     # a finite family holds p_n and q_n for n <= its size only
     depth = min(DEFICIENCY_DEPTH, coeffs.size or DEFICIENCY_DEPTH)
-    a, b = coeffs.a_head(size), coeffs.b_head(size - 1)
+    a, b = coeffs.a_head(size), coeffs.b_head(size)
     # C_T = W_T^T W_T for the control-to-state map W_T, the rows 1..size
-    # and times 1..n_max of the impulse field
-    field = solve_finite(coeffs, size, [1], n_max, precision)
-    gamma_seq = gram_max_eigs(field.values[1:, 2:], precision)
+    # and times 1..n_max of the impulse field, which no step forms; an
+    # n_max is refused where that field would be
+    _check_field_memory(size, n_max, precision)
+    a, b = lift(a, precision), lift(b, precision)    # once for all three
+    gamma_seq = gram_max_eigs(a, b, n_max, precision)
     lambda_seq, beta_seq = np.zeros(n_max), np.zeros(n_max)
-    lambda_seq[:size] = orthonormal_min_eigs(a, b, 0, precision)
-    beta_seq[:size] = orthonormal_min_eigs(a, b, 1, precision)
+    lambda_seq[:size] = orthonormal_min_eigs(a, b[:-1], 0, precision)
+    beta_seq[:size] = orthonormal_min_eigs(a, b[:-1], 1, precision)
 
     deficiency_p, deficiency_q = deficiency_partial_sums(coeffs, depth)
     # an overflowed sum (inf) diverges

@@ -429,6 +429,32 @@ class TestSizeLimits:
         assert err["kind"] == "validation"
         assert "physical memory" in err["message"]
 
+    @pytest.mark.parametrize("precision, cell", [("double", 8),
+                                                 ("extended", 8 + 48)])
+    def test_oversized_diagnose_refused_before_sweeping(
+            self, monkeypatch, free_file, capsys, precision, cell):
+        # the estimate of the impulse field behind gamma_T, rows 0..N and
+        # columns -1..N, at the bytes per cell of the precision
+        from jacobi_bc import _multiprec, dynamics
+        n_max = 20
+        estimate = (n_max + 1) * (n_max + 2) * cell
+        sweeps = []
+        for name in ("_float_sweep", "_integer_sweep"):
+            monkeypatch.setattr(_multiprec, name,
+                                lambda *a, sweep=getattr(_multiprec, name):
+                                sweeps.append(1) or sweep(*a))
+        argv = ["diagnose", "--input", free_file, "--N-max", str(n_max),
+                "--precision", precision]
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: estimate - 1)
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation"
+        assert "physical memory" in err["message"]
+        assert sweeps == []
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: estimate)
+        assert main(argv) == 0
+        assert sweeps == [1]
+
     @pytest.mark.parametrize("key, block", [("response", "connecting matrix"),
                                             ("moments", "Hankel block")])
     def test_oversized_block_exits_2_under_an_address_space_limit(

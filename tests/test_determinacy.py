@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -27,6 +28,7 @@ from jacobi_bc import (
     hankel_min_eigs,
     response_to_moments,
     response_vector,
+    solve_finite,
 )
 
 from jacobi_bc import _multiprec
@@ -222,6 +224,19 @@ class TestClassify:
         assert report.verdict is Verdict.INCONCLUSIVE
         assert "conflicting signals; raise n_max or precision" in report.notes
 
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    def test_the_tail_tolerance_splits_geometric_1_5_from_1_6(self,
+                                                              precision):
+        # the relative depth-60 tails are 4.9e-10 (ratio 1.5) and 1.4e-11
+        # (ratio 1.6): TAIL_TOL = 1e-10 lies between them, so a tenfold
+        # change either way moves one of the two verdicts
+        inconclusive = classify(JacobiCoefficients.geometric(1.5), 24,
+                                precision)
+        indeterminate = classify(JacobiCoefficients.geometric(1.6), 24,
+                                 precision)
+        assert inconclusive.verdict is Verdict.INCONCLUSIVE
+        assert indeterminate.verdict is Verdict.LIKELY_INDETERMINATE
+
     def test_report_serializes(self, tmp_path):
         # the CLI writes the report; the package itself knows no file format
         coeffs = tmp_path / "free.json"
@@ -247,6 +262,25 @@ ROUTE_FAMILIES = {"free": FREE, "geometric1.5": JacobiCoefficients.geometric(1.5
                   "geometric2": GEO, "geometric3": JacobiCoefficients.geometric(3),
                   "carleman0.5": _carleman(0.5), "carleman0.7": _carleman(0.7),
                   "carleman1": _carleman(1)}
+
+
+def _field_route_gamma(coeffs, size, n_max, precision):
+    """gamma_T as classify read it off the simulated impulse field: the
+    rows 1..size and times 1..n_max lifted to the eigenvalue mode, their
+    frexp table and the scaled LAPACK loop."""
+    field = solve_finite(coeffs, size, [1], n_max, precision).values[1:, 2:]
+    mode = _multiprec._eigen_mode(precision)
+    top, exp = _multiprec._leading_top_eigs(
+        _multiprec._frexp_table(_multiprec.lift(field, mode)), gram=True)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(top, exp)
+
+
+def _assert_field_route_bits(coeffs, n_max, precision):
+    size = min(n_max, coeffs.size) if coeffs.is_finite else n_max
+    gamma = classify(coeffs, n_max, precision).gamma_seq
+    assert np.array_equal(gamma, _field_route_gamma(coeffs, size, n_max,
+                                                    precision))
 
 
 def _relative_gap(got, want):
@@ -333,6 +367,52 @@ class TestCoefficientRoute:
             want = max(oracle.eigsy(oracle.matrix(top[:t, :t].tolist()),
                                     eigvals_only=True))
             assert abs(gamma[t - 1] / float(want) - 1) <= 2e-15, t
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_gamma_keeps_the_bits_of_the_field_route_on_eighths(self, data):
+        def eighths(low, high, count):
+            return data.draw(st.lists(
+                st.integers(low, high).map(lambda k: Fraction(k, 8)),
+                min_size=count, max_size=count))
+
+        size = data.draw(st.integers(1, 12))
+        coeffs = JacobiCoefficients.from_arrays(
+            [1] + eighths(4, 16, size - 1), eighths(-8, 8, size))
+        n_max = data.draw(st.integers(1, 24))
+        for precision in PrecisionMode:
+            _assert_field_route_bits(coeffs, n_max, precision)
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    @pytest.mark.parametrize("coeffs", [
+        JacobiCoefficients.geometric(1.5), JacobiCoefficients.geometric(2),
+        JacobiCoefficients.geometric(3), _carleman(0.5), _carleman(0.7),
+        _carleman(1)], ids=["geometric1.5", "geometric2", "geometric3",
+                            "carleman0.5", "carleman0.7", "carleman1"])
+    def test_gamma_keeps_the_bits_of_the_field_route(self, coeffs, precision):
+        _assert_field_route_bits(coeffs, 24, precision)
+
+    @pytest.mark.parametrize("precision", [PrecisionMode.EXTENDED,
+                                           PrecisionMode.RATIONAL])
+    def test_gamma_makes_no_number_cell(self, monkeypatch, precision):
+        # the object sweep hands gamma frexp fields: no Fraction or mpf
+        # cell is emitted, and no object table is read back
+        kinds, tables = [], []
+        emitted, frexp_table = _multiprec._emitted, _multiprec._frexp_table
+
+        def counting_emitted(vec, kind, *args):
+            kinds.append(kind)
+            return emitted(vec, kind, *args)
+
+        def counting_table(arr):
+            tables.append(arr.dtype)
+            return frexp_table(arr)
+
+        monkeypatch.setattr(_multiprec, "_emitted", counting_emitted)
+        monkeypatch.setattr(_multiprec, "_frexp_table", counting_table)
+        classify(GEO, 12, precision)
+        assert set(kinds) == {float}    # the rows of Q, for lambda and beta
+        assert tables == []
 
     def test_overflowed_double_rows_give_zero(self, monkeypatch):
         # p_2 = (1e200 x^2 - 1e-200) / 1e-200: its x^2 coefficient passes

@@ -26,7 +26,9 @@ one, and no other module checks a coefficient with ``require_real``.  A
 value enters float64 by ``_multiprec.to_double`` and a result leaves it
 by ``core._as_float``: no other module casts with ``.astype(float)``.
 A smallest eigenvalue is read off Q by one scaled LAPACK loop:
-``_top_eigenvalue`` has one caller, ``_leading_top_eigs``.
+``_top_eigenvalue`` has one caller, ``_leading_top_eigs``.  No module
+of the diagnostics builds a wave field: gamma_T takes its frexp table
+straight from the forward sweep.
 """
 
 import ast
@@ -238,6 +240,37 @@ def classify(coeffs, n_max, precision):
 def test_classify_takes_no_data_route():
     hits = _calls((PACKAGE / "determinacy.py").read_text(),
                   "classify") & DATA_ROUTE
+    assert not hits, hits
+
+
+FIELD_ROUTE = {"solve_finite", "solve_semi_infinite", "_full_field"}
+
+
+def _module_calls(source):
+    """The names every call in ``source`` makes, as names or attributes."""
+    return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)}
+
+
+def test_calls_catch_the_field_route():
+    source = """
+from .dynamics import solve_finite
+
+def classify(coeffs, n_max, precision):
+    field = solve_finite(coeffs, n_max, [1], n_max, precision)
+    return dynamics.solve_semi_infinite(coeffs, [1]), _full_field(coeffs)
+"""
+    assert _module_calls(source) & FIELD_ROUTE == FIELD_ROUTE
+    assert not _module_calls("from .dynamics import solve_finite\n"
+                             "KEY = ('dynamics', 'solve_finite')\n")
+
+
+def test_classify_builds_no_wave_field():
+    # gamma_T takes the sweep's frexp fields (``gram_max_eigs``): no
+    # module of the diagnostics makes the field's cells
+    source = (PACKAGE / "determinacy.py").read_text()
+    hits = _module_calls(source) & FIELD_ROUTE
     assert not hits, hits
 
 

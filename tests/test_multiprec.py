@@ -417,6 +417,23 @@ def test_as_mpf_rounds_a_fraction_once(value):
     assert as_mpf(value)._mpf_ == _rounded_once(value)
 
 
+@settings(max_examples=300)
+@given(value=st.floats())
+@example(value=0.0)
+@example(value=-0.0)
+@example(value=5e-324)
+@example(value=-2.2250738585072009e-308)    # the largest subnormal
+@example(value=sys.float_info.max)
+@example(value=-sys.float_info.max)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=math.nan)
+def test_as_mpf_converts_a_float_as_the_context_does(value):
+    # as_mpf reads a float's fields straight from it; mpf(x) reaches the
+    # same conversion after its argument dispatch
+    assert as_mpf(value)._mpf_ == _multiprec._EXTENDED.mpf(value)._mpf_
+
+
 def test_as_mpf_keeps_the_mantissa_of_an_mpc_of_another_context():
     value = mpmath.mpc(mpmath.mpf(1) / 3, -2)
     got = as_mpf(value)
@@ -1656,6 +1673,13 @@ _FIRST_CALLS = {
     # as_mpf reads the context before its emitter uses mpmath's normalize
     "as_mpf": "from fractions import Fraction; "
               "result = _multiprec.as_mpf(Fraction(-1, 3))",
+    # ... and before it uses mpmath's from_float
+    "as_mpf of a float": "result = _multiprec.as_mpf(-0.1)",
+    # the first mpmath of a RATIONAL gamma is the sweep's _round of a cell
+    "gram_max_eigs": "from fractions import Fraction; "
+                     "result = _multiprec.gram_max_eigs("
+                     "[1, Fraction(1, 3), 2], [Fraction(1, 5), 0, -1], 4, "
+                     "PrecisionMode.RATIONAL)",
     # a caller's mpf is of no EXTENDED type, loaded or not
     "mode_of and dot": "import mpmath; "
                        "v = np.array([mpmath.mpf(1), mpmath.mpf(2)], "

@@ -135,8 +135,7 @@ def _eigen_sequences(coeffs):
             leading_eig_extremes(build_hankel(s, 24).matrix, s, 0, EXTENDED),
             leading_eig_extremes(connecting_from_response(r, 24).matrix, r, 1,
                                  EXTENDED),
-            gram_max_eigs(control_operator(coeffs, 24, EXTENDED).matrix,
-                          EXTENDED))
+            gram_max_eigs(a, coeffs.b_head(24), 24, EXTENDED))
 
 
 def _krein():

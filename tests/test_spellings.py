@@ -204,6 +204,34 @@ def test_numpy_scalars_enter_as_the_numbers_they_hold(data):
             _numpy_spellings(values))
 
 
+@settings(max_examples=12)
+@given(data=EXACT_DATA)
+@example(data=_catalan(36))
+def test_dtype_keeping_routes_read_numpy_scalars_as_their_numbers(data):
+    # a numpy scalar must not reach the arithmetic of these routes as it
+    # is: np.longdouble + Fraction computes in float64
+    horizon, r, _ = data
+    spellings = _numpy_spellings(r)
+    # a longdouble ndarray is a float array, which keeps its dtype
+    spellings.pop("longdouble ndarray", None)
+    control = [Fraction(-1) ** k / (k + 2) for k in range(horizon)]
+    _assert_same_for_every_spelling(
+        {"connecting_from_response": lambda d: connecting_from_response(
+             d, horizon),
+         "apply_response": lambda d: apply_response(d, control)},
+        spellings)
+
+
+def test_a_longdouble_among_fractions_keeps_the_sums_exact():
+    scalars = np.array([np.longdouble(1), Fraction(0), Fraction(1, 3)],
+                       dtype=object)
+    corner = connecting_from_response(scalars, 2).matrix[1, 1]
+    assert type(corner) is Fraction and corner == Fraction(4, 3)
+    assert apply_response(scalars, [0, 1]).tolist() == [0, 1]
+    assert apply_response(scalars, [1, 0, 1]).tolist() == [
+        1, 0, Fraction(4, 3)]
+
+
 def test_a_longdouble_beyond_double_is_kept_exactly():
     # 1/3 as a longdouble is 12297829382473034411 / 2^65; times 2^1100 it
     # lies past 1.8e308 and keeps all 64 of its bits
