@@ -15,9 +15,7 @@ An mpf computes in the context it belongs to, so EXTENDED values carry
 their 50 digits into every module with no precision switch at the call
 site, and the package never reads or changes ``mpmath.mp``.  A caller's
 mpf passed through ``lift`` is re-homed into the private context with its
-mantissa kept, and an mpf of the private context is kept as it is; one
-passed to a dtype-keeping function such as ``connecting_from_response``
-computes in the caller's own context.
+mantissa kept, and an mpf of the private context is kept as it is.
 
 The pipeline modules write each step once, independent of dtype, on the
 steps this module provides: lifting values read by ``core``'s one rule
@@ -370,10 +368,11 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
 
 def _lifted_nu(nu, size: int, shift: int,
                precision: PrecisionMode) -> np.ndarray:
-    """nu_0..nu_{2 size - 2} lifted: the recurrence routes' one read of
-    their data.  A size below 1, a complex entry (ComplexDataError, see
-    ``require_real``) or too short a sequence raises, naming the response
-    r (shift 1) or the moments s (shift 0)."""
+    """nu_0..nu_{2 size - 2} lifted: the one read of their data by the
+    recurrence routes and the block builders.  A size below 1, a complex
+    entry (ComplexDataError, see ``require_real``) or too short a
+    sequence raises, naming the response r (shift 1) or the moments s
+    (shift 0)."""
     if size < 1:
         raise ValueError("horizon must be >= 1")
     kind, name = ("response data", "r") if shift else ("moments", "s")

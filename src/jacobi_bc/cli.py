@@ -275,10 +275,12 @@ def _cmd_connect(args):
     obj, key, values = _sequence_input(args)
     size = (args.horizon or (len(values) + 1) // 2) if key else None
     if key == "response":
-        conn = connecting_mod.connecting_from_response(values, size)
+        conn = connecting_mod.connecting_from_response(values, size,
+                                                       args.precision)
     elif key == "moments":
         conn = connecting_mod.connecting_from_hankel(
-            moments_mod.build_hankel(values, size), size)
+            moments_mod.build_hankel(values, size, args.precision), size,
+            args.precision)
     else:
         conn = connecting_mod.gram_from_control(
             _coefficients(obj, args.input[0]), _require_horizon(args),

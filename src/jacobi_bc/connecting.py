@@ -24,13 +24,12 @@ from .core import (
     PrecisionMode,
     SpectralData,
     _BlockMixin,
-    _data_head,
     block_values,
 )
 from .dynamics import _check_block_memory, control_operator
 from .moments import _transform_matrix
 from .spectral import chebyshev_all
-from ._multiprec import _last_min_eig, mode_of, pd_factor
+from ._multiprec import _last_min_eig, _lifted_nu, lift, pd_factor
 
 __all__ = [
     "ConnectingMatrix",
@@ -85,21 +84,23 @@ class ConnectingMatrix(_BlockMixin):
             return False
 
 
-def connecting_from_response(r, size: int) -> ConnectingMatrix:
-    """C_T from the response formula; needs r_0..r_{2T-2}.
+def connecting_from_response(r, size: int,
+                             precision: PrecisionMode = PrecisionMode.DOUBLE) -> ConnectingMatrix:
+    """C_T from the response formula; needs r_0..r_{2T-2}, lifted once to
+    ``precision``, whose arithmetic sums them (exactly in RATIONAL).
 
     The paper's C^T has entry (i, j), 1-based,
     sum_{k=0..T-max(i,j)} r_{|i-j|+2k}.  This returns C_T = J C^T J, with
-    entry sum_{k=0..min(i,j)-1} r_{|i-j|+2k}.  Exact input entries stay
-    exact.  A block whose size estimate exceeds physical memory is
-    refused with JacobiBCError before it is allocated; the block is the
-    only array of its size made.
+    entry sum_{k=0..min(i,j)-1} r_{|i-j|+2k}.  Complex data raise
+    ComplexDataError.  A block whose size estimate exceeds physical
+    memory is refused with JacobiBCError before it is allocated; the
+    block is the only array of its size made.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    rv = _data_head(r, 2 * size - 1, "response data")
-    _check_block_memory(size, mode_of(rv), "connecting matrix")
-    mat = np.zeros((size, size), dtype=np.result_type(rv, float))
+    rv = _lifted_nu(r, size, 1, precision)
+    _check_block_memory(size, precision, "connecting matrix")
+    mat = np.zeros((size, size), dtype=rv.dtype)
     rows = np.arange(size)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         for d in range(size):
@@ -113,7 +114,8 @@ def connecting_from_response(r, size: int) -> ConnectingMatrix:
 
 
 def connecting_from_spectrum(data: SpectralData, size: int) -> ConnectingMatrix:
-    """C_T by quadrature: entry (l, m) = int T_l T_m d(rho), 1-based.
+    """C_T by quadrature in float64: entry (l, m) = int T_l T_m d(rho),
+    1-based; an oversized block is refused as the other builders do.
 
     Requires size <= number of nodes: within that horizon the finite
     system is indistinguishable from the semi-infinite one, so the
@@ -124,6 +126,7 @@ def connecting_from_spectrum(data: SpectralData, size: int) -> ConnectingMatrix:
     if size > data.size:
         raise ValueError(
             f"spectral construction needs size <= {data.size} nodes, got {size}")
+    _check_block_memory(size, PrecisionMode.DOUBLE, "connecting matrix")
     cheb = chebyshev_all(size, data.lambdas)          # rows T_1..T_size
     scaled = cheb * np.sqrt(data.weights)[None, :]
     return ConnectingMatrix(_mirror_lower(scaled @ scaled.T))
@@ -144,16 +147,18 @@ def gram_from_control(coeffs: JacobiCoefficients, size: int,
     return ConnectingMatrix(gram)
 
 
-def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
-    """C_T by conjugating the Hankel block with the Chebyshev transform;
-    exact when the Hankel entries are exact.
+def connecting_from_hankel(hankel, size: int | None = None,
+                           precision: PrecisionMode = PrecisionMode.DOUBLE) -> ConnectingMatrix:
+    """C_T by conjugating the Hankel block, lifted once to ``precision``,
+    with the Chebyshev transform; exact in RATIONAL.
 
     The transform Lambda is lower triangular, so entry (i, j), i >= j, of
     (Lambda S) Lambda^T sums over k <= j only; the exact zeros
     Lambda[j, k], k > j, are not multiplied.  Lambda is built one row at
-    a time in the number type of the Hankel entries (``_transform_matrix``),
-    so a float block whose transform leaves float64 (from size 1484 on)
-    raises ConditioningError.
+    a time in the number type of ``precision`` (``_transform_matrix``),
+    so in DOUBLE a transform that leaves float64 (from size 1484 on)
+    raises ConditioningError.  An oversized block is refused as
+    ``connecting_from_response`` refuses it.
     """
     smat = block_values(hankel)
     if size is None:
@@ -162,8 +167,9 @@ def connecting_from_hankel(hankel, size: int | None = None) -> ConnectingMatrix:
         raise ValueError("size must be >= 1")
     if smat.shape[0] < size:
         raise ValueError("Hankel block smaller than the requested size")
-    smat = smat[:size, :size].astype(np.result_type(smat, float))
-    lam = _transform_matrix(size, mode_of(smat))
+    _check_block_memory(size, precision, "connecting matrix")
+    smat = lift(smat[:size, :size], precision)
+    lam = _transform_matrix(size, precision)
     with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
         mat = _mirror_lower(_lower_product(lam @ smat, lam))
     return ConnectingMatrix(mat)
@@ -189,7 +195,7 @@ def validate_response(r, size: int,
     double cannot hold it, never 0.0; past a failed pivot, one
     eigen-solve of C_N, which reports a value <= 0.
     """
-    certificate = _last_min_eig(connecting_from_response(r, size).matrix, r,
-                                1, precision)
+    certificate = _last_min_eig(
+        connecting_from_response(r, size, precision).matrix, r, 1, precision)
     return ResponseValidation(accepted=certificate > 0,
                               min_eigenvalue=certificate)

@@ -113,35 +113,20 @@ _EXACT_FLOAT_INTS = 2.0 ** 53
 def _read_array(values) -> np.ndarray:
     """The one rule that reads an array argument: an ndarray as it is; a
     list, nested for a block, as numpy reads it, but as an object array
-    wherever float64 would round a Python int in it, with each finite
-    float of an object array as the int or Fraction it holds.  A numpy
-    scalar left in an object array, of either spelling, enters as
-    ``_python_number`` makes it, in a new array, so the arithmetic of a
-    dtype-keeping step sees the numbers a list of them gives."""
+    wherever float64 would round a Python int in it, so that ``lift``
+    sees the int."""
     if isinstance(values, np.ndarray):
-        if values.dtype.kind != "O":    # no numpy scalar to read
-            return values
-        arr = values
-    else:
-        arr = np.asarray(values)
-        if arr.dtype.kind in "iufc":
-            real = arr.real    # an int is real, whatever the list's dtype
-            if (-_EXACT_FLOAT_INTS < np.fmin.reduce(real, None, initial=0)
-                    and np.fmax.reduce(real, None, initial=0)
-                    < _EXACT_FLOAT_INTS):
-                return arr
-            raw = np.array(values, dtype=object)
-            if all(type(x) is not int or float(x) == x for x in raw.flat):
-                return arr
-            arr = raw
-        if not set(map(type, arr.flat)).isdisjoint((float, np.float64)):
-            arr.flat = [(int(x) if x.is_integer() else Fraction(x))
-                        if isinstance(x, float) and math.isfinite(x) else x
-                        for x in arr.flat]
-    if any(issubclass(kind, np.generic) for kind in set(map(type, arr.flat))):
-        read = np.empty(arr.shape, dtype=object)
-        read.flat = [_python_number(x) for x in arr.flat]
-        return read
+        return values
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iufc":
+        real = arr.real    # an int is real, whatever the list's dtype
+        if (-_EXACT_FLOAT_INTS < np.fmin.reduce(real, None, initial=0)
+                and np.fmax.reduce(real, None, initial=0)
+                < _EXACT_FLOAT_INTS):
+            return arr
+        raw = np.array(values, dtype=object)
+        if any(type(x) is int and float(x) != x for x in raw.flat):
+            return raw
     return arr
 
 

@@ -116,7 +116,7 @@ def connecting_eig_sequences(r, t_max: int,
     interlace) up to the noise floor.
     """
     beta, gamma = leading_eig_extremes(
-        connecting_from_response(r, t_max).matrix, r, 1, precision)
+        connecting_from_response(r, t_max, precision).matrix, r, 1, precision)
     norms = np.maximum(np.abs(beta), np.abs(gamma))
     slack = _MONOTONE_SLACK + noise_floor(norms[1:], precision)
     # compared without subtracting, so an overflowed gamma passes after

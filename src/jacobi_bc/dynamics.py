@@ -55,7 +55,7 @@ from .core import (
     _read_control,
     _zero_extended,
 )
-from ._multiprec import cell_bytes, forward_sweep, lift
+from ._multiprec import cell_bytes, forward_sweep, lift, mode_of
 
 __all__ = [
     "WaveField",
@@ -125,9 +125,10 @@ class ControlOperatorMatrix:
 
     def apply(self, control) -> np.ndarray:
         """State (u^f_{1,T}, ..., u^f_{T,T}) produced by ``control``, read
-        as the solvers read it at this horizon: a shorter control is
-        zero-extended, and a longer one raises ValueError."""
-        f = _read_array(_zero_extended(control, self.horizon))
+        as the solvers read it at this horizon and lifted once to the mode
+        of W: a shorter control is zero-extended, and a longer one raises
+        ValueError."""
+        f = lift(_zero_extended(control, self.horizon), mode_of(self.matrix))
         return self.flipped() @ f
 
 
@@ -293,16 +294,19 @@ def control_operator(coeffs: JacobiCoefficients, horizon: int,
     return ControlOperatorMatrix(matrix=w, horizon=horizon)
 
 
-def apply_response(r, control, horizon: int | None = None) -> np.ndarray:
+def apply_response(r, control, horizon: int | None = None,
+                   precision: PrecisionMode = PrecisionMode.DOUBLE) -> np.ndarray:
     """Outputs ((R f)_1, ..., (R f)_T): the convolution sum_s r_s f_{t-1-s}.
 
     Equals u^f_{1,t} for t = 1..T when r is the system's impulse response.
     The control is read as the solvers read it; fewer than T values of r
-    raise InsufficientDataError.
+    raise InsufficientDataError.  Both are lifted once to ``precision``,
+    whose arithmetic sums the products (exactly in RATIONAL).
     """
     horizon = _read_control(control, horizon)[0]
     _check_sizes(horizon, 1)
     # convolved as given: the zero extension adds nothing to the sums, and
     # its zeros would only regroup numpy's summation
-    f = _read_array(list(_read_control(control)[1]) or [0])
-    return np.convolve(_data_head(r, horizon, "response data"), f)[:horizon]
+    f = lift(list(_read_control(control)[1]) or [0], precision)
+    return np.convolve(lift(_data_head(r, horizon, "response data"),
+                            precision), f)[:horizon]

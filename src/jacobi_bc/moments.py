@@ -24,13 +24,12 @@ from .core import (
     PrecisionMode,
     ResponseVector,
     _BlockMixin,
-    _data_head,
     _freeze_array,
     sequence_values,
 )
 from .dynamics import _check_block_memory
-from ._multiprec import (above_noise, dot, dot_operand, leading_eig_extremes,
-                         lift, lift_ints, mode_of)
+from ._multiprec import (_lifted_nu, above_noise, dot, dot_operand,
+                         leading_eig_extremes, lift, lift_ints)
 
 __all__ = [
     "HankelMatrix",
@@ -67,22 +66,21 @@ class ChebyshevTransform(_BlockMixin):
     _kind = "Chebyshev transform"
 
 
-def build_hankel(s, size: int) -> HankelMatrix:
-    """The size x size block with entries s_{i+j} (0-based indices).
-
-    Entries keep their numeric type, so Fraction moments stay exact.  A
-    block whose size estimate exceeds physical memory is refused with
-    JacobiBCError before it is allocated; the block is the only array of
-    its size made.
+def build_hankel(s, size: int,
+                 precision: PrecisionMode = PrecisionMode.DOUBLE) -> HankelMatrix:
+    """The size x size block with entries s_{i+j} (0-based indices), the
+    moments lifted once to ``precision``; complex moments raise
+    ComplexDataError.  A block whose size estimate exceeds physical
+    memory is refused with JacobiBCError before it is allocated; the
+    block is the only array of its size made.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    sv = _data_head(s, 2 * size - 1, "moments")
-    _check_block_memory(size, mode_of(sv), "Hankel block")
+    sv = _lifted_nu(s, size, 0, precision)
+    _check_block_memory(size, precision, "Hankel block")
     # row i is the window s_i..s_{i+size-1}, copied once into the block,
     # which HankelMatrix keeps as it is
-    mat = np.array(sliding_window_view(sv, size),
-                   dtype=np.result_type(sv, float))
+    mat = np.array(sliding_window_view(sv, size))
     mat.setflags(write=False)
     return HankelMatrix(mat)
 
@@ -188,8 +186,8 @@ def hankel_min_eigs(s, n_max: int,
     past that point (Hankel blocks of genuine moment sequences are
     exponentially ill-conditioned).
     """
-    mins, maxs = leading_eig_extremes(build_hankel(s, n_max).matrix, s, 0,
-                                      precision)
+    mins, maxs = leading_eig_extremes(build_hankel(s, n_max, precision).matrix,
+                                      s, 0, precision)
     noisy = np.flatnonzero(~above_noise(mins, maxs, precision))
     if noisy.size:
         warnings.warn(

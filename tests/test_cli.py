@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 import jacobi_bc
 from jacobi_bc import (
     JacobiCoefficients,
+    PrecisionMode,
+    chebyshev_transform,
     connecting_from_response,
     response_to_moments,
     response_vector,
@@ -656,6 +660,73 @@ def _strict_json(text):
     def refuse(token):
         raise ValueError(f"non-standard JSON token {token}")
     return json.loads(text, parse_constant=refuse)
+
+
+def _probe_data(key, size):
+    """Float data off the 1/8 grid: the float64 response, 2 size - 1
+    entries, of a family with a_n drawn from U[0.5, 2] (seed 1) and
+    b_n = 0, or its moments rounded once to float64."""
+    rng = np.random.default_rng(1)
+    coeffs = JacobiCoefficients.from_arrays(
+        [1.0] + rng.uniform(0.5, 2.0, 80).tolist(), [0.0] * 80)
+    r = response_vector(coeffs, 2 * size - 1).as_array()
+    if key == "response":
+        return r.tolist()
+    return [float(x) for x in response_to_moments(r, PrecisionMode.RATIONAL)]
+
+
+def _exact_block(key, values, size):
+    """The block of the floats ``values`` in exact arithmetic, each entry
+    rounded once: the defining sums of C_T, or Lambda S_T Lambda^T with
+    the integer Chebyshev transform."""
+    v = [Fraction(x) for x in values]
+    if key == "response":
+        block = [[sum(v[abs(i - j) + 2 * k] for k in range(min(i, j) + 1))
+                  for j in range(size)] for i in range(size)]
+    else:
+        lam = chebyshev_transform(size).matrix
+        hankel = np.array([[v[i + j] for j in range(size)]
+                           for i in range(size)], dtype=object)
+        block = (lam @ hankel @ lam.T).tolist()
+    return np.array([[float(x) for x in row] for row in block])
+
+
+class TestConnectModes:
+    """``connect --precision`` reaches the response and moment routes: on
+    float data RATIONAL gives the exact block rounded once, EXTENDED is
+    within 1 ulp of it, and DOUBLE keeps the bytes it had when every mode
+    gave the DOUBLE block (the digests)."""
+
+    DOUBLE_DIGESTS = {
+        ("response", 40):
+            "f8332bf3b2a9d744f5fa534517d4e63c3fdd7ad5fe20db9edeb374aac7e1f7a6",
+        ("moments", 10):
+            "a83df692d11360d498f5bbcf49add118d10548c0fdfb03dd8aa56a1109737b52",
+        ("moments", 20):
+            "a9f612a82519240296f19847f638b9642e08d609f4bf2574d0f87948b46324b7",
+        ("moments", 30):
+            "32511c3fb26af43f58cf7ea747bb52eeae9ace51bec72a53fa042cac6cc2adc5",
+    }
+
+    @pytest.mark.parametrize("key, size", sorted(DOUBLE_DIGESTS))
+    def test_each_mode_computes_in_its_own_arithmetic(self, tmp_path, key,
+                                                      size):
+        values = _probe_data(key, size)
+        path = write_json(tmp_path / "in.json", {key: values})
+        blocks = {}
+        for mode in ("double", "extended", "rational"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["connect", "--input", path, "--T", str(size),
+                         "--precision", mode, "--output", str(out)]) == 0
+            blocks[mode] = np.array(json.loads(out.read_text())["matrix"])
+        exact = _exact_block(key, values, size)
+        assert np.array_equal(blocks["rational"], exact)
+        assert np.all(np.abs(blocks["extended"] - exact)
+                      <= np.spacing(np.abs(exact)))
+        double = blocks["double"]
+        assert (double != exact).any()
+        assert (hashlib.sha256(double.tobytes()).hexdigest()
+                == self.DOUBLE_DIGESTS[key, size])
 
 
 class TestValuesBeyondFloat64:

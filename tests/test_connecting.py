@@ -28,6 +28,7 @@ from jacobi_bc import (
 )
 from jacobi_bc import dynamics
 from jacobi_bc.connecting import _lower_product, _mirror_lower
+from jacobi_bc._multiprec import lift
 
 from conftest import random_coefficients
 
@@ -39,23 +40,42 @@ B1 = JacobiCoefficients.from_rules(lambda n: 1, lambda n: 1 if n == 1 else 0)
     (connecting_from_response, "connecting matrix"),
     (build_hankel, "Hankel block"),
 ])
-@pytest.mark.parametrize("data, cell", [
-    ([1.0, 0.5, 2.0, 0.25, 5.0, 0.125, 14.0], 8),
+@pytest.mark.parametrize("data, precision, cell", [
+    ([1.0, 0.5, 2.0, 0.25, 5.0, 0.125, 14.0], PrecisionMode.DOUBLE, 8),
     ([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 4), Fraction(5),
-      Fraction(1, 8), Fraction(14)], 56),
-])
+      Fraction(1, 8), Fraction(14)], PrecisionMode.RATIONAL, 56),
+], ids=["data0-8", "data1-56"])
 def test_block_limit_is_the_size_estimate(monkeypatch, build, what, data,
-                                          cell):
-    # size^2 cells of the data's number type, the estimate the wave
+                                          precision, cell):
+    # size^2 cells of the mode's number type, the estimate the wave
     # fields use, checked before the block is allocated
     need = 4 * 4 * cell
     monkeypatch.setattr(dynamics, "_physical_memory", lambda: need)
-    assert build(data, 4).matrix.shape == (4, 4)
+    assert build(data, 4, precision).matrix.shape == (4, 4)
     monkeypatch.setattr(dynamics, "_physical_memory", lambda: need - 1)
     with pytest.raises(JacobiBCError, match=f"^a 4 x 4 {what} needs about "
                                             ".* physical memory; use a size "
                                             "of at most 3$"):
-        build(data, 4)
+        build(data, 4, precision)
+
+
+@pytest.mark.parametrize("build, cell", [
+    (lambda: connecting_from_hankel(np.eye(4)), 8),
+    (lambda: connecting_from_hankel(np.eye(4), 4, PrecisionMode.RATIONAL), 56),
+    (lambda: connecting_from_spectrum(spectral_data(FREE, 4), 4), 8),
+], ids=["hankel-double", "hankel-rational", "spectrum"])
+def test_conjugated_and_quadrature_blocks_are_sized_first(monkeypatch, build,
+                                                          cell):
+    # the size^2 cells of C_T in the mode's number type, as for the
+    # response and Hankel blocks, refused before any is allocated
+    need = 4 * 4 * cell
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: need)
+    assert build().matrix.shape == (4, 4)
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: need - 1)
+    with pytest.raises(JacobiBCError, match="^a 4 x 4 connecting matrix needs "
+                                            "about .* physical memory; use a "
+                                            "size of at most 3$"):
+        build()
 
 
 @pytest.mark.parametrize("size", [0, -1])
@@ -93,19 +113,23 @@ class TestFromResponse:
     def test_trivial(self):
         assert np.array_equal(connecting_from_response([0.25], 1).matrix, [[0.25]])
 
-    @pytest.mark.parametrize("kind", ["float", "fraction", "mpf"])
-    def test_matches_defining_sum(self, rng, kind):
+    @pytest.mark.parametrize("kind, precision", [
+        ("float", PrecisionMode.DOUBLE), ("fraction", PrecisionMode.RATIONAL),
+        ("mpf", PrecisionMode.EXTENDED)], ids=["float", "fraction", "mpf"])
+    def test_matches_defining_sum(self, rng, kind, precision):
         size = 12
         raw = rng.uniform(-2.0, 2.0, 2 * size - 1)
         r = {"float": raw,
              "fraction": np.array([Fraction(v) for v in raw], dtype=object),
              "mpf": np.array([mpf(v) for v in raw], dtype=object)}[kind]
-        mat = connecting_from_response(r, size).matrix
-        # a caller's mpf computes in the caller's own context, as here
+        mat = connecting_from_response(r, size, precision).matrix
+        # the sums are taken in the mode's arithmetic: float64, exact, or
+        # the EXTENDED context that ``lift`` moves a caller's mpf into
+        terms_of = lift(r, precision)
         for i in range(1, size + 1):
             for j in range(1, size + 1):
                 terms = range(min(i, j))
-                expected = sum(r[abs(i - j) + 2 * k] for k in terms)
+                expected = sum(terms_of[abs(i - j) + 2 * k] for k in terms)
                 assert mat[i - 1, j - 1] == expected
 
     def test_insufficient(self):
@@ -117,10 +141,14 @@ class TestFromResponse:
         # smaller-horizon matrices, bit for bit in every arithmetic; that
         # is what makes C_T = W_T^* W_T
         raw = response_vector(random_coefficients(rng, 8), 15).as_array()
-        for r in (raw, np.array([Fraction(v) for v in raw], dtype=object),
-                  np.array([mpf(v) for v in raw], dtype=object)):
-            big = connecting_from_response(r, 8).matrix
-            small = connecting_from_response(r, 5).matrix
+        for r, mode in (
+                (raw, PrecisionMode.DOUBLE),
+                (np.array([Fraction(v) for v in raw], dtype=object),
+                 PrecisionMode.RATIONAL),
+                (np.array([mpf(v) for v in raw], dtype=object),
+                 PrecisionMode.EXTENDED)):
+            big = connecting_from_response(r, 8, mode).matrix
+            small = connecting_from_response(r, 5, mode).matrix
             assert [(type(v), v) for v in big[:5, :5].ravel()] == [
                 (type(v), v) for v in small.ravel()]
 
@@ -234,13 +262,13 @@ class TestTriangularProducts:
         for co in _product_families(size).values():
             r = response_vector(co, 2 * size - 1, precision)
             smat = build_hankel(response_to_moments(r, precision).as_array(),
-                                size).matrix
+                                size, precision).matrix
             lam = chebyshev_transform(size).matrix.astype(
                 np.result_type(smat, float))
             with np.errstate(over="ignore", invalid="ignore"):
                 x = lam @ smat
-            _assert_matches_full_product(connecting_from_hankel(smat).matrix,
-                                         x, lam)
+            _assert_matches_full_product(
+                connecting_from_hankel(smat, None, precision).matrix, x, lam)
 
     def test_double_gram_has_no_nan_from_skipped_zeros(self):
         # geometric(2) overflows W_T in DOUBLE; a term with an exact zero
@@ -321,7 +349,7 @@ class TestFourWay:
         # exact C_40 of geometric(3): entries of up to 745 digits
         r = response_vector(JacobiCoefficients.geometric(3), 79,
                             PrecisionMode.RATIONAL)
-        conn = connecting_from_response(r, 40)
+        conn = connecting_from_response(r, 40, PrecisionMode.RATIONAL)
         assert max(conn.matrix.ravel()) > 10 ** 744
         assert conn.is_positive_definite()
         assert not ConnectingMatrix(-conn.matrix).is_positive_definite()
@@ -358,9 +386,13 @@ class TestValidateResponse:
     (hankel_min_eigs, "s"),
     (connecting_eig_sequences, "r"),
     (validate_response, "r"),
-], ids=["hankel_min_eigs", "connecting_eig_sequences", "validate_response"])
+    (build_hankel, "s"),
+    (connecting_from_response, "r"),
+], ids=["hankel_min_eigs", "connecting_eig_sequences", "validate_response",
+        "build_hankel", "connecting_from_response"])
 def test_data_eigenvalue_routes_refuse_complex_data(route, name, precision):
     # refused as recovery refuses it, before any eigenvalue work, in every
-    # mode; none of them ends in an internal error or drops the imaginary part
+    # mode, by the block builders too; none of them ends in an internal
+    # error or drops the imaginary part
     with pytest.raises(ComplexDataError, match=f"^{name}_0 = "):
         route([1 + 1j, 0, 1, 0, 2], 3, precision)

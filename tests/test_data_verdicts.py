@@ -137,7 +137,7 @@ def test_an_exact_response_beyond_the_float_range_is_accepted(precision):
     verdict = validate_response(r, 40, precision)
     oracle = mpmath.MPContext()
     oracle.dps = 8 * EXTENDED_DPS
-    exact = connecting_from_response(r, 40).matrix.tolist()
+    exact = connecting_from_response(r, 40, RATIONAL).matrix.tolist()
     want = min(oracle.eigsy(oracle.matrix(
         [[oracle.mpf(x.numerator) / x.denominator for x in row]
          for row in exact]), eigvals_only=True))
@@ -306,7 +306,8 @@ def test_an_overflowed_double_row_of_q_raises(monkeypatch):
 def test_the_noise_floor_warns_from_its_own_block(precision, last_quiet):
     moments = semicircle_moments(2 * last_quiet + 1)
     mins, maxs = _multiprec.leading_eig_extremes(
-        build_hankel(moments, last_quiet + 1).matrix, moments, 0, precision)
+        build_hankel(moments, last_quiet + 1, precision).matrix, moments, 0,
+        precision)
     ratio = mins / np.maximum(maxs, 1.0)
     unit = (1e3 * np.finfo(float).eps if precision is DOUBLE
             else 10.0 ** -45)

@@ -237,6 +237,18 @@ class TestClassify:
         assert inconclusive.verdict is Verdict.INCONCLUSIVE
         assert indeterminate.verdict is Verdict.LIKELY_INDETERMINATE
 
+    @pytest.mark.parametrize("precision", list(PrecisionMode))
+    def test_a_lambda_just_above_eps_det_stays_up(self, precision):
+        # a_n = 3^n / 128 (n >= 1) is indeterminate, and its lambda_N
+        # settles at 4.2e-8: above EPS_DET = 1e-8, so lambda neither
+        # decays nor fails to stay up, and the converged deficiency sums
+        # decide; a threshold of 1e-7 would read a decay
+        coeffs = JacobiCoefficients.from_rules(
+            lambda n: Fraction(3 ** n, 128) if n else 1, lambda n: 0)
+        report = classify(coeffs, 16, precision)
+        assert 1e-8 < report.lambda_seq.min() < 1e-7
+        assert report.verdict is Verdict.LIKELY_INDETERMINATE
+
     def test_report_serializes(self, tmp_path):
         # the CLI writes the report; the package itself knows no file format
         coeffs = tmp_path / "free.json"
@@ -360,7 +372,7 @@ class TestCoefficientRoute:
         size = max(blocks)
         gamma = classify(co, size, PrecisionMode.EXTENDED).gamma_seq
         r = response_vector(co, 2 * size - 1, PrecisionMode.EXTENDED)
-        top = connecting_from_response(r, size).matrix
+        top = connecting_from_response(r, size, PrecisionMode.EXTENDED).matrix
         oracle = mpmath.MPContext()
         oracle.dps = 50
         for t in blocks:
@@ -472,6 +484,20 @@ class TestOverflowedGamma:
         report = classify(self.GEO3, n_max, PrecisionMode.EXTENDED)
         assert np.isinf(report.gamma_seq[-1])
         assert report.verdict is Verdict.LIKELY_INDETERMINATE
+
+    @pytest.mark.parametrize("rise, fails", [(5e-13, False), (5e-12, True)])
+    def test_monotonicity_slack(self, monkeypatch, rise, fails):
+        # beta may rise by the slack 1e-12 plus the DOUBLE noise floor,
+        # 1e3 eps = 2.2e-13 at norm 1, and by no more
+        from jacobi_bc import determinacy
+        beta = np.array([1.0, 1.0 + rise, 1.0])
+        monkeypatch.setattr(determinacy, "leading_eig_extremes",
+                            lambda *a: (beta, np.ones(3)))
+        if fails:
+            with pytest.raises(JacobiBCError, match="beta .* at T=2"):
+                connecting_eig_sequences(response_vector(FREE, 5), 3)
+        else:
+            connecting_eig_sequences(response_vector(FREE, 5), 3)
 
     @pytest.mark.parametrize("gamma, fails", [
         ([1.0, np.inf, np.inf], False), ([1.0, np.inf, 5.0], True)])

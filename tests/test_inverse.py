@@ -164,6 +164,21 @@ class TestRecoverFromMoments:
         with pytest.raises(JacobiBCError, match="disagree by nan"):
             recover_from_moments([1, 0, 10 ** 800], 2, PrecisionMode.EXTENDED)
 
+    def test_the_paths_may_disagree_by_1e_8_and_no_more(self):
+        # a_n = 1, b_n = 1/4, from its exact moments rounded to float64:
+        # the DOUBLE paths differ by 1.1e-9 at T = 13 and by 2.7e-7 at
+        # T = 15, either side of the 1e-8 the cross-check allows
+        co = JacobiCoefficients.from_rules(lambda n: 1, lambda n: 0.25)
+        exact = response_to_moments(
+            response_vector(co, 29, PrecisionMode.RATIONAL),
+            PrecisionMode.RATIONAL)
+        s = [float(x) for x in exact]
+        recover_from_moments(s, 13)
+        with pytest.raises(JacobiBCError, match="disagree by") as refused:
+            recover_from_moments(s, 15)
+        gap = float(str(refused.value).split("disagree by ")[1].split(";")[0])
+        assert 1e-8 < gap < 1e-4
+
 
 class TestFactorization:
     def test_exact_ldl_agrees_with_lapack(self, rng):
@@ -293,8 +308,8 @@ def _exact_data(size):
         [Fraction(int(k), 8) for k in rng.integers(-8, 9, size)])
     r = response_vector(co, 2 * size - 1, PrecisionMode.RATIONAL).as_array()
     s = response_to_moments(r, PrecisionMode.RATIONAL).as_array()
-    c_top = connecting_from_response(r, size).matrix
-    return r, s, c_top, build_hankel(s, size).matrix
+    c_top = connecting_from_response(r, size, PrecisionMode.RATIONAL).matrix
+    return r, s, c_top, build_hankel(s, size, PrecisionMode.RATIONAL).matrix
 
 
 class TestMatrixOracle:

@@ -28,10 +28,12 @@ by ``core._as_float``: no other module casts with ``.astype(float)``.
 A smallest eigenvalue is read off Q by one scaled LAPACK loop:
 ``_top_eigenvalue`` has one caller, ``_leading_top_eigs``.  No module
 of the diagnostics builds a wave field: gamma_T takes its frexp table
-straight from the forward sweep.
+straight from the forward sweep.  The block builders take the precision
+mode as every other route does, and read none off their data.
 """
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -776,4 +778,37 @@ def test_scan_catches_a_float_cast_outside_the_rules():
 def test_only_the_float_rules_cast_to_float():
     hits = _float_casts({path.name: path.read_text()
                          for path in PACKAGE.glob("*.py")})
+    assert not hits, hits
+
+
+# The block builders compute in the mode they are given, DOUBLE unless
+# told otherwise, as every other data route does: none reads its
+# arithmetic off the number type of its data with ``mode_of``.
+MODE_OF = re.compile(r"\bmode_of\b")
+BUILDERS = ("connecting_from_response", "connecting_from_hankel",
+            "build_hankel", "apply_response")
+
+
+def test_pattern_catches_a_mode_read_off_the_data():
+    lines = ["from ._multiprec import lift, mode_of",
+             "    _check_block_memory(size, mode_of(rv), 'Hankel block')",
+             "    lam = _transform_matrix(size, precision)"]
+    assert [bool(MODE_OF.search(line)) for line in lines] == [
+        True, True, False]
+
+
+def test_builders_take_the_mode():
+    import jacobi_bc
+    for name in BUILDERS:
+        parameter = inspect.signature(
+            getattr(jacobi_bc, name)).parameters["precision"]
+        assert parameter.default is jacobi_bc.PrecisionMode.DOUBLE, name
+
+
+def test_block_modules_read_no_mode_off_their_data():
+    hits = [f"{name}:{number}"
+            for name in ("connecting.py", "moments.py")
+            for number, line in enumerate(
+                (PACKAGE / name).read_text().splitlines(), 1)
+            if MODE_OF.search(line)]
     assert not hits, hits

@@ -119,7 +119,8 @@ def test_apply_response_computes_at_50_digits():
     exact_r = response_vector(GEO3, horizon, RATIONAL).as_array()
     reference = np.convolve(exact_r, control)[:horizon]
     assert max(abs(v) for v in reference) > 2 ** 53
-    got = apply_response(response_vector(GEO3, horizon, EXTENDED), control)
+    got = apply_response(response_vector(GEO3, horizon, EXTENDED), control,
+                         precision=EXTENDED)
     assert list(got) == list(reference)
 
 
@@ -178,11 +179,11 @@ def _per_block_extremes(matrix, precision):
     return np.array(ends).T
 
 
-def _gram_matrix(nu, size, shift):
+def _gram_matrix(nu, size, shift, precision=PrecisionMode.DOUBLE):
     """S_size of moments (shift 0), corner-top C_size of a response (1)."""
     if shift:
-        return connecting_from_response(nu, size).matrix
-    return build_hankel(nu, size).matrix
+        return connecting_from_response(nu, size, precision).matrix
+    return build_hankel(nu, size, precision).matrix
 
 
 @pytest.mark.parametrize("precision", MODES)
@@ -244,8 +245,10 @@ def test_recurrence_equals_the_factorization_bit_for_bit(coeffs, size):
         warnings.simplefilter("ignore", ConditioningWarning)
         lam = hankel_min_eigs(s, size, EXTENDED)
     beta, _ = connecting_eig_sequences(r, size, EXTENDED)
-    assert list(lam) == list(_factored_min_eigs(_gram_matrix(s, size, 0)))
-    assert list(beta) == list(_factored_min_eigs(_gram_matrix(r, size, 1)))
+    assert list(lam) == list(_factored_min_eigs(
+        _gram_matrix(s, size, 0, EXTENDED)))
+    assert list(beta) == list(_factored_min_eigs(
+        _gram_matrix(r, size, 1, EXTENDED)))
 
 
 def test_tiny_lambda_matches_a_high_precision_oracle():
@@ -278,7 +281,7 @@ def test_hankel_min_eigs_match_a_high_precision_oracle():
         lam = hankel_min_eigs(moments, size, EXTENDED)
     oracle = mpmath.MPContext()
     oracle.dps = 8 * EXTENDED_DPS
-    hankel = build_hankel(moments, size).matrix
+    hankel = build_hankel(moments, size, RATIONAL).matrix
     want = [float(min(oracle.eigsy(oracle.matrix(
                 [[oracle.mpf(v.numerator) / v.denominator for v in row]
                  for row in hankel[:n, :n].tolist()]), eigvals_only=True)))
@@ -288,7 +291,7 @@ def test_hankel_min_eigs_match_a_high_precision_oracle():
 
 def test_extremes_of_blocks_beyond_the_float_range():
     r = response_vector(GEO3, 79, RATIONAL).as_array()
-    top = connecting_from_response(r, 40).matrix
+    top = connecting_from_response(r, 40, RATIONAL).matrix
     assert max(top.ravel()) > 10 ** 308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -868,7 +871,8 @@ def test_extended_recurrence_refuses_inf_and_nan(name):
         with pytest.raises(ConditioningError, match="inf or NaN"):
             modified_chebyshev(bad, 3, 0, EXTENDED)
         with pytest.raises(ConditioningError, match="inf or NaN"):
-            leading_eig_extremes(_gram_matrix(bad, 3, 0), bad, 0, EXTENDED)
+            leading_eig_extremes(_gram_matrix(bad, 3, 0, EXTENDED), bad, 0,
+                                 EXTENDED)
 
 
 def _wrapped_top_eigs(arr, gram=False):
@@ -917,7 +921,7 @@ def test_top_eigenvalue_matches_a_high_precision_oracle(rng, graded):
 
 def test_leading_top_eigs_equal_the_wrapped_route(rng):
     r = response_vector(GEO3, 79, RATIONAL).as_array()
-    top = lift(connecting_from_response(r, 40).matrix, EXTENDED)
+    top = lift(connecting_from_response(r, 40, RATIONAL).matrix, EXTENDED)
     # an orthonormal table of a symmetric measure: zeros of the triangle
     # and of the parity, which the object route reads no fields of
     rows = _mpf_orthonormal_rows(lift([0] * 23, EXTENDED),
@@ -1459,7 +1463,7 @@ def test_extended_factor_sums_each_entry_once():
     # fdot from the entries before it, so the factor reproduces the
     # block to a few units of the 50th digit
     r = response_vector(GEO3, 39, EXTENDED).as_array()
-    block = lift(connecting_from_response(r, 20).matrix, EXTENDED)
+    block = lift(connecting_from_response(r, 20, EXTENDED).matrix, EXTENDED)
     low, piv = pd_factor(block)
     for j in range(20):
         scaled = low[j, :j] * piv[:j]

@@ -132,9 +132,11 @@ def _eigen_sequences(coeffs):
     s = response_to_moments(r, EXTENDED).as_array()
     return (orthonormal_min_eigs(a, b, 0, EXTENDED),
             orthonormal_min_eigs(a, b, 1, EXTENDED),
-            leading_eig_extremes(build_hankel(s, 24).matrix, s, 0, EXTENDED),
-            leading_eig_extremes(connecting_from_response(r, 24).matrix, r, 1,
+            leading_eig_extremes(build_hankel(s, 24, EXTENDED).matrix, s, 0,
                                  EXTENDED),
+            leading_eig_extremes(connecting_from_response(r, 24,
+                                                          EXTENDED).matrix,
+                                 r, 1, EXTENDED),
             gram_max_eigs(a, coeffs.b_head(24), 24, EXTENDED))
 
 
@@ -148,7 +150,7 @@ def _krein():
 
 def _pd_solve():
     r = response_vector(RANDOM, 47, EXTENDED)
-    mat = lift(connecting_from_response(r, 24).matrix, EXTENDED)
+    mat = lift(connecting_from_response(r, 24, EXTENDED).matrix, EXTENDED)
     rhs = [complex(1, k) / (k + 3) for k in range(24)]
     return pd_factor(mat), mp_pd_solve(mat, rhs)
 

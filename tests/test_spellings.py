@@ -139,16 +139,16 @@ def test_data_routes_read_every_spelling_alike(data, pick):
                     d, horizon, p),
                 "response_to_moments": response_to_moments,
                 "connecting_from_response": lambda d, p:
-                    connecting_from_response(d, horizon),
+                    connecting_from_response(d, horizon, p),
                 "apply_response": lambda d, p: apply_response(
-                    d, [1, Fraction(-1, 2), 2], horizon)}),
+                    d, [1, Fraction(-1, 2), 2], horizon, p)}),
             (s, MomentSequence, {
                 "recover_from_moments": lambda d, p: recover_from_moments(
                     d, horizon, p),
                 "hankel_min_eigs": lambda d, p: hankel_min_eigs(
                     d, horizon, p),
                 "moments_to_response": moments_to_response,
-                "build_hankel": lambda d, p: build_hankel(d, horizon)})):
+                "build_hankel": lambda d, p: build_hankel(d, horizon, p)})):
         exact = [k for k, x in enumerate(values) if float(x) == x]
         spellings = _data_spellings(values, exact[pick % len(exact)], wrapper)
         _assert_same_for_every_spelling(
@@ -182,8 +182,11 @@ def _numpy_spellings(values):
 @example(data=_catalan(38))
 def test_numpy_scalars_enter_as_the_numbers_they_hold(data):
     # the parent read an np.int64 or a longdouble of an object array into
-    # EXTENDED through float64, and refused them in RATIONAL
+    # EXTENDED through float64, and refused them in RATIONAL; a numpy
+    # scalar must not reach the builders' sums as it is either, where
+    # np.longdouble + Fraction computes in float64
     horizon, r, s = data
+    control = [Fraction(-1) ** k / (k + 2) for k in range(horizon)]
     for values, routes in (
             (r, {"recover_from_response": lambda d, p: recover_from_response(
                      d, horizon, p),
@@ -191,12 +194,17 @@ def test_numpy_scalars_enter_as_the_numbers_they_hold(data):
                      connecting_eig_sequences(d, horizon, p),
                  "validate_response": lambda d, p: validate_response(
                      d, horizon, p),
-                 "response_to_moments": response_to_moments}),
+                 "response_to_moments": response_to_moments,
+                 "connecting_from_response": lambda d, p:
+                     connecting_from_response(d, horizon, p),
+                 "apply_response": lambda d, p: apply_response(
+                     d, control, precision=p)}),
             (s, {"recover_from_moments": lambda d, p: recover_from_moments(
                      d, horizon, p),
                  "hankel_min_eigs": lambda d, p: hankel_min_eigs(
                      d, horizon, p),
-                 "moments_to_response": moments_to_response})):
+                 "moments_to_response": moments_to_response,
+                 "build_hankel": lambda d, p: build_hankel(d, horizon, p)})):
         _assert_same_for_every_spelling(
             {f"{name} {mode.value}": (lambda d, route=route, mode=mode:
                                        route(d, mode))
@@ -204,31 +212,14 @@ def test_numpy_scalars_enter_as_the_numbers_they_hold(data):
             _numpy_spellings(values))
 
 
-@settings(max_examples=12)
-@given(data=EXACT_DATA)
-@example(data=_catalan(36))
-def test_dtype_keeping_routes_read_numpy_scalars_as_their_numbers(data):
-    # a numpy scalar must not reach the arithmetic of these routes as it
-    # is: np.longdouble + Fraction computes in float64
-    horizon, r, _ = data
-    spellings = _numpy_spellings(r)
-    # a longdouble ndarray is a float array, which keeps its dtype
-    spellings.pop("longdouble ndarray", None)
-    control = [Fraction(-1) ** k / (k + 2) for k in range(horizon)]
-    _assert_same_for_every_spelling(
-        {"connecting_from_response": lambda d: connecting_from_response(
-             d, horizon),
-         "apply_response": lambda d: apply_response(d, control)},
-        spellings)
-
-
 def test_a_longdouble_among_fractions_keeps_the_sums_exact():
     scalars = np.array([np.longdouble(1), Fraction(0), Fraction(1, 3)],
                        dtype=object)
-    corner = connecting_from_response(scalars, 2).matrix[1, 1]
+    corner = connecting_from_response(scalars, 2, RATIONAL).matrix[1, 1]
     assert type(corner) is Fraction and corner == Fraction(4, 3)
-    assert apply_response(scalars, [0, 1]).tolist() == [0, 1]
-    assert apply_response(scalars, [1, 0, 1]).tolist() == [
+    assert apply_response(scalars, [0, 1], precision=RATIONAL).tolist() == [
+        0, 1]
+    assert apply_response(scalars, [1, 0, 1], precision=RATIONAL).tolist() == [
         1, 0, Fraction(4, 3)]
 
 
@@ -275,15 +266,16 @@ def test_a_complex_numpy_control_keeps_its_imaginary_part():
 @example(data=_catalan(38))
 def test_block_routes_read_every_spelling_alike(data):
     horizon, r, s = data
-    hankel = build_hankel(s, horizon).matrix
-    connecting = connecting_from_response(r, horizon).matrix
+    hankel = build_hankel(s, horizon, RATIONAL).matrix
+    connecting = connecting_from_response(r, horizon, RATIONAL).matrix
     assert hankel.dtype == connecting.dtype == object
     f, g = [1, Fraction(1, 2)] * horizon, [Fraction(-3, 4), 2] * horizon
-    routes = {"connecting_from_hankel": connecting_from_hankel,
-              "scalar_product": lambda c: scalar_product(
-                  f[:horizon], g[:horizon], c)}
+    routes = {"scalar_product": lambda c: scalar_product(
+        f[:horizon], g[:horizon], c)}
     for mode in PrecisionMode:
         routes.update({
+            f"connecting_from_hankel {mode.value}": lambda h, mode=mode:
+                connecting_from_hankel(h, None, mode),
             f"krein_solve_hankel {mode.value}": lambda h, mode=mode:
                 krein_solve_hankel(h, Z, mode),
             f"krein_solve {mode.value}": lambda c, mode=mode:
@@ -309,14 +301,16 @@ def test_control_routes_read_every_spelling_alike(precision):
     routes = {
         "ControlOperatorMatrix.apply":
             lambda c: control_operator(coeffs, 3, precision).apply(c),
-        "apply_response": lambda c: apply_response(r, c),
+        "apply_response": lambda c: apply_response(r, c,
+                                                   precision=precision),
         "solve_finite": lambda c: solve_finite(coeffs, 3, c, 3, precision)}
     _assert_same_for_every_spelling(routes, {
         "list": control, "one float": [2.0, 3 ** 40, 5],
         "object ndarray": np.array(control, dtype=object),
         "BoundaryControl": BoundaryControl(control)})
     if precision is RATIONAL:    # and the exact ints are kept
-        assert apply_response(r, control)[1] == 2 * r[1] + 3 ** 40
+        assert (apply_response(r, control, precision=precision)[1]
+                == 2 * r[1] + 3 ** 40)
         w = control_operator(coeffs, 3, precision)
         assert (w.apply(control).tolist()
                 == (w.flipped() @ np.array(control, dtype=object)).tolist())
