@@ -15,14 +15,15 @@ An mpf computes in the context it belongs to, so EXTENDED values carry
 their 50 digits into every module with no precision switch at the call
 site, and the package never reads or changes ``mpmath.mp``.  A caller's
 mpf passed through ``lift`` is re-homed into the private context with its
-mantissa kept, and an mpf of the private context is kept as it is.
+mantissa kept.
 
 The pipeline modules write each step once, independent of dtype, on the
-steps this module provides: lifting values read by ``core``'s one rule
-(``lift``), the one way into float64 (``to_double``), refusing complex
-values (``require_real``) and the floors, the forward sweep
-(``forward_sweep``), Wheeler's recurrence (``modified_chebyshev``), the
-eigenvalue sequences read off Q = diag(d)^-1/2 L^-1 for A = L diag(d)
+steps this module provides: the one number table by which a value enters
+a mode (``_ENTRY``, applied by ``_enter``) and the one way out to float64
+(``_float64``), lifting values read by ``core``'s one rule (``lift``),
+refusing complex values (``require_real``) and the floors, the forward
+sweep (``forward_sweep``), Wheeler's recurrence (``modified_chebyshev``),
+the eigenvalue sequences read off Q = diag(d)^-1/2 L^-1 for A = L diag(d)
 L^T (``orthonormal_min_eigs``, ``leading_eig_extremes``,
 ``gram_max_eigs``), ``sym_eigenvalues``, one positive-definite
 factorization and solve (``pd_factor``, ``mp_pd_solve``, ``gram_solve``)
@@ -64,8 +65,8 @@ EXTENDED ones.  Before it, ``_EXTENDED`` is a stand-in, _OWN_TYPES is
 empty, and ``_MPF``, ``_MPC``, ``_ROW_BITS``, ``normalize``,
 ``round_nearest``, ``from_float`` and ``fzero`` are None.  No other gate
 is needed: a value of the context exists only after the load, and every
-object path reads an attribute of ``_EXTENDED`` (``as_mpf``, whose float
-branch reads ``make_mpf`` before it calls ``from_float``, ``_read``
+object path reads an attribute of ``_EXTENDED`` (``_enter``, which reads
+``make_mpf`` before it calls ``from_float`` or ``_round``, ``_read``
 through ``convert``, ``solve_scalar``, ``_emitted`` for mpf, and
 ``_round``, which reads the precision first) before it uses one of
 those names.  So RATIONAL work loads mpmath at its first rounding to
@@ -85,8 +86,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import (ComplexDataError, ConditioningError, PrecisionMode,
-                   _as_float, _data_head, _python_number, _read_array,
-                   _to_fraction, sequence_values)
+                   _data_head, _read_array, sequence_values)
 
 EXTENDED_DPS = 50
 
@@ -134,49 +134,91 @@ NOISE_FLOOR_FACTOR = 1e3
 _RESIDUAL_TOL = 1e-10
 _REFINE_STEPS = 5
 
-def as_mpf(x):
-    """x as an mpf (mpc when complex) of the EXTENDED context: floats and
-    complex convert exactly, a float straight from its fields
-    (``from_float``, where ``mpf(x)`` arrives after its argument
-    dispatch), ints and Fractions round once to nearest at EXTENDED_DPS
-    digits, and an mpf or mpc of any context keeps its mantissa.  A
-    numpy scalar enters as the number it holds (``core._python_number``),
-    a complex one by its two parts; any other type raises TypeError, as
-    in RATIONAL."""
-    x = _python_number(x)
-    if isinstance(x, float):
-        return _EXTENDED.make_mpf(from_float(x))
-    if isinstance(x, int):
-        return _EXTENDED.mpf(x)
-    if isinstance(x, Fraction):
-        return _EXTENDED.make_mpf(_round(x.numerator, 0, x.denominator))
-    if isinstance(x, complex):
-        return _EXTENDED.mpc(x)
-    if isinstance(x, np.complexfloating):    # complex64, clongdouble
-        return _EXTENDED.mpc(as_mpf(x.real), as_mpf(x.imag))
+# How a number of each kind (``_kind``, by type in _KINDS) enters each mode:
+# kept, read exactly, rounded once to nearest or by its two parts; no cell
+# refuses it.  DOUBLE keeps only float64: other floats (np.floating) round in.
+_KEEP, _EXACT, _ROUND, _PARTS = "keep", "read exactly", "round once", "parts"
+_ENTRY = {(kind, mode): rule for kind, rules in {
+    #             DOUBLE  EXTENDED RATIONAL
+    int:         (_ROUND, _ROUND, _EXACT),
+    float:       (_KEEP, _EXACT, _EXACT),
+    np.floating: (_ROUND, _EXACT, _EXACT),
+    Fraction:    (_ROUND, _ROUND, _KEEP),
+    "mpf":       (_ROUND, _KEEP, None),
+    complex:     (_PARTS, _PARTS, None),
+}.items() for mode, rule in zip(PrecisionMode, rules) if rule}
+_KINDS = {int: int, bool: int, float: float, np.float64: float,
+          Fraction: Fraction, complex: complex, np.complexfloating: complex}
+_DOUBLE = PrecisionMode.DOUBLE    # read once: an Enum attribute read is slow
+
+
+def _kind(x) -> tuple:
+    """(kind, number): the row of x in _ENTRY, None for no number, and the
+    number x holds.  A numpy scalar holds its bool or int, the Fraction of
+    a finite float, or the float of an inf or NaN (kind np.floating); any
+    other value holds itself, an mpf of any context of kind "mpf"."""
+    kind = _KINDS.get(type(x))
+    if kind is not None:
+        return kind, x
+    if isinstance(x, (np.integer, np.bool_)):
+        return _kind(x.item())
+    if isinstance(x, np.floating):    # but a float64, which is a float
+        return ((Fraction, Fraction(*x.as_integer_ratio())) if np.isfinite(x)
+                else (np.floating, float(x)))
     if hasattr(x, "_mpf_"):
-        return _EXTENDED.make_mpf(x._mpf_)
+        return "mpf", x
     if hasattr(x, "_mpc_"):
-        return _EXTENDED.make_mpc(x._mpc_)
-    raise TypeError(f"cannot use {type(x).__name__} value in extended mode")
+        return complex, x
+    return next((kind for cls, kind in _KINDS.items() if isinstance(x, cls)),
+                None), x    # a numpy complex, a subclass of a number, or None
 
 
 _BEYOND_DOUBLE = ("a value exceeds double precision (about 1.8e308); use "
                   "PrecisionMode.EXTENDED (--precision extended)")
 
 
-def to_double(x, refusal: str = _BEYOND_DOUBLE, *names) -> float:
-    """x as a float, the one rule by which a real enters float64: a float,
-    numpy's included, as it is, whatever its value; any other real rounded
-    to nearest; one beyond float64 (an int, Fraction or mpf past about
-    1.8e308, or an mpf infinity) refused with ConditioningError
-    ``refusal.format(*names)``, which is formatted only then."""
-    if isinstance(x, float):
-        return float(x)
-    value = _as_float(x)    # the way out: +-inf beyond float64
-    if math.isinf(value):
-        raise ConditioningError(refusal.format(*names))
-    return value
+def _enter(x, precision: PrecisionMode, refusal: str = _BEYOND_DOUBLE,
+           *names):
+    """x as a number of ``precision`` by its cell of _ENTRY, or TypeError
+    where it has none.  DOUBLE refuses a value it rounds to +-inf with
+    ConditioningError ``refusal.format(*names)``; EXTENDED reads a float
+    off its fields, as ``mpf(x)`` does after its argument dispatch."""
+    if type(x) is float and precision is _DOUBLE:
+        return x    # the hottest cell: a float that DOUBLE keeps
+    kind, number = _KINDS.get(type(x)), x
+    if kind is None:
+        kind, number = _kind(x)
+    rule = _ENTRY.get((kind, precision))
+    if rule is None:
+        raise TypeError(f"cannot use {type(x).__name__} value in "
+                        f"{precision.value} mode")
+    if rule is _PARTS:
+        re, im = (_enter(part, precision, refusal, *names)
+                  for part in (number.real, number.imag))
+        return complex(re, im) if precision is _DOUBLE else _EXTENDED.make_mpc(
+            (re._mpf_, im._mpf_))
+    if precision is _DOUBLE:
+        value = _float64(number)
+        if rule is _ROUND and math.isinf(value):
+            raise ConditioningError(refusal.format(*names))
+        return value
+    if precision is PrecisionMode.RATIONAL:
+        return number if rule is _KEEP else Fraction(number)
+    return _EXTENDED.make_mpf(    # read first: it binds from_float
+        number._mpf_ if rule is _KEEP else from_float(number)
+        if rule is _EXACT else _round(number.numerator, 0, number.denominator))
+
+
+def _float64(values):
+    """A number or an array as float64, the one way out: an exact int or
+    Fraction beyond float64 gives +-inf, as an overflowed float does."""
+    try:
+        return (values.astype(float) if isinstance(values, np.ndarray)
+                else float(values))
+    except OverflowError:    # an exact int or Fraction beyond float64
+        if isinstance(values, np.ndarray):
+            return np.vectorize(_float64, otypes=[float])(values)
+        return math.inf if values > 0 else -math.inf
 
 
 def _root_floats(values: np.ndarray) -> np.ndarray:
@@ -202,38 +244,19 @@ def _root_floats(values: np.ndarray) -> np.ndarray:
 
 
 def lift(values, precision: PrecisionMode) -> np.ndarray:
-    """``values``, read by ``core._read_array``, as a new array of the
-    number type of ``precision``, never a view of ``values``.  DOUBLE
-    gives float64 (complex128 for complex input): an array of a dtype
-    that casts to complex128 safely casts, and each value of any other
-    array (object, longdouble, clongdouble) enters by ``to_double``, a
-    complex one by its real and imaginary parts, as each coefficient of
-    the polynomial routes does, so those compute in float64 however a
-    number is spelled; a value beyond float64 raises ConditioningError.
-    EXTENDED gives an object array of mpf of the private
-    EXTENDED_DPS-digit context (see ``as_mpf``); RATIONAL an object array
-    of Fraction, where floats convert exactly and inexact types such as
-    mpf are refused with TypeError."""
+    """``values``, read by ``core._read_array``, as a new array (no view)
+    of float64 (complex128 for a complex kind), mpf or Fraction: each
+    value (a Python number, by tolist(), but a long double) by ``_enter``;
+    a DOUBLE array of a dtype that casts to complex128 safely casts."""
     arr = _read_array(values)
-    # tolist() turns numpy scalars into the Python numbers the converters
-    # accept
-    if precision is PrecisionMode.DOUBLE:
-        if np.can_cast(arr.dtype, complex):    # every value in range
-            return arr.astype(complex if np.iscomplexobj(arr) else float,
-                              copy=arr is values or arr.base is not None)
-        values = arr.ravel().tolist()
-        if any(map(_is_complex, values)):
-            return np.array([complex(to_double(v.real), to_double(v.imag))
-                             for v in values], complex).reshape(arr.shape)
-        return np.array([to_double(v) for v in values],
-                        float).reshape(arr.shape)
-    out = np.empty(arr.shape, dtype=object)
-    values = arr.ravel().tolist()
-    if precision is PrecisionMode.RATIONAL:
-        out.flat = [_to_fraction(v) for v in values]
-    else:    # numbers already of the private context are kept as they are
-        out.flat = [v if type(v) in _OWN_TYPES else as_mpf(v) for v in values]
-    return out
+    if precision is PrecisionMode.DOUBLE and np.can_cast(arr.dtype, complex):
+        return arr.astype(complex if np.iscomplexobj(arr) else float,
+                          copy=arr is values or arr.base is not None)
+    own = _OWN_TYPES if precision is PrecisionMode.EXTENDED else ()
+    values = [v if type(v) in own else _enter(v, precision)
+              for v in arr.ravel().tolist()]
+    return np.array(values, None if precision is PrecisionMode.DOUBLE
+                    else object).reshape(arr.shape)
 
 
 def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
@@ -246,37 +269,30 @@ def lift_ints(ints: list, precision: PrecisionMode) -> np.ndarray:
     return np.array(ints, dtype=object)
 
 
-def require_real(values, name: str, first: int = 0) -> np.ndarray:
-    """``values`` as the array ``np.asarray`` reads them into, or
-    ComplexDataError naming one complex entry, name_{first + k}: the
-    first with a nonzero imaginary part, or, when none has one, the first
-    of complex type (a complex, numpy's included, or an mpc; entry 0 of a
-    complex array)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "cO":
-        return arr
-    entries = arr.tolist() if isinstance(values, np.ndarray) else list(values)
-    typed = [k for k, x in enumerate(entries) if _is_complex(x)]
-    if not typed:
-        return arr
-    at = next((k for k in typed if entries[k].imag != 0), typed[0])
-    raise ComplexDataError(
-        f"{name}_{first + at} = {arr[at]} is complex; it must be real")
+def require_real(values, name: str, first: int = 0):
+    """``values`` (a list or 1-D array) as they are, or ComplexDataError
+    naming name_{first + k}, the first entry of a complex kind with a
+    nonzero imaginary part, else the first of a complex kind."""
+    if isinstance(values, np.ndarray) and values.dtype.kind not in "cO":
+        return values
+    if {complex, None} & set(map(_KINDS.get, map(type, values))):
+        typed = [k for k, x in enumerate(values) if _kind(x)[0] is complex]
+        if typed:
+            at = next((k for k in typed if values[k].imag != 0), typed[0])
+            raise ComplexDataError(f"{name}_{first + at} = {np.asarray(values)[at]}"
+                                   " is complex; it must be real")
+    return values
 
 
 def mode_of(values: np.ndarray) -> PrecisionMode:
-    """The mode whose number type the array ``values`` holds: DOUBLE for
-    a float or complex array, EXTENDED for an object array holding an
-    mpf or mpc of the EXTENDED context, and RATIONAL for any other object
-    array."""
+    """The mode whose numbers the array ``values`` holds: DOUBLE for a
+    float or complex array, EXTENDED for an object array holding an mpf
+    or mpc of the EXTENDED context, else RATIONAL."""
     if values.dtype != object:
         return PrecisionMode.DOUBLE
-    return (PrecisionMode.EXTENDED if _holds_extended(values)
+    return (PrecisionMode.EXTENDED
+            if any(type(x) in _OWN_TYPES for x in values.flat)
             else PrecisionMode.RATIONAL)
-
-
-def _holds_extended(arr: np.ndarray) -> bool:
-    return arr.dtype == object and any(type(x) in _OWN_TYPES for x in arr.flat)
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -640,7 +656,7 @@ def _frexp_fields(vec: _Ints) -> list:
     """The frexp fields (``_frexp_table``'s) of the real values of
     ``vec``: each rounded once to EXTENDED (``_round``), its mantissa then
     rounded to float64, the two roundings by which ``_frexp_table`` reads
-    the mpf of ``_emitted`` or of ``as_mpf`` of a Fraction, with no mpf
+    the mpf of ``_emitted`` or of ``_enter`` of a Fraction, with no mpf
     made; (0.0, _ZERO_EXP) for a zero."""
     exp, den, fields = vec.exp or 0, vec.den, []
     for x in vec.re:
@@ -848,7 +864,7 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
     kind = Fraction if mode_of(a) is PrecisionMode.RATIONAL else _MPF
     zero = kind(0)
     a, b, ctrl = a.tolist() + [zero], b.tolist(), ctrl.tolist()
-    ctrl_mpc = [_is_mpc(f) for f in ctrl]
+    ctrl_mpc = [type(f) is _MPC for f in ctrl]
     parts = 2 if any(ctrl_mpc) else 1
     rows, force = _read(a + b), _read(ctrl)
     cden, cexp, fden, fexp = rows.den, rows.exp, force.den, force.exp
@@ -893,16 +909,6 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
             out[0][:m, t], out[1][:m, t] = zip(*_frexp_fields(vec[:m]))
         else:
             out[:m, t] = _emitted(vec[:m], kind, zero, masks[1 - i] >> 1)
-
-
-def _is_mpc(x) -> bool:
-    return hasattr(x, "_mpc_")
-
-
-def _is_complex(x) -> bool:
-    """Whether x is of a complex type: a complex, numpy's included, or an
-    mpc."""
-    return isinstance(x, (complex, np.complexfloating)) or _is_mpc(x)
 
 
 def _site_sums(below, above, diag, u, k: int) -> list:
@@ -1236,7 +1242,7 @@ def pd_factor(matrix):
         chol = np.linalg.cholesky(_finite(arr))
         diag = np.diagonal(chol)
         return chol / diag, diag * diag
-    if _holds_extended(arr):    # Fractions are finite
+    if mode_of(arr) is PrecisionMode.EXTENDED:    # Fractions are finite
         _read(arr.ravel().tolist())    # inf or NaN: ConditioningError
     n = arr.shape[0]
     low = np.zeros((n, n), dtype=object)
@@ -1277,7 +1283,8 @@ def dot(u: np.ndarray, v: np.ndarray):
     """
     if isinstance(v, _Ints):
         return _read(u.tolist()).dot(v)
-    if _holds_extended(v) or _holds_extended(u):
+    if (mode_of(v) is PrecisionMode.EXTENDED
+            or mode_of(u) is PrecisionMode.EXTENDED):
         try:
             if u.ndim == 1:
                 return _read(u.tolist()).dot(_read(v.tolist()))

@@ -34,8 +34,6 @@ from .core import (
     JacobiBCError,
     JacobiCoefficients,
     PrecisionMode,
-    _as_float,
-    _as_floats,
     _finite_reals,
     sequence_values,
     validate_coefficients,
@@ -46,6 +44,7 @@ from . import determinacy
 from . import dynamics
 from . import inverse
 from . import moments as moments_mod
+from ._multiprec import _float64
 
 __all__ = ["main"]
 
@@ -80,8 +79,8 @@ def _json_number(x) -> float | None:
 
 
 def _json_numbers(values) -> list:
-    """``_json_number`` of each value, converted at once (``_as_floats``)."""
-    arr = _as_floats(sequence_values(values))
+    """``_json_number`` of each value, converted at once (``_float64``)."""
+    arr = _float64(sequence_values(values))
     out = arr.tolist()
     for i in np.flatnonzero(~np.isfinite(arr)).tolist():
         out[i] = None
@@ -91,7 +90,7 @@ def _json_numbers(values) -> list:
 def _csv_number(x) -> str:
     """x formatted as a float with 17 significant digits (inf, -inf or
     nan beyond float64)."""
-    return format(_as_float(x), ".17g")
+    return format(_float64(x), ".17g")
 
 
 def _load_json(path: str) -> dict:

@@ -103,6 +103,7 @@ class PrecisionMode(Enum):
     DOUBLE = "double"
     EXTENDED = "extended"
     RATIONAL = "rational"
+    __hash__ = object.__hash__    # in C: the number table keys on a mode
 
 
 # float64 holds every integer below 2^53 in magnitude: only an entry at
@@ -152,44 +153,6 @@ def _data_head(data, count: int, kind: str) -> np.ndarray:
     return values[:count]
 
 
-def _as_float(x) -> float:
-    """x as a float, the one way out to float64: an exact int or Fraction
-    beyond float64 gives +-inf, as an overflowed float or mpf does."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
-def _as_floats(values: np.ndarray) -> np.ndarray:
-    """``values`` as float64 by ``_as_float``'s rule, in one cast."""
-    try:
-        return values.astype(float)
-    except OverflowError:    # an exact int or Fraction beyond float64
-        return np.vectorize(_as_float, otypes=[float])(values)
-
-
-def _python_number(x):
-    """A real numpy scalar as the Python number that holds its value: an
-    integer as an int, a finite floating value (longdouble's included)
-    as the Fraction of its integer ratio, inf or NaN as a float; any
-    other value as it is."""
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return Fraction(*x.as_integer_ratio()) if np.isfinite(x) else float(x)
-    return x
-
-
-def _to_fraction(x) -> Fraction:
-    x = _python_number(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise TypeError(f"cannot use {type(x).__name__} value in rational mode")
-
-
 def _rule_entry(rule, name: str, n: int):
     """rule(n), or ConditioningError naming the entry when the rule
     overflows (a float rule such as ratio ** n past 1.8e308)."""
@@ -235,17 +198,6 @@ class _Entries:
         return self.head(depth if self.stored is None else len(self.stored))
 
 
-_REAL_TYPES = frozenset((int, float, Fraction, np.int64, np.float64))
-
-
-def _real(values: list, name: str, first: int) -> list:
-    """``values``, or ComplexDataError naming the first complex entry."""
-    if not set(map(type, values)) <= _REAL_TYPES:
-        from ._multiprec import require_real
-        require_real(values, name, first)
-    return values
-
-
 class JacobiCoefficients:
     """The sequences a_n (n >= 0, with a_0 = 1) and b_n (n >= 1).
 
@@ -257,8 +209,8 @@ class JacobiCoefficients:
     by one ``_Entries``, which gives ``a``/``b`` and ``a_head``/``b_head``
     alike.  These four are the one place that refuses a complex entry,
     naming the first one read; ``a`` and ``b``, read three times a step
-    in the polynomial recurrences, pass an entry of _REAL_TYPES (real
-    by its type) untested.  ``validate_coefficients`` reads raw entries.
+    in the polynomial recurrences, pass an entry of a real kind (by its
+    type) untested.  ``validate_coefficients`` reads raw entries.
     """
 
     def __init__(self, a=None, b=None, *, a_rule=None, b_rule=None,
@@ -321,20 +273,22 @@ class JacobiCoefficients:
     def a(self, n: int):
         """Off-diagonal entry a_n, n >= 0."""
         x = self._a.entry(n)
-        return x if type(x) in _REAL_TYPES else _real([x], "a", n)[0]
+        return (x if _KINDS.get(type(x), complex) is not complex
+                else require_real([x], "a", n)[0])
 
     def b(self, n: int):
         """Diagonal entry b_n, n >= 1."""
         x = self._b.entry(n)
-        return x if type(x) in _REAL_TYPES else _real([x], "b", n)[0]
+        return (x if _KINDS.get(type(x), complex) is not complex
+                else require_real([x], "b", n)[0])
 
     def a_head(self, count: int) -> list:
         """[a_0, ..., a_{count-1}]; ``a`` names the first missing one."""
-        return _real(self._a.head(count), "a", 0)
+        return require_real(self._a.head(count), "a", 0)
 
     def b_head(self, count: int) -> list:
         """[b_1, ..., b_count]; ``b`` names the first missing one."""
-        return _real(self._b.head(count), "b", 1)
+        return require_real(self._b.head(count), "b", 1)
 
     def __repr__(self):
         if self.is_finite:
@@ -507,7 +461,6 @@ def materialize_matrix(coeffs: JacobiCoefficients, size: int,
     DOUBLE refuses an entry beyond float64 with ConditioningError.  A
     complex entry raises ComplexDataError, as every coefficient read does.
     """
-    from ._multiprec import lift
     if size < 1:
         raise ValueError("size must be >= 1")
     a, b = coeffs.a_head(size), coeffs.b_head(size)
@@ -536,13 +489,9 @@ def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
     checked in full; generator-backed ones up to PROBE_DEPTH.
     """
     issues = []
-    def finite(x):
-        if isinstance(x, (int, Fraction)):
-            return True
-        try:
-            return math.isfinite(float(x))
-        except (TypeError, OverflowError, ValueError):
-            return False
+    def finite(x):    # a finite real number of the number table
+        return _kind(x)[0] not in (None, complex) and (
+            isinstance(x, (int, Fraction)) or math.isfinite(float(x)))
 
     a_head = coeffs._a.probe(PROBE_DEPTH + 1)
     b_head = coeffs._b.probe(PROBE_DEPTH)
@@ -567,3 +516,7 @@ def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
             issues.append(f"b_{n} is not finite")
     return CoefficientValidation(valid=not issues, issues=tuple(issues),
                                  checked_depth=depth)
+
+
+# last: the precision backend imports the types above
+from ._multiprec import _KINDS, _kind, lift, require_real  # noqa: E402

@@ -32,12 +32,11 @@ from .core import (
     NotAMomentSequenceError,
     NotAResponseVectorError,
     PrecisionMode,
-    _as_floats,
     sequence_values,
 )
 from .dynamics import response_vector
 from .moments import moments_to_response
-from ._multiprec import _root_floats, modified_chebyshev, pivot_floor
+from ._multiprec import _float64, _root_floats, modified_chebyshev, pivot_floor
 
 __all__ = ["RecoveryResult", "recover_from_response", "recover_from_moments"]
 
@@ -90,13 +89,13 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
         raise failure(f"not {kind}: {exc} at {precision.value} precision; "
                       f"genuine but ill-conditioned data may need more "
                       f"digits") from None
-    pivot_ratios = np.sqrt(_as_floats(piv / np.max(piv)))
+    pivot_ratios = np.sqrt(_float64(piv / np.max(piv)))
     worst = int(np.argmin(pivot_ratios))
     if pivot_ratios[worst] < pivot_floor(precision):
         raise ConditioningError(
             f"pivot ratio {pivot_ratios[worst]:.3e} at index {worst} is below "
             f"{pivot_floor(precision):g}; use extended precision")
-    return _root_floats(beta[1:]).tolist(), _as_floats(alpha).tolist()
+    return _root_floats(beta[1:]).tolist(), _float64(alpha).tolist()
 
 
 def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult:
@@ -108,7 +107,7 @@ def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult
     window = 2 * horizon - 2
     residual = 0.0
     if window:
-        reference = _as_floats(sequence_values(reference)[:window])
+        reference = _float64(sequence_values(reference)[:window])
         with np.errstate(over="ignore", invalid="ignore"):
             simulated = response_vector(coeffs, window).as_array()
             residual = float(np.max(np.abs(simulated - reference)))

@@ -38,7 +38,7 @@ from .core import (
     materialize_matrix,
 )
 from .dynamics import WaveField, _lift_control
-from ._multiprec import to_double
+from ._multiprec import _enter
 
 __all__ = [
     "eval_chebyshev",
@@ -79,18 +79,19 @@ def _recurrence(coeffs, z, kind):
 
     Both start from phi_0: p_0 = 0 and, under a_0 = 1, q_0 = -1, which
     gives q_2 = 1/a_1 from the same update.  z is a scalar or an ndarray.
-    Each coefficient enters by ``_multiprec.to_double`` as it is read, so
-    the polynomial routes compute in float64 (complex128 for complex z)
+    Each coefficient enters DOUBLE by ``_multiprec._enter`` as it is read,
+    so the polynomial routes compute in float64 (complex128 for complex z)
     in every mode, and the same numbers give the same bits however they
     are spelled; one beyond float64 raises ConditioningError naming it.
     """
     zero, one = _zero_like(z), _one_like(z)
     prev, cur = (zero, one) if kind == "p" else (-one, zero)
     yield cur
-    a_prev = to_double(coeffs.a(0), _BEYOND_FLOAT64, "a", 0)
+    double = PrecisionMode.DOUBLE
+    a_prev = _enter(coeffs.a(0), double, _BEYOND_FLOAT64, "a", 0)
     for n in count(1):
-        a_n = to_double(coeffs.a(n), _BEYOND_FLOAT64, "a", n)
-        b_n = to_double(coeffs.b(n), _BEYOND_FLOAT64, "b", n)
+        a_n = _enter(coeffs.a(n), double, _BEYOND_FLOAT64, "a", n)
+        b_n = _enter(coeffs.b(n), double, _BEYOND_FLOAT64, "b", n)
         prev, cur = cur, ((z - b_n) * cur - a_prev * prev) / a_n
         a_prev = a_n    # a_{n-1} of the next step
         yield cur

@@ -4,10 +4,10 @@ Every polynomial route (deficiency sums, circle bounds, p_n and q_n, the
 direct and infinite kernels, E_T, the extension parameter and the field
 assembled from spectral data) runs the one three-term recurrence of
 ``spectral``, in float64 for every spelling of a_n and b_n: each
-coefficient enters by ``_multiprec.to_double``.  The families lie on a
-1/8 grid, so every spelling below holds the same numbers exactly: floats,
-Fractions, numpy float64, mpf of the EXTENDED context, and ints wherever
-the value is integral (floats elsewhere).  ``classify`` adds the
+coefficient enters DOUBLE by the number table (``_multiprec._enter``).
+The families lie on a 1/8 grid, so every spelling below holds the same
+numbers exactly: floats, Fractions, numpy float64, mpf of the EXTENDED
+context, and ints wherever the value is integral (floats elsewhere).  ``classify`` adds the
 eigenvalue sequences, which read the coefficients in the arithmetic of
 their mode; RATIONAL refuses an mpf by design, so the mpf spelling is
 left out there.  Sizes reach past 60, the depth of ``classify``'s
@@ -24,7 +24,7 @@ from jacobi_bc import (JacobiCoefficients, PrecisionMode,
                        deficiency_partial_sums, extension_parameter,
                        hermite_biehler, kernel_finite, kernel_infinite,
                        solution_via_spectrum)
-from jacobi_bc._multiprec import as_mpf
+from jacobi_bc._multiprec import _enter
 from jacobi_bc.spectral import eval_p_all, eval_q_all
 
 from test_spellings import _canon, _outcome
@@ -42,7 +42,8 @@ def _spell(values, spelling):
     """``values`` (Fractions on the 1/8 grid) in one spelling."""
     if spelling == "numpy float64":
         return np.array(values, dtype=float)
-    convert = {"float": float, "Fraction": Fraction, "mpf": as_mpf,
+    convert = {"float": float, "Fraction": Fraction,
+               "mpf": lambda x: _enter(x, PrecisionMode.EXTENDED),
                "int": lambda x: int(x) if x.denominator == 1 else float(x)}
     return [convert[spelling](Fraction(x)) for x in values]
 

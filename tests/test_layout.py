@@ -23,8 +23,9 @@ argument apart through ``getattr(x, "values", ...)`` or
 ``getattr(x, "matrix", ...)``.  So are the
 coefficients: the accessors of ``JacobiCoefficients`` refuse a complex
 one, and no other module checks a coefficient with ``require_real``.  A
-value enters float64 by ``_multiprec.to_double`` and a result leaves it
-by ``core._as_float``: no other module casts with ``.astype(float)``.
+value enters every mode by the one number table of ``_multiprec``
+(``_enter``) and a result leaves for float64 by ``_multiprec._float64``:
+no other module casts with ``.astype(float)``.
 A smallest eigenvalue is read off Q by one scaled LAPACK loop:
 ``_top_eigenvalue`` has one caller, ``_leading_top_eigs``.  No module
 of the diagnostics builds a wave field: gamma_T takes its frexp table
@@ -316,7 +317,7 @@ def test_solve_loop_contracts_through_dot():
 # them back, so no fifth integer form grows its own reading or rounding.
 FIELD_READ = re.compile(r"\.(_mpf_|_mpc_|numerator|denominator)\b")
 NORMALIZE_CALL = re.compile(r"\bnormalize\(")
-READERS = {"_read", "as_mpf"}    # as_mpf re-homes an mpf with its fields
+READERS = {"_read", "_enter"}    # _enter re-homes an mpf with its fields
 EMITTERS = {"_round"}            # the rounding ``_emitted`` and dot use
 
 
@@ -491,8 +492,6 @@ def test_public_functions_have_a_caller_or_a_reason():
 # private, and out of the benchmark tracer, which wraps every public
 # function of a layer.
 BACKEND_UNCALLED = {
-    "as_mpf": "one value as an mpf of the EXTENDED context; the tests "
-              "convert with it, and perfbench leaves it untraced by name",
     "sym_eigenvalues": "the one full eigen-solve, which the backend takes "
                        "past a failed pivot; the tests' reference, and "
                        "perfbench keys it by name",
@@ -746,10 +745,10 @@ def test_only_core_refuses_a_complex_coefficient():
     assert not hits, hits
 
 
-# A float64 result leaves by ``core._as_float``'s rule (``_as_floats`` for
-# an array), and a value enters float64 by ``_multiprec.to_double``: a
-# module that casts with ``.astype(float)`` itself converts by a rule of
-# its own, one that raises OverflowError on an exact value beyond float64.
+# A float64 result leaves by ``_multiprec._float64``, and a value enters
+# float64 by the number table (``_multiprec._enter``): a module that casts
+# with ``.astype(float)`` itself converts by a rule of its own, one that
+# raises OverflowError on an exact value beyond float64.
 FLOAT_CAST = re.compile(r"\.astype\(\s*(float|np\.float64)\b")
 FLOAT_CASTERS = {"core.py", "_multiprec.py"}
 

@@ -82,6 +82,7 @@ from jacobi_bc._multiprec import (
     _array_rows,
     _emitted,
     _finite,
+    _enter,
     _frexp_table,
     _Ints,
     _leading_top_eigs,
@@ -93,7 +94,6 @@ from jacobi_bc._multiprec import (
     _plus_basis_shift,
     _read,
     _top_eigenvalue,
-    as_mpf,
     dot,
     dot_operand,
     gram_solve,
@@ -331,7 +331,7 @@ def test_lift_keeps_ints_numpy_would_round(values):
 
 @pytest.mark.parametrize("value", [
     10 ** 400, Fraction(-10 ** 400, 3), mpmath.mpf("1e400"),
-    mpmath.mpf("-inf"), lambda: _multiprec.as_mpf(Fraction(10 ** 400))],
+    mpmath.mpf("-inf"), lambda: _enter(Fraction(10 ** 400), EXTENDED)],
     ids=["int", "Fraction", "mpf", "mpf infinity", "EXTENDED mpf"])
 def test_double_refuses_every_value_beyond_float64(value):
     # an mpf beyond float64 was lifted to inf; the one entry rule refuses
@@ -417,7 +417,7 @@ def test_lift_rehomes_a_caller_mpf_with_its_mantissa():
 @example(value=Fraction(-(10 ** 400), 3))
 @example(value=Fraction(1, 3 * 10 ** 400))
 def test_as_mpf_rounds_a_fraction_once(value):
-    assert as_mpf(value)._mpf_ == _rounded_once(value)
+    assert _enter(value, EXTENDED)._mpf_ == _rounded_once(value)
 
 
 @settings(max_examples=300)
@@ -432,14 +432,14 @@ def test_as_mpf_rounds_a_fraction_once(value):
 @example(value=-math.inf)
 @example(value=math.nan)
 def test_as_mpf_converts_a_float_as_the_context_does(value):
-    # as_mpf reads a float's fields straight from it; mpf(x) reaches the
-    # same conversion after its argument dispatch
-    assert as_mpf(value)._mpf_ == _multiprec._EXTENDED.mpf(value)._mpf_
+    # the entry reads a float's fields straight from it; mpf(x) reaches
+    # the same conversion after its argument dispatch
+    assert _enter(value, EXTENDED)._mpf_ == _multiprec._EXTENDED.mpf(value)._mpf_
 
 
 def test_as_mpf_keeps_the_mantissa_of_an_mpc_of_another_context():
     value = mpmath.mpc(mpmath.mpf(1) / 3, -2)
-    got = as_mpf(value)
+    got = _enter(value, EXTENDED)
     assert type(got) is _multiprec._MPC and got._mpc_ == value._mpc_
 
 
@@ -447,7 +447,7 @@ def test_as_mpf_keeps_the_mantissa_of_an_mpc_of_another_context():
 def test_as_mpf_refuses_a_type_it_does_not_read(value):
     # RATIONAL refuses the same values
     with pytest.raises(TypeError, match="in extended mode"):
-        as_mpf(value)
+        _enter(value, EXTENDED)
     with pytest.raises(TypeError, match="in rational mode"):
         lift(np.array([value], dtype=object), RATIONAL)
 
@@ -1674,11 +1674,13 @@ _FIRST_CALLS = {
                           "build_hankel([1, 0, 1], 2), 0.5j, EXTENDED)",
     "recover_from_moments": "r = recover_from_moments([1, 0, 1, 0, 2], 3, "
                             "EXTENDED); result = r.a, r.b, r.residual",
-    # as_mpf reads the context before its emitter uses mpmath's normalize
-    "as_mpf": "from fractions import Fraction; "
-              "result = _multiprec.as_mpf(Fraction(-1, 3))",
+    # the EXTENDED entry reads the context before its emitter uses
+    # mpmath's normalize
+    "the EXTENDED entry": "from fractions import Fraction; result = "
+                          "_multiprec._enter(Fraction(-1, 3), EXTENDED)",
     # ... and before it uses mpmath's from_float
-    "as_mpf of a float": "result = _multiprec.as_mpf(-0.1)",
+    "the EXTENDED entry of a float": "result = _multiprec._enter(-0.1, "
+                                     "EXTENDED)",
     # the first mpmath of a RATIONAL gamma is the sweep's _round of a cell
     "gram_max_eigs": "from fractions import Fraction; "
                      "result = _multiprec.gram_max_eigs("

@@ -27,8 +27,7 @@ from mpmath.libmp import from_rational, round_nearest
 import jacobi_bc as jb
 from jacobi_bc import (ConditioningError, JacobiCoefficients, PrecisionMode,
                        validate_coefficients)
-from jacobi_bc._multiprec import EXTENDED_DPS, lift
-from jacobi_bc.core import _as_float, _as_floats
+from jacobi_bc._multiprec import EXTENDED_DPS, _float64, lift
 from jacobi_bc.spectral import eval_p_all
 
 DOUBLE, EXTENDED, RATIONAL = PrecisionMode
@@ -230,9 +229,9 @@ def test_each_kind_enters_each_mode_by_the_table(value, cells, mode):
     ids=["int", "-int", "Fraction", "-Fraction", "finite Fraction",
          "rounded int", "mpf", "mpf beyond float64"])
 def test_the_exit_gives_inf_beyond_float64(value, want):
-    assert _as_float(value).hex() == want.hex()
+    assert _float64(value).hex() == want.hex()
     values = np.array([value, Fraction(1, 2)], dtype=object)
-    got = _as_floats(values)
+    got = _float64(values)
     assert got.dtype == np.float64
     assert [x.hex() for x in got.tolist()] == [want.hex(), "0x1.0000000000000p-1"]
 
