@@ -200,6 +200,11 @@ ROWS = [
         DOUBLE: _complex(float(LONG_FRACTION), -float(LONG_FRACTION)),
         EXTENDED: _mpc(_once(LONG_FRACTION), _once(-LONG_FRACTION)),
         RATIONAL: _refused("clongdouble")[RATIONAL]}),
+    ("np.clongdouble beyond float64", np.clongdouble(np.longdouble("1e400")), {
+        DOUBLE: (ConditioningError, BEYOND),
+        EXTENDED: _mpc(_once(Fraction(*np.longdouble("1e400").as_integer_ratio())),
+                       _once(0)),
+        RATIONAL: _refused("clongdouble")[RATIONAL]}),
     ("str", "1", _refused("str")),
     ("Decimal", Decimal(1), _refused("Decimal")),
     ("None", None, _refused("NoneType")),
