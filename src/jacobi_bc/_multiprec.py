@@ -245,8 +245,8 @@ def _root_floats(values: np.ndarray) -> np.ndarray:
 
 def lift(values, precision: PrecisionMode) -> np.ndarray:
     """``values``, read by ``core._read_array``, as a new array (no view)
-    of float64 (complex128 for a complex kind), mpf or Fraction: each
-    value (a Python number, by tolist(), but a long double) by ``_enter``;
+    of float64 (complex128 for a complex kind), mpf or Fraction, each value
+    entered by ``_enter`` (tolist() makes numpy scalars Python numbers);
     a DOUBLE array of a dtype that casts to complex128 safely casts."""
     arr = _read_array(values)
     if precision is PrecisionMode.DOUBLE and np.can_cast(arr.dtype, complex):
