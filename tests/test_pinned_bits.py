@@ -14,8 +14,11 @@ these loops differently changes a digest here.
 
 The object-mode digests were recorded from the code as it stood before
 the loops shared one integer form, the DOUBLE ones from the code before
-the float kernels dropped their per-step bookkeeping; a change that
-means to alter these bits records them anew and says why.
+the float kernels dropped their per-step bookkeeping, and the RATIONAL
+gamma of a family in thirds and fifths and the recovered roots of
+geometric(10^20) from the code before they left for float64 by one
+rounding; a change that means to alter these bits records them anew and
+says why.
 """
 
 import hashlib
@@ -26,7 +29,8 @@ import pytest
 
 from jacobi_bc import (JacobiCoefficients, PrecisionMode, build_hankel,
                        connecting_from_response, control_operator,
-                       kernel_finite, moments_to_response, response_to_moments,
+                       kernel_finite, moments_to_response,
+                       recover_from_response, response_to_moments,
                        response_vector, solve_finite, solve_semi_infinite)
 from jacobi_bc._multiprec import (_EXTENDED, _wheeler_rows, gram_max_eigs,
                                   gram_solve, leading_eig_extremes, lift,
@@ -41,6 +45,8 @@ GEO22 = JacobiCoefficients.geometric(2.2)
 CARLEMAN_09 = JacobiCoefficients.from_rules(lambda n: (n + 1) ** 0.9,
                                             lambda n: 0)
 CARLEMAN_1 = JacobiCoefficients.from_rules(lambda n: n + 1, lambda n: 0)
+# a_8..a_11 are roots of beta_k beyond float64
+GEO1E20 = JacobiCoefficients.geometric(10 ** 20)
 # a family of the kind the Krein kernel is benchmarked on
 RANDOM = JacobiCoefficients.from_arrays(
     [1.0] + np.random.default_rng(26).uniform(0.5, 2.0, 48).tolist(),
@@ -140,6 +146,22 @@ def _eigen_sequences(coeffs):
             gram_max_eigs(a, coeffs.b_head(24), 24, EXTENDED))
 
 
+def _thirds_and_fifths_gamma():
+    # denominators that are not powers of two: each cell of the sweep
+    # divides its Fraction out before it leaves for float64
+    a = [1] + [Fraction(2 * n + 1, 3) if n % 2 else Fraction(3 * n + 2, 5)
+               for n in range(1, 24)]
+    b = [Fraction((-1) ** n * (n + 1), 5) if n % 2 else Fraction(n - 4, 3)
+         for n in range(1, 25)]
+    return gram_max_eigs(a, b, 24, RATIONAL)
+
+
+def _recovered_roots(precision):
+    r = response_vector(GEO1E20, 23, precision).as_array()
+    result = recover_from_response(r, 12, precision)
+    return result.a, result.b, result.residual
+
+
 def _krein():
     w = control_operator(RANDOM, 24, EXTENDED).matrix
     rhs = lift([complex(k + 1, -k) / 5 for k in range(24)], EXTENDED)
@@ -196,6 +218,9 @@ CASES = {
         _data(EXTENDED, 0), EXTENDED).as_array(),
     "eigen-sequences-geometric2.2": lambda: _eigen_sequences(GEO22),
     "eigen-sequences-carleman0.9": lambda: _eigen_sequences(CARLEMAN_09),
+    "gram-max-eigs-rational-thirds-fifths": _thirds_and_fifths_gamma,
+    "recover-roots-extended": lambda: _recovered_roots(EXTENDED),
+    "recover-roots-rational": lambda: _recovered_roots(RATIONAL),
     "krein-kernel-extended": _krein,
     "pd-factor-and-solve-extended": _pd_solve,
 }
@@ -225,12 +250,18 @@ PINNED = {
         'f7f4ea879e39019d355f21a527e328126f3854c2432ae15daf29cbaa5a1109b2',
     'eigen-sequences-geometric2.2':
         'cfcd0e79ae74afda832043ce911fc01eb517042768593a3bbb985dbcfbd1771c',
+    'gram-max-eigs-rational-thirds-fifths':
+        '5caf8342615507a75efc5c7f1a18fd69e459f8f5642c7cd42399971a919dd3b3',
     'krein-kernel-extended':
         '40f86ec539be2fba2ff75d8ce8466fa857797f47c60d1163cf17ac974bc0065d',
     'moments-to-response-extended':
         '188445f8c90c71f676d49d652336636166b1e4203086946169394c419656f56b',
     'pd-factor-and-solve-extended':
         'eee96c322129297151a1e34feebba88675922d425f9b84e85255cf4499dcc36b',
+    'recover-roots-extended':
+        'afac3e337e602ed65b229e540f2f5fb27382b24babcb241c65c2aeb562823510',
+    'recover-roots-rational':
+        'afac3e337e602ed65b229e540f2f5fb27382b24babcb241c65c2aeb562823510',
     'response-vector-double':
         'bbdb8eb60c5588a5ff0c1abbbda34aabb67789397b008b2ed5e44b22bd4b2ab1',
     'semi-infinite-complex-control':
