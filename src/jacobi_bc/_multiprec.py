@@ -42,15 +42,16 @@ some value is an mpc.  ``_read`` takes numbers into it exactly;
 for the canonical Fractions, EXTENDED by rounding to nearest so that the
 smallest nonzero int keeps _ROW_BITS bits, the precision and 64 guard
 bits; ``_emitted`` gives back Fractions, mpf or mpc rounded once, or
-frexp fields.  A sweep whose field only feeds an eigenvalue table
-(``gram_max_eigs``) emits each cell as ``_frexp_fields``, rounded once
-to EXTENDED and then to float64, the bits of its mpf with no Fraction
-or mpf made.  An EXTENDED value so keeps 64 bits more than an mpf and
-is rounded once where mpf arithmetic rounds at every step, but the ints
-span the exponent range of the vector, which has no bound for mpf
-values, and so does the cost.  A sum of ``dot`` is rounded once where
-numpy's object ``@`` rounds after every product and add; float and
-Fraction operands keep ``@`` and its bits.
+float64 fields (mantissa, exponent) rounded once, the one way from the
+integer form to float64: the frexp tables of the eigenvalue sequences
+(the sweep of ``gram_max_eigs``, the rows of Q, ``_frexp_table``) and
+the recovered roots (``_root_floats``) take it, with no Fraction or mpf
+made.  In the integer form an EXTENDED value keeps 64 bits more than
+an mpf and is rounded once where mpf arithmetic rounds at every step,
+but the ints span the exponent range of the vector, which has no bound
+for mpf values, and so does the cost.  A sum of ``dot`` is rounded once
+where numpy's object ``@`` rounds after every product and add; float
+and Fraction operands keep ``@`` and its bits.
 
 In products of an object array with an mpf scalar the array goes on the
 left: an mpf on the left makes mpmath format the whole array for an
@@ -70,8 +71,9 @@ object path reads an attribute of ``_EXTENDED`` (``_enter``, which reads
 through ``convert``, ``solve_scalar``, ``_emitted`` for mpf, and
 ``_round``, which reads the precision first) before it uses one of
 those names.  So RATIONAL work loads mpmath at its first rounding to
-EXTENDED, such as the first ``_frexp_fields`` of its gamma, and not
-before.
+EXTENDED, such as the lift of its coefficients for an eigenvalue table
+(``_eigen_mode``), and not before: its gamma and its recovered roots
+leave for float64 with none.
 """
 
 from __future__ import annotations
@@ -135,17 +137,16 @@ _RESIDUAL_TOL = 1e-10
 _REFINE_STEPS = 5
 
 # How a number of each kind (``_kind``, by type in _KINDS) enters each mode:
-# kept, read exactly, rounded once to nearest or by its two parts; no cell
-# refuses it.  DOUBLE keeps only float64: other floats (np.floating) round in.
+# kept, read exactly, rounded once to nearest or by its two parts; a mode
+# with no cell refuses it, and RATIONAL a float inf or NaN (``_enter``).
 _KEEP, _EXACT, _ROUND, _PARTS = "keep", "read exactly", "round once", "parts"
 _ENTRY = {(kind, mode): rule for kind, rules in {
-    #             DOUBLE  EXTENDED RATIONAL
-    int:         (_ROUND, _ROUND, _EXACT),
-    float:       (_KEEP, _EXACT, _EXACT),
-    np.floating: (_ROUND, _EXACT, _EXACT),
-    Fraction:    (_ROUND, _ROUND, _KEEP),
-    "mpf":       (_ROUND, _KEEP, None),
-    complex:     (_PARTS, _PARTS, None),
+    #          DOUBLE  EXTENDED RATIONAL
+    int:      (_ROUND, _ROUND, _EXACT),
+    float:    (_KEEP, _EXACT, _EXACT),
+    Fraction: (_ROUND, _ROUND, _KEEP),
+    "mpf":    (_ROUND, _KEEP, None),
+    complex:  (_PARTS, _PARTS, None),
 }.items() for mode, rule in zip(PrecisionMode, rules) if rule}
 _KINDS = {int: int, bool: int, float: float, np.float64: float,
           Fraction: Fraction, complex: complex, np.complexfloating: complex}
@@ -155,8 +156,8 @@ _DOUBLE = PrecisionMode.DOUBLE    # read once: an Enum attribute read is slow
 def _kind(x) -> tuple:
     """(kind, number): the row of x in _ENTRY, None for no number, and the
     number x holds.  A numpy scalar holds its bool or int, the Fraction of
-    a finite float, or the float of an inf or NaN (kind np.floating); any
-    other value holds itself, an mpf of any context of kind "mpf"."""
+    a finite float, or the float of an inf or NaN; any other value holds
+    itself, an mpf of any context of kind "mpf"."""
     kind = _KINDS.get(type(x))
     if kind is not None:
         return kind, x
@@ -164,7 +165,7 @@ def _kind(x) -> tuple:
         return _kind(x.item())
     if isinstance(x, np.floating):    # but a float64, which is a float
         return ((Fraction, Fraction(*x.as_integer_ratio())) if np.isfinite(x)
-                else (np.floating, float(x)))
+                else (float, float(x)))
     if hasattr(x, "_mpf_"):
         return "mpf", x
     if hasattr(x, "_mpc_"):
@@ -181,8 +182,9 @@ def _enter(x, precision: PrecisionMode, refusal: str = _BEYOND_DOUBLE,
            *names):
     """x as a number of ``precision`` by its cell of _ENTRY, or TypeError
     where it has none.  DOUBLE refuses a value it rounds to +-inf with
-    ConditioningError ``refusal.format(*names)``; EXTENDED reads a float
-    off its fields, as ``mpf(x)`` does after its argument dispatch."""
+    ConditioningError ``refusal.format(*names)``, and RATIONAL a float inf
+    or NaN with ConditioningError; EXTENDED reads a float off its fields,
+    as ``mpf(x)`` does after its argument dispatch."""
     if type(x) is float and precision is _DOUBLE:
         return x    # the hottest cell: a float that DOUBLE keeps
     kind, number = _KINDS.get(type(x)), x
@@ -203,7 +205,11 @@ def _enter(x, precision: PrecisionMode, refusal: str = _BEYOND_DOUBLE,
             raise ConditioningError(refusal.format(*names))
         return value
     if precision is PrecisionMode.RATIONAL:
-        return number if rule is _KEEP else Fraction(number)
+        try:
+            return number if rule is _KEEP else Fraction(number)
+        except (OverflowError, ValueError):    # a float inf or NaN
+            raise ConditioningError("a value is inf or NaN, which rational "
+                                    "mode cannot hold") from None
     return _EXTENDED.make_mpf(    # read first: it binds from_float
         number._mpf_ if rule is _KEEP else from_float(number)
         if rule is _EXACT else _round(number.numerator, 0, number.denominator))
@@ -223,24 +229,17 @@ def _float64(values):
 
 def _root_floats(values: np.ndarray) -> np.ndarray:
     """sqrt of the positive ``values`` as float64, the root taken before
-    a value leaves its arithmetic: an object value m 4^e gives sqrt(m)
-    2^e, with m in (1/4, 4) rounded once, so a root that float64 holds
-    is finite even where its square is not, and has the bits of
-    sqrt(float(value)) wherever both are normal floats.  A float array
-    takes np.sqrt."""
+    a value leaves its arithmetic: an object value with the float64
+    fields (m, e) of ``_emitted`` gives sqrt(m 2^(e mod 2)) 2^(e div 2),
+    so a root that float64 holds is finite even where its square is not,
+    and has the bits of sqrt(float(value)) wherever both are normal
+    floats.  A float array takes np.sqrt."""
     if values.dtype != object:
         return np.sqrt(values)
-    roots, halves = [], []
-    for x in values.tolist():
-        vec = _read([x])
-        man, den = vec.re[0], vec.den
-        half = (man.bit_length() - den.bit_length() + vec.exp) // 2
-        up = vec.exp - 2 * half    # m = man 2^up / den
-        roots.append(math.sqrt((man << up) / den if up >= 0
-                               else man / (den << -up)))
-        halves.append(half)
+    fields = [_emitted(_read([x]), float)[0] for x in values.tolist()]
     with np.errstate(over="ignore", under="ignore"):
-        return np.ldexp(roots, halves)
+        return np.ldexp([math.sqrt(math.ldexp(m, e & 1)) for m, e in fields],
+                        [e >> 1 for _, e in fields])
 
 
 def lift(values, precision: PrecisionMode) -> np.ndarray:
@@ -630,18 +629,27 @@ def _round(man: int, exp: int, den: int = 1):
 
 
 def _emitted(vec: _Ints, kind, zero=None, mpc: int = -1) -> list:
-    """``vec`` as Fractions (exp 0); as the float frexp fields of re[k]
-    2^exp (den 1), rounded to nearest as float() and true division round
-    an int; or as _MPF, each rounded once, an mpc where ``vec`` has an im
-    and bit k of ``mpc`` is set, ``zero`` if given for a real zero.  Only
-    _MPF reads the EXTENDED context."""
+    """``vec`` as Fractions (exp 0); as the float64 fields (m, e) of each
+    real value, rounded once to nearest, ties to even, as float() and true
+    division round: m in [1/2, 1], 1.0 only where the rounding carries,
+    and (0.0, 0) for a zero; or as _MPF, each rounded once, an mpc where
+    ``vec`` has an im and bit k of ``mpc`` is set, ``zero`` if given for
+    a real zero.  Only _MPF reads the EXTENDED context."""
     re, den, exp = vec.re, vec.den, vec.exp or 0
     if kind is Fraction:
         return [Fraction(x, den) for x in re]
-    if kind is float:
+    if kind is float and den == 1:
         return [(math.ldexp(x, -b) if b < 1024 else x / (1 << b),
                  exp + b if b else 0)
                 for x, b in zip(re, map(int.bit_length, re))]
+    if kind is float:    # 2^(e-1) <= |x| / den < 2^e
+        fields = []
+        for x in re:
+            e = x.bit_length() - den.bit_length()
+            e += (abs(x) >> e if e >= 0 else abs(x) << -e) >= den
+            fields.append((x / (den << e) if e >= 0 else (x << -e) / den,
+                           exp + e) if x else (0.0, 0))
+        return fields
     make_mpf = _EXTENDED.make_mpf
     if vec.im is None:
         return [make_mpf(_round(x, exp, den)) if x or zero is None else zero
@@ -650,23 +658,6 @@ def _emitted(vec: _Ints, kind, zero=None, mpc: int = -1) -> list:
             if mpc >> k & 1 else make_mpf(_round(x, exp, den))
             if x or zero is None else zero
             for k, (x, y) in enumerate(zip(re, vec.im))]
-
-
-def _frexp_fields(vec: _Ints) -> list:
-    """The frexp fields (``_frexp_table``'s) of the real values of
-    ``vec``: each rounded once to EXTENDED (``_round``), its mantissa then
-    rounded to float64, the two roundings by which ``_frexp_table`` reads
-    the mpf of ``_emitted`` or of ``_enter`` of a Fraction, with no mpf
-    made; (0.0, _ZERO_EXP) for a zero."""
-    exp, den, fields = vec.exp or 0, vec.den, []
-    for x in vec.re:
-        if x:
-            sign, man, at, bits = _round(x, exp, den)
-            fields.append((math.ldexp(-man if sign else man, -bits),
-                           at + bits))
-        else:
-            fields.append((0.0, _ZERO_EXP))
-    return fields
 
 
 def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
@@ -854,9 +845,9 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
     the wave has not reached hold the mode's zero.
 
     ``out`` may instead be a frexp table (mantissas, exponents), a
-    float64 and an int64 array whose zero cells the caller has set: each
-    cell of a real control's field is then written as its
-    ``_frexp_fields``, with no Fraction or mpf made.
+    float64 and an int64 array of zeros: each cell of a real control's
+    field is then written as its float64 fields (``_emitted``), rounded
+    once, with no Fraction or mpf made.
     """
     table = isinstance(out, tuple)
     n_space, horizon = len(a), len(ctrl)
@@ -906,7 +897,7 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
             masks[1 - i] = (near | masks[1 - i]) & (2 << k) - 2
         m = min(k, watched)
         if table:
-            out[0][:m, t], out[1][:m, t] = zip(*_frexp_fields(vec[:m]))
+            out[0][:m, t], out[1][:m, t] = zip(*_emitted(vec[:m], float))
         else:
             out[:m, t] = _emitted(vec[:m], kind, zero, masks[1 - i] >> 1)
 
@@ -970,7 +961,7 @@ def _orthonormal_table(alpha, root_beta, shift):
     mant, exps = np.zeros((n, n)), np.zeros((n, n), dtype=np.int64)
     for k, row in enumerate(rows):
         mant[k, :k + 1], exps[k, :k + 1] = zip(*_emitted(row, float))
-    return mant, np.where(mant == 0, _ZERO_EXP, exps)
+    return mant, exps
 
 
 def _orthonormal_ints(alpha, root_beta, shift) -> list:
@@ -1143,16 +1134,17 @@ def gram_max_eigs(a, b, n_max: int, precision: PrecisionMode) -> np.ndarray:
 
     The one forward sweep runs in the arithmetic of ``precision`` and
     hands ``_leading_top_eigs`` the frexp table of W: ``np.frexp`` of the
-    float64 field in DOUBLE, and in the object modes each cell as its
-    ``_frexp_fields``, the bits ``_frexp_table`` reads off the same field
-    lifted to EXTENDED, with no Fraction or mpf cell made.  A DOUBLE cell
-    that overflowed to inf or NaN, and a value beyond float64, gives inf.
+    float64 field in DOUBLE, and in the object modes each cell rounded
+    once to float64 fields (``_emitted``), the exact cell in RATIONAL,
+    with no Fraction or mpf cell made and no mpmath loaded there.  A
+    DOUBLE cell that overflowed to inf or NaN, and a value beyond
+    float64, gives inf.
     """
     ctrl = np.repeat(lift([1, 0], precision), [1, n_max - 1])    # the impulse
     a, b = lift(a, precision), lift(b, precision)
     shape = len(a), n_max
     if a.dtype == object:
-        table = np.zeros(shape), np.full(shape, _ZERO_EXP)
+        table = np.zeros(shape), np.zeros(shape, dtype=np.int64)
         forward_sweep(ctrl, a, b, table)
     else:
         field = np.empty(shape)
@@ -1163,7 +1155,7 @@ def gram_max_eigs(a, b, n_max: int, precision: PrecisionMode) -> np.ndarray:
         return np.ldexp(top, exp)
 
 
-# frexp exponent given to zero entries: below every real entry's exponent
+# the exponent ``_leading_top_eigs`` reads for a zero: below every entry's
 _ZERO_EXP = -(1 << 40)
 
 
@@ -1176,22 +1168,18 @@ def _top_eigenvalue(block: np.ndarray) -> float:
 
 def _frexp_table(arr):
     """(mantissas, exponents) of the entries of a float or mpf array as
-    frexp gives them, float64 and int64, with the exponent _ZERO_EXP for
-    a zero: the table ``_leading_top_eigs`` reads.  An mpf inf or NaN
-    raises ValueError, as mpmath's frexp does."""
+    frexp gives them, exponent 0 for a zero: the table
+    ``_leading_top_eigs`` reads.  An mpf leaves the integer form by
+    ``_emitted``, rounded once; an inf or NaN one raises ValueError, as
+    mpmath's frexp does."""
     if arr.dtype != object:
-        mant, exps = np.frexp(arr)
-    else:    # the nonzero entries only: a triangle of W holds exact zeros
-        mant, exps = np.zeros(arr.shape), np.zeros(arr.shape, dtype=np.int64)
-        nonzero = np.nonzero(arr)
-        try:
-            fields = _emitted(_read(arr[nonzero].tolist()), float)
-        except ConditioningError as exc:
-            raise ValueError("frexp of an infinite or NaN mpf") from exc
-        if fields:
-            mant[nonzero], exps[nonzero] = zip(*fields)
-    # int64 first: frexp's int32 exponents would wrap _ZERO_EXP to 0
-    return mant, np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
+        return np.frexp(arr)
+    try:
+        fields = _emitted(_read(arr.ravel().tolist()), float)
+    except ConditioningError as exc:
+        raise ValueError("frexp of an infinite or NaN mpf") from exc
+    return (np.array([m for m, _ in fields]).reshape(arr.shape),
+            np.array([e for _, e in fields], np.int64).reshape(arr.shape))
 
 
 def _leading_top_eigs(table, gram=False, first: int = 1):
@@ -1208,6 +1196,8 @@ def _leading_top_eigs(table, gram=False, first: int = 1):
     never reaches LAPACK.
     """
     mant, exps = table
+    # int64 first: frexp's int32 exponents would wrap _ZERO_EXP to 0
+    exps = np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
     rows, cols = mant.shape
     corner = (np.minimum(np.arange(cols), rows - 1), np.arange(cols))
 

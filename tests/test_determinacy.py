@@ -423,7 +423,8 @@ class TestCoefficientRoute:
         monkeypatch.setattr(_multiprec, "_emitted", counting_emitted)
         monkeypatch.setattr(_multiprec, "_frexp_table", counting_table)
         classify(GEO, 12, precision)
-        assert set(kinds) == {float}    # the rows of Q, for lambda and beta
+        # gamma's cells and the rows of Q for lambda and beta: float fields
+        assert set(kinds) == {float}
         assert tables == []
 
     def test_overflowed_double_rows_give_zero(self, monkeypatch):

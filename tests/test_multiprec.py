@@ -363,12 +363,14 @@ def test_double_enters_a_complex_entry_by_its_parts():
 
 @pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
 def test_double_refuses_a_long_double_beyond_float64(dtype):
-    # a cast made it inf with only numpy's RuntimeWarning
+    # a cast made it inf with only numpy's RuntimeWarning; the value is
+    # finite: np.clongdouble("1e400") would be inf+0j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConditioningError,
                            match="exceeds double precision"):
-            lift(np.array([dtype("1e400")]), PrecisionMode.DOUBLE)
+            lift(np.array([dtype(np.longdouble("1e400"))]),
+                 PrecisionMode.DOUBLE)
         got = lift(np.array([dtype("0.1"), dtype(3)]), PrecisionMode.DOUBLE)
     assert got.dtype == (complex if dtype is np.clongdouble else float)
     assert got.tolist() == [float(np.longdouble("0.1")), 3.0]
@@ -1413,6 +1415,45 @@ def test_int_table_rounds_wide_ints_to_nearest(value):
     assert exp == bits - 7
 
 
+def _float64_fields(x: int, den: int, exp: int) -> tuple:
+    """(m, e) with m 2^e the exact x / den * 2^exp rounded once to 53
+    bits, ties to even, m in [1/2, 1], by Fraction arithmetic alone."""
+    value = Fraction(x, den) * Fraction(2) ** exp
+    if not value:
+        return Fraction(0), 0
+    e = x.bit_length() - den.bit_length() + exp
+    while abs(value) >= Fraction(2) ** e:
+        e += 1
+    while abs(value) < Fraction(2) ** (e - 1):
+        e -= 1
+    # round() of a Fraction takes a tie to the even integer
+    return Fraction(round(value / Fraction(2) ** e * 2 ** 53), 2 ** 53), e
+
+
+@st.composite
+def _exit_operands(draw):
+    """(ints, den, exp) of an _Ints: den 1 or odd, some ints on or next to
+    a float64 tie of the value they give over den."""
+    den = draw(st.just(1) | st.integers(0, 1 << 80).map(lambda k: 2 * k + 1))
+    near_tie = st.builds(
+        lambda m, k, d, sign: sign * den * ((((m << 1) | 1) << k) + d),
+        st.integers(1 << 52, (1 << 53) - 1), st.integers(0, 1100),
+        st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 1]))
+    ints = draw(st.lists(near_tie | st.integers(-(1 << 3000), 1 << 3000),
+                         min_size=1, max_size=4))
+    return ints, den, draw(st.integers(-5000, 5000))
+
+
+@settings(max_examples=300)
+@given(_exit_operands())
+def test_float_exit_rounds_each_value_once(operands):
+    ints, den, exp = operands
+    got = _emitted(_Ints(ints, None, den, exp), float)
+    for x, (mant, e) in zip(ints, got):
+        assert type(mant) is float
+        assert (Fraction(mant), e) == _float64_fields(x, den, exp)
+
+
 # -- the matrix-vector dot product of the factorization -------------------
 
 @st.composite
@@ -1681,7 +1722,7 @@ _FIRST_CALLS = {
     # ... and before it uses mpmath's from_float
     "the EXTENDED entry of a float": "result = _multiprec._enter(-0.1, "
                                      "EXTENDED)",
-    # the first mpmath of a RATIONAL gamma is the sweep's _round of a cell
+    # a RATIONAL gamma rounds its exact cells to float64 with no mpmath
     "gram_max_eigs": "from fractions import Fraction; "
                      "result = _multiprec.gram_max_eigs("
                      "[1, Fraction(1, 3), 2], [Fraction(1, 5), 0, -1], 4, "
@@ -1720,6 +1761,13 @@ def _loaded_fields(statement):
 def test_first_use_gives_the_bits_of_a_loaded_process(name):
     statement = _FIRST_CALLS[name]
     assert _fresh_fields(_FIRST_USE, statement) == _loaded_fields(statement)
+
+
+def test_rational_gamma_leaves_mpmath_unloaded():
+    source = _SETUP + _FIRST_CALLS["gram_max_eigs"] + """
+print(repr("mpmath" in sys.modules))
+"""
+    assert _fresh_fields(source) is False
 
 
 _RACE = _SETUP + """

@@ -8,7 +8,9 @@ per-value step of every data, control and block route.  A cell pins the
 value and its type, the bits of a float and the fields of an mpf, or the
 exact error type and message.  A numpy scalar reads as the Python number
 it holds, an ``np.bool_`` as the bool; a value that is no number is
-refused in every mode with the same words, the mode's name aside.
+refused in every mode with the same words, the mode's name aside.  An inf
+or NaN of any float width is kept by ``double`` and ``extended`` and
+refused by ``rational``, which has no exact value for it.
 
 The exit gives the float64 of a value of any mode, or +-inf where float64
 cannot hold an exact value; the ``double`` entry refuses such a value with
@@ -33,6 +35,8 @@ from jacobi_bc.spectral import eval_p_all
 DOUBLE, EXTENDED, RATIONAL = PrecisionMode
 BEYOND = ("a value exceeds double precision (about 1.8e308); use "
           "PrecisionMode.EXTENDED (--precision extended)")
+# a float inf or NaN has no exact value
+INF_OR_NAN = "a value is inf or NaN, which rational mode cannot hold"
 
 # an independent context at the EXTENDED precision, for the expected fields
 CTX = mpmath.MPContext()
@@ -129,13 +133,13 @@ ROWS = [
         RATIONAL: _fraction(5e-324)}),
     ("float inf", math.inf, {
         DOUBLE: _float(math.inf), EXTENDED: _mpf(CTX.mpf("inf")._mpf_),
-        RATIONAL: (OverflowError, "cannot convert Infinity to integer ratio")}),
+        RATIONAL: (ConditioningError, INF_OR_NAN)}),
     ("float -inf", -math.inf, {
         DOUBLE: _float(-math.inf), EXTENDED: _mpf(CTX.mpf("-inf")._mpf_),
-        RATIONAL: (OverflowError, "cannot convert Infinity to integer ratio")}),
+        RATIONAL: (ConditioningError, INF_OR_NAN)}),
     ("float nan", math.nan, {
         DOUBLE: _float(math.nan), EXTENDED: _mpf(CTX.mpf("nan")._mpf_),
-        RATIONAL: (ValueError, "cannot convert NaN to integer ratio")}),
+        RATIONAL: (ConditioningError, INF_OR_NAN)}),
     ("complex", 1 + 2j, {
         DOUBLE: _complex(1.0, 2.0), EXTENDED: _mpc(_once(1), _once(2)),
         RATIONAL: _refused("complex")[RATIONAL]}),
@@ -173,12 +177,12 @@ ROWS = [
         DOUBLE: _float(F32), EXTENDED: _mpf(_once(float(F32))),
         RATIONAL: _fraction(float(F32))}),
     ("np.float32 inf", np.float32("inf"), {
-        DOUBLE: (ConditioningError, BEYOND),
+        DOUBLE: _float(math.inf),
         EXTENDED: _mpf(CTX.mpf("inf")._mpf_),
-        RATIONAL: (OverflowError, "cannot convert Infinity to integer ratio")}),
+        RATIONAL: (ConditioningError, INF_OR_NAN)}),
     ("np.float16 nan", np.float16("nan"), {
         DOUBLE: _float(math.nan), EXTENDED: _mpf(CTX.mpf("nan")._mpf_),
-        RATIONAL: (ValueError, "cannot convert NaN to integer ratio")}),
+        RATIONAL: (ConditioningError, INF_OR_NAN)}),
     ("np.float64", np.float64(0.1), {
         DOUBLE: _float(0.1), EXTENDED: _mpf(_once(0.1)),
         RATIONAL: _fraction(0.1)}),
@@ -186,12 +190,12 @@ ROWS = [
         DOUBLE: _float(LONG_FRACTION), EXTENDED: _mpf(_once(LONG_FRACTION)),
         RATIONAL: _fraction(LONG_FRACTION)}),
     ("np.longdouble -inf", np.longdouble("-inf"), {
-        DOUBLE: (ConditioningError, BEYOND),
+        DOUBLE: _float(-math.inf),
         EXTENDED: _mpf(CTX.mpf("-inf")._mpf_),
-        RATIONAL: (OverflowError, "cannot convert Infinity to integer ratio")}),
+        RATIONAL: (ConditioningError, INF_OR_NAN)}),
     ("np.float64 inf", np.float64("inf"), {
         DOUBLE: _float(math.inf), EXTENDED: _mpf(CTX.mpf("inf")._mpf_),
-        RATIONAL: (OverflowError, "cannot convert Infinity to integer ratio")}),
+        RATIONAL: (ConditioningError, INF_OR_NAN)}),
     ("np.complex64", C64, {
         DOUBLE: _complex(C64.real, C64.imag),
         EXTENDED: _mpc(_once(float(C64.real)), _once(float(C64.imag))),
@@ -251,6 +255,27 @@ def test_the_double_entry_refuses_what_the_exit_makes_inf():
     assert str(info.value) == (
         "coefficient a_1 is beyond the float64 range (about 1.8e308) of "
         "p_n(z) and q_n(z) in every precision mode")
+
+
+@pytest.mark.parametrize("bad", [
+    math.inf, -math.inf, math.nan, np.float32("inf"), np.longdouble("nan")],
+    ids=["inf", "-inf", "nan", "float32 inf", "longdouble nan"])
+def test_rational_data_routes_refuse_a_float_inf_or_nan(bad):
+    # Python's OverflowError or ValueError from Fraction() escaped
+    for route in (jb.recover_from_response, jb.connecting_from_response):
+        with pytest.raises(ConditioningError) as info:
+            route([1, bad, 2], 2, RATIONAL)
+        assert str(info.value) == INF_OR_NAN, route.__name__
+
+
+def test_double_keeps_a_narrow_float_inf_in_any_array():
+    # an object array refused the inf that a float32 array kept
+    for dtype in (np.float32, np.longdouble):
+        values = [dtype(1), dtype("-inf")]
+        got = lift(np.array(values, dtype=object), DOUBLE)
+        assert got.tobytes() == lift(np.array(values, dtype=dtype),
+                                     DOUBLE).tobytes()
+        assert got.tolist() == [1.0, -math.inf]
 
 
 # A value that is no number, as a datum, a control value or a coefficient,
