@@ -3,13 +3,14 @@
 This module owns every file format of the package: it decodes the JSON
 input files and encodes results as JSON or CSV, and the library returns
 plain arrays and result objects.  One table, ``_COMMANDS``, gives each
-command its handler and help text.  A handler composes library calls on
-the parsed arguments and returns two producers, one of the JSON payload
-and one of the CSV rows; the writer calls only the one of the requested
-format, so ``simulate --format csv`` streams its rows beside the one
-field.  Outputs are deterministic: identical invocations produce
-byte-identical files.  A result number float64 cannot hold is null in
-JSON and inf, -inf or nan in CSV, and the command still exits 0.
+command its handler, the options it reads, its most ``--input`` files
+and its help; any other option or input exits 2.  A handler composes
+library calls on the parsed arguments and returns two producers, one of
+the JSON payload and one of the CSV rows; the writer calls only the one
+of the requested format, so ``simulate --format csv`` streams its rows
+beside the one field.  Outputs are deterministic: identical invocations
+produce byte-identical files.  A result number float64 cannot hold is
+null in JSON and inf, -inf or nan in CSV, and the command still exits 0.
 
 Exit codes: 0 success, 2 validation failure (malformed input, data that
 fails a positivity characterization, values the precision mode cannot
@@ -151,10 +152,11 @@ def _number_list(obj, key: str, path: str) -> list:
     return vals
 
 
-def _require_horizon(args) -> int:
-    if args.horizon is None:
-        raise CliInputError(f"command {args.command!r} requires --T")
-    return args.horizon
+def _required(args, flag: str) -> int:
+    value = getattr(args, _OPTIONS[flag]["dest"])
+    if value is None:
+        raise CliInputError(f"command {args.command!r} requires {flag}")
+    return value
 
 
 def _primary_input(args) -> dict:
@@ -218,14 +220,12 @@ def _series_rows(index: str, label: str, values):
                                        for i, v in enumerate(values)]
 
 
-# -- command handlers ----------------------------------------------------
-# Each returns two producers, of the JSON payload and of the CSV rows; the
-# writer calls only the one of the requested format.
+# -- command handlers: each returns its JSON and CSV producers ------------
 
 
 def _cmd_simulate(args):
     coeffs = _primary_coefficients(args)
-    horizon = _require_horizon(args)
+    horizon = _required(args, "--T")
     if len(args.input) > 1:
         path = args.input[1]
         control = _number_list(_load_json(path), "control", path)
@@ -264,7 +264,7 @@ def _cmd_simulate(args):
 
 def _cmd_response(args):
     coeffs = _primary_coefficients(args)
-    horizon = _require_horizon(args)
+    horizon = _required(args, "--T")
     r = dynamics.response_vector(coeffs, horizon, args.precision)
     return (lambda: {"length": horizon, "response": _json_numbers(r)},
             _series_rows("t", "r_t", r))
@@ -282,7 +282,7 @@ def _cmd_connect(args):
             args.precision)
     else:
         conn = connecting_mod.gram_from_control(
-            _coefficients(obj, args.input[0]), _require_horizon(args),
+            _coefficients(obj, args.input[0]), _required(args, "--T"),
             args.precision)
     return (lambda: {"size": conn.size, "orientation": "corner-top",
                      "matrix": [_json_numbers(row) for row in conn.matrix]},
@@ -311,9 +311,8 @@ def _cmd_recover(args):
 
 def _cmd_diagnose(args):
     coeffs = _primary_coefficients(args)
-    if args.n_max is None:
-        raise CliInputError("command 'diagnose' requires --N-max")
-    report = determinacy.classify(coeffs, args.n_max, args.precision)
+    report = determinacy.classify(coeffs, _required(args, "--N-max"),
+                                  args.precision)
     return (lambda: {
         "verdict": report.verdict.value,
         "precision": report.precision.value,
@@ -333,7 +332,7 @@ def _cmd_diagnose(args):
 
 def _cmd_kernel(args):
     coeffs = _primary_coefficients(args)
-    horizon = _require_horizon(args)
+    horizon = _required(args, "--T")
     grid = [(complex(re, im), complex(lam)) for re in (-2.0, 0.0, 2.0)
             for im in (0.5, 1.5) for lam in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     return _grid_output(
@@ -343,7 +342,7 @@ def _cmd_kernel(args):
 
 def _cmd_hb(args):
     evaluator = debranges.hermite_biehler(_primary_coefficients(args),
-                                          _require_horizon(args))
+                                          _required(args, "--T"))
     grid = [(complex(re, im),) for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
             for im in (0.25, 0.5, 1.0, 2.0, 4.0)]
     return _grid_output(args, evaluator.horizon, ("z",), grid, evaluator)
@@ -364,17 +363,31 @@ def _cmd_moments(args):
             _series_rows("k", label, out))
 
 
-# name -> (handler, help); drives both the subparsers and the dispatch
+# name -> (handler, the options it reads beside --input, --output and
+# --format, the most --input files it takes, help)
+_SOLVE = ("--T", "--precision")
 _COMMANDS = {
-    "simulate": (_cmd_simulate,
+    "simulate": (_cmd_simulate, _SOLVE, 2,
                  "run the forward solver (impulse control by default)"),
-    "response": (_cmd_response, "extract the response vector"),
-    "connect": (_cmd_connect, "build a connecting matrix"),
-    "recover": (_cmd_recover, "recover coefficients from a response or moments"),
-    "diagnose": (_cmd_diagnose, "determinacy report"),
-    "kernel": (_cmd_kernel, "evaluate the reproducing kernel on a grid"),
-    "hb": (_cmd_hb, "evaluate the Hermite-Biehler function on a grid"),
-    "moments": (_cmd_moments, "convert between responses and moments"),
+    "response": (_cmd_response, _SOLVE, 1, "extract the response vector"),
+    "connect": (_cmd_connect, _SOLVE, 1, "build a connecting matrix"),
+    "recover": (_cmd_recover, _SOLVE, 1,
+                "recover coefficients from a response or moments"),
+    "diagnose": (_cmd_diagnose, ("--N-max", "--precision"), 1, "determinacy report"),
+    "kernel": (_cmd_kernel, ("--T",), 2,
+               "evaluate the reproducing kernel on a grid"),
+    "hb": (_cmd_hb, ("--T",), 2,
+           "evaluate the Hermite-Biehler function on a grid"),
+    "moments": (_cmd_moments, ("--precision",), 1,
+                "convert between responses and moments"),
+}
+_OPTIONS = {
+    "--T": dict(dest="horizon", type=int, help="time horizon / block size"),
+    "--N-max": dict(dest="n_max", type=int,
+                    help="maximum block size for sequence diagnostics"),
+    "--precision": dict(choices=["double", "extended", "rational"],
+                        help="arithmetic mode (default double, or "
+                             "JACOBI_BC_PRECISION)"),
 }
 
 
@@ -437,19 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jacobi-bc",
         description="Boundary-control toolkit for Jacobi matrices")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, doc) in _COMMANDS.items():
+    for name, (_handler, options, inputs, doc) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--input", action="append", default=[],
-                       help="input JSON file (repeatable where documented)")
+                       help=f"input JSON file (at most {inputs})")
         p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--T", dest="horizon", type=int, default=None,
-                       help="time horizon / block size")
-        p.add_argument("--N-max", dest="n_max", type=int, default=None,
-                       help="maximum block size for sequence diagnostics")
-        p.add_argument("--precision", default=None,
-                       choices=["double", "extended", "rational"],
-                       help="arithmetic mode (default double, or "
-                            "JACOBI_BC_PRECISION)")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.add_argument("--format", dest="fmt", default="json",
                        choices=["json", "csv"], help="output format")
     return parser
@@ -463,16 +470,22 @@ def main(argv=None) -> int:
     """Run one command; returns the process exit code."""
     try:
         args = _parser().parse_args(argv)
-        for flag, value in (("--T", args.horizon), ("--N-max", args.n_max)):
+        handler, options, inputs, _doc = _COMMANDS[args.command]
+        if len(args.input) > inputs:
+            raise CliInputError(f"command {args.command!r} takes at most "
+                                f"{inputs} --input file(s)")
+        for flag, value in (("--T", getattr(args, "horizon", None)),
+                            ("--N-max", getattr(args, "n_max", None))):
             if value is not None and value < 1:
                 raise CliInputError(f"{flag} must be >= 1")
-        precision = (args.precision
-                     or os.environ.get("JACOBI_BC_PRECISION", "double"))
-        if precision not in {mode.value for mode in PrecisionMode}:
-            raise CliInputError(f"unknown precision {precision!r}; choose "
-                                f"double, extended, or rational")
-        args.precision = PrecisionMode(precision)
-        _write_output(args, *_COMMANDS[args.command][0](args))
+        if "--precision" in options:
+            precision = (args.precision
+                         or os.environ.get("JACOBI_BC_PRECISION", "double"))
+            if precision not in {mode.value for mode in PrecisionMode}:
+                raise CliInputError(f"unknown precision {precision!r}; choose "
+                                    f"double, extended, or rational")
+            args.precision = PrecisionMode(precision)
+        _write_output(args, *handler(args))
         return 0
     except (CliInputError, JacobiBCError) as exc:
         _emit_error(exc, validation=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -489,9 +488,9 @@ def validate_coefficients(coeffs: JacobiCoefficients) -> CoefficientValidation:
     checked in full; generator-backed ones up to PROBE_DEPTH.
     """
     issues = []
-    def finite(x):    # a finite real number of the number table
-        return _kind(x)[0] not in (None, complex) and (
-            isinstance(x, (int, Fraction)) or math.isfinite(float(x)))
+    def finite(x):    # a finite real number of the number table, any size
+        kind, number = _kind(x)
+        return kind not in (None, complex) and number - number == 0
 
     a_head = coeffs._a.probe(PROBE_DEPTH + 1)
     b_head = coeffs._b.probe(PROBE_DEPTH)

@@ -82,16 +82,20 @@ def _recurrence(coeffs, z, kind):
     Each coefficient enters DOUBLE by ``_multiprec._enter`` as it is read,
     so the polynomial routes compute in float64 (complex128 for complex z)
     in every mode, and the same numbers give the same bits however they
-    are spelled; one beyond float64 raises ConditioningError naming it.
+    are spelled; ConditioningError names one beyond float64, inf or NaN.
     """
+    def entered(x, name, n):    # x - x is NaN, not 0, for inf or NaN
+        x = _enter(x, PrecisionMode.DOUBLE, _BEYOND_FLOAT64, name, n)
+        if x - x != 0:
+            raise ConditioningError(f"coefficient {name}_{n} is {x}, which "
+                                    "p_n(z) and q_n(z) cannot use")
+        return x
     zero, one = _zero_like(z), _one_like(z)
     prev, cur = (zero, one) if kind == "p" else (-one, zero)
     yield cur
-    double = PrecisionMode.DOUBLE
-    a_prev = _enter(coeffs.a(0), double, _BEYOND_FLOAT64, "a", 0)
+    a_prev = entered(coeffs.a(0), "a", 0)
     for n in count(1):
-        a_n = _enter(coeffs.a(n), double, _BEYOND_FLOAT64, "a", n)
-        b_n = _enter(coeffs.b(n), double, _BEYOND_FLOAT64, "b", n)
+        a_n, b_n = entered(coeffs.a(n), "a", n), entered(coeffs.b(n), "b", n)
         prev, cur = cur, ((z - b_n) * cur - a_prev * prev) / a_n
         a_prev = a_n    # a_{n-1} of the next step
         yield cur

@@ -26,7 +26,8 @@ from jacobi_bc import (
     response_to_moments,
     response_vector,
 )
-from jacobi_bc.cli import _json_number, _json_numbers, _write_output, main
+from jacobi_bc.cli import (_json_number, _json_numbers, _write_output,
+                           build_parser, main)
 
 from conftest import semicircle_moments
 
@@ -48,6 +49,13 @@ def geo_file(tmp_path):
         tmp_path / "geo.json",
         {"a": [], "b": [], "generator": {"kind": "geometric",
                                          "params": {"ratio": 2}}})
+
+
+# the options each command reads beside --input, --output and --format
+READS = {"simulate": ("--T", "--precision"), "response": ("--T", "--precision"),
+         "connect": ("--T", "--precision"), "recover": ("--T", "--precision"),
+         "diagnose": ("--N-max", "--precision"), "kernel": ("--T",),
+         "hb": ("--T",), "moments": ("--precision",)}
 
 
 class TestRecover:
@@ -164,6 +172,70 @@ class TestParser:
         assert capsys.readouterr().out.startswith("usage: jacobi-bc")
 
 
+def _runnable(tmp_path, command):
+    """A command line of ``command`` that exits 0, with the most --input
+    files it takes and every option it reads, and its first input file."""
+    coeffs = write_json(tmp_path / "c.json", {"a": [1, 0.5, 0.75],
+                                              "b": [0.25, -0.5, 0.1]})
+    response = write_json(tmp_path / "r.json", {"response": [1, 0, 0, 0, 0]})
+    second = {"simulate": {"control": [1, -0.5]},
+              "kernel": {"points": [{"z": [0, 1], "lambda": 0.5}]},
+              "hb": {"points": [{"z": [0, 1]}]}}
+    data = response if command in ("recover", "moments") else coeffs
+    argv = [command, "--input", data, "--output", str(tmp_path / "out")]
+    if command in second:
+        argv += ["--input", write_json(tmp_path / "2.json", second[command])]
+    for flag in READS[command]:
+        argv += [flag, "double" if flag == "--precision" else "3"]
+    return argv, data
+
+
+_UNREAD = [(command, flag) for command in READS
+           for flag in ("--T", "--N-max", "--precision")
+           if flag not in READS[command]]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD + [
+    (command, "--input") for command in READS])
+def test_an_option_the_command_does_not_read_exits_2(tmp_path, capsys,
+                                                     command, flag):
+    # each of these was parsed, range-checked and then dropped
+    argv, data = _runnable(tmp_path, command)
+    assert main(argv) == 0
+    capsys.readouterr()
+    extra = {"--T": "3", "--N-max": "3", "--precision": "rational",
+             "--input": data}[flag]
+    assert main(argv + [flag, extra]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert (err["type"], err["kind"]) == ("CliInputError", "validation")
+    assert flag in err["message"] and captured.out == ""
+
+
+def test_the_parser_takes_only_the_options_each_command_reads():
+    # 6 options on each of 8 commands were 48 settable slots; 11 are gone
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    taken = {name: tuple(flag for action in parser._actions
+                         for flag in action.option_strings if flag != "-h"
+                         and flag != "--help")
+             for name, parser in sub.choices.items()}
+    assert taken == {command: ("--input", "--output", *flags, "--format")
+                     for command, flags in READS.items()}
+    assert len(_UNREAD) == 11 and sum(map(len, taken.values())) == 37
+
+
+def test_kernel_and_hb_read_no_precision_environment(tmp_path, monkeypatch,
+                                                     free_file):
+    # they compute in float64, so a bogus mode no longer stops them
+    monkeypatch.setenv("JACOBI_BC_PRECISION", "bogus")
+    for command in ("kernel", "hb"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--input", free_file, "--T", "2",
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["command"] == command
+
+
 class TestValidationFailures:
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "x.json"
@@ -214,7 +286,8 @@ class TestMalformedInput:
     ])
     def test_exits_2(self, tmp_path, capsys, command, payload):
         path = write_json(tmp_path / "in.json", payload)
-        assert main([command, "--input", path, "--T", "2"]) == 2
+        size = [] if command == "moments" else ["--T", "2"]
+        assert main([command, "--input", path] + size) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "validation"
 
@@ -261,8 +334,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("flag", ["--T", "--N-max"])
     def test_non_positive_size(self, free_file, flag):
-        assert main(["diagnose", "--input", free_file, "--N-max", "3",
-                     flag, "0"]) == 2
+        command = "diagnose" if flag == "--N-max" else "response"
+        assert main([command, "--input", free_file, flag, "0"]) == 2
 
     def test_control_longer_than_the_horizon(self, tmp_path, free_file,
                                              capsys):
@@ -323,9 +396,9 @@ def test_payload_exit_code_is_0_or_2(payload, command, size, precision):
         path = os.path.join(tmp, "in.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        argv = [command, "--input", path, "--T", str(size), "--N-max",
-                str(size), "--precision", precision,
-                "--output", os.path.join(tmp, "out")]
+        argv = [command, "--input", path, "--output", os.path.join(tmp, "out")]
+        for flag in READS[command]:
+            argv += [flag, precision if flag == "--precision" else str(size)]
         assert main(argv) in (0, 2)
 
 
@@ -378,8 +451,7 @@ class TestSizeLimits:
         path = write_json(tmp_path / "in.json", payload)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            code = main([command, "--input", path, "--T", str(size),
-                         "--N-max", str(size)])
+            code = main([command, "--input", path, "--T", str(size)])
         assert code == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConditioningError"

@@ -2,6 +2,7 @@ import json
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from jacobi_bc import (
     SpectralData,
     materialize_matrix,
     recover_from_response,
+    response_vector,
     validate_coefficients,
 )
 from jacobi_bc.cli import _coefficients
@@ -180,6 +182,19 @@ class TestValidate:
         report = validate_coefficients(
             JacobiCoefficients.from_arrays([1, 10 ** 400, -2], [0, 0, 0]))
         assert report.issues == ("negative off-diagonal: a_2 = -2",)
+
+    def test_a_number_of_any_size_is_finite(self):
+        # an mpf was judged by float(), which is inf beyond float64, and
+        # so was a long double; EXTENDED reads each of them
+        for big in (mpmath.mpf("1e400"), 10 ** 400, Fraction(10 ** 400, 3),
+                    np.longdouble("1e400")):
+            coeffs = JacobiCoefficients.from_arrays([1, big, 1], [0, 0, 0])
+            assert validate_coefficients(coeffs).valid, big
+            response_vector(coeffs, 3, PrecisionMode.EXTENDED)
+        for bad in (mpmath.mpf("inf"), mpmath.mpf("-inf"), mpmath.mpf("nan")):
+            report = validate_coefficients(
+                JacobiCoefficients.from_arrays([1, bad, 1], [0, bad, 0]))
+            assert report.issues == ("a_1 is not finite", "b_2 is not finite")
 
     def test_an_int_beyond_float64_is_not_plain(self):
         # math.isfinite raised OverflowError, which each caller caught

@@ -269,6 +269,16 @@ def test_a_coefficient_whose_square_leaves_float64_keeps_its_float():
         assert rec.residual == math.inf
 
 
+def test_a_diagonal_beyond_float64_comes_back_as_inf():
+    # a RecoveryResult holds +-inf for a coefficient beyond float64 and
+    # re-simulates that family, so no coefficient accessor refuses inf
+    co = JacobiCoefficients.from_arrays([1, 1, 1], [10 ** 400, 0, 0])
+    r = response_vector(co, 5, PrecisionMode.RATIONAL)
+    rec = recover_from_response(r, 3, PrecisionMode.RATIONAL)
+    assert rec.a.tolist() == [1.0, 1.0] and rec.b.tolist() == [math.inf, 0.0]
+    assert rec.residual == math.inf
+
+
 def test_int_data_round_as_their_floats_in_double():
     # an int in [2^63, 2^64) is read exactly and rounds to the float64
     # that numpy made of it, so DOUBLE outputs keep their bits

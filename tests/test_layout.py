@@ -139,8 +139,10 @@ def write(name, obj):
 
 def run(precision, *argv):
     out = io.StringIO()
+    # kernel and hb take no --precision: they compute in float64
+    mode = [] if argv[0] in ("kernel", "hb") else ["--precision", precision]
     with contextlib.redirect_stdout(out):
-        code = jacobi_bc.cli.main([*argv, "--precision", precision])
+        code = jacobi_bc.cli.main([*argv, *mode])
     assert code == 0, argv
     print(precision, argv[0], "mpmath" in sys.modules)
     return json.loads(out.getvalue())
@@ -168,8 +170,8 @@ assert "scipy" not in sys.modules
 def test_double_commands_never_load_mpmath(tmp_path):
     """mpmath comes with the EXTENDED context, at its first use: no DOUBLE
     command loads it, nor a RATIONAL one that takes no root or
-    eigenvalue (those of ``diagnose``, ``kernel`` and ``hb`` do).  No
-    command loads scipy."""
+    eigenvalue (those of ``diagnose`` do).  ``kernel`` and ``hb`` take no
+    ``--precision`` and load it in no run.  No command loads scipy."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", _MPMATH_PROBE, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=300)

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -11,9 +12,13 @@ from jacobi_bc import (
     ConditioningError,
     JacobiBCError,
     JacobiCoefficients,
+    PrecisionMode,
+    classify,
     eval_chebyshev,
     extension_parameter,
     fourier_image,
+    hermite_biehler,
+    kernel_finite,
     quadrature,
     response_vector,
     solution_via_spectrum,
@@ -266,6 +271,26 @@ def test_p_names_a_coefficient_beyond_float64_in_every_spelling(big):
     with pytest.raises(ConditioningError, match=(
             "^coefficient b_2 is beyond the float64 range")):
         eval_p_all(co, 4, 0.5)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), np.float64("-inf"),
+                                 np.float32("nan"), mpmath.mpf("nan")],
+                         ids=["inf", "numpy -inf", "float32 nan", "mpf nan"])
+def test_the_polynomial_routes_name_an_inf_or_nan_coefficient(bad):
+    # float64 holds a_1 only as inf or NaN: kernel_finite gave nan+nanj in
+    # every mode, eval_p_all [1, 0, -inf, nan], hermite_biehler nan with a
+    # RuntimeWarning, and DOUBLE classify a verdict with gamma = inf
+    co = JacobiCoefficients.from_arrays([1, bad, 1, 1, 1], [0.5] * 5)
+    routes = [lambda: eval_p_all(co, 4, 0.5), lambda: eval_q_all(co, 4, 0.5),
+              lambda: hermite_biehler(co, 4)(0.5), lambda: classify(co, 4)]
+    routes += [lambda mode=mode: kernel_finite(co, 1j, 0.3, 4, precision=mode)
+               for mode in PrecisionMode]
+    for route in routes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError, match=(
+                    "^coefficient a_1 is (-?inf|nan), which p_n")):
+                route()
 
 
 @pytest.mark.parametrize("a, b, error, match", [
