@@ -17,7 +17,10 @@ the loops shared one integer form, the DOUBLE ones from the code before
 the float kernels dropped their per-step bookkeeping, and the RATIONAL
 gamma of a family in thirds and fifths and the recovered roots of
 geometric(10^20) from the code before they left for float64 by one
-rounding; a change that means to alter these bits records them anew and
+rounding, and the RATIONAL Krein kernels, whose Fraction cells of W_T
+are rounded once to EXTENDED (on the benchmark's kind of family and on
+one in thirds and fifths), from the code before W_T reached the solve
+as integer lines; a change that means to alter these bits records them anew and
 says why.
 """
 
@@ -146,14 +149,18 @@ def _eigen_sequences(coeffs):
             gram_max_eigs(a, coeffs.b_head(24), 24, EXTENDED))
 
 
-def _thirds_and_fifths_gamma():
+def _thirds_and_fifths():
     # denominators that are not powers of two: each cell of the sweep
-    # divides its Fraction out before it leaves for float64
+    # divides its Fraction out before it leaves for float64 or EXTENDED
     a = [1] + [Fraction(2 * n + 1, 3) if n % 2 else Fraction(3 * n + 2, 5)
                for n in range(1, 24)]
     b = [Fraction((-1) ** n * (n + 1), 5) if n % 2 else Fraction(n - 4, 3)
          for n in range(1, 25)]
-    return gram_max_eigs(a, b, 24, RATIONAL)
+    return a, b
+
+
+def _thirds_and_fifths_gamma():
+    return gram_max_eigs(*_thirds_and_fifths(), 24, RATIONAL)
 
 
 def _recovered_roots(precision):
@@ -162,11 +169,11 @@ def _recovered_roots(precision):
     return result.a, result.b, result.residual
 
 
-def _krein():
-    w = control_operator(RANDOM, 24, EXTENDED).matrix
+def _krein(precision, coeffs=RANDOM):
+    w = control_operator(coeffs, 24, precision).matrix
     rhs = lift([complex(k + 1, -k) / 5 for k in range(24)], EXTENDED)
-    return (kernel_finite(RANDOM, Z, LAM, 24, method="krein",
-                          precision=EXTENDED),
+    return (kernel_finite(coeffs, Z, LAM, 24, method="krein",
+                          precision=precision),
             gram_solve(w, rhs))
 
 
@@ -221,7 +228,10 @@ CASES = {
     "gram-max-eigs-rational-thirds-fifths": _thirds_and_fifths_gamma,
     "recover-roots-extended": lambda: _recovered_roots(EXTENDED),
     "recover-roots-rational": lambda: _recovered_roots(RATIONAL),
-    "krein-kernel-extended": _krein,
+    "krein-kernel-extended": lambda: _krein(EXTENDED),
+    "krein-kernel-rational": lambda: _krein(RATIONAL),
+    "krein-kernel-rational-thirds-fifths": lambda: _krein(
+        RATIONAL, JacobiCoefficients.from_arrays(*_thirds_and_fifths())),
     "pd-factor-and-solve-extended": _pd_solve,
 }
 
@@ -254,6 +264,10 @@ PINNED = {
         '5caf8342615507a75efc5c7f1a18fd69e459f8f5642c7cd42399971a919dd3b3',
     'krein-kernel-extended':
         '40f86ec539be2fba2ff75d8ce8466fa857797f47c60d1163cf17ac974bc0065d',
+    'krein-kernel-rational':
+        '40f86ec539be2fba2ff75d8ce8466fa857797f47c60d1163cf17ac974bc0065d',
+    'krein-kernel-rational-thirds-fifths':
+        'd47d0e12f6d76041f5818bf554239b6ecf18d0d33daf89b926edd9d5bf5ca738',
     'moments-to-response-extended':
         '188445f8c90c71f676d49d652336636166b1e4203086946169394c419656f56b',
     'pd-factor-and-solve-extended':
