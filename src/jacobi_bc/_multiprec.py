@@ -35,9 +35,9 @@ substitution loop on ``dot``.  Object arrays take four loops on
 Python ints, each one for both object modes: the recurrence
 (``_integer_rows``), the sweep (``_integer_sweep``), the rows of Q
 (``_orthonormal_ints``) and the sums of ``dot`` and the solves
-(``_Ints.dot``).  They share one integer form, ``_Ints``: a vector as
-Python ints over one scale den * 2^exp, with an imaginary part only when
-some value is an mpc.  ``_read`` takes numbers into it exactly;
+(``_Ints.dot``, ``_sweep``).  They share one integer form, ``_Ints``: a
+vector as Python ints over one scale den * 2^exp, with an imaginary part
+only when some value is an mpc.  ``_read`` takes numbers into it exactly;
 ``_normalised`` keeps its ints short, RATIONAL by one gcd per vector,
 for the canonical Fractions, EXTENDED by rounding to nearest so that the
 smallest nonzero int keeps _ROW_BITS bits, the precision and 64 guard
@@ -46,7 +46,10 @@ float64 fields (mantissa, exponent) rounded once, the one way from the
 integer form to float64: the frexp tables of the eigenvalue sequences
 (the sweep of ``gram_max_eigs``, the rows of Q, ``_frexp_table``) and
 the recovered roots (``_root_floats``) take it, with no Fraction or mpf
-made.  In the integer form an EXTENDED value keeps 64 bits more than
+made.  The Krein solve takes W_T from the sweep in it too: each cell
+rounded once to EXTENDED on its slice's ints (``_rounded``), and its
+sweeps subtract and divide on mpf fields, with no mpf or mpc made but
+the solution.  In the integer form an EXTENDED value keeps 64 bits more than
 an mpf and is rounded once where mpf arithmetic rounds at every step,
 but the ints span the exponent range of the vector, which has no bound
 for mpf values, and so does the cost.  A sum of ``dot`` is rounded once
@@ -105,6 +108,7 @@ _EXTENDED = _Unloaded()
 # Bound with the context by ``_load_extended``; no value is of _OWN_TYPES
 # before it runs.
 _MPF = _MPC = fzero = from_float = normalize = round_nearest = None
+mpf_div = mpf_sub = None
 _ROW_BITS = None
 _OWN_TYPES = ()
 _LOAD_LOCK = threading.Lock()
@@ -114,12 +118,12 @@ def _load_extended():
     """The EXTENDED context at EXTENDED_DPS digits, imported and built by
     the first call and kept: one per process (see the module docstring)."""
     global _EXTENDED, _MPF, _MPC, _OWN_TYPES, _ROW_BITS
-    global fzero, from_float, normalize, round_nearest
+    global fzero, from_float, mpf_div, mpf_sub, normalize, round_nearest
     with _LOAD_LOCK:
         if isinstance(_EXTENDED, _Unloaded):
             from mpmath import MPContext
-            from mpmath.libmp import (fzero, from_float, normalize,
-                                      round_nearest)
+            from mpmath.libmp import (fzero, from_float, mpf_div, mpf_sub,
+                                      normalize, round_nearest)
             context = MPContext()
             context.dps = EXTENDED_DPS
             _MPF, _MPC = context.mpf, context.mpc
@@ -514,6 +518,26 @@ class _Ints:
             self.im += new.im or [0] * len(new.re)
         self.re += new.re
 
+    def push(self, parts) -> None:
+        """Append the value with the mpf fields ``parts`` (re, or re and
+        im) to a vector of den 1, exactly, on the finer scale."""
+        exps = [e for _, m, e, _ in parts if m]
+        if self.exp is not None:
+            exps.append(self.exp)
+        low = min(exps, default=None)
+        if self.exp is not None and low < self.exp:
+            up = self.exp - low
+            self.re = [x << up for x in self.re]
+            self.im = self.im and [x << up for x in self.im]
+        self.exp = low
+        re, *im = [(-m if s else m) << e - low if m else 0
+                   for s, m, e, _ in parts]
+        if im and self.im is None:
+            self.im = [0] * len(self.re)
+        self.re.append(re)
+        if self.im is not None:
+            self.im.append(im[0] if im else 0)
+
     def dot(self, other: "_Ints"):
         """sum_k self_k other_k over the shorter of the two, exact and
         rounded once: an mpc when either holds an im, else an mpf."""
@@ -537,7 +561,7 @@ def _read(values) -> _Ints:
     (float, complex, Fraction) as ``_EXTENDED.convert`` makes it, as
     mpmath's ``fdot`` takes it; inf and NaN raise ConditioningError.  A
     lone mpf or mpc, which ``_Ints.extend`` takes at every step of the
-    EXTENDED solves, goes straight to its fields."""
+    EXTENDED moment transforms, goes straight to its fields."""
     lone = values[0] if len(values) == 1 else None
     if type(lone) is _MPF:
         flat, complex_ = (lone._mpf_,), False
@@ -576,6 +600,13 @@ def _read(values) -> _Ints:
     if not complex_:
         return _Ints(ints, None, 1, exp)
     return _Ints(ints[:len(values)], ints[len(values):], 1, exp)
+
+
+def _unrounded(man: int, exp) -> tuple:
+    """The mpf fields of man * 2^exp, exactly."""
+    tz = (man & -man).bit_length() - 1
+    return (int(man < 0), abs(man) >> tz, exp + tz,
+            man.bit_length() - tz) if man else fzero
 
 
 def _normalised(vec: _Ints, kind, divide: bool = False) -> _Ints:
@@ -847,7 +878,8 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
     ``out`` may instead be a frexp table (mantissas, exponents), a
     float64 and an int64 array of zeros: each cell of a real control's
     field is then written as its float64 fields (``_emitted``), rounded
-    once, with no Fraction or mpf made.
+    once, with no Fraction or mpf made.  Or, for W_T, _Columns of
+    ``watched`` entries: entry t becomes column t as _Ints (``_rounded``).
     """
     table = isinstance(out, tuple)
     n_space, horizon = len(a), len(ctrl)
@@ -867,7 +899,7 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
     # and the mpc mask
     slices = [[[0] * (n_space + 2) for _ in range(parts)] for _ in range(2)]
     scales, masks = [(1, 0), (1, 0)], [0, 0]
-    if not table:
+    if isinstance(out, np.ndarray):
         out[...] = zero
     for t in range(horizon):
         k = _cone_width(t, n_space, watched, horizon)
@@ -898,8 +930,44 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
         m = min(k, watched)
         if table:
             out[0][:m, t], out[1][:m, t] = zip(*_emitted(vec[:m], float))
+        elif isinstance(out, _Columns):
+            out[t] = _rounded(vec[:m])
         else:
             out[:m, t] = _emitted(vec[:m], kind, zero, masks[1 - i] >> 1)
+
+
+def _rounded(vec: _Ints) -> _Ints:
+    """The real ``vec`` as _Ints of den 1, each value rounded once to
+    EXTENDED as its mpf from ``_emitted`` is: on den 1 each int is cut
+    in place, to nearest with ties to even, and the bits that every
+    value drops go."""
+    if vec.den != 1:
+        column = _Ints([])
+        for x in vec.re:
+            column.push((_round(x, vec.exp, vec.den),))
+        return column
+    prec, ints = _EXTENDED.prec, []
+    cut = max(min(map(int.bit_length, filter(None, vec.re)), default=0)
+              - prec, 0)
+    for x in vec.re:
+        m, drop = abs(x), x.bit_length() - prec
+        if drop > 0:    # + half, less one unless the kept part is odd
+            m = (m + (1 << drop - 1) - 1 + (m >> drop & 1)) >> drop
+            m <<= drop - cut
+        ints.append(-m if x < 0 else m)
+    return _Ints(ints, None, 1, vec.exp + cut)
+
+
+class _Columns(list):
+    """W_T as the object sweep writes it for ``gram_solve``: entry t is
+    column t down to row t (``_rounded``)."""
+
+
+def _gram_out(dtype, horizon: int):
+    """What ``forward_sweep`` writes W_T into for ``gram_solve``: a float
+    array, or for object values _Columns."""
+    return (_Columns([None] * horizon) if dtype == object
+            else np.empty((horizon, horizon), dtype))
 
 
 def _site_sums(below, above, diag, u, k: int) -> list:
@@ -1256,9 +1324,11 @@ def _int_lines(arr: np.ndarray) -> tuple[list, list]:
             [flat[j::cols] for j in range(cols)])
 
 
-def _times(rows: list, vec: np.ndarray) -> np.ndarray:
-    """The object vector of the _Ints ``rows`` times ``vec``, read once."""
-    vec = _read(vec.tolist())
+def _times(rows: list, vec) -> np.ndarray:
+    """The object vector of the _Ints ``rows`` times ``vec`` (an array,
+    read once, or _Ints)."""
+    if not isinstance(vec, _Ints):
+        vec = _read(vec.tolist())
     return np.array([row.dot(vec) for row in rows], dtype=object)
 
 
@@ -1298,46 +1368,65 @@ def dot_operand(v: np.ndarray):
 
 
 def _sweeps(low, piv, rhs):
-    """x with L diag(d) L^T x = rhs for a lower-triangular L with a
-    nonzero diagonal (d = 1 when ``piv`` is None), by the two triangular
-    sweeps.  A float L is substituted row by row, forward on L and back
-    on L^T, each row contracting through ``dot`` on the x_j done; an
-    object L is given as its ``_Factor``."""
-    if isinstance(low, _Factor):
-        return low.sweeps(piv, rhs)
-    x = rhs.copy()
-    for i in range(x.size):
-        x[i] = (x[i] - dot(low[i, :i], x[:i])) / low[i, i]
-    if piv is not None:
-        x = x / piv
-    for i in reversed(range(x.size)):
-        x[i] = (x[i] - dot(low[i + 1:, i], x[i + 1:])) / low[i, i]
-    return x
-
-
-class _Factor:
-    """An object lower-triangular L with a nonzero diagonal as _Ints read
-    once per solve: rows[i] = L[i, :], cols[i] = L[::-1, i] (upwards)."""
-
-    def __init__(self, rows: list, cols: list, diag: np.ndarray):
-        self.rows, self.diag = rows, diag
-        self.cols = [col[::-1] for col in cols]
-
-    def sweeps(self, piv, rhs) -> np.ndarray:
-        """``_sweeps``: each x_i is the mpc subtract and divide of object
-        arrays, with its dot product rounded once, on the x_j done."""
+    """(x, product) with L diag(d) L^T x = rhs for a lower-triangular L
+    with a nonzero diagonal (d = 1 when ``piv`` is None), by the two
+    triangular sweeps.  A float L is substituted row by row, forward on L
+    and back on L^T, each row contracting through ``dot`` on the x_j
+    done.  An object L comes as _Ints of den 1, rows[i] = L[i, :] and
+    ups[i] = L[::-1, i] to the diagonal at least (``_sweep``), and with no
+    ``piv`` the back sweep gives the product L^T x."""
+    if not isinstance(low, tuple):
         x = rhs.copy()
-        done = _Ints([])
-        for i, row in enumerate(self.rows):
-            x[i] = (x[i] - row.dot(done)) / self.diag[i]
-            done.extend([x[i]])
+        for i in range(x.size):
+            x[i] = (x[i] - dot(low[i, :i], x[:i])) / low[i, i]
         if piv is not None:
             x = x / piv
-        done = _Ints([])
         for i in reversed(range(x.size)):
-            x[i] = (x[i] - self.cols[i].dot(done)) / self.diag[i]
-            done.extend([x[i]])
-        return x
+            x[i] = (x[i] - dot(low[i + 1:, i], x[i + 1:])) / low[i, i]
+        return x, None
+
+    rows, ups = low
+    diag = [_unrounded(row.re[i], row.exp) for i, row in enumerate(rows)]
+    x = [_read([v]) for v in rhs.tolist()]
+    x = _sweep(rows, diag, [(_unrounded(v.re[0], v.exp), v.im and
+                             _unrounded(v.im[0], v.exp)) for v in x])[0]
+    if piv is not None:    # x / piv, as mpc_div_mpf and mpf_div round it
+        piv = _read(piv.tolist())
+        x = [tuple(part and mpf_div(part, _unrounded(d, piv.exp),
+                                    _EXTENDED.prec, round_nearest)
+                   for part in value) for value, d in zip(x, piv.re)]
+    x, product = _sweep(ups[::-1], diag[::-1], x[::-1], piv is None)
+    return np.array([_EXTENDED.make_mpf(re) if im is None else
+                     _EXTENDED.make_mpc((re, im)) for re, im in x[::-1]],
+                    dtype=object), product
+
+
+def _sweep(lines: list, diag: list, values: list, product: bool = False):
+    """One sweep of ``_sweeps`` on the fields (re, im) of the values, im
+    None for a real one: x_i = (values_i - s_i) / diag_i by mpf_sub and
+    mpf_div part by part, as mpmath's mpc_sub and mpc_div_mpf apply them,
+    s_i = lines_i . x over the x_j done summed exactly and rounded once.
+    With ``product`` also lines . x as _Ints: each exact s_i plus diag_i
+    x_i, rounded once."""
+    prec, rnd, done, out, sums = (_EXTENDED.prec, round_nearest, _Ints([]),
+                                  [], _Ints([]))
+    for line, d, (re, im) in zip(lines, diag, values):
+        real, exp = sum(map(mul, line.re, done.re)), line.exp + (done.exp or 0)
+        imag = done.im and sum(map(mul, line.re, done.im))
+        re = mpf_div(mpf_sub(re, _round(real, exp), prec, rnd), d, prec, rnd)
+        if done.im is not None:    # an mpf minus an mpc subtracts from 0
+            im = mpf_sub(im or fzero, _round(imag, exp), prec, rnd)
+        im = im and mpf_div(im, d, prec, rnd)
+        k = len(done.re)
+        done.push((re, im) if im else (re,))
+        if product:
+            at, cell = line.exp + (done.exp or 0), line.re[k]
+            low = min(exp, at)
+            sums.push([_round((part << exp - low) + (cell * x << at - low),
+                              low) for part, x in zip(
+                (real, imag or 0), [done.re[k]] + (done.im or [])[k:])])
+        out.append((re, im))
+    return out, sums[::-1] if product else None
 
 
 def _norm(vec) -> float:
@@ -1364,23 +1453,22 @@ def solve_scalar(z, precision: PrecisionMode):
 
 
 def _refined_solve(low, piv, apply, rhs) -> tuple[np.ndarray, float]:
-    """Solve A x = rhs, A = L diag(d) L^T given by its factor (see
-    ``_sweeps``) and by ``apply(x) = A x``; refined until the relative
-    residual is below _RESIDUAL_TOL, or ConditioningError.  The right
-    side is complex128 for a float factor, and lifted as by ``lift``
-    for an object factor (a ``_Factor``), so mpc entries keep their
-    digits."""
-    b = (lift(rhs, PrecisionMode.EXTENDED) if isinstance(low, _Factor)
+    """Solve A x = rhs, A = L diag(d) L^T given by its factor and by
+    ``apply(x, product) = A x`` (see ``_sweeps``); refined until the
+    relative residual is below _RESIDUAL_TOL, or ConditioningError.  The
+    right side is complex128 for a float factor, and lifted as by
+    ``lift`` for object lines, so mpc entries keep their digits."""
+    b = (lift(rhs, PrecisionMode.EXTENDED) if isinstance(low, tuple)
          else np.asarray(rhs, dtype=complex))
     scale = max(_norm(b), 1e-300)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _sweeps(low, piv, b)
-        residual = _norm(apply(x) - b) / scale
-        for _ in range(_REFINE_STEPS):
-            if residual <= _RESIDUAL_TOL:
+        x, product = _sweeps(low, piv, b)
+        for step in range(_REFINE_STEPS + 1):
+            gap = b - apply(x, product)
+            residual = _norm(gap) / scale
+            if residual <= _RESIDUAL_TOL or step == _REFINE_STEPS:
                 break
-            x = x + _sweeps(low, piv, b - apply(x))
-            residual = _norm(apply(x) - b) / scale
+            x, product = x + _sweeps(low, piv, gap)[0], None
     if not residual <= _RESIDUAL_TOL:    # NaN too
         raise ConditioningError(
             f"linear solve stalled at relative residual {residual:.3e}; "
@@ -1406,36 +1494,47 @@ def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     mat = _to_extended(np.asarray(matrix))
     low, piv = pd_factor(mat)
     if mat.dtype != object:
-        return _refined_solve(low, piv, lambda x: dot(mat, x), rhs)
-    rows = _int_lines(mat)[0]
-    return _refined_solve(_Factor(*_int_lines(low), low.diagonal()), piv,
-                          lambda x: _times(rows, x), rhs)
+        return _refined_solve(low, piv, lambda x, _: dot(mat, x), rhs)
+    rows, (lows, cols) = _int_lines(mat)[0], _int_lines(low)
+    return _refined_solve((lows, [col[::-1] for col in cols]), piv,
+                          lambda x, _: _times(rows, x), rhs)
 
 
 def gram_solve(upper, rhs) -> tuple[np.ndarray, float]:
     """Solve W^T W x = rhs for an upper-triangular W with a positive
-    diagonal, without forming W^T W.
+    diagonal, without forming W^T W; the entries below the diagonal are
+    not read.
 
     W^T is the Cholesky factor of W^T W, so the solve is the two
     triangular sweeps on W, O(n^2), and the residual is W^T (W x) - rhs
     (``_gram_operator``).  Number types, refinement and
     ConditioningError are as in ``mp_pd_solve``; a W holding inf or NaN
-    is refused up front.
+    is refused up front.  ``upper`` is W as an array, or the _Columns of
+    ``_gram_out``, into which an object array is read for one solve.
     """
-    low, apply = _gram_operator(_finite(_to_extended(np.asarray(upper))))
+    if not isinstance(upper, _Columns):
+        upper = _finite(_to_extended(np.asarray(upper)))
+        if upper.dtype == object:
+            upper = _Columns(col[:j + 1] for j, col in
+                             enumerate(_int_lines(upper)[1]))
+    low, apply = _gram_operator(upper)
     return _refined_solve(low, None, apply, rhs)
 
 
-def _gram_operator(w: np.ndarray):
-    """W^T as the factor of W^T W for ``_sweeps``, and x -> W^T (W x).
-    An object W is read once, and its rows and columns serve both; a
+def _gram_operator(w):
+    """W^T as the factor of W^T W for ``_sweeps``, and (x, wx) -> W^T (W
+    x), wx = W x from the back sweep or None.  W's columns give its rows,
+    from the last column back to the diagonal, each on its own scale; a
     float W sums only its nonzero terms."""
-    if w.dtype == object:
-        rows, cols = _int_lines(w)
-        return (_Factor(cols, rows, w.diagonal()),
-                lambda x: _times(cols, _times(rows, x)))
+    if isinstance(w, _Columns):
+        n, exps = len(w), [col.exp or 0 for col in w]
+        ups = [_Ints([w[t].re[i] << exps[t] - low
+                      for t in range(n - 1, i - 1, -1)], None, 1, low)
+               for i, low in enumerate([min(exps[i:]) for i in range(n)])]
+        return (w, ups), lambda x, wx: _times(
+            w, _times(ups, x[::-1]) if wx is None else wx)
 
-    def apply(x):
+    def apply(x, _):
         wx, out = np.empty_like(x), np.empty_like(x)
         for i in range(x.size):
             wx[i] = dot(w[i, i:], x[i:])

@@ -19,9 +19,11 @@ block that is not positive definite is not genuine data.  Coefficient
 input (``kernel_finite(method="krein")``) never forms C_T = W_T^T W_T:
 it simulates W_T, upper triangular with the positive diagonal
 a_0 ... a_k, and runs the two O(T^2) triangular sweeps
-W_T^T y = rhs, W_T j = y, with the residual W_T^T (W_T j) - rhs.  This
-solves at cond(W_T) = sqrt(cond(C_T)) and runs only the forward solver,
-so the direct sum stays an independent oracle.
+W_T^T y = rhs, W_T j = y, with the residual W_T^T (W_T j) - rhs, W_T j
+coming from the second sweep.  In the object modes W_T reaches the solve
+as the sweep's integer columns, with no cell made.  This solves at
+cond(W_T) = sqrt(cond(C_T)) and runs only the forward solver, so the
+direct sum stays an independent oracle.
 
 In the limit-circle regime the polynomial sum converges as T grows,
 giving the infinite kernel; the Hermite-Biehler function is assembled
@@ -50,7 +52,7 @@ from .core import (
     block_values,
     sequence_values,
 )
-from .dynamics import control_operator
+from .dynamics import _gram_upper
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
 from ._multiprec import (dot, gram_solve, lift, mode_of, mp_pd_solve,
                          solve_scalar)
@@ -182,8 +184,8 @@ def kernel_finite(source, z: complex, lam, horizon: int | None = None,
             total = total + np.conj(p_z[n]) * p_l[n]
         return total
     if method == "krein":
-        w = control_operator(source, horizon, precision).matrix
-        x, residual = gram_solve(w, _krein_rhs(horizon, z, precision))
+        x, residual = gram_solve(_gram_upper(source, horizon, precision),
+                                 _krein_rhs(horizon, z, precision))
         return KreinSolution(values=x, z=complex(z), horizon=horizon,
                              residual=residual).kernel_value(lam)
     raise ValueError(f"unknown kernel backend {method!r}")

@@ -55,7 +55,7 @@ from .core import (
     _read_control,
     _zero_extended,
 )
-from ._multiprec import cell_bytes, forward_sweep, lift, mode_of
+from ._multiprec import _gram_out, cell_bytes, forward_sweep, lift, mode_of
 
 __all__ = [
     "WaveField",
@@ -292,6 +292,21 @@ def control_operator(coeffs: JacobiCoefficients, horizon: int,
     _check_field_memory(horizon, horizon, precision)
     w = _impulse_sites(coeffs, horizon, horizon, horizon, precision)
     return ControlOperatorMatrix(matrix=w, horizon=horizon)
+
+
+def _gram_upper(coeffs: JacobiCoefficients, horizon: int,
+                precision: PrecisionMode):
+    """W_T of ``control_operator`` as ``_multiprec.gram_solve`` takes it
+    (``_gram_out``): the float matrix in DOUBLE, and in the object modes
+    the list of its columns from the sweep, with no cell made.  Sizes are
+    refused alike."""
+    _check_sizes(horizon, horizon)
+    _check_field_memory(horizon, horizon, precision)
+    ctrl, a, b, dtype = _lift_system(coeffs, [1], horizon, horizon,
+                                     precision)
+    upper = _gram_out(dtype, horizon)
+    forward_sweep(ctrl, a, b, upper)
+    return upper
 
 
 def apply_response(r, control, horizon: int | None = None,

@@ -26,6 +26,7 @@ from jacobi_bc import (
     connecting_eig_sequences,
     deficiency_partial_sums,
     hankel_min_eigs,
+    kernel_finite,
     response_to_moments,
     response_vector,
     solve_finite,
@@ -426,6 +427,32 @@ class TestCoefficientRoute:
         # gamma's cells and the rows of Q for lambda and beta: float fields
         assert set(kinds) == {float}
         assert tables == []
+
+    @pytest.mark.parametrize("precision", [PrecisionMode.EXTENDED,
+                                           PrecisionMode.RATIONAL])
+    def test_krein_kernel_makes_no_number_cell(self, monkeypatch, precision):
+        # the object sweep hands the Krein solve W_T's columns as ints:
+        # no Fraction or mpf cell of W_T is emitted, lifted to mpf or read
+        # back into lines
+        kinds, calls = [], []
+        emitted = _multiprec._emitted
+
+        def counting_emitted(vec, kind, *args):
+            kinds.append(kind)
+            return emitted(vec, kind, *args)
+
+        monkeypatch.setattr(_multiprec, "_emitted", counting_emitted)
+        for name in ("_to_extended", "_int_lines"):
+            monkeypatch.setattr(_multiprec, name, lambda *args, name=name,
+                                call=getattr(_multiprec, name):
+                                calls.append(name) or call(*args))
+        coeffs = random_coefficients(np.random.default_rng(5), 13)
+        krein = kernel_finite(coeffs, 0.3 + 1j, -0.4, 12, method="krein",
+                              precision=precision)
+        assert abs(krein - kernel_finite(coeffs, 0.3 + 1j, -0.4, 12)) <= (
+            1e-12 * abs(krein))
+        assert not {_multiprec._MPF, Fraction} & set(kinds)
+        assert calls == []
 
     def test_overflowed_double_rows_give_zero(self, monkeypatch):
         # p_2 = (1e200 x^2 - 1e-200) / 1e-200: its x^2 coefficient passes

@@ -280,7 +280,7 @@ def test_classify_builds_no_wave_field():
 
 
 SOLVE_LOOP = {"_sweeps", "_refined_solve", "gram_solve", "_gram_operator",
-              "sweeps", "pd_factor", "mp_pd_solve"}
+              "_sweep", "pd_factor", "mp_pd_solve"}
 
 
 def _matmul_users(source, functions):

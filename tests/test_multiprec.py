@@ -75,6 +75,8 @@ from jacobi_bc import (
     solve_finite,
 )
 from jacobi_bc import _multiprec
+from jacobi_bc.debranges import KreinSolution, _krein_rhs
+from jacobi_bc.dynamics import _gram_upper
 from jacobi_bc._multiprec import (
     _EXTENDED,
     _ZERO_EXP,
@@ -93,6 +95,8 @@ from jacobi_bc._multiprec import (
     _orthonormal_table,
     _plus_basis_shift,
     _read,
+    _round,
+    _rounded,
     _top_eigenvalue,
     dot,
     dot_operand,
@@ -1612,17 +1616,86 @@ def _gram_systems(draw):
 @example(system=(GEO3, 40, [_EXTENDED.mpc(1, -k) for k in range(40)]))
 @example(system=(GEO3, 12, [_EXTENDED.mpc(_mpf_of(3, -500), 2)] * 12))
 def test_gram_solve_equals_the_fdot_sweeps(system):
+    # on W's columns from the sweep; the residual product takes W x from
+    # the back sweep, or forms it for a refined x
     coeffs, size, rhs = system
     w = control_operator(coeffs, size, EXTENDED).matrix
     b = lift(rhs, EXTENDED)
-    low, apply = _multiprec._gram_operator(w)
-    x = _multiprec._sweeps(low, None, b)
+    low, apply = _multiprec._gram_operator(_gram_upper(coeffs, size,
+                                                       EXTENDED))
+    x, wx = _multiprec._sweeps(low, None, b)
     assert _typed_fields(x) == _typed_fields(_fdot_sweeps(w.T, None, b))
-    product = apply(x)
+    product = apply(x, wx)
     assert _typed_fields(product) == _typed_fields(_fdot_gram_apply(w)(x))
+    assert _typed_fields(apply(x, None)) == _typed_fields(product)
     assert _norm(product - b) == _fdot_norm(product - b)
     _assert_solves_alike(lambda: gram_solve(w, rhs),
                          *_fdot_solve(w.T, None, _fdot_gram_apply(w), rhs))
+
+
+def _eighths(low, high):
+    return st.integers(low, high).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def _krein_systems(draw):
+    """A family with a in [0.5, 2] and b in [-1, 1], as floats or on the
+    1/8 grid with exact zeros among the b, its size T <= 24, an object
+    mode and a complex or a real z."""
+    size = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        a, b = _eighths(4, 16), _eighths(-8, 8) | st.just(Fraction(0))
+    else:
+        a, b = st.floats(0.5, 2.0), st.floats(-1.0, 1.0)
+    a, b = (draw(st.lists(x, min_size=size, max_size=size)) for x in (a, b))
+    z = complex(draw(st.floats(-2.0, 2.0)),
+                draw(st.just(0.0) | st.floats(0.5, 2.0)))
+    return (JacobiCoefficients.from_arrays([1] + a[1:], b), size,
+            draw(st.sampled_from([EXTENDED, RATIONAL])), z)
+
+
+@settings(max_examples=30)
+@given(system=_krein_systems())
+def test_krein_route_solves_the_sweeps_columns_as_the_matrix(system):
+    # W_T's columns from the sweep, each cell rounded once to EXTENDED,
+    # give the solve of the matrix of mpf or Fraction cells field for
+    # field, and the kernel its KreinSolution gives; the back sweep's W x
+    # is the product of W's rows; a real right side stays real
+    coeffs, size, mode, z = system
+    upper = _gram_upper(coeffs, size, mode)
+    w = lift(control_operator(coeffs, size, mode).matrix, EXTENDED)
+    rhs = _krein_rhs(size, z, mode)
+    for b in ([v.real for v in rhs], rhs):
+        x, residual = gram_solve(upper, b)
+        want_x, want_residual = gram_solve(w, b)
+        assert _typed_fields(x) == _typed_fields(want_x)
+        assert residual == want_residual
+        _assert_solves_alike(lambda: gram_solve(upper, b), *_fdot_solve(
+            w.T, None, _fdot_gram_apply(w), b))
+    lam = z.real / 2 - 0.25
+    solution = KreinSolution(values=x, z=z, horizon=size, residual=residual)
+    assert kernel_finite(coeffs, z, lam, size, method="krein",
+                         precision=mode) == solution.kernel_value(lam)
+    low, _ = _multiprec._gram_operator(upper)
+    x, wx = _multiprec._sweeps(low, None, lift(rhs, EXTENDED))
+    want = _read(_multiprec._times(_multiprec._int_lines(w)[0], x).tolist())
+    assert (wx.re, wx.im, wx.exp) == (want.re, want.im, want.exp)
+
+
+@given(values=st.lists(
+    st.integers(-2 ** 400, 2 ** 400) | st.builds(    # ties at the precision
+        lambda m, k, sign: sign * ((m << k) | 1 << k - 1),
+        st.integers(2 ** (_EXTENDED.prec - 1), 2 ** _EXTENDED.prec - 1),
+        st.integers(1, 80), st.sampled_from([1, -1])),
+    min_size=1, max_size=6), exp=st.integers(-300, 300),
+    den=st.just(1) | st.integers(2, 10 ** 6))
+def test_rounded_cells_are_the_mpf_cells(values, exp, den):
+    # the column of a W_T cell list holds each value as ``_round`` rounds
+    # it for the mpf cell, exactly, on one scale of den 1
+    column = _rounded(_Ints(values, None, den, exp))
+    assert column.den == 1
+    assert _emitted(column, _EXTENDED.mpf) == [
+        _EXTENDED.make_mpf(_round(x, exp, den)) for x in values]
 
 
 @pytest.mark.parametrize("size", [1, 7, 25, 40])
@@ -1669,7 +1742,7 @@ def test_double_sweeps_match_scipys_triangular_solves(rng, size):
     half = scipy.linalg.solve_triangular(low, rhs, lower=True)
     want = scipy.linalg.solve_triangular(low, half / piv, lower=True,
                                          trans="T")
-    _assert_close(_multiprec._sweeps(low, piv, rhs), want)
+    _assert_close(_multiprec._sweeps(low, piv, rhs)[0], want)
     _assert_close(mp_pd_solve(block, rhs)[0], want)
     # W is the upper Cholesky factor, so W^T W is the block
     w = scipy.linalg.cholesky(block, lower=False)
