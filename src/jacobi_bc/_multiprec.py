@@ -1387,15 +1387,15 @@ def _sweeps(low, piv, rhs):
 
     rows, ups = low
     diag = [_unrounded(row.re[i], row.exp) for i, row in enumerate(rows)]
-    x = [_read([v]) for v in rhs.tolist()]
-    x = _sweep(rows, diag, [(_unrounded(v.re[0], v.exp), v.im and
-                             _unrounded(v.im[0], v.exp)) for v in x])[0]
-    if piv is not None:    # x / piv, as mpc_div_mpf and mpf_div round it
+    b = [_read([v]) for v in rhs.tolist()]
+    y = _sweep(rows, diag, [(_unrounded(v.re[0], v.exp), v.im and
+                             _unrounded(v.im[0], v.exp)) for v in b])[0]
+    if piv is not None:    # y / piv, as mpc_div_mpf and mpf_div round it
         piv = _read(piv.tolist())
-        x = [tuple(part and mpf_div(part, _unrounded(d, piv.exp),
+        y = [tuple(part and mpf_div(part, _unrounded(d, piv.exp),
                                     _EXTENDED.prec, round_nearest)
-                   for part in value) for value, d in zip(x, piv.re)]
-    x, product = _sweep(ups[::-1], diag[::-1], x[::-1], piv is None)
+                   for part in value) for value, d in zip(y, piv.re)]
+    x, product = _sweep(ups[::-1], diag[::-1], y[::-1], piv is None)
     return np.array([_EXTENDED.make_mpf(re) if im is None else
                      _EXTENDED.make_mpc((re, im)) for re, im in x[::-1]],
                     dtype=object), product
