@@ -19,7 +19,9 @@ more than 2 * prec bits below them, which mpmath's fdot drops; its
 matrix form, which the factorization uses, is checked row by row the
 same way.  The sweeps, the residual products and the refined solution
 of ``gram_solve`` on the integer form are checked bit for bit against
-the fdot sweeps they replace.  The orthonormal tables of symmetric
+the fdot sweeps they replace, and on the columns the sweep hands the
+Krein route against the matrix of mpf cells, each cell rounded as
+``_round`` rounds it.  The orthonormal tables of symmetric
 measures, built on one parity, are checked bit for bit against the
 stride-one builder they replace.  The tables of the object modes, built
 on Python ints, are checked byte for byte against the frexp tables of
