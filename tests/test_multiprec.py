@@ -1692,8 +1692,8 @@ def test_krein_route_solves_the_sweeps_columns_as_the_matrix(system):
     min_size=1, max_size=6), exp=st.integers(-300, 300),
     den=st.just(1) | st.integers(2, 10 ** 6))
 def test_rounded_cells_are_the_mpf_cells(values, exp, den):
-    # the column of a W_T cell list holds each value as ``_round`` rounds
-    # it for the mpf cell, exactly, on one scale of den 1
+    # a column of W_T for the Krein solve holds each cell exactly as
+    # ``_round`` rounds it for the mpf cell, on one scale of den 1
     column = _rounded(_Ints(values, None, den, exp))
     assert column.den == 1
     assert _emitted(column, _EXTENDED.mpf) == [
