@@ -938,24 +938,20 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
 
 def _rounded(vec: _Ints) -> _Ints:
     """The real ``vec`` as _Ints of den 1, each value rounded once to
-    EXTENDED as its mpf from ``_emitted`` is: on den 1 each int is cut
-    in place, to nearest with ties to even, and the bits that every
-    value drops go."""
+    EXTENDED as its mpf from ``_emitted`` is: on den 1 each int in place,
+    on the slice's scale, to nearest with ties to even."""
     if vec.den != 1:
         column = _Ints([])
         for x in vec.re:
             column.push((_round(x, vec.exp, vec.den),))
         return column
     prec, ints = _EXTENDED.prec, []
-    cut = max(min(map(int.bit_length, filter(None, vec.re)), default=0)
-              - prec, 0)
     for x in vec.re:
         m, drop = abs(x), x.bit_length() - prec
         if drop > 0:    # + half, less one unless the kept part is odd
-            m = (m + (1 << drop - 1) - 1 + (m >> drop & 1)) >> drop
-            m <<= drop - cut
+            m = (m + (1 << drop - 1) - 1 + (m >> drop & 1)) >> drop << drop
         ints.append(-m if x < 0 else m)
-    return _Ints(ints, None, 1, vec.exp + cut)
+    return _Ints(ints, None, 1, vec.exp)
 
 
 class _Columns(list):
