@@ -938,8 +938,8 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
 
 def _rounded(vec: _Ints) -> _Ints:
     """The real ``vec`` as _Ints of den 1, each value rounded once to
-    EXTENDED as its mpf from ``_emitted`` is: on den 1 each int in place,
-    on the slice's scale, to nearest with ties to even."""
+    EXTENDED as its mpf from ``_emitted`` is; on den 1 each int is rounded
+    in place, on the slice's scale, to nearest with ties to even."""
     if vec.den != 1:
         column = _Ints([])
         for x in vec.re:
