@@ -20,8 +20,11 @@ geometric(10^20) from the code before they left for float64 by one
 rounding, and the RATIONAL Krein kernels, whose Fraction cells of W_T
 are rounded once to EXTENDED (on the benchmark's kind of family and on
 one in thirds and fifths), from the code before W_T reached the solve
-as integer lines; a change that means to alter these bits records them anew and
-says why.
+as integer lines, and the rational and mixed mpf/mpc moment transforms,
+EXTENDED moment recovery and the RATIONAL recovery of a family on the 1/8
+grid from the code before the moment route read its data once into the
+integer form; a change that means to alter these bits records them anew
+and says why.
 """
 
 import hashlib
@@ -33,7 +36,8 @@ import pytest
 from jacobi_bc import (JacobiCoefficients, PrecisionMode, build_hankel,
                        connecting_from_response, control_operator,
                        kernel_finite, moments_to_response,
-                       recover_from_response, response_to_moments,
+                       recover_from_moments, recover_from_response,
+                       response_to_moments,
                        response_vector, solve_finite, solve_semi_infinite)
 from jacobi_bc._multiprec import (_EXTENDED, _wheeler_rows, gram_max_eigs,
                                   gram_solve, leading_eig_extremes, lift,
@@ -169,6 +173,34 @@ def _recovered_roots(precision):
     return result.a, result.b, result.residual
 
 
+def _moment_recovery():
+    s = response_to_moments(response_vector(RANDOM, 47, RATIONAL), RATIONAL)
+    result = recover_from_moments(s, 24, EXTENDED)
+    return result.a, result.b, result.residual
+
+
+def _eighths_recovery():
+    # the exact response of a family on the 1/8 grid, as the benchmark's
+    # rational recovery draws it
+    eighths = [Fraction(round(8 * x), 8) for x in
+               np.random.default_rng(28).uniform(0.5, 2.0, 48)]
+    coeffs = JacobiCoefficients.from_arrays(
+        [Fraction(1)] + eighths,
+        [Fraction(round(8 * x), 8) for x in
+         np.random.default_rng(29).uniform(-1.0, 1.0, 48)])
+    result = recover_from_response(response_vector(coeffs, 47, RATIONAL), 24,
+                                   RATIONAL)
+    return result.a, result.b, result.residual
+
+
+def _complex_moments():
+    # mpc among the mpf from s_5 on: the rows before stay real
+    s = np.array(_data(EXTENDED, 0))
+    s[5::3] = [x * _EXTENDED.mpc(1, 1 / (k + 2))
+               for k, x in enumerate(s[5::3])]
+    return s, moments_to_response(s, EXTENDED).as_array()
+
+
 def _krein(precision, coeffs=RANDOM):
     w = control_operator(coeffs, 24, precision).matrix
     rhs = lift([complex(k + 1, -k) / 5 for k in range(24)], EXTENDED)
@@ -223,6 +255,11 @@ CASES = {
     "semi-infinite-complex-control": _complex_control,
     "moments-to-response-extended": lambda: moments_to_response(
         _data(EXTENDED, 0), EXTENDED).as_array(),
+    "moments-to-response-rational": lambda: moments_to_response(
+        _data(RATIONAL, 0), RATIONAL).as_array(),
+    "moments-to-response-extended-complex": _complex_moments,
+    "recover-from-moments-extended": _moment_recovery,
+    "recover-from-response-rational-eighths": _eighths_recovery,
     "eigen-sequences-geometric2.2": lambda: _eigen_sequences(GEO22),
     "eigen-sequences-carleman0.9": lambda: _eigen_sequences(CARLEMAN_09),
     "gram-max-eigs-rational-thirds-fifths": _thirds_and_fifths_gamma,
@@ -270,12 +307,20 @@ PINNED = {
         'd47d0e12f6d76041f5818bf554239b6ecf18d0d33daf89b926edd9d5bf5ca738',
     'moments-to-response-extended':
         '188445f8c90c71f676d49d652336636166b1e4203086946169394c419656f56b',
+    'moments-to-response-extended-complex':
+        'c99390b10a123124de47739047a4b784f0c3de2ca61304d778a966ddc4c31dfa',
+    'moments-to-response-rational':
+        'bcf3aa4a6daafd12a0420006297d9b85edaf445ac3fabbf2407214b772cb14fc',
     'pd-factor-and-solve-extended':
         'eee96c322129297151a1e34feebba88675922d425f9b84e85255cf4499dcc36b',
     'recover-roots-extended':
         'afac3e337e602ed65b229e540f2f5fb27382b24babcb241c65c2aeb562823510',
     'recover-roots-rational':
         'afac3e337e602ed65b229e540f2f5fb27382b24babcb241c65c2aeb562823510',
+    'recover-from-moments-extended':
+        '591c0fe2c636a086de786f5999e634b141f1c0e13e8b3a8b8bd0e3e1d4d3e8db',
+    'recover-from-response-rational-eighths':
+        '87b61272ab2e6230071afffac4704f330a301d5b153d6ceb6a7c694d5c099fdd',
     'response-vector-double':
         'bbdb8eb60c5588a5ff0c1abbbda34aabb67789397b008b2ed5e44b22bd4b2ab1',
     'semi-infinite-complex-control':
