@@ -49,10 +49,13 @@ the recovered roots (``_root_floats``) take it, with no Fraction or mpf
 made.  The Krein solve takes W_T from the sweep in it too: each cell
 rounded once to EXTENDED on its slice's ints (``_rounded``), and its
 sweeps subtract and divide on mpf fields, with no mpf or mpc made but
-the solution.  In the integer form an EXTENDED value keeps 64 bits more than
-an mpf and is rounded once where mpf arithmetic rounds at every step,
-but the ints span the exponent range of the vector, which has no bound
-for mpf values, and so does the cost.  A sum of ``dot`` is rounded once
+the solution.  Moment recovery reads its moments into it once
+(``_int_form``), and both its runs of the rows take them and their
+converted response, rounded once (``_mode_rounded``).  In the integer
+form an EXTENDED value keeps 64 bits more than an mpf and is rounded
+once where mpf arithmetic rounds at every step, but the ints span the
+exponent range of the vector, which has no bound for mpf values, and
+so does the cost.  A sum of ``dot`` is rounded once
 where numpy's object ``@`` rounds after every product and add; float
 and Fraction operands keep ``@`` and its bits.
 
@@ -85,7 +88,7 @@ import math
 import threading
 from fractions import Fraction
 from heapq import merge
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -220,8 +223,16 @@ def _enter(x, precision: PrecisionMode, refusal: str = _BEYOND_DOUBLE,
 
 
 def _float64(values):
-    """A number or an array as float64, the one way out: an exact int or
-    Fraction beyond float64 gives +-inf, as an overflowed float does."""
+    """A number, an array or _Ints as float64, the one way out: an exact
+    int or Fraction beyond float64 gives +-inf, as an overflowed float
+    does; _Ints of den 1 by their fields, as float() rounds their mpf."""
+    if isinstance(values, _Ints) and values.den == 1:
+        fields = _emitted(values, float)
+        with np.errstate(over="ignore", under="ignore"):
+            return np.ldexp(np.array([m for m, _ in fields]),
+                            np.array([e for _, e in fields], dtype=int))
+    if isinstance(values, _Ints):
+        values = np.array(_emitted(values, Fraction), dtype=object)
     try:
         return (values.astype(float) if isinstance(values, np.ndarray)
                 else float(values))
@@ -378,10 +389,15 @@ def modified_chebyshev(nu, size: int, shift: int, precision: PrecisionMode):
     form (``_integer_rows``).  Raises ConditioningError on an inf
     or NaN value (for DOUBLE, on an overflowed row, before its pivot is
     tested) and np.linalg.LinAlgError on a pivot that is not positive.
+    ``nu`` may be the _Ints of lifted object data (``_int_form``).
     """
     pivots, alpha, beta = [], [], [0]
-    _wheeler_rows(_lifted_nu(nu, size, shift, precision), size, shift,
-                  pivots, alpha, beta)
+    if isinstance(nu, _Ints):
+        _integer_rows(nu, _number_kind(precision), size, shift, pivots,
+                      alpha, beta)
+    else:
+        _wheeler_rows(_lifted_nu(nu, size, shift, precision), size, shift,
+                      pivots, alpha, beta)
     return np.array(pivots), np.array(alpha), np.array(beta)
 
 
@@ -405,8 +421,30 @@ def _wheeler_rows(row: np.ndarray, size: int, shift: int, pivots: list,
     alpha_k (k < size - 1) and beta_k (k >= 1) to the lists, which start
     empty, empty and [0].  A bad row raises as ``modified_chebyshev``
     describes, and the lists keep the rows before it."""
-    rows = _integer_rows if row.dtype == object else _array_rows
-    rows(row, size, shift, pivots, alpha, beta)
+    if row.dtype != object:
+        return _array_rows(row, size, shift, pivots, alpha, beta)
+    _integer_rows(_read(row.tolist()), _number_kind(mode_of(row)), size,
+                  shift, pivots, alpha, beta)
+
+
+def _int_form(values: np.ndarray):
+    """A lifted object array read once into _Ints; a float array, or one
+    holding inf or NaN (which ``_read`` refuses), as it is."""
+    try:
+        return _read(values.tolist()) if values.dtype == object else values
+    except ConditioningError:
+        return values
+
+
+def _number_kind(precision: PrecisionMode):
+    """The kind ``_emitted`` gives an object mode's numbers in."""
+    return Fraction if precision is PrecisionMode.RATIONAL else _EXTENDED.mpf
+
+
+def _mode_rounded(vec: _Ints, precision: PrecisionMode) -> _Ints:
+    """The exact real ``vec`` rounded once to EXTENDED (``_rounded``), or
+    as it is in RATIONAL."""
+    return vec if precision is PrecisionMode.RATIONAL else _rounded(vec)
 
 
 def _plus_basis_shift(acc: np.ndarray, row: np.ndarray, shift: int) -> None:
@@ -691,10 +729,10 @@ def _emitted(vec: _Ints, kind, zero=None, mpc: int = -1) -> list:
             for k, (x, y) in enumerate(zip(re, vec.im))]
 
 
-def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
+def _integer_rows(first: _Ints, kind, size: int, shift: int, pivots: list,
                   alpha: list, beta: list) -> None:
-    """``_wheeler_rows`` on an object row of Fractions or mpf, in the
-    fraction-free manner of Bareiss (Math. Comp. 22 (1968)).
+    """``_wheeler_rows`` on the _Ints of a row of ``kind`` (Fraction or
+    mpf), in the fraction-free manner of Bareiss (Math. Comp. 22 (1968)).
 
     Row k is sigma_{k,l} = num[l - k] / den * 2^exp.  With alpha_k = p /
     q * 2^ea and beta_k = u / v * 2^eb (``_ratio``), the next row is
@@ -704,10 +742,9 @@ def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
         - u q den 2^(exp_below + eb - low) num_below[i+2]
 
     over den q v den_below, times 2^low, where low is the smallest of the
-    three exponents, then ``_normalised``.
+    three exponents, then ``_normalised``.  A first factor that is a
+    power of two (always in EXTENDED: q = v = den = 1) shifts.
     """
-    kind = Fraction if mode_of(row) is PrecisionMode.RATIONAL else _MPF
-    first = _read(row.tolist())
     num, den, exp = first.re, first.den, first.exp
     # sigma_{-1,l} = 0
     below, below_den, below_exp = [0] * (len(num) + 2), 1, 0
@@ -719,9 +756,14 @@ def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
             f1 = q * v * below_den << (exp - low)
             f2 = p * v * below_den << (exp + ea - low)
             f3 = u * q * den << (below_exp + eb - low)
-            nxt = [f1 * (n2 + shift * n0) - f2 * n1 - f3 * m2
-                   for n0, n1, n2, m2 in zip(num, num[1:], num[2:],
-                                             below[2:])]
+            tops = map(add, num, num[2:]) if shift else num[2:]
+            if f1 & (f1 - 1):
+                nxt = [f1 * top - f2 * n1 - f3 * m2
+                       for top, n1, m2 in zip(tops, num[1:], below[2:])]
+            else:
+                up = f1.bit_length() - 1
+                nxt = [(top << up) - f2 * n1 - f3 * m2
+                       for top, n1, m2 in zip(tops, num[1:], below[2:])]
             new = _normalised(_Ints(nxt, None, den * q * v * below_den, low),
                               kind)
             below, below_den, below_exp = num, den, exp
@@ -745,16 +787,17 @@ def _integer_rows(row: np.ndarray, size: int, shift: int, pivots: list,
 def _ratio(n: int, d: int, e: int, kind):
     """n / d * 2^e (d > 0) as the recurrence returns it, and as the ratio
     (p, q, e) the next row takes: the Fraction's terms, or the EXTENDED
-    quotient cut toward zero; 0 over 2^0 for a zero alpha_k."""
+    quotient cut toward zero, divided once; 0 over 2^0 for a zero
+    alpha_k."""
     if kind is Fraction:
         value = Fraction(n, d)
         terms = _read([value])
         return value, (terms.re[0], terms.den, 0)
-    value = _EXTENDED.make_mpf(_round(n, e, d))
-    if not n:
-        return value, (0, 1, 0)
-    quo, _, extra = _quotient(n, d)
-    return value, (-quo if n < 0 else quo, 1, e - extra)
+    quo, rem, extra = _quotient(n, d)
+    sticky = quo << 1 | (rem != 0)
+    value = _EXTENDED.make_mpf(_round(-sticky if n < 0 else sticky,
+                                      e - extra - 1))
+    return value, (-quo if n < 0 else quo, 1, e - extra) if n else (0, 1, 0)
 
 
 # Float sweeps round the updated width up to a multiple of this many sites.
@@ -884,7 +927,7 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
     table = isinstance(out, tuple)
     n_space, horizon = len(a), len(ctrl)
     watched = len(out[0] if table else out)
-    kind = Fraction if mode_of(a) is PrecisionMode.RATIONAL else _MPF
+    kind = _number_kind(mode_of(a))
     zero = kind(0)
     a, b, ctrl = a.tolist() + [zero], b.tolist(), ctrl.tolist()
     ctrl_mpc = [type(f) is _MPC for f in ctrl]
@@ -1446,6 +1489,14 @@ def solve_scalar(z, precision: PrecisionMode):
     if precision is PrecisionMode.DOUBLE:
         return complex(z)
     return _EXTENDED.mpc(z)
+
+
+def _point(z, precision: PrecisionMode):
+    """``solve_scalar(z, precision)``, but its mpf real part for a real z
+    in the object modes: no complex product, and ``dot`` the same bits."""
+    point = solve_scalar(z, precision)
+    real = precision is not _DOUBLE and _kind(z)[0] is not complex
+    return point.real if real else point
 
 
 def _refined_solve(low, piv, apply, rhs) -> tuple[np.ndarray, float]:

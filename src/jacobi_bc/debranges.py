@@ -54,8 +54,8 @@ from .core import (
 )
 from .dynamics import _gram_upper
 from .spectral import _recurrence, chebyshev_all, eval_p_all, relative_tail
-from ._multiprec import (dot, gram_solve, lift, mode_of, mp_pd_solve,
-                         solve_scalar)
+from ._multiprec import (_point, dot, gram_solve, lift, mode_of,
+                         mp_pd_solve, solve_scalar)
 
 __all__ = [
     "KreinSolution",
@@ -99,8 +99,7 @@ class KreinSolution:
         rounded once before its rounding to complex."""
         if isinstance(lam, np.ndarray):
             return np.array([self.kernel_value(v) for v in lam])
-        cheb = chebyshev_all(self.horizon,
-                             solve_scalar(lam, mode_of(self.values)))
+        cheb = chebyshev_all(self.horizon, _point(lam, mode_of(self.values)))
         return complex(dot(self.values, np.array(cheb)))
 
 

@@ -35,8 +35,9 @@ from .core import (
     sequence_values,
 )
 from .dynamics import response_vector
-from .moments import moments_to_response
-from ._multiprec import _float64, _root_floats, modified_chebyshev, pivot_floor
+from .moments import _response_data
+from ._multiprec import (_float64, _int_form, _lifted_nu, _root_floats,
+                         modified_chebyshev, pivot_floor)
 
 __all__ = ["RecoveryResult", "recover_from_response", "recover_from_moments"]
 
@@ -71,16 +72,17 @@ class RecoveryResult:
 
 def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
                 failure: type[JacobiBCError]):
-    """a_1..a_{T-1}, b_1..b_{T-1} (floats, +-inf beyond float64) off the
-    array nu_l = int pi_l dmu, by ``_multiprec.modified_chebyshev``
-    (shift 1: responses, 0: moments).
+    """a_1..a_{T-1}, b_1..b_{T-1} (floats, +-inf beyond float64) off
+    nu_l = int pi_l dmu, an array or the _Ints of lifted object data, by
+    ``_multiprec.modified_chebyshev`` (shift 1: responses, 0: moments).
 
     b_{k+1} = alpha_k and a_k = sqrt(beta_k), beta_k = sigma_kk /
     sigma_{k-1,k-1}, rooted before it leaves the mode's arithmetic
     (``_multiprec._root_floats``): an a_k that float64 holds is finite
     even where beta_k is beyond float64.  Raises
     ConditioningError on an overflowed row (before its pivot is tested)
-    or a pivot ratio below the mode's floor, ``failure`` on a pivot <= 0.
+    or a pivot ratio below the mode's floor (formed only where one
+    applies), ``failure`` on a pivot <= 0.
     """
     try:
         piv, alpha, beta = modified_chebyshev(nu, horizon, shift, precision)
@@ -89,12 +91,13 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
         raise failure(f"not {kind}: {exc} at {precision.value} precision; "
                       f"genuine but ill-conditioned data may need more "
                       f"digits") from None
-    pivot_ratios = np.sqrt(_float64(piv / np.max(piv)))
+    floor = pivot_floor(precision)
+    pivot_ratios = np.sqrt(_float64(piv / np.max(piv))) if floor else [floor]
     worst = int(np.argmin(pivot_ratios))
-    if pivot_ratios[worst] < pivot_floor(precision):
+    if pivot_ratios[worst] < floor:
         raise ConditioningError(
             f"pivot ratio {pivot_ratios[worst]:.3e} at index {worst} is below "
-            f"{pivot_floor(precision):g}; use extended precision")
+            f"{floor:g}; use extended precision")
     return _root_floats(beta[1:]).tolist(), _float64(alpha).tolist()
 
 
@@ -107,7 +110,7 @@ def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult
     window = 2 * horizon - 2
     residual = 0.0
     if window:
-        reference = _float64(sequence_values(reference)[:window])
+        reference = _float64(reference[:window])
         with np.errstate(over="ignore", invalid="ignore"):
             simulated = response_vector(coeffs, window).as_array()
             residual = float(np.max(np.abs(simulated - reference)))
@@ -124,7 +127,8 @@ def recover_from_response(r, horizon: int,
     response of no genuine system.  Complex data raise ComplexDataError."""
     a_rec, b_rec = _recurrence(r, horizon, 1, precision,
                                NotAResponseVectorError)
-    return _result(a_rec, b_rec, r, horizon, "BoundaryControl", precision)
+    return _result(a_rec, b_rec, sequence_values(r), horizon,
+                   "BoundaryControl", precision)
 
 
 def recover_from_moments(s, horizon: int,
@@ -134,11 +138,13 @@ def recover_from_moments(s, horizon: int,
 
     The converted response entries, other data in another basis, give an
     independent recovery, and the two must agree within 1e-8.  Complex
-    data raise ComplexDataError.
+    data raise ComplexDataError.  s is lifted once, and read once into
+    the integer form in the object modes.
     """
+    s = _int_form(_lifted_nu(s, horizon, 0, precision))
     a_rec, b_rec = _recurrence(s, horizon, 0, precision,
                                NotAMomentSequenceError)
-    converted = moments_to_response(s[:2 * horizon - 1], precision).as_array()
+    converted = _response_data(s, precision)
     a_cross, b_cross = _recurrence(converted, horizon, 1, precision,
                                    NotAResponseVectorError)
     with np.errstate(invalid="ignore"):    # inf - inf: a NaN gap fails

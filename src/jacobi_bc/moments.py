@@ -28,8 +28,9 @@ from .core import (
     sequence_values,
 )
 from .dynamics import _check_block_memory
-from ._multiprec import (_lifted_nu, above_noise, dot, dot_operand,
-                         leading_eig_extremes, lift, lift_ints)
+from ._multiprec import (_Ints, _emitted, _int_form, _kind, _lifted_nu,
+                         _mode_rounded, _number_kind, above_noise, dot,
+                         dot_operand, leading_eig_extremes, lift, lift_ints)
 
 __all__ = [
     "HankelMatrix",
@@ -126,25 +127,52 @@ def _transform_matrix(size: int, precision: PrecisionMode) -> np.ndarray:
     return mat
 
 
+def _response_ints(s: _Ints) -> _Ints:
+    """transform @ s on the integer form of s, exactly: with w_k[m] =
+    sum_j T_k[j] s_{j+m}, T_{k+1} = x T_k - T_{k-1} gives w_{k+1}[m] =
+    w_k[m+1] - w_{k-1}[m] from w_0 = 0 and w_1 = s, and r_i = w_{i+1}[0]."""
+    def sums(part):
+        below, row, out = [0] * len(part), part, []
+        while row:
+            out.append(row[0])
+            below, row = row, [x - y for x, y in zip(row[1:], below)]
+        return out
+
+    return _Ints(sums(s.re), s.im and sums(s.im), s.den, s.exp)
+
+
+def _response_data(s, precision: PrecisionMode):
+    """transform @ s of the lifted moments as ``_int_form`` gives them,
+    for recovery: _Ints take their exact sums, rounded once to the mode."""
+    if isinstance(s, _Ints):
+        return _mode_rounded(_response_ints(s), precision)
+    return moments_to_response(s, precision).as_array()
+
+
 def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> ResponseVector:
-    """r = transform @ s, each row summed by ``_multiprec.dot``: exact in
-    rational mode, rounded once in extended.
+    """r = transform @ s: exact in rational mode, rounded once in extended.
 
     Row i of the transform is zero past the diagonal and at odd i + j, so
     r_i sums s_j over j <= i with i + j even only: the terms skipped are
     exact zeros, and no 0 * inf puts a NaN into a finite DOUBLE entry.
-    The rows are generated one at a time, so memory stays O(size); in
-    DOUBLE a row entry beyond float64 (from 1484 entries on) raises
-    ConditioningError.  In extended, s is read into the integer form of
-    ``dot`` once (``dot_operand``), not once per row.
+    The object modes sum s exactly on its integer form
+    (``_response_ints``); r_i is an mpc where one of its s_j is.  Float
+    data, and inf or NaN, take each row's ``_multiprec.dot``, the rows
+    generated one at a time, so memory stays O(size); in DOUBLE a row
+    entry beyond float64 (from 1484 entries on) raises ConditioningError.
     """
     sx = lift(sequence_values(s), precision)
-    sv = dot_operand(sx)
-    r = np.empty_like(sx)
-    with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
-        for i, row in enumerate(_transform_rows(sx.size)):
-            r[i] = dot(lift_ints(row, precision), sv[i % 2:i + 1:2])
-    return ResponseVector(r)
+    form = _int_form(sx)
+    if form is sx:
+        r = np.empty_like(sx)
+        with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
+            for i, row in enumerate(_transform_rows(sx.size)):
+                r[i] = dot(lift_ints(row, precision), sx[i % 2:i + 1:2])
+        return ResponseVector(r)
+    held = [_kind(x)[0] is complex for x in sx.tolist()]
+    mpc = sum(any(held[i % 2:i + 1:2]) << i for i in range(len(held)))
+    return ResponseVector(np.array(_emitted(
+        _response_ints(form), _number_kind(precision), mpc=mpc), dtype=object))
 
 
 def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> MomentSequence:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,3 +52,38 @@ def report_fields(report) -> tuple:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def dot_conversion(s, precision):
+    """transform @ s as each transform row's ``_multiprec.dot`` sums it,
+    over s read once (``dot_operand``): the conversion that summed the
+    moments row by row before they were summed on their integer form,
+    kept as the oracle of ``moments_to_response`` and of the moment
+    route of recovery."""
+    from jacobi_bc._multiprec import dot, dot_operand, lift, lift_ints
+    from jacobi_bc.core import sequence_values
+    from jacobi_bc.moments import _transform_rows
+
+    sx = lift(sequence_values(s), precision)
+    sv = dot_operand(sx)
+    r = np.empty_like(sx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(_transform_rows(sx.size)):
+            r[i] = dot(lift_ints(row, precision), sv[i % 2:i + 1:2])
+    return r
+
+
+def exact_values(values) -> list:
+    """Each value's type and exact fields: the mpf or mpc fields, the
+    numerator and denominator of a Fraction, the bits of a float or
+    complex."""
+    def fields(v):
+        for name in ("_mpf_", "_mpc_"):
+            if hasattr(v, name):
+                return getattr(v, name)
+        if isinstance(v, Fraction):
+            return v.numerator, v.denominator
+        return complex(v).real.hex(), complex(v).imag.hex()
+
+    return [(type(v).__name__, fields(v))
+            for v in np.asarray(values, dtype=object).tolist()]

@@ -32,7 +32,8 @@ from jacobi_bc import (
     scalar_product,
     spectral_data,
 )
-from jacobi_bc._multiprec import _EXTENDED
+from jacobi_bc import debranges
+from jacobi_bc._multiprec import _EXTENDED, dot
 from jacobi_bc.spectral import chebyshev_all, eval_p_all
 
 from conftest import random_coefficients
@@ -225,6 +226,26 @@ class TestKernelFinite:
         sol = KreinSolution(values=values, z=0j, horizon=3, residual=0.0)
         assert int(values[0].real) == -(3 * (2 ** 168 + 1) + 1)
         assert sol.kernel_value(3.0) == 7
+
+    @pytest.mark.parametrize("precision", [EXTENDED, PrecisionMode.RATIONAL])
+    def test_a_real_lam_takes_real_chebyshev_values(self, rng, monkeypatch,
+                                                    precision):
+        # T_k of a real lam are mpf, with no complex product, and their
+        # sum against the solution has the bits of the sum of their mpc
+        co = random_coefficients(rng, 12)
+        sol = krein_solve(gram_from_control(co, 12, precision), 0.3 + 0.8j,
+                          precision)
+        points = []
+        monkeypatch.setattr(debranges, "chebyshev_all", lambda t, z:
+                            points.append(type(z)) or chebyshev_all(t, z))
+        for lam in (-1.75, 0.0, 3, np.float64(0.625),
+                    _EXTENDED.mpf(-0.5)):
+            want = complex(dot(sol.values, np.array(chebyshev_all(
+                12, _EXTENDED.mpc(lam)))))
+            assert sol.kernel_value(lam) == want
+        assert set(points) == {type(_EXTENDED.mpf(0))}
+        sol.kernel_value(0.5 + 0j)
+        assert points[-1] is type(_EXTENDED.mpc(0))
 
     @pytest.mark.parametrize("size", [30, 40])
     def test_double_krein_refuses_an_ill_conditioned_w(self, size):

@@ -27,12 +27,13 @@ from jacobi_bc import (
     deficiency_partial_sums,
     hankel_min_eigs,
     kernel_finite,
+    recover_from_moments,
     response_to_moments,
     response_vector,
     solve_finite,
 )
 
-from jacobi_bc import _multiprec
+from jacobi_bc import _multiprec, moments
 from jacobi_bc.cli import main
 from jacobi_bc.determinacy import _circle_nodes, _partial_square_sums
 from jacobi_bc.spectral import TAIL_WINDOW, eval_p_all, relative_tail
@@ -453,6 +454,38 @@ class TestCoefficientRoute:
             1e-12 * abs(krein))
         assert not {_multiprec._MPF, Fraction} & set(kinds)
         assert calls == []
+
+    def test_moment_recovery_reads_its_moments_once(self, monkeypatch):
+        # EXTENDED moment recovery lifts s once, reads it once into the
+        # integer form and converts it there, by no row's dot: the only
+        # mpf it makes are the pivots, alpha_k and beta_k of its two runs,
+        # and it divides no mpf, as the pivot ratios would
+        context = _multiprec._load_extended()
+        horizon = 12
+        s = _multiprec.lift(response_to_moments(response_vector(
+            random_coefficients(np.random.default_rng(6), horizon),
+            2 * horizon - 1, PrecisionMode.RATIONAL), PrecisionMode.RATIONAL),
+            PrecisionMode.EXTENDED)
+        calls, kinds, made = [], [], []
+        for module, name in ((_multiprec, "lift"), (moments, "lift"),
+                             (_multiprec, "dot"), (moments, "dot"),
+                             (_multiprec, "_read")):
+            monkeypatch.setattr(module, name, lambda *args, name=name,
+                                call=getattr(module, name):
+                                calls.append((name, len(args[0])))
+                                or call(*args))
+        emitted, make_mpf = _multiprec._emitted, context.make_mpf
+        monkeypatch.setattr(_multiprec, "_emitted", lambda vec, kind, *args:
+                            kinds.append(kind) or emitted(vec, kind, *args))
+        monkeypatch.setattr(context, "make_mpf",
+                            lambda fields: made.append(1) or make_mpf(fields))
+        monkeypatch.setattr(context.mpf, "__truediv__", None)
+        result = recover_from_moments(s, horizon, PrecisionMode.EXTENDED)
+        assert np.max(np.abs(result.a)) > 0
+        assert [c for c in calls if c[0] != "_read" or c[1] > 1] == [
+            ("lift", s.size), ("_read", s.size)]
+        assert kinds.count(context.mpf) == 2 * horizon
+        assert len(made) == 2 * (3 * horizon - 2)
 
     def test_overflowed_double_rows_give_zero(self, monkeypatch):
         # p_2 = (1e200 x^2 - 1e-200) / 1e-200: its x^2 coefficient passes

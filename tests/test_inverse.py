@@ -1,11 +1,14 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from mpmath import libmp
 
 from jacobi_bc import (
     ComplexDataError,
@@ -29,9 +32,12 @@ from jacobi_bc import (
     validate_response,
 )
 
-from jacobi_bc._multiprec import lift, modified_chebyshev, pd_factor
+from jacobi_bc import inverse
+from jacobi_bc.moments import _response_data
+from jacobi_bc._multiprec import (_EXTENDED, _Ints, _int_form, lift,
+                                  modified_chebyshev, pd_factor)
 
-from conftest import random_coefficients, semicircle_moments
+from conftest import dot_conversion, random_coefficients, semicircle_moments
 
 FREE = JacobiCoefficients.free()
 
@@ -298,6 +304,116 @@ def test_int_data_round_as_their_floats_in_double():
         with pytest.raises(NotAMomentSequenceError,
                            match="pivot 31 is not positive"):
             recover_from_moments(data, 37)
+
+
+def test_the_object_modes_take_data_below_the_double_pivot_floor():
+    # no pivot ratio is formed where no floor applies: the object modes
+    # recover data whose smallest ratio is far below DOUBLE's 1e-10
+    # (geometric(10): 1e-66; geometric(10^20), as the pinned roots: 0.0
+    # in float64), and DOUBLE refuses the same data
+    for q, horizon in ((10, 12), (10 ** 20, 12)):
+        r = response_vector(JacobiCoefficients.geometric(q),
+                            2 * horizon - 1, PrecisionMode.RATIONAL)
+        want = [float(q) ** k for k in range(1, horizon)]
+        for precision in (PrecisionMode.EXTENDED, PrecisionMode.RATIONAL):
+            assert recover_from_response(r, horizon, precision).a.tolist() \
+                == want
+        with pytest.raises(ConditioningError,
+                           match="pivot ratio 1.000e-66 at index 0 is below"
+                           if q == 10 else "exceeds double precision"):
+            recover_from_response(r, horizon)
+
+
+@st.composite
+def _exact_family_data(draw):
+    """(horizon, exact response, exact moments) of a family on the grid
+    of 1/8 (dyadic: short mantissas), 1/3 or 1/10, one entry of each
+    perturbed where drawn."""
+    horizon = draw(st.integers(1, 9))
+    den = draw(st.sampled_from([8, 3, 10]))
+    grid = st.integers(-2 * den, 2 * den).map(lambda k: Fraction(k, den))
+    coeffs = JacobiCoefficients.from_arrays(
+        [1] + [Fraction(draw(st.integers(den // 4 + 1, 3 * den)), den)
+               for _ in range(horizon - 1)],
+        [draw(grid) for _ in range(horizon)])
+    r = response_vector(coeffs, 2 * horizon - 1, PrecisionMode.RATIONAL)
+    s = response_to_moments(r, PrecisionMode.RATIONAL).as_array().copy()
+    r = r.as_array().copy()
+    for data in (r, s):
+        if draw(st.booleans()):
+            data[draw(st.integers(0, data.size - 1))] += (
+                draw(grid) / 2 ** draw(st.integers(0, 12)))
+    return horizon, r, s
+
+
+def _long_mpf(values):
+    """Exact values as EXTENDED mpf of 300 bits, more than the context
+    keeps, so that reading them rounds nothing the rows see."""
+    return np.array([_EXTENDED.make_mpf(libmp.from_rational(
+        x.numerator, x.denominator, 300, libmp.round_nearest))
+        for x in values], dtype=object)
+
+
+def _outcome(call, *args):
+    """The exact fields of a recovery or Wheeler run, or its error."""
+    try:
+        got = call(*args)
+    except (JacobiBCError, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, tuple):
+        return [[getattr(v, "_mpf_", v) for v in part] for part in got]
+    return got.a.tobytes(), got.b.tobytes(), repr(got.residual), got.path
+
+
+@pytest.mark.parametrize("precision", [PrecisionMode.EXTENDED,
+                                       PrecisionMode.RATIONAL],
+                         ids=lambda p: p.value)
+@settings(max_examples=40)
+@given(family=_exact_family_data(), shift=st.integers(0, 1),
+       scale=st.integers(0, 80))
+def test_rows_on_a_callers_ints_equal_the_rows_on_the_lifted_data(
+        precision, family, shift, scale):
+    # the rows take the _Ints of their caller, on any scale: a wider
+    # exponent in EXTENDED (the rounded sums of the moment route), a
+    # larger common denominator in RATIONAL
+    horizon, r, s = family
+    nu = (r if shift else s) if precision is PrecisionMode.RATIONAL \
+        else _long_mpf(r if shift else s)
+    ints = _int_form(lift(nu, precision))
+    if precision is PrecisionMode.RATIONAL:
+        scaled = _Ints([x * (scale + 1) for x in ints.re], None,
+                       ints.den * (scale + 1), 0)
+    else:
+        scaled = _Ints([x << scale for x in ints.re], None, 1,
+                       ints.exp - scale)
+    want = _outcome(modified_chebyshev, nu, horizon, shift, precision)
+    assert _outcome(modified_chebyshev, ints, horizon, shift,
+                    precision) == want
+    assert _outcome(modified_chebyshev, scaled, horizon, shift,
+                    precision) == want
+
+
+@pytest.mark.parametrize("precision", list(PrecisionMode),
+                         ids=lambda p: p.value)
+@settings(max_examples=40)
+@given(family=_exact_family_data())
+def test_moment_recovery_equals_the_row_dot_route(precision, family):
+    # recovery on s read once, converted on its ints, gives the bits and
+    # errors of the route that lifted s for each run and converted it by
+    # each transform row's dot
+    horizon, _, s = family
+    data = _long_mpf(s) if precision is PrecisionMode.EXTENDED else s
+    got = _outcome(recover_from_moments, data, horizon, precision)
+    with mock.patch.object(inverse, "_int_form", lambda values: values), \
+            mock.patch.object(inverse, "_response_data", dot_conversion):
+        want = _outcome(recover_from_moments, data, horizon, precision)
+    assert got == want
+    # the response run reads the rounded sums as it read the row dots
+    lifted = lift(data, precision)
+    assert _outcome(modified_chebyshev, _response_data(
+        _int_form(lifted), precision), horizon, 1, precision) == _outcome(
+        modified_chebyshev, dot_conversion(lifted, precision), horizon, 1,
+        precision)
 
 
 def _factor_and_extract(matrix, precision):

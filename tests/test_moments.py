@@ -25,7 +25,31 @@ from jacobi_bc import (
 
 from jacobi_bc._multiprec import _EXTENDED, lift
 
-from conftest import random_coefficients, semicircle_moments
+from conftest import (dot_conversion, exact_values, random_coefficients,
+                      semicircle_moments)
+
+EXTENDED, RATIONAL = PrecisionMode.EXTENDED, PrecisionMode.RATIONAL
+
+
+@st.composite
+def _wide_mpf(draw):
+    """An EXTENDED mpf of up to 300 mantissa bits (more than the context
+    keeps) and an exponent anywhere in +-1100: a moment list of them
+    spans up to 2^2500."""
+    man = draw(st.integers(-(1 << 300), 1 << 300))
+    return _EXTENDED.make_mpf(libmp.from_man_exp(man, draw(
+        st.integers(-1100, 1100))))
+
+
+@st.composite
+def _wide_moments(draw, max_size=30):
+    """Object moments of EXTENDED mpf, and mpc among them where drawn."""
+    size = draw(st.integers(1, max_size))
+    mpc = draw(st.sets(st.integers(0, size - 1), max_size=size))
+    return np.array([_EXTENDED.make_mpc((draw(_wide_mpf())._mpf_,
+                                         draw(_wide_mpf())._mpf_))
+                     if k in mpc else draw(_wide_mpf())
+                     for k in range(size)], dtype=object)
 
 
 def _row_sum(row, values, precision):
@@ -217,6 +241,39 @@ class TestConversions:
         for k in range(2 * 7 - 1):
             val = quadrature(data, lambda x: x ** k)
             assert abs(s[k] - val) < 1e-9 * max(1.0, abs(val))
+
+
+class TestIntegerConversion:
+    # the object modes sum each row exactly on the integer form of s;
+    # each entry has the bits, and the type, that the row's dot gave
+
+    @settings(max_examples=80)
+    @given(s=_wide_moments())
+    def test_extended_sums_equal_the_row_dots(self, s):
+        got = moments_to_response(s, EXTENDED).as_array()
+        assert exact_values(got) == exact_values(dot_conversion(s, EXTENDED))
+
+    @settings(max_examples=60)
+    @given(st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                              st.fractions(max_denominator=10 ** 12)),
+                    min_size=1, max_size=30))
+    def test_rational_sums_equal_the_row_dots(self, s):
+        got = moments_to_response(s, RATIONAL).as_array()
+        assert exact_values(got) == exact_values(dot_conversion(s, RATIONAL))
+
+    @settings(max_examples=40)
+    @given(s=_wide_moments(max_size=12), data=st.data())
+    def test_inf_and_nan_keep_the_row_dots(self, s, data):
+        # the form cannot hold them: a row holding one gives u @ v
+        at = data.draw(st.integers(0, s.size - 1))
+        s[at] = _EXTENDED.mpf(data.draw(st.sampled_from(["inf", "-inf",
+                                                         "nan"])))
+        got = moments_to_response(s, EXTENDED).as_array()
+        assert exact_values(got) == exact_values(dot_conversion(s, EXTENDED))
+        lam = chebyshev_transform(s.size).matrix
+        for i in range(at, s.size, 2):
+            assert exact_values([got[i]]) == exact_values(
+                [lam[i, i % 2:i + 1:2] @ s[i % 2:i + 1:2]])
 
 
 class TestPositivity:

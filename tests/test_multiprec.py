@@ -869,6 +869,43 @@ def test_extended_zero_alpha_leaves_the_row_exponent():
     assert value == 0 and ratio == (0, 1, 0)
 
 
+def _exact_ratio(n, d, e):
+    """n / d * 2^e rounded once to EXTENDED, from its exact Fraction."""
+    context = _multiprec._load_extended()
+    return context.make_mpf(libmp.mpf_shift(libmp.from_rational(
+        n, d, context.prec, libmp.round_nearest), e))
+
+
+@settings(max_examples=200)
+@given(n=st.integers(-(1 << 400), 1 << 400), d=st.integers(1, 1 << 300),
+       e=st.integers(-2000, 2000))
+def test_extended_ratio_rounds_its_quotient_once(n, d, e):
+    # one division gives both the value, rounded once with a sticky bit
+    # for the remainder, and the ratio the next row takes, cut toward
+    # zero to at least _ROW_BITS bits
+    value, (p, q, shift) = _multiprec._ratio(n, d, e, _multiprec._MPF)
+    assert value._mpf_ == _exact_ratio(n, d, e)._mpf_
+    assert q == 1
+    if n:
+        exact = Fraction(n, d) * Fraction(2) ** e
+        cut = Fraction(p) * Fraction(2) ** shift
+        assert abs(cut) <= abs(exact) < abs(cut) + Fraction(2) ** shift
+        assert abs(p).bit_length() >= _multiprec._ROW_BITS
+    else:
+        assert (p, shift) == (0, 0)
+
+
+def test_extended_ratio_breaks_a_tie_by_its_remainder():
+    # n / 3 cut to its quotient is a tie of the EXTENDED rounding; the
+    # remainder puts it above the tie, so it rounds away from zero
+    context = _multiprec._load_extended()
+    tie = (1 << context.prec | 1) << (_multiprec._ROW_BITS - context.prec
+                                       - 1)
+    for n, e in ((3 * tie + 1, 0), (-(3 * tie + 1), -9)):
+        value = _multiprec._ratio(n, 3, e, _multiprec._MPF)[0]
+        assert value._mpf_ == _exact_ratio(n, 3, e)._mpf_
+
+
 @pytest.mark.parametrize("name", ["inf", "-inf", "nan"])
 def test_extended_recurrence_refuses_inf_and_nan(name):
     # their mpf mantissa is 0, as that of zero
