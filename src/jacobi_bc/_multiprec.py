@@ -675,22 +675,22 @@ def _normalised(vec: _Ints, kind, divide: bool = False) -> _Ints:
 
 
 def _quotient(man: int, den: int):
-    """(quo, rem, extra): |man| / den = (quo + rem / den) 2^-extra."""
+    """(quo, sticky, extra), signed as man: quo is man / den * 2^extra cut
+    toward zero, of at least _ROW_BITS bits, and sticky is 2 quo with a
+    bit for a nonzero remainder, which rounds as the exact quotient does."""
     extra = _ROW_BITS - man.bit_length() + den.bit_length()
-    if extra >= 0:
-        return (*divmod(abs(man) << extra, den), extra)
-    return (*divmod(abs(man), den << -extra), extra)
+    quo, rem = divmod(abs(man) << max(extra, 0), den << max(-extra, 0))
+    sticky = quo << 1 | (rem != 0)
+    return (-quo, -sticky, extra) if man < 0 else (quo, sticky, extra)
 
 
 def _round(man: int, exp: int, den: int = 1):
-    """The mpf fields of man / den * 2^exp rounded to nearest once.  A den
-    > 1 is divided out with a sticky bit for the remainder, which rounds
-    as the exact quotient does."""
+    """The mpf fields of man / den * 2^exp rounded to nearest once, a den
+    > 1 divided out by ``_quotient``."""
     prec = _EXTENDED.prec    # first: it loads the context of the names below
     if den != 1:
-        quo, rem, extra = _quotient(man, den)
-        quo = quo << 1 | (rem != 0)
-        man, exp = -quo if man < 0 else quo, exp - extra - 1
+        _, man, extra = _quotient(man, den)
+        exp -= extra + 1
     if man < 0:
         return normalize(1, -man, exp, (-man).bit_length(), prec,
                          round_nearest)
@@ -787,17 +787,15 @@ def _integer_rows(first: _Ints, kind, size: int, shift: int, pivots: list,
 def _ratio(n: int, d: int, e: int, kind):
     """n / d * 2^e (d > 0) as the recurrence returns it, and as the ratio
     (p, q, e) the next row takes: the Fraction's terms, or the EXTENDED
-    quotient cut toward zero, divided once; 0 over 2^0 for a zero
-    alpha_k."""
+    quotient of ``_quotient``, whose division the value rounds too; 0
+    over 2^0 for a zero alpha_k."""
     if kind is Fraction:
         value = Fraction(n, d)
         terms = _read([value])
         return value, (terms.re[0], terms.den, 0)
-    quo, rem, extra = _quotient(n, d)
-    sticky = quo << 1 | (rem != 0)
-    value = _EXTENDED.make_mpf(_round(-sticky if n < 0 else sticky,
-                                      e - extra - 1))
-    return value, (-quo if n < 0 else quo, 1, e - extra) if n else (0, 1, 0)
+    quo, sticky, extra = _quotient(n, d)
+    value = _EXTENDED.make_mpf(_round(sticky, e - extra - 1))
+    return value, (quo, 1, e - extra if n else 0)
 
 
 # Float sweeps round the updated width up to a multiple of this many sites.
@@ -1396,14 +1394,8 @@ def dot(u: np.ndarray, v: np.ndarray):
 def dot_operand(v: np.ndarray):
     """v ready for many ``dot`` calls: an array of EXTENDED mpf, none inf
     or NaN, as one _Ints read once, which ``dot`` takes as the array and
-    ``extend`` grows; any other v as it is."""
-    values = v.tolist()
-    if v.dtype == object and set(map(type, values)) == {_MPF}:
-        try:
-            return _read(values)
-        except ConditioningError:    # inf or NaN
-            pass
-    return v
+    ``extend`` grows (``_int_form``); any other v as it is."""
+    return _int_form(v) if set(map(type, v.tolist())) == {_MPF} else v
 
 
 def _sweeps(low, piv, rhs):
