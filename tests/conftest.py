@@ -73,17 +73,36 @@ def dot_conversion(s, precision):
     return r
 
 
-def exact_values(values) -> list:
-    """Each value's type and exact fields: the mpf or mpc fields, the
-    numerator and denominator of a Fraction, the bits of a float or
-    complex."""
-    def fields(v):
-        for name in ("_mpf_", "_mpc_"):
-            if hasattr(v, name):
-                return getattr(v, name)
-        if isinstance(v, Fraction):
-            return v.numerator, v.denominator
-        return complex(v).real.hex(), complex(v).imag.hex()
+def exact_fields(x):
+    """x as nested tuples of exact fields, with no repr of a number type
+    that could differ between mpmath backends: the bytes of a float
+    array, and the sign, mantissa, exponent and bit count of every mpf
+    (both parts of an mpc), the terms of a Fraction, the hex of a
+    float."""
+    from jacobi_bc._multiprec import _EXTENDED
 
-    return [(type(v).__name__, fields(v))
-            for v in np.asarray(values, dtype=object).tolist()]
+    if isinstance(x, np.ndarray):
+        if x.dtype != object:
+            return ("array", x.dtype.str, x.shape, x.tobytes().hex())
+        return ("object", x.shape, tuple(map(exact_fields, x.ravel().tolist())))
+    if isinstance(x, (list, tuple)):
+        return tuple(map(exact_fields, x))
+    if hasattr(x, "_mpf_"):
+        sign, man, exp, bc = x._mpf_
+        return ("mpf", int(sign), int(man), int(exp), int(bc))
+    if hasattr(x, "_mpc_"):
+        return ("mpc", exact_fields(_EXTENDED.make_mpf(x._mpc_[0])),
+                exact_fields(_EXTENDED.make_mpf(x._mpc_[1])))
+    if isinstance(x, Fraction):
+        return ("Fraction", x.numerator, x.denominator)
+    if isinstance(x, bool):
+        return ("bool", x)
+    if isinstance(x, int):
+        return ("int", x)
+    if isinstance(x, float):
+        return ("float", x.hex())
+    if isinstance(x, complex):
+        return ("complex", x.real.hex(), x.imag.hex())
+    if x is None or isinstance(x, str):    # no error, or its message
+        return (type(x).__name__, x)
+    raise TypeError(f"no exact fields for {type(x).__name__}")

@@ -37,12 +37,14 @@ from jacobi_bc import (JacobiCoefficients, PrecisionMode, build_hankel,
                        connecting_from_response, control_operator,
                        kernel_finite, moments_to_response,
                        recover_from_moments, recover_from_response,
-                       response_to_moments,
-                       response_vector, solve_finite, solve_semi_infinite)
+                       response_to_moments, response_vector, solve_finite,
+                       solve_semi_infinite)
 from jacobi_bc._multiprec import (_EXTENDED, _wheeler_rows, gram_max_eigs,
                                   gram_solve, leading_eig_extremes, lift,
                                   modified_chebyshev, mp_pd_solve,
                                   orthonormal_min_eigs, pd_factor)
+
+from conftest import exact_fields
 
 DOUBLE = PrecisionMode.DOUBLE
 EXTENDED = PrecisionMode.EXTENDED
@@ -76,38 +78,8 @@ def _decaying(horizon, seed):
 DECAYING = _decaying(1024, 32)
 
 
-def _fields(x):
-    """x as nested tuples of exact fields, with no repr of a number type
-    that could differ between mpmath backends."""
-    if isinstance(x, np.ndarray):
-        if x.dtype != object:
-            return ("array", x.dtype.str, x.shape, x.tobytes().hex())
-        return ("object", x.shape, tuple(map(_fields, x.ravel().tolist())))
-    if isinstance(x, (list, tuple)):
-        return tuple(map(_fields, x))
-    if hasattr(x, "_mpf_"):
-        sign, man, exp, bc = x._mpf_
-        return ("mpf", int(sign), int(man), int(exp), int(bc))
-    if hasattr(x, "_mpc_"):
-        return ("mpc", _fields(_EXTENDED.make_mpf(x._mpc_[0])),
-                _fields(_EXTENDED.make_mpf(x._mpc_[1])))
-    if isinstance(x, Fraction):
-        return ("Fraction", x.numerator, x.denominator)
-    if isinstance(x, bool):
-        return ("bool", x)
-    if isinstance(x, int):
-        return ("int", x)
-    if isinstance(x, float):
-        return ("float", x.hex())
-    if isinstance(x, complex):
-        return ("complex", x.real.hex(), x.imag.hex())
-    if x is None or isinstance(x, str):    # no error, or its message
-        return (type(x).__name__, x)
-    raise TypeError(f"no exact fields for {type(x).__name__}")
-
-
 def _digest(value) -> str:
-    return hashlib.sha256(repr(_fields(value)).encode()).hexdigest()
+    return hashlib.sha256(repr(exact_fields(value)).encode()).hexdigest()
 
 
 def _data(precision, shift):
