@@ -23,8 +23,11 @@ one in thirds and fifths), from the code before W_T reached the solve
 as integer lines, and the rational and mixed mpf/mpc moment transforms,
 EXTENDED moment recovery and the RATIONAL recovery of a family on the 1/8
 grid from the code before the moment route read its data once into the
-integer form; a change that means to alter these bits records them anew
-and says why.
+integer form, and the whole ``classify`` reports (in every mode, on a
+finite family whose gamma table is wider than tall, and on the DOUBLE
+families whose rows of Q and whose field overflow) from the code before
+the eigenvalue tables were solved together; a change that means to
+alter these bits records them anew and says why.
 """
 
 import hashlib
@@ -34,7 +37,7 @@ import numpy as np
 import pytest
 
 from jacobi_bc import (JacobiCoefficients, PrecisionMode, build_hankel,
-                       connecting_from_response, control_operator,
+                       classify, connecting_from_response, control_operator,
                        kernel_finite, moments_to_response,
                        recover_from_moments, recover_from_response,
                        response_to_moments, response_vector, solve_finite,
@@ -123,6 +126,23 @@ def _eigen_sequences(coeffs):
                                                           EXTENDED).matrix,
                                  r, 1, EXTENDED),
             gram_max_eigs(a, coeffs.b_head(24), 24, EXTENDED))
+
+
+# five atoms: the gamma table of N = 8 has 5 rows and 8 columns
+FIVE_ATOMS = JacobiCoefficients.from_arrays(
+    [1, Fraction(3, 4), Fraction(5, 4), 1, Fraction(1, 2)],
+    [0, Fraction(1, 4), Fraction(-1, 2), 0, Fraction(1, 8)])
+# DOUBLE overflows the rows of Q (lambda_3.. = 0.0) and, for geometric(2)
+# at N = 64, the field of gamma (inf from T = 46)
+TINY_A = JacobiCoefficients.from_arrays([1, 1e-200, 1e-200, 1, 1], [0] * 5)
+
+
+def _report(coeffs, n_max, precision):
+    # every field of the classify report: sequences, bounds, verdict, notes
+    r = classify(coeffs, n_max, precision)
+    return (r.lambda_seq, r.beta_seq, r.gamma_seq, r.hankel_bound,
+            r.connecting_bound, r.deficiency_p, r.deficiency_q,
+            r.verdict.value, r.precision.value, r.notes)
 
 
 def _thirds_and_fifths():
@@ -235,6 +255,19 @@ CASES = {
     "eigen-sequences-geometric2.2": lambda: _eigen_sequences(GEO22),
     "eigen-sequences-carleman0.9": lambda: _eigen_sequences(CARLEMAN_09),
     "gram-max-eigs-rational-thirds-fifths": _thirds_and_fifths_gamma,
+    **{f"classify-{name}-{mode.value}": (
+        lambda coeffs=coeffs, mode=mode: _report(coeffs, 24, mode))
+       for name, coeffs in (("geometric2.2", GEO22),
+                            ("carleman0.9", CARLEMAN_09))
+       for mode in PrecisionMode},
+    **{f"classify-five-atoms-{mode.value}": (
+        lambda mode=mode: _report(FIVE_ATOMS, 8, mode))
+       for mode in PrecisionMode},
+    "classify-overflowed-rows-double": lambda: _report(TINY_A, 5, DOUBLE),
+    "classify-overflowed-rows-extended": lambda: _report(TINY_A, 5,
+                                                         EXTENDED),
+    "classify-overflowed-field-double": lambda: _report(
+        JacobiCoefficients.geometric(2), 64, DOUBLE),
     "recover-roots-extended": lambda: _recovered_roots(EXTENDED),
     "recover-roots-rational": lambda: _recovered_roots(RATIONAL),
     "krein-kernel-extended": lambda: _krein(EXTENDED),
@@ -259,6 +292,30 @@ PINNED = {
         'fc35306219080adc76f2e31b6ba4ccab845e944c43ccbc513e927b3edc5faf49',
     'chebyshev-wide-span-moments':
         'c2554fec86c6a0ca633b1dd845388e98d75e0474eeabc801ff67e4c38cdfa40b',
+    'classify-carleman0.9-double':
+        'dd111ef4503669770e76602c522dca3a643e57c1b8221fd7f3a0dcbbc9a1ab4e',
+    'classify-carleman0.9-extended':
+        '7492aaec9d8861d40658129ca583ae9e118c15e918a32f198001837d7d2dc485',
+    'classify-carleman0.9-rational':
+        'f6b1adba805dd35ffbf8fe59b0ae3bb466ee2712571b7d468ec76954a914048f',
+    'classify-five-atoms-double':
+        '4b152c22c913e6668acb1a0f5cc67bb1bfeed73e7b81b844f71fa72ee0fba612',
+    'classify-five-atoms-extended':
+        'a49ecd8637347b76163e90d1d2d9f6d3d286a759158b4bb65f4b9305f325982f',
+    'classify-five-atoms-rational':
+        '74e84d2805dd055785b137f1a8bf687ef471e66515ffb18d68bc6d4b2eb9c1b4',
+    'classify-geometric2.2-double':
+        '3ccd78012700d7dfacef2d1628a6a7fbe401a7db3080329b0fc4efc7b6eee2f5',
+    'classify-geometric2.2-extended':
+        'aaf8a2428d54b8f2387f157bbc1fe9b5a364c993f49268396785a4e32adc5f05',
+    'classify-geometric2.2-rational':
+        '8249735791e25d22ebe968c157ebc09884b846d589328e9defcf2d1fef0410ea',
+    'classify-overflowed-field-double':
+        'd8eb5d60a2e757a2bc6b79dfd2e62b52f664d63760d5148afdc2771eaf078caf',
+    'classify-overflowed-rows-double':
+        '8c54e4f64ff44226119c813c0ed0315f4cc003be9cc079df9b57f4cdfe105e41',
+    'classify-overflowed-rows-extended':
+        'af1e52cbfb31b8cf999fa9bf68a547cdedaab31d0aaab9748c0dbd15467d581b',
     'control-operator-and-finite-field-double':
         'eec1af15b71ac39d5940a4b8459109455f5e43d5acafd3c32605271679ad0f5b',
     'control-operator-extended':
