@@ -24,10 +24,9 @@ a mode (``_ENTRY``, applied by ``_enter``) and the one way out to float64
 refusing complex values (``require_real``) and the floors, the forward
 sweep (``forward_sweep``), Wheeler's recurrence (``modified_chebyshev``),
 the eigenvalue sequences read off Q = diag(d)^-1/2 L^-1 for A = L diag(d)
-L^T (``orthonormal_min_eigs``, ``leading_eig_extremes``,
-``gram_max_eigs``), ``sym_eigenvalues``, one positive-definite
-factorization and solve (``pd_factor``, ``mp_pd_solve``, ``gram_solve``)
-and the contraction ``dot``.
+L^T (``coefficient_eigs``, ``leading_eig_extremes``), ``sym_eigenvalues``,
+one positive-definite factorization and solve (``pd_factor``,
+``mp_pd_solve``, ``gram_solve``) and the contraction ``dot``.
 
 Float arrays take numpy and its LAPACK, the forward sweep four ufunc
 calls a step (``_float_sweep``), and the DOUBLE triangular sweeps a
@@ -44,7 +43,7 @@ smallest nonzero int keeps _ROW_BITS bits, the precision and 64 guard
 bits; ``_emitted`` gives back Fractions, mpf or mpc rounded once, or
 float64 fields (mantissa, exponent) rounded once, the one way from the
 integer form to float64: the frexp tables of the eigenvalue sequences
-(the sweep of ``gram_max_eigs``, the rows of Q, ``_frexp_table``) and
+(the sweep of ``coefficient_eigs``, the rows of Q, ``_frexp_table``) and
 the recovered roots (``_root_floats``) take it, with no Fraction or mpf
 made.  The Krein solve takes W_T from the sweep in it too: each cell
 rounded once to EXTENDED on its slice's ints (``_rounded``), and its
@@ -183,15 +182,20 @@ def _kind(x) -> tuple:
 
 _BEYOND_DOUBLE = ("a value exceeds double precision (about 1.8e308); use "
                   "PrecisionMode.EXTENDED (--precision extended)")
+# no mode computes with an inf: EXTENDED keeps it, but not in its integers
+_INFINITE = ("a value exceeds double precision (about 1.8e308): an mpf inf, "
+             "which no precision mode computes with")
+_NOT_RATIONAL = "a value is inf or NaN, which rational mode cannot hold"
 
 
 def _enter(x, precision: PrecisionMode, refusal: str = _BEYOND_DOUBLE,
            *names):
     """x as a number of ``precision`` by its cell of _ENTRY, or TypeError
     where it has none.  DOUBLE refuses a value it rounds to +-inf with
-    ConditioningError ``refusal.format(*names)``, and RATIONAL a float inf
-    or NaN with ConditioningError; EXTENDED reads a float off its fields,
-    as ``mpf(x)`` does after its argument dispatch."""
+    ConditioningError ``refusal.format(*names)`` (an mpf inf, which no mode
+    takes, with _INFINITE for the default refusal), and RATIONAL a float
+    or mpf inf or NaN with ConditioningError; EXTENDED reads a float off
+    its fields, as ``mpf(x)`` does after its argument dispatch."""
     if type(x) is float and precision is _DOUBLE:
         return x    # the hottest cell: a float that DOUBLE keeps
     kind, number = _KINDS.get(type(x)), x
@@ -199,6 +203,8 @@ def _enter(x, precision: PrecisionMode, refusal: str = _BEYOND_DOUBLE,
         kind, number = _kind(x)
     rule = _ENTRY.get((kind, precision))
     if rule is None:
+        if kind == "mpf" and number - number != 0:    # NaN for inf or NaN
+            raise ConditioningError(_NOT_RATIONAL)
         raise TypeError(f"cannot use {type(x).__name__} value in "
                         f"{precision.value} mode")
     if rule is _PARTS:
@@ -209,14 +215,15 @@ def _enter(x, precision: PrecisionMode, refusal: str = _BEYOND_DOUBLE,
     if precision is _DOUBLE:
         value = _float64(number)
         if rule is _ROUND and math.isinf(value):
-            raise ConditioningError(refusal.format(*names))
+            raise ConditioningError(_INFINITE if refusal is _BEYOND_DOUBLE
+                                    and number - number != 0
+                                    else refusal.format(*names))
         return value
     if precision is PrecisionMode.RATIONAL:
         try:
             return number if rule is _KEEP else Fraction(number)
         except (OverflowError, ValueError):    # a float inf or NaN
-            raise ConditioningError("a value is inf or NaN, which rational "
-                                    "mode cannot hold") from None
+            raise ConditioningError(_NOT_RATIONAL) from None
     return _EXTENDED.make_mpf(    # read first: it binds from_float
         number._mpf_ if rule is _KEEP else from_float(number)
         if rule is _EXACT else _round(number.numerator, 0, number.denominator))
@@ -803,8 +810,8 @@ _WIDTH_QUANTUM = 64
 
 
 def forward_sweep(ctrl, a, b, out) -> None:
-    """The forward sweep of ``dynamics`` and ``gram_max_eigs``: u_{n,t+1}
-    into out[n-1, t] for the watched sites n = 1..len(out) and t <
+    """The forward sweep of ``dynamics`` and ``coefficient_eigs``:
+    u_{n,t+1} into out[n-1, t] for the watched sites n = 1..len(out) and t <
     len(ctrl), from the lifted control, a_0..a_{N-1} and b_1..b_N of the
     sites n = 1..N = len(a).  The site N + 1 is identically zero: the
     causality cone for the semi-infinite system, the Dirichlet wall for
@@ -1183,7 +1190,8 @@ def leading_eig_extremes(matrix, nu, shift: int, precision: PrecisionMode):
     work = _finite(lift(matrix, _eigen_mode(precision)))
     mins, maxs, good = _data_eigs(matrix, nu, shift, precision, 1)
     if good:
-        a_top, a_exp = _leading_top_eigs(_frexp_table(work[:good, :good]))
+        a_top, a_exp = _leading_top_eigs(
+            [_frexp_table(work[:good, :good])])[0]
         with np.errstate(over="ignore", under="ignore"):
             maxs[:good] = np.ldexp(a_top, a_exp)
     return mins, maxs
@@ -1206,69 +1214,59 @@ def _min_eigs(table, first: int = 1) -> np.ndarray:
     relative accuracy of the tiny eigenvalues of graded matrices where a
     QR-type eigensolver loses it.  A block holding inf or NaN gives 0.0:
     an entry past 1.8e308 puts lambda below 1 / 1.8e308^2.  That is the
-    value of a coefficient table (``orthonormal_min_eigs``); the data
-    reader, ``_data_eigs``, refuses such a block, and one whose value
-    underflows, with ConditioningError."""
-    top, exp = _leading_top_eigs(table, gram=True, first=first)
+    value of a coefficient table (``coefficient_eigs``); the data reader,
+    ``_data_eigs``, refuses such a block, and one whose value underflows,
+    with ConditioningError."""
+    top, exp = _leading_top_eigs([table], gram=True, first=first)[0]
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(1 / top, -exp)
 
 
-def orthonormal_min_eigs(a, b, shift: int,
-                         precision: PrecisionMode) -> np.ndarray:
-    """Smallest eigenvalue of every leading block of the Gram matrix of
-    the spectral measure of a_0..a_{size-1} (a_0 = 1) and b_1..b_{size-1}
-    in the basis x^l (shift 0: S_N) or U_l(x/2) (shift 1: the corner-top
-    C_T), as float64: ``_min_eigs`` of the ``_orthonormal_table`` of
-    alpha_k = b_{k+1} and sqrt(beta_k) = a_k, with no moment, response
-    or matrix formed.  The rows are float64 in DOUBLE; otherwise a and b
-    are lifted to mpf at EXTENDED_DPS digits and the rows built on ints.
-    """
-    mode = _eigen_mode(precision)
-    return _min_eigs(_orthonormal_table(lift(b, mode), lift(a, mode), shift))
-
-
-def gram_max_eigs(a, b, n_max: int, precision: PrecisionMode) -> np.ndarray:
-    """lambda_max(C_T) = ||W_T||^2 for T = 1..n_max, as float64, for the
-    size-n system of a_0..a_{n-1} and b_1..b_n with its Dirichlet wall,
-    without forming C_T = W_T^T W_T or the wave field.  W = W_{n_max}
-    holds u_{m,t} of the impulse control for m = 1..n and t = 1..n_max
-    (fewer rows than columns when n < n_max); W[i, j] = 0 for i > j, so
-    W_T^T W_T shares its nonzero eigenvalues with B_T B_T^T, B_T =
-    W[:T, :T].
-
-    The one forward sweep runs in the arithmetic of ``precision`` and
-    hands ``_leading_top_eigs`` the frexp table of W: ``np.frexp`` of the
-    float64 field in DOUBLE, and in the object modes each cell rounded
-    once to float64 fields (``_emitted``), the exact cell in RATIONAL,
-    with no Fraction or mpf cell made and no mpmath loaded there.  A
-    DOUBLE cell that overflowed to inf or NaN, and a value beyond
-    float64, gives inf.
-    """
-    ctrl = np.repeat(lift([1, 0], precision), [1, n_max - 1])    # the impulse
+def coefficient_eigs(a, b, n_max: int, precision: PrecisionMode):
+    """(lambda, beta, gamma) for the size-n system of a_0..a_{n-1} (a_0 =
+    1) and b_1..b_n with its Dirichlet wall, as float64, with no moment,
+    response, matrix or wave field formed.  lambda_N and beta_N, N =
+    1..n, are ``_min_eigs`` of the ``_orthonormal_table`` of alpha_k =
+    b_{k+1} and sqrt(beta_k) = a_k: the smallest eigenvalues of the Gram
+    matrix of the spectral measure in the basis x^l (S_N) or U_l(x/2)
+    (the corner-top C_N), from float64 rows in DOUBLE and otherwise from
+    integer rows of a and b lifted to mpf at EXTENDED_DPS digits.
+    gamma_T = lambda_max(C_T) = ||W_T||^2, T = 1..n_max: W = W_{n_max}
+    holds u_{m,t} of the impulse control for m = 1..n, t = 1..n_max
+    (fewer rows than columns when n < n_max), and W[i, j] = 0 for i > j,
+    so W_T^T W_T shares its nonzero eigenvalues with B_T B_T^T, B_T =
+    W[:T, :T].  The one forward sweep runs in the arithmetic of
+    ``precision`` and gives the frexp table of W: ``np.frexp`` of the
+    float64 field, or each object cell rounded once to float64 fields
+    (``_emitted``), with no Fraction or mpf cell made and, in RATIONAL,
+    no mpmath.  A DOUBLE cell that overflowed, and a value beyond float64,
+    gives inf.  One ``_leading_top_eigs`` reads the three tables."""
     a, b = lift(a, precision), lift(b, precision)
+    ctrl = np.repeat(lift([1, 0], precision), [1, n_max - 1])    # the impulse
     shape = len(a), n_max
-    if a.dtype == object:
-        table = np.zeros(shape), np.zeros(shape, dtype=np.int64)
-        forward_sweep(ctrl, a, b, table)
-    else:
-        field = np.empty(shape)
-        forward_sweep(ctrl, a, b, field)
-        table = _frexp_table(field)
-    top, exp = _leading_top_eigs(table, gram=True)
+    w = ((np.zeros(shape), np.zeros(shape, np.int64)) if a.dtype == object
+         else np.empty(shape))
+    forward_sweep(ctrl, a, b, w)
+    mode = _eigen_mode(precision)
+    alpha, roots = lift(b[:-1], mode), lift(a, mode)
+    (top, exp), *rows = _leading_top_eigs(
+        [w if a.dtype == object else np.frexp(w),
+         *[_orthonormal_table(alpha, roots, shift) for shift in (0, 1)]],
+        gram=True)
     with np.errstate(over="ignore", under="ignore"):
-        return np.ldexp(top, exp)
+        return (*[np.ldexp(1 / t, -e) for t, e in rows], np.ldexp(top, exp))
 
 
 # the exponent ``_leading_top_eigs`` reads for a zero: below every entry's
 _ZERO_EXP = -(1 << 40)
 
 
-def _top_eigenvalue(block: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric float64 ``block``, from the
-    lower triangle by numpy's LAPACK (``np.linalg.eigvalsh``), the
-    eigensolver of DOUBLE ``sym_eigenvalues``."""
-    return np.linalg.eigvalsh(block)[-1]
+def _top_eigenvalue(block: np.ndarray):
+    """Largest eigenvalue of the symmetric float64 ``block`` (of each in a
+    stack), from the lower triangle by numpy's LAPACK
+    (``np.linalg.eigvalsh``), the eigensolver of DOUBLE
+    ``sym_eigenvalues``."""
+    return np.linalg.eigvalsh(block)[..., -1]
 
 
 def _frexp_table(arr):
@@ -1287,38 +1285,52 @@ def _frexp_table(arr):
             np.array([e for _, e in fields], np.int64).reshape(arr.shape))
 
 
-def _leading_top_eigs(table, gram=False, first: int = 1):
-    """Largest eigenvalue of B_n = arr[:n, :n] (of B_n B_n^T when
-    ``gram``) for n = first..columns, as (values, exponents) with lambda =
-    ldexp(value, exponent), from the frexp table (mantissas, exponents)
-    of arr (``_frexp_table`` or ``_orthonormal_table``).  A ``gram`` array may
-    have fewer rows than columns; its B_n then keeps all of them.
+def _leading_top_eigs(tables: list, gram=False, first: int = 1) -> list:
+    """Per frexp table (mantissas, exponents) of an array arr in ``tables``
+    (``_frexp_table`` or ``_orthonormal_table``): the largest eigenvalue
+    of B_n = arr[:n, :n] (of B_n B_n^T when ``gram``) for n =
+    first..columns, as (values, exponents) with lambda = ldexp(value,
+    exponent).  A ``gram`` array may have fewer rows than columns; its B_n
+    then keeps all of them.
 
     Each block is scaled by a power of two that brings its largest entry
     into [0.5, 1) before it is rounded to float64 for LAPACK, so entries
     beyond the float range neither overflow nor underflow.  A block
     holding inf or NaN, and every block after it, gets the value inf and
-    never reaches LAPACK.
+    never reaches LAPACK.  The blocks of one shape, one per table, take
+    one ``np.ldexp``, stacked ``@`` and ``eigvalsh``, which factor each
+    matrix of a stack as they factor it alone: the bits of one table.
     """
-    mant, exps = table
-    # int64 first: frexp's int32 exponents would wrap _ZERO_EXP to 0
-    exps = np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
-    rows, cols = mant.shape
-    corner = (np.minimum(np.arange(cols), rows - 1), np.arange(cols))
-
-    def per_block(entries, ufunc):
-        # entry n-1: ufunc over the whole block arr[:n, :n]
-        return ufunc.accumulate(ufunc.accumulate(entries, 0), 1)[corner]
-
-    top = per_block(exps, np.maximum)
-    finite = np.count_nonzero(per_block(np.isfinite(mant), np.minimum))
-    values = np.full(cols - first + 1, np.inf)
-    for n in range(first, finite + 1):
-        block = np.ldexp(mant[:n, :n], exps[:n, :n] - top[n - 1])
-        if gram:
-            block = block @ block.T
-        values[n - first] = _top_eigenvalue(block)
-    return values, top[first - 1:] * (2 if gram else 1)
+    shapes = [mant.shape for mant, _ in tables]
+    mants = np.zeros((len(tables), *np.max(shapes, 0)))
+    exps = np.zeros(mants.shape, np.int64)
+    for k, (mant, exp) in enumerate(tables):
+        mants[k, :len(mant), :mant.shape[1]] = mant
+        exps[k, :len(mant), :mant.shape[1]] = exp
+    exps[mants == 0] = _ZERO_EXP    # in int64: int32 would wrap it to 0
+    # [k, n - 1]: over the whole block B_n of table k
+    cols = np.arange(mants.shape[2])
+    corner = (np.arange(len(tables))[:, None],
+              np.minimum(cols, np.array(shapes)[:, :1] - 1), cols)
+    tops = np.maximum.accumulate(np.maximum.accumulate(exps, 1), 2)[corner]
+    finite = [np.count_nonzero(live[:width]) for live, (_, width) in zip(
+        np.logical_and.accumulate(np.logical_and.accumulate(
+            np.isfinite(mants), 1), 2)[corner], shapes)]
+    values = np.full((len(tables), cols.size - first + 1), np.inf)
+    for n in range(first, max(finite) + 1):
+        groups = {}    # the live tables by the rows of B_n
+        for k, (rows, _) in enumerate(shapes):
+            if finite[k] >= n:
+                groups.setdefault(min(n, rows), []).append(k)
+        for rows, group in groups.items():
+            at = slice(None) if len(group) == len(tables) else group
+            block = np.ldexp(mants[at, :rows, :n], exps[at, :rows, :n]
+                             - tops[at, n - 1][:, None, None])
+            if gram:
+                block = block @ block.mT
+            values[at, n - first] = _top_eigenvalue(block)
+    return [(value[:width - first + 1], top[first - 1:width] * (1 + gram))
+            for value, top, (_, width) in zip(values, tops, shapes)]
 
 
 def pd_factor(matrix):
@@ -1476,19 +1488,18 @@ def _to_extended(arr: np.ndarray) -> np.ndarray:
 
 def solve_scalar(z, precision: PrecisionMode):
     """z as a number of the arithmetic of a complex solve in
-    ``precision``: complex in DOUBLE, and an mpc of the EXTENDED context
-    in the object modes, where complex z converts exactly."""
-    if precision is PrecisionMode.DOUBLE:
-        return complex(z)
-    return _EXTENDED.mpc(z)
+    ``precision``: complex in DOUBLE, and in the object modes the mpc of
+    ``_point``, which takes z by the number table."""
+    point = _point(z, precision)
+    return point if precision is _DOUBLE else _EXTENDED.mpc(point)
 
 
 def _point(z, precision: PrecisionMode):
-    """``solve_scalar(z, precision)``, but its mpf real part for a real z
-    in the object modes: no complex product, and ``dot`` the same bits."""
-    point = solve_scalar(z, precision)
-    real = precision is not _DOUBLE and _kind(z)[0] is not complex
-    return point.real if real else point
+    """z as ``solve_scalar`` takes it, but a real z in the object modes as
+    the mpf that z enters EXTENDED as (``_enter``): no complex product,
+    and ``dot`` the same bits."""
+    return complex(z) if precision is _DOUBLE else _enter(
+        z, PrecisionMode.EXTENDED)
 
 
 def _refined_solve(low, piv, apply, rhs) -> tuple[np.ndarray, float]:

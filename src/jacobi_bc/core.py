@@ -228,6 +228,7 @@ class JacobiCoefficients:
             self._a = _Entries("a", 0, rule=a_rule)
             self._b = _Entries("b", 1, rule=b_rule)
         self._generator = generator
+        self._entered = {}    # the float64 a_0, (a_n, b_n) of spectral
 
     # -- construction -------------------------------------------------
 

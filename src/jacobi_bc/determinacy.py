@@ -75,8 +75,7 @@ from .connecting import connecting_from_response
 from .dynamics import _check_field_memory
 from .spectral import (TAIL_WINDOW, _recurrence, eval_p_all, eval_q_all,
                        relative_tail)
-from ._multiprec import (gram_max_eigs, leading_eig_extremes, lift,
-                         noise_floor, orthonormal_min_eigs)
+from ._multiprec import coefficient_eigs, leading_eig_extremes, noise_floor
 
 __all__ = [
     "Verdict",
@@ -275,10 +274,11 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
       gamma_T stabilizes to a bounded value;
     * Inconclusive otherwise, and always for n_max < 4.
 
-    lambda_N and beta_T come from ``orthonormal_min_eigs`` on a_0..a_{N-1}
-    and b_1..b_{N-1}, gamma_T from ``gram_max_eigs`` on a_0..a_{N-1} and
-    b_1..b_N, whose forward sweep hands the eigenvalue step the frexp
-    table of W_T, with no wave field or Fraction or mpf cell made; an
+    lambda_N, beta_T and gamma_T come from ``coefficient_eigs`` on
+    a_0..a_{N-1} and b_1..b_N: lambda and beta off the orthonormal tables
+    of a and b_1..b_{N-1}, gamma off the frexp table of W_T that the
+    forward sweep hands the eigenvalue step, with no wave field or
+    Fraction or mpf cell made, all three solved together; an
     n_max whose impulse field ``solve_finite`` would refuse for physical
     memory is refused the same way, before the sweep.  In DOUBLE a block
     past an overflowed entry gives lambda = beta = 0.0 and gamma = inf.
@@ -305,11 +305,9 @@ def classify(coeffs: JacobiCoefficients, n_max: int,
     # and times 1..n_max of the impulse field, which no step forms; an
     # n_max is refused where that field would be
     _check_field_memory(size, n_max, precision)
-    a, b = lift(a, precision), lift(b, precision)    # once for all three
-    gamma_seq = gram_max_eigs(a, b, n_max, precision)
     lambda_seq, beta_seq = np.zeros(n_max), np.zeros(n_max)
-    lambda_seq[:size] = orthonormal_min_eigs(a, b[:-1], 0, precision)
-    beta_seq[:size] = orthonormal_min_eigs(a, b[:-1], 1, precision)
+    lambda_seq[:size], beta_seq[:size], gamma_seq = coefficient_eigs(
+        a, b, n_max, precision)
 
     deficiency_p, deficiency_q = deficiency_partial_sums(coeffs, depth)
     # an overflowed sum (inf) diverges

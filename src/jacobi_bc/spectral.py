@@ -79,10 +79,13 @@ def _recurrence(coeffs, z, kind):
 
     Both start from phi_0: p_0 = 0 and, under a_0 = 1, q_0 = -1, which
     gives q_2 = 1/a_1 from the same update.  z is a scalar or an ndarray.
-    Each coefficient enters DOUBLE by ``_multiprec._enter`` as it is read,
-    so the polynomial routes compute in float64 (complex128 for complex z)
-    in every mode, and the same numbers give the same bits however they
-    are spelled; ConditioningError names one beyond float64, inf or NaN.
+    Each coefficient enters DOUBLE by ``_multiprec._enter`` once per
+    family, into its memo (by n: a_0, then (a_n, b_n), in the order of the
+    reads; idempotent writes), so the polynomial routes compute in float64
+    (complex128 for complex z) in every mode, and the same numbers give
+    the same bits however they are spelled; ConditioningError names one
+    beyond float64, inf or NaN, which no memo keeps: every recurrence
+    that reaches it refuses it.
     """
     def entered(x, name, n):    # x - x is NaN, not 0, for inf or NaN
         x = _enter(x, PrecisionMode.DOUBLE, _BEYOND_FLOAT64, name, n)
@@ -90,12 +93,18 @@ def _recurrence(coeffs, z, kind):
             raise ConditioningError(f"coefficient {name}_{n} is {x}, which "
                                     "p_n(z) and q_n(z) cannot use")
         return x
+    memo = coeffs._entered
     zero, one = _zero_like(z), _one_like(z)
     prev, cur = (zero, one) if kind == "p" else (-one, zero)
     yield cur
-    a_prev = entered(coeffs.a(0), "a", 0)
+    if 0 not in memo:
+        memo[0] = entered(coeffs.a(0), "a", 0)
+    a_prev = memo[0]
     for n in count(1):
-        a_n, b_n = entered(coeffs.a(n), "a", n), entered(coeffs.b(n), "b", n)
+        if n not in memo:
+            memo[n] = (entered(coeffs.a(n), "a", n),
+                       entered(coeffs.b(n), "b", n))
+        a_n, b_n = memo[n]
         prev, cur = cur, ((z - b_n) * cur - a_prev * prev) / a_n
         a_prev = a_n    # a_{n-1} of the next step
         yield cur

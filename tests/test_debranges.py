@@ -247,6 +247,31 @@ class TestKernelFinite:
         sol.kernel_value(0.5 + 0j)
         assert points[-1] is type(_EXTENDED.mpc(0))
 
+    @pytest.mark.parametrize("precision", [EXTENDED, PrecisionMode.RATIONAL])
+    def test_z_and_lam_enter_by_the_number_table(self, precision):
+        # mpmath's mpc() refused Fraction(1, 3) and np.float32(0.5), which
+        # DOUBLE takes; the object modes take z and lam as each enters
+        # EXTENDED by the number table, and a Python number keeps its bits
+        co = JacobiCoefficients.from_arrays([1, 1.5, 0.75, 1.25],
+                                            [0.1, -0.2, 0.3, 0.0])
+        third = _EXTENDED.mpf(1) / 3
+
+        def kernel(z, lam):
+            return kernel_finite(co, z, lam, 4, method="krein",
+                                 precision=precision)
+
+        for number, same in ((Fraction(1, 3), third),
+                             (np.float32(0.5), 0.5), (2, 2.0)):
+            assert kernel(0.3 + 1j, number) == kernel(0.3 + 1j, same)
+            assert kernel(number, 0.25) == kernel(same, 0.25)
+            assert abs(kernel(number, number)
+                       - kernel_finite(co, number, number, 4,
+                                       method="krein")) < 1e-12
+        hankel = build_hankel(response_to_moments(
+            response_vector(co, 7, precision), precision), 4, precision)
+        assert (krein_solve_hankel(hankel, Fraction(1, 3), precision)
+                == krein_solve_hankel(hankel, third, precision)).all()
+
     @pytest.mark.parametrize("size", [30, 40])
     def test_double_krein_refuses_an_ill_conditioned_w(self, size):
         # W_T has the diagonal 2^-k: DOUBLE refuses it, and EXTENDED

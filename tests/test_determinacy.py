@@ -33,7 +33,7 @@ from jacobi_bc import (
     solve_finite,
 )
 
-from jacobi_bc import _multiprec, moments
+from jacobi_bc import _multiprec, moments, spectral
 from jacobi_bc.cli import main
 from jacobi_bc.determinacy import _circle_nodes, _partial_square_sums
 from jacobi_bc.spectral import TAIL_WINDOW, eval_p_all, relative_tail
@@ -285,7 +285,7 @@ def _field_route_gamma(coeffs, size, n_max, precision):
     field = solve_finite(coeffs, size, [1], n_max, precision).values[1:, 2:]
     mode = _multiprec._eigen_mode(precision)
     top, exp = _multiprec._leading_top_eigs(
-        _multiprec._frexp_table(_multiprec.lift(field, mode)), gram=True)
+        [_multiprec._frexp_table(_multiprec.lift(field, mode))], gram=True)[0]
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(top, exp)
 
@@ -487,6 +487,24 @@ class TestCoefficientRoute:
         assert kinds.count(context.mpf) == 2 * horizon
         assert len(made) == 2 * (3 * horizon - 2)
 
+    def test_one_solve_per_block_size_and_one_entry_per_coefficient(
+            self, monkeypatch):
+        # the three tables share one eigvalsh per block size, and the four
+        # float64 recurrences enter each coefficient once between them
+        solves, entries = [], []
+        eigvalsh, enter = np.linalg.eigvalsh, spectral._enter
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda block: solves.append(
+            block.shape) or eigvalsh(block))
+        monkeypatch.setattr(spectral, "_enter", lambda x, mode, refusal, *at:
+                            entries.append(at) or enter(x, mode, refusal, *at))
+        report = classify(JacobiCoefficients.geometric(2.2), 24,
+                          PrecisionMode.EXTENDED)
+        assert solves == [(3, n, n) for n in range(1, 25)]
+        depth = len(report.deficiency_p)
+        assert sorted(entries) == sorted(
+            [("a", n) for n in range(depth)] + [("b", n)
+                                               for n in range(1, depth)])
+
     def test_overflowed_double_rows_give_zero(self, monkeypatch):
         # p_2 = (1e200 x^2 - 1e-200) / 1e-200: its x^2 coefficient passes
         # 1.8e308, so lambda_3 < 1 / (1.8e308)^2 rounds to 0.0; no block
@@ -498,7 +516,7 @@ class TestCoefficientRoute:
 
         def checked(block):
             assert np.isfinite(block).all()
-            sizes.append(block.shape[0])
+            sizes.append(block.shape[-1])
             return top(block)
 
         monkeypatch.setattr(_multiprec, "_top_eigenvalue", checked)

@@ -272,7 +272,7 @@ def classify(coeffs, n_max, precision):
 
 
 def test_classify_builds_no_wave_field():
-    # gamma_T takes the sweep's frexp fields (``gram_max_eigs``): no
+    # gamma_T takes the sweep's frexp fields (``coefficient_eigs``): no
     # module of the diagnostics makes the field's cells
     source = (PACKAGE / "determinacy.py").read_text()
     hits = _module_calls(source) & FIELD_ROUTE

@@ -227,8 +227,8 @@ def _factored_min_eigs(matrix):
     inv = np.eye(work.shape[0], dtype=object)
     for i in range(1, work.shape[0]):
         inv[i, :i] = -(low[i, :i] @ inv[:i, :i])
-    top, exp = _leading_top_eigs(_frexp_table(inv * (piv ** -0.5)[:, None]),
-                                 gram=True)
+    top, exp = _leading_top_eigs(
+        [_frexp_table(inv * (piv ** -0.5)[:, None])], gram=True)[0]
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(1 / top, -exp)
 
@@ -643,8 +643,10 @@ def _product_extremes(matrix, nu, shift, precision):
     recurrence = _product_chebyshev(lift(nu[:2 * size - 1], precision),
                                     size, shift)
     q_top, q_exp = _leading_top_eigs(
-        _frexp_table(_product_orthonormal_rows(*recurrence, shift)), gram=True)
-    a_top, a_exp = _leading_top_eigs(_frexp_table(lift(matrix, precision)))
+        [_frexp_table(_product_orthonormal_rows(*recurrence, shift))],
+        gram=True)[0]
+    a_top, a_exp = _leading_top_eigs([_frexp_table(lift(matrix,
+                                                       precision))])[0]
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(1 / q_top, -q_exp), np.ldexp(a_top, a_exp)
 
@@ -973,9 +975,10 @@ def test_leading_top_eigs_equal_the_wrapped_route(rng):
                                  lift(GEO3.a_head(24), EXTENDED), 0)
     blocks = [top, rows, _random_block(rng, 30, True),
               lift(_random_block(rng, 30, True), EXTENDED)]
-    for arr in blocks:
-        for gram in (False, True):
-            got = _leading_top_eigs(_frexp_table(arr), gram)
+    for gram in (False, True):
+        # one call on the four tables, of three sizes
+        joint = _leading_top_eigs([_frexp_table(arr) for arr in blocks], gram)
+        for arr, got in zip(blocks, joint, strict=True):
             want = _wrapped_top_eigs(arr, gram)
             assert got[0].tobytes() == want[0].tobytes()
             assert list(got[1]) == list(want[1])
@@ -989,12 +992,12 @@ def test_leading_top_eigs_of_float_and_mpf_copies_agree():
                         [0.0, 0.125, 3e-5]])]
     for block in blocks:
         for gram in (False, True):
-            values, exps = _leading_top_eigs(_frexp_table(block), gram)
+            values, exps = _leading_top_eigs([_frexp_table(block)], gram)[0]
             mp_values, mp_exps = _leading_top_eigs(
-                _frexp_table(lift(block, EXTENDED)), gram)
+                [_frexp_table(lift(block, EXTENDED))], gram)[0]
             assert values.tobytes() == mp_values.tobytes()
             assert list(exps) == list(mp_exps)
-    values, exps = _leading_top_eigs(_frexp_table(blocks[0]))
+    values, exps = _leading_top_eigs([_frexp_table(blocks[0])])[0]
     assert list(exps) == [-996, -996]
 
 
@@ -1031,10 +1034,11 @@ def test_blocks_from_a_non_finite_entry_are_inf(monkeypatch, bad):
     sizes = []
     top = _multiprec._top_eigenvalue
     monkeypatch.setattr(_multiprec, "_top_eigenvalue",
-                        lambda block: sizes.append(len(block)) or top(block))
+                        lambda block: sizes.append(block.shape[-1])
+                        or top(block))
     arr = np.array([[2.0, 1.0, 0.0], [0.0, bad, 1.0], [0.0, 0.0, 3.0]])
     for gram in (False, True):
-        values, exps = _leading_top_eigs(_frexp_table(arr), gram)
+        values, exps = _leading_top_eigs([_frexp_table(arr)], gram)[0]
         assert np.ldexp(values[0], exps[0]) == (4.0 if gram else 2.0)
         assert list(values[1:]) == [np.inf, np.inf]
     assert sizes == [1, 1]
@@ -1044,10 +1048,85 @@ def test_gram_blocks_of_a_wide_array(rng):
     # W with fewer rows than columns and W[i, j] = 0 for i > j, as the
     # control operator of a finite family: lambda_max(W[:, :n]^T W[:, :n])
     wide = np.triu(rng.standard_normal((3, 7)))
-    values, exps = _leading_top_eigs(_frexp_table(wide), gram=True)
+    values, exps = _leading_top_eigs([_frexp_table(wide)], gram=True)[0]
     want = [np.linalg.eigvalsh(wide[:, :n].T @ wide[:, :n])[-1]
             for n in range(1, 8)]
     assert np.allclose(np.ldexp(values, exps), want, rtol=1e-13, atol=0)
+
+
+def _one_table_at_a_time(table, gram, first):
+    """``_leading_top_eigs`` of one frexp table as it ran before tables
+    were solved together: one ``ldexp``, ``@`` and ``eigvalsh`` per
+    block, in the order of the blocks, and inf from the first block
+    holding inf or NaN on."""
+    mant, exps = table
+    exps = np.where(mant == 0, _ZERO_EXP, exps.astype(np.int64))
+    rows, cols = mant.shape
+    tops = np.array([exps[:n, :n].max() for n in range(1, cols + 1)])
+    values = np.full(cols - first + 1, np.inf)
+    for n in range(first, cols + 1):
+        if not np.isfinite(mant[:n, :n]).all():
+            break
+        block = np.ldexp(mant[:n, :n], exps[:n, :n] - tops[n - 1])
+        if gram:
+            block = block @ block.T
+        values[n - first] = np.linalg.eigvalsh(block)[-1]
+    return values, tops[first - 1:] * (2 if gram else 1)
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300]),
+    st.floats(-1e6, 1e6, allow_subnormal=False))
+
+
+@st.composite
+def _table_sets(draw):
+    """(tables, gram, first): one to four float arrays sharing columns
+    or not, some wider than tall when ``gram``, as frexp tables."""
+    gram = draw(st.booleans())
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        cols = draw(st.integers(1, 7))
+        rows = draw(st.integers(1, cols)) if gram else cols
+        arr = np.reshape(draw(st.lists(_ENTRIES, min_size=rows * cols,
+                                       max_size=rows * cols)), (rows, cols))
+        if draw(st.booleans()):    # mostly finite, as the pipeline's
+            arr[~np.isfinite(arr)] = 2.0
+        tables.append(np.frexp(arr))
+    first = draw(st.integers(1, min(t[0].shape[1] for t in tables)))
+    return tables, gram, first
+
+
+@settings(max_examples=150)
+@given(case=_table_sets())
+@example(case=([np.frexp(np.triu(np.arange(1.0, 41).reshape(5, 8)))]
+               + [np.frexp(np.tril(np.arange(1.0, 26).reshape(5, 5)))] * 2,
+               True, 1))
+def test_tables_solved_together_equal_each_solved_alone(case):
+    # the joint solve of k tables has the bits of k single-table solves:
+    # blocks of one size and shape go to LAPACK as one stack
+    tables, gram, first = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        joint = _leading_top_eigs(tables, gram, first)
+        alone = [_one_table_at_a_time(table, gram, first) for table in tables]
+    assert len(joint) == len(tables)
+    for (got_values, got_exps), (values, exps) in zip(joint, alone):
+        assert got_values.tobytes() == values.tobytes()
+        assert got_exps.tolist() == exps.tolist()
+
+
+def test_one_eigen_solve_per_block_size(monkeypatch):
+    # two square tables and one wider than tall: blocks 1..3 share their
+    # shape and take one call each, blocks 4 and 5 have only the wide one
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda block: calls.append(block.shape) or
+                        eigvalsh(block))
+    square = np.frexp(np.tril(np.arange(1.0, 10).reshape(3, 3)))
+    wide = np.frexp(np.triu(np.arange(1.0, 16).reshape(3, 5)))
+    _leading_top_eigs([square, wide, square], gram=True)
+    assert calls == [(3, 1, 1), (3, 2, 2), (3, 3, 3), (1, 3, 3), (1, 3, 3)]
 
 
 # -- the dot product of the solve loop ----------------------------------
@@ -1834,11 +1913,16 @@ _FIRST_CALLS = {
     # ... and before it uses mpmath's from_float
     "the EXTENDED entry of a float": "result = _multiprec._enter(-0.1, "
                                      "EXTENDED)",
-    # a RATIONAL gamma rounds its exact cells to float64 with no mpmath
-    "gram_max_eigs": "from fractions import Fraction; "
-                     "result = _multiprec.gram_max_eigs("
-                     "[1, Fraction(1, 3), 2], [Fraction(1, 5), 0, -1], 4, "
-                     "PrecisionMode.RATIONAL)",
+    # a RATIONAL gamma table rounds its exact cells to float64 with no
+    # mpmath
+    "the RATIONAL gamma table": "from fractions import Fraction; "
+                                "q = PrecisionMode.RATIONAL; "
+                                "w = np.zeros((3, 4)), np.zeros((3, 4), int); "
+                                "_multiprec.forward_sweep("
+                                "lift([1, 0, 0, 0], q), "
+                                "lift([1, Fraction(1, 3), 2], q), "
+                                "lift([Fraction(1, 5), 0, -1], q), w); "
+                                "result = np.ldexp(*w)",
     # a caller's mpf is of no EXTENDED type, loaded or not
     "mode_of and dot": "import mpmath; "
                        "v = np.array([mpmath.mpf(1), mpmath.mpf(2)], "
@@ -1876,7 +1960,7 @@ def test_first_use_gives_the_bits_of_a_loaded_process(name):
 
 
 def test_rational_gamma_leaves_mpmath_unloaded():
-    source = _SETUP + _FIRST_CALLS["gram_max_eigs"] + """
+    source = _SETUP + _FIRST_CALLS["the RATIONAL gamma table"] + """
 print(repr("mpmath" in sys.modules))
 """
     assert _fresh_fields(source) is False

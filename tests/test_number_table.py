@@ -10,7 +10,9 @@ exact error type and message.  A numpy scalar reads as the Python number
 it holds, an ``np.bool_`` as the bool; a value that is no number is
 refused in every mode with the same words, the mode's name aside.  An inf
 or NaN of any float width is kept by ``double`` and ``extended`` and
-refused by ``rational``, which has no exact value for it.
+refused by ``rational``, which has no exact value for it; so is an mpf
+NaN, while ``double`` refuses an mpf inf as a value beyond its range,
+which no mode computes with.
 
 The exit gives the float64 of a value of any mode, or +-inf where float64
 cannot hold an exact value; the ``double`` entry refuses such a value with
@@ -37,6 +39,9 @@ BEYOND = ("a value exceeds double precision (about 1.8e308); use "
           "PrecisionMode.EXTENDED (--precision extended)")
 # a float inf or NaN has no exact value
 INF_OR_NAN = "a value is inf or NaN, which rational mode cannot hold"
+# EXTENDED keeps an mpf inf, but computes with none
+MPF_INF = ("a value exceeds double precision (about 1.8e308): an mpf inf, "
+           "which no precision mode computes with")
 
 # an independent context at the EXTENDED precision, for the expected fields
 CTX = mpmath.MPContext()
@@ -153,6 +158,13 @@ ROWS = [
     ("caller mpf", CALLER_MPF, {
         DOUBLE: _float(1 / 3), EXTENDED: _mpf(CALLER_MPF._mpf_),
         RATIONAL: _refused("mpf")[RATIONAL]}),
+    ("caller mpf inf", mpmath.mpf("-inf"), {
+        DOUBLE: (ConditioningError, MPF_INF),
+        EXTENDED: _mpf(CTX.mpf("-inf")._mpf_),
+        RATIONAL: (ConditioningError, INF_OR_NAN)}),
+    ("caller mpf nan", mpmath.mpf("nan"), {
+        DOUBLE: _float(math.nan), EXTENDED: _mpf(CTX.mpf("nan")._mpf_),
+        RATIONAL: (ConditioningError, INF_OR_NAN)}),
     ("caller mpc", CALLER_MPC, {
         DOUBLE: _complex(1 / 3, 2 / 3), EXTENDED: ("mpc", CALLER_MPC._mpc_),
         RATIONAL: _refused("mpc")[RATIONAL]}),
@@ -276,6 +288,27 @@ def test_double_keeps_a_narrow_float_inf_in_any_array():
         assert got.tobytes() == lift(np.array(values, dtype=dtype),
                                      DOUBLE).tobytes()
         assert got.tolist() == [1.0, -math.inf]
+
+
+@pytest.mark.parametrize("at", ["a_1", "b_2"])
+@pytest.mark.parametrize("bad", [mpmath.mpf("inf"), mpmath.mpf("-inf"),
+                                 mpmath.mpf("nan")],
+                         ids=["mpf inf", "mpf -inf", "mpf nan"])
+def test_an_mpf_inf_or_nan_coefficient_gets_one_conditioning_error(bad, at):
+    # DOUBLE advised EXTENDED for an mpf inf, which EXTENDED refuses too,
+    # and RATIONAL raised TypeError for either; each mode now refuses it
+    # as it refuses a float inf or NaN, advising no other mode
+    a, b = [1] * 5, [0.5] * 5
+    (a if at == "a_1" else b)[1] = bad
+    co = JacobiCoefficients.from_arrays(a, b)
+    for mode in PrecisionMode:
+        with pytest.raises(ConditioningError) as info:
+            jb.classify(co, 4, mode)
+        message = str(info.value)
+        assert type(info.value) is ConditioningError
+        assert not [m.value for m in PrecisionMode
+                    if m is not mode and m.value in message.lower()], message
+        assert "--precision" not in message, message
 
 
 # A value that is no number, as a datum, a control value or a coefficient,

@@ -42,10 +42,9 @@ from jacobi_bc import (JacobiCoefficients, PrecisionMode, build_hankel,
                        recover_from_moments, recover_from_response,
                        response_to_moments, response_vector, solve_finite,
                        solve_semi_infinite)
-from jacobi_bc._multiprec import (_EXTENDED, _wheeler_rows, gram_max_eigs,
+from jacobi_bc._multiprec import (_EXTENDED, _wheeler_rows, coefficient_eigs,
                                   gram_solve, leading_eig_extremes, lift,
-                                  modified_chebyshev, mp_pd_solve,
-                                  orthonormal_min_eigs, pd_factor)
+                                  modified_chebyshev, mp_pd_solve, pd_factor)
 
 from conftest import exact_fields
 
@@ -115,17 +114,17 @@ def _complex_control():
 
 
 def _eigen_sequences(coeffs):
-    a, b = coeffs.a_head(24), coeffs.b_head(23)
+    lam, beta, gamma = coefficient_eigs(coeffs.a_head(24), coeffs.b_head(24),
+                                        24, EXTENDED)
     r = response_vector(coeffs, 47, EXTENDED).as_array()
     s = response_to_moments(r, EXTENDED).as_array()
-    return (orthonormal_min_eigs(a, b, 0, EXTENDED),
-            orthonormal_min_eigs(a, b, 1, EXTENDED),
+    return (lam, beta,
             leading_eig_extremes(build_hankel(s, 24, EXTENDED).matrix, s, 0,
                                  EXTENDED),
             leading_eig_extremes(connecting_from_response(r, 24,
                                                           EXTENDED).matrix,
                                  r, 1, EXTENDED),
-            gram_max_eigs(a, coeffs.b_head(24), 24, EXTENDED))
+            gamma)
 
 
 # five atoms: the gamma table of N = 8 has 5 rows and 8 columns
@@ -156,7 +155,7 @@ def _thirds_and_fifths():
 
 
 def _thirds_and_fifths_gamma():
-    return gram_max_eigs(*_thirds_and_fifths(), 24, RATIONAL)
+    return coefficient_eigs(*_thirds_and_fifths(), 24, RATIONAL)[2]
 
 
 def _recovered_roots(precision):

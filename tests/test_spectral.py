@@ -293,6 +293,27 @@ def test_the_polynomial_routes_name_an_inf_or_nan_coefficient(bad):
                 route()
 
 
+@pytest.mark.parametrize("a_rule, message", [
+    (lambda n: 10 ** (50 * n), "coefficient a_7 is beyond the float64 range"),
+    (lambda n: 1e50 ** n, "the coefficient rule overflows at a_7"),
+], ids=["beyond float64", "rule overflow"])
+def test_the_recurrences_read_their_memo_lazily(a_rule, message):
+    # the family's memo of entered coefficients fills as far as a
+    # recurrence reads: a_7 is refused, phi_1..phi_7 are yielded, and
+    # every recurrence that reaches a_7 later refuses it again
+    co = JacobiCoefficients.from_rules(a_rule, lambda n: 0)
+    fresh = JacobiCoefficients.from_rules(a_rule, lambda n: 0)
+    z = np.array([0.5, 1j])
+    for kind, route in (("p", eval_p_all), ("q", eval_q_all)):
+        with pytest.raises(ConditioningError, match=f"^{message}"):
+            route(co, 8, z)
+        warm = route(co, 7, z)
+        assert warm.tobytes() == route(fresh, 7, z).tobytes(), kind
+    with pytest.raises(ConditioningError, match=f"^{message}"):
+        eval_p_all(co, 8, 0.25)
+    assert sorted(co._entered) == list(range(7))
+
+
 @pytest.mark.parametrize("a, b, error, match", [
     ([1, 0.5 + 0j, 1], [0, 0, 0], ComplexDataError, "a_1 = "),
     ([1, 0.5, 1], [0, 1j, 0], ComplexDataError, "b_2 = 1j"),
