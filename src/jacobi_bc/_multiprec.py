@@ -1223,24 +1223,17 @@ def _min_eigs(table, first: int = 1) -> np.ndarray:
 
 
 def coefficient_eigs(a, b, n_max: int, precision: PrecisionMode):
-    """(lambda, beta, gamma) for the size-n system of a_0..a_{n-1} (a_0 =
-    1) and b_1..b_n with its Dirichlet wall, as float64, with no moment,
-    response, matrix or wave field formed.  lambda_N and beta_N, N =
-    1..n, are ``_min_eigs`` of the ``_orthonormal_table`` of alpha_k =
-    b_{k+1} and sqrt(beta_k) = a_k: the smallest eigenvalues of the Gram
-    matrix of the spectral measure in the basis x^l (S_N) or U_l(x/2)
-    (the corner-top C_N), from float64 rows in DOUBLE and otherwise from
-    integer rows of a and b lifted to mpf at EXTENDED_DPS digits.
-    gamma_T = lambda_max(C_T) = ||W_T||^2, T = 1..n_max: W = W_{n_max}
-    holds u_{m,t} of the impulse control for m = 1..n, t = 1..n_max
-    (fewer rows than columns when n < n_max), and W[i, j] = 0 for i > j,
-    so W_T^T W_T shares its nonzero eigenvalues with B_T B_T^T, B_T =
-    W[:T, :T].  The one forward sweep runs in the arithmetic of
-    ``precision`` and gives the frexp table of W: ``np.frexp`` of the
-    float64 field, or each object cell rounded once to float64 fields
-    (``_emitted``), with no Fraction or mpf cell made and, in RATIONAL,
-    no mpmath.  A DOUBLE cell that overflowed, and a value beyond float64,
-    gives inf.  One ``_leading_top_eigs`` reads the three tables."""
+    """(lambda, beta, gamma) as float64 for the size-n system of
+    a_0..a_{n-1} (a_0 = 1) and b_1..b_n with its Dirichlet wall, with no
+    moment, matrix or wave field formed.  lambda_N and beta_N, N = 1..n,
+    are ``_min_eigs`` of the ``_orthonormal_table`` of alpha_k = b_{k+1}
+    and sqrt(beta_k) = a_k in the basis x^l and U_l(x/2).  gamma_T =
+    ||W_T||^2, T = 1..n_max, is read off the frexp table of W = W_{n_max},
+    the impulse field of the sites 1..n (W_T^T W_T shares its nonzero
+    eigenvalues with B_T B_T^T, B_T = W[:T, :T]), which the forward sweep
+    fills with no Fraction or mpf cell made, and in RATIONAL no mpmath;
+    it is inf from a DOUBLE cell that overflowed.  One
+    ``_leading_top_eigs`` reads the three tables."""
     a, b = lift(a, precision), lift(b, precision)
     ctrl = np.repeat(lift([1, 0], precision), [1, n_max - 1])    # the impulse
     shape = len(a), n_max

@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -312,6 +314,37 @@ def test_the_recurrences_read_their_memo_lazily(a_rule, message):
     with pytest.raises(ConditioningError, match=f"^{message}"):
         eval_p_all(co, 8, 0.25)
     assert sorted(co._entered) == list(range(7))
+
+
+def test_threads_share_a_familys_memo():
+    # the memo's writes are idempotent: six threads reading one fresh
+    # family at once get the bits of a family read alone, and the memo
+    # holds each entry once
+    def family():
+        return JacobiCoefficients.from_rules(lambda n: 1 + 1 / (n + 1),
+                                             lambda n: 0.25)
+
+    z = np.array([0.5, 1j])
+    want, co = eval_p_all(family(), 60, z), family()
+    results, start = [None] * 6, threading.Barrier(6)
+
+    def read(k):
+        start.wait(timeout=60)
+        results[k] = eval_p_all(co, 60, z)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [r.tobytes() for r in results] == [want.tobytes()] * 6
+    assert sorted(co._entered) == list(range(60))
 
 
 @pytest.mark.parametrize("a, b, error, match", [
