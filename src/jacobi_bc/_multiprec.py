@@ -1481,16 +1481,17 @@ def _to_extended(arr: np.ndarray) -> np.ndarray:
 
 def solve_scalar(z, precision: PrecisionMode):
     """z as a number of the arithmetic of a complex solve in
-    ``precision``: complex in DOUBLE, and in the object modes the mpc of
-    ``_point``, which takes z by the number table."""
+    ``precision``: complex in DOUBLE, and in the object modes an mpc of
+    the EXTENDED context, made from ``_point`` exactly."""
     point = _point(z, precision)
     return point if precision is _DOUBLE else _EXTENDED.mpc(point)
 
 
 def _point(z, precision: PrecisionMode):
-    """z as ``solve_scalar`` takes it, but a real z in the object modes as
-    the mpf that z enters EXTENDED as (``_enter``): no complex product,
-    and ``dot`` the same bits."""
+    """z in the arithmetic of a solve in ``precision``: complex in DOUBLE,
+    and in the object modes as z enters EXTENDED by the number table
+    (``_enter``), an mpc for a complex z and an mpf for a real one, which
+    takes no complex product and gives ``dot`` the same bits."""
     return complex(z) if precision is _DOUBLE else _enter(
         z, PrecisionMode.EXTENDED)
 
