@@ -54,15 +54,21 @@ def _wide_moments(draw, max_size=30):
 
 def _row_sum(row, values, precision):
     """sum_j row_j values_j of exact ints and lifted values: ``@`` in
-    RATIONAL, and in EXTENDED the exact sum of the mpf values in
-    Fractions, rounded once."""
+    RATIONAL, and in EXTENDED the exact sum of the mpf values (of each
+    part of the mpc values) in Fractions, rounded once: an mpc where a
+    term of nonzero coefficient is one."""
     if precision is PrecisionMode.RATIONAL:
         return row @ values
-    exact = sum((int(c) * Fraction(*libmp.to_rational(v._mpf_))
-                 for c, v in zip(row, values)), Fraction(0))
-    return _EXTENDED.make_mpf(libmp.from_rational(
-        exact.numerator, exact.denominator, _EXTENDED.prec,
-        libmp.round_nearest))
+    terms = [(int(c), getattr(v, "_mpc_", None) or (v._mpf_, libmp.fzero))
+             for c, v in zip(row, values) if c]
+    re, im = [libmp.from_rational(exact.numerator, exact.denominator,
+                                  _EXTENDED.prec, libmp.round_nearest)
+              for exact in (sum((c * Fraction(*libmp.to_rational(parts[k]))
+                                 for c, parts in terms), Fraction(0))
+                            for k in (0, 1))]
+    if any(hasattr(v, "_mpc_") for c, v in zip(row, values) if c):
+        return _EXTENDED.make_mpc((re, im))
+    return _EXTENDED.make_mpf(re)
 
 
 def chebyshev_coefficient_oracle(count):
@@ -189,17 +195,25 @@ class TestConversions:
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
         assert [str(v) for v in got] == [str(v) for v in want]
 
-    @pytest.mark.parametrize("precision", [PrecisionMode.RATIONAL,
-                                           PrecisionMode.EXTENDED])
-    def test_response_to_moments_matches_the_full_substitution(self, precision):
+    @pytest.mark.parametrize("precision, complex_", [
+        (RATIONAL, False), (EXTENDED, False), (EXTENDED, True)],
+        ids=["rational", "extended", "extended-complex"])
+    def test_response_to_moments_matches_the_full_substitution(
+            self, precision, complex_):
         # the back-substitution sums only the same-parity terms; the ones
         # skipped are exact zeros, so each step subtracts the full row's
-        # sum, in EXTENDED rounded once before the one rounded subtraction
+        # sum, in EXTENDED rounded once before the one rounded subtraction;
+        # with mpc at r_5, r_8, r_11, ... the sum of s_6 stays real, as its
+        # terms s_0, s_2 and s_4 are
         size = 41
         r = response_vector(random_coefficients(np.random.default_rng(3), size),
                             size, PrecisionMode.RATIONAL)
         lam = chebyshev_transform(size).matrix.astype(object)
         want = lift(r.as_array(), precision)
+        if complex_:
+            want[5::3] = [x * _EXTENDED.mpc(1, 1 / (k + 2))
+                          for k, x in enumerate(want[5::3])]
+            r = want.copy()
         for i in range(size):
             want[i] = want[i] - _row_sum(lam[i, :i], want[:i], precision)
         got = response_to_moments(r, precision).as_array()

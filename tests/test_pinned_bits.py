@@ -26,8 +26,10 @@ grid from the code before the moment route read its data once into the
 integer form, and the whole ``classify`` reports (in every mode, on a
 finite family whose gamma table is wider than tall, and on the DOUBLE
 families whose rows of Q and whose field overflow) from the code before
-the eigenvalue tables were solved together; a change that means to
-alter these bits records them anew and says why.
+the eigenvalue tables were solved together, and the EXTENDED moment
+substitution of a response holding mpc or an mpf inf from the code
+before it ran on the sweep of the solves; a change that means to alter
+these bits records them anew and says why.
 """
 
 import hashlib
@@ -192,6 +194,23 @@ def _complex_moments():
     return s, moments_to_response(s, EXTENDED).as_array()
 
 
+def _complex_response():
+    # mpc among the mpf from r_5 on, every third entry: each parity chain
+    # of the substitution turns complex at its own first mpc
+    r = response_vector(RANDOM, 47, EXTENDED).as_array().copy()
+    r[5::3] = [x * _EXTENDED.mpc(1, 1 / (k + 2))
+               for k, x in enumerate(r[5::3])]
+    return r, response_to_moments(r, EXTENDED).as_array()
+
+
+def _infinite_response():
+    # an mpf inf at r_6: the even chain propagates it from there, the odd
+    # chain stays finite
+    r = response_vector(RANDOM, 47, EXTENDED).as_array().copy()
+    r[6] = _EXTENDED.inf
+    return r, response_to_moments(r, EXTENDED).as_array()
+
+
 def _krein(precision, coeffs=RANDOM):
     w = control_operator(coeffs, 24, precision).matrix
     rhs = lift([complex(k + 1, -k) / 5 for k in range(24)], EXTENDED)
@@ -249,6 +268,8 @@ CASES = {
     "moments-to-response-rational": lambda: moments_to_response(
         _data(RATIONAL, 0), RATIONAL).as_array(),
     "moments-to-response-extended-complex": _complex_moments,
+    "response-to-moments-extended-complex": _complex_response,
+    "response-to-moments-extended-inf": _infinite_response,
     "recover-from-moments-extended": _moment_recovery,
     "recover-from-response-rational-eighths": _eighths_recovery,
     "eigen-sequences-geometric2.2": lambda: _eigen_sequences(GEO22),
@@ -349,6 +370,10 @@ PINNED = {
         '591c0fe2c636a086de786f5999e634b141f1c0e13e8b3a8b8bd0e3e1d4d3e8db',
     'recover-from-response-rational-eighths':
         '87b61272ab2e6230071afffac4704f330a301d5b153d6ceb6a7c694d5c099fdd',
+    'response-to-moments-extended-complex':
+        '097761b20783d4aa3cfd6261288366454a4188f05ba810f26ecc21431fc400db',
+    'response-to-moments-extended-inf':
+        '21ce7b91f2dc61dc3394f1d13f7e2834212cf855a4a70b9620186a9d39561060',
     'response-vector-double':
         'bbdb8eb60c5588a5ff0c1abbbda34aabb67789397b008b2ed5e44b22bd4b2ab1',
     'semi-infinite-complex-control':
