@@ -26,37 +26,40 @@ sweep (``forward_sweep``), Wheeler's recurrence (``modified_chebyshev``),
 the eigenvalue sequences read off Q = diag(d)^-1/2 L^-1 for A = L diag(d)
 L^T (``coefficient_eigs``, ``leading_eig_extremes``), ``sym_eigenvalues``,
 one positive-definite factorization and solve (``pd_factor``,
-``mp_pd_solve``, ``gram_solve``) and the contraction ``dot``.
+``mp_pd_solve``, ``gram_solve``), the substitution of the moment
+transform (``_parity_solve``) and the contraction ``dot``.
 
 Float arrays take numpy and its LAPACK, the forward sweep four ufunc
 calls a step (``_float_sweep``), and the DOUBLE triangular sweeps a
-substitution loop on ``dot``.  Object arrays take four loops on
-Python ints, each one for both object modes: the recurrence
+substitution loop on ``dot``.  Object arrays take four loops on Python
+ints, each one for both object modes: the recurrence
 (``_integer_rows``), the sweep (``_integer_sweep``), the rows of Q
-(``_orthonormal_ints``) and the sums of ``dot`` and the solves
-(``_Ints.dot``, ``_sweep``).  They share one integer form, ``_Ints``: a
-vector as Python ints over one scale den * 2^exp, with an imaginary part
-only when some value is an mpc.  ``_read`` takes numbers into it exactly;
-``_normalised`` keeps its ints short, RATIONAL by one gcd per vector,
-for the canonical Fractions, EXTENDED by rounding to nearest so that the
-smallest nonzero int keeps _ROW_BITS bits, the precision and 64 guard
-bits; ``_emitted`` gives back Fractions, mpf or mpc rounded once, or
-float64 fields (mantissa, exponent) rounded once, the one way from the
-integer form to float64: the frexp tables of the eigenvalue sequences
-(the sweep of ``coefficient_eigs``, the rows of Q, ``_frexp_table``) and
-the recovered roots (``_root_floats``) take it, with no Fraction or mpf
-made.  The Krein solve takes W_T from the sweep in it too: each cell
-rounded once to EXTENDED on its slice's ints (``_rounded``), and its
-sweeps subtract and divide on mpf fields, with no mpf or mpc made but
-the solution.  Moment recovery reads its moments into it once
+(``_orthonormal_ints``) and the sums of ``dot`` and of the triangular
+sweeps (``_Ints.dot``, ``_sweep``).  They share one integer form,
+``_Ints``: a vector as Python ints over one scale den * 2^exp, with an
+imaginary part only when some value is an mpc.  ``_read`` takes numbers
+into it exactly; ``_normalised`` keeps its ints short, RATIONAL by one
+gcd per vector, for the canonical Fractions, EXTENDED by rounding to
+nearest so that the smallest nonzero int keeps _ROW_BITS bits, the
+precision and 64 guard bits; ``_emitted`` gives back Fractions, mpf or
+mpc rounded once, or float64 fields (mantissa, exponent) rounded once,
+the one way from the integer form to float64: the frexp tables of the
+eigenvalue sequences (the sweep of ``coefficient_eigs``, the rows of Q,
+``_frexp_table``) and the recovered roots (``_root_floats``) take it,
+with no Fraction or mpf made.  The Krein solve takes W_T from the sweep
+in it too: each cell rounded once to EXTENDED on its slice's ints
+(``_rounded``), as the list of its columns, and its sweeps subtract and
+divide on mpf fields, with no mpf or mpc made but the solution; the
+EXTENDED moment substitution runs the same sweep, once per parity
+(``_parity_solve``).  Moment recovery reads its moments into it once
 (``_int_form``), and both its runs of the rows take them and their
 converted response, rounded once (``_mode_rounded``).  In the integer
 form an EXTENDED value keeps 64 bits more than an mpf and is rounded
 once where mpf arithmetic rounds at every step, but the ints span the
-exponent range of the vector, which has no bound for mpf values, and
-so does the cost.  A sum of ``dot`` is rounded once
-where numpy's object ``@`` rounds after every product and add; float
-and Fraction operands keep ``@`` and its bits.
+exponent range of the vector, which has no bound for mpf values, and so
+does the cost.  A sum of ``dot`` is rounded once where numpy's object
+``@`` rounds after every product and add; float and Fraction operands
+keep ``@`` and its bits.
 
 In products of an object array with an mpf scalar the array goes on the
 left: an mpf on the left makes mpmath format the whole array for an
@@ -316,11 +319,17 @@ def mode_of(values: np.ndarray) -> PrecisionMode:
             else PrecisionMode.RATIONAL)
 
 
-def _finite(arr: np.ndarray) -> np.ndarray:
+def _finite(arr: np.ndarray, name: str = "", first: int = 0) -> np.ndarray:
     """``arr``, refused with ConditioningError when it is a float array
     holding inf or NaN: the values that overflowed float64 on the way to
-    it, which neither LAPACK nor the recovery recurrence can use."""
+    it, which neither LAPACK nor the recovery recurrence can use; or, for
+    the coefficients ``name``_first.., naming the first such one."""
     if arr.dtype != object and not np.isfinite(arr).all():
+        if name:
+            at = np.flatnonzero(~np.isfinite(arr))[0]
+            raise ConditioningError(f"coefficient {name}_{first + at} is "
+                                    f"{arr[at]}, which the forward sweep "
+                                    "cannot use")
         raise ConditioningError(
             "a computed value is beyond double precision (inf or NaN); use "
             "PrecisionMode.EXTENDED (--precision extended)")
@@ -545,24 +554,6 @@ class _Ints:
         return _Ints(self.re[index], None if self.im is None else
                      self.im[index], self.den, self.exp)
 
-    def extend(self, values) -> None:
-        """Append ``values``, read by ``_read``, on the finer scale."""
-        new = _read(values)
-        exp = (new.exp if self.exp is None else self.exp if new.exp is None
-               else min(self.exp, new.exp))
-        den = self.den if self.den == new.den else math.lcm(self.den, new.den)
-        for vec in (self, new):
-            up = 0 if vec.exp is None else vec.exp - exp
-            if up or den != vec.den:
-                factor = den // vec.den
-                vec.re = [x * factor << up for x in vec.re]
-                vec.im = vec.im and [x * factor << up for x in vec.im]
-            vec.den, vec.exp = den, exp
-        if self.im is not None or new.im is not None:
-            self.im = self.im or [0] * len(self.re)
-            self.im += new.im or [0] * len(new.re)
-        self.re += new.re
-
     def push(self, parts) -> None:
         """Append the value with the mpf fields ``parts`` (re, or re and
         im) to a vector of den 1, exactly, on the finer scale."""
@@ -604,38 +595,25 @@ def _read(values) -> _Ints:
     """``values`` as one _Ints, exactly: ints and Fractions alone as they
     are, mpf and mpc off their fields, and any other number among these
     (float, complex, Fraction) as ``_EXTENDED.convert`` makes it, as
-    mpmath's ``fdot`` takes it; inf and NaN raise ConditioningError.  A
-    lone mpf or mpc, which ``_Ints.extend`` takes at every step of the
-    EXTENDED moment transforms, goes straight to its fields."""
-    lone = values[0] if len(values) == 1 else None
-    if type(lone) is _MPF:
-        flat, complex_ = (lone._mpf_,), False
-    elif type(lone) is _MPC:
-        flat, complex_ = lone._mpc_, True
-    else:
-        kinds = set(map(type, values))
-        if kinds <= {int}:
-            return _Ints(list(values), None, 1, 0 if values else None)
-        if kinds <= {int, Fraction}:
-            den = math.lcm(*[x.denominator for x in values])
-            return _Ints([x.numerator * (den // x.denominator)
-                          for x in values], None, den, 0)
+    mpmath's ``fdot`` takes it; inf and NaN raise ConditioningError."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return _Ints(list(values), None, 1, 0 if values else None)
+    if kinds <= {int, Fraction}:
+        den = math.lcm(*[x.denominator for x in values])
+        return _Ints([x.numerator * (den // x.denominator)
+                      for x in values], None, den, 0)
 
-        def fields(x):    # the mpf fields of the real and the imaginary part
-            cls = type(x)
-            if cls is _MPF:
-                return x._mpf_, None
-            if cls is _MPC:
-                return x._mpc_
-            return fields(_EXTENDED.convert(x))
-
-        if kinds == {_MPF}:
-            flat, imags = [x._mpf_ for x in values], ()
-        else:
-            flat, imags = zip(*map(fields, values))
-        complex_ = any(imags)
-        if complex_:
-            flat += tuple([im or fzero for im in imags])
+    if kinds == {_MPF}:
+        flat, imags = [x._mpf_ for x in values], ()
+    else:    # the mpf fields of the real and the imaginary part
+        flat, imags = zip(*[
+            (x._mpf_, None) if type(x) is _MPF else x._mpc_ for x in
+            [x if type(x) in _OWN_TYPES else _EXTENDED.convert(x)
+             for x in values]])
+    complex_ = any(imags)
+    if complex_:
+        flat += tuple([im or fzero for im in imags])
     exps = [e for _, m, e, _ in flat if m]
     if len(exps) < len(flat) and any([e for _, m, e, _ in flat if not m]):
         raise ConditioningError(    # the fields of inf and NaN
@@ -926,8 +904,8 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
     ``out`` may instead be a frexp table (mantissas, exponents), a
     float64 and an int64 array of zeros: each cell of a real control's
     field is then written as its float64 fields (``_emitted``), rounded
-    once, with no Fraction or mpf made.  Or, for W_T, _Columns of
-    ``watched`` entries: entry t becomes column t as _Ints (``_rounded``).
+    once, with no Fraction or mpf made.  Or, for W_T, the list of
+    ``_gram_out``: entry t becomes column t as _Ints (``_rounded``).
     """
     table = isinstance(out, tuple)
     n_space, horizon = len(a), len(ctrl)
@@ -978,7 +956,7 @@ def _integer_sweep(ctrl, a, b, out: np.ndarray) -> None:
         m = min(k, watched)
         if table:
             out[0][:m, t], out[1][:m, t] = zip(*_emitted(vec[:m], float))
-        elif isinstance(out, _Columns):
+        elif isinstance(out, list):
             out[t] = _rounded(vec[:m])
         else:
             out[:m, t] = _emitted(vec[:m], kind, zero, masks[1 - i] >> 1)
@@ -1002,15 +980,10 @@ def _rounded(vec: _Ints) -> _Ints:
     return _Ints(ints, None, 1, vec.exp)
 
 
-class _Columns(list):
-    """W_T as the object sweep writes it for ``gram_solve``: entry t is
-    column t down to row t (``_rounded``)."""
-
-
 def _gram_out(dtype, horizon: int):
     """What ``forward_sweep`` writes W_T into for ``gram_solve``: a float
-    array, or for object values _Columns."""
-    return (_Columns([None] * horizon) if dtype == object
+    array, or for object values a list of its columns (``_rounded``)."""
+    return ([None] * horizon if dtype == object
             else np.empty((horizon, horizon), dtype))
 
 
@@ -1380,11 +1353,8 @@ def dot(u: np.ndarray, v: np.ndarray):
     of the EXTENDED context, each sum is formed exactly (``_Ints.dot``)
     and rounded once, however far its terms cancel; an operand holding
     inf or NaN gives ``u @ v``, which propagates them.  Other arrays,
-    float64 and Fraction among them, give ``u @ v`` with its bits.  A v
-    from ``dot_operand``, or a slice of it, gives the bits of the array.
+    float64 and Fraction among them, give ``u @ v`` with its bits.
     """
-    if isinstance(v, _Ints):
-        return _read(u.tolist()).dot(v)
     if (mode_of(v) is PrecisionMode.EXTENDED
             or mode_of(u) is PrecisionMode.EXTENDED):
         try:
@@ -1394,13 +1364,6 @@ def dot(u: np.ndarray, v: np.ndarray):
         except ConditioningError:    # inf or NaN
             pass
     return u @ v
-
-
-def dot_operand(v: np.ndarray):
-    """v ready for many ``dot`` calls: an array of EXTENDED mpf, none inf
-    or NaN, as one _Ints read once, which ``dot`` takes as the array and
-    ``extend`` grows (``_int_form``); any other v as it is."""
-    return _int_form(v) if set(map(type, v.tolist())) == {_MPF} else v
 
 
 def _sweeps(low, piv, rhs):
@@ -1423,29 +1386,37 @@ def _sweeps(low, piv, rhs):
 
     rows, ups = low
     diag = [_unrounded(row.re[i], row.exp) for i, row in enumerate(rows)]
-    b = [_read([v]) for v in rhs.tolist()]
-    y = _sweep(rows, diag, [(_unrounded(v.re[0], v.exp), v.im and
-                             _unrounded(v.im[0], v.exp)) for v in b])[0]
+    y = list(_sweep(rows, diag, _fields(rhs.tolist())))
     if piv is not None:    # y / piv, as mpc_div_mpf and mpf_div round it
         piv = _read(piv.tolist())
         y = [tuple(part and mpf_div(part, _unrounded(d, piv.exp),
                                     _EXTENDED.prec, round_nearest)
                    for part in value) for value, d in zip(y, piv.re)]
-    x, product = _sweep(ups[::-1], diag[::-1], y[::-1], piv is None)
+    product = _Ints([]) if piv is None else None
+    x = list(_sweep(ups[::-1], diag[::-1], y[::-1], product))
     return np.array([_EXTENDED.make_mpf(re) if im is None else
                      _EXTENDED.make_mpc((re, im)) for re, im in x[::-1]],
-                    dtype=object), product
+                    dtype=object), None if product is None else product[::-1]
 
 
-def _sweep(lines: list, diag: list, values: list, product: bool = False):
-    """One sweep of ``_sweeps`` on the fields (re, im) of the values, im
-    None for a real one: x_i = (values_i - s_i) / diag_i by mpf_sub and
-    mpf_div part by part, as mpmath's mpc_sub and mpc_div_mpf apply them,
-    s_i = lines_i . x over the x_j done summed exactly and rounded once.
-    With ``product`` also lines . x as _Ints: each exact s_i plus diag_i
-    x_i, rounded once."""
-    prec, rnd, done, out, sums = (_EXTENDED.prec, round_nearest, _Ints([]),
-                                  [], _Ints([]))
+def _fields(values: list) -> list:
+    """The mpf fields (re, im) of each mpf or mpc of ``values``, im None
+    for an mpf, read by one ``_read``, which refuses inf and NaN."""
+    vec = _read(values)
+    return [(_unrounded(re, vec.exp), _unrounded(vec.im[k], vec.exp)
+             if type(x) is _MPC else None)
+            for k, (x, re) in enumerate(zip(values, vec.re))]
+
+
+def _sweep(lines, diag, values, sums=None):
+    """One sweep of ``_sweeps`` or ``_parity_solve`` on the fields (re,
+    im) of the values, im None for a real one, yielding those of x_i =
+    (values_i - s_i) / diag_i in turn by mpf_sub and mpf_div part by
+    part, as mpmath's mpc_sub and mpc_div_mpf apply them, s_i = lines_i .
+    x over the x_j done summed exactly and rounded once.  Given the empty
+    _Ints ``sums``, it also appends lines . x to it: each exact s_i plus
+    diag_i x_i, rounded once."""
+    prec, rnd, done = _EXTENDED.prec, round_nearest, _Ints([])
     for line, d, (re, im) in zip(lines, diag, values):
         real, exp = sum(map(mul, line.re, done.re)), line.exp + (done.exp or 0)
         imag = done.im and sum(map(mul, line.re, done.im))
@@ -1455,14 +1426,42 @@ def _sweep(lines: list, diag: list, values: list, product: bool = False):
         im = im and mpf_div(im, d, prec, rnd)
         k = len(done.re)
         done.push((re, im) if im else (re,))
-        if product:
+        if sums is not None:
             at, cell = line.exp + (done.exp or 0), line.re[k]
             low = min(exp, at)
             sums.push([_round((part << exp - low) + (cell * x << at - low),
                               low) for part, x in zip(
                 (real, imag or 0), [done.re[k]] + (done.im or [])[k:])])
-        out.append((re, im))
-    return out, sums[::-1] if product else None
+        yield re, im
+
+
+def _parity_solve(rows, values: np.ndarray, precision: PrecisionMode):
+    """``values`` overwritten with x, L x = values, for the unit lower-
+    triangular integer L whose row i, the i-th of ``rows``, holds L[i, j]
+    for j = i % 2, i % 2 + 2, ..., i: x_i is values_i less ``dot`` of the
+    row and those x_j, j < i.  EXTENDED values that ``_read`` takes run
+    one ``_sweep`` per parity, the chains taking the rows in turn, so x_i
+    is an mpc where a value of its parity up to i is; DOUBLE, RATIONAL
+    and inf or NaN run each row's ``dot``."""
+    try:
+        fields = (_fields(values.tolist())
+                  if precision is PrecisionMode.EXTENDED else None)
+    except ConditioningError:    # inf or NaN
+        fields = None
+    if fields is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
+            for i, row in enumerate(rows):
+                values[i] = values[i] - dot(lift_ints(row[:-1], precision),
+                                            values[i % 2:i:2])
+        return values
+    lines = (_Ints(row, None, 1, 0) for row in rows)
+    chains = [_sweep(lines, [_unrounded(1, 0)] * values.size, fields[p::2])
+              for p in (0, 1)]
+    for i in range(values.size):
+        re, im = next(chains[i & 1])
+        values[i] = (_EXTENDED.make_mpf(re) if im is None
+                     else _EXTENDED.make_mpc((re, im)))
+    return values
 
 
 def _norm(vec) -> float:
@@ -1472,11 +1471,6 @@ def _norm(vec) -> float:
     if vec.dtype != object:
         return math.sqrt(float(np.sum(np.abs(vec) ** 2)))
     return math.sqrt(float(_EXTENDED.re(dot(vec, np.conj(vec)))))
-
-
-def _to_extended(arr: np.ndarray) -> np.ndarray:
-    """Float arrays as they are, object arrays (mpf or Fraction) in mpf."""
-    return lift(arr, PrecisionMode.EXTENDED) if arr.dtype == object else arr
 
 
 def solve_scalar(z, precision: PrecisionMode):
@@ -1535,10 +1529,11 @@ def mp_pd_solve(matrix, rhs) -> tuple[np.ndarray, float]:
     matrix holds inf or NaN).  Raises
     np.linalg.LinAlgError when the matrix is not positive definite.
     """
-    mat = _to_extended(np.asarray(matrix))
-    low, piv = pd_factor(mat)
+    mat = np.asarray(matrix)
     if mat.dtype != object:
-        return _refined_solve(low, piv, lambda x, _: dot(mat, x), rhs)
+        return _refined_solve(*pd_factor(mat), lambda x, _: dot(mat, x), rhs)
+    mat = lift(mat, PrecisionMode.EXTENDED)    # Fractions rounded to mpf
+    low, piv = pd_factor(mat)
     rows, (lows, cols) = _int_lines(mat)[0], _int_lines(low)
     return _refined_solve((lows, [col[::-1] for col in cols]), piv,
                           lambda x, _: _times(rows, x), rhs)
@@ -1552,15 +1547,10 @@ def gram_solve(upper, rhs) -> tuple[np.ndarray, float]:
     W^T is the Cholesky factor of W^T W, so the solve is the two
     triangular sweeps on W, O(n^2), and the residual is W^T (W x) - rhs
     (``_gram_operator``).  Number types, refinement and
-    ConditioningError are as in ``mp_pd_solve``; a W holding inf or NaN
-    is refused up front.  ``upper`` is W as an array, or the _Columns of
-    ``_gram_out``, into which an object array is read for one solve.
+    ConditioningError are as in ``mp_pd_solve``.  ``upper`` is W as
+    ``_gram_out`` holds it: a float array, refused up front if it holds
+    inf or NaN, or the list of its columns in the object modes.
     """
-    if not isinstance(upper, _Columns):
-        upper = _finite(_to_extended(np.asarray(upper)))
-        if upper.dtype == object:
-            upper = _Columns(col[:j + 1] for j, col in
-                             enumerate(_int_lines(upper)[1]))
     low, apply = _gram_operator(upper)
     return _refined_solve(low, None, apply, rhs)
 
@@ -1569,8 +1559,8 @@ def _gram_operator(w):
     """W^T as the factor of W^T W for ``_sweeps``, and (x, wx) -> W^T (W
     x), wx = W x from the back sweep or None.  W's columns give its rows,
     from the last column back to the diagonal, each on its own scale; a
-    float W sums only its nonzero terms."""
-    if isinstance(w, _Columns):
+    float W, refused by ``_finite``, sums only its nonzero terms."""
+    if isinstance(w, list):
         n, exps = len(w), [col.exp or 0 for col in w]
         ups = [_Ints([w[t].re[i] << exps[t] - low
                       for t in range(n - 1, i - 1, -1)], None, 1, low)
@@ -1586,4 +1576,4 @@ def _gram_operator(w):
             out[i] = dot(w[:i + 1, i], wx[:i + 1])
         return out
 
-    return w.T, apply
+    return _finite(w).T, apply

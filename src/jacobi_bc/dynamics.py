@@ -55,7 +55,8 @@ from .core import (
     _read_control,
     _zero_extended,
 )
-from ._multiprec import _gram_out, cell_bytes, forward_sweep, lift, mode_of
+from ._multiprec import (_finite, _gram_out, cell_bytes, forward_sweep, lift,
+                         mode_of)
 
 __all__ = [
     "WaveField",
@@ -158,10 +159,11 @@ def _lift_system(coeffs: JacobiCoefficients, ctrl, horizon: int,
     """The control ``ctrl`` (``_lift_control``, first: it may be complex,
     which makes the field complex), a_0..a_{n_space-1} and b_1..b_{n_space}
     lifted once to the number type of ``precision``, and the number type
-    of the field; a complex a_n or b_n raises ComplexDataError."""
+    of the field; a complex a_n or b_n raises ComplexDataError, and in
+    DOUBLE an inf or NaN one ConditioningError naming it (``_finite``)."""
     ctrl = _lift_control(ctrl, horizon, precision)
-    a = lift(coeffs.a_head(n_space), precision)
-    b = lift(coeffs.b_head(n_space), precision)
+    a = _finite(lift(coeffs.a_head(n_space), precision), "a", 0)
+    b = _finite(lift(coeffs.b_head(n_space), precision), "b", 1)
     return ctrl, a, b, np.result_type(a, b, ctrl)
 
 

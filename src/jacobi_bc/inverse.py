@@ -104,16 +104,19 @@ def _recurrence(nu, horizon: int, shift: int, precision: PrecisionMode,
 def _result(a_rec, b_rec, reference, horizon, path, precision) -> RecoveryResult:
     """The result with its round-trip residual: the max response deviation
     over the window 0..2(T-1)-1 where the recovered size-(T-1) system must
-    match the input, in float64.  An entry beyond float64, of the input
-    or of the re-simulation, makes it inf."""
+    match the input, in float64.  An entry beyond float64, of the input,
+    the coefficients or the re-simulation, makes it inf."""
     coeffs = JacobiCoefficients.from_arrays([1.0] + a_rec, b_rec)
     window = 2 * horizon - 2
     residual = 0.0
     if window:
         reference = _float64(reference[:window])
-        with np.errstate(over="ignore", invalid="ignore"):
-            simulated = response_vector(coeffs, window).as_array()
-            residual = float(np.max(np.abs(simulated - reference)))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                simulated = response_vector(coeffs, window).as_array()
+                residual = float(np.max(np.abs(simulated - reference)))
+        except ConditioningError:    # an inf coefficient
+            residual = math.inf
         if math.isnan(residual):    # inf - inf
             residual = math.inf
     return RecoveryResult(coefficients=coeffs, residual=residual,

@@ -29,8 +29,9 @@ from .core import (
 )
 from .dynamics import _check_block_memory
 from ._multiprec import (_Ints, _emitted, _int_form, _kind, _lifted_nu,
-                         _mode_rounded, _number_kind, above_noise, dot,
-                         dot_operand, leading_eig_extremes, lift, lift_ints)
+                         _mode_rounded, _number_kind, _parity_solve,
+                         above_noise, dot, leading_eig_extremes, lift,
+                         lift_ints)
 
 __all__ = [
     "HankelMatrix",
@@ -176,27 +177,17 @@ def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> R
 
 
 def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> MomentSequence:
-    """s = transform^{-1} r by back-substitution on the unit diagonal.
+    """s = transform^{-1} r by forward substitution on the unit diagonal.
 
     Round-trips with moments_to_response exactly in rational mode.  As
-    there, only the terms j < i with i + j even are summed, by ``dot``,
-    and the rows are generated one at a time; in extended each step
-    subtracts the row's sum rounded once, over the integer form of the
-    moments found so far, which grows by one value a row.
+    there, only the terms j < i with i + j even are summed, the rows
+    generated one at a time (``_multiprec._parity_solve``); in extended
+    each sum is exact and rounded once, and s_i is an mpc where an r_j of
+    its parity, j <= i, is.
     """
     s = lift(sequence_values(r), precision)
-    # the moments found so far: s itself, or where s takes the integer
-    # form (``dot_operand``), that form grown from empty
-    found = dot_operand(s)
-    grow = found is not s
-    if grow:
-        found = found[:0]
-    with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
-        for i, row in enumerate(_transform_rows(s.size)):
-            s[i] = s[i] - dot(lift_ints(row[:-1], precision), found[i % 2:i:2])
-            if grow:
-                found.extend([s[i]])
-    return MomentSequence(s)
+    return MomentSequence(_parity_solve(_transform_rows(s.size), s,
+                                        precision))
 
 
 def hankel_min_eigs(s, n_max: int,

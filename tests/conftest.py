@@ -55,21 +55,20 @@ def rng():
 
 
 def dot_conversion(s, precision):
-    """transform @ s as each transform row's ``_multiprec.dot`` sums it,
-    over s read once (``dot_operand``): the conversion that summed the
-    moments row by row before they were summed on their integer form,
-    kept as the oracle of ``moments_to_response`` and of the moment
-    route of recovery."""
-    from jacobi_bc._multiprec import dot, dot_operand, lift, lift_ints
+    """transform @ s as each transform row's ``_multiprec.dot`` sums it
+    over the lifted array: the conversion that summed the moments row by
+    row before they were summed on their integer form, kept as the
+    oracle of ``moments_to_response`` and of the moment route of
+    recovery."""
+    from jacobi_bc._multiprec import dot, lift, lift_ints
     from jacobi_bc.core import sequence_values
     from jacobi_bc.moments import _transform_rows
 
     sx = lift(sequence_values(s), precision)
-    sv = dot_operand(sx)
     r = np.empty_like(sx)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, row in enumerate(_transform_rows(sx.size)):
-            r[i] = dot(lift_ints(row, precision), sv[i % 2:i + 1:2])
+            r[i] = dot(lift_ints(row, precision), sx[i % 2:i + 1:2])
     return r
 
 

@@ -433,8 +433,8 @@ class TestCoefficientRoute:
                                            PrecisionMode.RATIONAL])
     def test_krein_kernel_makes_no_number_cell(self, monkeypatch, precision):
         # the object sweep hands the Krein solve W_T's columns as ints:
-        # no Fraction or mpf cell of W_T is emitted, lifted to mpf or read
-        # back into lines
+        # no Fraction or mpf cell of W_T is emitted or read back into
+        # lines
         kinds, calls = [], []
         emitted = _multiprec._emitted
 
@@ -443,10 +443,9 @@ class TestCoefficientRoute:
             return emitted(vec, kind, *args)
 
         monkeypatch.setattr(_multiprec, "_emitted", counting_emitted)
-        for name in ("_to_extended", "_int_lines"):
-            monkeypatch.setattr(_multiprec, name, lambda *args, name=name,
-                                call=getattr(_multiprec, name):
-                                calls.append(name) or call(*args))
+        monkeypatch.setattr(_multiprec, "_int_lines", lambda *args,
+                            call=_multiprec._int_lines:
+                            calls.append("_int_lines") or call(*args))
         coeffs = random_coefficients(np.random.default_rng(5), 13)
         krein = kernel_finite(coeffs, 0.3 + 1j, -0.4, 12, method="krein",
                               precision=precision)

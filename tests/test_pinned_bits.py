@@ -44,6 +44,7 @@ from jacobi_bc import (JacobiCoefficients, PrecisionMode, build_hankel,
                        recover_from_moments, recover_from_response,
                        response_to_moments, response_vector, solve_finite,
                        solve_semi_infinite)
+from jacobi_bc.dynamics import _gram_upper
 from jacobi_bc._multiprec import (_EXTENDED, _wheeler_rows, coefficient_eigs,
                                   gram_solve, leading_eig_extremes, lift,
                                   modified_chebyshev, mp_pd_solve, pd_factor)
@@ -212,11 +213,10 @@ def _infinite_response():
 
 
 def _krein(precision, coeffs=RANDOM):
-    w = control_operator(coeffs, 24, precision).matrix
     rhs = lift([complex(k + 1, -k) / 5 for k in range(24)], EXTENDED)
     return (kernel_finite(coeffs, Z, LAM, 24, method="krein",
                           precision=precision),
-            gram_solve(w, rhs))
+            gram_solve(_gram_upper(coeffs, 24, precision), rhs))
 
 
 def _pd_solve():
