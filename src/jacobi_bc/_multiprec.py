@@ -48,18 +48,17 @@ eigenvalue sequences (the sweep of ``coefficient_eigs``, the rows of Q,
 ``_frexp_table``) and the recovered roots (``_root_floats``) take it,
 with no Fraction or mpf made.  The Krein solve takes W_T from the sweep
 in it too: each cell rounded once to EXTENDED on its slice's ints
-(``_rounded``), as the list of its columns, and its sweeps subtract and
-divide on mpf fields, with no mpf or mpc made but the solution; the
-EXTENDED moment substitution runs the same sweep, once per parity
-(``_parity_solve``).  Moment recovery reads its moments into it once
-(``_int_form``), and both its runs of the rows take them and their
-converted response, rounded once (``_mode_rounded``).  In the integer
-form an EXTENDED value keeps 64 bits more than an mpf and is rounded
-once where mpf arithmetic rounds at every step, but the ints span the
-exponent range of the vector, which has no bound for mpf values, and so
-does the cost.  A sum of ``dot`` is rounded once where numpy's object
-``@`` rounds after every product and add; float and Fraction operands
-keep ``@`` and its bits.
+(``_rounded``), and its sweeps subtract and divide on mpf fields, with
+no mpf or mpc made but the solution; the EXTENDED moment substitution
+runs the same sweep, once per parity (``_parity_solve``).  Moment
+recovery reads its moments into it once (``_int_form``), and both its
+runs of the rows take them and their converted response, rounded once
+(``_mode_rounded``).  In the integer form an EXTENDED value keeps 64
+bits more than an mpf and is rounded once where mpf arithmetic rounds at
+every step, but the ints span the exponent range of the vector, which
+has no bound for mpf values, and so does the cost.  A sum of ``dot`` is
+rounded once where numpy's object ``@`` rounds after every product and
+add; float and Fraction operands keep ``@`` and its bits.
 
 In products of an object array with an mpf scalar the array goes on the
 left: an mpf on the left makes mpmath format the whole array for an
@@ -328,8 +327,7 @@ def _finite(arr: np.ndarray, name: str = "", first: int = 0) -> np.ndarray:
         if name:
             at = np.flatnonzero(~np.isfinite(arr))[0]
             raise ConditioningError(f"coefficient {name}_{first + at} is "
-                                    f"{arr[at]}, which the forward sweep "
-                                    "cannot use")
+                                    f"{arr[at]}, which the sweep cannot use")
         raise ConditioningError(
             "a computed value is beyond double precision (inf or NaN); use "
             "PrecisionMode.EXTENDED (--precision extended)")
@@ -1411,19 +1409,21 @@ def _fields(values: list) -> list:
 def _sweep(lines, diag, values, sums=None):
     """One sweep of ``_sweeps`` or ``_parity_solve`` on the fields (re,
     im) of the values, im None for a real one, yielding those of x_i =
-    (values_i - s_i) / diag_i in turn by mpf_sub and mpf_div part by
-    part, as mpmath's mpc_sub and mpc_div_mpf apply them, s_i = lines_i .
-    x over the x_j done summed exactly and rounded once.  Given the empty
-    _Ints ``sums``, it also appends lines . x to it: each exact s_i plus
-    diag_i x_i, rounded once."""
+    (values_i - s_i) / diag_i in turn by mpf_sub and mpf_div part by part,
+    as mpmath's mpc_sub, mpc_sub_mpf and mpc_div_mpf do, s_i = lines_i . x
+    over the x_j done summed exactly and rounded once (a diag_i of None
+    divides by nothing).  Given the empty _Ints ``sums``, it also appends
+    lines . x to it: each exact s_i plus diag_i x_i, rounded once."""
     prec, rnd, done = _EXTENDED.prec, round_nearest, _Ints([])
     for line, d, (re, im) in zip(lines, diag, values):
         real, exp = sum(map(mul, line.re, done.re)), line.exp + (done.exp or 0)
         imag = done.im and sum(map(mul, line.re, done.im))
-        re = mpf_div(mpf_sub(re, _round(real, exp), prec, rnd), d, prec, rnd)
+        re = mpf_sub(re, _round(real, exp), prec, rnd)
         if done.im is not None:    # an mpf minus an mpc subtracts from 0
             im = mpf_sub(im or fzero, _round(imag, exp), prec, rnd)
-        im = im and mpf_div(im, d, prec, rnd)
+        if d is not None:    # else an mpc keeps its im, as in mpc_sub_mpf
+            re = mpf_div(re, d, prec, rnd)
+            im = im and mpf_div(im, d, prec, rnd)
         k = len(done.re)
         done.push((re, im) if im else (re,))
         if sums is not None:
@@ -1455,7 +1455,7 @@ def _parity_solve(rows, values: np.ndarray, precision: PrecisionMode):
                                             values[i % 2:i:2])
         return values
     lines = (_Ints(row, None, 1, 0) for row in rows)
-    chains = [_sweep(lines, [_unrounded(1, 0)] * values.size, fields[p::2])
+    chains = [_sweep(lines, [None] * values.size, fields[p::2])
               for p in (0, 1)]
     for i in range(values.size):
         re, im = next(chains[i & 1])

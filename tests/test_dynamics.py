@@ -941,8 +941,8 @@ def test_sweep_routes_refuse_an_inf_or_nan_coefficient(route, precision, bad,
     # fields; the object modes refuse it as they read it
     a, b = [1, 1, 1, 1], [0, 0, 0, 0]
     (a if entry == "a_2" else b)[2] = bad
-    match = (f"^coefficient {entry} is (inf|nan), which the forward sweep "
-             "cannot use$" if precision is PrecisionMode.DOUBLE
+    match = (f"^coefficient {entry} is (inf|nan), which the sweep cannot "
+             "use$" if precision is PrecisionMode.DOUBLE
              else "^a value is inf or NaN")
     with pytest.raises(ConditioningError, match=match):
         route(JacobiCoefficients.from_arrays(a, b), 4, precision)

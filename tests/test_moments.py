@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
 from jacobi_bc import (
@@ -23,7 +23,8 @@ from jacobi_bc import (
     spectral_data,
 )
 
-from jacobi_bc._multiprec import _EXTENDED, lift
+from jacobi_bc._multiprec import _EXTENDED, dot, lift, lift_ints
+from jacobi_bc.moments import _transform_rows
 
 from conftest import (dot_conversion, exact_fields, random_coefficients,
                       semicircle_moments)
@@ -257,15 +258,31 @@ class TestConversions:
             assert abs(s[k] - val) < 1e-9 * max(1.0, abs(val))
 
 
+def _dot_substitution(r, precision):
+    """transform^-1 r as each row's ``_multiprec.dot`` over the entries
+    found subtracts it: the substitution before it ran on the sweep."""
+    s = lift(r, precision)
+    for i, row in enumerate(_transform_rows(s.size)):
+        s[i] = s[i] - dot(lift_ints(row[:-1], precision), s[i % 2:i:2])
+    return s
+
+
 class TestIntegerConversion:
-    # the object modes sum each row exactly on the integer form of s;
-    # each entry has the bits, and the type, that the row's dot gave
+    # the object modes sum each row exactly on the integer form of s, and
+    # substitute on the sweep; each entry has the bits, and the type, that
+    # the row's dot gave
 
     @settings(max_examples=80)
     @given(s=_wide_moments())
+    # an mpc minus a real sum keeps its imaginary part, here of more bits
+    # than the precision, unrounded, as mpmath's mpc_sub_mpf does
+    @example(s=np.array([_EXTENDED.mpf(0)] * 3 + [_EXTENDED.make_mpc((
+        libmp.fzero, libmp.from_man_exp((1 << 169) + 1, 0)))], dtype=object))
     def test_extended_sums_equal_the_row_dots(self, s):
         got = moments_to_response(s, EXTENDED).as_array()
         assert exact_fields(got) == exact_fields(dot_conversion(s, EXTENDED))
+        assert exact_fields(response_to_moments(s, EXTENDED).as_array()) \
+            == exact_fields(_dot_substitution(s, EXTENDED))
 
     @settings(max_examples=60)
     @given(st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30),
@@ -284,6 +301,8 @@ class TestIntegerConversion:
                                                          "nan"])))
         got = moments_to_response(s, EXTENDED).as_array()
         assert exact_fields(got) == exact_fields(dot_conversion(s, EXTENDED))
+        assert exact_fields(response_to_moments(s, EXTENDED).as_array()) \
+            == exact_fields(_dot_substitution(s, EXTENDED))
         lam = chebyshev_transform(s.size).matrix
         for i in range(at, s.size, 2):
             assert exact_fields([got[i]]) == exact_fields(
