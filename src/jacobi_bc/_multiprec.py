@@ -26,8 +26,7 @@ sweep (``forward_sweep``), Wheeler's recurrence (``modified_chebyshev``),
 the eigenvalue sequences read off Q = diag(d)^-1/2 L^-1 for A = L diag(d)
 L^T (``coefficient_eigs``, ``leading_eig_extremes``), ``sym_eigenvalues``,
 one positive-definite factorization and solve (``pd_factor``,
-``mp_pd_solve``, ``gram_solve``), the substitution of the moment
-transform (``_parity_solve``) and the contraction ``dot``.
+``mp_pd_solve``, ``gram_solve``) and the contraction ``dot``.
 
 Float arrays take numpy and its LAPACK, the forward sweep four ufunc
 calls a step (``_float_sweep``), and the DOUBLE triangular sweeps a
@@ -49,13 +48,13 @@ eigenvalue sequences (the sweep of ``coefficient_eigs``, the rows of Q,
 with no Fraction or mpf made.  The Krein solve takes W_T from the sweep
 in it too: each cell rounded once to EXTENDED on its slice's ints
 (``_rounded``), and its sweeps subtract and divide on mpf fields, with
-no mpf or mpc made but the solution; the EXTENDED moment substitution
-runs the same sweep, once per parity (``_parity_solve``).  Moment
-recovery reads its moments into it once (``_int_form``), and both its
-runs of the rows take them and their converted response, rounded once
-(``_mode_rounded``).  In the integer form an EXTENDED value keeps 64
-bits more than an mpf and is rounded once where mpf arithmetic rounds at
-every step, but the ints span the exponent range of the vector, which
+no mpf or mpc made but the solution.  The moment transforms of
+``moments`` run one exact integer recurrence each way on it, rounded
+once by ``_emitted``.  Moment recovery reads its moments into it once
+(``_int_form``), and both its runs of the rows take them and their
+converted response, rounded once (``_mode_rounded``).  In the integer
+form an EXTENDED value keeps 64 bits more than an mpf and is rounded
+once where mpf arithmetic rounds at every step, but the ints span the exponent range of the vector, which
 has no bound for mpf values, and so does the cost.  A sum of ``dot`` is
 rounded once where numpy's object ``@`` rounds after every product and
 add; float and Fraction operands keep ``@`` and its bits.
@@ -1203,9 +1202,11 @@ def coefficient_eigs(a, b, n_max: int, precision: PrecisionMode):
     the impulse field of the sites 1..n (W_T^T W_T shares its nonzero
     eigenvalues with B_T B_T^T, B_T = W[:T, :T]), which the forward sweep
     fills with no Fraction or mpf cell made, and in RATIONAL no mpmath;
-    it is inf from a DOUBLE cell that overflowed.  One
+    it is inf from a DOUBLE cell that overflowed, and a DOUBLE inf or NaN
+    a_n or b_n raises ConditioningError naming it (``_finite``).  One
     ``_leading_top_eigs`` reads the three tables."""
-    a, b = lift(a, precision), lift(b, precision)
+    a = _finite(lift(a, precision), "a", 0)
+    b = _finite(lift(b, precision), "b", 1)
     ctrl = np.repeat(lift([1, 0], precision), [1, n_max - 1])    # the impulse
     shape = len(a), n_max
     w = ((np.zeros(shape), np.zeros(shape, np.int64)) if a.dtype == object
@@ -1384,7 +1385,12 @@ def _sweeps(low, piv, rhs):
 
     rows, ups = low
     diag = [_unrounded(row.re[i], row.exp) for i, row in enumerate(rows)]
-    y = list(_sweep(rows, diag, _fields(rhs.tolist())))
+    values = rhs.tolist()
+    b = _read(values)    # refuses inf and NaN
+    y = list(_sweep(rows, diag, [
+        (_unrounded(re, b.exp),
+         _unrounded(b.im[k], b.exp) if type(x) is _MPC else None)
+        for k, (x, re) in enumerate(zip(values, b.re))]))
     if piv is not None:    # y / piv, as mpc_div_mpf and mpf_div round it
         piv = _read(piv.tolist())
         y = [tuple(part and mpf_div(part, _unrounded(d, piv.exp),
@@ -1397,23 +1403,14 @@ def _sweeps(low, piv, rhs):
                     dtype=object), None if product is None else product[::-1]
 
 
-def _fields(values: list) -> list:
-    """The mpf fields (re, im) of each mpf or mpc of ``values``, im None
-    for an mpf, read by one ``_read``, which refuses inf and NaN."""
-    vec = _read(values)
-    return [(_unrounded(re, vec.exp), _unrounded(vec.im[k], vec.exp)
-             if type(x) is _MPC else None)
-            for k, (x, re) in enumerate(zip(values, vec.re))]
-
-
 def _sweep(lines, diag, values, sums=None):
-    """One sweep of ``_sweeps`` or ``_parity_solve`` on the fields (re,
-    im) of the values, im None for a real one, yielding those of x_i =
-    (values_i - s_i) / diag_i in turn by mpf_sub and mpf_div part by part,
-    as mpmath's mpc_sub, mpc_sub_mpf and mpc_div_mpf do, s_i = lines_i . x
-    over the x_j done summed exactly and rounded once (a diag_i of None
-    divides by nothing).  Given the empty _Ints ``sums``, it also appends
-    lines . x to it: each exact s_i plus diag_i x_i, rounded once."""
+    """One sweep of ``_sweeps`` on the fields (re, im) of the values, im
+    None for a real one, yielding those of x_i = (values_i - s_i) /
+    diag_i in turn by mpf_sub and mpf_div part by part, as mpmath's
+    mpc_sub, mpc_sub_mpf and mpc_div_mpf do, s_i = lines_i . x over the
+    x_j done summed exactly and rounded once.  Given the empty _Ints
+    ``sums``, it also appends lines . x to it: each exact s_i plus diag_i
+    x_i, rounded once."""
     prec, rnd, done = _EXTENDED.prec, round_nearest, _Ints([])
     for line, d, (re, im) in zip(lines, diag, values):
         real, exp = sum(map(mul, line.re, done.re)), line.exp + (done.exp or 0)
@@ -1421,9 +1418,8 @@ def _sweep(lines, diag, values, sums=None):
         re = mpf_sub(re, _round(real, exp), prec, rnd)
         if done.im is not None:    # an mpf minus an mpc subtracts from 0
             im = mpf_sub(im or fzero, _round(imag, exp), prec, rnd)
-        if d is not None:    # else an mpc keeps its im, as in mpc_sub_mpf
-            re = mpf_div(re, d, prec, rnd)
-            im = im and mpf_div(im, d, prec, rnd)
+        re = mpf_div(re, d, prec, rnd)
+        im = im and mpf_div(im, d, prec, rnd)
         k = len(done.re)
         done.push((re, im) if im else (re,))
         if sums is not None:
@@ -1433,35 +1429,6 @@ def _sweep(lines, diag, values, sums=None):
                               low) for part, x in zip(
                 (real, imag or 0), [done.re[k]] + (done.im or [])[k:])])
         yield re, im
-
-
-def _parity_solve(rows, values: np.ndarray, precision: PrecisionMode):
-    """``values`` overwritten with x, L x = values, for the unit lower-
-    triangular integer L whose row i, the i-th of ``rows``, holds L[i, j]
-    for j = i % 2, i % 2 + 2, ..., i: x_i is values_i less ``dot`` of the
-    row and those x_j, j < i.  EXTENDED values that ``_read`` takes run
-    one ``_sweep`` per parity, the chains taking the rows in turn, so x_i
-    is an mpc where a value of its parity up to i is; DOUBLE, RATIONAL
-    and inf or NaN run each row's ``dot``."""
-    try:
-        fields = (_fields(values.tolist())
-                  if precision is PrecisionMode.EXTENDED else None)
-    except ConditioningError:    # inf or NaN
-        fields = None
-    if fields is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
-            for i, row in enumerate(rows):
-                values[i] = values[i] - dot(lift_ints(row[:-1], precision),
-                                            values[i % 2:i:2])
-        return values
-    lines = (_Ints(row, None, 1, 0) for row in rows)
-    chains = [_sweep(lines, [None] * values.size, fields[p::2])
-              for p in (0, 1)]
-    for i in range(values.size):
-        re, im = next(chains[i & 1])
-        values[i] = (_EXTENDED.make_mpf(re) if im is None
-                     else _EXTENDED.make_mpc((re, im)))
-    return values
 
 
 def _norm(vec) -> float:

@@ -465,7 +465,9 @@ def materialize_matrix(coeffs: JacobiCoefficients, size: int,
         raise ValueError("size must be >= 1")
     a, b = coeffs.a_head(size), coeffs.b_head(size)
     diag, off = lift(b, precision), lift(a[1:], precision)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    # + the mode's zero: np.diag fills an object block with int 0
+    return (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            + lift([0], precision))
 
 
 PROBE_DEPTH = 64   # of generator-backed families in validate_coefficients

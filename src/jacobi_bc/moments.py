@@ -3,10 +3,10 @@
 The monomial coefficients of the propagation polynomials T_1..T_size
 form a unit lower-triangular integer matrix; the same matrix maps a
 moment sequence to the response vector of the associated system, r =
-transform @ s, and its unit diagonal makes the inverse map an exact
-back-substitution.  Entries are always computed in exact integer
-arithmetic (Python ints never overflow) and converted to the requested
-precision at the boundary.
+transform @ s, and its inverse is an integer matrix too, with
+nonnegative entries (x^i = sum_k c_ik U_k(x/2)).  Each map is one exact
+integer recurrence (Python ints never overflow), its result converted
+to the requested precision at the boundary.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from .core import (
 )
 from .dynamics import _check_block_memory
 from ._multiprec import (_Ints, _emitted, _int_form, _kind, _lifted_nu,
-                         _mode_rounded, _number_kind, _parity_solve,
-                         above_noise, dot, leading_eig_extremes, lift,
-                         lift_ints)
+                         _mode_rounded, _number_kind, above_noise, dot,
+                         leading_eig_extremes, lift, lift_ints)
 
 __all__ = [
     "HankelMatrix",
@@ -142,6 +141,36 @@ def _response_ints(s: _Ints) -> _Ints:
     return _Ints(sums(s.re), s.im and sums(s.im), s.den, s.exp)
 
 
+def _moment_ints(r: _Ints) -> _Ints:
+    """transform^-1 @ r on the integer form of r, exactly, by additions
+    alone: r_k is the moment functional at T_{k+1} = U_k(x/2), and with
+    u_i[m] its value at x^i U_m(x/2), x U_m = U_{m+1} + U_{m-1} gives
+    u_{i+1}[m] = u_i[m+1] + u_i[m-1] from u_0 = r, and s_i = u_i[0]."""
+    def sums(part):
+        row, out = part, []
+        while row:
+            out.append(row[0])
+            row = [x + y for x, y in zip(row[1:], [0] + row)]
+        return out
+
+    return _Ints(sums(r.re), r.im and sums(r.im), r.den, r.exp)
+
+
+def _exact_image(values: np.ndarray, ints, precision: PrecisionMode):
+    """The image ``ints`` gives of the integer form of the lifted
+    ``values``, under the transform or its inverse, rounded once to the
+    mode (``_emitted``), or None for float values, inf or NaN, which the
+    form cannot hold.  Both maps couple only entries of one parity, so
+    entry i is an mpc where a value of its parity, j <= i, is."""
+    form = _int_form(values)
+    if form is values:
+        return None
+    held = [_kind(x)[0] is complex for x in values.tolist()]
+    mpc = sum(any(held[i % 2:i + 1:2]) << i for i in range(len(held)))
+    return np.array(_emitted(ints(form), _number_kind(precision), mpc=mpc),
+                    dtype=object)
+
+
 def _response_data(s, precision: PrecisionMode):
     """transform @ s of the lifted moments as ``_int_form`` gives them,
     for recovery: _Ints take their exact sums, rounded once to the mode."""
@@ -163,31 +192,32 @@ def moments_to_response(s, precision: PrecisionMode = PrecisionMode.DOUBLE) -> R
     entry beyond float64 (from 1484 entries on) raises ConditioningError.
     """
     sx = lift(sequence_values(s), precision)
-    form = _int_form(sx)
-    if form is sx:
+    r = _exact_image(sx, _response_ints, precision)
+    if r is None:
         r = np.empty_like(sx)
         with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
             for i, row in enumerate(_transform_rows(sx.size)):
                 r[i] = dot(lift_ints(row, precision), sx[i % 2:i + 1:2])
-        return ResponseVector(r)
-    held = [_kind(x)[0] is complex for x in sx.tolist()]
-    mpc = sum(any(held[i % 2:i + 1:2]) << i for i in range(len(held)))
-    return ResponseVector(np.array(_emitted(
-        _response_ints(form), _number_kind(precision), mpc=mpc), dtype=object))
+    return ResponseVector(r)
 
 
 def response_to_moments(r, precision: PrecisionMode = PrecisionMode.DOUBLE) -> MomentSequence:
-    """s = transform^{-1} r by forward substitution on the unit diagonal.
+    """s = transform^-1 r: exact in rational mode, rounded once in extended.
 
-    Round-trips with moments_to_response exactly in rational mode.  As
-    there, only the terms j < i with i + j even are summed, the rows
-    generated one at a time (``_multiprec._parity_solve``); in extended
-    each sum is exact and rounded once, and s_i is an mpc where an r_j of
-    its parity, j <= i, is.
+    The object modes sum r exactly on its integer form (``_moment_ints``),
+    so the two maps round-trip exactly in rational mode; s_i is an mpc
+    where an r_j of its parity, j <= i, is.  Float data, and inf or NaN,
+    take the forward substitution on the unit diagonal, a row's
+    ``_multiprec.dot`` over the s_j found with i + j even a step.
     """
     s = lift(sequence_values(r), precision)
-    return MomentSequence(_parity_solve(_transform_rows(s.size), s,
-                                        precision))
+    exact = _exact_image(s, _moment_ints, precision)
+    if exact is not None:
+        return MomentSequence(exact)
+    with np.errstate(over="ignore", invalid="ignore"):  # users refuse inf
+        for i, row in enumerate(_transform_rows(s.size)):
+            s[i] = s[i] - dot(lift_ints(row[:-1], precision), s[i % 2:i:2])
+    return MomentSequence(s)
 
 
 def hankel_min_eigs(s, n_max: int,

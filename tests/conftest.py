@@ -72,6 +72,22 @@ def dot_conversion(s, precision):
     return r
 
 
+def dot_substitution(r, precision):
+    """transform^-1 r as each transform row's ``_multiprec.dot`` over the
+    entries found subtracts it, on the unit diagonal: the substitution
+    the object modes ran before they summed r on its integer form, kept
+    as the oracle of the float and the inf or NaN route of
+    ``response_to_moments`` and to build inputs as it made them."""
+    from jacobi_bc._multiprec import dot, lift, lift_ints
+    from jacobi_bc.moments import _transform_rows
+
+    s = lift(r, precision)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(_transform_rows(s.size)):
+            s[i] = s[i] - dot(lift_ints(row[:-1], precision), s[i % 2:i:2])
+    return s
+
+
 def exact_fields(x):
     """x as nested tuples of exact fields, with no repr of a number type
     that could differ between mpmath backends: the bytes of a float

@@ -20,6 +20,7 @@ from jacobi_bc import (
     response_vector,
     validate_coefficients,
 )
+from jacobi_bc._multiprec import _EXTENDED
 from jacobi_bc.cli import _coefficients
 from jacobi_bc.core import _finite_reals, sequence_values
 
@@ -86,6 +87,17 @@ class TestMaterialize:
         co = JacobiCoefficients.from_arrays([1.0, 1.0], [0.0, 0.0])
         with pytest.raises(CoefficientUnderrunError):
             materialize_matrix(co, 3)
+
+    @pytest.mark.parametrize("precision", list(PrecisionMode),
+                             ids=lambda p: p.value)
+    def test_every_cell_is_a_number_of_the_mode(self, precision):
+        # the cells off the band too: no int 0 among the object cells
+        kind = {PrecisionMode.DOUBLE: np.float64,
+                PrecisionMode.EXTENDED: _EXTENDED.mpf,
+                PrecisionMode.RATIONAL: Fraction}[precision]
+        mat = materialize_matrix(JacobiCoefficients.geometric(2), 5,
+                                 precision)
+        assert {type(x) for x in mat.flat} == {kind}
 
     @pytest.mark.parametrize("precision", list(PrecisionMode))
     def test_bitwise_symmetric(self, rng, precision):

@@ -23,6 +23,7 @@ from jacobi_bc import (
     ResponseVector,
     WaveField,
     apply_response,
+    classify,
     control_operator,
     hermite_biehler,
     kernel_finite,
@@ -829,6 +830,7 @@ def _coefficient_routes():
         "control_operator": control_operator,
         "kernel_krein":
             lambda co, T, p: kernel_finite(co, 1j, 0.5, T, "krein", p),
+        "classify": classify,
     }
     for name, route in moded.items():
         for precision in PrecisionMode:
@@ -946,3 +948,18 @@ def test_sweep_routes_refuse_an_inf_or_nan_coefficient(route, precision, bad,
              else "^a value is inf or NaN")
     with pytest.raises(ConditioningError, match=match):
         route(JacobiCoefficients.from_arrays(a, b), 4, precision)
+
+
+@pytest.mark.parametrize("precision", list(PrecisionMode),
+                         ids=lambda p: p.value)
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_classify_refuses_a_coefficient_only_the_gamma_sweep_reads(precision,
+                                                                   bad):
+    # the polynomial recurrences read b_1..b_4 only; b_5 reaches the
+    # sweep of coefficient_eigs alone, where DOUBLE gave gamma_5 = inf
+    co = JacobiCoefficients.from_arrays([1] * 5, [0, 0, 0, 0, bad])
+    match = ("^coefficient b_5 is (inf|nan), which the sweep cannot use$"
+             if precision is PrecisionMode.DOUBLE
+             else "^a value is inf or NaN")
+    with pytest.raises(ConditioningError, match=match):
+        classify(co, 5, precision)

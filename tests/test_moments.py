@@ -23,12 +23,13 @@ from jacobi_bc import (
     spectral_data,
 )
 
-from jacobi_bc._multiprec import _EXTENDED, dot, lift, lift_ints
-from jacobi_bc.moments import _transform_rows
+from jacobi_bc import moments
+from jacobi_bc._multiprec import _EXTENDED, _number_kind, lift
 
-from conftest import (dot_conversion, exact_fields, random_coefficients,
-                      semicircle_moments)
+from conftest import (dot_conversion, dot_substitution, exact_fields,
+                      random_coefficients, semicircle_moments)
 
+DOUBLE = PrecisionMode.DOUBLE
 EXTENDED, RATIONAL = PrecisionMode.EXTENDED, PrecisionMode.RATIONAL
 
 
@@ -70,6 +71,33 @@ def _row_sum(row, values, precision):
     if any(hasattr(v, "_mpc_") for c, v in zip(row, values) if c):
         return _EXTENDED.make_mpc((re, im))
     return _EXTENDED.make_mpf(re)
+
+
+def _exact_inverse(values, precision):
+    """transform^-1 values by the full substitution in exact Fractions,
+    part by part: the Fractions themselves in RATIONAL, and in EXTENDED
+    each part rounded once, an mpc where a value of its parity up to it
+    is one."""
+    lam = chebyshev_transform(values.size).matrix
+    if precision is RATIONAL:
+        parts = [list(values)]
+    else:
+        fields = [getattr(v, "_mpc_", None) or (v._mpf_, libmp.fzero)
+                  for v in values]
+        parts = [[Fraction(*libmp.to_rational(f[k])) for f in fields]
+                 for k in (0, 1)]
+    for part in parts:
+        for i in range(len(part)):
+            part[i] -= sum(c * x for c, x in zip(lam[i, :i], part))
+    if precision is RATIONAL:
+        return np.array(parts[0], dtype=object)
+    re, im = [[libmp.from_rational(x.numerator, x.denominator,
+                                   _EXTENDED.prec, libmp.round_nearest)
+               for x in part] for part in parts]
+    held = [hasattr(v, "_mpc_") for v in values]
+    return np.array([_EXTENDED.make_mpc((re[i], im[i]))
+                     if any(held[i % 2:i + 1:2]) else _EXTENDED.make_mpf(re[i])
+                     for i in range(len(re))], dtype=object)
 
 
 def chebyshev_coefficient_oracle(count):
@@ -201,22 +229,17 @@ class TestConversions:
         ids=["rational", "extended", "extended-complex"])
     def test_response_to_moments_matches_the_full_substitution(
             self, precision, complex_):
-        # the back-substitution sums only the same-parity terms; the ones
-        # skipped are exact zeros, so each step subtracts the full row's
-        # sum, in EXTENDED rounded once before the one rounded subtraction;
-        # with mpc at r_5, r_8, r_11, ... the sum of s_6 stays real, as its
-        # terms s_0, s_2 and s_4 are
+        # the full back-substitution in exact Fractions: RATIONAL gives
+        # it, and EXTENDED each part of it rounded once; with mpc at r_5,
+        # r_8, r_11, ... s_6 stays real, as r_0, r_2, r_4 and r_6 are
         size = 41
         r = response_vector(random_coefficients(np.random.default_rng(3), size),
                             size, PrecisionMode.RATIONAL)
-        lam = chebyshev_transform(size).matrix.astype(object)
-        want = lift(r.as_array(), precision)
+        r = lift(r.as_array(), precision)
         if complex_:
-            want[5::3] = [x * _EXTENDED.mpc(1, 1 / (k + 2))
-                          for k, x in enumerate(want[5::3])]
-            r = want.copy()
-        for i in range(size):
-            want[i] = want[i] - _row_sum(lam[i, :i], want[:i], precision)
+            r[5::3] = [x * _EXTENDED.mpc(1, 1 / (k + 2))
+                       for k, x in enumerate(r[5::3])]
+        want = _exact_inverse(r, precision)
         got = response_to_moments(r, precision).as_array()
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
         assert [str(v) for v in got] == [str(v) for v in want]
@@ -258,31 +281,34 @@ class TestConversions:
             assert abs(s[k] - val) < 1e-9 * max(1.0, abs(val))
 
 
-def _dot_substitution(r, precision):
-    """transform^-1 r as each row's ``_multiprec.dot`` over the entries
-    found subtracts it: the substitution before it ran on the sweep."""
-    s = lift(r, precision)
-    for i, row in enumerate(_transform_rows(s.size)):
-        s[i] = s[i] - dot(lift_ints(row[:-1], precision), s[i % 2:i:2])
-    return s
-
-
 class TestIntegerConversion:
-    # the object modes sum each row exactly on the integer form of s, and
-    # substitute on the sweep; each entry has the bits, and the type, that
-    # the row's dot gave
+    # the object modes map each way by one exact recurrence on the
+    # integer form: each r_i has the bits, and the type, that the row's
+    # dot gave, and each s_i is the exact inverse rounded once
 
     @settings(max_examples=80)
     @given(s=_wide_moments())
-    # an mpc minus a real sum keeps its imaginary part, here of more bits
-    # than the precision, unrounded, as mpmath's mpc_sub_mpf does
+    # an mpc's imaginary part of more bits than the precision is rounded
+    # once, as every part of the exact inverse is
     @example(s=np.array([_EXTENDED.mpf(0)] * 3 + [_EXTENDED.make_mpc((
         libmp.fzero, libmp.from_man_exp((1 << 169) + 1, 0)))], dtype=object))
     def test_extended_sums_equal_the_row_dots(self, s):
         got = moments_to_response(s, EXTENDED).as_array()
         assert exact_fields(got) == exact_fields(dot_conversion(s, EXTENDED))
         assert exact_fields(response_to_moments(s, EXTENDED).as_array()) \
-            == exact_fields(_dot_substitution(s, EXTENDED))
+            == exact_fields(_exact_inverse(s, EXTENDED))
+
+    def test_extended_inverse_is_rounded_once_where_the_rows_were_not(self):
+        # at 201 entries the substitution by row dots loses digits; the
+        # recurrence gives the exact inverse of the lifted data, each
+        # entry rounded once
+        r = lift(response_vector(random_coefficients(
+            np.random.default_rng(3), 201), 201, RATIONAL).as_array(),
+            EXTENDED)
+        want = exact_fields(_exact_inverse(r, EXTENDED))
+        assert exact_fields(response_to_moments(r, EXTENDED).as_array()) \
+            == want
+        assert exact_fields(dot_substitution(r, EXTENDED)) != want
 
     @settings(max_examples=60)
     @given(st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30),
@@ -291,6 +317,40 @@ class TestIntegerConversion:
     def test_rational_sums_equal_the_row_dots(self, s):
         got = moments_to_response(s, RATIONAL).as_array()
         assert exact_fields(got) == exact_fields(dot_conversion(s, RATIONAL))
+        assert exact_fields(response_to_moments(s, RATIONAL).as_array()) \
+            == exact_fields(dot_substitution(s, RATIONAL))
+
+    @settings(max_examples=40)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30))
+    def test_double_substitution_keeps_the_row_dots(self, s):
+        assert exact_fields(response_to_moments(s).as_array()) \
+            == exact_fields(dot_substitution(s, DOUBLE))
+
+    @pytest.mark.parametrize("precision, infinite", [
+        (EXTENDED, False), (RATIONAL, False), (DOUBLE, False),
+        (EXTENDED, True)], ids=["extended", "rational", "double",
+                                "extended-inf"])
+    def test_object_inverse_is_one_emit(self, monkeypatch, precision,
+                                        infinite):
+        # the object modes round the recurrence's ints once, by one
+        # _emitted call in the mode's kind and no row's dot; float data
+        # and an inf take the row loop, a dot a row
+        kinds, dots = [], []
+        emitted, dot = moments._emitted, moments.dot
+        monkeypatch.setattr(moments, "_emitted", lambda vec, kind, **kw:
+                            kinds.append(kind) or emitted(vec, kind, **kw))
+        monkeypatch.setattr(moments, "dot", lambda u, v:
+                            dots.append(len(v)) or dot(u, v))
+        r = lift(response_vector(random_coefficients(
+            np.random.default_rng(3), 21), 21, RATIONAL).as_array(),
+            precision)
+        if infinite:
+            r[6] = _EXTENDED.inf
+        response_to_moments(r, precision)
+        if precision is DOUBLE or infinite:
+            assert (kinds, dots) == ([], [i // 2 for i in range(21)])
+        else:
+            assert (kinds, dots) == ([_number_kind(precision)], [])
 
     @settings(max_examples=40)
     @given(s=_wide_moments(max_size=12), data=st.data())
@@ -302,7 +362,7 @@ class TestIntegerConversion:
         got = moments_to_response(s, EXTENDED).as_array()
         assert exact_fields(got) == exact_fields(dot_conversion(s, EXTENDED))
         assert exact_fields(response_to_moments(s, EXTENDED).as_array()) \
-            == exact_fields(_dot_substitution(s, EXTENDED))
+            == exact_fields(dot_substitution(s, EXTENDED))
         lam = chebyshev_transform(s.size).matrix
         for i in range(at, s.size, 2):
             assert exact_fields([got[i]]) == exact_fields(

@@ -49,7 +49,7 @@ from jacobi_bc._multiprec import (_EXTENDED, _wheeler_rows, coefficient_eigs,
                                   gram_solve, leading_eig_extremes, lift,
                                   modified_chebyshev, mp_pd_solve, pd_factor)
 
-from conftest import exact_fields
+from conftest import dot_substitution, exact_fields
 
 DOUBLE = PrecisionMode.DOUBLE
 EXTENDED = PrecisionMode.EXTENDED
@@ -100,8 +100,10 @@ def _chebyshev(precision, shift):
 def _wide_span_moments():
     # Carleman(1) moments with each zero odd moment replaced by a value
     # near 1e-300: rows span about 2^1000 below their largest entry
-    s = np.array(response_to_moments(response_vector(CARLEMAN_1, 79, EXTENDED),
-                                     EXTENDED).as_array())
+    # built by the row dots' substitution, which made it before the
+    # inverse transform rounded each moment once
+    s = dot_substitution(response_vector(CARLEMAN_1, 79, EXTENDED).as_array(),
+                         EXTENDED)
     s[1::2] = [_EXTENDED.mpf(k + 1) / 7 * _EXTENDED.mpf("1e-300")
                for k in range(s[1::2].size)]
     try:

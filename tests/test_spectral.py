@@ -281,17 +281,22 @@ def test_p_names_a_coefficient_beyond_float64_in_every_spelling(big):
 def test_the_polynomial_routes_name_an_inf_or_nan_coefficient(bad):
     # float64 holds a_1 only as inf or NaN: kernel_finite gave nan+nanj in
     # every mode, eval_p_all [1, 0, -inf, nan], hermite_biehler nan with a
-    # RuntimeWarning, and DOUBLE classify a verdict with gamma = inf
+    # RuntimeWarning, and DOUBLE classify a verdict with gamma = inf;
+    # classify names it from the sweep of its gamma table, which reads it
+    # before the recurrences do
     co = JacobiCoefficients.from_arrays([1, bad, 1, 1, 1], [0.5] * 5)
-    routes = [lambda: eval_p_all(co, 4, 0.5), lambda: eval_q_all(co, 4, 0.5),
-              lambda: hermite_biehler(co, 4)(0.5), lambda: classify(co, 4)]
-    routes += [lambda mode=mode: kernel_finite(co, 1j, 0.3, 4, precision=mode)
+    routes = [(lambda: eval_p_all(co, 4, 0.5), "p_n"),
+              (lambda: eval_q_all(co, 4, 0.5), "p_n"),
+              (lambda: hermite_biehler(co, 4)(0.5), "p_n"),
+              (lambda: classify(co, 4), "the sweep cannot use$")]
+    routes += [(lambda mode=mode: kernel_finite(co, 1j, 0.3, 4,
+                                                precision=mode), "p_n")
                for mode in PrecisionMode]
-    for route in routes:
+    for route, reader in routes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConditioningError, match=(
-                    "^coefficient a_1 is (-?inf|nan), which p_n")):
+                    f"^coefficient a_1 is (-?inf|nan), which {reader}")):
                 route()
 
 
