@@ -373,7 +373,7 @@ PINNED = {
     'recover-from-response-rational-eighths':
         '87b61272ab2e6230071afffac4704f330a301d5b153d6ceb6a7c694d5c099fdd',
     'response-to-moments-extended-complex':
-        '097761b20783d4aa3cfd6261288366454a4188f05ba810f26ecc21431fc400db',
+        '27ca5b0977f42d60e4751c35d401ef914fc4d51e706f2f9250bf45e77be1b1d7',
     'response-to-moments-extended-inf':
         '21ce7b91f2dc61dc3394f1d13f7e2834212cf855a4a70b9620186a9d39561060',
     'response-vector-double':
