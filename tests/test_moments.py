@@ -330,8 +330,8 @@ class TestIntegerConversion:
         (EXTENDED, False), (RATIONAL, False), (DOUBLE, False),
         (EXTENDED, True)], ids=["extended", "rational", "double",
                                 "extended-inf"])
-    def test_object_inverse_is_one_emit(self, monkeypatch, precision,
-                                        infinite):
+    def test_the_inverse_takes_one_emit_or_the_row_loop(self, monkeypatch,
+                                                         precision, infinite):
         # the object modes round the recurrence's ints once, by one
         # _emitted call in the mode's kind and no row's dot; float data
         # and an inf take the row loop, a dot a row
